@@ -11,7 +11,7 @@ import (
 // nondeterministic by design — its lock-based speculation commits
 // replacements in worker arrival order, so two runs interleave commits
 // differently and diverge structurally (this is why golden_k4.json
-// carries no iccad18-w4 rows; see DESIGN.md, "iccad18 multi-worker
+// carries no iccad18-w4 rows; see DESIGN.md, "Multi-worker
 // nondeterminism"). With a single worker there is no arrival race:
 // commits happen in cut-enumeration order and the engine must be
 // byte-identical across runs on every tiny-suite circuit. Any failure

@@ -11,10 +11,11 @@ import (
 
 // goldenK4Entry is one row of testdata/golden_k4.json: the structural
 // digest and final AND count an engine produced on a tiny-suite circuit
-// BEFORE cut enumeration was parameterized over K. The file pins every
-// deterministic (circuit, engine, workers) configuration; iccad18 at 4
-// workers is run-to-run nondeterministic (its lock-based speculation
-// commits in arrival order) and is deliberately absent.
+// BEFORE cut enumeration was parameterized over K. iccad18 at 4 workers
+// is run-to-run nondeterministic (its lock-based speculation commits in
+// arrival order) and is deliberately absent; the dacpara rows at 4
+// workers were recorded on a 1-CPU host and are held to QoR, not bytes
+// (see goldenByteIdentical).
 type goldenK4Entry struct {
 	Circuit string `json:"circuit"`
 	Engine  string `json:"engine"`
@@ -39,13 +40,25 @@ func loadGoldenK4(t *testing.T) []goldenK4Entry {
 	return entries
 }
 
+// goldenByteIdentical reports whether a golden row pins bytes: every
+// engine at one worker and the serial-commit engines (abc, dac22,
+// tcad23) at any width. dacpara's replacement phase commits under the
+// speculative executor, so with Workers > 1 on a multi-core host the
+// commit order inside a level — and with it the graph — varies run to
+// run, exactly like iccad18 (DESIGN.md, "Multi-worker nondeterminism").
+func goldenByteIdentical(e goldenK4Entry) bool {
+	return e.Workers == 1 || Engine(e.Engine) != EngineDACPara
+}
+
 // TestGoldenK4ByteIdentity is the backward differential pin of the
 // large-cut work: running every engine with an explicit K=4 through the
 // parameterized cut/truth-table/NPN stack must reproduce, node for node,
 // the structural digests recorded by the pre-parameterization code. Any
 // behavioural drift in the widened path — truth-table widening, cut
 // budgets, library lookups, commit revalidation — shows up here as a
-// digest mismatch on a named configuration.
+// digest mismatch on a named configuration. Rows that do not pin bytes
+// must still be structurally clean, equivalent to the input and within
+// 1 % of the golden AND count.
 func TestGoldenK4ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -71,6 +84,13 @@ func TestGoldenK4ByteIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if !goldenByteIdentical(e) {
+						checkCleanAndEquivalent(t, golden, net)
+						if d := res.FinalAnds - e.Ands; d*100 > e.Ands || -d*100 > e.Ands {
+							t.Errorf("final ANDs %d, more than 1%% off golden %d", res.FinalAnds, e.Ands)
+						}
+						return
+					}
 					if res.FinalAnds != e.Ands {
 						t.Errorf("final ANDs %d, golden %d", res.FinalAnds, e.Ands)
 					}
@@ -80,6 +100,27 @@ func TestGoldenK4ByteIdentity(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// checkCleanAndEquivalent is the oracle of configurations whose bytes are
+// not pinned: aig.Check-clean and equivalent to the input (SAT-proved on
+// small circuits, simulation-screened beyond cecBudgetAnds).
+func checkCleanAndEquivalent(t *testing.T, golden, net *Network) {
+	t.Helper()
+	if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+		t.Fatalf("structural check: %v", err)
+	}
+	check := EquivalentFast
+	if golden.Stats().Ands <= cecBudgetAnds {
+		check = Equivalent
+	}
+	eq, err := check(golden, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eq {
+		t.Fatal("equivalence disproved")
 	}
 }
 
@@ -102,26 +143,6 @@ func TestLargeCutQoRAndEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			small := golden.Stats().Ands <= cecBudgetAnds
-			check := func(net *Network) {
-				t.Helper()
-				if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
-					t.Fatalf("structural check: %v", err)
-				}
-				var eq bool
-				var err error
-				if small {
-					eq, err = Equivalent(golden, net)
-				} else {
-					eq, err = EquivalentFast(golden, net)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !eq {
-					t.Fatal("equivalence disproved")
-				}
-			}
 			finals := map[int]int{}
 			for _, k := range []int{4, 5, 6} {
 				net := golden.Clone()
@@ -129,7 +150,7 @@ func TestLargeCutQoRAndEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("k=%d: %v", k, err)
 				}
-				check(net)
+				checkCleanAndEquivalent(t, golden, net)
 				finals[k] = res.FinalAnds
 			}
 			if finals[5] > finals[4] {

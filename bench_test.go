@@ -12,15 +12,13 @@ package dacpara
 // EXPERIMENTS.md for small/full-scale runs via cmd/exptables).
 
 import (
+	"context"
 	"os"
 	"testing"
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bench"
-	"dacpara/internal/core"
-	"dacpara/internal/lockpar"
 	"dacpara/internal/rewrite"
-	"dacpara/internal/staticpar"
 )
 
 // benchScale picks the generated benchmark sizes; override with
@@ -51,6 +49,18 @@ func must(res rewrite.Result, err error) rewrite.Result {
 		panic(err)
 	}
 	return res
+}
+
+// engineRun is one benchmarked column: an engine-table row and its
+// configuration.
+type engineRun struct {
+	name string
+	eng  Engine
+	cfg  Config
+}
+
+func (e engineRun) run(a *aig.AIG, lib *Library) (rewrite.Result, error) {
+	return rewrite.Run(context.Background(), e.eng, a, lib, e.cfg)
 }
 
 func reportResult(b *testing.B, res rewrite.Result) {
@@ -85,19 +95,10 @@ func BenchmarkTable1_Generate(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	sc := benchScale()
 	lib := benchLib(b)
-	engines := []struct {
-		name string
-		run  func(*aig.AIG) (rewrite.Result, error)
-	}{
-		{"abc", func(a *aig.AIG) (rewrite.Result, error) {
-			return rewrite.Serial(a, libInternal(lib), rewrite.Config{})
-		}},
-		{"iccad18", func(a *aig.AIG) (rewrite.Result, error) {
-			return lockpar.Rewrite(a, libInternal(lib), rewrite.Config{})
-		}},
-		{"dacpara", func(a *aig.AIG) (rewrite.Result, error) {
-			return core.Rewrite(a, libInternal(lib), rewrite.Config{})
-		}},
+	engines := []engineRun{
+		{"abc", EngineSerial, Config{}},
+		{"iccad18", EngineLockPar, Config{}},
+		{"dacpara", EngineDACPara, Config{}},
 	}
 	for _, c := range bench.Suite(sc) {
 		for _, e := range engines {
@@ -108,7 +109,7 @@ func BenchmarkTable2(b *testing.B) {
 					b.StopTimer()
 					a := c.Instantiate(sc)
 					b.StartTimer()
-					res = must(e.run(a))
+					res = must(e.run(a, lib))
 				}
 				reportResult(b, res)
 			})
@@ -123,25 +124,12 @@ func BenchmarkTable3(b *testing.B) {
 	sc := benchScale()
 	lib := benchLib(b)
 	drwCfg := rewrite.Config{MaxCuts: 8, MaxStructs: 5, NumClasses: 222, Passes: 2}
-	engines := []struct {
-		name string
-		run  func(*aig.AIG) (rewrite.Result, error)
-	}{
-		{"iccad18", func(a *aig.AIG) (rewrite.Result, error) {
-			return lockpar.Rewrite(a, libInternal(lib), rewrite.Config{})
-		}},
-		{"dac22", func(a *aig.AIG) (rewrite.Result, error) {
-			return staticpar.Rewrite(a, libInternal(lib), drwCfg, staticpar.DAC22)
-		}},
-		{"tcad23", func(a *aig.AIG) (rewrite.Result, error) {
-			return staticpar.Rewrite(a, libInternal(lib), drwCfg, staticpar.TCAD23)
-		}},
-		{"dacpara-p1", func(a *aig.AIG) (rewrite.Result, error) {
-			return core.Rewrite(a, libInternal(lib), rewrite.P1())
-		}},
-		{"dacpara-p2", func(a *aig.AIG) (rewrite.Result, error) {
-			return core.Rewrite(a, libInternal(lib), rewrite.P2())
-		}},
+	engines := []engineRun{
+		{"iccad18", EngineLockPar, Config{}},
+		{"dac22", EngineStaticDAC22, drwCfg},
+		{"tcad23", EngineStaticTCAD23, drwCfg},
+		{"dacpara-p1", EngineDACPara, P1()},
+		{"dacpara-p2", EngineDACPara, P2()},
 	}
 	for _, c := range bench.MtMSet(sc) {
 		for _, e := range engines {
@@ -152,7 +140,7 @@ func BenchmarkTable3(b *testing.B) {
 					b.StopTimer()
 					a := c.Instantiate(sc)
 					b.StartTimer()
-					res = must(e.run(a))
+					res = must(e.run(a, lib))
 				}
 				reportResult(b, res)
 			})
@@ -182,9 +170,9 @@ func BenchmarkFig2Conflicts(b *testing.B) {
 				a := c.Instantiate(sc)
 				b.StartTimer()
 				if e.fused {
-					res = must(lockpar.Rewrite(a, libInternal(lib), rewrite.Config{Workers: 8}))
+					res = must(rewrite.Run(context.Background(), EngineLockPar, a, lib, rewrite.Config{Workers: 8}))
 				} else {
-					res = must(core.Rewrite(a, libInternal(lib), rewrite.Config{Workers: 8}))
+					res = must(rewrite.Run(context.Background(), EngineDACPara, a, lib, rewrite.Config{Workers: 8}))
 				}
 			}
 			reportResult(b, res)
@@ -210,7 +198,7 @@ func BenchmarkThreadScaling(b *testing.B) {
 				b.StopTimer()
 				a := c.Instantiate(sc)
 				b.StartTimer()
-				res = must(core.Rewrite(a, libInternal(lib), rewrite.Config{Workers: th}))
+				res = must(rewrite.Run(context.Background(), EngineDACPara, a, lib, rewrite.Config{Workers: th}))
 			}
 			reportResult(b, res)
 		})
@@ -220,7 +208,7 @@ func BenchmarkThreadScaling(b *testing.B) {
 				b.StopTimer()
 				a := c.Instantiate(sc)
 				b.StartTimer()
-				res = must(lockpar.Rewrite(a, libInternal(lib), rewrite.Config{Workers: th}))
+				res = must(rewrite.Run(context.Background(), EngineLockPar, a, lib, rewrite.Config{Workers: th}))
 			}
 			reportResult(b, res)
 		})
@@ -248,9 +236,9 @@ func BenchmarkAblationNoLevels(b *testing.B) {
 				a := c.Instantiate(sc)
 				b.StartTimer()
 				if e.flat {
-					res = must(core.RewriteFlat(a, libInternal(lib), rewrite.Config{Workers: 8}))
+					res = must(rewrite.Run(context.Background(), rewrite.EngineFlat, a, lib, rewrite.Config{Workers: 8}))
 				} else {
-					res = must(core.Rewrite(a, libInternal(lib), rewrite.Config{Workers: 8}))
+					res = must(rewrite.Run(context.Background(), EngineDACPara, a, lib, rewrite.Config{Workers: 8}))
 				}
 			}
 			reportResult(b, res)
@@ -282,7 +270,7 @@ func BenchmarkAblationStrash(b *testing.B) {
 					a = a.CloneWith(aig.Options{GlobalStrash: true})
 				}
 				b.StartTimer()
-				res = must(rewrite.Serial(a, libInternal(lib), rewrite.Config{}))
+				res = must(rewrite.Run(context.Background(), EngineSerial, a, lib, rewrite.Config{}))
 			}
 			reportResult(b, res)
 		})
@@ -301,7 +289,7 @@ func BenchmarkEquivalenceCheck(b *testing.B) {
 	}
 	a := c.Instantiate(sc)
 	golden := a.Clone()
-	must(core.Rewrite(a, libInternal(lib), rewrite.Config{}))
+	must(rewrite.Run(context.Background(), EngineDACPara, a, lib, rewrite.Config{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eq, err := Equivalent(golden, a)
@@ -323,6 +311,3 @@ func findSuiteCircuit(sc bench.Scale, base string) (bench.Circuit, bool) {
 	}
 	return bench.Circuit{}, false
 }
-
-// libInternal unwraps the facade alias for the internal engine APIs.
-func libInternal(l *Library) *Library { return l }

@@ -14,7 +14,7 @@ import (
 	"os"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/core"
+	"dacpara/internal/engine"
 	"dacpara/internal/partition"
 	"dacpara/internal/serve"
 )
@@ -53,7 +53,7 @@ func main() {
 				st.Digest = serve.StructuralDigest(a)
 			}
 			if *hist {
-				for _, wl := range core.NodeDividing(a) {
+				for _, wl := range engine.ByLevel(a) {
 					st.Levels = append(st.Levels, len(wl))
 				}
 			}
@@ -69,7 +69,7 @@ func main() {
 		st := a.Stats()
 		fmt.Printf("%s: pi=%d po=%d and=%d delay=%d\n", path, st.PIs, st.POs, st.Ands, st.Delay)
 		if *hist {
-			for lv, wl := range core.NodeDividing(a) {
+			for lv, wl := range engine.ByLevel(a) {
 				fmt.Printf("  level %4d: %d nodes\n", lv+1, len(wl))
 			}
 		}

@@ -9,12 +9,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"time"
 
 	"dacpara"
 )
@@ -24,7 +25,7 @@ func main() {
 		in        = flag.String("in", "", "input AIGER file (ASCII or binary)")
 		gen       = flag.String("gen", "", "generate a named benchmark instead of reading a file (see -list)")
 		scale     = flag.String("scale", "small", "generated benchmark scale: tiny, small, full")
-		out       = flag.String("out", "", "output AIGER file (optional)")
+		outPath   = flag.String("out", "", "output AIGER file (optional)")
 		engine    = flag.String("engine", "dacpara", "engine: abc, iccad18, dacpara, dac22, tcad23")
 		threads   = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		passes    = flag.Int("passes", 1, "rewriting passes")
@@ -78,11 +79,29 @@ func main() {
 		cfg = dacpara.P2()
 		cfg.Workers = *threads
 	}
-	if *cutK != 0 && (*cutK < 4 || *cutK > dacpara.MaxCutWidth) {
-		fmt.Fprintf(os.Stderr, "dacpara: -k %d out of range 4..%d\n", *cutK, dacpara.MaxCutWidth)
+	cfg.K = *cutK
+	// One job from the flags; -sim-only replaces the job's own SAT-backed
+	// check with a simulation screen after the run.
+	job := dacpara.Job{
+		Engine:          dacpara.Engine(*engine),
+		Partition:       *partN,
+		Guard:           *guard,
+		GuardDeadlineNs: int64(*deadln),
+		Verify:          *verify && !*simOnly,
+	}.WithKnobs(cfg)
+	if flow := *script; flow != "" {
+		switch flow {
+		case "resyn2":
+			flow = dacpara.Resyn2
+		case "resyn2rs":
+			flow = dacpara.Resyn2rs
+		}
+		job.Engine, job.Flow = "", flow
+	}
+	if err := job.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg.K = *cutK
 	if *rewlibF != "" {
 		loaded, rejected, err := dacpara.LoadRewlib(*rewlibF)
 		fatal(err)
@@ -90,17 +109,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dacpara: rewlib %s: %d corrupt classes rejected (%d loaded)\n", *rewlibF, rejected, loaded)
 		}
 	}
+	var hooks dacpara.Hooks
 	if *stats || *statsJSON != "" {
-		cfg.Metrics = dacpara.NewMetrics()
-		cfg.Metrics.TraceConflicts(*traceConf)
-	}
-	if *partN != 0 && (*partN < 2 || *partN > dacpara.MaxPartitionShards) {
-		fmt.Fprintf(os.Stderr, "dacpara: -partition %d out of range 2..%d\n", *partN, dacpara.MaxPartitionShards)
-		os.Exit(2)
-	}
-	if *partN >= 2 && *guard {
-		fmt.Fprintln(os.Stderr, "dacpara: -partition and -guard are mutually exclusive (partitioned runs verify every shard already)")
-		os.Exit(2)
+		hooks.Attach.Metrics = dacpara.NewMetrics()
+		hooks.Attach.Metrics.TraceConflicts(*traceConf)
 	}
 
 	if *pprofPfx != "" {
@@ -118,49 +130,37 @@ func main() {
 	}
 
 	var golden *dacpara.Network
-	if *verify {
+	if *verify && *simOnly {
 		golden = net.Clone()
 	}
 
 	before := net.Stats()
+	out, err := dacpara.Run(context.Background(), net, job, hooks)
+	for _, rep := range out.Reports {
+		fmt.Println(rep)
+	}
+	if errors.Is(err, dacpara.ErrNotEquivalent) {
+		fmt.Fprintln(os.Stderr, "dacpara: EQUIVALENCE CHECK FAILED")
+		os.Exit(1)
+	}
+	fatal(err)
+	net = out.Net
+	after := net.Stats()
+
 	var snapshots []*dacpara.MetricsSnapshot
-	if *script != "" {
-		text := *script
-		switch text {
-		case "resyn2":
-			text = dacpara.Resyn2
-		case "resyn2rs":
-			text = dacpara.Resyn2rs
+	for _, r := range out.Steps {
+		fmt.Printf("%-16s area %7d -> %7d  delay %5d -> %5d  %8.3fs\n",
+			r.Engine, r.InitialAnds, r.FinalAnds, r.InitialDelay, r.FinalDelay,
+			r.Duration.Seconds())
+		if r.Metrics != nil {
+			snapshots = append(snapshots, r.Metrics)
 		}
-		if *partN >= 2 {
-			res, err := dacpara.FlowPartitioned(net, text, cfg, *partN)
-			fatal(err)
-			printPartitioned(res)
-			if res.Metrics != nil {
-				snapshots = append(snapshots, res.Metrics)
-			}
-		} else {
-			runFlow(&net, text, cfg, *guard, *deadln, before.Ands, before.Delay, &snapshots)
-		}
-	} else if *partN >= 2 {
-		res, err := dacpara.RewritePartitioned(net, dacpara.Engine(*engine), cfg, *partN)
-		fatal(err)
-		printPartitioned(res)
-		if res.Metrics != nil {
-			snapshots = append(snapshots, res.Metrics)
-		}
+	}
+	if len(out.Steps) > 0 {
+		fmt.Printf("flow total: area %d -> %d, delay %d -> %d\n",
+			before.Ands, after.Ands, before.Delay, after.Delay)
 	} else {
-		var res dacpara.Result
-		var err error
-		if *guard {
-			var rep *dacpara.GuardReport
-			res, rep, err = dacpara.RewriteGuarded(net, dacpara.Engine(*engine), cfg, dacpara.GuardOptions{Deadline: *deadln})
-			printReport(rep)
-		} else {
-			res, err = dacpara.Rewrite(net, dacpara.Engine(*engine), cfg)
-		}
-		fatal(err)
-		after := net.Stats()
+		res := out.Result
 		fmt.Printf("engine=%s threads=%d time=%.3fs\n", res.Engine, res.Threads, res.Duration.Seconds())
 		fmt.Printf("area  %d -> %d (reduction %d, %.2f%%)\n", before.Ands, after.Ands,
 			res.AreaReduction(), 100*float64(res.AreaReduction())/float64(max(before.Ands, 1)))
@@ -169,6 +169,10 @@ func main() {
 			res.Replacements, res.Attempts, res.Stale, res.Commits, res.Aborts)
 		if res.Metrics != nil {
 			snapshots = append(snapshots, res.Metrics)
+			if p := res.Metrics.Partition; p != nil {
+				fmt.Printf("partition: shards=%d crossing=%d balance=%.2f rejected=%d\n",
+					p.Shards, p.CrossingEdges, p.Balance, p.Rejected)
+			}
 		}
 	}
 
@@ -187,70 +191,20 @@ func main() {
 		fmt.Printf("mapped: %d LUT%d, depth %d\n", m.Area, *lut, m.Depth)
 	}
 
-	if *verify {
-		var eq bool
-		if *simOnly {
-			eq, err = dacpara.EquivalentFast(golden, net)
-		} else {
-			eq, err = dacpara.Equivalent(golden, net)
-		}
+	if golden != nil {
+		eq, err := dacpara.EquivalentFast(golden, net)
 		fatal(err)
 		if !eq {
 			fmt.Fprintln(os.Stderr, "dacpara: EQUIVALENCE CHECK FAILED")
 			os.Exit(1)
 		}
+	}
+	if *verify {
 		fmt.Println("equivalence check passed")
 	}
 
-	if *out != "" {
-		fatal(net.WriteFile(*out))
-	}
-}
-
-// runFlow executes the flow script whole-circuit (the non-partitioned
-// path), prints the per-step table and total, and replaces *netp with
-// the final network.
-func runFlow(netp **dacpara.Network, text string, cfg dacpara.Config, guard bool, deadln time.Duration, beforeAnds int, beforeDelay int32, snapshots *[]*dacpara.MetricsSnapshot) {
-	var results []dacpara.Result
-	var final *dacpara.Network
-	var err error
-	if guard {
-		var reports []*dacpara.GuardReport
-		results, reports, final, err = dacpara.FlowGuarded(*netp, text, cfg, dacpara.GuardOptions{Deadline: deadln})
-		for _, rep := range reports {
-			printReport(rep)
-		}
-	} else {
-		results, final, err = dacpara.Flow(*netp, text, cfg)
-	}
-	fatal(err)
-	*netp = final
-	for _, r := range results {
-		fmt.Printf("%-16s area %7d -> %7d  delay %5d -> %5d  %8.3fs\n",
-			r.Engine, r.InitialAnds, r.FinalAnds, r.InitialDelay, r.FinalDelay,
-			r.Duration.Seconds())
-		if r.Metrics != nil {
-			*snapshots = append(*snapshots, r.Metrics)
-		}
-	}
-	after := (*netp).Stats()
-	fmt.Printf("flow total: area %d -> %d, delay %d -> %d\n",
-		beforeAnds, after.Ands, beforeDelay, after.Delay)
-}
-
-// printPartitioned reports a partitioned run: overall QoR from the
-// summary Result plus the split shape when metrics were collected.
-func printPartitioned(res dacpara.Result) {
-	fmt.Printf("engine=%s threads=%d time=%.3fs\n", res.Engine, res.Threads, res.Duration.Seconds())
-	fmt.Printf("area  %d -> %d (reduction %d, %.2f%%)\n", res.InitialAnds, res.FinalAnds,
-		res.AreaReduction(), 100*float64(res.AreaReduction())/float64(max(res.InitialAnds, 1)))
-	fmt.Printf("delay %d -> %d\n", res.InitialDelay, res.FinalDelay)
-	fmt.Printf("replacements=%d attempts=%d stale=%d commits=%d aborts=%d\n",
-		res.Replacements, res.Attempts, res.Stale, res.Commits, res.Aborts)
-	if res.Metrics != nil && res.Metrics.Partition != nil {
-		p := res.Metrics.Partition
-		fmt.Printf("partition: shards=%d crossing=%d balance=%.2f rejected=%d\n",
-			p.Shards, p.CrossingEdges, p.Balance, p.Rejected)
+	if *outPath != "" {
+		fatal(net.WriteFile(*outPath))
 	}
 }
 
@@ -286,23 +240,9 @@ func writeSnapshots(path string, snapshots []*dacpara.MetricsSnapshot) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-func printReport(rep *dacpara.GuardReport) {
-	if rep == nil {
-		return
-	}
-	fmt.Println(rep)
-}
-
 func fatal(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dacpara:", err)
 		os.Exit(1)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

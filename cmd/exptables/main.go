@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,14 +25,11 @@ import (
 	"dacpara/internal/aig"
 	"dacpara/internal/bench"
 	"dacpara/internal/cec"
-	"dacpara/internal/core"
-	"dacpara/internal/lockpar"
 	"dacpara/internal/lutmap"
 	"dacpara/internal/npn"
 	"dacpara/internal/report"
 	"dacpara/internal/rewlib"
 	"dacpara/internal/rewrite"
-	"dacpara/internal/staticpar"
 )
 
 var (
@@ -93,13 +91,26 @@ func table1(sc bench.Scale) {
 	fmt.Println()
 }
 
+// engineRun is one column of a table: an engine-table row and the
+// configuration it runs under.
 type engineRun struct {
 	name string
-	run  func(*aig.AIG) (rewrite.Result, error)
+	eng  rewrite.Engine
+	cfg  rewrite.Config
+}
+
+func (e engineRun) run(a *aig.AIG, lib *rewlib.Library) (rewrite.Result, error) {
+	return rewrite.Run(context.Background(), e.eng, a, lib, e.cfg)
+}
+
+// withThreads returns cfg at the -threads worker count.
+func withThreads(cfg rewrite.Config) rewrite.Config {
+	cfg.Workers = *threads
+	return cfg
 }
 
 // measure averages an engine over runs, verifying each result.
-func measure(c bench.Circuit, sc bench.Scale, e engineRun) rewrite.Result {
+func measure(c bench.Circuit, sc bench.Scale, lib *rewlib.Library, e engineRun) rewrite.Result {
 	var acc rewrite.Result
 	var secs float64
 	for r := 0; r < *runs; r++ {
@@ -108,7 +119,7 @@ func measure(c bench.Circuit, sc bench.Scale, e engineRun) rewrite.Result {
 		if *verify {
 			golden = a.Clone()
 		}
-		res, err := e.run(a)
+		res, err := e.run(a, lib)
 		fatal(err)
 		if *verify {
 			opts := cec.Options{SimOnly: !*fullVerify, SimRounds: 32}
@@ -133,13 +144,9 @@ func table2(sc bench.Scale, lib *rewlib.Library) {
 		"ICCAD18 T(s)", "ICCAD18 ARed", "ICCAD18 D",
 		"DACPara T(s)", "DACPara ARed", "DACPara D")
 	engines := []engineRun{
-		{"abc", func(a *aig.AIG) (rewrite.Result, error) { return rewrite.Serial(a, lib, rewrite.Config{}) }},
-		{"iccad18", func(a *aig.AIG) (rewrite.Result, error) {
-			return lockpar.Rewrite(a, lib, rewrite.Config{Workers: *threads})
-		}},
-		{"dacpara", func(a *aig.AIG) (rewrite.Result, error) {
-			return core.Rewrite(a, lib, rewrite.Config{Workers: *threads})
-		}},
+		{"abc", rewrite.EngineSerial, rewrite.Config{}},
+		{"iccad18", rewrite.EngineLockPar, withThreads(rewrite.Config{})},
+		{"dacpara", rewrite.EngineDACPara, withThreads(rewrite.Config{})},
 	}
 	type ratios struct{ t, ared, d []float64 }
 	norm := make([]ratios, len(engines))
@@ -147,7 +154,7 @@ func table2(sc bench.Scale, lib *rewlib.Library) {
 		row := []any{c.Name}
 		var results []rewrite.Result
 		for _, e := range engines {
-			res := measure(c, sc, e)
+			res := measure(c, sc, lib, e)
 			results = append(results, res)
 			row = append(row, res.Duration.Seconds(), res.AreaReduction(), res.FinalDelay)
 		}
@@ -182,25 +189,11 @@ func table3(sc bench.Scale, lib *rewlib.Library) {
 	// the ICCAD'18 setup (see rewrite.P1/P2).
 	drwCfg := rewrite.Config{MaxCuts: 8, MaxStructs: 5, NumClasses: 222, Passes: 2, Workers: *threads}
 	engines := []engineRun{
-		{"iccad18", func(a *aig.AIG) (rewrite.Result, error) {
-			return lockpar.Rewrite(a, lib, rewrite.Config{Workers: *threads})
-		}},
-		{"dac22", func(a *aig.AIG) (rewrite.Result, error) {
-			return staticpar.Rewrite(a, lib, drwCfg, staticpar.DAC22)
-		}},
-		{"tcad23", func(a *aig.AIG) (rewrite.Result, error) {
-			return staticpar.Rewrite(a, lib, drwCfg, staticpar.TCAD23)
-		}},
-		{"p1", func(a *aig.AIG) (rewrite.Result, error) {
-			cfg := rewrite.P1()
-			cfg.Workers = *threads
-			return core.Rewrite(a, lib, cfg)
-		}},
-		{"p2", func(a *aig.AIG) (rewrite.Result, error) {
-			cfg := rewrite.P2()
-			cfg.Workers = *threads
-			return core.Rewrite(a, lib, cfg)
-		}},
+		{"iccad18", rewrite.EngineLockPar, withThreads(rewrite.Config{})},
+		{"dac22", rewrite.EngineStaticDAC22, drwCfg},
+		{"tcad23", rewrite.EngineStaticTCAD23, drwCfg},
+		{"p1", rewrite.EngineDACPara, withThreads(rewrite.P1())},
+		{"p2", rewrite.EngineDACPara, withThreads(rewrite.P2())},
 	}
 	type ratios struct{ t, ared, d []float64 }
 	norm := make([]ratios, len(engines))
@@ -208,7 +201,7 @@ func table3(sc bench.Scale, lib *rewlib.Library) {
 		row := []any{c.Name}
 		var results []rewrite.Result
 		for _, e := range engines {
-			res := measure(c, sc, e)
+			res := measure(c, sc, lib, e)
 			results = append(results, res)
 			row = append(row, res.Duration.Seconds(), res.AreaReduction(), res.FinalDelay)
 		}
@@ -237,15 +230,10 @@ func fig2(sc bench.Scale, lib *rewlib.Library) {
 		"Benchmark", "Engine", "Activities", "Aborts", "Abort%", "Wasted work", "Wasted%")
 	for _, c := range bench.Suite(sc) {
 		for _, e := range []engineRun{
-			{"iccad18", func(a *aig.AIG) (rewrite.Result, error) {
-				return lockpar.Rewrite(a, lib, rewrite.Config{Workers: *threads})
-			}},
-			{"dacpara", func(a *aig.AIG) (rewrite.Result, error) {
-				return core.Rewrite(a, lib, rewrite.Config{Workers: *threads})
-			}},
+			{"iccad18", rewrite.EngineLockPar, withThreads(rewrite.Config{})},
+			{"dacpara", rewrite.EngineDACPara, withThreads(rewrite.Config{})},
 		} {
-			a := c.Instantiate(sc)
-			res, err := e.run(a)
+			res, err := e.run(c.Instantiate(sc), lib)
 			fatal(err)
 			total := res.Commits + res.Aborts
 			tbl.Row(c.Name, e.name, total, res.Aborts,
@@ -272,16 +260,9 @@ func scaling(sc bench.Scale, lib *rewlib.Library) {
 		if !ok {
 			continue
 		}
-		for _, e := range []string{"iccad18", "dacpara"} {
+		for _, e := range []rewrite.Engine{rewrite.EngineLockPar, rewrite.EngineDACPara} {
 			for _, th := range ths {
-				a := c.Instantiate(sc)
-				var res rewrite.Result
-				var err error
-				if e == "iccad18" {
-					res, err = lockpar.Rewrite(a, lib, rewrite.Config{Workers: th})
-				} else {
-					res, err = core.Rewrite(a, lib, rewrite.Config{Workers: th})
-				}
+				res, err := rewrite.Run(context.Background(), e, c.Instantiate(sc), lib, rewrite.Config{Workers: th})
 				fatal(err)
 				tbl.Row(c.Name, e, th, res.Duration.Seconds(), res.AreaReduction(), res.Aborts)
 			}
@@ -301,26 +282,17 @@ func ablation(sc bench.Scale, lib *rewlib.Library) {
 		if !ok {
 			continue
 		}
-		variants := []struct {
-			name string
-			run  func() (rewrite.Result, error)
+		for _, v := range []struct {
+			engineRun
+			net *aig.AIG
 		}{
-			{"dacpara(level lists)", func() (rewrite.Result, error) {
-				return core.Rewrite(c.Instantiate(sc), lib, rewrite.Config{Workers: *threads})
-			}},
-			{"dacpara(flat worklist)", func() (rewrite.Result, error) {
-				return core.RewriteFlat(c.Instantiate(sc), lib, rewrite.Config{Workers: *threads})
-			}},
-			{"serial(decentralized strash)", func() (rewrite.Result, error) {
-				return rewrite.Serial(c.Instantiate(sc), lib, rewrite.Config{})
-			}},
-			{"serial(global strash)", func() (rewrite.Result, error) {
-				a := c.Instantiate(sc).CloneWith(aig.Options{GlobalStrash: true})
-				return rewrite.Serial(a, lib, rewrite.Config{})
-			}},
-		}
-		for _, v := range variants {
-			res, err := v.run()
+			{engineRun{"dacpara(level lists)", rewrite.EngineDACPara, withThreads(rewrite.Config{})}, c.Instantiate(sc)},
+			{engineRun{"dacpara(flat worklist)", rewrite.EngineFlat, withThreads(rewrite.Config{})}, c.Instantiate(sc)},
+			{engineRun{"serial(decentralized strash)", rewrite.EngineSerial, rewrite.Config{}}, c.Instantiate(sc)},
+			{engineRun{"serial(global strash)", rewrite.EngineSerial, rewrite.Config{}},
+				c.Instantiate(sc).CloneWith(aig.Options{GlobalStrash: true})},
+		} {
+			res, err := v.run(v.net, lib)
 			fatal(err)
 			tbl.Row(c.Name, v.name, res.Duration.Seconds(), res.AreaReduction(), res.Stale, res.Aborts)
 		}
@@ -349,14 +321,14 @@ func flows(sc bench.Scale) {
 		}
 		row("initial", base, 0)
 		opt := base.Clone()
-		res, err := core.Rewrite(opt, mustLib(), rewrite.Config{Workers: *threads})
+		res, err := rewrite.Run(context.Background(), rewrite.EngineDACPara, opt, mustLib(), rewrite.Config{Workers: *threads})
 		fatal(err)
 		row("dacpara", opt, res.Duration.Seconds())
 		full := base.Clone()
 		t0 := time.Now()
-		_, full2, err := dacparaFlow(full)
+		out, err := dacpara.Run(context.Background(), full, dacpara.Job{Flow: dacpara.Resyn2rs, Workers: *threads}, dacpara.Hooks{})
 		fatal(err)
-		row("resyn2rs", full2, time.Since(t0).Seconds())
+		row("resyn2rs", out.Net, time.Since(t0).Seconds())
 	}
 	tbl.Render(os.Stdout)
 	fmt.Println()
@@ -371,11 +343,6 @@ func mustLib() *rewlib.Library {
 		fatal(err)
 	}
 	return libOnce
-}
-
-// dacparaFlow runs the resyn2rs script via the facade.
-func dacparaFlow(net *aig.AIG) ([]dacpara.Result, *aig.AIG, error) {
-	return dacpara.Flow(net, dacpara.Resyn2rs, dacpara.Config{Workers: *threads})
 }
 
 func findCircuit(sc bench.Scale, base string) (bench.Circuit, bool) {

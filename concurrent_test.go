@@ -121,7 +121,9 @@ func TestRewriteContextCancellation(t *testing.T) {
 			var runErr error
 			go func() {
 				defer close(done)
-				res, runErr = RewriteContext(ctx, net, engine, Config{Workers: 2, Passes: 500, ZeroGain: true})
+				var out Outcome
+				out, runErr = Run(ctx, net, Job{Engine: engine, Workers: 2, Passes: 500, ZeroGain: true}, Hooks{})
+				res = out.Result
 			}()
 			time.Sleep(15 * time.Millisecond) // let it get into the sweep
 			cancel()
@@ -160,11 +162,12 @@ func TestRewriteContextCancellation(t *testing.T) {
 }
 
 // TestPassContextCancellation pins the cancellation contract of the
-// non-rewriting passes, serial and parallel: a pre-cancelled context
+// non-rewriting flow steps, serial and parallel: a pre-cancelled context
 // stops every variant with context.Canceled in the error chain before
-// it transforms anything, and the Result (where the pass returns one)
-// is marked Incomplete. The service's job cancellation relies on every
-// flow step honouring this.
+// it transforms anything, and the step's Result is marked Incomplete.
+// The service's job cancellation relies on every flow step honouring
+// this. (The flow loop itself also stops between steps — see
+// TestFlowContextCancellation — so the steps are driven directly.)
 func TestPassContextCancellation(t *testing.T) {
 	net, err := Generate("voter", ScaleTiny)
 	if err != nil {
@@ -172,21 +175,26 @@ func TestPassContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	step := func(n *Network, st FlowStep) (Result, *Network, error) {
+		out := Outcome{Net: n}
+		res, err := runFlowStep(ctx, &out, Job{}, st, Config{})
+		return res, out.Net, err
+	}
 	variants := []struct {
 		name string
-		run  func(n *Network) (Result, error)
+		step FlowStep
 	}{
-		{"refactor", func(n *Network) (Result, error) { return RefactorContext(ctx, n, false) }},
-		{"refactor-parallel", func(n *Network) (Result, error) { return RefactorParallel(ctx, n, false, 2) }},
-		{"resub", func(n *Network) (Result, error) { return ResubContext(ctx, n, false) }},
-		{"resub-parallel", func(n *Network) (Result, error) { return ResubParallel(ctx, n, false, 2) }},
+		{"refactor", FlowStep{Cmd: "refactor"}},
+		{"refactor-parallel", FlowStep{Cmd: "refactor", Parallel: true, Workers: 2}},
+		{"resub", FlowStep{Cmd: "resub"}},
+		{"resub-parallel", FlowStep{Cmd: "resub", Parallel: true, Workers: 2}},
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			n := net.Clone()
 			before := n.Stats()
-			res, err := v.run(n)
+			res, _, err := step(n, v.step)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled in the chain", err)
 			}
@@ -203,11 +211,11 @@ func TestPassContextCancellation(t *testing.T) {
 		})
 	}
 	t.Run("balance", func(t *testing.T) {
-		b, err := BalanceContext(ctx, net)
+		res, b, err := step(net, FlowStep{Cmd: "balance"})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled in the chain", err)
 		}
-		if b != nil {
+		if b != net || !res.Incomplete {
 			t.Fatal("cancelled balance returned a partial copy")
 		}
 	})
@@ -223,11 +231,11 @@ func TestParallelPassDeterministicOutput(t *testing.T) {
 		run  func(n *Network) error
 	}{
 		{"refactor-parallel", func(n *Network) error {
-			_, err := RefactorParallel(context.Background(), n, false, 1)
+			_, _, err := Flow(n, "refactor -p -w=1", Config{})
 			return err
 		}},
 		{"resub-parallel", func(n *Network) error {
-			_, err := ResubParallel(context.Background(), n, false, 1)
+			_, _, err := Flow(n, "resub -p -w=1", Config{})
 			return err
 		}},
 	}
@@ -282,7 +290,7 @@ func TestFlowContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, _, err := FlowContext(ctx, net, "balance; rewrite; balance; rewrite", Config{Workers: 1})
+	results, _, err := FlowResumeContext(ctx, net, "balance; rewrite; balance; rewrite", Config{Workers: 1}, 0, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

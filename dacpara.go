@@ -10,14 +10,14 @@
 // equivalence checking, and generators for the EPFL-style benchmark suite
 // of the paper's Table 1.
 //
-// This package is the facade: load or generate a network, rewrite it with
-// any engine, inspect the result, verify equivalence.
+// This package is the facade: load or generate a network, describe what
+// to do with it as a Job, Run it, inspect the outcome.
 //
 //	net, _ := dacpara.Generate("mult", dacpara.ScaleSmall)
-//	golden := net.Clone()
-//	res, _ := dacpara.Rewrite(net, dacpara.EngineDACPara, dacpara.Config{})
-//	fmt.Println(res.AreaReduction())
-//	eq, _ := dacpara.Equivalent(golden, net)
+//	out, _ := dacpara.Run(ctx, net, dacpara.Job{Engine: dacpara.EngineDACPara, Verify: true}, dacpara.Hooks{})
+//	fmt.Println(out.Result.AreaReduction(), out.Verify.Proved)
+//
+// Rewrite and Flow are shorthands for the two common jobs.
 package dacpara
 
 import (
@@ -29,15 +29,12 @@ import (
 	"dacpara/internal/aig"
 	"dacpara/internal/bench"
 	"dacpara/internal/cec"
-	"dacpara/internal/core"
 	"dacpara/internal/cut"
 	"dacpara/internal/guard"
-	"dacpara/internal/lockpar"
 	"dacpara/internal/metrics"
 	"dacpara/internal/npn"
 	"dacpara/internal/rewlib"
 	"dacpara/internal/rewrite"
-	"dacpara/internal/staticpar"
 )
 
 // Network is an And-Inverter Graph; see the methods on aig.AIG (Stats,
@@ -63,7 +60,7 @@ type MetricsCollector = metrics.Collector
 
 // MetricsSnapshot is the machine-readable record of one instrumented
 // run; its JSON form is the dacpara-metrics/v1 schema that -stats-json
-// and cmd/perfbench emit.
+// and the daemon's /jobs/{id}/metrics emit.
 type MetricsSnapshot = metrics.Snapshot
 
 // NewMetrics returns an enabled metrics collector.
@@ -79,30 +76,29 @@ const (
 	ScaleFull  = bench.ScaleFull
 )
 
-// Engine names a rewriting implementation.
-type Engine string
+// Engine names a rewriting implementation: a row of the engine table
+// (see rewrite.Run).
+type Engine = rewrite.Engine
 
 // The five engines of the paper's experimental comparison.
 const (
 	// EngineSerial is the serial DAG-aware rewriting of ABC's `rewrite`.
-	EngineSerial Engine = "abc"
+	EngineSerial = rewrite.EngineSerial
 	// EngineLockPar is the fused-operator parallel rewriting of ICCAD'18.
-	EngineLockPar Engine = "iccad18"
+	EngineLockPar = rewrite.EngineLockPar
 	// EngineDACPara is the paper's divide-and-conquer three-stage
 	// parallel rewriting.
-	EngineDACPara Engine = "dacpara"
+	EngineDACPara = rewrite.EngineDACPara
 	// EngineStaticDAC22 models the DAC'22 GPU rewriter (NovelRewrite) on
 	// the CPU: static-information evaluation, serial conditional
 	// replacement.
-	EngineStaticDAC22 Engine = "dac22"
+	EngineStaticDAC22 = rewrite.EngineStaticDAC22
 	// EngineStaticTCAD23 models the TCAD'23 GPU rewriter on the CPU.
-	EngineStaticTCAD23 Engine = "tcad23"
+	EngineStaticTCAD23 = rewrite.EngineStaticTCAD23
 )
 
 // Engines lists all engine names.
-func Engines() []Engine {
-	return []Engine{EngineSerial, EngineLockPar, EngineDACPara, EngineStaticDAC22, EngineStaticTCAD23}
-}
+func Engines() []Engine { return rewrite.Engines() }
 
 // P1 is the paper's Table 3 DACPara-P1 configuration (8 cuts, 5
 // structures, 134 classes, two passes).
@@ -140,6 +136,9 @@ var defaultLibrary = sync.OnceValues(func() (*Library, error) {
 // first use (a few hundred milliseconds, then cached).
 func DefaultLibrary() (*Library, error) { return defaultLibrary() }
 
+// defaultBig is the process-wide large-cut structure forest used by
+// rewriting with Config.K >= 5, preloaded from the $DACPARA_REWLIB file
+// when one is set and synthesizing any other class on demand.
 var defaultBig = sync.OnceValue(func() *rewlib.BigLibrary {
 	b := rewlib.NewBigLibrary(rewlib.DefaultBigPerClass)
 	if path := os.Getenv(RewlibEnv); path != "" {
@@ -149,11 +148,6 @@ var defaultBig = sync.OnceValue(func() *rewlib.BigLibrary {
 	}
 	return b
 })
-
-// BigLibrary returns the process-wide large-cut structure forest used by
-// rewriting with Config.K >= 5, preloaded from the $DACPARA_REWLIB file
-// when one is set and synthesizing any other class on demand.
-func BigLibrary() *rewlib.BigLibrary { return defaultBig() }
 
 // LoadRewlib decodes a dacpara-rewlib/v1 library file and preloads its
 // classes into the process-wide large-cut forest, returning how many
@@ -169,102 +163,20 @@ func LoadRewlib(path string) (loaded, rejected int, err error) {
 }
 
 // Rewrite optimizes the network in place with the chosen engine and
-// returns the run statistics.
+// returns the run statistics: Run on Job{Engine: engine} with cfg's
+// knobs and attachments.
 func Rewrite(net *Network, engine Engine, cfg Config) (Result, error) {
-	return RewriteContext(context.Background(), net, engine, cfg)
+	out, err := Run(context.Background(), net, Job{Engine: engine}.WithKnobs(cfg), Hooks{Attach: cfg})
+	return out.Result, err
 }
 
-// RewriteContext is Rewrite under a context: cancelling ctx interrupts
-// the engine at its next cancellation point — the serial engine polls
-// between node visits, DACPara and the static engines stop at level
-// boundaries and phase barriers, the fused engine at activity boundaries
-// — and returns the wrapped ctx error. The network is left structurally
-// consistent but partially rewritten, and the Result (marked Incomplete)
-// covers the work done; no goroutines outlive the call.
-func RewriteContext(ctx context.Context, net *Network, engine Engine, cfg Config) (Result, error) {
-	lib, err := DefaultLibrary()
-	if err != nil {
-		return Result{}, err
-	}
-	return RewriteWithLibraryContext(ctx, net, engine, cfg, lib)
-}
-
-// RewriteWithLibrary is Rewrite against a custom structure library.
-func RewriteWithLibrary(net *Network, engine Engine, cfg Config, lib *Library) (Result, error) {
-	return RewriteWithLibraryContext(context.Background(), net, engine, cfg, lib)
-}
-
-// RewriteWithLibraryContext is RewriteContext against a custom structure
-// library.
-func RewriteWithLibraryContext(ctx context.Context, net *Network, engine Engine, cfg Config, lib *Library) (Result, error) {
-	if cfg.K > MaxCutWidth {
-		return Result{}, fmt.Errorf("dacpara: cut width %d beyond the supported maximum %d", cfg.K, MaxCutWidth)
-	}
-	if cfg.K >= 5 && lib.Big == nil {
-		// Large-cut rewriting needs the 5/6-input forests; attach the
-		// process-wide one unless the caller brought their own.
-		lib = lib.WithBig(defaultBig())
-	}
-	switch engine {
-	case EngineSerial:
-		return rewrite.SerialCtx(ctx, net, lib, cfg)
-	case EngineLockPar:
-		return lockpar.RewriteCtx(ctx, net, lib, cfg)
-	case EngineDACPara, "":
-		return core.RewriteCtx(ctx, net, lib, cfg)
-	case EngineStaticDAC22:
-		return staticpar.RewriteCtx(ctx, net, lib, cfg, staticpar.DAC22)
-	case EngineStaticTCAD23:
-		return staticpar.RewriteCtx(ctx, net, lib, cfg, staticpar.TCAD23)
-	}
-	return Result{}, fmt.Errorf("dacpara: unknown engine %q", engine)
-}
-
-// GuardOptions configures guarded execution (deadline, simulation
-// rounds, a custom degradation ladder); the zero value is the default
-// ladder with no deadline. See the guard package for details.
-type GuardOptions = guard.Options
-
-// GuardReport is the attempt-by-attempt history of one guarded rewrite.
+// GuardReport is the attempt-by-attempt history of one guarded rewrite
+// (Job.Guard).
 type GuardReport = guard.Report
 
-// ErrGuardExhausted reports that every rung of the degradation ladder
-// failed; the network is left unchanged.
+// ErrGuardExhausted reports that every rung of a guarded job's
+// degradation ladder failed; the network is left unchanged.
 var ErrGuardExhausted = guard.ErrExhausted
-
-// RewriteGuarded is Rewrite inside a fault-containment boundary: the
-// engine runs on a scratch copy under panic recovery and an optional
-// deadline, the result is verified (structural invariants plus a
-// random-simulation equivalence screen) before being committed, and on
-// any failure the guard rolls back and degrades dacpara → iccad18 → abc
-// until a rung produces a verified result. The report records every
-// attempt; the error wraps ErrGuardExhausted only if all rungs fail, in
-// which case the network is untouched.
-func RewriteGuarded(net *Network, engine Engine, cfg Config, opts GuardOptions) (Result, *GuardReport, error) {
-	return RewriteGuardedContext(context.Background(), net, engine, cfg, opts)
-}
-
-// RewriteGuardedContext is RewriteGuarded under a context. Cancellation
-// stops the degradation ladder — an interrupted rung is recorded in the
-// report, the network stays untouched, and the wrapped ctx error is
-// returned — while a rung that completes and verifies before the cancel
-// is observed still commits.
-func RewriteGuardedContext(ctx context.Context, net *Network, engine Engine, cfg Config, opts GuardOptions) (Result, *GuardReport, error) {
-	lib, err := DefaultLibrary()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if cfg.K > MaxCutWidth {
-		return Result{}, nil, fmt.Errorf("dacpara: cut width %d beyond the supported maximum %d", cfg.K, MaxCutWidth)
-	}
-	if cfg.K >= 5 && lib.Big == nil {
-		lib = lib.WithBig(defaultBig())
-	}
-	if len(opts.Ladder) == 0 {
-		opts.Engine = guard.Engine(engine)
-	}
-	return guard.RewriteCtx(ctx, net, lib, cfg, opts)
-}
 
 // ReadAIGER loads a network from an AIGER file (ASCII or binary).
 func ReadAIGER(path string) (*Network, error) { return aig.ReadFile(path) }

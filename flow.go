@@ -3,6 +3,7 @@ package dacpara
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -17,31 +18,11 @@ import (
 // AND chains are re-associated into arrival-sorted balanced trees.
 func Balance(net *Network) *Network { return balance.Run(net) }
 
-// BalanceContext is Balance under a context: a cancelled build discards
-// the partial copy and returns nil with the wrapped ctx error. The input
-// is never modified either way.
-func BalanceContext(ctx context.Context, net *Network) (*Network, error) {
-	return balance.RunCtx(ctx, net)
-}
-
 // Refactor resynthesizes large reconvergence-driven cones (up to ten
 // leaves by default) through SOP factoring — ABC's `refactor`, the
 // complement to 4-cut rewriting.
 func Refactor(net *Network, zeroGain bool) Result {
 	return refactor.Run(net, refactor.Config{ZeroGain: zeroGain})
-}
-
-// RefactorContext is Refactor under a context (cancellation polled every
-// few hundred nodes; a cancelled run is Incomplete but consistent).
-func RefactorContext(ctx context.Context, net *Network, zeroGain bool) (Result, error) {
-	return refactor.RunCtx(ctx, net, refactor.Config{ZeroGain: zeroGain})
-}
-
-// RefactorParallel runs DACPara-style parallel refactoring: level
-// worklists, lock-free cone evaluation, serial commit re-validating
-// every stored plan on the latest graph (workers <= 0: GOMAXPROCS).
-func RefactorParallel(ctx context.Context, net *Network, zeroGain bool, workers int) (Result, error) {
-	return refactor.RunParallelCtx(ctx, net, refactor.Config{ZeroGain: zeroGain}, workers)
 }
 
 // LUTMapping is a k-input LUT cover of a network.
@@ -58,19 +39,6 @@ func MapLUT(net *Network, k int) (LUTMapping, error) {
 // their reconvergence windows (ABC's `resub`), freeing their MFFCs.
 func Resub(net *Network, zeroGain bool) Result {
 	return resub.Run(net, resub.Config{ZeroGain: zeroGain})
-}
-
-// ResubContext is Resub under a context (cancellation polled every few
-// hundred nodes; a cancelled run is Incomplete but consistent).
-func ResubContext(ctx context.Context, net *Network, zeroGain bool) (Result, error) {
-	return resub.RunCtx(ctx, net, resub.Config{ZeroGain: zeroGain})
-}
-
-// ResubParallel runs DACPara-style parallel resubstitution: level
-// worklists, lock-free divisor search, serial commit re-validating every
-// stored candidate on the latest graph (workers <= 0: GOMAXPROCS).
-func ResubParallel(ctx context.Context, net *Network, zeroGain bool, workers int) (Result, error) {
-	return resub.RunParallelCtx(ctx, net, resub.Config{ZeroGain: zeroGain}, workers)
 }
 
 // Fraig performs functional reduction in place: simulation-guided,
@@ -178,17 +146,10 @@ func ParseFlow(script string) ([]FlowStep, error) {
 			if st.Parallel {
 				return nil, fmt.Errorf("dacpara: flow command %q is always engine-driven; -p applies to refactor/resub only", st.Cmd)
 			}
-			eng := Engine(st.Cmd)
-			known := false
-			for _, e := range Engines() {
-				if e == eng {
-					known = true
-				}
-			}
-			if !known {
+			st.Engine = Engine(st.Cmd)
+			if !slices.Contains(Engines(), st.Engine) {
 				return nil, fmt.Errorf("dacpara: flow: unknown command %q", st.Cmd)
 			}
-			st.Engine = eng
 		}
 		steps = append(steps, st)
 	}
@@ -214,51 +175,27 @@ func ParseFlow(script string) ([]FlowStep, error) {
 //
 // ("-k 6" and "-k=6" are both accepted).
 //
-// The whole script is parsed and validated before the first command
-// runs. Flow returns the per-command results and the final network
-// (balance rebuilds the graph, so the returned pointer may differ from
-// the argument).
-//
-// When cfg.Metrics is set, every rewriting step and every parallel
-// refactor/resub step resets the collector on entry and attaches its own
-// snapshot to that step's Result.Metrics, so a flow yields one per-step
-// snapshot sequence; the serial transforms (balance, serial
-// refactor/resub, fraig) are not instrumented.
+// Flow is Run on Job{Flow: script} with cfg's knobs and attachments: it
+// returns the per-command results and the final network (balance
+// rebuilds the graph, so the returned pointer may differ from the
+// argument).
 func Flow(net *Network, script string, cfg Config) ([]Result, *Network, error) {
-	return FlowContext(context.Background(), net, script, cfg)
+	return FlowResumeContext(context.Background(), net, script, cfg, 0, nil)
 }
 
-// FlowContext is Flow under a context: cancellation is observed between
-// steps and inside every step (see RewriteContext; the serial transforms
-// poll every few hundred nodes). On cancellation the per-step results
-// completed so far are returned along with the latest network and the
-// wrapped ctx error.
-func FlowContext(ctx context.Context, net *Network, script string, cfg Config) ([]Result, *Network, error) {
-	return FlowResumeContext(ctx, net, script, cfg, 0, nil)
-}
-
-// FlowCheckpoint observes step-boundary states of a flow run: it is
-// called after each step completes with the number of steps finished so
-// far (the index the flow would resume from) and the current network.
-// The network is live flow state — observe or serialize it, do not
-// mutate it. A non-nil error aborts the flow.
-type FlowCheckpoint func(completed int, net *Network) error
-
-// FlowResumeContext is FlowContext with a resume cursor and a
-// step-boundary checkpoint hook, the primitive a durable service builds
-// crash recovery on: startStep skips the first startStep commands of
-// the (fully re-validated) script — net must then be the network state
-// those steps produced, e.g. a restored checkpoint — and checkpoint,
-// when non-nil, runs after every completed step. A startStep equal to
-// the script length is valid and runs nothing (the crash happened
-// between the last step and the final acknowledgement).
+// FlowResumeContext is Flow under a context, with the resume cursor and
+// step-boundary checkpoint of Hooks.
 func FlowResumeContext(ctx context.Context, net *Network, script string, cfg Config, startStep int, checkpoint FlowCheckpoint) ([]Result, *Network, error) {
-	steps, err := ParseFlow(script)
-	if err != nil {
-		return nil, net, err
-	}
-	if startStep < 0 || startStep > len(steps) {
-		return nil, net, fmt.Errorf("dacpara: flow: resume step %d out of range [0, %d]", startStep, len(steps))
+	out, err := Run(ctx, net, Job{Flow: script}.WithKnobs(cfg), Hooks{ResumeStep: startStep, Checkpoint: checkpoint, Attach: cfg})
+	return out.Steps, out.Net, err
+}
+
+// runFlow drives a whole-circuit flow job: steps from the resume cursor
+// on, one at a time, the checkpoint hook after each. On an error the
+// outcome holds the steps that finished and the latest network.
+func runFlow(ctx context.Context, out *Outcome, job Job, steps []FlowStep, cfg Config, h Hooks) error {
+	if h.ResumeStep < 0 || h.ResumeStep > len(steps) {
+		return fmt.Errorf("dacpara: flow: resume step %d out of range [0, %d]", h.ResumeStep, len(steps))
 	}
 	// One cut cache per flow run: rewriting steps reuse cut sets across
 	// passes and steps, invalidating incrementally by node version
@@ -267,80 +204,43 @@ func FlowResumeContext(ctx context.Context, net *Network, script string, cfg Con
 	if cfg.CutCache == nil {
 		cfg.CutCache = NewCutCache()
 	}
-	var results []Result
-	for i := startStep; i < len(steps); i++ {
+	for i := h.ResumeStep; i < len(steps); i++ {
 		if err := ctx.Err(); err != nil {
-			return results, net, fmt.Errorf("dacpara: flow: %w", err)
+			return fmt.Errorf("dacpara: flow: %w", err)
 		}
-		res, next, err := runFlowStep(ctx, net, steps[i], cfg, nil, nil)
+		res, err := runFlowStep(ctx, out, job, steps[i], cfg)
 		if err != nil {
-			return results, net, err
+			return err
 		}
-		net = next
-		results = append(results, res)
-		if checkpoint != nil {
-			if cerr := checkpoint(i+1, net); cerr != nil {
-				return results, net, fmt.Errorf("dacpara: flow: checkpoint after step %d: %w", i, cerr)
+		out.Steps = append(out.Steps, res)
+		if h.Checkpoint != nil {
+			if cerr := h.Checkpoint(i+1, out.Net); cerr != nil {
+				return fmt.Errorf("dacpara: flow: checkpoint after step %d: %w", i, cerr)
 			}
 		}
 	}
-	return results, net, nil
+	out.Result = summarizeFlow(out.Steps, cfg, out.Net)
+	return nil
 }
 
-// FlowGuarded is Flow with every rewriting command executed under the
-// guard (see RewriteGuarded): each engine run is verified and, on
-// failure, degraded down the engine ladder instead of aborting the flow.
-// The other transforms (balance, refactor, resub, fraig) run directly.
-// Reports holds one entry per rewriting command, in script order.
-func FlowGuarded(net *Network, script string, cfg Config, opts GuardOptions) ([]Result, []*GuardReport, *Network, error) {
-	return FlowGuardedContext(context.Background(), net, script, cfg, opts)
-}
-
-// FlowGuardedContext is FlowGuarded under a context; cancellation stops
-// the flow between steps and interrupts the engines inside a step (see
-// RewriteGuardedContext).
-func FlowGuardedContext(ctx context.Context, net *Network, script string, cfg Config, opts GuardOptions) ([]Result, []*GuardReport, *Network, error) {
-	steps, err := ParseFlow(script)
-	if err != nil {
-		return nil, nil, net, err
-	}
-	if cfg.CutCache == nil {
-		cfg.CutCache = NewCutCache()
-	}
-	var results []Result
-	var reports []*GuardReport
-	for _, st := range steps {
-		if err := ctx.Err(); err != nil {
-			return results, reports, net, fmt.Errorf("dacpara: flow: %w", err)
-		}
-		res, next, err := runFlowStep(ctx, net, st, cfg, &opts, &reports)
-		if err != nil {
-			return results, reports, net, err
-		}
-		net = next
-		results = append(results, res)
-	}
-	return results, reports, net, nil
-}
-
-// runFlowStep executes one validated step. When guard is non-nil,
-// rewriting steps run guarded and append their report to *reports.
-func runFlowStep(ctx context.Context, net *Network, st FlowStep, cfg Config, guard *GuardOptions, reports *[]*GuardReport) (Result, *Network, error) {
-	// stepWorkers resolves the per-step override against the flow
-	// config.
-	stepWorkers := cfg.Workers
+// runFlowStep executes one validated step on out.Net, replacing it when
+// the step rebuilds the graph.
+func runFlowStep(ctx context.Context, out *Outcome, job Job, st FlowStep, cfg Config) (Result, error) {
+	net := out.Net
+	// workers resolves the per-step override against the job's.
+	workers := cfg.Workers
 	if st.Workers > 0 {
-		stepWorkers = st.Workers
+		workers = st.Workers
 	}
 	switch st.Cmd {
 	case "balance":
 		before := net.Stats()
 		balanced, err := balance.RunCtx(ctx, net)
 		if err != nil {
-			return Result{Engine: "balance", Threads: 1, Passes: 1, Incomplete: true}, net, err
+			return Result{Engine: "balance", Threads: 1, Passes: 1, Incomplete: true}, err
 		}
-		net = balanced
-		after := net.Stats()
+		out.Net = balanced
+		after := balanced.Stats()
 		return Result{
 			Engine:       "balance",
 			Threads:      1,
@@ -349,23 +249,17 @@ func runFlowStep(ctx context.Context, net *Network, st FlowStep, cfg Config, gua
 			FinalAnds:    after.Ands,
 			InitialDelay: before.Delay,
 			FinalDelay:   after.Delay,
-		}, net, nil
+		}, nil
 	case "refactor":
 		if st.Parallel {
-			res, err := refactor.RunParallelCtx(ctx, net,
-				refactor.Config{ZeroGain: st.ZeroGain, Metrics: cfg.Metrics}, stepWorkers)
-			return res, net, err
+			return refactor.RunParallelCtx(ctx, net, refactor.Config{ZeroGain: st.ZeroGain, Metrics: cfg.Metrics}, workers)
 		}
-		res, err := refactor.RunCtx(ctx, net, refactor.Config{ZeroGain: st.ZeroGain})
-		return res, net, err
+		return refactor.RunCtx(ctx, net, refactor.Config{ZeroGain: st.ZeroGain})
 	case "resub":
 		if st.Parallel {
-			res, err := resub.RunParallelCtx(ctx, net,
-				resub.Config{ZeroGain: st.ZeroGain, Metrics: cfg.Metrics}, stepWorkers)
-			return res, net, err
+			return resub.RunParallelCtx(ctx, net, resub.Config{ZeroGain: st.ZeroGain, Metrics: cfg.Metrics}, workers)
 		}
-		res, err := resub.RunCtx(ctx, net, resub.Config{ZeroGain: st.ZeroGain})
-		return res, net, err
+		return resub.RunCtx(ctx, net, resub.Config{ZeroGain: st.ZeroGain})
 	case "fraig":
 		before := net.Stats()
 		merged := Fraig(net)
@@ -379,31 +273,21 @@ func runFlowStep(ctx context.Context, net *Network, st FlowStep, cfg Config, gua
 			FinalAnds:    after.Ands,
 			InitialDelay: before.Delay,
 			FinalDelay:   after.Delay,
-		}, net, nil
+		}, nil
 	}
-	c := cfg
-	c.ZeroGain = st.ZeroGain
-	c.Workers = stepWorkers
+	cfg.ZeroGain = st.ZeroGain
+	cfg.Workers = workers
 	if st.K > 0 {
-		c.K = st.K
+		cfg.K = st.K
 	}
-	if guard == nil {
-		res, err := RewriteContext(ctx, net, st.Engine, c)
-		return res, net, err
-	}
-	res, rep, err := RewriteGuardedContext(ctx, net, st.Engine, c, *guard)
-	if rep != nil {
-		*reports = append(*reports, rep)
-	}
-	return res, net, err
+	return rewriteStep(ctx, out, job, st.Engine, cfg)
 }
 
-// SummarizeFlow folds a flow's per-step results into one job-level
+// summarizeFlow folds a flow's per-step results into one job-level
 // summary: the QoR spans first input to final output, the work counters
 // accumulate across steps, and the metrics snapshot is the last
-// instrumented step's. It is the summary shape dacparad reports for
-// flow jobs, whether the flow ran locally or on a cluster worker.
-func SummarizeFlow(steps []Result, cfg Config, final *Network) Result {
+// instrumented step's.
+func summarizeFlow(steps []Result, cfg Config, final *Network) Result {
 	out := Result{Engine: "flow", Threads: cfg.Workers, Passes: len(steps)}
 	if len(steps) > 0 {
 		out.InitialAnds = steps[0].InitialAnds

@@ -96,11 +96,15 @@ func TestRewriteGuardedFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := net.Clone()
-	res, rep, err := RewriteGuarded(net, EngineDACPara, Config{Workers: 2}, GuardOptions{})
+	out, err := Run(context.Background(), net, Job{Engine: EngineDACPara, Workers: 2, Guard: true}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep == nil || len(rep.Attempts) == 0 || rep.Committed == "" {
+	if len(out.Reports) != 1 {
+		t.Fatalf("%d guard reports, want 1", len(out.Reports))
+	}
+	res, rep := out.Result, out.Reports[0]
+	if len(rep.Attempts) == 0 || rep.Committed == "" {
 		t.Fatalf("empty guard report: %+v", rep)
 	}
 	if res.FinalAnds >= res.InitialAnds {
@@ -121,10 +125,11 @@ func TestFlowGuarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := net.Clone()
-	results, reports, final, err := FlowGuarded(net, "balance; rewrite; iccad18", Config{Workers: 2}, GuardOptions{})
+	out, err := Run(context.Background(), net, Job{Flow: "balance; rewrite; iccad18", Workers: 2, Guard: true}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, reports, final := out.Steps, out.Reports, out.Net
 	if len(results) != 3 {
 		t.Fatalf("%d results", len(results))
 	}

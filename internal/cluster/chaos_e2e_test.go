@@ -14,7 +14,6 @@ import (
 	"dacpara"
 	"dacpara/internal/aig"
 	"dacpara/internal/chaos"
-	"dacpara/internal/journal"
 )
 
 // chaosScenario is one seeded fault pattern driven through a live
@@ -153,11 +152,11 @@ func runChaosScenario(t *testing.T, sc chaosScenario, seed int64) {
 	waitFor(t, 10*time.Second, "workers never joined", func() bool { return c.LiveWorkers() >= 1 })
 
 	golden, input, digest := mustVoter(t)
-	req := journal.Request{Flow: "b", Workers: 1, InputDigest: digest}
+	req := dacpara.Job{Flow: "b", Workers: 1, InputDigest: digest}
 	if sc.slow {
 		// Three steps with a long zero-gain middle: leases can expire and
 		// checkpoints matter.
-		req = journal.Request{Flow: "b; rw -z; b", Workers: 2, Passes: 30, ZeroGain: true, InputDigest: digest}
+		req = dacpara.Job{Flow: "b; rw -z; b", Workers: 2, Passes: 30, ZeroGain: true, InputDigest: digest}
 	}
 
 	// Two jobs through the storm.

@@ -26,7 +26,6 @@ import (
 
 	"dacpara"
 	"dacpara/internal/aig"
-	"dacpara/internal/journal"
 )
 
 // Config tunes the coordinator's failure detector; the zero value gets
@@ -111,8 +110,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Task is one unit of remote work: the replayable request (the same
-// shape the journal records) plus the flow cursor to resume from. The
+// Task is one unit of remote work: the job spec (the same struct the
+// journal records and Run executes) plus the flow cursor to resume from. The
 // input network travels separately as a streamed AIGER blob — for a
 // first attempt the submitted circuit, for a failover re-dispatch the
 // last uploaded checkpoint.
@@ -121,7 +120,7 @@ type Task struct {
 	Job string `json:"job"`
 	// Req carries engine/flow, config knobs, seed, verify settings and
 	// the input digest.
-	Req journal.Request `json:"req"`
+	Req dacpara.Job `json:"req"`
 	// ResumeStep is the flow cursor the worker starts from (0 for a
 	// fresh run; >0 only for flow jobs resuming a checkpoint).
 	ResumeStep int `json:"resume_step,omitempty"`
@@ -136,13 +135,6 @@ type Task struct {
 	BlobDigest string `json:"blob_digest,omitempty"`
 }
 
-// Verify is a worker-side equivalence check verdict (mirrors the
-// service's VerifyStatus).
-type Verify struct {
-	Equivalent bool `json:"equivalent"`
-	Proved     bool `json:"proved"`
-}
-
 // RemoteResult is one remotely-completed job: the optimized circuit and
 // the run record, plus which worker/attempt produced it.
 type RemoteResult struct {
@@ -152,7 +144,7 @@ type RemoteResult struct {
 	Result dacpara.Result
 	// Verify is the worker-side equivalence verdict, nil when the job
 	// did not request verification.
-	Verify *Verify
+	Verify *dacpara.Verdict
 	// Worker and Attempt identify the lease that completed the job.
 	Worker  string
 	Attempt int
@@ -251,8 +243,8 @@ type pollHeader struct {
 // resultHeader heads a result upload's framed body (the optimized AIGER
 // blob follows it).
 type resultHeader struct {
-	Result dacpara.Result `json:"result"`
-	Verify *Verify        `json:"verify,omitempty"`
+	Result dacpara.Result   `json:"result"`
+	Verify *dacpara.Verdict `json:"verify,omitempty"`
 }
 
 // heartbeatReply tells a worker whether to keep going ("ok") or abandon

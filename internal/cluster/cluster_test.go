@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"dacpara/internal/journal"
+	"dacpara"
 )
 
 // testConfig keeps the failure detector fully manual: leases are long
@@ -206,7 +206,7 @@ func TestWorkersLostCarriesCheckpoint(t *testing.T) {
 	c := NewCoordinator(testConfig(), Hooks{})
 	defer c.Close()
 	c.register("w1")
-	out := dispatchAsync(c, context.Background(), Task{Job: "j1", Req: journal.Request{Flow: "b; b"}}, []byte("input"))
+	out := dispatchAsync(c, context.Background(), Task{Job: "j1", Req: dacpara.Job{Flow: "b; b"}}, []byte("input"))
 	hdr, _ := acquireFor(t, c, "w1")
 	if !c.uploadCheckpoint("j1", hdr.Lease, 1, "digest-1", []byte("after-step-1")) {
 		t.Fatal("checkpoint rejected")

@@ -6,7 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"dacpara/internal/journal"
+	"dacpara"
 )
 
 // FuzzReadFrame hammers the framed-message decoder (u32 header length,
@@ -27,14 +27,14 @@ func FuzzReadFrame(f *testing.F) {
 	valid := mk(pollHeader{
 		Task: Task{
 			Job:        "j1",
-			Req:        journal.Request{Flow: "b; rw; b", Workers: 2, InputDigest: "ab12"},
+			Req:        dacpara.Job{Flow: "b; rw; b", Workers: 2, InputDigest: "ab12"},
 			Attempt:    1,
 			BlobDigest: "cd34",
 		},
 		Lease: "w1#e1#7",
 	}, bytes.Repeat([]byte("aig "), 64))
 	f.Add(valid)
-	f.Add(mk(resultHeader{Verify: &Verify{Equivalent: true, Proved: true}}, nil))
+	f.Add(mk(resultHeader{Verify: &dacpara.Verdict{Equivalent: true, Proved: true}}, nil))
 	f.Add(valid[:2])                                // torn length field
 	f.Add(valid[:6])                                // torn header
 	f.Add(valid[:len(valid)-7])                     // torn blob: still a whole frame (blob runs to EOF)

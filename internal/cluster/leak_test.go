@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"dacpara"
 	"dacpara/internal/chaos"
-	"dacpara/internal/journal"
 )
 
 // stableGoroutines samples runtime.NumGoroutine until two consecutive
@@ -93,7 +93,7 @@ func TestNoLeakAfterPartitionHeal(t *testing.T) {
 	dctx, dcancel := context.WithTimeout(context.Background(), 60*time.Second)
 	res, err := c.Dispatch(dctx, Task{
 		Job: "jheal",
-		Req: journal.Request{Flow: "b", Workers: 1, InputDigest: digest},
+		Req: dacpara.Job{Flow: "b", Workers: 1, InputDigest: digest},
 	}, input)
 	dcancel()
 	if err != nil || res == nil {

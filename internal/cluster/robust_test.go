@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"dacpara/internal/journal"
+	"dacpara"
 )
 
 func TestCheckpointDedupIdempotent(t *testing.T) {
@@ -245,7 +245,7 @@ func TestUpload422OnCorruptBlobOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	c.register("w1")
-	out := dispatchAsync(c, context.Background(), Task{Job: "j1", Req: journal.Request{Flow: "b"}}, nil)
+	out := dispatchAsync(c, context.Background(), Task{Job: "j1", Req: dacpara.Job{Flow: "b"}}, nil)
 	hdr, _ := acquireFor(t, c, "w1")
 	_, blob, digest := mustVoter(t)
 
@@ -331,7 +331,7 @@ func TestWorkerBreakerReRegisters(t *testing.T) {
 	_, input, digest := mustVoter(t)
 	res, err := c.Dispatch(context.Background(), Task{
 		Job: "j1",
-		Req: journal.Request{Flow: "b", Workers: 1, InputDigest: digest},
+		Req: dacpara.Job{Flow: "b", Workers: 1, InputDigest: digest},
 	}, input)
 	if err != nil || res.Worker != "a" {
 		t.Fatalf("post-heal dispatch = %+v, %v", res, err)

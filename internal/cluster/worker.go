@@ -16,7 +16,6 @@ import (
 
 	"dacpara"
 	"dacpara/internal/aig"
-	"dacpara/internal/journal"
 )
 
 // WorkerOptions configures one pull-based worker.
@@ -317,20 +316,6 @@ func (w *Worker) poll(ctx context.Context) (*pollHeader, []byte, error) {
 	}
 }
 
-// requestConfig rebuilds the engine configuration from the wire request.
-func requestConfig(jr journal.Request) dacpara.Config {
-	var cfg dacpara.Config
-	cfg.Workers = jr.Workers
-	cfg.Passes = jr.Passes
-	cfg.K = jr.K
-	cfg.MaxCuts = jr.MaxCuts
-	cfg.MaxStructs = jr.MaxStructs
-	cfg.NumClasses = jr.Classes
-	cfg.ZeroGain = jr.ZeroGain
-	cfg.PreserveDelay = jr.PreserveDelay
-	return cfg
-}
-
 // execute runs one leased task to an uploaded result (or a reported
 // failure, or a silent abandon when the lease is lost or the worker is
 // killed). It owns the heartbeat goroutine for the task's lifetime.
@@ -388,29 +373,14 @@ func (w *Worker) execute(ctx context.Context, hdr *pollHeader, input []byte) {
 		}
 	}()
 
-	cfg := requestConfig(task.Req)
-	cfg.Metrics = dacpara.NewMetrics()
-	var golden *dacpara.Network
-	if task.Req.Verify {
-		golden = net.Clone()
-	}
-
-	var result dacpara.Result
-	var runErr error
-	if task.Req.Flow != "" {
-		ck := func(completed int, n *dacpara.Network) error {
+	hooks := dacpara.Hooks{
+		ResumeStep: task.ResumeStep,
+		Checkpoint: func(completed int, n *dacpara.Network) error {
 			return w.uploadCheckpoint(jobCtx, task.Job, lease, completed, n)
-		}
-		var steps []dacpara.Result
-		var out *dacpara.Network
-		steps, out, runErr = dacpara.FlowResumeContext(jobCtx, net, task.Req.Flow, cfg, task.ResumeStep, ck)
-		if runErr == nil {
-			net = out
-			result = dacpara.SummarizeFlow(steps, cfg, out)
-		}
-	} else {
-		result, runErr = dacpara.RewriteContext(jobCtx, net, dacpara.Engine(task.Req.Engine), cfg)
+		},
+		Attach: dacpara.Config{Metrics: dacpara.NewMetrics()},
 	}
+	out, runErr := dacpara.Run(jobCtx, net, task.Req, hooks)
 	close(stopHB)
 	hbWG.Wait()
 
@@ -418,34 +388,19 @@ func (w *Worker) execute(ctx context.Context, hdr *pollHeader, input []byte) {
 		return // crashed, superseded, or shutting down: say nothing
 	}
 	if runErr != nil {
-		if errors.Is(runErr, errLeaseGone) {
-			return
+		if !errors.Is(runErr, errLeaseGone) {
+			w.uploadFail(ctx, task.Job, lease, runErr.Error())
 		}
-		w.uploadFail(ctx, task.Job, lease, runErr.Error())
 		return
 	}
-
-	out := resultHeader{Result: result}
-	if task.Req.Verify {
-		budget := task.Req.VerifyBudget
-		eq, proved, verr := dacpara.EquivalentBudget(golden, net, budget)
-		if verr != nil {
-			w.uploadFail(ctx, task.Job, lease, "verification: "+verr.Error())
-			return
-		}
-		out.Verify = &Verify{Equivalent: eq, Proved: proved}
-		if !eq {
-			w.uploadFail(ctx, task.Job, lease, "verification: result not equivalent to input")
-			return
-		}
-	}
-	var buf bytes.Buffer
-	if err := net.WriteBinary(&buf); err != nil {
+	// The digest declared for the upload is that of the shipped bytes,
+	// which is what the coordinator re-parses and checks.
+	blob, digest, err := dacpara.Encode(out.Net, true)
+	if err != nil {
 		w.uploadFail(ctx, task.Job, lease, "encoding result: "+err.Error())
 		return
 	}
-	digest := aig.StructuralDigest(net)
-	if err := w.uploadResult(ctx, task.Job, lease, out, buf.Bytes(), digest); err == nil {
+	if err := w.uploadResult(ctx, task.Job, lease, resultHeader{Result: out.Result, Verify: out.Verify}, blob, digest); err == nil {
 		w.executed.Add(1)
 	}
 	// An upload that never got through is deliberate silence: the lease
@@ -484,16 +439,15 @@ func (w *Worker) sendHeartbeat(ctx context.Context, job, lease string) string {
 // swallowed after the retry budget — losing a checkpoint degrades
 // failover granularity, it must not fail a healthy job.
 func (w *Worker) uploadCheckpoint(ctx context.Context, job, lease string, step int, n *dacpara.Network) error {
-	var buf bytes.Buffer
-	if err := n.WriteBinary(&buf); err != nil {
+	blob, digest, err := dacpara.Encode(n, true)
+	if err != nil {
 		return nil // un-serializable state: skip the checkpoint, keep the job
 	}
-	digest := aig.StructuralDigest(n)
-	err := w.opts.Retry.Do(ctx, func(ctx context.Context) error {
+	err = w.opts.Retry.Do(ctx, func(ctx context.Context) error {
 		resp, err := w.do(ctx, "/cluster/checkpoint", url.Values{
 			"job": {job}, "lease": {lease},
 			"step": {strconv.Itoa(step)}, "digest": {digest},
-		}, "application/octet-stream", buf.Bytes())
+		}, "application/octet-stream", blob)
 		if err != nil {
 			return err
 		}

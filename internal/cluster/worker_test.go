@@ -11,7 +11,6 @@ import (
 
 	"dacpara"
 	"dacpara/internal/aig"
-	"dacpara/internal/journal"
 )
 
 // startFleet brings up a coordinator behind a real HTTP server plus n
@@ -78,8 +77,8 @@ func TestWorkerRunsEngineJobOverHTTP(t *testing.T) {
 
 	res, err := c.Dispatch(context.Background(), Task{
 		Job: "j1",
-		Req: journal.Request{
-			Engine: string(dacpara.EngineDACPara), Workers: 2,
+		Req: dacpara.Job{
+			Engine: dacpara.EngineDACPara, Workers: 2,
 			Verify: true, VerifyBudget: 50_000, InputDigest: digest,
 		},
 	}, input)
@@ -111,7 +110,7 @@ func TestWorkerRunsFlowWithCheckpoints(t *testing.T) {
 
 	res, err := c.Dispatch(context.Background(), Task{
 		Job: "jf",
-		Req: journal.Request{Flow: "b; rw; b", Workers: 2, InputDigest: digest},
+		Req: dacpara.Job{Flow: "b; rw; b", Workers: 2, InputDigest: digest},
 	}, input)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +139,7 @@ func TestWorkerReportsEngineFailure(t *testing.T) {
 	// budget, and comes back as a terminal failure.
 	_, err := c.Dispatch(context.Background(), Task{
 		Job: "jbad",
-		Req: journal.Request{Engine: string(dacpara.EngineDACPara), InputDigest: digest},
+		Req: dacpara.Job{Engine: dacpara.EngineDACPara, InputDigest: digest},
 	}, []byte("this is not AIGER"))
 	var exhausted *AttemptsExhaustedError
 	if !errors.As(err, &exhausted) {
@@ -159,7 +158,7 @@ func TestKilledWorkerFailsOverMidJob(t *testing.T) {
 	go func() {
 		res, err := c.Dispatch(context.Background(), Task{
 			Job: "jk",
-			Req: journal.Request{Flow: "b; rw -z; b", Workers: 2, Passes: 30, ZeroGain: true, InputDigest: digest},
+			Req: dacpara.Job{Flow: "b; rw -z; b", Workers: 2, Passes: 30, ZeroGain: true, InputDigest: digest},
 		}, input)
 		outc <- dispatchOutcome{res, err}
 	}()

@@ -58,34 +58,28 @@ func (r *Result) absorb(st *galois.Stats) {
 	r.WastedWork += time.Duration(st.WastedNs.Load())
 }
 
-// finish stamps the post-run QoR, duration and completeness, and closes
-// the metrics run.
+// finish stamps the post-run QoR, duration and completeness, then — with
+// a collector — records the QoR, closes the metrics run and attaches the
+// snapshot. The framework calls it last, after the final shard merge.
 func (r *Result) finish(a *aig.AIG, start time.Time, m *metrics.Collector, runErr error) {
 	r.FinalAnds = a.NumAnds()
 	r.FinalDelay = a.Delay()
 	r.Duration = time.Since(start)
 	r.Incomplete = runErr != nil
-	FinishMetrics(m, r)
-}
-
-// FinishMetrics records the result's QoR into the collector, closes the
-// run and attaches the snapshot to the result. The framework calls it
-// last, after the final shard merge; a nil collector is a no-op.
-func FinishMetrics(m *metrics.Collector, res *Result) {
 	if m == nil {
 		return
 	}
 	m.FinishRun(metrics.QoR{
-		InitialAnds:  res.InitialAnds,
-		FinalAnds:    res.FinalAnds,
-		InitialDelay: int(res.InitialDelay),
-		FinalDelay:   int(res.FinalDelay),
-		Replacements: res.Replacements,
-		Attempts:     res.Attempts,
-		Stale:        res.Stale,
-		Incomplete:   res.Incomplete,
+		InitialAnds:  r.InitialAnds,
+		FinalAnds:    r.FinalAnds,
+		InitialDelay: int(r.InitialDelay),
+		FinalDelay:   int(r.FinalDelay),
+		Replacements: r.Replacements,
+		Attempts:     r.Attempts,
+		Stale:        r.Stale,
+		Incomplete:   r.Incomplete,
 	})
-	res.Metrics = m.Snapshot()
+	r.Metrics = m.Snapshot()
 }
 
 // WastedFraction returns the share of speculative work that was thrown

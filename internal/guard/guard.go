@@ -21,38 +21,21 @@ import (
 	"time"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/core"
-	"dacpara/internal/lockpar"
 	"dacpara/internal/metrics"
 	"dacpara/internal/rewlib"
 	"dacpara/internal/rewrite"
-	"dacpara/internal/staticpar"
-)
-
-// Engine names a rewriting implementation; the values match the facade's
-// engine names.
-type Engine string
-
-// The five engines, ordered here by quality (and by position in the
-// default degradation ladder for the parallel ones).
-const (
-	EngineDACPara      Engine = "dacpara"
-	EngineLockPar      Engine = "iccad18"
-	EngineSerial       Engine = "abc"
-	EngineStaticDAC22  Engine = "dac22"
-	EngineStaticTCAD23 Engine = "tcad23"
 )
 
 // DefaultLadder returns the degradation ladder starting at first: the
 // requested engine, then the ICCAD'18 fused-lock engine, then the serial
 // ABC engine — each rung trading throughput for a simpler concurrency
-// model. An empty first means EngineDACPara.
-func DefaultLadder(first Engine) []Engine {
+// model. An empty first means rewrite.EngineDACPara.
+func DefaultLadder(first rewrite.Engine) []rewrite.Engine {
 	if first == "" {
-		first = EngineDACPara
+		first = rewrite.EngineDACPara
 	}
-	ladder := []Engine{first}
-	for _, e := range []Engine{EngineLockPar, EngineSerial} {
+	ladder := []rewrite.Engine{first}
+	for _, e := range []rewrite.Engine{rewrite.EngineLockPar, rewrite.EngineSerial} {
 		if e != first {
 			ladder = append(ladder, e)
 		}
@@ -63,12 +46,12 @@ func DefaultLadder(first Engine) []Engine {
 // Options configures guarded execution. The zero value runs the default
 // ladder with no deadline and a 16-round simulation screen.
 type Options struct {
-	// Engine is the first rung of the ladder (default EngineDACPara).
+	// Engine is the first rung of the ladder (default rewrite.EngineDACPara).
 	// Ignored when Ladder is set explicitly.
-	Engine Engine
+	Engine rewrite.Engine
 	// Ladder overrides the engine sequence; nil means
 	// DefaultLadder(Engine).
-	Ladder []Engine
+	Ladder []rewrite.Engine
 	// Deadline bounds each attempt's wall-clock time; 0 means none. A
 	// timed-out engine keeps running on its (discarded) scratch copy
 	// until its bounded retries let it finish, so a timeout never blocks
@@ -99,7 +82,7 @@ func (o Options) simRounds() int {
 // Attempt records one rung of the ladder.
 type Attempt struct {
 	// Engine is the rung that ran.
-	Engine Engine
+	Engine rewrite.Engine
 	// Result is the engine's own statistics (zero if it timed out or
 	// panicked before returning).
 	Result rewrite.Result
@@ -145,7 +128,7 @@ type Report struct {
 	Attempts []Attempt
 	// Committed is the engine whose result was adopted, "" if every rung
 	// failed.
-	Committed Engine
+	Committed rewrite.Engine
 	// Degraded reports that the committed engine was not the first rung.
 	Degraded bool
 }
@@ -178,32 +161,6 @@ type outcome struct {
 	panicked string
 }
 
-func known(eng Engine) bool {
-	switch eng {
-	case EngineSerial, EngineLockPar, EngineDACPara, EngineStaticDAC22, EngineStaticTCAD23, "":
-		return true
-	}
-	return false
-}
-
-// runEngine dispatches to the engine implementations, threading the
-// caller's context into every engine's cancellation points.
-func runEngine(ctx context.Context, eng Engine, a *aig.AIG, lib *rewlib.Library, cfg rewrite.Config) (rewrite.Result, error) {
-	switch eng {
-	case EngineSerial:
-		return rewrite.SerialCtx(ctx, a, lib, cfg)
-	case EngineLockPar:
-		return lockpar.RewriteCtx(ctx, a, lib, cfg)
-	case EngineDACPara, "":
-		return core.RewriteCtx(ctx, a, lib, cfg)
-	case EngineStaticDAC22:
-		return staticpar.RewriteCtx(ctx, a, lib, cfg, staticpar.DAC22)
-	case EngineStaticTCAD23:
-		return staticpar.RewriteCtx(ctx, a, lib, cfg, staticpar.TCAD23)
-	}
-	return rewrite.Result{}, fmt.Errorf("guard: unknown engine %q", eng)
-}
-
 // attempt runs one engine on the scratch network under panic recovery
 // and the deadline. On timeout the goroutine is abandoned: it only
 // touches the scratch copy, which the caller discards, and the engine's
@@ -213,7 +170,7 @@ func runEngine(ctx context.Context, eng Engine, a *aig.AIG, lib *rewlib.Library,
 // wall-clock deadline (e.g. the daemon's per-job deadline) should not
 // wait out a slow pass for an attempt it is about to discard; a result
 // that raced the cancel is still drained and kept.
-func attempt(ctx context.Context, eng Engine, scratch *aig.AIG, lib *rewlib.Library, cfg rewrite.Config, deadline time.Duration) (outcome, bool) {
+func attempt(ctx context.Context, eng rewrite.Engine, scratch *aig.AIG, lib *rewlib.Library, cfg rewrite.Config, deadline time.Duration) (outcome, bool) {
 	ch := make(chan outcome, 1)
 	go func() {
 		defer func() {
@@ -221,7 +178,7 @@ func attempt(ctx context.Context, eng Engine, scratch *aig.AIG, lib *rewlib.Libr
 				ch <- outcome{panicked: fmt.Sprintf("%v\n%s", p, debug.Stack())}
 			}
 		}()
-		res, err := runEngine(ctx, eng, scratch, lib, cfg)
+		res, err := rewrite.Run(ctx, eng, scratch, lib, cfg)
 		ch <- outcome{res: res, err: err}
 	}()
 	var timeout <-chan time.Time
@@ -250,17 +207,14 @@ func attempt(ctx context.Context, eng Engine, scratch *aig.AIG, lib *rewlib.Libr
 // and the error wraps ErrExhausted. An engine error on some rung never
 // surfaces as Rewrite's error — it is recorded in the report and the
 // guard degrades.
-func Rewrite(net *aig.AIG, lib *rewlib.Library, cfg rewrite.Config, opts Options) (rewrite.Result, *Report, error) {
-	return RewriteCtx(context.Background(), net, lib, cfg, opts)
-}
-
-// RewriteCtx is Rewrite under a context. The context is threaded into
-// every engine attempt; when it is cancelled the guard stops the ladder
-// — a cancellation is a caller decision, not an engine fault to degrade
-// around — records the interrupted attempt in the report and returns the
-// ctx error with the caller's network untouched. A rung that completes
-// and verifies before the cancel is observed still commits.
-func RewriteCtx(ctx context.Context, net *aig.AIG, lib *rewlib.Library, cfg rewrite.Config, opts Options) (rewrite.Result, *Report, error) {
+//
+// The context is threaded into every engine attempt; when it is
+// cancelled the guard stops the ladder — a cancellation is a caller
+// decision, not an engine fault to degrade around — records the
+// interrupted attempt in the report and returns the ctx error with the
+// caller's network untouched. A rung that completes and verifies before
+// the cancel is observed still commits.
+func Rewrite(ctx context.Context, net *aig.AIG, lib *rewlib.Library, cfg rewrite.Config, opts Options) (rewrite.Result, *Report, error) {
 	rounds := opts.simRounds()
 	refSig := aig.RandomSignature(net, rand.New(rand.NewSource(opts.Seed)), rounds)
 
@@ -271,7 +225,7 @@ func RewriteCtx(ctx context.Context, net *aig.AIG, lib *rewlib.Library, cfg rewr
 	// An unknown engine is a configuration error, not a runtime fault:
 	// reject it up front instead of masking the typo by degrading.
 	for _, eng := range ladder {
-		if !known(eng) {
+		if !rewrite.Known(eng) {
 			return rewrite.Result{}, nil, fmt.Errorf("guard: unknown engine %q", eng)
 		}
 	}

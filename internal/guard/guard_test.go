@@ -1,6 +1,7 @@
 package guard_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -39,11 +40,11 @@ func assertEquivalent(t *testing.T, golden, got *aig.AIG) {
 func TestGuardCleanCommit(t *testing.T) {
 	net := bench.Multiplier(8)
 	golden := net.Clone()
-	res, rep, err := guard.Rewrite(net, lib(t), rewrite.Config{Workers: 4}, guard.Options{Engine: guard.EngineDACPara})
+	res, rep, err := guard.Rewrite(context.Background(), net, lib(t), rewrite.Config{Workers: 4}, guard.Options{Engine: rewrite.EngineDACPara})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Committed != guard.EngineDACPara || rep.Degraded {
+	if rep.Committed != rewrite.EngineDACPara || rep.Degraded {
 		t.Fatalf("expected clean first-rung commit, got %+v", rep)
 	}
 	if len(rep.Attempts) != 1 || !rep.Attempts[0].Committed {
@@ -75,11 +76,11 @@ func TestGuardFaultInjectionTerminates(t *testing.T) {
 			ShuffleWorklist: true,
 		},
 	}
-	res, rep, err := guard.Rewrite(net, lib(t), cfg, guard.Options{Engine: guard.EngineDACPara, Seed: 7})
+	res, rep, err := guard.Rewrite(context.Background(), net, lib(t), cfg, guard.Options{Engine: rewrite.EngineDACPara, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Committed != guard.EngineDACPara {
+	if rep.Committed != rewrite.EngineDACPara {
 		t.Fatalf("fault rate 0.25 should stay within the retry budget, got report:\n%s", rep)
 	}
 	if res.InjectedAborts == 0 {
@@ -98,17 +99,17 @@ func TestGuardSabotageDegrades(t *testing.T) {
 	net := bench.Multiplier(8)
 	golden := net.Clone()
 	opts := guard.Options{
-		Engine: guard.EngineDACPara,
+		Engine: rewrite.EngineDACPara,
 		Sabotage: func(a *aig.AIG) {
 			pos := a.POs()
 			pos[0] = pos[0].XorCompl(true)
 		},
 	}
-	_, rep, err := guard.Rewrite(net, lib(t), rewrite.Config{Workers: 4}, opts)
+	_, rep, err := guard.Rewrite(context.Background(), net, lib(t), rewrite.Config{Workers: 4}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Degraded || rep.Committed != guard.EngineLockPar {
+	if !rep.Degraded || rep.Committed != rewrite.EngineLockPar {
 		t.Fatalf("expected degradation to iccad18, got report:\n%s", rep)
 	}
 	if len(rep.Attempts) != 2 {
@@ -138,11 +139,11 @@ func TestGuardBudgetExhaustionDegradesToSerial(t *testing.T) {
 		RetryBudget: 40,
 		Fault:       &galois.FaultPlan{Seed: 1, AbortRate: 1.0},
 	}
-	_, rep, err := guard.Rewrite(net, lib(t), cfg, guard.Options{Engine: guard.EngineDACPara})
+	_, rep, err := guard.Rewrite(context.Background(), net, lib(t), cfg, guard.Options{Engine: rewrite.EngineDACPara})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Committed != guard.EngineSerial || !rep.Degraded {
+	if rep.Committed != rewrite.EngineSerial || !rep.Degraded {
 		t.Fatalf("expected degradation to the serial engine, got report:\n%s", rep)
 	}
 	for _, att := range rep.Attempts[:len(rep.Attempts)-1] {
@@ -161,10 +162,10 @@ func TestGuardDeadline(t *testing.T) {
 	golden := net.Clone()
 	before := net.NumAnds()
 	opts := guard.Options{
-		Ladder:   []guard.Engine{guard.EngineDACPara},
+		Ladder:   []rewrite.Engine{rewrite.EngineDACPara},
 		Deadline: time.Nanosecond,
 	}
-	_, rep, err := guard.Rewrite(net, lib(t), rewrite.Config{Workers: 2}, opts)
+	_, rep, err := guard.Rewrite(context.Background(), net, lib(t), rewrite.Config{Workers: 2}, opts)
 	if !errors.Is(err, guard.ErrExhausted) {
 		t.Fatalf("expected ErrExhausted, got %v", err)
 	}
@@ -183,8 +184,8 @@ func TestGuardDeadline(t *testing.T) {
 func TestGuardRejectsUnknownEngine(t *testing.T) {
 	net := bench.Multiplier(6)
 	before := net.NumAnds()
-	_, rep, err := guard.Rewrite(net, lib(t), rewrite.Config{}, guard.Options{
-		Ladder: []guard.Engine{"no-such-engine", guard.EngineSerial},
+	_, rep, err := guard.Rewrite(context.Background(), net, lib(t), rewrite.Config{}, guard.Options{
+		Ladder: []rewrite.Engine{"no-such-engine", rewrite.EngineSerial},
 	})
 	if err == nil || errors.Is(err, guard.ErrExhausted) {
 		t.Fatalf("expected a config error, got %v", err)
@@ -199,14 +200,14 @@ func TestGuardRejectsUnknownEngine(t *testing.T) {
 
 func TestDefaultLadder(t *testing.T) {
 	cases := []struct {
-		first guard.Engine
-		want  []guard.Engine
+		first rewrite.Engine
+		want  []rewrite.Engine
 	}{
-		{guard.EngineDACPara, []guard.Engine{"dacpara", "iccad18", "abc"}},
-		{"", []guard.Engine{"dacpara", "iccad18", "abc"}},
-		{guard.EngineLockPar, []guard.Engine{"iccad18", "abc"}},
-		{guard.EngineSerial, []guard.Engine{"abc", "iccad18"}},
-		{guard.EngineStaticDAC22, []guard.Engine{"dac22", "iccad18", "abc"}},
+		{rewrite.EngineDACPara, []rewrite.Engine{"dacpara", "iccad18", "abc"}},
+		{"", []rewrite.Engine{"dacpara", "iccad18", "abc"}},
+		{rewrite.EngineLockPar, []rewrite.Engine{"iccad18", "abc"}},
+		{rewrite.EngineSerial, []rewrite.Engine{"abc", "iccad18"}},
+		{rewrite.EngineStaticDAC22, []rewrite.Engine{"dac22", "iccad18", "abc"}},
 	}
 	for _, c := range cases {
 		got := guard.DefaultLadder(c.first)

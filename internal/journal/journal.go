@@ -7,8 +7,9 @@
 // tolerates a torn or corrupted tail by truncating to the longest
 // valid prefix instead of refusing to start.
 //
-// The package is deliberately low-level — raw records and raw bytes,
-// no engine types — so it can be fuzzed in isolation and reused by
+// The package is deliberately low-level — raw records and raw bytes; the
+// only type it shares with the engines is the job spec a submitted
+// record carries — so it can be fuzzed in isolation and reused by
 // anything that needs crash-safe appends.
 package journal
 
@@ -22,6 +23,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"dacpara"
 )
 
 // Op is a job lifecycle event kind.
@@ -63,32 +66,12 @@ func (o Op) Terminal() bool {
 	return false
 }
 
-// Request is the replayable half of a job submission: everything needed
-// to re-run the job after a restart except the input circuit itself,
-// which lives in the blob store (keyed by job ID, integrity-checked
-// against InputDigest at recovery).
-type Request struct {
-	Engine        string `json:"engine,omitempty"`
-	Flow          string `json:"flow,omitempty"`
-	Workers       int    `json:"workers,omitempty"`
-	K             int    `json:"k,omitempty"`
-	Passes        int    `json:"passes,omitempty"`
-	MaxCuts       int    `json:"max_cuts,omitempty"`
-	MaxStructs    int    `json:"max_structs,omitempty"`
-	Classes       int    `json:"classes,omitempty"`
-	ZeroGain      bool   `json:"zero_gain,omitempty"`
-	PreserveDelay bool   `json:"preserve_delay,omitempty"`
-	Seed          int64  `json:"seed,omitempty"`
-	Verify        bool   `json:"verify,omitempty"`
-	VerifyBudget  int64  `json:"verify_budget,omitempty"`
-	DeadlineNs    int64  `json:"deadline_ns,omitempty"`
-	// Partition, when ≥ 2, runs the job partitioned: the circuit is cut
-	// into that many shards, each rewritten as its own (sub-)job.
-	Partition int `json:"partition,omitempty"`
-	// InputDigest is the structural digest of the submitted circuit; the
-	// recovered input blob must re-digest to it or the job is not re-run.
-	InputDigest string `json:"input_digest"`
-}
+// Request is the replayable half of a job submission — the job spec
+// itself, one definition shared with the facade and the cluster wire:
+// everything needed to re-run the job after a restart except the input
+// circuit, which lives in the blob store (keyed by job ID,
+// integrity-checked against InputDigest at recovery).
+type Request = dacpara.Job
 
 // Record is one framed journal entry.
 type Record struct {

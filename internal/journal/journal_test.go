@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dacpara"
 )
 
 func sampleRecords() []Record {
@@ -44,6 +46,55 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 	if got[0].Req == nil || got[0].Req.Flow != "b; rw -z; b" || got[0].Req.InputDigest != "sha256:aaaa" {
 		t.Errorf("submitted request not preserved: %+v", got[0].Req)
+	}
+}
+
+// TestJobSurvivesTheLog: a fully populated job spec written through a
+// real log file comes back field for field, with the same cache key —
+// the WAL half of "one struct from query string to runner". The record
+// JSON is also pinned against the tags journals in the field carry.
+func TestJobSurvivesTheLog(t *testing.T) {
+	want := dacpara.Job{
+		Engine: dacpara.EngineLockPar, Workers: 3, K: 5, Passes: 2, MaxCuts: 8, MaxStructs: 5, Classes: 222,
+		ZeroGain: true, PreserveDelay: true, Seed: -7, Verify: true, VerifyBudget: 1000,
+		DeadlineNs: 30e9, Partition: 4, InputDigest: "sha256:aaaa",
+	}
+	guarded := dacpara.Job{Flow: "b; rw", Guard: true, GuardDeadlineNs: 5e9, InputDigest: "sha256:bbbb"}
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	log, _, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, job := range []dacpara.Job{want, guarded} {
+		if err := log.Append(Record{Op: OpSubmitted, Job: "j" + string(rune('1'+i)), Req: &job}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.Close()
+	log, recs, dropped, err := Open(path)
+	if err != nil || dropped != 0 || len(recs) != 2 {
+		t.Fatalf("reopen: %d records, %d bytes dropped, err %v", len(recs), dropped, err)
+	}
+	log.Close()
+	for i, job := range []dacpara.Job{want, guarded} {
+		got := *recs[i].Req
+		if got != job {
+			t.Errorf("job %d came back as %+v, want %+v", i, got, job)
+		}
+		if got.Key(got.InputDigest) != job.Key(job.InputDigest) {
+			t.Errorf("job %d: cache key changed across the log", i)
+		}
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wire = `"req":{"engine":"iccad18","workers":3,"k":5,"passes":2,"max_cuts":8,"max_structs":5,"classes":222,` +
+		`"zero_gain":true,"preserve_delay":true,"seed":-7,"verify":true,"verify_budget":1000,` +
+		`"deadline_ns":30000000000,"partition":4,"input_digest":"sha256:aaaa"}`
+	if !bytes.Contains(data, []byte(wire)) {
+		t.Fatalf("submitted record does not carry the journal's request JSON %s:\n%q", wire, data)
 	}
 }
 

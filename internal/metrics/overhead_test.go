@@ -1,12 +1,12 @@
 package metrics_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/core"
 	"dacpara/internal/metrics"
 	"dacpara/internal/npn"
 	"dacpara/internal/rewlib"
@@ -61,7 +61,7 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			a := overheadAIG(rand.New(rand.NewSource(7)), 12, 4000)
 			start := time.Now()
-			if _, err := core.Rewrite(a, lib, rewrite.Config{Workers: 2, Metrics: m}); err != nil {
+			if _, err := rewrite.Run(context.Background(), rewrite.EngineDACPara, a, lib, rewrite.Config{Workers: 2, Metrics: m}); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {

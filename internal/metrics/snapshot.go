@@ -12,8 +12,8 @@ import (
 const SchemaMetrics = "dacpara-metrics/v1"
 
 // Snapshot is the machine-readable record of one engine run — the unit
-// the -stats-json flag, the per-step flow reports and the perfbench
-// BENCH_*.json trajectory all emit.
+// the -stats-json flag, the per-step flow reports and the daemon's
+// per-job metrics endpoint all emit.
 type Snapshot struct {
 	Schema  string `json:"schema"`
 	Engine  string `json:"engine"`

@@ -1,7 +1,7 @@
 // Package rewrite implements DAG-aware AIG rewriting (Mishchenko et al.,
-// DAC'06): the serial baseline engine corresponding to ABC's `rewrite`
-// command, plus the evaluation and replacement machinery shared by all
-// parallel engines in this repository (lockpar, staticpar, core).
+// DAC'06): the evaluation and replacement machinery, its adapters onto
+// the pass-engine framework (Pass, serialPass, fusedPass), and the engine
+// table binding each named engine to its plan (see Run).
 //
 // Rewriting visits nodes, enumerates their 4-input cuts, matches each
 // cut's function against the NPN structure library, estimates the gain of
@@ -130,11 +130,6 @@ func (c Config) cutManager(a *aig.AIG) *cut.Manager {
 	return cut.NewManager(a, params)
 }
 
-// CutManagerFor resolves the cut manager an engine outside this package
-// (lockpar) should enumerate with — the cached persistent manager when
-// the config carries a CutCache, a fresh one otherwise.
-func CutManagerFor(c Config, a *aig.AIG) *cut.Manager { return c.cutManager(a) }
-
 // Exec materializes the Config's spine knobs for the pass-engine
 // framework (parallelism, pass count, fault plan, retry budget,
 // metrics).
@@ -152,10 +147,3 @@ func (c Config) Exec() engine.Exec {
 // result type; the alias keeps the historical rewrite.Result name every
 // engine and the facade return.
 type Result = engine.Result
-
-// FinishMetrics records the result's QoR into the collector, closes the
-// run and attaches the snapshot to the result. Engines call it last,
-// after their final shard merge; a nil collector is a no-op.
-func FinishMetrics(m *metrics.Collector, res *Result) {
-	engine.FinishMetrics(m, res)
-}

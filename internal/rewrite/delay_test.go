@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestPreserveDelayNeverDeepens(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomAIG(t, rng, 8, 500, 8)
-		res, err := Serial(a, lib, Config{PreserveDelay: true})
+		res, err := Run(context.Background(), EngineSerial, a, lib, Config{PreserveDelay: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package core_test
+package rewrite_test
 
 import (
 	"math/rand"
@@ -6,7 +6,6 @@ import (
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bench"
-	"dacpara/internal/core"
 	"dacpara/internal/rewrite"
 )
 
@@ -18,7 +17,7 @@ func TestPassesConverge(t *testing.T) {
 	prev := a.NumAnds()
 	fixpoint := false
 	for pass := 0; pass < 6; pass++ {
-		res := must(t)(core.Rewrite(a, l, rewrite.Config{Workers: 4}))
+		res := must(t)(run(rewrite.EngineDACPara)(a, l, rewrite.Config{Workers: 4}))
 		if a.NumAnds() > prev {
 			t.Fatalf("pass %d increased area %d -> %d", pass, prev, a.NumAnds())
 		}
@@ -52,7 +51,7 @@ func TestP1P2OnMtM(t *testing.T) {
 		golden := a.Clone()
 		c := cfg.c
 		c.Workers = 4
-		res := must(t)(core.Rewrite(a, l, c))
+		res := must(t)(run(rewrite.EngineDACPara)(a, l, c))
 		if res.AreaReduction() <= 0 {
 			t.Fatalf("%s: no area reduction", cfg.name)
 		}
@@ -73,8 +72,8 @@ func TestFlatAblationIsWorse(t *testing.T) {
 	base := bench.Sin(14)
 	leveled := base.Clone()
 	flat := base.Clone()
-	rl := must(t)(core.Rewrite(leveled, l, rewrite.Config{Workers: 8}))
-	rf := must(t)(core.RewriteFlat(flat, l, rewrite.Config{Workers: 8}))
+	rl := must(t)(run(rewrite.EngineDACPara)(leveled, l, rewrite.Config{Workers: 8}))
+	rf := must(t)(run(rewrite.EngineFlat)(flat, l, rewrite.Config{Workers: 8}))
 	t.Logf("level-lists: ared=%d stale=%d; flat: ared=%d stale=%d",
 		rl.AreaReduction(), rl.Stale, rf.AreaReduction(), rf.Stale)
 	if rf.Stale < rl.Stale {
@@ -97,7 +96,7 @@ func TestWorkerSweep(t *testing.T) {
 	ref := aig.RandomSignature(base, rand.New(rand.NewSource(8)), 4)
 	for _, th := range []int{1, 2, 3, 8, 16} {
 		a := base.Clone()
-		res := must(t)(core.Rewrite(a, l, rewrite.Config{Workers: th}))
+		res := must(t)(run(rewrite.EngineDACPara)(a, l, rewrite.Config{Workers: th}))
 		if res.Threads != th {
 			t.Fatalf("threads recorded %d, want %d", res.Threads, th)
 		}

@@ -1,12 +1,12 @@
-package core_test
+package rewrite_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/core"
 	"dacpara/internal/cut"
+	"dacpara/internal/engine"
 	"dacpara/internal/rewrite"
 )
 
@@ -114,7 +114,7 @@ func TestNodeDividing(t *testing.T) {
 	o := a.And(x, z)         // level 1
 	a.AddPO(l3)
 	a.AddPO(o)
-	lists := core.NodeDividing(a)
+	lists := engine.ByLevel(a)
 	if len(lists) != 3 {
 		t.Fatalf("%d lists, want 3", len(lists))
 	}

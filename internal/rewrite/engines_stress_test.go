@@ -1,4 +1,4 @@
-package core_test
+package rewrite_test
 
 import (
 	"fmt"
@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/core"
 	"dacpara/internal/galois"
-	"dacpara/internal/lockpar"
 	"dacpara/internal/rewrite"
 )
 
@@ -25,9 +23,9 @@ func TestStressFaultInjectionAcrossWorkerCounts(t *testing.T) {
 		workerCounts = []int{2, 4}
 		seeds = seeds[:1]
 	}
-	stressEngines := []engine{
-		{"dacpara", core.Rewrite},
-		{"lockpar", lockpar.Rewrite},
+	stressEngines := []namedEngine{
+		{"dacpara", run(rewrite.EngineDACPara)},
+		{"lockpar", run(rewrite.EngineLockPar)},
 	}
 	rng := rand.New(rand.NewSource(0xDAC))
 	base := randomAIG(t, rng, 24, 500, 8)
@@ -79,7 +77,7 @@ func TestStressBudgetErrorLeavesConsistentGraph(t *testing.T) {
 		RetryBudget: 30,
 		Fault:       &galois.FaultPlan{Seed: 11, AbortRate: 1.0},
 	}
-	res, err := core.Rewrite(net, l, cfg)
+	res, err := run(rewrite.EngineDACPara)(net, l, cfg)
 	if err == nil {
 		t.Fatal("expected a retry-budget error at abort rate 1.0")
 	}

@@ -1,16 +1,14 @@
-package core_test
+package rewrite_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/core"
-	"dacpara/internal/lockpar"
 	"dacpara/internal/npn"
 	"dacpara/internal/rewlib"
 	"dacpara/internal/rewrite"
-	"dacpara/internal/staticpar"
 )
 
 func randomAIG(t testing.TB, rng *rand.Rand, pis, gates, pos int) *aig.AIG {
@@ -53,20 +51,26 @@ func lib(t testing.TB) *rewlib.Library {
 	return l
 }
 
-type engine struct {
-	name string
-	run  func(*aig.AIG, *rewlib.Library, rewrite.Config) (rewrite.Result, error)
+type engineFn func(*aig.AIG, *rewlib.Library, rewrite.Config) (rewrite.Result, error)
+
+// run binds one row of the engine table to the (network, library,
+// config) shape these tests drive.
+func run(eng rewrite.Engine) engineFn {
+	return func(a *aig.AIG, l *rewlib.Library, c rewrite.Config) (rewrite.Result, error) {
+		return rewrite.Run(context.Background(), eng, a, l, c)
+	}
 }
 
-var engines = []engine{
-	{"dacpara", core.Rewrite},
-	{"lockpar", lockpar.Rewrite},
-	{"staticpar-dac22", func(a *aig.AIG, l *rewlib.Library, c rewrite.Config) (rewrite.Result, error) {
-		return staticpar.Rewrite(a, l, c, staticpar.DAC22)
-	}},
-	{"staticpar-tcad23", func(a *aig.AIG, l *rewlib.Library, c rewrite.Config) (rewrite.Result, error) {
-		return staticpar.Rewrite(a, l, c, staticpar.TCAD23)
-	}},
+type namedEngine struct {
+	name string
+	run  engineFn
+}
+
+var engines = []namedEngine{
+	{"dacpara", run(rewrite.EngineDACPara)},
+	{"lockpar", run(rewrite.EngineLockPar)},
+	{"staticpar-dac22", run(rewrite.EngineStaticDAC22)},
+	{"staticpar-tcad23", run(rewrite.EngineStaticTCAD23)},
 }
 
 // must unwraps an engine result, failing the test on an engine error.

@@ -263,7 +263,7 @@ type Evaluator struct {
 	// TrustStoredGain makes Execute commit candidates without re-checking
 	// that the gain is still positive on the latest graph — the "static
 	// global information" behaviour of the GPU baselines, which the
-	// staticpar engine models (replacements may realize zero or negative
+	// dac22/tcad23 engines model (replacements may realize zero or negative
 	// gain).
 	TrustStoredGain bool
 

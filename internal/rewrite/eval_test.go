@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -115,11 +116,11 @@ func TestZeroGainConfig(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	a1 := randomAIG(t, rng, 8, 500, 8)
 	a2 := a1.Clone()
-	strict, err := Serial(a1, lib, Config{})
+	strict, err := Run(context.Background(), EngineSerial, a1, lib, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := Serial(a2, lib, Config{ZeroGain: true})
+	zero, err := Run(context.Background(), EngineSerial, a2, lib, Config{ZeroGain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestInstantiateMatchesFunction(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		a := randomAIG(t, rng, 6, 150, 5)
 		before := aig.RandomSignature(a, rand.New(rand.NewSource(7)), 4)
-		res, err := Serial(a, lib, Config{})
+		res, err := Run(context.Background(), EngineSerial, a, lib, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestInstantiateMatchesFunction(t *testing.T) {
 	}
 }
 
-// TestTrustStoredGainCommitsNegative: the staticpar behaviour knob.
+// TestTrustStoredGainCommitsNegative: the static engines' behaviour knob.
 func TestTrustStoredGainCommitsNegative(t *testing.T) {
 	lib := testLib(t)
 	a := aig.New()

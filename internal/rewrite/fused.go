@@ -1,0 +1,123 @@
+package rewrite
+
+import (
+	"time"
+
+	"dacpara/internal/aig"
+	"dacpara/internal/cut"
+	"dacpara/internal/engine"
+	"dacpara/internal/metrics"
+	"dacpara/internal/rewlib"
+)
+
+// fusedPass is the ICCAD'18 operator (EngineLockPar) as a framework
+// pass: each node is processed by ONE speculative activity that performs
+// cut enumeration, evaluation and replacement back to back while holding
+// exclusive locks on every related node it touches — the cut cones, the
+// reused shared logic, the fanouts. When any lock is already held by
+// another activity the whole operator aborts and all of its computation
+// (including the expensive evaluation) is discarded and redone later —
+// exactly the waste the paper's Fig. 2 illustrates and DACPara's split
+// operators avoid.
+type fusedPass struct {
+	a   *aig.AIG
+	lib *rewlib.Library
+	cfg Config
+
+	cm  *cut.Manager
+	evs []*Evaluator
+	env engine.Env
+}
+
+var _ engine.FusedPass = (*fusedPass)(nil)
+
+func (p *fusedPass) Begin(slots int, env engine.Env) {
+	p.cm = p.cfg.cutManager(p.a)
+	p.evs = make([]*Evaluator, slots)
+	for w := range p.evs {
+		p.evs[w] = NewEvaluator(p.a, p.lib, p.cfg)
+		p.evs[w].CutPool = env.CutPool(w)
+	}
+	p.env = env
+}
+
+func (p *fusedPass) Fuse(worker int, id int32, lock engine.Locker) engine.Status {
+	// One fused activity: enumeration, evaluation and replacement back
+	// to back under one lock set. The shard timings attribute
+	// in-operator time to the three logical stages so the fused engine's
+	// snapshot is comparable with the split engines'.
+	var sh *metrics.Shard
+	var t0 time.Time
+	if p.env.Shards != nil {
+		sh = &p.env.Shards[worker]
+		t0 = time.Now()
+	}
+	if !lock(id) {
+		sh.Conflict(metrics.PhaseFused, id)
+		return engine.StatusConflict
+	}
+	if !p.a.N(id).IsAnd() {
+		return engine.StatusSkip
+	}
+	ev := p.evs[worker]
+	// Enumeration: lock the recursive region whose cut sets the
+	// operator reads or writes.
+	cuts, ok := p.cm.EnsureP(id, cut.Visitor(lock), p.env.CutPool(worker))
+	if !ok {
+		sh.Conflict(metrics.PhaseFused, id)
+		return engine.StatusConflict
+	}
+	// The fused operator holds the locks of all cut leaves for its
+	// whole lifetime: evaluation scans their fanout lists for shared
+	// logic, and replacement mutates them.
+	for i := range cuts {
+		for _, leaf := range cuts[i].LeafSlice() {
+			if !lock(leaf) {
+				sh.Conflict(metrics.PhaseFused, id)
+				return engine.StatusConflict
+			}
+		}
+	}
+	var t1 time.Time
+	if sh != nil {
+		t1 = time.Now()
+		sh.EnumNs += t1.Sub(t0).Nanoseconds()
+	}
+	cand, conflict := ev.EvaluateLocked(id, cuts, Locker(lock))
+	if sh != nil {
+		t2 := time.Now()
+		sh.EvalNs += t2.Sub(t1).Nanoseconds()
+		sh.Evals++
+		t1 = t2
+	}
+	if conflict {
+		// The expensive evaluation is discarded with the activity — the
+		// fused-operator waste of the paper's Fig. 2.
+		if sh != nil {
+			sh.WastedEvals++
+			sh.Conflict(metrics.PhaseFused, id)
+		}
+		return engine.StatusConflict
+	}
+	if !cand.Ok() {
+		return engine.StatusSkip
+	}
+	p.env.Attempts.Add(1)
+	_, st := ev.Execute(p.cm, &cand, Locker(lock))
+	if sh != nil {
+		sh.ReplaceNs += time.Since(t1).Nanoseconds()
+	}
+	switch st {
+	case StatusConflict:
+		if sh != nil {
+			sh.WastedEvals++
+			sh.Conflict(metrics.PhaseFused, id)
+		}
+		return engine.StatusConflict
+	case StatusCommitted:
+		return engine.StatusCommitted
+	case StatusStale:
+		return engine.StatusStale
+	}
+	return engine.StatusNoGain
+}

@@ -1,4 +1,4 @@
-package lockpar
+package rewrite_test
 
 import (
 	"math/rand"
@@ -6,30 +6,8 @@ import (
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bench"
-	"dacpara/internal/npn"
-	"dacpara/internal/rewlib"
 	"dacpara/internal/rewrite"
 )
-
-// must unwraps an engine result, failing the test on an engine error.
-func must(t testing.TB) func(rewrite.Result, error) rewrite.Result {
-	return func(res rewrite.Result, err error) rewrite.Result {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-}
-
-func lib(t testing.TB) *rewlib.Library {
-	t.Helper()
-	l, err := rewlib.Build(npn.Shared(), rewlib.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
 
 func TestSingleThreadMatchesSerial(t *testing.T) {
 	l := lib(t)
@@ -38,8 +16,8 @@ func TestSingleThreadMatchesSerial(t *testing.T) {
 	// identical result.
 	a1 := bench.Multiplier(10)
 	a2 := bench.Multiplier(10)
-	serial := must(t)(rewrite.Serial(a1, l, rewrite.Config{}))
-	par := must(t)(Rewrite(a2, l, rewrite.Config{Workers: 1}))
+	serial := must(t)(run(rewrite.EngineSerial)(a1, l, rewrite.Config{}))
+	par := must(t)(run(rewrite.EngineLockPar)(a2, l, rewrite.Config{Workers: 1}))
 	if par.FinalAnds != serial.FinalAnds {
 		t.Fatalf("1-thread lockpar area %d, serial %d", par.FinalAnds, serial.FinalAnds)
 	}
@@ -52,7 +30,7 @@ func TestParallelConflictsHappenAndResolve(t *testing.T) {
 	l := lib(t)
 	a := bench.Multiplier(16)
 	golden := a.Clone()
-	res := must(t)(Rewrite(a, l, rewrite.Config{Workers: 8}))
+	res := must(t)(run(rewrite.EngineLockPar)(a, l, rewrite.Config{Workers: 8}))
 	if res.Aborts == 0 {
 		t.Log("no conflicts observed (timing-dependent); result still checked")
 	}
@@ -75,13 +53,13 @@ func TestParallelConflictsHappenAndResolve(t *testing.T) {
 func TestMultiPass(t *testing.T) {
 	l := lib(t)
 	a := bench.Sin(10)
-	res := must(t)(Rewrite(a, l, rewrite.Config{Workers: 4, Passes: 2}))
+	res := must(t)(run(rewrite.EngineLockPar)(a, l, rewrite.Config{Workers: 4, Passes: 2}))
 	if res.FinalAnds >= res.InitialAnds {
 		t.Fatalf("no improvement: %d -> %d", res.InitialAnds, res.FinalAnds)
 	}
 	// A second pass can only improve or hold area.
 	a2 := bench.Sin(10)
-	one := must(t)(Rewrite(a2, l, rewrite.Config{Workers: 4, Passes: 1}))
+	one := must(t)(run(rewrite.EngineLockPar)(a2, l, rewrite.Config{Workers: 4, Passes: 1}))
 	if res.FinalAnds > one.FinalAnds {
 		t.Fatalf("two passes (%d) worse than one (%d)", res.FinalAnds, one.FinalAnds)
 	}
@@ -90,7 +68,7 @@ func TestMultiPass(t *testing.T) {
 func TestEngineName(t *testing.T) {
 	l := lib(t)
 	a := bench.Adder(8)
-	res := must(t)(Rewrite(a, l, rewrite.Config{Workers: 2}))
+	res := must(t)(run(rewrite.EngineLockPar)(a, l, rewrite.Config{Workers: 2}))
 	if res.Engine != "iccad18-lockpar" {
 		t.Fatalf("engine name %q", res.Engine)
 	}

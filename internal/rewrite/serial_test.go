@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestSerialPreservesFunction(t *testing.T) {
 		a := randomAIG(t, rng, 8, 400, 8)
 		before := aig.RandomSignature(a, rand.New(rand.NewSource(99)), 4)
 		initial := a.NumAnds()
-		res, err := Serial(a, lib, Config{})
+		res, err := Run(context.Background(), EngineSerial, a, lib, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package staticpar
+package rewrite_test
 
 import (
 	"math/rand"
@@ -6,38 +6,15 @@ import (
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bench"
-	"dacpara/internal/core"
-	"dacpara/internal/npn"
-	"dacpara/internal/rewlib"
 	"dacpara/internal/rewrite"
 )
 
-// must unwraps an engine result, failing the test on an engine error.
-func must(t testing.TB) func(rewrite.Result, error) rewrite.Result {
-	return func(res rewrite.Result, err error) rewrite.Result {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-}
-
-func lib(t testing.TB) *rewlib.Library {
-	t.Helper()
-	l, err := rewlib.Build(npn.Shared(), rewlib.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
 func TestPreservesFunction(t *testing.T) {
 	l := lib(t)
-	for _, variant := range []Variant{DAC22, TCAD23} {
+	for _, variant := range []rewrite.Engine{rewrite.EngineStaticDAC22, rewrite.EngineStaticTCAD23} {
 		a := bench.MtM("m", 6000, 5)
 		golden := a.Clone()
-		res := must(t)(Rewrite(a, l, rewrite.Config{Workers: 4}, variant))
+		res := must(t)(run(variant)(a, l, rewrite.Config{Workers: 4}))
 		if err := a.Check(aig.CheckOptions{}); err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}
@@ -61,8 +38,8 @@ func TestStaticInformationLosesQuality(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		a1 := bench.MtM("m", 8000, 16+seed)
 		a2 := a1.Clone()
-		st := must(t)(Rewrite(a1, l, rewrite.Config{Workers: 4}, DAC22))
-		dy := must(t)(core.Rewrite(a2, l, rewrite.Config{Workers: 4}))
+		st := must(t)(run(rewrite.EngineStaticDAC22)(a1, l, rewrite.Config{Workers: 4}))
+		dy := must(t)(run(rewrite.EngineDACPara)(a2, l, rewrite.Config{Workers: 4}))
 		seedTotals.static += st.AreaReduction()
 		seedTotals.dynamic += dy.AreaReduction()
 	}
@@ -78,7 +55,7 @@ func TestStaticInformationLosesQuality(t *testing.T) {
 func TestStaleDecisionsAreCounted(t *testing.T) {
 	l := lib(t)
 	a := bench.MtM("m", 8000, 9)
-	res := must(t)(Rewrite(a, l, rewrite.Config{Workers: 4}, DAC22))
+	res := must(t)(run(rewrite.EngineStaticDAC22)(a, l, rewrite.Config{Workers: 4}))
 	if res.Attempts == 0 {
 		t.Fatal("no attempts recorded")
 	}
@@ -92,7 +69,13 @@ func TestStaleDecisionsAreCounted(t *testing.T) {
 }
 
 func TestVariantNames(t *testing.T) {
-	if DAC22.String() != "dac22-novelrewrite" || TCAD23.String() != "tcad23-gpu" {
-		t.Fatalf("variant names: %q %q", DAC22.String(), TCAD23.String())
+	l := lib(t)
+	for eng, want := range map[rewrite.Engine]string{
+		rewrite.EngineStaticDAC22:  "dac22-novelrewrite",
+		rewrite.EngineStaticTCAD23: "tcad23-gpu",
+	} {
+		if res := must(t)(run(eng)(bench.Sin(6), l, rewrite.Config{Workers: 1})); res.Engine != want {
+			t.Fatalf("%s reports engine %q, want %q", eng, res.Engine, want)
+		}
 	}
 }

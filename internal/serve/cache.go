@@ -20,6 +20,9 @@ type CachedResult struct {
 	Result dacpara.Result
 	// Metrics is the run's dacpara-metrics/v1 snapshot.
 	Metrics *dacpara.MetricsSnapshot
+	// Verify is the verdict of the run's equivalence check, nil when no
+	// job has verified this result yet (see Service.serveHit).
+	Verify *dacpara.Verdict
 }
 
 func (r *CachedResult) size() int64 {
@@ -28,8 +31,8 @@ func (r *CachedResult) size() int64 {
 	return int64(len(r.AIGER)) + 1024
 }
 
-// resultCache is an LRU over cache keys (input structural digest +
-// engine + config + seed), bounded both by entry count and total bytes.
+// resultCache is an LRU over cache keys (dacpara.Job.Key), bounded both
+// by entry count and total bytes.
 type resultCache struct {
 	mu         sync.Mutex
 	maxEntries int

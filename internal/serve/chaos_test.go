@@ -63,8 +63,7 @@ func TestClusterChaosDuplicateUploadsJournalOnce(t *testing.T) {
 
 	golden := mustGenerate(t, "voter")
 	j, err := s.Submit(JobRequest{
-		Flow:    "b; rw; b",
-		Config:  dacpara.Config{Workers: 2},
+		Job:     dacpara.Job{Flow: "b; rw; b", Workers: 2},
 		Network: golden,
 	})
 	if err != nil {

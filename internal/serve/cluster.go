@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 
-	"dacpara/internal/aig"
+	"dacpara"
 	"dacpara/internal/cluster"
 	"dacpara/internal/journal"
 )
@@ -47,8 +46,8 @@ func (s *Service) clusterHooks() cluster.Hooks {
 // finishes locally itself from the last uploaded checkpoint — is
 // handled and returns true.
 func (s *Service) runRemote(rctx context.Context, job *Job, key string) bool {
-	var buf bytes.Buffer
-	if err := job.req.Network.WriteBinary(&buf); err != nil {
+	blob, _, err := dacpara.Encode(job.req.Network, false)
+	if err != nil {
 		return false
 	}
 	// baseStep is the flow cursor matching job.req.Network (0, or the
@@ -57,15 +56,15 @@ func (s *Service) runRemote(rctx context.Context, job *Job, key string) bool {
 	baseStep := job.currentResumeStep()
 	t := cluster.Task{
 		Job:        job.ID,
-		Req:        *toJournalRequest(job.req, job.digest),
+		Req:        job.req.Job,
 		ResumeStep: baseStep,
 		// BlobDigest describes the blob actually streamed with the lease
 		// — job.req.Network, which for a recovery-resumed job is the
-		// restored checkpoint, not the original submission job.digest
+		// restored checkpoint, not the original submission InputDigest
 		// names.
 		BlobDigest: StructuralDigest(job.req.Network),
 	}
-	res, err := s.coord.Dispatch(rctx, t, buf.Bytes())
+	res, err := s.coord.Dispatch(rctx, t, blob)
 	if err == nil {
 		s.finishRemote(job, key, res)
 		return true
@@ -83,7 +82,7 @@ func (s *Service) runRemote(rctx context.Context, job *Job, key string) bool {
 		s.degradedLocal.Add(1)
 		net, step := job.req.Network, baseStep
 		if lost.State != nil {
-			if n, rerr := aig.Read(bytes.NewReader(lost.State)); rerr == nil {
+			if n, rerr := decodeAIGER(lost.State); rerr == nil {
 				net, step = n, lost.ResumeStep
 				job.noteRequeue(step)
 			}
@@ -93,14 +92,12 @@ func (s *Service) runRemote(rctx context.Context, job *Job, key string) bool {
 	}
 	var exhausted *cluster.AttemptsExhaustedError
 	if errors.As(err, &exhausted) {
-		s.failed.Add(1)
-		job.finish(StateFailed, nil, nil, false, err.Error())
-		s.persistTerminal(job, StateFailed, err.Error())
+		s.terminate(job, StateFailed, nil, nil, false, err.Error())
 		return true
 	}
 	// The dispatch context ended: cancel, deadline, or a watchdog kill.
 	// finishError reads the cause and classifies it like a local run.
-	s.finishError(job, err)
+	s.finishError(job, nil, err)
 	return true
 }
 
@@ -109,26 +106,10 @@ func (s *Service) runRemote(rctx context.Context, job *Job, key string) bool {
 // as reported by the worker (which checked against the state it started
 // from, matching local resume semantics).
 func (s *Service) finishRemote(job *Job, key string, res *cluster.RemoteResult) {
-	var verify *VerifyStatus
-	if res.Verify != nil {
-		verify = &VerifyStatus{Equivalent: res.Verify.Equivalent, Proved: res.Verify.Proved}
-	}
-	out, err := aig.Read(bytes.NewReader(res.AIGER))
+	out, err := decodeAIGER(res.AIGER)
 	if err != nil {
-		s.failed.Add(1)
-		msg := "decoding remote result: " + err.Error()
-		job.finish(StateFailed, nil, verify, false, msg)
-		s.persistTerminal(job, StateFailed, msg)
+		s.terminate(job, StateFailed, nil, res.Verify, false, "decoding remote result: "+err.Error())
 		return
 	}
-	cached := &CachedResult{
-		AIGER:   res.AIGER,
-		Output:  NetStatsOf(out),
-		Result:  res.Result,
-		Metrics: res.Result.Metrics,
-	}
-	s.cache.put(key, cached)
-	s.completed.Add(1)
-	job.finish(StateDone, cached, verify, false, "")
-	s.persistTerminal(job, StateDone, "")
+	s.complete(job, key, res.AIGER, out, res.Result, res.Verify)
 }

@@ -11,6 +11,7 @@ import (
 
 	"dacpara"
 	"dacpara/internal/aig"
+	"dacpara/internal/bench"
 	"dacpara/internal/cluster"
 )
 
@@ -65,8 +66,7 @@ func startClusterService(t *testing.T, opts Options, n int) (*Service, *httptest
 // after the first checkpoint, cheap enough to retry.
 func slowFlowRequest(t *testing.T) JobRequest {
 	return JobRequest{
-		Flow:    "b; rw -z; b",
-		Config:  dacpara.Config{Workers: 2, Passes: 30, ZeroGain: true},
+		Job:     dacpara.Job{Flow: "b; rw -z; b", Workers: 2, Passes: 30, ZeroGain: true},
 		Network: mustGenerate(t, "voter"),
 	}
 }
@@ -105,6 +105,45 @@ func waitClusterCheckpoint(t *testing.T, s *Service, timeout time.Duration) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("no cluster checkpoint uploaded")
+}
+
+// TestClusterJobWithDuplicateNodes: the dacpara engine can leave two
+// ANDs with the same fanin pair, which re-parsing the shipped blob
+// merges. A worker that digested its in-memory graph then declared a
+// digest the coordinator — which digests what it parses — could never
+// match: every upload was rejected as corrupt and the job failed when
+// its leases ran out. The digest must describe the bytes shipped.
+func TestClusterJobWithDuplicateNodes(t *testing.T) {
+	// A circuit as the service sees one (parsed from bytes) whose
+	// one-worker dacpara rewrite leaves such a pair.
+	blob, _, err := dacpara.Encode(bench.MemCtrl(4500, 1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input, err := aig.Read(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := input.Clone()
+	if _, err := dacpara.Rewrite(probe, dacpara.EngineDACPara, dacpara.Config{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if probe.Check(aig.CheckOptions{}) == nil {
+		t.Skip("the engine no longer leaves duplicate ANDs on this circuit; find another to keep this drill meaningful")
+	}
+
+	s, _, _ := startClusterService(t, Options{Cluster: clusterConfig()}, 2)
+	j, err := s.Submit(JobRequest{Job: dacpara.Job{Engine: dacpara.EngineDACPara, Workers: 1}, Network: input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j, 60*time.Second)
+	if st := j.Status(); st.State != StateDone || st.Attempts != 1 || st.Worker == "" {
+		t.Fatalf("job did not finish on its first lease on the fleet: %+v", st)
+	}
+	if m := s.Metrics().Cluster; m.CorruptBlobs != 0 {
+		t.Fatalf("%d uploads rejected as corrupt", m.CorruptBlobs)
+	}
 }
 
 // TestClusterFailoverE2E is the headline failure drill: two workers,

@@ -42,9 +42,9 @@ const DefaultMaxUploadBytes = 256 << 20
 // mutually exclusive with engine), workers, passes, zero_gain,
 // preserve_delay, max_cuts, max_structs, classes, preset (p1|p2), seed,
 // format (aiger|bench), verify, verify_budget, deadline (a Go duration
-// such as 30s or 2m bounding the job's running time; see
-// JobRequest.Deadline), partition (shard count ≥ 2 for a partitioned
-// run; see JobRequest.Partition).
+// such as 30s or 2m bounding the job's running time), partition (shard
+// count ≥ 2 for a partitioned run). Each maps onto one field of the
+// job spec; see JobRequest and dacpara.Job.
 func (s *Service) Handler() http.Handler {
 	return s.handler(DefaultMaxUploadBytes)
 }
@@ -253,70 +253,53 @@ func parseSubmission(r *http.Request, maxUpload int64) (JobRequest, error) {
 	}
 	req.Engine = dacpara.Engine(q.Get("engine"))
 	req.Flow = q.Get("flow")
-	if req.Engine == "" && req.Flow == "" {
-		req.Engine = dacpara.EngineDACPara
-	}
 
 	switch q.Get("preset") {
 	case "":
 	case "p1":
-		req.Config = dacpara.P1()
+		req.Job = req.WithKnobs(dacpara.P1())
 	case "p2":
-		req.Config = dacpara.P2()
+		req.Job = req.WithKnobs(dacpara.P2())
 	default:
 		return req, fmt.Errorf("unknown preset %q (want p1 or p2)", q.Get("preset"))
 	}
-	intParam := func(name string, dst *int) error {
-		v := q.Get(name)
-		if v == "" {
-			return nil
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return fmt.Errorf("bad %s %q", name, v)
-		}
-		*dst = n
-		return nil
-	}
-	boolParam := func(name string, dst *bool) error {
-		v := q.Get(name)
-		if v == "" {
-			return nil
-		}
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return fmt.Errorf("bad %s %q", name, v)
-		}
-		*dst = b
-		return nil
-	}
+	// Ranges and exclusions (k, partition, engine vs flow) are the
+	// spec's own to check: Submit runs Job.Validate.
 	for _, p := range []struct {
 		name string
 		dst  *int
 	}{
-		{"workers", &req.Config.Workers},
-		{"k", &req.Config.K},
-		{"passes", &req.Config.Passes},
-		{"max_cuts", &req.Config.MaxCuts},
-		{"max_structs", &req.Config.MaxStructs},
-		{"classes", &req.Config.NumClasses},
+		{"workers", &req.Workers},
+		{"k", &req.K},
+		{"passes", &req.Passes},
+		{"max_cuts", &req.MaxCuts},
+		{"max_structs", &req.MaxStructs},
+		{"classes", &req.Classes},
 		{"partition", &req.Partition},
 	} {
-		if err := intParam(p.name, p.dst); err != nil {
-			return req, err
+		if v := q.Get(p.name); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				return req, fmt.Errorf("bad %s %q", p.name, v)
+			}
+			*p.dst = n
 		}
 	}
-	if req.Config.K != 0 && (req.Config.K < 4 || req.Config.K > dacpara.MaxCutWidth) {
-		return req, fmt.Errorf("bad k %d (want 4..%d)", req.Config.K, dacpara.MaxCutWidth)
-	}
-	if err := boolParam("zero_gain", &req.Config.ZeroGain); err != nil {
-		return req, err
-	}
-	if err := boolParam("preserve_delay", &req.Config.PreserveDelay); err != nil {
-		return req, err
-	}
-	if err := boolParam("verify", &req.Verify); err != nil {
-		return req, err
+	for _, p := range []struct {
+		name string
+		dst  *bool
+	}{
+		{"zero_gain", &req.ZeroGain},
+		{"preserve_delay", &req.PreserveDelay},
+		{"verify", &req.Verify},
+	} {
+		if v := q.Get(p.name); v != "" {
+			b, err := strconv.ParseBool(v)
+			if err != nil {
+				return req, fmt.Errorf("bad %s %q", p.name, v)
+			}
+			*p.dst = b
+		}
 	}
 	if v := q.Get("seed"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
@@ -337,7 +320,7 @@ func parseSubmission(r *http.Request, maxUpload int64) (JobRequest, error) {
 		if err != nil || d < 0 {
 			return req, fmt.Errorf("bad deadline %q (want a Go duration like 30s)", v)
 		}
-		req.Deadline = d
+		req.DeadlineNs = int64(d)
 	}
 
 	body := http.MaxBytesReader(nil, r.Body, maxUpload)
@@ -358,8 +341,8 @@ func parseSubmission(r *http.Request, maxUpload int64) (JobRequest, error) {
 	return req, nil
 }
 
-// decodeAIGER re-parses a cached binary AIGER blob (for alternate
-// download formats).
+// decodeAIGER parses a binary AIGER blob: a cached or recovered result,
+// a worker upload.
 func decodeAIGER(data []byte) (*dacpara.Network, error) {
 	return aig.Read(bytes.NewReader(data))
 }

@@ -53,52 +53,17 @@ func NetStatsOf(a *aig.AIG) NetStats {
 	return NetStats{PIs: st.PIs, POs: st.POs, Ands: st.Ands, Delay: st.Delay}
 }
 
-// VerifyStatus reports the optional post-run equivalence check of a job.
-type VerifyStatus struct {
-	// Equivalent is the check's verdict (input vs optimized output).
-	Equivalent bool `json:"equivalent"`
-	// Proved is true when SAT finished every output within the conflict
-	// budget; false means simulation-only confidence.
-	Proved bool `json:"proved"`
-}
-
-// JobRequest is a validated submission.
+// JobRequest is a submission: the job spec plus its input circuit.
+// Workers is a request, capped by the service's per-job worker budget;
+// a zero VerifyBudget or DeadlineNs takes the service default. The
+// deadline is measured from the moment a scheduler slot picks the job
+// up, not from submission, so a deep queue does not eat the budget; an
+// expired one terminates the job in StateDeadlineExceeded via the
+// engines' cooperative cancellation points, leaving the working network
+// valid. A partitioned job's shards fan out to cluster workers when a
+// fleet is attached and run on local goroutines otherwise.
 type JobRequest struct {
-	// Engine is the rewriting engine (default EngineDACPara). Mutually
-	// exclusive with Flow.
-	Engine dacpara.Engine
-	// Flow, when non-empty, runs a whole synthesis script (see
-	// dacpara.ParseFlow) instead of a single engine: any mix of
-	// rewriting, refactoring, resubstitution and balancing, with
-	// per-step -z/-p/-w= flags. The job result summarizes the script.
-	Flow string
-	// Config carries the engine knobs. Workers is a request, capped by
-	// the service's per-job worker budget.
-	Config dacpara.Config
-	// Seed salts the cache key (and is reserved for seeded engine
-	// behaviour); identical circuit + engine + config + seed is the unit
-	// of result reuse.
-	Seed int64
-	// Verify runs a budget-bounded equivalence check of the result
-	// against the input before the job completes.
-	Verify bool
-	// VerifyBudget bounds the SAT conflicts per output of that check
-	// (0: the service default).
-	VerifyBudget int64
-	// Partition, when ≥ 2, runs the job partitioned: the circuit is cut
-	// into that many shards along low-coupling frontiers, every shard is
-	// rewritten as its own sub-job (fanned out to cluster workers when a
-	// fleet is attached, run on local goroutines otherwise), and the
-	// optimized shards are CEC-checked and stitched back. 0 runs the
-	// whole circuit as one job.
-	Partition int
-	// Deadline bounds the job's wall-clock running time (measured from
-	// the moment a scheduler slot picks it up, not from submission, so a
-	// deep queue does not eat the budget). 0 means the service default;
-	// with both zero the job is unbounded. An expired deadline terminates
-	// the job in StateDeadlineExceeded via the engines' cooperative
-	// cancellation points, leaving the working network valid.
-	Deadline time.Duration
+	dacpara.Job
 	// Network is the parsed input circuit. The job owns it.
 	Network *dacpara.Network
 }
@@ -108,9 +73,8 @@ type Job struct {
 	// ID is the service-assigned job identifier.
 	ID string
 
-	req    JobRequest
-	digest string
-	input  NetStats
+	req   JobRequest // req.InputDigest keys the cache and the status digest
+	input NetStats
 
 	// resumeStep and resumed are set on jobs rebuilt by crash recovery:
 	// a flow job restored from a step checkpoint re-runs only the steps
@@ -140,7 +104,7 @@ type Job struct {
 	errMsg     string
 	cacheHit   bool
 	result     *CachedResult
-	verify     *VerifyStatus
+	verify     *dacpara.Verdict
 	cancelOnce sync.Once
 }
 
@@ -149,7 +113,6 @@ func newJob(req JobRequest) *Job {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	return &Job{
 		req:       req,
-		digest:    StructuralDigest(req.Network),
 		input:     NetStatsOf(req.Network),
 		ctx:       ctx,
 		cancel:    cancel,
@@ -295,7 +258,7 @@ func (j *Job) noteRequeue(resumeStep int) {
 	j.mu.Unlock()
 }
 
-func (j *Job) finish(state State, res *CachedResult, verify *VerifyStatus, cacheHit bool, errMsg string) {
+func (j *Job) finish(state State, res *CachedResult, verify *dacpara.Verdict, cacheHit bool, errMsg string) {
 	j.mu.Lock()
 	j.state = state
 	j.finished = time.Now()
@@ -360,7 +323,7 @@ type JobStatus struct {
 	Replacements  int `json:"replacements,omitempty"`
 	AreaReduction int `json:"area_reduction,omitempty"`
 
-	Verify *VerifyStatus `json:"verify,omitempty"`
+	Verify *dacpara.Verdict `json:"verify,omitempty"`
 
 	Error string `json:"error,omitempty"`
 }
@@ -374,17 +337,17 @@ func (j *Job) Status() JobStatus {
 		State:       j.state,
 		Engine:      j.req.Engine,
 		Flow:        j.req.Flow,
-		Workers:     j.req.Config.Workers,
-		Passes:      j.req.Config.Passes,
+		Workers:     j.req.Workers,
+		Passes:      j.req.Passes,
 		Seed:        j.req.Seed,
 		Partition:   j.req.Partition,
 		SubmittedAt: j.submitted,
-		DeadlineNs:  j.req.Deadline.Nanoseconds(),
+		DeadlineNs:  j.req.DeadlineNs,
 		Resumed:     j.resumed,
 		ResumeStep:  j.resumeStep,
 		Attempts:    j.attempts,
 		Worker:      j.worker,
-		Digest:      j.digest,
+		Digest:      j.req.InputDigest,
 		Input:       j.input,
 		CacheHit:    j.cacheHit,
 		Verify:      j.verify,

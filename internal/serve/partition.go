@@ -1,19 +1,14 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"dacpara"
-	"dacpara/internal/aig"
 	"dacpara/internal/cluster"
 	"dacpara/internal/journal"
-	"dacpara/internal/metrics"
-	"dacpara/internal/partition"
 )
 
 // shardJobID names the synthetic per-shard task of a partitioned job.
@@ -25,12 +20,9 @@ func shardJobID(jobID string, shard int) string {
 	return fmt.Sprintf("%s.s%d", jobID, shard)
 }
 
-// runPartitioned executes a partitioned job to a terminal state: the
-// circuit is cut into job.req.Partition shards along low-coupling
-// frontiers, every shard is rewritten as its own sub-job, each
-// optimized shard is CEC-checked against the cone it replaces (a
-// failing shard is rejected and its original logic kept), and the
-// shards are stitched back into one re-strashed circuit.
+// shardRunner is the shard dispatcher a partitioned job hands to
+// dacpara.Run, which cuts, CEC-checks and stitches; this decides where
+// each shard runs.
 //
 // With a cluster coordinator attached the shards are dispatched to the
 // worker fleet as independent tasks under the existing lease/heartbeat
@@ -38,220 +30,74 @@ func shardJobID(jobID string, shard int) string {
 // job. A shard that finds no live workers (or loses its worker's fleet
 // entirely) degrades to local execution, serialized so a dead fleet
 // reduces to sequential local shard runs rather than oversubscribing
-// the coordinator host. On a durable service every finished shard is
-// journaled (OpShardDone) with its blob in the checkpoint store, so a
-// coordinator crash re-runs only the unfinished shards and resumes at
-// the stitch step.
-func (s *Service) runPartitioned(rctx context.Context, job *Job, key string) {
-	start := time.Now()
-	parent := job.req.Network
-	n := job.req.Partition
-	cfg := job.req.Config
-
-	engineName := "partition(flow)"
-	if job.req.Flow == "" {
-		engineName = "partition(" + string(job.req.Engine) + ")"
-	}
-
-	// Standalone: shards share the job's worker budget (parallel shards ×
-	// per-shard workers ≤ budget). Clustered: dispatch every shard at
-	// once — the fleet provides the parallelism — and give a degraded
-	// local shard the whole budget, since the fallback semaphore runs
-	// local shards one at a time.
-	parallel := n
-	shardCfg := cfg
-	shardCfg.Metrics = nil // per-shard runs may overlap; one collector cannot serve them
-	fallbackSlots := 1
+// the coordinator host. Standalone, the shards share the job's worker
+// budget (parallel shards × per-shard workers ≤ budget, as Run sized
+// them). On a durable service every finished shard is journaled
+// (OpShardDone) with its blob in the checkpoint store, so a crash
+// re-runs only the unfinished shards and resumes at the stitch step.
+func (s *Service) shardRunner(job *Job) dacpara.ShardFunc {
+	// The semaphore bounds concurrent local shard runs: the planned
+	// parallelism standalone, one at a time behind a coordinator (local
+	// execution there is the degraded path and gets the whole budget).
+	slots := 1
 	if s.coord == nil {
-		if parallel > cfg.Workers {
-			parallel = cfg.Workers
-		}
-		if parallel < 1 {
-			parallel = 1
-		}
-		shardCfg.Workers = cfg.Workers / parallel
-		if shardCfg.Workers < 1 {
-			shardCfg.Workers = 1
-		}
-		fallbackSlots = parallel
+		slots = max(1, min(job.req.Partition, job.req.Workers))
 	}
-	localSem := make(chan struct{}, fallbackSlots)
-
-	// Per-shard engine results, folded into the job's totals below. The
-	// Optimize goroutines write under mu; partition.Run joins them all
-	// before returning, so the fold reads race-free.
-	var mu sync.Mutex
-	shardRes := make(map[int]dacpara.Result)
-	note := func(i int, r dacpara.Result) {
-		mu.Lock()
-		shardRes[i] = r
-		mu.Unlock()
-	}
-
-	out, st, err := partition.Run(rctx, parent, partition.RunOptions{
-		Shards:            n,
-		Parallel:          parallel,
-		ShardVerifyBudget: job.req.VerifyBudget,
-		WholeVerify:       job.req.Verify,
-		WholeVerifyBudget: job.req.VerifyBudget,
-		Optimize: func(ctx context.Context, i int, sub *dacpara.Network) (*dacpara.Network, string, error) {
-			if blob, ok := job.shardOut[i]; ok {
-				if net, rerr := aig.Read(bytes.NewReader(blob)); rerr == nil &&
-					net.NumPIs() == sub.NumPIs() && net.NumPOs() == sub.NumPOs() {
-					// Crash-recovered shard: the blob was digest-verified at
-					// recovery and Run's per-shard CEC re-checks it against
-					// the fresh extraction, so the shard is not re-run.
-					return net, "recovered", nil
-				}
+	sem := make(chan struct{}, slots)
+	return func(ctx context.Context, i int, sub *dacpara.Network, task dacpara.Job) (*dacpara.Network, dacpara.Result, string, error) {
+		if blob, ok := job.shardOut[i]; ok {
+			if net, rerr := decodeAIGER(blob); rerr == nil &&
+				net.NumPIs() == sub.NumPIs() && net.NumPOs() == sub.NumPOs() {
+				// Crash-recovered shard: the blob was digest-verified at
+				// recovery and Run's per-shard CEC re-checks it against
+				// the fresh extraction, so the shard is not re-run.
+				return net, dacpara.Result{}, "recovered", nil
 			}
-			if s.coord != nil {
-				return s.runShardRemote(ctx, job, i, sub, shardCfg, localSem, note)
-			}
-			return s.runShardLocal(ctx, job, i, sub, shardCfg, localSem, note)
-		},
-	})
-	if err != nil {
-		s.finishError(job, err)
-		return
-	}
-
-	var verify *VerifyStatus
-	if st.WholeChecked {
-		verify = &VerifyStatus{Equivalent: st.Equivalent, Proved: st.Proved}
-	}
-
-	result := dacpara.Result{
-		Engine:       engineName,
-		Threads:      cfg.Workers,
-		Passes:       cfg.Passes,
-		InitialAnds:  parent.NumAnds(),
-		InitialDelay: parent.Delay(),
-		FinalAnds:    out.NumAnds(),
-		FinalDelay:   out.Delay(),
-	}
-	if result.Passes < 1 {
-		result.Passes = 1
-	}
-	for i, r := range shardRes {
-		if st.PerShard[i].Rejected {
-			continue // the shard's work was discarded with its graph
 		}
-		result.Replacements += r.Replacements
-		result.Attempts += r.Attempts
-		result.Stale += r.Stale
-		result.Commits += r.Commits
-		result.Aborts += r.Aborts
-		result.InjectedAborts += r.InjectedAborts
-		result.CommittedWork += r.CommittedWork
-		result.WastedWork += r.WastedWork
-		result.Incomplete = result.Incomplete || r.Incomplete
+		if s.coord == nil {
+			return s.runShardLocal(ctx, job, i, sub, task, sem)
+		}
+		task.Workers = job.req.Workers
+		return s.runShardRemote(ctx, job, i, sub, task, sem)
 	}
-	result.Duration = time.Since(start)
-
-	snap := &metrics.Snapshot{
-		Schema:  metrics.SchemaMetrics,
-		Engine:  engineName,
-		Workers: cfg.Workers,
-		Passes:  result.Passes,
-		WallNs:  result.Duration.Nanoseconds(),
-		Speculation: metrics.Spec{
-			Commits:        result.Commits,
-			Aborts:         result.Aborts,
-			InjectedAborts: result.InjectedAborts,
-			CommittedNs:    result.CommittedWork.Nanoseconds(),
-			WastedNs:       result.WastedWork.Nanoseconds(),
-		},
-		QoR: metrics.QoRSnapshot{
-			InitialAnds:  result.InitialAnds,
-			FinalAnds:    result.FinalAnds,
-			InitialDelay: int(result.InitialDelay),
-			FinalDelay:   int(result.FinalDelay),
-			Replacements: result.Replacements,
-			Attempts:     result.Attempts,
-			Stale:        result.Stale,
-			Incomplete:   result.Incomplete,
-		},
-	}
-	st.Decorate(snap)
-	result.Metrics = snap
-
-	var buf bytes.Buffer
-	if werr := out.WriteBinary(&buf); werr != nil {
-		s.failed.Add(1)
-		job.finish(StateFailed, nil, verify, false, "encoding result: "+werr.Error())
-		s.persistTerminal(job, StateFailed, "encoding result: "+werr.Error())
-		return
-	}
-	res := &CachedResult{
-		AIGER:   buf.Bytes(),
-		Output:  NetStatsOf(out),
-		Result:  result,
-		Metrics: snap,
-	}
-	s.cache.put(key, res)
-	s.completed.Add(1)
-	job.finish(StateDone, res, verify, false, "")
-	s.persistTerminal(job, StateDone, "")
 }
 
-// runShardLocal rewrites one shard in-process. The semaphore bounds
-// concurrent local shard runs: on a standalone service it admits the
-// planned parallelism, behind a coordinator it admits one at a time
-// (local execution there is the degraded path).
-func (s *Service) runShardLocal(ctx context.Context, job *Job, i int, sub *dacpara.Network, shardCfg dacpara.Config, sem chan struct{}, note func(int, dacpara.Result)) (*dacpara.Network, string, error) {
+// runShardLocal runs one shard task in-process, once the semaphore
+// admits it.
+func (s *Service) runShardLocal(ctx context.Context, job *Job, i int, sub *dacpara.Network, task dacpara.Job, sem chan struct{}) (*dacpara.Network, dacpara.Result, string, error) {
 	select {
 	case sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, "", context.Cause(ctx)
+		return nil, dacpara.Result{}, "", context.Cause(ctx)
 	}
 	defer func() { <-sem }()
 
-	var r dacpara.Result
-	var final *dacpara.Network
-	var err error
-	if job.req.Flow != "" {
-		var steps []dacpara.Result
-		steps, final, err = dacpara.FlowContext(ctx, sub, job.req.Flow, shardCfg)
-		if err == nil {
-			r = dacpara.SummarizeFlow(steps, shardCfg, final)
-		}
-	} else {
-		r, err = dacpara.RewriteContext(ctx, sub, job.req.Engine, shardCfg)
-		final = sub
-	}
+	out, err := dacpara.Run(ctx, sub, task, dacpara.Hooks{})
 	if err != nil {
-		return nil, "local", err
+		return nil, out.Result, "local", err
 	}
-	note(i, r)
-	s.persistShardDone(job, i, "local", final)
-	return final, "local", nil
+	s.persistShardDone(job, i, "local", out.Net)
+	return out.Net, out.Result, "local", nil
 }
 
 // runShardRemote dispatches one shard to the worker fleet as its own
 // task. A shard that cannot be placed (no live workers) or whose fleet
 // dies mid-run degrades to local execution; exhausted retry budgets and
 // context expiry are terminal for the whole job.
-func (s *Service) runShardRemote(ctx context.Context, job *Job, i int, sub *dacpara.Network, shardCfg dacpara.Config, sem chan struct{}, note func(int, dacpara.Result)) (*dacpara.Network, string, error) {
-	var buf bytes.Buffer
-	if err := sub.WriteBinary(&buf); err != nil {
-		return nil, "", fmt.Errorf("encoding shard: %w", err)
+func (s *Service) runShardRemote(ctx context.Context, job *Job, i int, sub *dacpara.Network, task dacpara.Job, sem chan struct{}) (*dacpara.Network, dacpara.Result, string, error) {
+	blob, _, err := dacpara.Encode(sub, false)
+	if err != nil {
+		return nil, dacpara.Result{}, "", fmt.Errorf("encoding shard: %w", err)
 	}
-	jr := toJournalRequest(job.req, StructuralDigest(sub))
-	jr.Partition = 0 // the shard itself is a whole-circuit task
-	jr.Verify = false
-	jr.VerifyBudget = 0
-	jr.DeadlineNs = 0 // the parent job's deadline context bounds the dispatch
-	jr.Workers = shardCfg.Workers
-
-	res, err := s.coord.Dispatch(ctx, cluster.Task{Job: shardJobID(job.ID, i), Req: *jr}, buf.Bytes())
+	task.InputDigest = StructuralDigest(sub)
+	res, err := s.coord.Dispatch(ctx, cluster.Task{Job: shardJobID(job.ID, i), Req: task}, blob)
 	if err == nil {
-		net, rerr := aig.Read(bytes.NewReader(res.AIGER))
+		net, rerr := decodeAIGER(res.AIGER)
 		if rerr != nil {
-			return nil, res.Worker, fmt.Errorf("decoding shard result from %s: %w", res.Worker, rerr)
+			return nil, res.Result, res.Worker, fmt.Errorf("decoding shard result from %s: %w", res.Worker, rerr)
 		}
-		note(i, res.Result)
 		s.persistShardDone(job, i, res.Worker, net)
-		return net, res.Worker, nil
+		return net, res.Result, res.Worker, nil
 	}
 	var lost *cluster.WorkersLostError
 	if errors.Is(err, cluster.ErrNoWorkers) || errors.As(err, &lost) {
@@ -260,9 +106,9 @@ func (s *Service) runShardRemote(ctx context.Context, job *Job, i int, sub *dacp
 		// engine runs do not checkpoint, so there is no mid-shard state
 		// worth salvaging.
 		s.degradedLocal.Add(1)
-		return s.runShardLocal(ctx, job, i, sub, shardCfg, sem, note)
+		return s.runShardLocal(ctx, job, i, sub, task, sem)
 	}
-	return nil, "", err
+	return nil, dacpara.Result{}, "", err
 }
 
 // persistShardDone snapshots one finished shard: the optimized shard
@@ -276,13 +122,13 @@ func (s *Service) persistShardDone(job *Job, shard int, worker string, net *dacp
 	if d == nil || d.crashed.Load() {
 		return
 	}
-	var buf bytes.Buffer
-	if err := net.WriteBinary(&buf); err != nil {
+	blob, _, err := dacpara.Encode(net, false)
+	if err != nil {
 		d.checkpointErrors.Add(1)
 		return
 	}
 	digest := StructuralDigest(net)
-	ck := journal.Checkpoint{Job: shardJobID(job.ID, shard), Step: shard, Digest: digest, AIGER: buf.Bytes()}
+	ck := journal.Checkpoint{Job: shardJobID(job.ID, shard), Step: shard, Digest: digest, AIGER: blob}
 	if err := d.store.SaveCheckpoint(ck); err != nil {
 		d.checkpointErrors.Add(1)
 		return

@@ -12,11 +12,8 @@ import (
 // the stitched whole against the input.
 func partitionRequest(t *testing.T, name string, shards int) JobRequest {
 	return JobRequest{
-		Engine:    dacpara.EngineDACPara,
-		Config:    dacpara.Config{Workers: 2},
-		Network:   mustGenerate(t, name),
-		Partition: shards,
-		Verify:    true,
+		Job:     dacpara.Job{Engine: dacpara.EngineDACPara, Workers: 2, Partition: shards, Verify: true},
+		Network: mustGenerate(t, name),
 	}
 }
 
@@ -125,11 +122,8 @@ func TestPartitionedClusterWorkerLoss(t *testing.T) {
 	s, srv, workers := startClusterService(t, opts, 2)
 
 	req := JobRequest{
-		Flow:      "b; rw -z; b",
-		Config:    dacpara.Config{Workers: 2, Passes: 30, ZeroGain: true},
-		Network:   mustGenerate(t, "voter"),
-		Partition: 2,
-		Verify:    true,
+		Job:     dacpara.Job{Flow: "b; rw -z; b", Workers: 2, Passes: 30, ZeroGain: true, Partition: 2, Verify: true},
+		Network: mustGenerate(t, "voter"),
 	}
 	golden := req.Network.Clone()
 	j, err := s.Submit(req)
@@ -187,11 +181,8 @@ func TestPartitionedCrashRecovery(t *testing.T) {
 	}
 
 	req := JobRequest{
-		Engine:    dacpara.EngineDACPara,
-		Config:    dacpara.Config{Workers: 2, Passes: 25, ZeroGain: true},
-		Network:   mustGenerate(t, "voter"),
-		Partition: 3,
-		Verify:    true,
+		Job:     dacpara.Job{Engine: dacpara.EngineDACPara, Workers: 2, Passes: 25, ZeroGain: true, Partition: 3, Verify: true},
+		Network: mustGenerate(t, "voter"),
 	}
 	golden := req.Network.Clone()
 	j1, err := s1.Submit(req)

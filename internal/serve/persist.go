@@ -66,47 +66,6 @@ type Recovery struct {
 // journalName is the WAL file inside the data directory.
 const journalName = "journal.wal"
 
-func toJournalRequest(req JobRequest, digest string) *journal.Request {
-	return &journal.Request{
-		Engine:        string(req.Engine),
-		Flow:          req.Flow,
-		Workers:       req.Config.Workers,
-		Passes:        req.Config.Passes,
-		K:             req.Config.K,
-		MaxCuts:       req.Config.MaxCuts,
-		MaxStructs:    req.Config.MaxStructs,
-		Classes:       req.Config.NumClasses,
-		ZeroGain:      req.Config.ZeroGain,
-		PreserveDelay: req.Config.PreserveDelay,
-		Seed:          req.Seed,
-		Verify:        req.Verify,
-		VerifyBudget:  req.VerifyBudget,
-		DeadlineNs:    int64(req.Deadline),
-		Partition:     req.Partition,
-		InputDigest:   digest,
-	}
-}
-
-func fromJournalRequest(jr *journal.Request) JobRequest {
-	var req JobRequest
-	req.Engine = dacpara.Engine(jr.Engine)
-	req.Flow = jr.Flow
-	req.Config.Workers = jr.Workers
-	req.Config.Passes = jr.Passes
-	req.Config.K = jr.K
-	req.Config.MaxCuts = jr.MaxCuts
-	req.Config.MaxStructs = jr.MaxStructs
-	req.Config.NumClasses = jr.Classes
-	req.Config.ZeroGain = jr.ZeroGain
-	req.Config.PreserveDelay = jr.PreserveDelay
-	req.Seed = jr.Seed
-	req.Verify = jr.Verify
-	req.VerifyBudget = jr.VerifyBudget
-	req.Deadline = time.Duration(jr.DeadlineNs)
-	req.Partition = jr.Partition
-	return req
-}
-
 func opForState(state State) journal.Op {
 	switch state {
 	case StateDone:
@@ -137,18 +96,18 @@ func stateForOp(op journal.Op) State {
 // under the service mutex before the job is acknowledged, so a
 // submission the caller saw accepted is on disk.
 func (d *durability) persistSubmit(job *Job) error {
-	var buf bytes.Buffer
-	if err := job.req.Network.WriteBinary(&buf); err != nil {
+	blob, _, err := dacpara.Encode(job.req.Network, false)
+	if err != nil {
 		return err
 	}
-	if err := d.store.SaveInput(job.ID, buf.Bytes()); err != nil {
+	if err := d.store.SaveInput(job.ID, blob); err != nil {
 		return err
 	}
 	return d.log.Append(journal.Record{
 		Op:     journal.OpSubmitted,
 		Job:    job.ID,
 		TimeNs: time.Now().UnixNano(),
-		Req:    toJournalRequest(job.req, job.digest),
+		Req:    &job.req.Job,
 	})
 }
 
@@ -206,12 +165,12 @@ func (s *Service) checkpointFn(job *Job) dacpara.FlowCheckpoint {
 		if s.dur.crashed.Load() {
 			return nil
 		}
-		var buf bytes.Buffer
-		if err := net.WriteBinary(&buf); err != nil {
+		blob, _, err := dacpara.Encode(net, false)
+		if err != nil {
 			s.dur.checkpointErrors.Add(1)
 			return nil
 		}
-		s.persistCheckpoint(job.ID, completed, StructuralDigest(net), buf.Bytes())
+		s.persistCheckpoint(job.ID, completed, StructuralDigest(net), blob)
 		return nil
 	}
 }
@@ -390,13 +349,11 @@ func (s *Service) openDurability(rec *Recovery) ([]*Job, error) {
 // answering across restarts. The result bytes lived in the in-memory
 // cache and are gone; GET result returns 410 for such jobs.
 func (s *Service) restoreTerminal(rp *replayState) {
-	req := fromJournalRequest(rp.req)
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(nil)
 	job := &Job{
 		ID:        rp.id,
-		req:       req,
-		digest:    rp.req.InputDigest,
+		req:       JobRequest{Job: *rp.req},
 		ctx:       ctx,
 		cancel:    cancel,
 		done:      make(chan struct{}),
@@ -410,16 +367,7 @@ func (s *Service) restoreTerminal(rp *replayState) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.submitted.Add(1)
-	switch job.state {
-	case StateDone:
-		s.completed.Add(1)
-	case StateFailed:
-		s.failed.Add(1)
-	case StateDeadlineExceeded:
-		s.deadlined.Add(1)
-	default:
-		s.cancelled.Add(1)
-	}
+	s.counter(job.state).Add(1)
 }
 
 // rebuildLive reconstructs an interrupted job from its blobs: the input
@@ -442,8 +390,7 @@ func (s *Service) rebuildLive(rp *replayState) (job *Job, resumed bool, err erro
 		return nil, false, fmt.Errorf("input blob digest %.12s.. does not match journal %.12s..", got, rp.req.InputDigest)
 	}
 
-	req := fromJournalRequest(rp.req)
-	req.Network = input
+	req := JobRequest{Job: *rp.req, Network: input}
 	resumeStep := 0
 	if req.Flow != "" && req.Partition < 2 && rp.ckStep > 0 {
 		if net, ok := s.loadTrustedCheckpoint(rp); ok {
@@ -464,10 +411,9 @@ func (s *Service) rebuildLive(rp *replayState) (job *Job, resumed bool, err erro
 		resumed = len(job.shardOut) > 0
 	}
 	job.ID = rp.id
-	// The cache key and the status digest must describe the original
-	// submission, not the checkpoint state the job happens to resume
-	// from; likewise the input stats.
-	job.digest = rp.req.InputDigest
+	// The journaled InputDigest — cache key and status digest — and the
+	// input stats describe the original submission, not the checkpoint
+	// state the job happens to resume from.
 	job.input = NetStatsOf(input)
 	job.submitted = time.Unix(0, rp.submittedNs)
 	job.resumeStep = resumeStep

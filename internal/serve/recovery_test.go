@@ -44,8 +44,7 @@ func TestCrashRecoveryResumesFlow(t *testing.T) {
 	// Step 1 (b) is fast and checkpoints; step 2 (rw -z with many passes)
 	// runs long enough to be the one the crash lands in.
 	flow, err := s.Submit(JobRequest{
-		Flow:    "b; rw -z; b",
-		Config:  dacpara.Config{Workers: 2, Passes: 300},
+		Job:     dacpara.Job{Flow: "b; rw -z; b", Workers: 2, Passes: 300},
 		Network: mustGenerate(t, "voter"),
 	})
 	if err != nil {
@@ -191,7 +190,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	s := New(Options{MaxConcurrent: 1, QueueLimit: 2, WorkersPerJob: 2})
 	defer s.Drain(0)
 	req := slowRequest(t, 5000)
-	req.Deadline = 100 * time.Millisecond
+	req.DeadlineNs = int64(100 * time.Millisecond)
 	j, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +232,7 @@ func TestNegativeDeadlineRejected(t *testing.T) {
 	s := New(Options{MaxConcurrent: 1, QueueLimit: 2})
 	defer s.Drain(0)
 	req := fastRequest(t, "voter")
-	req.Deadline = -time.Second
+	req.DeadlineNs = -int64(time.Second)
 	if _, err := s.Submit(req); err == nil {
 		t.Fatal("negative deadline accepted")
 	}

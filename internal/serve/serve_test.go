@@ -14,16 +14,14 @@ import (
 // cancels it: many passes over the tiny voter circuit.
 func slowRequest(t *testing.T, passes int) JobRequest {
 	return JobRequest{
-		Engine:  dacpara.EngineDACPara,
-		Config:  dacpara.Config{Workers: 2, Passes: passes, ZeroGain: true},
+		Job:     dacpara.Job{Engine: dacpara.EngineDACPara, Workers: 2, Passes: passes, ZeroGain: true},
 		Network: mustGenerate(t, "voter"),
 	}
 }
 
 func fastRequest(t *testing.T, name string) JobRequest {
 	return JobRequest{
-		Engine:  dacpara.EngineDACPara,
-		Config:  dacpara.Config{Workers: 2},
+		Job:     dacpara.Job{Engine: dacpara.EngineDACPara, Workers: 2},
 		Network: mustGenerate(t, name),
 	}
 }
@@ -102,7 +100,7 @@ func TestQueueFullTypedRejection(t *testing.T) {
 func TestResultCacheHit(t *testing.T) {
 	s := New(Options{MaxConcurrent: 1, QueueLimit: 8})
 	defer s.Drain(time.Second)
-	first, err := s.Submit(JobRequest{Config: dacpara.Config{Workers: 1}, Seed: 7, Network: mustGenerate(t, "mult")})
+	first, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, Seed: 7}, Network: mustGenerate(t, "mult")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestResultCacheHit(t *testing.T) {
 		t.Fatalf("first job: %+v", first.Status())
 	}
 
-	again, err := s.Submit(JobRequest{Config: dacpara.Config{Workers: 1}, Seed: 7, Network: mustGenerate(t, "mult")})
+	again, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, Seed: 7}, Network: mustGenerate(t, "mult")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +126,60 @@ func TestResultCacheHit(t *testing.T) {
 	}
 
 	// A different seed is a different key: no hit.
-	other, err := s.Submit(JobRequest{Config: dacpara.Config{Workers: 1}, Seed: 8, Network: mustGenerate(t, "mult")})
+	other, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, Seed: 8}, Network: mustGenerate(t, "mult")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, other, 30*time.Second)
 	if other.Status().CacheHit {
 		t.Fatal("different seed served from cache")
+	}
+}
+
+// TestCacheHitKeepsVerify pins both orders of the verify/cache
+// interaction. The cache key ignores the verification settings, so an
+// unverified run and a verifying resubmission share an entry: the hit
+// must still perform the check (against the cached bytes) and report its
+// verdict, and a later verifying hit reuses that verdict. The other way
+// round, a verified entry serves an unverifying job without a verdict it
+// never asked for.
+func TestCacheHitKeepsVerify(t *testing.T) {
+	s := New(Options{MaxConcurrent: 1, QueueLimit: 8})
+	defer s.Drain(time.Second)
+	run := func(seed int64, verify bool) JobStatus {
+		t.Helper()
+		j, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, Seed: seed, Verify: verify}, Network: mustGenerate(t, "mult")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j, 30*time.Second)
+		st := j.Status()
+		if st.State != StateDone {
+			t.Fatalf("seed %d verify=%t: %+v", seed, verify, st)
+		}
+		return st
+	}
+
+	// Unverified first, then verify=true on the same circuit.
+	if st := run(1, false); st.CacheHit || st.Verify != nil {
+		t.Fatalf("first unverified run: %+v", st)
+	}
+	for i := 0; i < 2; i++ { // the second hit reuses the stored verdict
+		st := run(1, true)
+		if !st.CacheHit {
+			t.Fatalf("verifying resubmission %d not served from cache: %+v", i, st)
+		}
+		if st.Verify == nil || !st.Verify.Equivalent || !st.Verify.Proved {
+			t.Fatalf("verifying cache hit %d dropped the check: verify = %+v", i, st.Verify)
+		}
+	}
+
+	// Verified first, then an unverifying resubmission.
+	if st := run(2, true); st.CacheHit || st.Verify == nil || !st.Verify.Equivalent {
+		t.Fatalf("first verified run: %+v", st)
+	}
+	if st := run(2, false); !st.CacheHit || st.Verify != nil {
+		t.Fatalf("unverifying resubmission: %+v", st)
 	}
 }
 
@@ -254,7 +299,7 @@ func TestWorkerBudgetCapsRequests(t *testing.T) {
 	s := New(Options{MaxConcurrent: 2, QueueLimit: 2, WorkersPerJob: 3})
 	defer s.Drain(time.Second)
 	req := fastRequest(t, "voter")
-	req.Config.Workers = 64
+	req.Workers = 64
 	j, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 
 	"dacpara"
 	"dacpara/internal/cluster"
-	"dacpara/internal/partition"
 )
 
 // Options configures a Service; the zero value gets the documented
@@ -46,7 +44,7 @@ type Options struct {
 	// construct a durable service.
 	DataDir string
 	// DefaultDeadline bounds the running time of jobs that do not set
-	// their own JobRequest.Deadline; 0 leaves such jobs unbounded.
+	// their own DeadlineNs; 0 leaves such jobs unbounded.
 	DefaultDeadline time.Duration
 	// MemSoftLimit and MemHardLimit arm the memory watchdog (both in
 	// bytes of live heap, sampled from runtime.MemStats; 0 disables the
@@ -275,41 +273,27 @@ func (s *Service) Submit(req JobRequest) (*Job, error) {
 		s.shedRejected.Add(1)
 		return nil, &OverloadedError{HeapBytes: s.memUsed.Load(), SoftLimit: s.opts.MemSoftLimit}
 	}
-	if req.Flow != "" {
-		if req.Engine != "" {
-			return nil, errors.New("serve: submission has both engine and flow")
-		}
-		// The whole script is validated up front, so a flow job can
-		// never fail on a typo after burning a scheduler slot.
-		if _, err := dacpara.ParseFlow(req.Flow); err != nil {
-			return nil, err
-		}
-	} else {
-		if req.Engine == "" {
-			req.Engine = dacpara.EngineDACPara
-		}
-		if !knownEngine(req.Engine) {
-			return nil, fmt.Errorf("serve: unknown engine %q", req.Engine)
-		}
+	if req.Flow == "" && req.Engine == "" {
+		req.Engine = dacpara.EngineDACPara
+	}
+	// The whole spec — flow script included — is validated up front, so
+	// a job can never fail on a typo after burning a scheduler slot.
+	if err := req.Job.Validate(); err != nil {
+		return nil, err
 	}
 	// Enforce the per-job worker budget: jobs may be narrower than the
 	// budget but never wider, so K running jobs cannot oversubscribe the
 	// machine.
-	if req.Config.Workers <= 0 || req.Config.Workers > s.opts.WorkersPerJob {
-		req.Config.Workers = s.opts.WorkersPerJob
+	if req.Workers <= 0 || req.Workers > s.opts.WorkersPerJob {
+		req.Workers = s.opts.WorkersPerJob
 	}
-	if req.VerifyBudget <= 0 {
+	if req.VerifyBudget == 0 {
 		req.VerifyBudget = s.opts.VerifyBudget
 	}
-	if req.Partition != 0 && (req.Partition < 2 || req.Partition > partition.MaxShards) {
-		return nil, fmt.Errorf("serve: partition must be 2..%d (got %d)", partition.MaxShards, req.Partition)
+	if req.DeadlineNs == 0 {
+		req.DeadlineNs = int64(s.opts.DefaultDeadline)
 	}
-	if req.Deadline < 0 {
-		return nil, errors.New("serve: negative deadline")
-	}
-	if req.Deadline == 0 {
-		req.Deadline = s.opts.DefaultDeadline
-	}
+	req.InputDigest = StructuralDigest(req.Network)
 
 	job := newJob(req)
 
@@ -465,24 +449,14 @@ func (s *Service) worker() {
 	}
 }
 
-// cacheKey is the full result-cache key: input structure + engine (or
-// flow script) + every result-affecting config knob + partitioning +
-// seed.
-func cacheKey(digest string, eng dacpara.Engine, flow string, cfg dacpara.Config, part int, seed int64) string {
-	return fmt.Sprintf("%s|%s|flow=%q|k=%d,cuts=%d,structs=%d,classes=%d,z=%t,l=%t,passes=%d,workers=%d,part=%d|seed=%d",
-		digest, eng, flow, cfg.K, cfg.MaxCuts, cfg.MaxStructs, cfg.NumClasses, cfg.ZeroGain, cfg.PreserveDelay,
-		cfg.Passes, cfg.Workers, part, seed)
-}
-
-// run executes one job to a terminal state: remotely when a cluster
-// coordinator with live workers is attached, locally otherwise.
+// run executes one job to a terminal state: from the result cache when
+// an identical job already ran, remotely when a cluster coordinator with
+// live workers is attached, locally otherwise.
 func (s *Service) run(job *Job) {
 	s.journalStarted(job)
-	key := cacheKey(job.digest, job.req.Engine, job.req.Flow, job.req.Config, job.req.Partition, job.req.Seed)
+	key := job.req.Key(job.req.InputDigest)
 	if res, ok := s.cache.get(key); ok {
-		s.completed.Add(1)
-		job.finish(StateDone, res, nil, true, "")
-		s.persistTerminal(job, StateDone, "")
+		s.serveHit(job, key, res)
 		return
 	}
 
@@ -491,118 +465,128 @@ func (s *Service) run(job *Job) {
 	// while a user cancel or a watchdog kill still cancels job.ctx
 	// underneath (its cause says which).
 	rctx := job.ctx
-	if job.req.Deadline > 0 {
+	if job.req.DeadlineNs > 0 {
 		var cancelDeadline context.CancelFunc
-		rctx, cancelDeadline = context.WithTimeout(job.ctx, job.req.Deadline)
+		rctx, cancelDeadline = context.WithTimeout(job.ctx, time.Duration(job.req.DeadlineNs))
 		defer cancelDeadline()
 	}
 
-	if job.req.Partition >= 2 {
-		// Partitioned jobs never go to a single worker whole: the
-		// coordinator fans their shards out instead (runPartitioned
-		// dispatches one shard task per worker lease, or runs shards on
-		// local goroutines when no fleet is attached).
-		s.runPartitioned(rctx, job, key)
-		return
-	}
-	if s.coord != nil && s.runRemote(rctx, job, key) {
+	// Partitioned jobs never go to a single worker whole: Run fans their
+	// shards out through the job's shard dispatcher instead.
+	if job.req.Partition == 0 && s.coord != nil && s.runRemote(rctx, job, key) {
 		return
 	}
 	s.runLocal(rctx, job, key, job.req.Network, job.currentResumeStep())
+}
+
+// serveHit finishes a job from a cached result. The cache key ignores
+// the verification settings, so an entry may lack the verdict a
+// verifying job needs: the check then runs against the cached bytes and
+// the verdict joins the entry.
+func (s *Service) serveHit(job *Job, key string, res *CachedResult) {
+	if !job.req.Verify {
+		s.terminate(job, StateDone, res, nil, true, "")
+		return
+	}
+	if res.Verify == nil {
+		var eq, proved bool
+		out, err := decodeAIGER(res.AIGER)
+		if err == nil {
+			eq, proved, err = dacpara.EquivalentBudget(job.req.Network, out, job.req.VerifyBudget)
+		}
+		if err != nil {
+			s.terminate(job, StateFailed, nil, nil, true, "verification: "+err.Error())
+			return
+		}
+		verified := *res
+		verified.Verify = &dacpara.Verdict{Equivalent: eq, Proved: proved}
+		if !eq {
+			s.terminate(job, StateFailed, nil, verified.Verify, true, dacpara.ErrNotEquivalent.Error())
+			return
+		}
+		res = &verified
+		s.cache.put(key, res)
+	}
+	s.terminate(job, StateDone, res, res.Verify, true, "")
 }
 
 // runLocal executes one job in-process, starting from net at resumeStep
 // (the submitted input at step 0 for a fresh job; a recovery or
 // failover checkpoint otherwise).
 func (s *Service) runLocal(rctx context.Context, job *Job, key string, net *dacpara.Network, resumeStep int) {
-	cfg := job.req.Config
-	cfg.Metrics = dacpara.NewMetrics()
-	var golden *dacpara.Network
-	if job.req.Verify {
-		// For a job resumed from a checkpoint the golden reference is the
-		// checkpoint state, so verification covers the re-executed steps
-		// (the checkpointed prefix was verified by digest at recovery).
-		golden = net.Clone()
+	hooks := dacpara.Hooks{
+		ResumeStep: resumeStep,
+		Checkpoint: s.checkpointFn(job),
+		Attach:     dacpara.Config{Metrics: dacpara.NewMetrics()},
 	}
-
-	var result dacpara.Result
-	var err error
-	if job.req.Flow != "" {
-		var stepResults []dacpara.Result
-		stepResults, net, err = dacpara.FlowResumeContext(rctx, net, job.req.Flow, cfg, resumeStep, s.checkpointFn(job))
-		if err == nil {
-			result = dacpara.SummarizeFlow(stepResults, cfg, net)
-		}
-	} else {
-		result, err = dacpara.RewriteContext(rctx, net, job.req.Engine, cfg)
+	if job.req.Partition != 0 {
+		hooks.Shard = s.shardRunner(job)
 	}
+	out, err := dacpara.Run(rctx, net, job.req.Job, hooks)
 	if err != nil {
-		s.finishError(job, err)
+		s.finishError(job, out.Verify, err)
 		return
 	}
-
-	var verify *VerifyStatus
-	if job.req.Verify {
-		eq, proved, verr := dacpara.EquivalentBudget(golden, net, job.req.VerifyBudget)
-		if verr != nil {
-			s.failed.Add(1)
-			job.finish(StateFailed, nil, nil, false, "verification: "+verr.Error())
-			s.persistTerminal(job, StateFailed, "verification: "+verr.Error())
-			return
-		}
-		verify = &VerifyStatus{Equivalent: eq, Proved: proved}
-		if !eq {
-			s.failed.Add(1)
-			job.finish(StateFailed, nil, verify, false, "verification: result not equivalent to input")
-			s.persistTerminal(job, StateFailed, "verification: result not equivalent to input")
-			return
-		}
-	}
-
-	var buf bytes.Buffer
-	if werr := net.WriteBinary(&buf); werr != nil {
-		s.failed.Add(1)
-		job.finish(StateFailed, nil, verify, false, "encoding result: "+werr.Error())
-		s.persistTerminal(job, StateFailed, "encoding result: "+werr.Error())
+	blob, _, err := dacpara.Encode(out.Net, false)
+	if err != nil {
+		s.terminate(job, StateFailed, nil, out.Verify, false, "encoding result: "+err.Error())
 		return
 	}
+	s.complete(job, key, blob, out.Net, out.Result, out.Verify)
+}
+
+// complete caches a finished run — local or remote — and marks the job
+// done.
+func (s *Service) complete(job *Job, key string, blob []byte, net *dacpara.Network, result dacpara.Result, verify *dacpara.Verdict) {
 	res := &CachedResult{
-		AIGER:   buf.Bytes(),
+		AIGER:   blob,
 		Output:  NetStatsOf(net),
 		Result:  result,
 		Metrics: result.Metrics,
+		Verify:  verify,
 	}
 	s.cache.put(key, res)
-	s.completed.Add(1)
-	job.finish(StateDone, res, verify, false, "")
-	s.persistTerminal(job, StateDone, "")
+	s.terminate(job, StateDone, res, verify, false, "")
+}
+
+// terminate moves a job to a terminal state: process counter, job
+// record, journal.
+func (s *Service) terminate(job *Job, state State, res *CachedResult, verify *dacpara.Verdict, cacheHit bool, msg string) {
+	s.counter(state).Add(1)
+	job.finish(state, res, verify, cacheHit, msg)
+	s.persistTerminal(job, state, msg)
+}
+
+// counter returns the process counter of a terminal state.
+func (s *Service) counter(state State) *atomic.Int64 {
+	switch state {
+	case StateDone:
+		return &s.completed
+	case StateFailed:
+		return &s.failed
+	case StateDeadlineExceeded:
+		return &s.deadlined
+	}
+	return &s.cancelled
 }
 
 // finishError classifies an interrupted or failed run into its terminal
 // state: a watchdog kill (the job context's cause is a
 // *ResourceLimitError) is a failure with that message, an expired
 // deadline is deadline_exceeded, a plain cancellation is cancelled, and
-// anything else is an engine failure.
-func (s *Service) finishError(job *Job, err error) {
+// anything else — an engine fault, a failed verification — is a failure.
+func (s *Service) finishError(job *Job, verify *dacpara.Verdict, err error) {
 	var rle *ResourceLimitError
 	switch {
 	case errors.As(context.Cause(job.ctx), &rle):
-		s.failed.Add(1)
-		job.finish(StateFailed, nil, nil, false, rle.Error())
-		s.persistTerminal(job, StateFailed, rle.Error())
+		s.terminate(job, StateFailed, nil, verify, false, rle.Error())
 	case errors.Is(err, context.DeadlineExceeded):
-		s.deadlined.Add(1)
-		msg := fmt.Sprintf("deadline %v exceeded: %s", job.req.Deadline, err)
-		job.finish(StateDeadlineExceeded, nil, nil, false, msg)
-		s.persistTerminal(job, StateDeadlineExceeded, msg)
+		s.terminate(job, StateDeadlineExceeded, nil, verify, false,
+			fmt.Sprintf("deadline %v exceeded: %s", time.Duration(job.req.DeadlineNs), err))
 	case errors.Is(err, context.Canceled):
-		s.cancelled.Add(1)
-		job.finish(StateCancelled, nil, nil, false, err.Error())
-		s.persistTerminal(job, StateCancelled, err.Error())
+		s.terminate(job, StateCancelled, nil, verify, false, err.Error())
 	default:
-		s.failed.Add(1)
-		job.finish(StateFailed, nil, nil, false, err.Error())
-		s.persistTerminal(job, StateFailed, err.Error())
+		s.terminate(job, StateFailed, nil, verify, false, err.Error())
 	}
 }
 
@@ -665,15 +649,6 @@ func (s *Service) killLargestRunning(used int64) {
 	}
 	s.memKilled.Add(1)
 	victim.cancelRequest(&ResourceLimitError{Job: victim.ID, HeapBytes: used, HardLimit: s.opts.MemHardLimit})
-}
-
-func knownEngine(e dacpara.Engine) bool {
-	for _, k := range dacpara.Engines() {
-		if e == k {
-			return true
-		}
-	}
-	return false
 }
 
 // ProcessMetrics is the process-level /metrics payload.

@@ -1,0 +1,300 @@
+package dacpara
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"slices"
+	"time"
+
+	"dacpara/internal/aig"
+	"dacpara/internal/guard"
+	"dacpara/internal/rewrite"
+)
+
+// Job is the one serialisable description of an optimization run: what
+// to run (one engine pass or a flow script), under which knobs, split or
+// whole, guarded or not, verified or not. The command line builds one
+// from its flags, the daemon from a submission's query string; the
+// journal records it, a cluster lease carries it, and Run executes it.
+// Its JSON form is the `req` object of a journal record and of a lease
+// frame.
+type Job struct {
+	// Engine is the rewriting engine of a single-pass job ("": dacpara).
+	// Mutually exclusive with Flow.
+	Engine Engine `json:"engine,omitempty"`
+	// Flow, when non-empty, runs a whole synthesis script instead (see
+	// ParseFlow).
+	Flow string `json:"flow,omitempty"`
+
+	// The engine knobs, with Config's meanings (Classes is
+	// Config.NumClasses). Workers is a request; a service caps it at its
+	// per-job budget.
+	Workers       int  `json:"workers,omitempty"`
+	K             int  `json:"k,omitempty"`
+	Passes        int  `json:"passes,omitempty"`
+	MaxCuts       int  `json:"max_cuts,omitempty"`
+	MaxStructs    int  `json:"max_structs,omitempty"`
+	Classes       int  `json:"classes,omitempty"`
+	ZeroGain      bool `json:"zero_gain,omitempty"`
+	PreserveDelay bool `json:"preserve_delay,omitempty"`
+
+	// Seed salts the result-cache key (and is reserved for seeded engine
+	// behaviour).
+	Seed int64 `json:"seed,omitempty"`
+	// Verify checks the result against the input before the run
+	// completes, spending at most VerifyBudget SAT conflicts per output
+	// (0: the checker's default); see EquivalentBudget.
+	Verify       bool  `json:"verify,omitempty"`
+	VerifyBudget int64 `json:"verify_budget,omitempty"`
+	// DeadlineNs bounds the job's wall-clock running time (0: unbounded).
+	// Whoever owns the job's context enforces it — the service scheduler
+	// wraps local runs and remote dispatch alike in it; Run observes ctx.
+	DeadlineNs int64 `json:"deadline_ns,omitempty"`
+	// Partition, when ≥ 2, cuts the circuit into that many shards along
+	// low-coupling frontiers, runs the job on every shard independently,
+	// CEC-checks each optimized shard against the cone it replaces (a
+	// failing shard is rejected and its original logic kept) and
+	// stitches the shards back, re-strashing. 0 runs the circuit whole.
+	Partition int `json:"partition,omitempty"`
+	// Guard runs every rewriting engine inside the fault-containment
+	// boundary of the guard package: on a scratch copy, under panic
+	// recovery and the per-attempt GuardDeadlineNs (0: none), verified
+	// before commit, degrading dacpara → iccad18 → abc on failure.
+	// Mutually exclusive with Partition, which verifies every shard
+	// already.
+	Guard           bool  `json:"guard,omitempty"`
+	GuardDeadlineNs int64 `json:"guard_deadline_ns,omitempty"`
+
+	// InputDigest is the structural digest of the submitted circuit; a
+	// recovered input blob must re-digest to it or the job is not re-run.
+	InputDigest string `json:"input_digest"`
+}
+
+// WithKnobs returns the job with its engine knobs taken from cfg.
+func (j Job) WithKnobs(cfg Config) Job {
+	j.Workers, j.K, j.Passes = cfg.Workers, cfg.K, cfg.Passes
+	j.MaxCuts, j.MaxStructs, j.Classes = cfg.MaxCuts, cfg.MaxStructs, cfg.NumClasses
+	j.ZeroGain, j.PreserveDelay = cfg.ZeroGain, cfg.PreserveDelay
+	return j
+}
+
+// Config returns attach — whose process-local fields (Metrics, Fault,
+// RetryBudget, CutCache) pass through — with the job's engine knobs.
+func (j Job) Config(attach Config) Config {
+	attach.Workers, attach.K, attach.Passes = j.Workers, j.K, j.Passes
+	attach.MaxCuts, attach.MaxStructs, attach.NumClasses = j.MaxCuts, j.MaxStructs, j.Classes
+	attach.ZeroGain, attach.PreserveDelay = j.ZeroGain, j.PreserveDelay
+	return attach
+}
+
+// Validate rejects a job no run could execute — before anything touches
+// a network, so a typo can never leave one half-transformed.
+func (j Job) Validate() error {
+	_, err := j.steps()
+	return err
+}
+
+// steps validates the job and returns its parsed flow (nil for an engine
+// job).
+func (j Job) steps() ([]FlowStep, error) {
+	var steps []FlowStep
+	switch {
+	case j.Flow != "" && j.Engine != "":
+		return nil, errors.New("dacpara: job has both engine and flow")
+	case j.Flow != "":
+		var err error
+		if steps, err = ParseFlow(j.Flow); err != nil {
+			return nil, err
+		}
+	case j.Engine != "" && !slices.Contains(Engines(), j.Engine):
+		return nil, fmt.Errorf("dacpara: unknown engine %q", j.Engine)
+	}
+	if j.K != 0 && (j.K < 4 || j.K > MaxCutWidth) {
+		return nil, fmt.Errorf("dacpara: cut width k=%d out of range 4..%d", j.K, MaxCutWidth)
+	}
+	if j.Partition != 0 && (j.Partition < 2 || j.Partition > MaxPartitionShards) {
+		return nil, fmt.Errorf("dacpara: partition must be 2..%d (got %d)", MaxPartitionShards, j.Partition)
+	}
+	if j.Partition != 0 && j.Guard {
+		return nil, errors.New("dacpara: partition and guard are mutually exclusive (partitioned runs verify every shard already)")
+	}
+	if min(j.Workers, j.Passes, j.MaxCuts, j.MaxStructs, j.Classes) < 0 ||
+		min(j.VerifyBudget, j.DeadlineNs, j.GuardDeadlineNs) < 0 {
+		return nil, errors.New("dacpara: negative knob, budget or deadline")
+	}
+	return steps, nil
+}
+
+// Key is the result-cache key of the job on an input with the given
+// structural digest: everything that shapes the result, and nothing
+// that does not (the verification settings and the deadline).
+func (j Job) Key(digest string) string {
+	j.InputDigest, j.Verify, j.VerifyBudget, j.DeadlineNs = digest, false, 0, 0
+	key, _ := json.Marshal(j) // a struct of scalars cannot fail to marshal
+	return string(key)
+}
+
+// FlowCheckpoint observes step-boundary states of a flow run: it is
+// called after each step completes with the number of steps finished so
+// far (the index the flow would resume from) and the current network.
+// The network is live flow state — observe or serialize it, do not
+// mutate it. A non-nil error aborts the flow.
+type FlowCheckpoint func(completed int, net *Network) error
+
+// ShardFunc runs job — the parent job narrowed to one whole-circuit,
+// unverified shard task — on shard i of a partitioned run. It may mutate
+// sub freely and returns the optimized shard, the run's result and a tag
+// naming who did the work (a cluster worker id, "local", ...). An error
+// aborts the whole run, so implementations that can fail over handle
+// that internally.
+type ShardFunc func(ctx context.Context, i int, sub *Network, job Job) (*Network, Result, string, error)
+
+// Hooks are what a caller injects into a run that cannot be serialised
+// with its Job; the zero value runs the job from the start, in-process.
+type Hooks struct {
+	// ResumeStep skips the first ResumeStep commands of a flow job's
+	// (fully re-validated) script — net must then be the state those
+	// steps produced, e.g. a restored checkpoint. A value equal to the
+	// script length is valid and runs nothing (the crash happened
+	// between the last step and the final acknowledgement).
+	ResumeStep int
+	// Checkpoint, when non-nil, runs after every completed flow step —
+	// with ResumeStep, the primitive durable crash recovery is built on.
+	Checkpoint FlowCheckpoint
+	// Shard, when non-nil, replaces the in-process run of each shard of a
+	// partitioned job (a service dispatches shards to its worker fleet
+	// through it). All shards are then started at once; the dispatcher
+	// bounds its own concurrency.
+	Shard ShardFunc
+	// Attach supplies the process-local fields of the run's Config —
+	// Metrics, Fault, RetryBudget, CutCache. Its knob fields are
+	// ignored: the Job's apply.
+	Attach Config
+}
+
+// Verdict is the outcome of a job's equivalence check.
+type Verdict struct {
+	// Equivalent is the check's verdict (input vs optimized output).
+	Equivalent bool `json:"equivalent"`
+	// Proved is true when SAT finished every output within the conflict
+	// budget; false means simulation-only confidence.
+	Proved bool `json:"proved"`
+}
+
+// ErrNotEquivalent fails a verified run whose result is not equivalent
+// to its input.
+var ErrNotEquivalent = errors.New("verification: result not equivalent to input")
+
+// Outcome is everything one run produced. After an error it covers the
+// work done up to that point: Net is the latest structurally consistent
+// state and Steps the flow steps that finished.
+type Outcome struct {
+	// Net is the optimized network. Engine and partitioned jobs rewrite
+	// the argument in place; a flow's balance steps rebuild the graph, so
+	// for a flow job Net may be a different pointer.
+	Net *Network
+	// Result is the run record: the engine's own for a single pass, the
+	// script-spanning summary for a flow, the fold over accepted shards
+	// for a partitioned job.
+	Result Result
+	// Steps holds a whole-circuit flow job's per-command results.
+	Steps []Result
+	// Reports holds one guard report per rewriting command of a guarded
+	// job, in script order.
+	Reports []*GuardReport
+	// Verify is the verdict of the job's equivalence check, nil when
+	// none ran.
+	Verify *Verdict
+}
+
+// Run executes the job on net: it is the one place that chooses engine
+// or flow, plain or guarded, whole or partitioned, and then verifies.
+// Cancelling ctx stops the run at the next cancellation point (between
+// flow steps and inside every step; see rewrite.Run) with the wrapped
+// ctx error; no goroutines outlive the call. When Hooks.Attach.Metrics
+// is set, every instrumented step resets the collector on entry and
+// attaches its own snapshot to its Result, so a flow yields one
+// snapshot per rewriting or parallel refactor/resub step.
+func Run(ctx context.Context, net *Network, job Job, h Hooks) (Outcome, error) {
+	out := Outcome{Net: net}
+	steps, err := job.steps()
+	if err != nil {
+		return out, err
+	}
+	if job.Flow == "" && job.Engine == "" {
+		job.Engine = EngineDACPara
+	}
+	cfg := job.Config(h.Attach)
+	var golden *Network
+	if job.Verify && job.Partition == 0 {
+		// A resumed job verifies against the state it resumed from: the
+		// checkpointed prefix was verified by digest at recovery.
+		golden = net.Clone()
+	}
+	switch {
+	case job.Partition != 0:
+		err = runPartitioned(ctx, &out, job, cfg, h) // verifies the stitched whole itself
+	case job.Flow != "":
+		err = runFlow(ctx, &out, job, steps, cfg, h)
+	default:
+		out.Result, err = rewriteStep(ctx, &out, job, job.Engine, cfg)
+	}
+	if err != nil || golden == nil {
+		return out, err
+	}
+	eq, proved, err := EquivalentBudget(golden, out.Net, job.VerifyBudget)
+	if err != nil {
+		return out, fmt.Errorf("verification: %w", err)
+	}
+	out.Verify = &Verdict{Equivalent: eq, Proved: proved}
+	if !eq {
+		return out, ErrNotEquivalent
+	}
+	return out, nil
+}
+
+// rewriteStep runs one rewriting engine over out.Net in place — under
+// the guard when the job asks for it, appending the guard's report.
+func rewriteStep(ctx context.Context, out *Outcome, job Job, eng Engine, cfg Config) (Result, error) {
+	lib, err := DefaultLibrary()
+	if err != nil {
+		return Result{}, err
+	}
+	if cfg.K >= 5 {
+		// Large-cut rewriting needs the 5/6-input forests.
+		lib = lib.WithBig(defaultBig())
+	}
+	if !job.Guard {
+		return rewrite.Run(ctx, eng, out.Net, lib, cfg)
+	}
+	res, rep, err := guard.Rewrite(ctx, out.Net, lib, cfg,
+		guard.Options{Engine: eng, Deadline: time.Duration(job.GuardDeadlineNs)})
+	if rep != nil {
+		out.Reports = append(out.Reports, rep)
+	}
+	return res, err
+}
+
+// Encode renders a network as binary AIGER, the form every result,
+// checkpoint and shard blob takes. With shipped set it also returns the
+// structural digest of the bytes as their receiver will parse them:
+// parsing merges ANDs an engine left with equal fanin pairs, so the
+// in-memory graph can digest differently from the blob it encodes to. A
+// caller that only stores the blob skips that parse.
+func Encode(net *Network, shipped bool) (blob []byte, digest string, err error) {
+	var buf bytes.Buffer
+	if err := net.WriteBinary(&buf); err != nil {
+		return nil, "", err
+	}
+	if shipped {
+		parsed, err := aig.Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			return nil, "", err
+		}
+		digest = aig.StructuralDigest(parsed)
+	}
+	return buf.Bytes(), digest, nil
+}

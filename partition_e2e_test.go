@@ -1,17 +1,26 @@
 package dacpara
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"dacpara/internal/aig"
 )
 
+// runPartitionedJob runs a verified partitioned job — engine, or flow
+// when script is set — with cfg's knobs and attachments.
+func runPartitionedJob(net *Network, engine Engine, script string, cfg Config, shards int) (Result, error) {
+	job := Job{Engine: engine, Flow: script, Partition: shards, Verify: true}.WithKnobs(cfg)
+	out, err := Run(context.Background(), net, job, Hooks{Attach: cfg})
+	return out.Result, err
+}
+
 // TestPartitionedRewriteEquivalence is the acceptance gate of the
 // partitioning subsystem: every tiny-suite circuit, partitioned into
 // 2/4/8 shards and rewritten shard by shard, must stitch back into a
-// circuit equivalent to the unpartitioned input. RewritePartitioned
-// verifies internally (per-shard CEC plus the whole-circuit check) and
+// circuit equivalent to the unpartitioned input. A verified partitioned
+// job checks internally (per-shard CEC plus the whole-circuit check) and
 // errors on any disproof, so a nil error IS the equivalence assertion;
 // the test additionally re-checks one configuration externally against
 // a pristine clone so a verification bypass inside the facade cannot
@@ -30,7 +39,7 @@ func TestPartitionedRewriteEquivalence(t *testing.T) {
 			}
 			for _, shards := range []int{2, 4, 8} {
 				net := golden.Clone()
-				res, err := RewritePartitioned(net, EngineDACPara, Config{Workers: 2}, shards)
+				res, err := runPartitionedJob(net, EngineDACPara, "", Config{Workers: 2}, shards)
 				if err != nil {
 					t.Fatalf("%d shards: %v", shards, err)
 				}
@@ -56,7 +65,7 @@ func TestPartitionedMetricsSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Workers: 2, Metrics: NewMetrics()}
-	res, err := RewritePartitioned(net, EngineDACPara, cfg, 4)
+	res, err := runPartitionedJob(net, EngineDACPara, "", cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +116,7 @@ func TestPartitionedFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := golden.Clone()
-	res, err := FlowPartitioned(net, "b; rw; b", Config{Workers: 2}, 3)
+	res, err := runPartitionedJob(net, "", "b; rw; b", Config{Workers: 2}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +129,15 @@ func TestPartitionedFlow(t *testing.T) {
 }
 
 // TestPartitionedShardBounds: shard counts outside 2..MaxPartitionShards
-// are rejected by the selector.
+// are rejected up front (0 is not a shard count: it asks for a
+// whole-circuit run).
 func TestPartitionedShardBounds(t *testing.T) {
 	net, err := Generate("voter", ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []int{0, 1, -3, MaxPartitionShards + 1} {
-		if _, err := RewritePartitioned(net.Clone(), EngineDACPara, Config{Workers: 1}, bad); err == nil {
+	for _, bad := range []int{1, -3, MaxPartitionShards + 1} {
+		if _, err := runPartitionedJob(net.Clone(), EngineDACPara, "", Config{Workers: 1}, bad); err == nil {
 			t.Fatalf("shards=%d accepted", bad)
 		}
 	}
@@ -147,7 +157,7 @@ func TestPartitionedDeterminism(t *testing.T) {
 	var digests []string
 	for i := 0; i < 2; i++ {
 		net := golden.Clone()
-		if _, err := RewritePartitioned(net, EngineSerial, Config{Workers: 1}, 4); err != nil {
+		if _, err := runPartitionedJob(net, EngineSerial, "", Config{Workers: 1}, 4); err != nil {
 			t.Fatal(err)
 		}
 		digests = append(digests, aig.StructuralDigest(net))

@@ -2,7 +2,6 @@ package dacpara
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -11,103 +10,82 @@ import (
 	"dacpara/internal/partition"
 )
 
-// MaxPartitionShards is the largest supported shard count of a
-// partitioned run.
+// MaxPartitionShards is the largest supported Job.Partition.
 const MaxPartitionShards = partition.MaxShards
 
 // PartitionSnapshot is the partition section of a metrics snapshot —
 // split shape, pipeline timings, per-shard QoR.
 type PartitionSnapshot = metrics.PartitionSnapshot
 
-// RewritePartitioned splits net into shards along low-coupling
-// frontiers, rewrites every shard independently (concurrently, up to
-// Config.Workers goroutines split across shards), and stitches the
-// optimized shards back, re-strashing. Each substituted shard is
-// CEC-checked against the cone it replaces — a failing shard is
-// rejected and its original logic kept — and the stitched whole is
-// equivalence-checked against the input within a bounded SAT budget.
-// Like Rewrite, the optimized circuit replaces net in place.
-func RewritePartitioned(net *Network, engine Engine, cfg Config, shards int) (Result, error) {
-	return RewritePartitionedContext(context.Background(), net, engine, cfg, shards)
-}
-
-// RewritePartitionedContext is RewritePartitioned with cancellation.
-func RewritePartitionedContext(ctx context.Context, net *Network, engine Engine, cfg Config, shards int) (Result, error) {
-	if cfg.K > MaxCutWidth {
-		return Result{}, fmt.Errorf("dacpara: cut width %d beyond the supported maximum %d", cfg.K, MaxCutWidth)
-	}
-	return runPartitioned(ctx, net, cfg, shards, "partition("+string(engine)+")",
-		func(ctx context.Context, sub *Network, wcfg Config) (Result, *Network, error) {
-			res, err := RewriteContext(ctx, sub, engine, wcfg)
-			return res, sub, err
-		})
-}
-
-// FlowPartitioned runs a whole flow script on every shard of a
-// partitioned split — the partitioned counterpart of Flow, returning
-// the summary result. See RewritePartitioned for the verification
-// contract.
-func FlowPartitioned(net *Network, script string, cfg Config, shards int) (Result, error) {
-	return FlowPartitionedContext(context.Background(), net, script, cfg, shards)
-}
-
-// FlowPartitionedContext is FlowPartitioned with cancellation.
-func FlowPartitionedContext(ctx context.Context, net *Network, script string, cfg Config, shards int) (Result, error) {
-	if _, err := ParseFlow(script); err != nil {
-		return Result{}, err
-	}
-	return runPartitioned(ctx, net, cfg, shards, "partition(flow)",
-		func(ctx context.Context, sub *Network, wcfg Config) (Result, *Network, error) {
-			steps, final, err := FlowContext(ctx, sub, script, wcfg)
-			if err != nil {
-				return Result{}, nil, err
-			}
-			return SummarizeFlow(steps, wcfg, final), final, nil
-		})
-}
-
-// runPartitioned drives partition.Run with a local shard optimizer and
-// folds the per-shard engine results into one facade Result.
-func runPartitioned(ctx context.Context, net *Network, cfg Config, shards int, engineName string,
-	step func(ctx context.Context, sub *Network, wcfg Config) (Result, *Network, error)) (Result, error) {
-
+// runPartitioned drives partition.Run over a partitioned job: every shard
+// runs the job narrowed to a whole-circuit, unverified task (in-process,
+// up to Workers goroutines split across shards, unless Hooks.Shard
+// dispatches it elsewhere), the per-shard results of the accepted shards
+// fold into one Result, and the stitched circuit replaces out.Net in
+// place. With Job.Verify the stitched whole is equivalence-checked
+// against the input within the job's budget.
+func runPartitioned(ctx context.Context, out *Outcome, job Job, cfg Config, h Hooks) error {
 	start := time.Now()
-	res := Result{
-		Engine:      engineName,
-		Passes:      max(1, cfg.Passes),
-		InitialAnds: net.NumAnds(),
+	net := out.Net
+	name := "partition(flow)"
+	if job.Flow == "" {
+		name = "partition(" + string(job.Engine) + ")"
 	}
-	res.InitialDelay = net.Delay()
-
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	parallel := min(shards, workers)
-	res.Threads = workers
-	wcfg := cfg
-	wcfg.Workers = max(1, workers/max(1, parallel))
-	wcfg.Metrics = nil // per-shard runs may overlap; one collector cannot serve them
+	res := Result{
+		Engine:       name,
+		Threads:      workers,
+		Passes:       max(1, cfg.Passes),
+		InitialAnds:  net.NumAnds(),
+		InitialDelay: net.Delay(),
+	}
 
+	parallel := min(job.Partition, workers)
+	task := job // what every shard runs: the job, whole-circuit and unverified
+	task.Partition, task.Verify, task.VerifyBudget, task.DeadlineNs = 0, false, 0, 0
+	task.Workers = max(1, workers/parallel)
+	shard := h.Shard
+	if shard == nil {
+		attach := h.Attach
+		attach.Metrics = nil // per-shard runs may overlap; one collector cannot serve them
+		shard = func(ctx context.Context, _ int, sub *Network, task Job) (*Network, Result, string, error) {
+			o, err := Run(ctx, sub, task, Hooks{Attach: attach})
+			return o.Net, o.Result, "local", err
+		}
+	} else {
+		parallel = job.Partition
+	}
+
+	// The Optimize goroutines write under mu; partition.Run joins them
+	// all before returning, so the fold below reads race-free.
 	var mu sync.Mutex
 	shardRes := map[int]Result{}
-	out, st, err := partition.Run(ctx, net, partition.RunOptions{
-		Shards:   shards,
+	stitched, st, err := partition.Run(ctx, net, partition.RunOptions{
+		Shards:   job.Partition,
 		Parallel: parallel,
 		Optimize: func(ctx context.Context, i int, sub *Network) (*Network, string, error) {
-			r, final, err := step(ctx, sub, wcfg)
+			final, r, worker, err := shard(ctx, i, sub, task)
 			if err != nil {
-				return nil, "local", err
+				return nil, worker, err
 			}
 			mu.Lock()
 			shardRes[i] = r
 			mu.Unlock()
-			return final, "local", nil
+			return final, worker, nil
 		},
-		WholeVerify: true,
+		ShardVerifyBudget: job.VerifyBudget,
+		WholeVerify:       job.Verify,
+		WholeVerifyBudget: job.VerifyBudget,
 	})
 	if err != nil {
-		return res, err
+		out.Result = res
+		return err
+	}
+	if st.WholeChecked {
+		out.Verify = &Verdict{Equivalent: st.Equivalent, Proved: st.Proved}
 	}
 	for i, r := range shardRes {
 		if st.PerShard[i].Rejected {
@@ -124,15 +102,15 @@ func runPartitioned(ctx context.Context, net *Network, cfg Config, shards int, e
 		res.Incomplete = res.Incomplete || r.Incomplete
 	}
 
-	net.Adopt(out)
+	net.Adopt(stitched)
 	res.FinalAnds = net.NumAnds()
 	res.FinalDelay = net.Delay()
 	res.Duration = time.Since(start)
 
 	if cfg.Metrics != nil {
-		snap := &MetricsSnapshot{
+		res.Metrics = &MetricsSnapshot{
 			Schema:  metrics.SchemaMetrics,
-			Engine:  engineName,
+			Engine:  name,
 			Workers: workers,
 			Passes:  res.Passes,
 			WallNs:  res.Duration.Nanoseconds(),
@@ -154,8 +132,8 @@ func runPartitioned(ctx context.Context, net *Network, cfg Config, shards int, e
 				Incomplete:   res.Incomplete,
 			},
 		}
-		st.Decorate(snap)
-		res.Metrics = snap
+		st.Decorate(res.Metrics)
 	}
-	return res, nil
+	out.Result = res
+	return nil
 }

@@ -1,0 +1,146 @@
+package dacpara
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"testing"
+
+	"dacpara/internal/aig"
+	"dacpara/internal/bench"
+)
+
+const goldenLargeConePath = "testdata/golden_largecone.json"
+
+// updateLargeCone rewrites the golden file from the code under test. The
+// checked-in file was recorded before the large-cone kernel was rebuilt;
+// regenerating it is a statement that refactor/resub output was meant to
+// change.
+var updateLargeCone = flag.Bool("update-largecone", false, "rewrite "+goldenLargeConePath)
+
+// goldenLargeConeEntry is one row of testdata/golden_largecone.json: the
+// structural digest and AND count a refactor/resub script left on one
+// circuit.
+type goldenLargeConeEntry struct {
+	Circuit string `json:"circuit"`
+	Script  string `json:"script"`
+	Workers int    `json:"workers"`
+	Digest  string `json:"digest"`
+	Ands    int    `json:"ands"`
+}
+
+// largeConeCircuits are the six circuits of the benchmark's
+// flow_verified workload (same generators, sizes and content seeds as
+// benchmark/gen.go) plus a multiplier.
+var largeConeCircuits = []struct {
+	name string
+	gen  func() *aig.AIG
+}{
+	{"sin6", func() *aig.AIG { return bench.Sin(6) }},
+	{"voter31", func() *aig.AIG { return bench.Voter(31) }},
+	{"sqrt16", func() *aig.AIG { return bench.Sqrt(16) }},
+	{"log2_7_3", func() *aig.AIG { return bench.Log2(7, 3) }},
+	{"mem_ctrl1500", func() *aig.AIG { return bench.MemCtrl(1500, benchmarkFixedSeed(0)) }},
+	{"mtm1500", func() *aig.AIG { return bench.MtM("m", 1500, benchmarkFixedSeed(1)) }},
+	{"mult10", func() *aig.AIG { return bench.Multiplier(10) }},
+}
+
+// benchmarkFixedSeed is benchmark/gen.go's fixedSeed: the content seed of
+// the i-th fixed circuit of a workload (splitmix64 of 0x0DAC + i).
+func benchmarkFixedSeed(i int) int64 {
+	z := uint64(0x0DAC) + uint64(i+1)*0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return int64((z ^ z>>31) >> 1)
+}
+
+// largeConeFlow is the benchmark's flow_verified script.
+const largeConeFlow = "b; rw; rf -p; b; rw; rw -z; b; rs -p; rw -z; b"
+
+// largeConeCases are the pinned scripts: the serial passes, the
+// engine-driven ones at one and four workers, and the whole benchmark
+// flow.
+var largeConeCases = []struct {
+	script  string
+	workers int
+}{
+	{"rf", 1}, {"rf -z", 1}, {"rs", 1}, {"rs -z", 1},
+	{"rf -p", 1}, {"rf -p", 4}, {"rs -p", 1}, {"rs -p", 4},
+	{largeConeFlow, 1},
+}
+
+// TestGoldenLargeCone pins the output of refactoring and resubstitution
+// byte for byte. Both passes commit serially in a fixed order and
+// evaluate against an immutable graph, so their result is a pure function
+// of the input at any worker count (DESIGN.md, "Large-cone kernel");
+// every four-worker case therefore runs twice, which also catches
+// per-worker scratch leaking between goroutines. The circuits go through
+// binary AIGER first, as the benchmark's inputs do.
+func TestGoldenLargeCone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	var golden []goldenLargeConeEntry
+	if !*updateLargeCone {
+		data, err := os.ReadFile(goldenLargeConePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &golden); err != nil {
+			t.Fatal(err)
+		}
+		if want := len(largeConeCircuits) * len(largeConeCases); len(golden) != want {
+			t.Fatalf("%d golden rows, want %d", len(golden), want)
+		}
+	}
+	var recorded []goldenLargeConeEntry
+	for ci, c := range largeConeCircuits {
+		var blob bytes.Buffer
+		if err := c.gen().WriteBinary(&blob); err != nil {
+			t.Fatal(err)
+		}
+		for ki, k := range largeConeCases {
+			runs := 1
+			if k.workers > 1 {
+				runs = 2
+			}
+			for run := 0; run < runs; run++ {
+				net, err := aig.Read(bytes.NewReader(blob.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, out, err := Flow(net, k.script, Config{Workers: k.workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := goldenLargeConeEntry{
+					Circuit: c.name, Script: k.script, Workers: k.workers,
+					Digest: aig.StructuralDigest(out), Ands: out.NumAnds(),
+				}
+				if *updateLargeCone {
+					if run == 0 {
+						recorded = append(recorded, got)
+					}
+					continue
+				}
+				if want := golden[ci*len(largeConeCases)+ki]; got != want {
+					t.Errorf("%s %q w%d run %d: %s (%d ANDs), golden %s (%d ANDs) for %s %q w%d",
+						c.name, k.script, k.workers, run, got.Digest, got.Ands,
+						want.Digest, want.Ands, want.Circuit, want.Script, want.Workers)
+				}
+			}
+		}
+	}
+	if *updateLargeCone {
+		data, err := json.MarshalIndent(recorded, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenLargeConePath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("wrote %d rows to %s\n", len(recorded), goldenLargeConePath)
+	}
+}

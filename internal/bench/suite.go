@@ -126,6 +126,17 @@ func Suite(s Scale) []Circuit {
 	return append(Arithmetic(s), MtMSet(s)...)
 }
 
+// FlowVerified returns the six circuits of the repository benchmark's
+// flow_verified workload — the generators, sizes and content seeds of
+// benchmark/gen.go (its fixedSeed(0) and fixedSeed(1)) — for the pins and
+// micro-benchmarks of the passes that workload judges.
+func FlowVerified() []*aig.AIG {
+	return []*aig.AIG{
+		Sin(6), Voter(31), Sqrt(16), Log2(7, 3),
+		MemCtrl(1500, 6219699094450823061), MtM("m", 1500, 2644717556523184189),
+	}
+}
+
 // Instantiate builds a circuit, applying its doublings.
 func (c Circuit) Instantiate(s Scale) *aig.AIG {
 	a := c.Build(s)

@@ -31,11 +31,21 @@ var wordPatterns = [6]uint64{
 	0xFFFFFFFF00000000,
 }
 
-func numWords(nvars int) int {
+// NumWords returns the word count of a table over nvars variables.
+func NumWords(nvars int) int {
 	if nvars <= 6 {
 		return 1
 	}
 	return 1 << (nvars - 6)
+}
+
+// WordMask returns the used bits of a table's words: all 64 from six
+// variables up, the low 2^nvars of the only word below.
+func WordMask(nvars int) uint64 {
+	if nvars >= 6 {
+		return ^uint64(0)
+	}
+	return 1<<(1<<nvars) - 1
 }
 
 // New returns the constant-false table over nvars variables.
@@ -43,47 +53,82 @@ func New(nvars int) TT {
 	if nvars < 0 || nvars > MaxVars {
 		panic(fmt.Sprintf("bigtt: %d variables unsupported", nvars))
 	}
-	return TT{nvars: nvars, words: make([]uint64, numWords(nvars))}
+	return TT{nvars: nvars, words: make([]uint64, NumWords(nvars))}
 }
+
+// Make wraps NumWords(nvars) caller-owned words as a table; the table
+// aliases them. The Set methods write through such a table in place.
+func Make(nvars int, words []uint64) TT {
+	if len(words) != NumWords(nvars) {
+		panic(fmt.Sprintf("bigtt: %d words for %d variables", len(words), nvars))
+	}
+	return TT{nvars: nvars, words: words}
+}
+
+// Words returns the table's words, aliased.
+func (t TT) Words() []uint64 { return t.words }
 
 // Const returns a constant table.
 func Const(nvars int, v bool) TT {
 	t := New(nvars)
 	if v {
-		for i := range t.words {
-			t.words[i] = ^uint64(0)
-		}
-		t.maskTop()
+		fill(t.words, WordMask(nvars))
 	}
 	return t
+}
+
+func fill(w []uint64, x uint64) {
+	for i := range w {
+		w[i] = x
+	}
 }
 
 // Var returns the table of variable v.
 func Var(nvars, v int) TT {
 	t := New(nvars)
-	if v < 0 || v >= nvars {
-		panic(fmt.Sprintf("bigtt: variable %d of %d", v, nvars))
-	}
-	if v < 6 {
-		for i := range t.words {
-			t.words[i] = wordPatterns[v]
-		}
-	} else {
-		block := 1 << (v - 6)
-		for i := range t.words {
-			if i/block%2 == 1 {
-				t.words[i] = ^uint64(0)
-			}
-		}
-	}
-	t.maskTop()
+	t.SetVar(v)
 	return t
 }
 
-// maskTop clears the unused bits of a sub-word table.
-func (t *TT) maskTop() {
-	if t.nvars < 6 {
-		t.words[0] &= 1<<(1<<t.nvars) - 1
+// SetVar overwrites t with the table of variable v.
+func (t TT) SetVar(v int) {
+	if v < 0 || v >= t.nvars {
+		panic(fmt.Sprintf("bigtt: variable %d of %d", v, t.nvars))
+	}
+	if v < 6 {
+		fill(t.words, wordPatterns[v]&WordMask(t.nvars))
+		return
+	}
+	block := 1 << (v - 6)
+	for i := range t.words {
+		t.words[i] = -uint64(i / block & 1)
+	}
+}
+
+// SetAnd overwrites t with the conjunction of a and b, each complemented
+// first when its flag is set. t may alias either operand.
+func (t TT) SetAnd(a TT, na bool, b TT, nb bool) {
+	t.check(a)
+	t.check(b)
+	// x ^ full complements within the used bits, x ^ 0 is x.
+	var ma, mb uint64
+	if na {
+		ma = WordMask(t.nvars)
+	}
+	if nb {
+		mb = WordMask(t.nvars)
+	}
+	for i := range t.words {
+		t.words[i] = (a.words[i] ^ ma) & (b.words[i] ^ mb)
+	}
+}
+
+// SetNot overwrites t with the complement of u. t may alias u.
+func (t TT) SetNot(u TT) {
+	t.check(u)
+	full := WordMask(t.nvars)
+	for i := range t.words {
+		t.words[i] = u.words[i] ^ full
 	}
 }
 
@@ -98,11 +143,8 @@ func (t TT) check(u TT) {
 
 // And returns t & u.
 func (t TT) And(u TT) TT {
-	t.check(u)
 	out := New(t.nvars)
-	for i := range out.words {
-		out.words[i] = t.words[i] & u.words[i]
-	}
+	out.SetAnd(t, false, u, false)
 	return out
 }
 
@@ -129,20 +171,14 @@ func (t TT) Xor(u TT) TT {
 // Not returns the complement.
 func (t TT) Not() TT {
 	out := New(t.nvars)
-	for i := range out.words {
-		out.words[i] = ^t.words[i]
-	}
-	out.maskTop()
+	out.SetNot(t)
 	return out
 }
 
 // AndNot returns t &^ u.
 func (t TT) AndNot(u TT) TT {
-	t.check(u)
 	out := New(t.nvars)
-	for i := range out.words {
-		out.words[i] = t.words[i] &^ u.words[i]
-	}
+	out.SetAnd(t, false, u, true)
 	return out
 }
 
@@ -158,17 +194,31 @@ func (t TT) Equal(u TT) bool {
 }
 
 // IsConst0 reports whether t is constant false.
-func (t TT) IsConst0() bool {
-	for _, w := range t.words {
-		if w != 0 {
+func (t TT) IsConst0() bool { return allEqual(t.words, 0) }
+
+// IsConst1 reports whether t is constant true.
+func (t TT) IsConst1() bool { return allEqual(t.words, WordMask(t.nvars)) }
+
+func allEqual(w []uint64, x uint64) bool {
+	for _, y := range w {
+		if y != x {
 			return false
 		}
 	}
 	return true
 }
 
-// IsConst1 reports whether t is constant true.
-func (t TT) IsConst1() bool { return t.Not().IsConst0() }
+// EqualNot reports whether t is the complement of u.
+func (t TT) EqualNot(u TT) bool {
+	t.check(u)
+	full := WordMask(t.nvars)
+	for i := range t.words {
+		if t.words[i]^u.words[i] != full {
+			return false
+		}
+	}
+	return true
+}
 
 // Ones counts satisfying assignments.
 func (t TT) Ones() int {
@@ -184,41 +234,34 @@ func (t TT) Eval(row uint) bool {
 	return t.words[row>>6]>>(row&63)&1 == 1
 }
 
-// Cofactor returns the cofactor with respect to variable v at the given
-// phase, expanded over the full domain (independent of v).
-func (t TT) Cofactor(v int, phase bool) TT {
-	out := New(t.nvars)
+// DependsOn reports whether t depends on variable v.
+func (t TT) DependsOn(v int) bool { return dependsOn(t.words, v) }
+
+// dependsOn compares the two cofactors of variable v where they lie: in
+// the two halves of every aligned 2^(v-6)-word block pair, or shifted
+// against each other inside every word.
+func dependsOn(w []uint64, v int) bool {
 	if v < 6 {
-		m := wordPatterns[v]
-		sh := uint(1) << v
-		for i, w := range t.words {
-			if phase {
-				hi := w & m
-				out.words[i] = hi | hi>>sh
-			} else {
-				lo := w &^ m
-				out.words[i] = lo | lo<<sh
+		for _, x := range w {
+			if wordDependsOn(x, v) {
+				return true
 			}
 		}
-	} else {
-		block := 1 << (v - 6)
-		for i := range t.words {
-			src := i
-			if phase {
-				src |= block
-			} else {
-				src &^= block
+		return false
+	}
+	block := 1 << (v - 6)
+	for i := 0; i < len(w); i += 2 * block {
+		for j := i; j < i+block; j++ {
+			if w[j] != w[j+block] {
+				return true
 			}
-			out.words[i] = t.words[src]
 		}
 	}
-	out.maskTop()
-	return out
+	return false
 }
 
-// DependsOn reports whether t depends on variable v.
-func (t TT) DependsOn(v int) bool {
-	return !t.Cofactor(v, false).Equal(t.Cofactor(v, true))
+func wordDependsOn(x uint64, v int) bool {
+	return (x>>(1<<v)^x)&^wordPatterns[v] != 0
 }
 
 // SupportSize counts the variables t depends on.
@@ -277,48 +320,8 @@ func (c Cube) Table(nvars int) TT {
 // ISOP computes an irredundant sum-of-products cover of some g with
 // on ⊆ g ⊆ on|dc (Minato–Morreale), returning the cover and its table.
 func ISOP(on, dc TT) ([]Cube, TT) {
-	on.check(dc)
-	return isop(on, on.Or(dc), on.nvars)
-}
-
-func isop(lower, upper TT, nv int) ([]Cube, TT) {
-	if lower.IsConst0() {
-		return nil, New(lower.nvars)
-	}
-	if upper.IsConst1() {
-		return []Cube{{}}, Const(lower.nvars, true)
-	}
-	v := nv - 1
-	for v >= 0 && !lower.DependsOn(v) && !upper.DependsOn(v) {
-		v--
-	}
-	if v < 0 {
-		return []Cube{{}}, Const(lower.nvars, true)
-	}
-	l0, l1 := lower.Cofactor(v, false), lower.Cofactor(v, true)
-	u0, u1 := upper.Cofactor(v, false), upper.Cofactor(v, true)
-
-	cs0, t0 := isop(l0.AndNot(u1), u0, v)
-	cs1, t1 := isop(l1.AndNot(u0), u1, v)
-	lnew := l0.AndNot(t0).Or(l1.AndNot(t1))
-	cs2, t2 := isop(lnew, u0.And(u1), v)
-
-	var out []Cube
-	table := t2
-	nvar := Var(lower.nvars, v)
-	for _, c := range cs0 {
-		c.Lits |= 1 << uint(v)
-		out = append(out, c)
-		table = table.Or(c.Table(lower.nvars).And(nvar.Not()))
-	}
-	for _, c := range cs1 {
-		c.Lits |= 1 << uint(v)
-		c.Phase |= 1 << uint(v)
-		out = append(out, c)
-		table = table.Or(c.Table(lower.nvars).And(nvar))
-	}
-	out = append(out, cs2...)
-	return out, table
+	var s Scratch
+	return s.Cover(on, on.Or(dc))
 }
 
 // CoverTable returns the union table of a cover.

@@ -12,7 +12,7 @@ func randomTT(rng *rand.Rand, nvars int) TT {
 	for i := range t.words {
 		t.words[i] = rng.Uint64()
 	}
-	t.maskTop()
+	t.words[0] &= WordMask(nvars)
 	return t
 }
 

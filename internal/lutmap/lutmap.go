@@ -14,10 +14,11 @@ package lutmap
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/bigtt"
+	"dacpara/internal/cone"
 )
 
 // Config tunes the mapper.
@@ -368,10 +369,11 @@ func Evaluate(a *aig.AIG, m Mapping, inputs []bool) ([]bool, error) {
 	}
 	// LUTs were appended in dependency order by extractCover (leaves
 	// before roots).
+	win := cone.New(a)
 	for _, l := range m.LUTs {
-		f, err := coneFunction(a, l.Root, l.Leaves)
-		if err != nil {
-			return nil, err
+		f, ok := win.Simulate(l.Root, l.Leaves, math.MaxInt)
+		if !ok {
+			return nil, fmt.Errorf("lutmap: cone of LUT at %d escapes its leaves", l.Root)
 		}
 		row := uint(0)
 		for i, leaf := range l.Leaves {
@@ -394,50 +396,4 @@ func Evaluate(a *aig.AIG, m Mapping, inputs []bool) ([]bool, error) {
 		out[kIdx] = v != po.Compl()
 	}
 	return out, nil
-}
-
-// coneFunction computes the root's function over the leaves (like the
-// refactoring cone extraction, bounded by the LUT input count).
-func coneFunction(a *aig.AIG, root int32, leaves []int32) (bigtt.TT, error) {
-	nv := len(leaves)
-	pos := map[int32]int{}
-	for i, l := range leaves {
-		pos[l] = i
-	}
-	memo := map[int32]bigtt.TT{}
-	var rec func(id int32) (bigtt.TT, error)
-	rec = func(id int32) (bigtt.TT, error) {
-		if i, ok := pos[id]; ok {
-			return bigtt.Var(nv, i), nil
-		}
-		if t, ok := memo[id]; ok {
-			return t, nil
-		}
-		n := a.N(id)
-		switch n.Kind() {
-		case aig.KindConst:
-			return bigtt.New(nv), nil
-		case aig.KindAnd:
-		default:
-			return bigtt.TT{}, fmt.Errorf("lutmap: cone escapes to node %d (%v)", id, n.Kind())
-		}
-		t0, err := rec(n.Fanin0().Node())
-		if err != nil {
-			return bigtt.TT{}, err
-		}
-		if n.Fanin0().Compl() {
-			t0 = t0.Not()
-		}
-		t1, err := rec(n.Fanin1().Node())
-		if err != nil {
-			return bigtt.TT{}, err
-		}
-		if n.Fanin1().Compl() {
-			t1 = t1.Not()
-		}
-		t := t0.And(t1)
-		memo[id] = t
-		return t, nil
-	}
-	return rec(root)
 }

@@ -2,9 +2,9 @@ package refactor
 
 import (
 	"context"
+	"slices"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/bigtt"
 	"dacpara/internal/engine"
 	"dacpara/internal/rewrite"
 )
@@ -44,13 +44,11 @@ func RunParallelCtx(ctx context.Context, a *aig.AIG, cfg Config, workers int) (r
 	}, engine.Exec{Workers: workers, Metrics: cfg.Metrics})
 }
 
-// refPrep is one node's stored candidate: the window, the cone function
-// it was planned against, and the factored plan.
+// refPrep is one node's stored candidate, copied out of the evaluating
+// worker's scratch, and the root version it was planned at.
 type refPrep struct {
+	candidate
 	rootVer uint32
-	leaves  []int32
-	f       bigtt.TT
-	plan    *plan
 }
 
 // refactorPass is refactoring as a framework pass: Evaluate runs the
@@ -60,6 +58,8 @@ type refactorPass struct {
 	a   *aig.AIG
 	cfg Config
 
+	// states holds one refactorer per worker slot; none is ever used by
+	// two goroutines.
 	states []*refactorer
 	prep   []refPrep
 }
@@ -69,7 +69,7 @@ var _ engine.Pass = (*refactorPass)(nil)
 func (p *refactorPass) Begin(slots int, _ engine.Env) {
 	p.states = make([]*refactorer, slots)
 	for w := range p.states {
-		p.states[w] = &refactorer{a: p.a, cfg: p.cfg, delta: map[int32]int32{}}
+		p.states[w] = newRefactorer(p.a, p.cfg)
 	}
 	p.prep = make([]refPrep, p.a.Capacity())
 }
@@ -81,29 +81,16 @@ func (p *refactorPass) Evaluate(worker int, id int32) bool {
 	if !p.a.N(id).IsAnd() {
 		return false
 	}
-	r := p.states[worker]
-	leaves, ok := r.reconvCut(id)
-	if !ok || len(leaves) < 3 {
-		return true
+	if c, _ := p.states[worker].evaluate(id); c.leaves != nil {
+		p.prep[id] = refPrep{
+			candidate: candidate{leaves: slices.Clone(c.leaves), f: c.f.Clone(), plan: c.plan.stored()},
+			rootVer:   p.a.N(id).Version(),
+		}
 	}
-	f, cone, ok := r.coneFunction(id, leaves)
-	if !ok {
-		return true
-	}
-	saved := r.coneSavings(id, cone, leaves)
-	pl := bestPlan(f)
-	if pl == nil {
-		return true
-	}
-	_, nNew, ok := r.instantiate(pl, leaves, id, false)
-	if !ok || saved-nNew < p.cfg.minGain() {
-		return true
-	}
-	p.prep[id] = refPrep{rootVer: p.a.N(id).Version(), leaves: leaves, f: f, plan: pl}
 	return true
 }
 
-func (p *refactorPass) Stored(id int32) bool { return p.prep[id].plan != nil }
+func (p *refactorPass) Stored(id int32) bool { return p.prep[id].leaves != nil }
 
 func (p *refactorPass) Commit(worker int, id int32, _ engine.Locker) engine.Status {
 	c := &p.prep[id]
@@ -114,19 +101,12 @@ func (p *refactorPass) Commit(worker int, id int32, _ engine.Locker) engine.Stat
 	if p.a.N(id).Version() != c.rootVer || !p.a.N(id).IsAnd() {
 		return engine.StatusStale
 	}
-	cur, cone, ok := r.coneFunction(id, c.leaves)
-	if !ok || !cur.Equal(c.f) {
+	if cur, ok := r.coneFunction(id, c.leaves); !ok || !cur.Equal(c.f) {
 		return engine.StatusStale
 	}
-	saved := r.coneSavings(id, cone, c.leaves)
-	_, nNew, ok := r.instantiate(c.plan, c.leaves, id, false)
-	if !ok || saved-nNew < p.cfg.minGain() {
+	gain, ok := r.gain(id, c.leaves, c.plan)
+	if !ok || gain < p.cfg.minGain() || !r.apply(id, c.leaves, c.plan) {
 		return engine.StatusNoGain
 	}
-	out, _, ok := r.instantiate(c.plan, c.leaves, id, true)
-	if !ok || out.Node() == id {
-		return engine.StatusNoGain
-	}
-	p.a.Replace(id, out, aig.ReplaceOptions{CascadeMerge: true})
 	return engine.StatusCommitted
 }

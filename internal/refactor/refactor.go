@@ -13,11 +13,11 @@ package refactor
 
 import (
 	"context"
-	"fmt"
-	"time"
+	"sync/atomic"
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bigtt"
+	"dacpara/internal/cone"
 	"dacpara/internal/engine"
 	"dacpara/internal/metrics"
 	"dacpara/internal/rewrite"
@@ -70,225 +70,124 @@ func Run(a *aig.AIG, cfg Config) rewrite.Result {
 	return res
 }
 
-// RunCtx is Run under a context. Cancellation is observed every
-// engine.SerialCancelStride nodes; a cancelled run returns the wrapped
-// ctx error with a structurally consistent, partially refactored
-// network and the Result marked Incomplete.
+// RunCtx is Run under a context, driven by the engine framework's Serial
+// skeleton (one sweep in topological order, immediate commits).
+// Cancellation is observed every engine.SerialCancelStride nodes; a
+// cancelled run returns the wrapped ctx error with a structurally
+// consistent, partially refactored network and the Result marked
+// Incomplete.
 func RunCtx(ctx context.Context, a *aig.AIG, cfg Config) (rewrite.Result, error) {
-	start := time.Now()
-	res := rewrite.Result{
-		Engine:       "refactor",
-		Threads:      1,
-		Passes:       1,
-		InitialAnds:  a.NumAnds(),
-		InitialDelay: a.Delay(),
-	}
-	r := &refactorer{a: a, cfg: cfg, delta: map[int32]int32{}}
-	var runErr error
-	for i, id := range a.TopoOrder(nil) {
-		if i%engine.SerialCancelStride == 0 && ctx.Err() != nil {
-			runErr = fmt.Errorf("refactor: %w", ctx.Err())
-			break
-		}
-		if !a.N(id).IsAnd() {
-			continue
-		}
-		switch r.tryNode(id) {
-		case committed:
-			res.Replacements++
-			res.Attempts++
-		case noGain:
-			res.Attempts++
-		}
-	}
-	res.FinalAnds = a.NumAnds()
-	res.FinalDelay = a.Delay()
-	res.Duration = time.Since(start)
-	res.Incomplete = runErr != nil
-	return res, runErr
+	return engine.RunFused(ctx, a, &serialPass{r: newRefactorer(a, cfg)},
+		engine.Plan{Name: "refactor", Partition: engine.Topo, Mode: engine.Serial}, engine.Exec{})
 }
 
-type outcome int
+// serialPass is refactoring as a fused pass: each node end to end.
+type serialPass struct {
+	r        *refactorer
+	attempts *atomic.Int64
+}
 
-const (
-	skipped outcome = iota
-	noGain
-	committed
-)
+func (p *serialPass) Begin(_ int, env engine.Env) { p.attempts = env.Attempts }
 
+func (p *serialPass) Fuse(_ int, id int32, _ engine.Locker) engine.Status {
+	if !p.r.a.N(id).IsAnd() {
+		return engine.StatusSkip
+	}
+	st := p.r.tryNode(id)
+	if st != engine.StatusSkip {
+		p.attempts.Add(1)
+	}
+	return st
+}
+
+// refactorer is one worker's state: the graph, and the scratch every
+// node's evaluation reuses — the window, the cover computation, the
+// complement of the cone function, the pool factored forms are built in
+// and the stack factoring splits covers on. It serves one goroutine.
 type refactorer struct {
-	a     *aig.AIG
-	cfg   Config
-	delta map[int32]int32
+	a       *aig.AIG
+	cfg     Config
+	win     *cone.Window
+	isop    bigtt.Scratch
+	neg     []uint64
+	exprs   []expr
+	cubes   []bigtt.Cube
+	cubeTop int
+	inst    instantiation
+}
+
+func newRefactorer(a *aig.AIG, cfg Config) *refactorer {
+	return &refactorer{a: a, cfg: cfg, win: cone.New(a)}
+}
+
+// candidate is a replacement worth committing: the window, the cone
+// function it was planned against, and the factored plan. The one
+// evaluate returns lives in the refactorer's scratch until its next call.
+type candidate struct {
+	leaves []int32
+	f      bigtt.TT
+	plan   plan
 }
 
 // tryNode refactors one cone root.
-func (r *refactorer) tryNode(root int32) outcome {
-	leaves, ok := r.reconvCut(root)
-	if !ok || len(leaves) < 3 {
-		return skipped
+func (r *refactorer) tryNode(root int32) engine.Status {
+	c, st := r.evaluate(root)
+	if c.leaves == nil {
+		return st
 	}
-	f, cone, ok := r.coneFunction(root, leaves)
-	if !ok {
-		return skipped
+	if !r.apply(root, c.leaves, c.plan) {
+		return engine.StatusSkip
 	}
-	// Savings: the cone nodes that die when root is replaced, respecting
-	// sharing (overlay dereference, like rewriting's evaluation).
-	saved := r.coneSavings(root, cone, leaves)
+	return engine.StatusCommitted
+}
 
-	// Factor both polarities and keep the cheaper plan.
-	plan := bestPlan(f)
-	if plan == nil {
-		return skipped
+// evaluate plans a replacement of root's cone on the current graph
+// without touching it. Without a candidate (nil leaves) the status says
+// why: StatusSkip when root has no usable window, StatusNoGain when the
+// cheaper polarity's factored form does not pay.
+func (r *refactorer) evaluate(root int32) (candidate, engine.Status) {
+	leaves, ok := r.win.Cut(root, r.cfg.maxLeaves())
+	if !ok || len(leaves) < 3 {
+		return candidate{}, engine.StatusSkip
 	}
-	out, nNew, ok := r.instantiate(plan, leaves, root, false)
+	f, ok := r.coneFunction(root, leaves)
 	if !ok {
-		return skipped
+		return candidate{}, engine.StatusSkip
 	}
-	if saved-nNew < r.cfg.minGain() {
-		return noGain
+	pl := r.bestPlan(f)
+	gain, ok := r.gain(root, leaves, pl)
+	if !ok {
+		return candidate{}, engine.StatusSkip
 	}
-	out, _, ok = r.instantiate(plan, leaves, root, true)
+	if gain < r.cfg.minGain() {
+		return candidate{}, engine.StatusNoGain
+	}
+	return candidate{leaves: leaves, f: f, plan: pl}, engine.StatusSkip
+}
+
+// coneFunction computes root's function over the leaves, giving up on a
+// cone of more than MaxConeSize+1 nodes (the simulation's own limit only
+// bounds the work spent on one).
+func (r *refactorer) coneFunction(root int32, leaves []int32) (bigtt.TT, bool) {
+	f, ok := r.win.Simulate(root, leaves, r.cfg.maxCone())
+	return f, ok && len(r.win.Cone()) <= r.cfg.maxCone()+1
+}
+
+// gain counts what replacing root by the plan saves on the current graph:
+// the cone nodes that die with root, respecting sharing, less the gates
+// structural hashing does not already hold.
+func (r *refactorer) gain(root int32, leaves []int32, pl plan) (int, bool) {
+	saved := r.win.MFFC(root, leaves)
+	_, nNew, ok := r.instantiate(pl, leaves, root, false)
+	return saved - nNew, ok
+}
+
+// apply builds the plan over the leaves and replaces root by it.
+func (r *refactorer) apply(root int32, leaves []int32, pl plan) bool {
+	out, _, ok := r.instantiate(pl, leaves, root, true)
 	if !ok || out.Node() == root {
-		return skipped
+		return false
 	}
 	r.a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: true})
-	return committed
-}
-
-// reconvCut grows a reconvergence-driven cut: starting from the node's
-// fanins, it repeatedly expands the leaf whose expansion adds the fewest
-// new leaves (preferring free, reconvergent expansions), while the leaf
-// budget holds.
-func (r *refactorer) reconvCut(root int32) ([]int32, bool) {
-	a := r.a
-	maxLeaves := r.cfg.maxLeaves()
-	inCut := map[int32]bool{}
-	var leaves []int32
-	n := a.N(root)
-	for _, f := range [2]aig.Lit{n.Fanin0(), n.Fanin1()} {
-		if !inCut[f.Node()] {
-			inCut[f.Node()] = true
-			leaves = append(leaves, f.Node())
-		}
-	}
-	for {
-		best := -1
-		bestCost := 3
-		for i, leaf := range leaves {
-			ln := a.N(leaf)
-			if !ln.IsAnd() {
-				continue
-			}
-			cost := 0
-			for _, f := range [2]aig.Lit{ln.Fanin0(), ln.Fanin1()} {
-				if !inCut[f.Node()] {
-					cost++
-				}
-			}
-			// Expanding replaces one leaf by cost new ones.
-			if len(leaves)-1+cost > maxLeaves {
-				continue
-			}
-			if cost < bestCost {
-				best, bestCost = i, cost
-			}
-		}
-		if best < 0 {
-			break
-		}
-		leaf := leaves[best]
-		leaves[best] = leaves[len(leaves)-1]
-		leaves = leaves[:len(leaves)-1]
-		ln := a.N(leaf)
-		for _, f := range [2]aig.Lit{ln.Fanin0(), ln.Fanin1()} {
-			if !inCut[f.Node()] {
-				inCut[f.Node()] = true
-				leaves = append(leaves, f.Node())
-			}
-		}
-	}
-	if len(leaves) > maxLeaves {
-		return nil, false
-	}
-	return leaves, true
-}
-
-// coneFunction computes the root's function over the leaves, returning
-// the cone's inner nodes.
-func (r *refactorer) coneFunction(root int32, leaves []int32) (bigtt.TT, []int32, bool) {
-	a := r.a
-	nvars := len(leaves)
-	pos := map[int32]int{}
-	for i, l := range leaves {
-		pos[l] = i
-	}
-	memo := map[int32]bigtt.TT{}
-	var cone []int32
-	var rec func(id int32) (bigtt.TT, bool)
-	rec = func(id int32) (bigtt.TT, bool) {
-		if i, isLeaf := pos[id]; isLeaf {
-			return bigtt.Var(nvars, i), true
-		}
-		if t, hit := memo[id]; hit {
-			return t, true
-		}
-		if len(cone) > r.cfg.maxCone() {
-			return bigtt.TT{}, false
-		}
-		n := a.N(id)
-		if !n.IsAnd() {
-			return bigtt.TT{}, false
-		}
-		cone = append(cone, id)
-		t0, ok := rec(n.Fanin0().Node())
-		if !ok {
-			return bigtt.TT{}, false
-		}
-		if n.Fanin0().Compl() {
-			t0 = t0.Not()
-		}
-		t1, ok := rec(n.Fanin1().Node())
-		if !ok {
-			return bigtt.TT{}, false
-		}
-		if n.Fanin1().Compl() {
-			t1 = t1.Not()
-		}
-		t := t0.And(t1)
-		memo[id] = t
-		return t, true
-	}
-	f, ok := rec(root)
-	return f, cone, ok
-}
-
-// coneSavings counts the cone nodes whose reference count reaches zero
-// when root is removed (a thread-local overlay dereference).
-func (r *refactorer) coneSavings(root int32, cone []int32, leaves []int32) int {
-	a := r.a
-	clear(r.delta)
-	isLeaf := map[int32]bool{}
-	for _, l := range leaves {
-		isLeaf[l] = true
-	}
-	var rec func(id int32) int
-	rec = func(id int32) int {
-		count := 1
-		n := a.N(id)
-		for _, f := range [2]aig.Lit{n.Fanin0(), n.Fanin1()} {
-			fid := f.Node()
-			fn := a.N(fid)
-			if !fn.IsAnd() || isLeaf[fid] {
-				continue
-			}
-			ref := fn.Ref() + r.delta[fid] - 1
-			r.delta[fid]--
-			if ref == 0 {
-				count += rec(fid)
-			}
-		}
-		return count
-	}
-	return rec(root)
+	return true
 }

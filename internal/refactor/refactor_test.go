@@ -61,94 +61,12 @@ func TestRefactorFindsWideRedundancy(t *testing.T) {
 	}
 }
 
-func TestReconvCutRespectsBudget(t *testing.T) {
-	a := bench.Multiplier(8)
-	r := &refactorer{a: a, cfg: Config{MaxLeaves: 6}, delta: map[int32]int32{}}
-	a.ForEachAnd(func(id int32) {
-		leaves, ok := r.reconvCut(id)
-		if !ok {
-			return
-		}
-		if len(leaves) > 6 {
-			t.Fatalf("cut of %d leaves under budget 6", len(leaves))
-		}
-	})
-}
-
-func TestConeFunctionMatchesSimulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a := bench.MemCtrl(1500, 5)
-	r := &refactorer{a: a, cfg: Config{}, delta: map[int32]int32{}}
-	sim := aig.NewSimulator(a)
-	pi := make([]uint64, a.NumPIs())
-	for i := range pi {
-		pi[i] = rng.Uint64()
-	}
-	sim.Run(pi)
-	vals := nodeValues(a, pi)
-	checked := 0
-	a.ForEachAnd(func(id int32) {
-		if checked >= 100 {
-			return
-		}
-		leaves, ok := r.reconvCut(id)
-		if !ok || len(leaves) < 3 {
-			return
-		}
-		f, _, ok := r.coneFunction(id, leaves)
-		if !ok {
-			return
-		}
-		checked++
-		for bit := uint(0); bit < 64; bit++ {
-			row := uint(0)
-			for li, leaf := range leaves {
-				row |= uint(vals[leaf]>>bit&1) << uint(li)
-			}
-			if f.Eval(row) != (vals[id]>>bit&1 == 1) {
-				t.Fatalf("node %d: cone function mismatch", id)
-			}
-		}
-	})
-	if checked == 0 {
-		t.Fatal("no cones checked")
-	}
-}
-
-// nodeValues mirrors the simulator for direct per-node inspection.
-func nodeValues(m *aig.AIG, pi []uint64) []uint64 {
-	vals := make([]uint64, m.Capacity())
-	for i, p := range m.PIs() {
-		vals[p] = pi[i]
-	}
-	for _, id := range m.TopoOrder(nil) {
-		n := m.N(id)
-		if !n.IsAnd() {
-			continue
-		}
-		v0 := vals[n.Fanin0().Node()]
-		if n.Fanin0().Compl() {
-			v0 = ^v0
-		}
-		v1 := vals[n.Fanin1().Node()]
-		if n.Fanin1().Compl() {
-			v1 = ^v1
-		}
-		vals[id] = v0 & v1
-	}
-	return vals
-}
-
 func TestFactorCoverRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 100; iter++ {
 		nv := 3 + rng.Intn(6)
 		f := randomTT(rng, nv)
-		p := bestPlan(f)
-		if p == nil {
-			continue
-		}
-		got := evalPlan(p, nv)
+		got := evalPlan(newRefactorer(nil, Config{}).bestPlan(f), nv)
 		if !got.Equal(f) {
 			t.Fatalf("nv=%d: factored plan computes wrong function", nv)
 		}
@@ -172,14 +90,15 @@ func randomTT(rng *rand.Rand, nvars int) bigtt.TT {
 }
 
 // evalPlan evaluates a factored plan with plain variables as leaves.
-func evalPlan(p *plan, nvars int) bigtt.TT {
-	var rec func(e *expr) bigtt.TT
-	rec = func(e *expr) bigtt.TT {
+func evalPlan(p plan, nvars int) bigtt.TT {
+	var rec func(at int32) bigtt.TT
+	rec = func(at int32) bigtt.TT {
+		e := p.nodes[at]
 		switch e.op {
 		case opConst:
 			return bigtt.Const(nvars, e.phase)
 		case opLeaf:
-			v := bigtt.Var(nvars, e.leaf)
+			v := bigtt.Var(nvars, int(e.leaf))
 			if e.phase {
 				return v.Not()
 			}
@@ -190,7 +109,7 @@ func evalPlan(p *plan, nvars int) bigtt.TT {
 			return rec(e.l).Or(rec(e.rr))
 		}
 	}
-	out := rec(p.tree)
+	out := rec(p.root)
 	if p.compl {
 		out = out.Not()
 	}

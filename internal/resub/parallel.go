@@ -2,6 +2,7 @@ package resub
 
 import (
 	"context"
+	"slices"
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bigtt"
@@ -44,7 +45,7 @@ func RunParallelCtx(ctx context.Context, a *aig.AIG, cfg Config, workers int) (r
 
 // resubPrep is one node's stored candidate plus everything commit-time
 // revalidation needs: the window and the function it was matched
-// against.
+// against, both copied out of the searching worker's scratch.
 type resubPrep struct {
 	cand    resubCand
 	rootVer uint32
@@ -59,6 +60,8 @@ type resubPass struct {
 	a   *aig.AIG
 	cfg Config
 
+	// states holds one resubber per worker slot; none is ever used by two
+	// goroutines.
 	states []*resubber
 	prep   []resubPrep
 }
@@ -68,7 +71,7 @@ var _ engine.Pass = (*resubPass)(nil)
 func (p *resubPass) Begin(slots int, _ engine.Env) {
 	p.states = make([]*resubber, slots)
 	for w := range p.states {
-		p.states[w] = &resubber{a: p.a, cfg: p.cfg, delta: map[int32]int32{}}
+		p.states[w] = newResubber(p.a, p.cfg)
 	}
 	p.prep = make([]resubPrep, p.a.Capacity())
 }
@@ -80,12 +83,10 @@ func (p *resubPass) Evaluate(worker int, id int32) bool {
 	if !p.a.N(id).IsAnd() {
 		return false
 	}
-	r := p.states[worker]
-	cand, leaves, f, _ := r.search(id)
-	if cand.kind == candNone {
-		return true
+	cand, leaves, f, _ := p.states[worker].search(id)
+	if cand.kind != candNone {
+		p.prep[id] = resubPrep{cand: cand, rootVer: p.a.N(id).Version(), leaves: slices.Clone(leaves), f: f.Clone()}
 	}
-	p.prep[id] = resubPrep{cand: cand, rootVer: p.a.N(id).Version(), leaves: leaves, f: f}
 	return true
 }
 
@@ -94,7 +95,7 @@ func (p *resubPass) Stored(id int32) bool { return p.prep[id].cand.kind != candN
 func (p *resubPass) Commit(worker int, id int32, _ engine.Locker) engine.Status {
 	c := &p.prep[id]
 	r := p.states[worker]
-	a := p.a
+	a, w := p.a, r.win
 	// Dynamic re-validation on the latest graph: the root must be
 	// untouched, the window leaves alive, the window function unchanged,
 	// the candidate's divisors still outside the (re-counted) MFFC, and
@@ -108,80 +109,37 @@ func (p *resubPass) Commit(worker int, id int32, _ engine.Locker) engine.Status 
 			return engine.StatusStale
 		}
 	}
-	f2, _, tts, ok := r.coneFunctions(id, c.leaves)
-	if !ok || !f2.Equal(c.f) {
+	f, ok := w.Simulate(id, c.leaves, maxCone)
+	if !ok || !f.Equal(c.f) {
 		return engine.StatusStale
 	}
-	mffc := r.mffcSet(id, c.leaves)
-	saved := len(mffc)
-	pos := map[int32]int{}
-	for i, l := range c.leaves {
-		pos[l] = i
+	// A copy adds no gate; an AND or XOR is charged one.
+	cost := 1
+	if c.cand.kind == candCopy {
+		cost = 0
 	}
-	divTT := func(d int32) (bigtt.TT, bool) {
-		if i, isLeaf := pos[d]; isLeaf {
-			return bigtt.Var(len(c.leaves), i), true
-		}
-		if t, inCone := tts[d]; inCone && !mffc[d] && d != id {
-			return t, true
-		}
-		return bigtt.TT{}, false
+	if w.MFFC(id, c.leaves)-cost < p.cfg.minGain() {
+		return engine.StatusNoGain
 	}
-	switch c.cand.kind {
-	case candCopy:
-		if saved < p.cfg.minGain() {
-			return engine.StatusNoGain
-		}
-		t, ok := divTT(c.cand.lit.Node())
-		if !ok {
-			return engine.StatusStale
-		}
-		if c.cand.lit.Compl() {
-			t = t.Not()
-		}
-		if !t.Equal(f2) {
-			return engine.StatusStale
-		}
-	case candGate:
-		if saved-1 < p.cfg.minGain() {
-			return engine.StatusNoGain
-		}
-		t1, ok1 := divTT(c.cand.l1.Node())
-		t2, ok2 := divTT(c.cand.l2.Node())
-		if !ok1 || !ok2 {
-			return engine.StatusStale
-		}
-		if c.cand.l1.Compl() {
-			t1 = t1.Not()
-		}
-		if c.cand.l2.Compl() {
-			t2 = t2.Not()
-		}
-		g := t1.And(t2)
-		if c.cand.compl {
-			g = g.Not()
-		}
-		if !g.Equal(f2) {
-			return engine.StatusStale
-		}
-	case candXor:
-		if saved-1 < p.cfg.minGain() {
-			return engine.StatusNoGain
-		}
-		t1, ok1 := divTT(c.cand.d1)
-		t2, ok2 := divTT(c.cand.d2)
-		if !ok1 || !ok2 {
-			return engine.StatusStale
-		}
-		x := t1.Xor(t2)
-		if c.cand.compl {
-			x = x.Not()
-		}
-		if !x.Equal(f2) {
-			return engine.StatusStale
-		}
+	// A divisor is a leaf or a cone node that survives the substitution.
+	t1, ok1 := w.TableOf(c.cand.l1.Node())
+	if !ok1 || w.InMFFC(c.cand.l1.Node()) {
+		return engine.StatusStale
 	}
-	if r.apply(id, c.cand) == committed {
+	var holds bool
+	if c.cand.kind != candCopy {
+		t2, ok2 := w.TableOf(c.cand.l2.Node())
+		holds = ok2 && !w.InMFFC(c.cand.l2.Node()) &&
+			matching(t1.Words(), t2.Words(), f.Words(), bigtt.WordMask(len(c.leaves)), 1<<c.cand.form()) != 0
+	} else if c.cand.l1.Compl() {
+		holds = t1.EqualNot(f)
+	} else {
+		holds = t1.Equal(f)
+	}
+	if !holds {
+		return engine.StatusStale
+	}
+	if r.apply(id, c.cand) == engine.StatusCommitted {
 		return engine.StatusCommitted
 	}
 	return engine.StatusNoGain

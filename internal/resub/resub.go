@@ -9,11 +9,12 @@ package resub
 
 import (
 	"context"
-	"fmt"
-	"time"
+	"math/bits"
+	"sync/atomic"
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bigtt"
+	"dacpara/internal/cone"
 	"dacpara/internal/engine"
 	"dacpara/internal/metrics"
 	"dacpara/internal/rewrite"
@@ -63,73 +64,69 @@ func Run(a *aig.AIG, cfg Config) rewrite.Result {
 	return res
 }
 
-// RunCtx is Run under a context. Cancellation is observed every
-// engine.SerialCancelStride nodes; a cancelled run returns the wrapped
-// ctx error with a structurally consistent, partially resubstituted
-// network and the Result marked Incomplete.
+// RunCtx is Run under a context, driven by the engine framework's Serial
+// skeleton (one sweep in topological order, immediate commits).
+// Cancellation is observed every engine.SerialCancelStride nodes; a
+// cancelled run returns the wrapped ctx error with a structurally
+// consistent, partially resubstituted network and the Result marked
+// Incomplete.
 func RunCtx(ctx context.Context, a *aig.AIG, cfg Config) (rewrite.Result, error) {
-	start := time.Now()
-	res := rewrite.Result{
-		Engine:       "resub",
-		Threads:      1,
-		Passes:       1,
-		InitialAnds:  a.NumAnds(),
-		InitialDelay: a.Delay(),
-	}
-	r := &resubber{a: a, cfg: cfg, delta: map[int32]int32{}}
-	var runErr error
-	for i, id := range a.TopoOrder(nil) {
-		if i%engine.SerialCancelStride == 0 && ctx.Err() != nil {
-			runErr = fmt.Errorf("resub: %w", ctx.Err())
-			break
-		}
-		if !a.N(id).IsAnd() {
-			continue
-		}
-		switch r.tryNode(id) {
-		case committed:
-			res.Replacements++
-			res.Attempts++
-		case noGain:
-			res.Attempts++
-		}
-	}
-	res.FinalAnds = a.NumAnds()
-	res.FinalDelay = a.Delay()
-	res.Duration = time.Since(start)
-	res.Incomplete = runErr != nil
-	return res, runErr
+	return engine.RunFused(ctx, a, &serialPass{r: newResubber(a, cfg)},
+		engine.Plan{Name: "resub", Partition: engine.Topo, Mode: engine.Serial}, engine.Exec{})
 }
 
-type outcome int
+// serialPass is resubstitution as a fused pass: each node end to end.
+type serialPass struct {
+	r        *resubber
+	attempts *atomic.Int64
+}
 
-const (
-	skipped outcome = iota
-	noGain
-	committed
-)
+func (p *serialPass) Begin(_ int, env engine.Env) { p.attempts = env.Attempts }
 
+func (p *serialPass) Fuse(_ int, id int32, _ engine.Locker) engine.Status {
+	if !p.r.a.N(id).IsAnd() {
+		return engine.StatusSkip
+	}
+	st := p.r.tryNode(id)
+	if st != engine.StatusSkip {
+		p.attempts.Add(1)
+	}
+	return st
+}
+
+// resubber is one worker's state: the graph, its window scratch and the
+// divisor list of the node under search. It serves one goroutine.
 type resubber struct {
-	a     *aig.AIG
-	cfg   Config
-	delta map[int32]int32
+	a    *aig.AIG
+	cfg  Config
+	win  *cone.Window
+	divs []divisor
 }
 
+func newResubber(a *aig.AIG, cfg Config) *resubber {
+	return &resubber{a: a, cfg: cfg, win: cone.New(a)}
+}
+
+// divisor is a window node that survives the substitution, with its
+// table in the window.
 type divisor struct {
 	id int32
 	tt bigtt.TT
 }
+
+// maxCone bounds the window cone a search simulates.
+const maxCone = 300
 
 // candKind tags a stored substitution candidate.
 type candKind int
 
 const (
 	candNone candKind = iota
-	// candCopy: root equals an existing divisor literal (0-resub).
+	// candCopy: root equals the divisor literal l1 (0-resub).
 	candCopy
-	// candGate: root is one AND of two divisor literals (1-resub).
+	// candGate: root is one AND of the divisor literals l1, l2 (1-resub).
 	candGate
-	// candXor: root is an XOR of two divisors.
+	// candXor: root is an XOR of the divisors under l1 and l2.
 	candXor
 )
 
@@ -137,13 +134,73 @@ const (
 // data, so the parallel engine can store it and re-validate later.
 type resubCand struct {
 	kind   candKind
-	lit    aig.Lit // candCopy
-	l1, l2 aig.Lit // candGate
-	d1, d2 int32   // candXor
-	compl  bool    // candGate / candXor output complement
+	l1, l2 aig.Lit
+	compl  bool // candGate / candXor output complement
 }
 
-func (r *resubber) tryNode(root int32) outcome {
+// The functions of two divisors a search tries are the bits of a form
+// mask, in the order it prefers them: for each input phase pair p (bit 0
+// complements the first divisor, bit 1 the second) the AND at bit 2p and
+// the NAND at bit 2p+1, then the XOR at bit 8 and the XNOR at bit 9 (an
+// XOR absorbs input complements, so it has no phase sweep).
+const (
+	xorForm  = 8
+	allForms = 1<<10 - 1
+)
+
+// form returns the bit of a two-divisor candidate in a form mask.
+func (c resubCand) form() uint {
+	if c.kind == candXor {
+		return xorForm + b2u(c.compl)
+	}
+	return 2*(b2u(c.l1.Compl())|b2u(c.l2.Compl())<<1) + b2u(c.compl)
+}
+
+func b2u(b bool) uint {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// formCand is form's inverse over divisors d1 and d2.
+func formCand(form uint, d1, d2 int32) resubCand {
+	if form >= xorForm {
+		return resubCand{kind: candXor, l1: aig.MakeLit(d1, false), l2: aig.MakeLit(d2, false), compl: form&1 == 1}
+	}
+	return resubCand{kind: candGate, l1: aig.MakeLit(d1, form>>1&1 == 1), l2: aig.MakeLit(d2, form>>2&1 == 1), compl: form&1 == 1}
+}
+
+// matching returns the forms of want that, over the divisor tables a and
+// b, equal f. It compares word by word and stops when no form is left;
+// full is the tables' word mask.
+func matching(a, b, f []uint64, full uint64, want uint) uint {
+	for i, fw := range f {
+		x, y := a[i], b[i]
+		nx, ny := x^full, y^full
+		var eq uint
+		for p, g := range [4]uint64{x & y, nx & y, x & ny, nx & ny} {
+			if g == fw {
+				eq |= 1 << (2 * p)
+			}
+			if g^fw == full {
+				eq |= 2 << (2 * p)
+			}
+		}
+		if x^y == fw {
+			eq |= 1 << xorForm
+		}
+		if x^y^fw == full {
+			eq |= 2 << xorForm
+		}
+		if want &= eq; want == 0 {
+			break
+		}
+	}
+	return want
+}
+
+func (r *resubber) tryNode(root int32) engine.Status {
 	cand, _, _, out := r.search(root)
 	if cand.kind == candNone {
 		return out
@@ -154,36 +211,37 @@ func (r *resubber) tryNode(root int32) outcome {
 }
 
 // search finds the first applicable substitution for root without
-// touching the graph. When no candidate exists, the returned outcome is
-// skipped (no usable window) or noGain (searched, nothing found); the
-// leaves and window function are returned for commit-time revalidation.
-func (r *resubber) search(root int32) (resubCand, []int32, bigtt.TT, outcome) {
+// touching the graph. When no candidate exists, the returned status is
+// StatusSkip (no usable window) or StatusNoGain (searched, nothing
+// found); the leaves and window function are returned for commit-time
+// revalidation and live in the window until its next use.
+func (r *resubber) search(root int32) (resubCand, []int32, bigtt.TT, engine.Status) {
 	none := resubCand{}
-	leaves, ok := r.reconvCut(root)
+	w := r.win
+	leaves, ok := w.Cut(root, r.cfg.maxLeaves())
 	if !ok || len(leaves) < 2 {
-		return none, nil, bigtt.TT{}, skipped
+		return none, nil, bigtt.TT{}, engine.StatusSkip
 	}
 	// Window functions: the root's cone over the leaves, tracking each
 	// inner node's table.
-	fRoot, cone, tts, ok := r.coneFunctions(root, leaves)
+	fRoot, ok := w.Simulate(root, leaves, maxCone)
 	if !ok {
-		return none, nil, bigtt.TT{}, skipped
+		return none, nil, bigtt.TT{}, engine.StatusSkip
 	}
 	// The MFFC of root dies on substitution; divisors must survive, so
 	// exclude it.
-	mffc := r.mffcSet(root, leaves)
-	saved := len(mffc)
+	saved := w.MFFC(root, leaves)
 
-	divs := make([]divisor, 0, r.cfg.maxDivisors())
+	r.divs = r.divs[:0]
 	for i, l := range leaves {
-		divs = append(divs, divisor{id: l, tt: bigtt.Var(len(leaves), i)})
+		r.divs = append(r.divs, divisor{id: l, tt: w.Table(i)})
 	}
-	for _, id := range cone {
-		if id == root || mffc[id] {
+	for i, id := range w.Cone() {
+		if w.InMFFC(id) {
 			continue
 		}
-		divs = append(divs, divisor{id: id, tt: tts[id]})
-		if len(divs) >= r.cfg.maxDivisors() {
+		r.divs = append(r.divs, divisor{id: id, tt: w.Table(len(leaves) + i)})
+		if len(r.divs) >= r.cfg.maxDivisors() {
 			break
 		}
 	}
@@ -191,96 +249,73 @@ func (r *resubber) search(root int32) (resubCand, []int32, bigtt.TT, outcome) {
 	minGain := r.cfg.minGain()
 
 	// 0-resub: the root equals an existing divisor (or its complement).
-	for _, d := range divs {
-		if saved < minGain {
-			break
-		}
-		if d.tt.Equal(fRoot) {
-			return resubCand{kind: candCopy, lit: aig.MakeLit(d.id, false)}, leaves, fRoot, skipped
-		}
-		if d.tt.Not().Equal(fRoot) {
-			return resubCand{kind: candCopy, lit: aig.MakeLit(d.id, true)}, leaves, fRoot, skipped
+	if saved >= minGain {
+		for _, d := range r.divs {
+			if d.tt.Equal(fRoot) {
+				return resubCand{kind: candCopy, l1: aig.MakeLit(d.id, false)}, leaves, fRoot, engine.StatusSkip
+			}
+			if d.tt.EqualNot(fRoot) {
+				return resubCand{kind: candCopy, l1: aig.MakeLit(d.id, true)}, leaves, fRoot, engine.StatusSkip
+			}
 		}
 	}
 
 	// 1-resub: root = g(d1, d2) for a single fresh gate; costs 1 node,
 	// needs saved >= 2 for positive gain (or >= 1 for zero-gain).
 	if saved-1 < minGain {
-		return none, leaves, fRoot, noGain
+		return none, leaves, fRoot, engine.StatusNoGain
 	}
-	for i := 0; i < len(divs); i++ {
-		for j := i + 1; j < len(divs); j++ {
-			d1, d2 := &divs[i], &divs[j]
-			for p := 0; p < 4; p++ {
-				t1, t2 := d1.tt, d2.tt
-				if p&1 == 1 {
-					t1 = t1.Not()
-				}
-				if p&2 == 2 {
-					t2 = t2.Not()
-				}
-				l1 := aig.MakeLit(d1.id, p&1 == 1)
-				l2 := aig.MakeLit(d2.id, p&2 == 2)
-				switch {
-				case t1.And(t2).Equal(fRoot):
-					return resubCand{kind: candGate, l1: l1, l2: l2}, leaves, fRoot, skipped
-				case t1.And(t2).Not().Equal(fRoot):
-					return resubCand{kind: candGate, l1: l1, l2: l2, compl: true}, leaves, fRoot, skipped
-				}
-			}
-			// XOR needs no phase sweep (xor absorbs input complements).
-			x := d1.tt.Xor(d2.tt)
-			if x.Equal(fRoot) {
-				return resubCand{kind: candXor, d1: d1.id, d2: d2.id}, leaves, fRoot, skipped
-			}
-			if x.Not().Equal(fRoot) {
-				return resubCand{kind: candXor, d1: d1.id, d2: d2.id, compl: true}, leaves, fRoot, skipped
+	f, full := fRoot.Words(), bigtt.WordMask(len(leaves))
+	for i, d1 := range r.divs {
+		for _, d2 := range r.divs[i+1:] {
+			if m := matching(d1.tt.Words(), d2.tt.Words(), f, full, allForms); m != 0 {
+				return formCand(uint(bits.TrailingZeros(m)), d1.id, d2.id), leaves, fRoot, engine.StatusSkip
 			}
 		}
 	}
-	return none, leaves, fRoot, noGain
+	return none, leaves, fRoot, engine.StatusNoGain
 }
 
 // apply commits a found candidate to the graph, re-running the
 // structural guards (root reuse, hash-lookup no-ops, XOR cost check).
-func (r *resubber) apply(root int32, c resubCand) outcome {
+func (r *resubber) apply(root int32, c resubCand) engine.Status {
 	switch c.kind {
 	case candCopy:
-		return r.commit(root, c.lit)
+		return r.commit(root, c.l1)
 	case candGate:
 		return r.commitGate(root, c.l1, c.l2, c.compl)
 	case candXor:
-		return r.commitXor(root, c.d1, c.d2, c.compl)
+		return r.commitXor(root, c.l1.Node(), c.l2.Node(), c.compl)
 	}
-	return skipped
+	return engine.StatusSkip
 }
 
 // commit replaces root by an existing literal.
-func (r *resubber) commit(root int32, l aig.Lit) outcome {
+func (r *resubber) commit(root int32, l aig.Lit) engine.Status {
 	if l.Node() == root {
-		return skipped
+		return engine.StatusSkip
 	}
 	r.a.Replace(root, l, aig.ReplaceOptions{CascadeMerge: true})
-	return committed
+	return engine.StatusCommitted
 }
 
 // commitGate replaces root by a fresh (or shared) AND gate over two
 // divisors.
-func (r *resubber) commitGate(root int32, l1, l2 aig.Lit, compl bool) outcome {
+func (r *resubber) commitGate(root int32, l1, l2 aig.Lit, compl bool) engine.Status {
 	if l1.Node() == root || l2.Node() == root {
-		return skipped
+		return engine.StatusSkip
 	}
 	// A structural lookup may resolve to the root itself (same fanin
 	// pair); reject that no-op.
 	if g, ok := r.a.Lookup(l1, l2); ok && g.Node() == root {
-		return skipped
+		return engine.StatusSkip
 	}
 	out := r.a.And(l1, l2).XorCompl(compl)
 	if out.Node() == root {
-		return skipped
+		return engine.StatusSkip
 	}
 	r.a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: true})
-	return committed
+	return engine.StatusCommitted
 }
 
 // commitXor replaces root by an XOR of two divisors (three gates, so it
@@ -289,192 +324,33 @@ func (r *resubber) commitGate(root int32, l1, l2 aig.Lit, compl bool) outcome {
 // MFFC). All three gate pairs are pre-checked against the structural
 // hash BEFORE building, so the root is never reused as an intermediate
 // (cycle) and a bail-out never leaves dangling gates behind.
-func (r *resubber) commitXor(root int32, d1, d2 int32, compl bool) outcome {
+func (r *resubber) commitXor(root int32, d1, d2 int32, compl bool) engine.Status {
 	if d1 == root || d2 == root {
-		return skipped
+		return engine.StatusSkip
 	}
-	if r.mffcSizeQuick(root) < 4 { // 3 fresh gates + headroom
-		return noGain
+	if r.win.MFFC(root, nil) < 4 { // root's whole MFFC: 3 fresh gates + headroom
+		return engine.StatusNoGain
 	}
 	a := r.a
 	la := aig.MakeLit(d1, false)
 	lb := aig.MakeLit(d2, false)
 	e1, ok1 := a.Lookup(la, lb.Not())
 	if ok1 && e1.Node() == root {
-		return skipped
+		return engine.StatusSkip
 	}
 	e2, ok2 := a.Lookup(la.Not(), lb)
 	if ok2 && e2.Node() == root {
-		return skipped
+		return engine.StatusSkip
 	}
 	if ok1 && ok2 {
 		if e3, ok3 := a.Lookup(e1.Not(), e2.Not()); ok3 && e3.Node() == root {
-			return skipped
+			return engine.StatusSkip
 		}
 	}
 	out := a.Xor(la, lb).XorCompl(compl)
 	if out.Node() == root {
-		return skipped
+		return engine.StatusSkip
 	}
 	a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: true})
-	return committed
-}
-
-// reconvCut mirrors the refactoring cut growth, bounded by MaxLeaves.
-func (r *resubber) reconvCut(root int32) ([]int32, bool) {
-	a := r.a
-	maxLeaves := r.cfg.maxLeaves()
-	inCut := map[int32]bool{}
-	var leaves []int32
-	n := a.N(root)
-	for _, f := range [2]aig.Lit{n.Fanin0(), n.Fanin1()} {
-		if !inCut[f.Node()] {
-			inCut[f.Node()] = true
-			leaves = append(leaves, f.Node())
-		}
-	}
-	for {
-		best, bestCost := -1, 3
-		for i, leaf := range leaves {
-			ln := a.N(leaf)
-			if !ln.IsAnd() {
-				continue
-			}
-			cost := 0
-			for _, f := range [2]aig.Lit{ln.Fanin0(), ln.Fanin1()} {
-				if !inCut[f.Node()] {
-					cost++
-				}
-			}
-			if len(leaves)-1+cost > maxLeaves {
-				continue
-			}
-			if cost < bestCost {
-				best, bestCost = i, cost
-			}
-		}
-		if best < 0 {
-			break
-		}
-		leaf := leaves[best]
-		leaves[best] = leaves[len(leaves)-1]
-		leaves = leaves[:len(leaves)-1]
-		ln := a.N(leaf)
-		for _, f := range [2]aig.Lit{ln.Fanin0(), ln.Fanin1()} {
-			if !inCut[f.Node()] {
-				inCut[f.Node()] = true
-				leaves = append(leaves, f.Node())
-			}
-		}
-	}
-	if len(leaves) > maxLeaves {
-		return nil, false
-	}
-	return leaves, true
-}
-
-// coneFunctions computes the root's function and each cone node's table
-// over the leaves.
-func (r *resubber) coneFunctions(root int32, leaves []int32) (bigtt.TT, []int32, map[int32]bigtt.TT, bool) {
-	a := r.a
-	nvars := len(leaves)
-	pos := map[int32]int{}
-	for i, l := range leaves {
-		pos[l] = i
-	}
-	tts := map[int32]bigtt.TT{}
-	var cone []int32
-	var rec func(id int32) (bigtt.TT, bool)
-	rec = func(id int32) (bigtt.TT, bool) {
-		if i, ok := pos[id]; ok {
-			return bigtt.Var(nvars, i), true
-		}
-		if t, ok := tts[id]; ok {
-			return t, true
-		}
-		if len(cone) > 300 {
-			return bigtt.TT{}, false
-		}
-		n := a.N(id)
-		if !n.IsAnd() {
-			return bigtt.TT{}, false
-		}
-		t0, ok := rec(n.Fanin0().Node())
-		if !ok {
-			return bigtt.TT{}, false
-		}
-		if n.Fanin0().Compl() {
-			t0 = t0.Not()
-		}
-		t1, ok := rec(n.Fanin1().Node())
-		if !ok {
-			return bigtt.TT{}, false
-		}
-		if n.Fanin1().Compl() {
-			t1 = t1.Not()
-		}
-		t := t0.And(t1)
-		tts[id] = t
-		cone = append(cone, id)
-		return t, true
-	}
-	f, ok := rec(root)
-	return f, cone, tts, ok
-}
-
-// mffcSet computes the nodes that die when root is removed, bounded to
-// the window (overlay dereference).
-func (r *resubber) mffcSet(root int32, leaves []int32) map[int32]bool {
-	a := r.a
-	clear(r.delta)
-	isLeaf := map[int32]bool{}
-	for _, l := range leaves {
-		isLeaf[l] = true
-	}
-	set := map[int32]bool{root: true}
-	var rec func(id int32)
-	rec = func(id int32) {
-		n := a.N(id)
-		for _, f := range [2]aig.Lit{n.Fanin0(), n.Fanin1()} {
-			fid := f.Node()
-			fn := a.N(fid)
-			if !fn.IsAnd() || isLeaf[fid] {
-				continue
-			}
-			ref := fn.Ref() + r.delta[fid] - 1
-			r.delta[fid]--
-			if ref == 0 {
-				set[fid] = true
-				rec(fid)
-			}
-		}
-	}
-	rec(root)
-	return set
-}
-
-// mffcSizeQuick estimates the full MFFC size of root (unbounded by the
-// window) for the XOR cost check.
-func (r *resubber) mffcSizeQuick(root int32) int {
-	a := r.a
-	clear(r.delta)
-	var rec func(id int32) int
-	rec = func(id int32) int {
-		count := 1
-		n := a.N(id)
-		for _, f := range [2]aig.Lit{n.Fanin0(), n.Fanin1()} {
-			fid := f.Node()
-			fn := a.N(fid)
-			if !fn.IsAnd() {
-				continue
-			}
-			ref := fn.Ref() + r.delta[fid] - 1
-			r.delta[fid]--
-			if ref == 0 {
-				count += rec(fid)
-			}
-		}
-		return count
-	}
-	return rec(root)
+	return engine.StatusCommitted
 }

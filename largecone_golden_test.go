@@ -32,28 +32,14 @@ type goldenLargeConeEntry struct {
 }
 
 // largeConeCircuits are the six circuits of the benchmark's
-// flow_verified workload (same generators, sizes and content seeds as
-// benchmark/gen.go) plus a multiplier.
-var largeConeCircuits = []struct {
-	name string
-	gen  func() *aig.AIG
-}{
-	{"sin6", func() *aig.AIG { return bench.Sin(6) }},
-	{"voter31", func() *aig.AIG { return bench.Voter(31) }},
-	{"sqrt16", func() *aig.AIG { return bench.Sqrt(16) }},
-	{"log2_7_3", func() *aig.AIG { return bench.Log2(7, 3) }},
-	{"mem_ctrl1500", func() *aig.AIG { return bench.MemCtrl(1500, benchmarkFixedSeed(0)) }},
-	{"mtm1500", func() *aig.AIG { return bench.MtM("m", 1500, benchmarkFixedSeed(1)) }},
-	{"mult10", func() *aig.AIG { return bench.Multiplier(10) }},
-}
-
-// benchmarkFixedSeed is benchmark/gen.go's fixedSeed: the content seed of
-// the i-th fixed circuit of a workload (splitmix64 of 0x0DAC + i).
-func benchmarkFixedSeed(i int) int64 {
-	z := uint64(0x0DAC) + uint64(i+1)*0x9E3779B97F4A7C15
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return int64((z ^ z>>31) >> 1)
+// flow_verified workload plus a multiplier, under the names of the golden
+// rows.
+func largeConeCircuits() []*aig.AIG {
+	set := append(bench.FlowVerified(), bench.Multiplier(10))
+	for i, name := range []string{"sin6", "voter31", "sqrt16", "log2_7_3", "mem_ctrl1500", "mtm1500", "mult10"} {
+		set[i].Name = name
+	}
+	return set
 }
 
 // largeConeFlow is the benchmark's flow_verified script.
@@ -82,6 +68,7 @@ func TestGoldenLargeCone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	circuits := largeConeCircuits()
 	var golden []goldenLargeConeEntry
 	if !*updateLargeCone {
 		data, err := os.ReadFile(goldenLargeConePath)
@@ -91,14 +78,14 @@ func TestGoldenLargeCone(t *testing.T) {
 		if err := json.Unmarshal(data, &golden); err != nil {
 			t.Fatal(err)
 		}
-		if want := len(largeConeCircuits) * len(largeConeCases); len(golden) != want {
+		if want := len(circuits) * len(largeConeCases); len(golden) != want {
 			t.Fatalf("%d golden rows, want %d", len(golden), want)
 		}
 	}
 	var recorded []goldenLargeConeEntry
-	for ci, c := range largeConeCircuits {
+	for ci, c := range circuits {
 		var blob bytes.Buffer
-		if err := c.gen().WriteBinary(&blob); err != nil {
+		if err := c.WriteBinary(&blob); err != nil {
 			t.Fatal(err)
 		}
 		for ki, k := range largeConeCases {
@@ -116,7 +103,7 @@ func TestGoldenLargeCone(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := goldenLargeConeEntry{
-					Circuit: c.name, Script: k.script, Workers: k.workers,
+					Circuit: c.Name, Script: k.script, Workers: k.workers,
 					Digest: aig.StructuralDigest(out), Ands: out.NumAnds(),
 				}
 				if *updateLargeCone {
@@ -127,7 +114,7 @@ func TestGoldenLargeCone(t *testing.T) {
 				}
 				if want := golden[ci*len(largeConeCases)+ki]; got != want {
 					t.Errorf("%s %q w%d run %d: %s (%d ANDs), golden %s (%d ANDs) for %s %q w%d",
-						c.name, k.script, k.workers, run, got.Digest, got.Ands,
+						c.Name, k.script, k.workers, run, got.Digest, got.Ands,
 						want.Digest, want.Ands, want.Circuit, want.Script, want.Workers)
 				}
 			}

@@ -606,6 +606,13 @@ func parallelFor(workers int, items []int32, fn func(worker int, id int32)) {
 	if workers > len(items) {
 		workers = len(items)
 	}
+	if workers == 1 {
+		// Nothing to fork: stay on the caller's goroutine.
+		for _, id := range items {
+			fn(0, id)
+		}
+		return
+	}
 	var wg sync.WaitGroup
 	chunk := (len(items) + workers - 1) / workers
 	for w := 0; w < workers; w++ {

@@ -170,7 +170,14 @@ func TestStallAndLockHoldInjection(t *testing.T) {
 }
 
 func TestOperatorPanicBecomesError(t *testing.T) {
-	ex := NewExecutor(11, 4)
+	// One worker runs on the caller's goroutine; its panic is caught too.
+	for _, workers := range []int{1, 4} {
+		operatorPanicBecomesError(t, workers)
+	}
+}
+
+func operatorPanicBecomesError(t *testing.T, workers int) {
+	ex := NewExecutor(11, workers)
 	err := ex.Run(sequentialItems(10), func(ctx *Ctx, item int32) error {
 		if !ctx.Acquire(item) {
 			return ErrConflict

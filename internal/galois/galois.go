@@ -264,7 +264,6 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 	}
 	var next atomic.Int64
 	var firstErr atomic.Pointer[error]
-	var wg sync.WaitGroup
 	const chunk = 32
 	// cancelled polls the context without blocking; on cancellation it
 	// records ctx.Err() as the run error so every worker stops at its next
@@ -283,26 +282,67 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 			return false
 		}
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tag int32) {
-			defer wg.Done()
-			inj := e.Fault.injectorFor(tag)
-			ctx := &Ctx{owner: tag, table: e.Table, stats: &e.Stats, inj: inj}
-			// A panicking operator must not take the process down: release
-			// the activity's locks so other workers are not stranded, and
-			// surface the panic as the run's error.
-			defer func() {
-				if p := recover(); p != nil {
-					ctx.releaseAll()
-					var err error = &PanicError{Value: p, Stack: debug.Stack()}
-					firstErr.CompareAndSwap(nil, &err)
-				}
-			}()
-			var retry []int32
-			process := func(item int32) {
+	work := func(tag int32) {
+		inj := e.Fault.injectorFor(tag)
+		ctx := &Ctx{owner: tag, table: e.Table, stats: &e.Stats, inj: inj}
+		// A panicking operator must not take the process down: release
+		// the activity's locks so other workers are not stranded, and
+		// surface the panic as the run's error.
+		defer func() {
+			if p := recover(); p != nil {
+				ctx.releaseAll()
+				var err error = &PanicError{Value: p, Stack: debug.Stack()}
+				firstErr.CompareAndSwap(nil, &err)
+			}
+		}()
+		var retry []int32
+		process := func(item int32) {
+			if inj != nil {
+				inj.preItem()
+				inj.beginActivity()
+			}
+			t0 := time.Now()
+			err := op(ctx, item)
+			if inj != nil {
+				inj.preRelease(len(ctx.held) > 0)
+			}
+			ctx.releaseAll()
+			elapsed := time.Since(t0).Nanoseconds()
+			switch err {
+			case nil:
+				e.Stats.Commits.Add(1)
+				e.Stats.CommittedNs.Add(elapsed)
+			case ErrConflict:
+				e.Stats.Aborts.Add(1)
+				e.Stats.WastedNs.Add(elapsed)
+				retry = append(retry, item)
+			default:
+				p := err
+				firstErr.CompareAndSwap(nil, &p)
+			}
+		}
+		for firstErr.Load() == nil && !cancelled() {
+			start := next.Add(chunk) - chunk
+			if start >= int64(len(items)) {
+				break
+			}
+			end := start + chunk
+			if end > int64(len(items)) {
+				end = int64(len(items))
+			}
+			for _, item := range items[start:end] {
+				process(item)
+			}
+		}
+		// Drain this worker's conflicted items: retry with yields and
+		// bounded exponential backoff until each commits (the holders
+		// always release their locks) or the budget runs out.
+		for _, item := range retry {
+			if firstErr.Load() != nil || cancelled() {
+				return
+			}
+			for r := 1; ; r++ {
 				if inj != nil {
-					inj.preItem()
 					inj.beginActivity()
 				}
 				t0 := time.Now()
@@ -312,77 +352,47 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 				}
 				ctx.releaseAll()
 				elapsed := time.Since(t0).Nanoseconds()
-				switch err {
-				case nil:
+				if err == nil {
 					e.Stats.Commits.Add(1)
 					e.Stats.CommittedNs.Add(elapsed)
-				case ErrConflict:
-					e.Stats.Aborts.Add(1)
-					e.Stats.WastedNs.Add(elapsed)
-					retry = append(retry, item)
-				default:
-					p := err
-					firstErr.CompareAndSwap(nil, &p)
-				}
-			}
-			for firstErr.Load() == nil && !cancelled() {
-				start := next.Add(chunk) - chunk
-				if start >= int64(len(items)) {
 					break
 				}
-				end := start + chunk
-				if end > int64(len(items)) {
-					end = int64(len(items))
+				if err != ErrConflict {
+					p := err
+					firstErr.CompareAndSwap(nil, &p)
+					break
 				}
-				for _, item := range items[start:end] {
-					process(item)
+				e.Stats.Aborts.Add(1)
+				e.Stats.WastedNs.Add(elapsed)
+				if r >= budget {
+					var p error = &RetryBudgetError{Item: item, Retries: r}
+					firstErr.CompareAndSwap(nil, &p)
+					break
 				}
-			}
-			// Drain this worker's conflicted items: retry with yields and
-			// bounded exponential backoff until each commits (the holders
-			// always release their locks) or the budget runs out.
-			for _, item := range retry {
-				if firstErr.Load() != nil || cancelled() {
+				if cancelled() {
 					return
 				}
-				for r := 1; ; r++ {
-					if inj != nil {
-						inj.beginActivity()
-					}
-					t0 := time.Now()
-					err := op(ctx, item)
-					if inj != nil {
-						inj.preRelease(len(ctx.held) > 0)
-					}
-					ctx.releaseAll()
-					elapsed := time.Since(t0).Nanoseconds()
-					if err == nil {
-						e.Stats.Commits.Add(1)
-						e.Stats.CommittedNs.Add(elapsed)
-						break
-					}
-					if err != ErrConflict {
-						p := err
-						firstErr.CompareAndSwap(nil, &p)
-						break
-					}
-					e.Stats.Aborts.Add(1)
-					e.Stats.WastedNs.Add(elapsed)
-					if r >= budget {
-						var p error = &RetryBudgetError{Item: item, Retries: r}
-						firstErr.CompareAndSwap(nil, &p)
-						break
-					}
-					if cancelled() {
-						return
-					}
-					runtime.Gosched()
-					backoff(r)
-				}
+				runtime.Gosched()
+				backoff(r)
 			}
-		}(int32(w + 1))
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		// One worker runs on the caller's goroutine: nothing to fork, no
+		// idle processor to wake, and a one-worker run costs the same
+		// whatever the scheduler does.
+		work(1)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(tag int32) {
+				defer wg.Done()
+				work(tag)
+			}(int32(w + 1))
+		}
+		wg.Wait()
+	}
 	if p := firstErr.Load(); p != nil {
 		return *p
 	}

@@ -1,6 +1,7 @@
 package galois
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -189,5 +190,23 @@ func TestEmptyRun(t *testing.T) {
 	ex := NewExecutor(10, 4)
 	if err := ex.Run(nil, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A one-worker run stays on the caller's goroutine: it forks nothing, so
+// its cost does not depend on whether an idle processor wakes in time.
+func TestSingleWorkerRunsOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ex := NewExecutor(8, 1)
+	seen := 0
+	err := ex.Run([]int32{1, 2, 3, 4}, func(*Ctx, int32) error {
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("operator sees %d goroutines, the caller had %d", n, before)
+		}
+		seen++
+		return nil
+	})
+	if err != nil || seen != 4 {
+		t.Fatalf("err=%v, processed %d of 4", err, seen)
 	}
 }

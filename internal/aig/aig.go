@@ -246,10 +246,10 @@ func normalize(f0, f1 Lit) (Lit, Lit) {
 	return f0, f1
 }
 
-// simplifyAnd applies the constant and sharing rules of AND construction.
+// SimplifyAnd applies the constant and sharing rules of AND construction.
 // It returns (lit, true) when the conjunction simplifies to an existing
 // literal without a new node.
-func simplifyAnd(f0, f1 Lit) (Lit, bool) {
+func SimplifyAnd(f0, f1 Lit) (Lit, bool) {
 	switch {
 	case f0 == LitFalse || f1 == LitFalse:
 		return LitFalse, true
@@ -269,7 +269,7 @@ func simplifyAnd(f0, f1 Lit) (Lit, bool) {
 // creating one. It returns the node's literal if found. In parallel
 // contexts the caller must hold the locks of both fanin nodes.
 func (a *AIG) Lookup(f0, f1 Lit) (Lit, bool) {
-	if l, ok := simplifyAnd(f0, f1); ok {
+	if l, ok := SimplifyAnd(f0, f1); ok {
 		return l, true
 	}
 	f0, f1 = normalize(f0, f1)
@@ -279,18 +279,22 @@ func (a *AIG) Lookup(f0, f1 Lit) (Lit, bool) {
 		}
 		return 0, false
 	}
-	n0, n1 := a.NodeOf(f0), a.NodeOf(f1)
-	// Scan the shorter fanout list.
-	host := n0
-	if n1.FanoutCount() < n0.FanoutCount() {
-		host = n1
+	// Scan the shorter fanout list, fanins first: nearly every entry
+	// fails on them, and only a match has its kind read. One load of the
+	// page table serves the whole scan.
+	pages := *a.pages.Load()
+	p0, i0 := pages[f0.Node()>>pageBits], f0.Node()&pageMask
+	p1, i1 := pages[f1.Node()>>pageBits], f1.Node()&pageMask
+	host := p0.fanouts[i0]
+	if len(p1.fanouts[i1]) < len(host) {
+		host = p1.fanouts[i1]
 	}
-	for _, e := range host.Fanouts() {
+	for _, e := range host {
 		if e < 0 {
 			continue
 		}
-		g := a.node(e)
-		if g.Kind() == KindAnd && g.Fanin0() == f0 && g.Fanin1() == f1 {
+		g := Node{p: pages[e>>pageBits], i: e & pageMask}
+		if g.Fanin0() == f0 && g.Fanin1() == f1 && g.Kind() == KindAnd {
 			return MakeLit(e, false), true
 		}
 	}

@@ -92,7 +92,7 @@ func (a *AIG) Replace(old int32, repl Lit, opts ReplaceOptions) int {
 			if f1.Node() == v {
 				f1 = r.XorCompl(f1.Compl())
 			}
-			if res, ok := simplifyAnd(f0, f1); ok {
+			if res, ok := SimplifyAnd(f0, f1); ok {
 				work = append(work, job{f, res})
 				continue
 			}

@@ -137,6 +137,13 @@ func FlowVerified() []*aig.AIG {
 	}
 }
 
+// KernelSet is what the rewriting kernel's differential tests, allocation
+// gates and micro-benchmarks run over: the flow_verified circuits and a
+// 4000-AND MtM circuit, the shape of the benchmark's mtm_wide.
+func KernelSet() []*aig.AIG {
+	return append(FlowVerified(), MtM("mtm", 4000, 1))
+}
+
 // Instantiate builds a circuit, applying its doublings.
 func (c Circuit) Instantiate(s Scale) *aig.AIG {
 	a := c.Build(s)

@@ -60,13 +60,6 @@ func NewCut(leaves []int32, f tt.Func64) Cut {
 	return c
 }
 
-// Stamp records the current incarnation versions of the cut's leaves.
-func (c *Cut) Stamp(a *aig.AIG) {
-	for i := uint8(0); i < c.Size; i++ {
-		c.LeafVer[i] = a.N(c.Leaves[i]).Version()
-	}
-}
-
 // Fresh reports whether every leaf of the cut is still alive in the same
 // incarnation it had when the cut was enumerated. Only the atomic version
 // counters are read, so Fresh is safe as a lock-free pre-filter: a leaf's
@@ -479,10 +472,18 @@ func (m *Manager) RefreshP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
 // leaves were deleted or reused by rewriting since they were enumerated).
 // Freshness comes from the precomputed masks when they cover the sets
 // (mok*), which also become the entry's reuse provenance.
+//
+// Each pair is merged leaves first; most unions are then dropped by the
+// dominance test, and only a cut that is kept has its function computed.
+// Leaf versions are the parents': their freshness was established with
+// those very values, so a leaf that moves afterwards leaves a cut Fresh
+// rejects, never a new stamp on the old incarnation's function.
 func (m *Manager) mergeInto(dst []Cut, id int32, f0, f1 aig.Lit, s0, s1 []Cut, m0 uint64, mok0 bool, m1 uint64, mok1 bool) []Cut {
 	k := m.params.k()
 	maxCuts := m.params.maxCuts()
 	dst = append(dst, m.trivial(id))
+	var c Cut
+	var p0, p1 [MaxK]uint8
 	for i := range s0 {
 		if mok0 {
 			if m0&(1<<uint(i)) == 0 {
@@ -499,12 +500,12 @@ func (m *Manager) mergeInto(dst []Cut, id int32, f0, f1 aig.Lit, s0, s1 []Cut, m
 			} else if !s1[j].Fresh(m.a) {
 				continue
 			}
-			c, ok := mergeCuts(&s0[i], &s1[j], f0.Compl(), f1.Compl(), k)
-			if !ok {
+			if !mergeLeaves(&c, &s0[i], &s1[j], k, &p0, &p1) || dominated(dst, &c) {
 				continue
 			}
-			c.Stamp(m.a)
-			if addCut(&dst, c, maxCuts) && len(dst) > maxCuts {
+			c.TT = mergeFunc(&s0[i], &s1[j], &p0, &p1, f0.Compl(), f1.Compl())
+			dst = insertCut(dst, &c)
+			if len(dst) > maxCuts {
 				// Keep the budget: drop the widest non-trivial cut.
 				drop := 1
 				for x := 2; x < len(dst); x++ {
@@ -519,100 +520,90 @@ func (m *Manager) mergeInto(dst []Cut, id int32, f0, f1 aig.Lit, s0, s1 []Cut, m
 	return dst
 }
 
-// addCut inserts c unless it is dominated; it removes cuts c dominates.
+// dominated reports whether a stored cut's leaves are a subset of c's.
 // Index 0 (the trivial cut) is never considered for dominance.
-func addCut(out *[]Cut, c Cut, maxCuts int) bool {
-	s := *out
-	for k := 1; k < len(s); k++ {
-		if s[k].dominates(&c) {
-			return false
+func dominated(s []Cut, c *Cut) bool {
+	for x := 1; x < len(s); x++ {
+		if s[x].dominates(c) {
+			return true
 		}
 	}
+	return false
+}
+
+// insertCut appends c, which no stored cut dominates, after removing the
+// stored cuts c dominates.
+func insertCut(s []Cut, c *Cut) []Cut {
 	w := 1
-	for k := 1; k < len(s); k++ {
-		if !c.dominates(&s[k]) {
-			s[w] = s[k]
+	for x := 1; x < len(s); x++ {
+		if !c.dominates(&s[x]) {
+			s[w] = s[x]
 			w++
 		}
 	}
-	s = append(s[:w], c)
-	*out = s
-	return true
+	return append(s[:w], *c)
 }
 
-// mergeCuts unions two fanin cuts into a cut of the AND node, computing
-// the conjunction of the (possibly complemented) fanin functions over the
-// union leaf set. It fails when the union exceeds k leaves.
-func mergeCuts(c0, c1 *Cut, n0, n1 bool, k int) (Cut, bool) {
+// mergeLeaves unions the leaves of two fanin cuts into c — leaves, their
+// versions as the parents recorded them, size and signature, all else
+// zero — and notes in p0 and p1 the position each parent's leaf takes in
+// the union. It fails when the union exceeds k leaves.
+func mergeLeaves(c, c0, c1 *Cut, k int, p0, p1 *[MaxK]uint8) bool {
 	// Quick reject: the signature ORs bits (id mod 64), so distinct set
 	// bits never exceed the true union size; more than k bits set proves
 	// the union is infeasible.
-	if int(c0.Size)+int(c1.Size) > k && bits.OnesCount64(c0.sig|c1.sig) > k {
-		return Cut{}, false
+	sig := c0.sig | c1.sig
+	if int(c0.Size)+int(c1.Size) > k && bits.OnesCount64(sig) > k {
+		return false
 	}
-	var leaves [2 * MaxK]int32
-	i, j, n := uint8(0), uint8(0), 0
-	for i < c0.Size && j < c1.Size {
-		a, b := c0.Leaves[i], c1.Leaves[j]
+	*c = Cut{}
+	i, j, n := uint8(0), uint8(0), uint8(0)
+	for i < c0.Size || j < c1.Size {
+		if int(n) == k {
+			return false
+		}
 		switch {
-		case a == b:
-			leaves[n] = a
-			i, j = i+1, j+1
-		case a < b:
-			leaves[n] = a
+		case j == c1.Size || i < c0.Size && c0.Leaves[i] < c1.Leaves[j]:
+			c.Leaves[n], c.LeafVer[n], p0[i] = c0.Leaves[i], c0.LeafVer[i], n
 			i++
-		default:
-			leaves[n] = b
+		case i == c0.Size || c1.Leaves[j] < c0.Leaves[i]:
+			c.Leaves[n], c.LeafVer[n], p1[j] = c1.Leaves[j], c1.LeafVer[j], n
 			j++
+		default:
+			c.Leaves[n], c.LeafVer[n], p0[i], p1[j] = c0.Leaves[i], c0.LeafVer[i], n, n
+			i, j = i+1, j+1
 		}
 		n++
 	}
-	for ; i < c0.Size; i++ {
-		leaves[n] = c0.Leaves[i]
-		n++
-	}
-	for ; j < c1.Size; j++ {
-		leaves[n] = c1.Leaves[j]
-		n++
-	}
-	if n > k {
-		return Cut{}, false
-	}
-	t0 := expand(c0.TT, c0.LeafSlice(), leaves[:n])
-	t1 := expand(c1.TT, c1.LeafSlice(), leaves[:n])
+	c.Size, c.sig = n, sig
+	return true
+}
+
+// mergeFunc is the conjunction of the (possibly complemented) fanin cut
+// functions over the union leaf set mergeLeaves laid out.
+func mergeFunc(c0, c1 *Cut, p0, p1 *[MaxK]uint8, n0, n1 bool) tt.Func64 {
+	t0 := expand(c0.TT, p0[:c0.Size])
+	t1 := expand(c1.TT, p1[:c1.Size])
 	if n0 {
 		t0 = t0.Not()
 	}
 	if n1 {
 		t1 = t1.Not()
 	}
-	return NewCut(leaves[:n], t0.And(t1)), true
+	return t0.And(t1)
 }
 
-// expand re-expresses a function over oldLeaves in terms of the superset
-// newLeaves (both sorted ascending). Because the function never depends
-// on variables at or above len(oldLeaves), the 64-row remap preserves the
-// narrow-table replication invariant.
-func expand(f tt.Func64, oldLeaves, newLeaves []int32) tt.Func64 {
-	if len(oldLeaves) == len(newLeaves) {
-		return f
+// expand re-expresses f, a function of variables 0..len(pos)-1, over a
+// superset of its leaves in which variable i sits at pos[i] (ascending,
+// pos[i] >= i). Variables move highest first: when i's turn comes, every
+// variable above it has left the slots up to pos[i], so f does not depend
+// on pos[i] and exchanging the two moves i and nothing else. A swap is
+// exact on the whole 64-row table, so the result ignores exactly the
+// variables that carry no leaf — the replication a narrow cut's table has
+// over the unused upper variables.
+func expand(f tt.Func64, pos []uint8) tt.Func64 {
+	for i := len(pos) - 1; i >= 0 && int(pos[i]) != i; i-- {
+		f = f.SwapVars(i, int(pos[i]))
 	}
-	// position of each old leaf within the new leaf list
-	var pos [MaxK]int
-	j := 0
-	for i, l := range oldLeaves {
-		for newLeaves[j] != l {
-			j++
-		}
-		pos[i] = j
-	}
-	var out tt.Func64
-	for row := uint(0); row < 64; row++ {
-		src := uint(0)
-		for i := range oldLeaves {
-			src |= (row >> uint(pos[i]) & 1) << uint(i)
-		}
-		out |= tt.Func64(uint64(f)>>src&1) << row
-	}
-	return out
+	return f
 }

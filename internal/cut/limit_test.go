@@ -78,7 +78,7 @@ func TestAddCutDominancePruningAtLimit(t *testing.T) {
 			for j := range leaves {
 				leaves[j] = base + int32(j)
 			}
-			if !addCut(&set, cutOver(leaves...), limit) {
+			if !addCut(&set, cutOver(leaves...)) {
 				t.Fatalf("k=%d: incomparable cut %d rejected while filling", k, i)
 			}
 		}
@@ -92,7 +92,7 @@ func TestAddCutDominancePruningAtLimit(t *testing.T) {
 		for j := range dupLeaves {
 			dupLeaves[j] = 1 + int32(j)
 		}
-		if addCut(&set, cutOver(dupLeaves...), limit) {
+		if addCut(&set, cutOver(dupLeaves...)) {
 			t.Fatalf("k=%d: dominated cut accepted into a full set", k)
 		}
 		if got := len(set) - 1; got != limit {
@@ -105,7 +105,7 @@ func TestAddCutDominancePruningAtLimit(t *testing.T) {
 		// the budget by exactly one, which is the caller's job to fix.
 		before := len(set)
 		fresh := cutOver(5000, 5001, 5002)
-		if !addCut(&set, fresh, limit) {
+		if !addCut(&set, fresh) {
 			t.Fatalf("k=%d: incomparable cut rejected", k)
 		}
 		if len(set) != before+1 {
@@ -116,7 +116,7 @@ func TestAddCutDominancePruningAtLimit(t *testing.T) {
 		// {1} is a subset of window 0 ({1..k}) and of nothing else: the
 		// dominator evicts exactly that window and takes its place.
 		dom := cutOver(1)
-		if !addCut(&set, dom, limit) {
+		if !addCut(&set, dom) {
 			t.Fatalf("k=%d: dominating cut rejected", k)
 		}
 		if got := len(set) - 1; got != limit {
@@ -130,7 +130,7 @@ func TestAddCutDominancePruningAtLimit(t *testing.T) {
 		// The empty (constant) cut dominates every cut at once: the set
 		// collapses far below the limit in one insert.
 		super := NewCut(nil, tt.True64)
-		if !addCut(&set, super, limit) {
+		if !addCut(&set, super) {
 			t.Fatalf("k=%d: universal dominator rejected", k)
 		}
 		if got := len(set) - 1; got != 1 {

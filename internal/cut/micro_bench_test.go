@@ -1,10 +1,12 @@
 package cut
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"dacpara/internal/aig"
+	"dacpara/internal/bench"
 )
 
 func BenchmarkEnumerate(b *testing.B) {
@@ -27,6 +29,21 @@ func BenchmarkEnumerateP1Budget(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := NewManager(a, Params{MaxCuts: 8})
 		a.ForEachAnd(func(id int32) { m.Ensure(id, nil) })
+	}
+}
+
+// BenchmarkEnumerateSet is cold cut enumeration, warm pool, of every AND
+// of the kernel set at the default width and budget.
+func BenchmarkEnumerateSet(b *testing.B) {
+	set := bench.KernelSet()
+	pool := NewPool()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range set {
+			m := NewManager(a, Params{})
+			a.ForEachAnd(func(id int32) { m.EnsureP(id, nil, pool) })
+		}
 	}
 }
 
@@ -153,43 +170,48 @@ func BenchmarkRefresh(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeCuts measures the pairwise merge kernel itself over the
-// fanin cut-set pairs of a reconvergent graph — the innermost loop of
-// enumeration, signature quick-reject included.
+// BenchmarkMergeCuts measures the pairwise merge kernel itself — leaf
+// union with the signature quick-reject, then the function of the union —
+// over the fanin cut-set pairs of a reconvergent graph, at each width:
+// unions of up to 4, 5 and 6 leaves.
 func BenchmarkMergeCuts(b *testing.B) {
 	a := randomAIG(rand.New(rand.NewSource(3)), 16, 2000)
-	m := NewManager(a, Params{})
-	a.ForEachAnd(func(id int32) { m.Ensure(id, nil) })
-	type pair struct {
-		s0, s1 []Cut
-		n0, n1 bool
-	}
-	var pairs []pair
-	a.ForEachAnd(func(id int32) {
-		if len(pairs) >= 256 {
-			return
-		}
-		n := a.N(id)
-		s0, ok0 := m.Cuts(n.Fanin0().Node())
-		s1, ok1 := m.Cuts(n.Fanin1().Node())
-		if ok0 && ok1 {
-			pairs = append(pairs, pair{s0, s1, n.Fanin0().Compl(), n.Fanin1().Compl()})
-		}
-	})
-	merges := 0
-	for _, p := range pairs {
-		merges += len(p.s0) * len(p.s1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range pairs {
-			for j := range p.s0 {
-				for k := range p.s1 {
-					mergeCuts(&p.s0[j], &p.s1[k], p.n0, p.n1, K)
+	for _, k := range ks {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			m := NewManager(a, Params{K: k})
+			a.ForEachAnd(func(id int32) { m.Ensure(id, nil) })
+			type pair struct {
+				s0, s1 []Cut
+				n0, n1 bool
+			}
+			var pairs []pair
+			a.ForEachAnd(func(id int32) {
+				if len(pairs) >= 256 {
+					return
+				}
+				n := a.N(id)
+				s0, ok0 := m.Cuts(n.Fanin0().Node())
+				s1, ok1 := m.Cuts(n.Fanin1().Node())
+				if ok0 && ok1 {
+					pairs = append(pairs, pair{s0, s1, n.Fanin0().Compl(), n.Fanin1().Compl()})
+				}
+			})
+			merges := 0
+			for _, p := range pairs {
+				merges += len(p.s0) * len(p.s1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range pairs {
+					for x := range p.s0 {
+						for y := range p.s1 {
+							mergeCuts(&p.s0[x], &p.s1[y], p.n0, p.n1, k)
+						}
+					}
 				}
 			}
-		}
+			b.ReportMetric(float64(merges), "merges/op")
+		})
 	}
-	b.ReportMetric(float64(merges), "merges/op")
 }

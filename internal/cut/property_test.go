@@ -95,6 +95,9 @@ func TestMergeCutsMatchesNaive(t *testing.T) {
 			if feasible := len(union) <= k; ok != feasible {
 				t.Fatalf("k=%d: mergeCuts ok=%v for union %v (|union|=%d)", k, ok, union, len(union))
 			}
+			if ref, refOK := refMergeCuts(&c0, &c1, n0, n1, k); ok != refOK || merged != ref {
+				t.Fatalf("k=%d: merged %+v (ok=%v), the old kernel gives %+v (ok=%v)", k, merged, ok, ref, refOK)
+			}
 			if !ok {
 				continue
 			}
@@ -166,7 +169,13 @@ func TestAddCutInvariants(t *testing.T) {
 						wasDominated = true
 					}
 				}
-				added := addCut(&set, c, DefaultCutLimit(k))
+				refSet := append([]Cut(nil), set...)
+				refAdded := refAddCut(&refSet, c)
+				added := addCut(&set, c)
+				if added != refAdded || !cutsEqual(set, refSet) {
+					t.Fatalf("k=%d: dominance first keeps %+v (added=%v), the old order %+v (added=%v)",
+						k, set, added, refSet, refAdded)
+				}
 				if added == wasDominated {
 					t.Fatalf("k=%d: addCut=%v but cut %v dominated=%v in %d-cut set",
 						k, added, c.LeafSlice(), wasDominated, len(before))

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"dacpara/internal/aig"
 	"dacpara/internal/cut"
+	"dacpara/internal/rewlib"
 	"dacpara/internal/tt"
 )
 
@@ -57,7 +58,7 @@ const planLimit = 2048
 // affected nodes are locked before the first mutation (cautious operator),
 // so a conflict abort never needs rollback.
 func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock Locker) (gain int, st Status) {
-	a := e.A
+	a, s := e.A, e.Scratch
 	root := cand.Root
 	lk := func(id int32) bool { return lock == nil || lock(id) }
 	if !lk(root) {
@@ -105,7 +106,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock Locker) (gain
 	// 2. Recompute the cut function on the current graph under locks. This
 	// both revalidates that the leaf set still covers the cone and yields
 	// the authoritative truth table for NPN matching.
-	curTT, ok, conflict := e.coneTT(root, &c, lock)
+	curTT, ok, conflict := s.coneTT(a, root, &c, lock)
 	if conflict {
 		return 0, StatusConflict
 	}
@@ -114,13 +115,11 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock Locker) (gain
 	}
 
 	// 3. Resolve the replacement literal plan for the current function,
-	// locking every existing node the new logic will reuse and collecting
-	// the references the new gates will add to existing nodes.
+	// locking every existing node the new logic will reuse.
 	var out aig.Lit
 	outNew := false
 	nNew := 0
-	var newRefs []aig.Lit
-	var buildStruct func(tryLock func(int32) bool) aig.Lit
+	var str *rewlib.Structure
 	switch cand.Kind {
 	case CandConst:
 		if curTT != tt.False64 && curTT != tt.True64 {
@@ -136,42 +135,26 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock Locker) (gain
 		}
 		out = aig.MakeLit(leaf, phase)
 	case CandStruct:
-		st, inv, okStruct := e.resolveStruct(cand, &c, curTT)
-		if !okStruct {
-			// The NPN class of the stored equivalent structure no longer
-			// matches the cut's truth table (Section 4.4).
+		// The NPN class of the stored equivalent structure must still
+		// match the cut's truth table (Section 4.4).
+		cls, repr, structs, inv := e.forest(c.Size, curTT)
+		if cls != cand.Class || repr != cand.Repr || cand.Struct >= len(structs) {
 			return 0, StatusStale
 		}
-		conflicted := false
-		var lockFn func(int32) bool
-		if lock != nil {
-			lockFn = func(id int32) bool {
-				if !lock(id) {
-					conflicted = true
-					return false
-				}
-				return true
-			}
-		}
+		str = &structs[cand.Struct]
+		s.bind(inv, &c)
+		s.forget()
+		s.conflict = false
 		var ok bool
-		var outLevel int32
-		out, outNew, nNew, outLevel, ok = e.Scratch.instantiateLevels(a, st, inv, c.LeafSlice(), root, lockFn, false, nil, &newRefs)
-		if conflicted {
+		if nNew, ok = s.plan(a, str, root, len(str.Nodes), lock); s.conflict {
 			return 0, StatusConflict
-		}
-		if !ok {
+		} else if !ok {
 			return 0, StatusStale
 		}
-		if e.Cfg.PreserveDelay && outLevel > rn.Level() {
+		if e.Cfg.PreserveDelay && s.level(a, str) > rn.Level() {
 			return 0, StatusNoGain
 		}
-		buildStruct = func(tryLock func(int32) bool) aig.Lit {
-			lit, _, _, ok := e.Scratch.instantiate(a, st, inv, c.LeafSlice(), root, nil, true, tryLock, nil)
-			if !ok {
-				panic("rewrite: planned structure failed to build")
-			}
-			return lit
-		}
+		out, outNew = s.out(str)
 	default:
 		return 0, StatusStale
 	}
@@ -179,10 +162,20 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock Locker) (gain
 	// 4. Simulate the full replacement (fanout redirection, cascaded
 	// simplifications, cone deletion) on a reference-count overlay,
 	// locking every node it would touch, so the commit below mutates only
-	// locked nodes and the gain is exact on the latest graph.
-	sim := newReplaceSim(a, lock)
-	for _, r := range newRefs {
-		sim.delta[r.Node()]++
+	// locked nodes and the gain is exact on the latest graph. The overlay
+	// starts from the references the new gates will add to existing nodes.
+	sim := newReplaceSim(a, lock, &s.ov)
+	if str != nil {
+		for k, g := range str.Nodes {
+			if s.vals[gateBase+k] != litNew {
+				continue
+			}
+			for _, in := range [2]rewlib.SLit{g.In0, g.In1} {
+				if l := s.lit(in); l < litNew && !l.IsConst() {
+					s.ov.at(l.Node()).delta++
+				}
+			}
+		}
 	}
 	deleted, okSim, conflictSim := sim.run(root, out, outNew)
 	switch {
@@ -203,18 +196,36 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock Locker) (gain
 
 	// 5. Commit: build the new gates, then redirect and delete. Every node
 	// touched from here on is locked.
-	var tryLock func(int32) bool
-	if lock != nil {
-		tryLock = func(id int32) bool { return lock(id) }
-	}
-	if buildStruct != nil {
-		out = buildStruct(tryLock)
+	if str != nil {
+		for k, g := range str.Nodes {
+			if s.vals[gateBase+k] == litNew {
+				s.vals[gateBase+k] = a.AndWith(s.lit(g.In0), s.lit(g.In1), lock)
+			}
+		}
+		out, _ = s.out(str)
 	}
 	if out.Node() == root {
 		return 0, StatusStale
 	}
 	a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: lock == nil})
 	return gain, StatusCommitted
+}
+
+// level estimates the level (depth) the output of the planned structure
+// will have, for delay-preserving mode. Levels of existing nodes may be
+// slightly stale after rewriting; the estimate is a heuristic bound, like
+// ABC's update-level option.
+func (s *Scratch) level(a *aig.AIG, st *rewlib.Structure) int32 {
+	lvl := make([]int32, gateBase+len(st.Nodes))
+	for i := range lvl {
+		if l := s.vals[i]; l < litNone {
+			lvl[i] = a.N(l.Node()).Level()
+		} else if i >= gateBase {
+			g := st.Nodes[i-gateBase]
+			lvl[i] = 1 + max(lvl[slot(g.In0)], lvl[slot(g.In1)])
+		}
+	}
+	return lvl[slot(st.Out)]
 }
 
 // refreshCuts re-enumerates root's cuts under the activity's locks,
@@ -233,59 +244,50 @@ func refreshCuts(cm *cut.Manager, root int32, lock Locker, pool *cut.Pool) ([]cu
 // the constant, or past the traversal budget). The budget is 64 nodes for
 // classic 4-input cuts (matching the hardwired-K engine exactly) and
 // wider for large cuts, whose cones are legitimately bigger.
-func (e *Evaluator) coneTT(root int32, c *cut.Cut, lock Locker) (f tt.Func64, ok, conflict bool) {
-	a := e.A
-	leaves := c.LeafSlice()
-	memo := e.Scratch.cone
-	if memo == nil {
-		memo = make(map[int32]tt.Func64, 64)
-		e.Scratch.cone = memo
-	}
-	clear(memo)
-	budget := 64
+func (s *Scratch) coneTT(a *aig.AIG, root int32, c *cut.Cut, lock Locker) (f tt.Func64, ok, conflict bool) {
+	s.ov.begin()
+	s.coneLeft = 64
 	if c.Size > 4 {
-		budget = 512
+		s.coneLeft = 512
 	}
-	count := 0
-	var rec func(id int32) (tt.Func64, bool, bool)
-	rec = func(id int32) (tt.Func64, bool, bool) {
-		for i, l := range leaves {
-			if l == id {
-				return tt.Var64(i), true, false
-			}
+	return s.coneFunc(a, root, c, lock)
+}
+
+func (s *Scratch) coneFunc(a *aig.AIG, id int32, c *cut.Cut, lock Locker) (f tt.Func64, ok, conflict bool) {
+	for i := uint8(0); i < c.Size; i++ {
+		if c.Leaves[i] == id {
+			return tt.Var64(int(i)), true, false
 		}
-		if v, hit := memo[id]; hit {
-			return v, true, false
-		}
-		if count++; count > budget {
-			return 0, false, false
-		}
-		if lock != nil && !lock(id) {
-			return 0, false, true
-		}
-		n := a.N(id)
-		if !n.IsAnd() {
-			return 0, false, false
-		}
-		t0, ok0, cf0 := rec(n.Fanin0().Node())
-		if !ok0 {
-			return 0, false, cf0
-		}
-		t1, ok1, cf1 := rec(n.Fanin1().Node())
-		if !ok1 {
-			return 0, false, cf1
-		}
-		if n.Fanin0().Compl() {
-			t0 = t0.Not()
-		}
-		if n.Fanin1().Compl() {
-			t1 = t1.Not()
-		}
-		t := t0.And(t1)
-		memo[id] = t
-		return t, true, false
 	}
-	f, ok, conflict = rec(root)
-	clear(memo)
-	return f, ok, conflict
+	if e := s.ov.at(id); e.known {
+		return e.f, true, false
+	}
+	if s.coneLeft--; s.coneLeft < 0 {
+		return 0, false, false
+	}
+	if lock != nil && !lock(id) {
+		return 0, false, true
+	}
+	n := a.N(id)
+	if !n.IsAnd() {
+		return 0, false, false
+	}
+	f0, f1 := n.Fanin0(), n.Fanin1()
+	t0, ok, conflict := s.coneFunc(a, f0.Node(), c, lock)
+	if !ok {
+		return 0, false, conflict
+	}
+	t1, ok, conflict := s.coneFunc(a, f1.Node(), c, lock)
+	if !ok {
+		return 0, false, conflict
+	}
+	if f0.Compl() {
+		t0 = t0.Not()
+	}
+	if f1.Compl() {
+		t1 = t1.Not()
+	}
+	e := s.ov.at(id)
+	e.f, e.known = t0.And(t1), true
+	return e.f, true, false
 }

@@ -56,18 +56,100 @@ func (c *Candidate) Ok() bool { return c.Kind != CandNone }
 
 // Scratch holds per-worker evaluation state so the lock-free evaluation
 // stage never shares mutable data between threads (the paper's
-// thread-local copies of MFFC bookkeeping).
+// thread-local copies of MFFC bookkeeping). Its size follows the cut
+// width, the largest structure and the largest cone it has met — never
+// the graph.
 type Scratch struct {
-	delta map[int32]int32
-	cone  map[int32]tt.Func64
-	vals  []aig.Lit
-	virt  []bool
-	lvls  []int32
+	ov overlay
+
+	// vals maps a structure's node indices (SLit >> 1: 0 the constant,
+	// 1..6 the inputs, gateBase+k gate k) to graph literals. bind fills
+	// the inputs once per cut; plan fills the gates of one structure.
+	vals []aig.Lit
+	neg  bool // the bound transform complements the output
+
+	// memo remembers what a gate over two existing literals resolves to,
+	// from forget to forget: a direct-mapped cache, an entry counts while
+	// its stamp is current.
+	memo  [memoSize]gateMemo
+	stamp uint32
+
+	conflict bool // plan gave up because a lock was refused
+	coneLeft int  // nodes coneTT may still enter
+}
+
+const (
+	gateBase = 1 + rewlib.MaxInputs
+	memoSize = 512
+
+	// litNew stands for a gate the graph does not have yet and litNone
+	// for a structure input the cut has no leaf for; both keep their
+	// meaning under complement and sort above every real literal.
+	litNew  = ^aig.Lit(1)
+	litNone = ^aig.Lit(3)
+)
+
+type gateMemo struct {
+	l0, l1 aig.Lit
+	stamp  uint32
+	lit    aig.Lit
 }
 
 // NewScratch allocates evaluation scratch state.
-func NewScratch() *Scratch {
-	return &Scratch{delta: make(map[int32]int32, 64)}
+func NewScratch() *Scratch { return &Scratch{vals: make([]aig.Lit, gateBase+32)} }
+
+// overlay is a worker's private notes on a few nodes of the shared graph:
+// how far a trial dereference has lowered a node's reference count, the
+// function of a node inside the cone being recomputed, what a rehearsed
+// replacement has done to it. Nodes are found by open addressing on the
+// ID and entries are stamped with an epoch, so a new overlay costs one
+// increment and the table grows with the cones it has held.
+type overlay struct {
+	tab   []note
+	epoch uint32
+	used  int
+}
+
+type note struct {
+	id            int32
+	epoch         uint32
+	delta         int32
+	f             tt.Func64
+	known         bool // f is set
+	touched, dead bool // replaceSim's
+}
+
+// begin forgets every note.
+func (o *overlay) begin() {
+	if o.epoch++; o.epoch == 0 || o.tab == nil {
+		o.tab, o.epoch = make([]note, max(len(o.tab), 64)), 1
+	}
+	o.used = 0
+}
+
+// at returns the note on id, blank if there was none. The pointer is
+// good until the next call.
+func (o *overlay) at(id int32) *note {
+	if 2*o.used >= len(o.tab) {
+		old := o.tab
+		o.tab, o.used = make([]note, 2*len(old)), 0
+		for i := range old {
+			if old[i].epoch == o.epoch {
+				*o.at(old[i].id) = old[i]
+			}
+		}
+	}
+	for i := uint32(id) * 0x9E3779B1 >> 7; ; i++ {
+		n := &o.tab[i&uint32(len(o.tab)-1)]
+		if n.epoch != o.epoch {
+			*n = note{id: id, epoch: o.epoch}
+			o.used++
+			return n
+		}
+		if n.id == id {
+			return n
+		}
+	}
 }
 
 // coneSavings estimates how many AND nodes die if root's cut cone is
@@ -76,180 +158,125 @@ func NewScratch() *Scratch {
 // evaluation stage needs no locks). Logical sharing is respected: cone
 // nodes referenced from outside survive and are not counted.
 func (s *Scratch) coneSavings(a *aig.AIG, root int32, c *cut.Cut) int {
-	clear(s.delta)
-	var rec func(id int32) int
-	rec = func(id int32) int {
-		count := 1
-		n := a.N(id)
-		for _, f := range [2]aig.Lit{n.Fanin0(), n.Fanin1()} {
-			fid := f.Node()
-			fn := a.N(fid)
-			if !fn.IsAnd() || c.Contains(fid) {
-				continue
-			}
-			r := fn.Ref() + s.delta[fid] - 1
-			s.delta[fid]--
-			if r == 0 {
-				count += rec(fid)
-			}
-		}
-		return count
-	}
-	return rec(root)
+	s.ov.begin()
+	return s.deref(a, root, c)
 }
 
-// instantiate resolves a structure over concrete cut leaves against the
-// current graph: every structure gate either maps to an existing node
-// (free, thanks to logical sharing) or is counted as a node to create.
+func (s *Scratch) deref(a *aig.AIG, id int32, c *cut.Cut) int {
+	count := 1
+	n := a.N(id)
+	for _, f := range [2]aig.Lit{n.Fanin0(), n.Fanin1()} {
+		fid := f.Node()
+		fn := a.N(fid)
+		if !fn.IsAnd() || c.Contains(fid) {
+			continue
+		}
+		// A node referenced once dies here and now; only a shared one
+		// needs a note of how many references it has lost.
+		refs := fn.Ref()
+		dies := refs == 1
+		if refs > 1 {
+			e := s.ov.at(fid)
+			e.delta--
+			dies = refs+e.delta == 0
+		}
+		if dies {
+			count += s.deref(a, fid, c)
+		}
+	}
+	return count
+}
+
+// bind points the structure inputs at the cut's leaves through inv, the
+// inverse NPN transform: input v is leaf inv.Perm[v], complemented per
+// inv.Flip, and the output is complemented per inv.Neg.
+func (s *Scratch) bind(inv npn.Transform6, c *cut.Cut) {
+	s.vals[0] = aig.LitFalse
+	for v := 0; v < rewlib.MaxInputs; v++ {
+		s.vals[1+v] = litNone
+		if li := inv.Perm[v]; li < c.Size {
+			s.vals[1+v] = aig.MakeLit(c.Leaves[li], inv.Flip>>uint(v)&1 == 1)
+		}
+	}
+	s.neg = inv.Neg
+}
+
+// forget empties the gate memo; whoever plans structures calls it once
+// the graph may have changed since the last plan.
+func (s *Scratch) forget() {
+	if s.stamp++; s.stamp == 0 {
+		s.memo, s.stamp = [memoSize]gateMemo{}, 1
+	}
+}
+
+// slot is the index in vals of the node a structure literal points at.
+func slot(l rewlib.SLit) int { return int(l >> 1) }
+
+// lit is the graph literal bound to a structure literal.
+func (s *Scratch) lit(l rewlib.SLit) aig.Lit { return s.vals[slot(l)] ^ aig.Lit(l&1) }
+
+// out is the literal a planned or built structure drives, and whether it
+// is a gate still to create.
+func (s *Scratch) out(st *rewlib.Structure) (aig.Lit, bool) {
+	l := s.lit(st.Out)
+	return l.XorCompl(s.neg), l >= litNew
+}
+
+// plan resolves a structure over the bound cut against the current graph:
+// every gate either maps to an existing node (free, thanks to logical
+// sharing) or is counted as a node to create, and the walk gives up as
+// soon as it has counted more than budget. Afterwards lit gives each
+// gate's literal (litNew for a gate to create) and out the output's.
 //
-// inv is the inverse NPN transform: structure input i is driven by leaf
-// inv.Perm[i], complemented per inv.Flip, and the output is complemented
-// per inv.Neg.
-//
-// When lock is non-nil it is invoked on every existing node the structure
-// would reuse (and must succeed — a false return aborts with ok=false).
-// When build is true the virtual gates are actually created (the caller
-// must already hold all locks; tryLock filters reused IDs). When refs is
-// non-nil, every reference a new gate would add to an existing node is
-// appended to it — the seed for the replacement overlay simulation.
-//
-// outNew reports that the output gate is freshly created, in which case
-// out is only meaningful in build mode.
+// What a gate over two existing literals resolves to is looked up once
+// and remembered until forget, across the structures of a cut and the
+// cuts of a node. When lock is non-nil it is invoked on every existing
+// node a gate resolves to, at the lookup: a refusal sets s.conflict and
+// fails the walk.
 //
 // A structure that resolves any gate to root itself is rejected: reusing
 // the node under replacement would cycle the graph (it is also the
 // "nothing changes" case when it is the output).
-func (s *Scratch) instantiate(a *aig.AIG, st *rewlib.Structure, inv npn.Transform6,
-	leaves []int32, root int32, lock func(int32) bool, build bool,
-	tryLock func(int32) bool, refs *[]aig.Lit) (out aig.Lit, outNew bool, nNew int, ok bool) {
-	out, outNew, nNew, _, ok = s.instantiateLevels(a, st, inv, leaves, root, lock, build, tryLock, refs)
-	return out, outNew, nNew, ok
-}
-
-// instantiateLevels is instantiate, additionally estimating the level
-// (depth) the structure's output will have, for delay-preserving mode.
-// Levels of existing nodes may be slightly stale after rewriting; the
-// estimate is a heuristic bound, like ABC's update-level option.
-func (s *Scratch) instantiateLevels(a *aig.AIG, st *rewlib.Structure, inv npn.Transform6,
-	leaves []int32, root int32, lock func(int32) bool, build bool,
-	tryLock func(int32) bool, refs *[]aig.Lit) (out aig.Lit, outNew bool, nNew int, outLevel int32, ok bool) {
-
-	if cap(s.vals) < len(st.Nodes) {
-		s.vals = make([]aig.Lit, len(st.Nodes)*2+8)
-		s.virt = make([]bool, len(st.Nodes)*2+8)
-		s.lvls = make([]int32, len(st.Nodes)*2+8)
-	}
-	vals := s.vals[:len(st.Nodes)]
-	virt := s.virt[:len(st.Nodes)]
-	lvls := s.lvls[:len(st.Nodes)]
-
-	// get maps a structure literal to (graph literal, virtual?, level).
-	get := func(l rewlib.SLit) (lit aig.Lit, virtual bool, level int32, ok bool) {
-		compl := l&1 == 1
-		base := l &^ 1
-		if _, isConst := base.IsConst(); isConst {
-			return aig.LitFalse.XorCompl(compl), false, 0, true
-		}
-		if v, isIn := base.IsInput(); isIn {
-			li := int(inv.Perm[v])
-			if li >= len(leaves) {
-				return 0, false, 0, false
-			}
-			phase := inv.Flip>>uint(v)&1 == 1
-			return aig.MakeLit(leaves[li], phase != compl), false, a.N(leaves[li]).Level(), true
-		}
-		k := base.AndIndex()
-		return vals[k].XorCompl(compl), virt[k], lvls[k], true
-	}
-
-	addRef := func(l aig.Lit, virtual bool) {
-		if refs != nil && !virtual && !l.IsConst() {
-			*refs = append(*refs, l)
-		}
+func (s *Scratch) plan(a *aig.AIG, st *rewlib.Structure, root int32, budget int, lock Locker) (nNew int, ok bool) {
+	if n := gateBase + len(st.Nodes); n > len(s.vals) {
+		s.vals = append(s.vals, make([]aig.Lit, n-len(s.vals))...)
 	}
 	for k, g := range st.Nodes {
-		l0, v0, lv0, ok0 := get(g.In0)
-		l1, v1, lv1, ok1 := get(g.In1)
-		if !ok0 || !ok1 {
-			return 0, false, 0, 0, false
-		}
-		newLevel := 1 + max32(lv0, lv1)
-		if v0 || v1 {
-			// A fanin is itself new: this gate must be new too.
-			virt[k] = true
-			lvls[k] = newLevel
-			nNew++
-			addRef(l0, v0)
-			addRef(l1, v1)
-			if build {
-				vals[k] = a.AndWith(l0, l1, tryLock)
+		l0, l1 := s.lit(g.In0), s.lit(g.In1)
+		lit := litNew // a gate over a new gate is new too
+		if l0 < litNone && l1 < litNone {
+			if l0 > l1 {
+				l0, l1 = l1, l0
 			}
-			continue
-		}
-		if lit, simp := simplifiedAnd(a, l0, l1); simp {
-			if lit.Node() == root {
-				return 0, false, 0, 0, false
+			m := &s.memo[(uint64(l0)<<32|uint64(l1))*0x9E3779B97F4A7C15>>55]
+			if m.stamp == s.stamp && m.l0 == l0 && m.l1 == l1 {
+				lit = m.lit
+			} else {
+				if found, ok := a.Lookup(l0, l1); ok {
+					if lit = found; lit.Node() == root {
+						return 0, false
+					}
+					if lock != nil && !lit.IsConst() && !lock(lit.Node()) {
+						s.conflict = true
+						return 0, false
+					}
+				}
+				*m = gateMemo{l0, l1, s.stamp, lit}
 			}
-			if lock != nil && !lit.IsConst() && !lock(lit.Node()) {
-				return 0, false, 0, 0, false
-			}
-			vals[k], virt[k], lvls[k] = lit, false, a.N(lit.Node()).Level()
-			continue
+		} else if l0&^1 == litNone || l1&^1 == litNone {
+			return 0, false
 		}
-		if lit, found := a.Lookup(l0, l1); found {
-			if lit.Node() == root {
-				return 0, false, 0, 0, false
+		if lit == litNew {
+			if nNew++; nNew > budget {
+				return 0, false
 			}
-			if lock != nil && !lock(lit.Node()) {
-				return 0, false, 0, 0, false
-			}
-			vals[k], virt[k], lvls[k] = lit, false, a.N(lit.Node()).Level()
-			continue
 		}
-		virt[k] = true
-		lvls[k] = newLevel
-		nNew++
-		addRef(l0, false)
-		addRef(l1, false)
-		if build {
-			vals[k] = a.AndWith(l0, l1, tryLock)
-		}
+		s.vals[gateBase+k] = lit
 	}
-	lit, outVirt, outLvl, okOut := get(st.Out)
-	if !okOut {
-		return 0, false, 0, 0, false
+	if out := s.lit(st.Out); out&^1 == litNone || out < litNone && out.Node() == root {
+		return 0, false
 	}
-	if inv.Neg {
-		lit = lit.Not()
-	}
-	if !outVirt && lit.Node() == root {
-		return 0, false, 0, 0, false
-	}
-	return lit, outVirt, nNew, outLvl, true
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// simplifiedAnd applies the trivial AND rules without touching the strash.
-func simplifiedAnd(a *aig.AIG, f0, f1 aig.Lit) (aig.Lit, bool) {
-	switch {
-	case f0 == aig.LitFalse || f1 == aig.LitFalse:
-		return aig.LitFalse, true
-	case f0 == aig.LitTrue:
-		return f1, true
-	case f1 == aig.LitTrue:
-		return f0, true
-	case f0 == f1:
-		return f0, true
-	case f0 == f1.Not():
-		return aig.LitFalse, true
-	}
-	return 0, false
+	return nNew, true
 }
 
 // Evaluator runs the evaluation stage for one worker: it owns the scratch
@@ -304,24 +331,23 @@ func (e *Evaluator) Evaluate(root int32, cuts []cut.Cut) Candidate {
 // scans, so the evaluation may run while other activities mutate the
 // graph. conflict=true means a lock could not be taken and the activity
 // must abort.
+//
+// A candidate must reach bar: the configured minimum at first, then one
+// more than the best gain so far (ties keep the earlier cut and
+// structure). A cut whose whole cone saves less than bar is skipped, and
+// a structure is walked only until it has needed more than saved-bar new
+// gates — past that it could not have been chosen, so the budget changes
+// which walks finish, never which candidate wins.
 func (e *Evaluator) EvaluateLocked(root int32, cuts []cut.Cut, lock Locker) (_ Candidate, conflict bool) {
-	best := Candidate{Root: root, RootVer: e.A.N(root).Version(), Kind: CandNone}
-	minGain := 1
+	a, s := e.A, e.Scratch
+	best := Candidate{Root: root, RootVer: a.N(root).Version()}
+	bestCut := -1
+	bar := 1
 	if e.Cfg.ZeroGain {
-		minGain = 0
+		bar = 0
 	}
-	conflicted := false
-	var lockFn func(int32) bool
-	if lock != nil {
-		lockFn = func(id int32) bool {
-			if !lock(id) {
-				conflicted = true
-				return false
-			}
-			return true
-		}
-	}
-	a := e.A
+	s.conflict = false
+	s.forget()
 	for ci := range cuts {
 		c := &cuts[ci]
 		// Structural rewriting needs 3- and 4-input cuts; the collapse
@@ -330,58 +356,68 @@ func (e *Evaluator) EvaluateLocked(root int32, cuts []cut.Cut, lock Locker) (_ C
 		if c.Size < 2 || !c.Fresh(a) {
 			continue
 		}
-		saved := e.Scratch.coneSavings(a, root, c)
-		if saved < minGain {
+		saved := s.coneSavings(a, root, c)
+		if saved < bar {
 			continue // even deleting everything cannot reach the bar
 		}
 		// Collapsing cases: the cut function is constant or a single leaf.
 		if c.TT == tt.False64 || c.TT == tt.True64 {
-			if best.Kind == CandNone || saved > best.Gain {
-				best = Candidate{Root: root, RootVer: best.RootVer, Kind: CandConst, Cut: *c, ConstVal: c.TT == tt.True64, Gain: saved}
-			}
+			best = Candidate{Root: root, RootVer: best.RootVer, Kind: CandConst, ConstVal: c.TT == tt.True64, Gain: saved}
+			bestCut, bar = ci, saved+1
 			continue
 		}
 		if leaf, phase, isWire := wireFunc(c); isWire {
-			if best.Kind == CandNone || saved > best.Gain {
-				best = Candidate{Root: root, RootVer: best.RootVer, Kind: CandWire, Cut: *c, WireLeaf: leaf, WirePhase: phase, Gain: saved}
-			}
+			best = Candidate{Root: root, RootVer: best.RootVer, Kind: CandWire, WireLeaf: leaf, WirePhase: phase, Gain: saved}
+			bestCut, bar = ci, saved+1
 			continue
 		}
 		if c.Size < 3 {
 			continue
 		}
-		if c.Size > 4 {
-			if e.evaluateBig(root, c, saved, minGain, &best, lockFn) {
-				return best, true
-			}
+		cls, repr, structs, inv := e.forest(c.Size, c.TT)
+		if len(structs) == 0 {
 			continue
 		}
-		// A cut of Size <= 4 never depends on the upper variables, so the
-		// narrow table is exact and the classic 4-input library applies.
-		cls, structs, inv4 := e.Lib.ForFunc(c.TT.Narrow16())
-		if !e.mask[cls] {
-			continue
-		}
-		inv := inv4.Wide6()
-		nStr := e.Cfg.maxStructs(len(structs))
-		for si := 0; si < nStr; si++ {
-			_, _, nNew, ok := e.Scratch.instantiate(a, &structs[si], inv, c.LeafSlice(), root, lockFn, false, nil, nil)
-			if conflicted {
-				return best, true
+		s.bind(inv, c)
+		// Once a structure has saved the whole cone, none can beat it.
+		for si, n := 0, e.Cfg.maxStructs(len(structs)); si < n && saved >= bar; si++ {
+			nNew, ok := s.plan(a, &structs[si], root, saved-bar, lock)
+			if s.conflict {
+				return Candidate{}, true
 			}
-			if !ok {
-				continue
-			}
-			gain := saved - nNew
-			if gain < minGain {
-				continue
-			}
-			if best.Kind == CandNone || gain > best.Gain {
-				best = Candidate{Root: root, RootVer: best.RootVer, Kind: CandStruct, Cut: *c, Class: cls, Struct: si, Gain: gain}
+			if ok {
+				best = Candidate{Root: root, RootVer: best.RootVer, Kind: CandStruct, Class: cls, Struct: si, Repr: repr, Gain: saved - nNew}
+				bestCut, bar = ci, best.Gain+1
 			}
 		}
 	}
+	if bestCut >= 0 {
+		best.Cut = cuts[bestCut]
+	}
 	return best, false
+}
+
+// forest returns the library structures that implement f, the function of
+// a cut of the given size, with the class they are filed under and the
+// transform that maps their inputs and output back onto f's. A cut of
+// Size <= 4 never depends on the upper variables, so the narrow table is
+// exact and the classic 4-input library applies (none for a class outside
+// the configured subset); larger cuts are classified semi-canonically
+// (npn.SemiCanon, memoized per worker) and their forests come from the
+// attached BigLibrary, none without one.
+func (e *Evaluator) forest(size uint8, f tt.Func64) (cls int, repr tt.Func64, structs []rewlib.Structure, inv npn.Transform6) {
+	if size > 4 {
+		if e.Lib.Big == nil {
+			return rewlib.BigClass, 0, nil, npn.Identity6
+		}
+		repr, tr := e.semiCache().Canon(f)
+		return rewlib.BigClass, repr, e.Lib.Big.ForRepr(repr), tr.Inverse()
+	}
+	cls, structs, inv4 := e.Lib.ForFunc(f.Narrow16())
+	if !e.mask[cls] {
+		structs = nil
+	}
+	return cls, 0, structs, inv4.Wide6()
 }
 
 // wireFunc reports whether the cut function equals a single leaf variable

@@ -1,0 +1,120 @@
+package rewrite
+
+import (
+	"testing"
+
+	"dacpara/internal/aig"
+	"dacpara/internal/bench"
+	"dacpara/internal/cut"
+	"dacpara/internal/rewlib"
+)
+
+// TestEvaluateMatchesReference holds the kernel to the evaluator it
+// replaced node by node: for every AND of the tiny suite and of the
+// flow_verified circuits, under every configuration that changes what
+// evaluation sees, the two must return the same candidate — kind, cut,
+// class, structure index, gain and the wire and constant fields. This
+// pins the tie-breaks the budget and the memo must not disturb where a
+// digest of the rewritten circuit would only say that something moved.
+func TestEvaluateMatchesReference(t *testing.T) {
+	lib := testLib(t)
+	var nets []*aig.AIG
+	for _, c := range bench.Suite(bench.ScaleTiny) {
+		nets = append(nets, c.Instantiate(bench.ScaleTiny))
+	}
+	nets = append(nets, bench.FlowVerified()...)
+	p1 := P1()
+	configs := []struct {
+		name string
+		cfg  Config
+		lib  *rewlib.Library
+	}{
+		{"default", Config{}, lib},
+		{"P1", p1, lib},
+		{"zero-gain", Config{ZeroGain: true}, lib},
+		{"preserve-delay", Config{PreserveDelay: true}, lib},
+		{"k=5", Config{K: 5}, lib.WithBig(rewlib.NewBigLibrary(0))},
+	}
+	for _, tc := range configs {
+		t.Run(tc.name, func(t *testing.T) {
+			set := nets
+			if testing.Short() {
+				// Large cuts are synthesized on demand, minutes under
+				// the race detector.
+				set = bench.FlowVerified()
+				if tc.cfg.K > 4 {
+					set = set[:3]
+				}
+			}
+			for _, a := range set {
+				cm := cut.NewManager(a, cut.Params{K: tc.cfg.K, MaxCuts: tc.cfg.MaxCuts})
+				ev := NewEvaluator(a, tc.lib, tc.cfg)
+				ref := &refScratch{delta: map[int32]int32{}}
+				a.ForEachAnd(func(id int32) {
+					cuts, _ := cm.Ensure(id, nil)
+					got, want := ev.Evaluate(id, cuts), refEvaluate(ev, ref, id, cuts)
+					if got != want {
+						t.Fatalf("%s node %d:\n got %+v\nwant %+v", a.Name, id, got, want)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestEvaluateWarmZeroAlloc: once the scratch has met the largest cone and
+// structure of a graph, evaluating its nodes again — those that yield a
+// candidate and those that do not — allocates nothing.
+func TestEvaluateWarmZeroAlloc(t *testing.T) {
+	lib := testLib(t)
+	for _, a := range bench.KernelSet() {
+		cm := cut.NewManager(a, cut.Params{})
+		ev := NewEvaluator(a, lib, P2())
+		found, none := 0, 0
+		sweep := func() {
+			a.ForEachAnd(func(id int32) {
+				cuts, _ := cm.Ensure(id, nil)
+				if cand := ev.Evaluate(id, cuts); cand.Ok() {
+					found++
+				} else {
+					none++
+				}
+			})
+		}
+		sweep()
+		if found == 0 || none == 0 {
+			t.Fatalf("%s: %d nodes with a candidate, %d without; the gate needs both", a.Name, found, none)
+		}
+		if avg := testing.AllocsPerRun(3, sweep); avg != 0 {
+			t.Errorf("%s: %v allocs per warm sweep, want 0", a.Name, avg)
+		}
+	}
+}
+
+// BenchmarkEvaluateSet is the lock-free evaluation of every AND of the
+// kernel set against fully enumerated cut sets, P2 configuration.
+func BenchmarkEvaluateSet(b *testing.B) {
+	lib := testLib(b)
+	set := bench.KernelSet()
+	cms := make([]*cut.Manager, len(set))
+	evs := make([]*Evaluator, len(set))
+	for k, a := range set {
+		cms[k] = cut.NewManager(a, cut.Params{})
+		evs[k] = NewEvaluator(a, lib, P2())
+		a.ForEachAnd(func(id int32) { cms[k].Ensure(id, nil) })
+	}
+	found := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, a := range set {
+			a.ForEachAnd(func(id int32) {
+				cuts, _ := cms[k].Cuts(id)
+				if cand := evs[k].Evaluate(id, cuts); cand.Ok() {
+					found++
+				}
+			})
+		}
+	}
+	b.ReportMetric(float64(found)/float64(b.N), "candidates/op")
+}

@@ -67,16 +67,17 @@ func (p *Pass) Enumerate(worker int, id int32, lock engine.Locker) bool {
 }
 
 func (p *Pass) Evaluate(worker int, id int32) bool {
-	p.prep[id] = Candidate{}
-	if !p.A.N(id).IsAnd() {
-		return false
+	var cand Candidate
+	var cuts []cut.Cut
+	ok := p.A.N(id).IsAnd()
+	if ok {
+		cuts, ok = p.cm.Cuts(id)
 	}
-	cuts, ok := p.cm.Cuts(id)
-	if !ok {
-		return false
+	if ok {
+		cand = p.evs[worker].Evaluate(id, cuts)
 	}
-	p.prep[id] = p.evs[worker].Evaluate(id, cuts)
-	return true
+	p.prep[id] = cand
+	return ok
 }
 
 func (p *Pass) Stored(id int32) bool { return p.prep[id].Ok() }

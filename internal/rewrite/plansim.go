@@ -12,27 +12,21 @@ import "dacpara/internal/aig"
 type replaceSim struct {
 	a       *aig.AIG
 	lock    Locker
-	delta   map[int32]int32
-	touched map[int32]bool // fanouts already redirected in the rehearsal
-	dead    map[int32]bool
+	ov      *overlay // reference-count changes; fanouts redirected; nodes deleted
 	deleted int
 	visits  int
 }
 
-func newReplaceSim(a *aig.AIG, lock Locker) *replaceSim {
-	return &replaceSim{
-		a:       a,
-		lock:    lock,
-		delta:   make(map[int32]int32, 32),
-		touched: make(map[int32]bool, 8),
-		dead:    make(map[int32]bool, 16),
-	}
+// newReplaceSim opens a rehearsal on a blank overlay.
+func newReplaceSim(a *aig.AIG, lock Locker, ov *overlay) replaceSim {
+	ov.begin()
+	return replaceSim{a: a, lock: lock, ov: ov}
 }
 
 func (s *replaceSim) lk(id int32) bool { return s.lock == nil || s.lock(id) }
 
 func (s *replaceSim) effRef(id int32) int32 {
-	return s.a.N(id).Ref() + s.delta[id]
+	return s.a.N(id).Ref() + s.ov.at(id).delta
 }
 
 // run rehearses replacing node root with literal out (outNew means the
@@ -59,20 +53,21 @@ func (s *replaceSim) simReplace(v int32, repl aig.Lit, freshRepl bool) (ok, conf
 			return false, false
 		}
 		if _, isPO := aig.IsPOFanout(e); isPO {
-			s.delta[v]--
+			s.ov.at(v).delta--
 			if !freshRepl {
-				s.delta[repl.Node()]++
+				s.ov.at(repl.Node()).delta++
 			}
 			continue
 		}
 		f := e
-		if s.touched[f] {
+		nf := s.ov.at(f)
+		if nf.touched {
 			// The fanout is affected by more than one step of the cascade;
 			// the overlay cannot track its intermediate fanin state, so
 			// give up on this candidate (rare).
 			return false, false
 		}
-		s.touched[f] = true
+		nf.touched = true
 		if !s.lk(f) {
 			return false, true
 		}
@@ -91,7 +86,7 @@ func (s *replaceSim) simReplace(v int32, repl aig.Lit, freshRepl bool) (ok, conf
 			return false, true
 		}
 		if !freshRepl {
-			if res, triv := simplifiedAnd(s.a, newLit, other); triv {
+			if res, triv := aig.SimplifyAnd(newLit, other); triv {
 				// f itself simplifies away: all its references move to
 				// res, then f dies, releasing v and other.
 				if ok, cf := s.simReplace(f, res, false); !ok {
@@ -107,12 +102,12 @@ func (s *replaceSim) simReplace(v int32, repl aig.Lit, freshRepl bool) (ok, conf
 			}
 		}
 		// Plain rehash: f drops its reference to v and gains one on repl.
-		s.delta[v]--
+		s.ov.at(v).delta--
 		if !freshRepl {
-			s.delta[repl.Node()]++
+			s.ov.at(repl.Node()).delta++
 		}
 	}
-	if s.effRef(v) == 0 && !s.dead[v] {
+	if s.effRef(v) == 0 && !s.ov.at(v).dead {
 		if ok, conflict = s.simDelete(v); !ok {
 			return false, conflict
 		}
@@ -123,7 +118,7 @@ func (s *replaceSim) simReplace(v int32, repl aig.Lit, freshRepl bool) (ok, conf
 // simDelete models deleteNodeCone: v dies, dereferencing its fanins and
 // recursively deleting those that reach zero.
 func (s *replaceSim) simDelete(v int32) (ok, conflict bool) {
-	if s.dead[v] {
+	if s.ov.at(v).dead {
 		return true, false
 	}
 	if s.visits++; s.visits > planLimit {
@@ -133,15 +128,16 @@ func (s *replaceSim) simDelete(v int32) (ok, conflict bool) {
 	if !vn.IsAnd() {
 		return false, false
 	}
-	s.dead[v] = true
+	s.ov.at(v).dead = true
 	s.deleted++
 	for _, fl := range [2]aig.Lit{vn.Fanin0(), vn.Fanin1()} {
 		fid := fl.Node()
 		if !s.lk(fid) {
 			return false, true
 		}
-		s.delta[fid]--
-		if s.effRef(fid) == 0 && s.a.N(fid).IsAnd() && !s.dead[fid] {
+		nf := s.ov.at(fid)
+		nf.delta--
+		if s.a.N(fid).Ref()+nf.delta == 0 && s.a.N(fid).IsAnd() && !nf.dead {
 			if ok, conflict = s.simDelete(fid); !ok {
 				return ok, conflict
 			}

@@ -116,6 +116,17 @@ func (f Func64) FlipVar(v int) Func64 {
 	return low<<cofShift64[v] | high>>cofShift64[v]
 }
 
+// SwapVars returns f with variables a < b exchanged: the rows on which
+// the two differ trade places, (1<<b)-(1<<a) rows apart, and every other
+// row stays. It is the step cut merging re-expresses a function with
+// (one swap per variable that moves), so it is three masked shifts and
+// no loop.
+func (f Func64) SwapVars(a, b int) Func64 {
+	up := Vars64[a] &^ Vars64[b] // rows with x_a = 1, x_b = 0
+	sh := cofShift64[b] - cofShift64[a]
+	return f&^(up|up<<sh) | (f&up)<<sh | (f>>sh)&up
+}
+
 // PermuteVars returns f with its variables renamed according to perm:
 // variable v of the result behaves as variable perm[v] of f. perm must
 // be a permutation of {0..5}.

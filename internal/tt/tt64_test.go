@@ -112,6 +112,28 @@ func TestPermuteVars64(t *testing.T) {
 	}
 }
 
+// TestSwapVars64 checks the masked shift-swap against PermuteVars for
+// every pair of variables on random tables, and that it is an involution.
+func TestSwapVars64(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for iter := 0; iter < 2000; iter++ {
+		f := Func64(rng.Uint64())
+		for a := 0; a < 6; a++ {
+			for b := a + 1; b < 6; b++ {
+				perm := [6]int{0, 1, 2, 3, 4, 5}
+				perm[a], perm[b] = b, a
+				g := f.SwapVars(a, b)
+				if want := f.PermuteVars(perm); g != want {
+					t.Fatalf("swap(%d,%d) of %v = %v, want %v", a, b, f, g, want)
+				}
+				if g.SwapVars(a, b) != f {
+					t.Fatalf("swap(%d,%d) twice changed %v", a, b, f)
+				}
+			}
+		}
+	}
+}
+
 // TestISOP64 checks that the cover is a function inside the interval
 // and that the returned table matches the cover, including against the
 // 4-variable ISOP on widened tables.

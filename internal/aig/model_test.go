@@ -22,9 +22,9 @@ func TestModelBasedConstruction(t *testing.T) {
 			pis[i] = a.AddPI()
 		}
 		lits := []Lit{pis[0], pis[1], pis[2], pis[3]}
-		model := []tt.Func16{tt.Var0, tt.Var1, tt.Var2, tt.Var3}
+		model := []tt.Func64{tt.Var64(0), tt.Var64(1), tt.Var64(2), tt.Var64(3)}
 		for _, op := range ops {
-			pick := func(sel uint32) (Lit, tt.Func16) {
+			pick := func(sel uint32) (Lit, tt.Func64) {
 				i := int(sel) % len(lits)
 				l, f := lits[i], model[i]
 				if sel>>8&1 == 1 {
@@ -36,7 +36,7 @@ func TestModelBasedConstruction(t *testing.T) {
 			y, fy := pick(op >> 9)
 			z, fz := pick(op >> 18)
 			var l Lit
-			var f tt.Func16
+			var f tt.Func64
 			switch op >> 28 % 4 {
 			case 0:
 				l, f = a.And(x, y), fx.And(fy)
@@ -61,21 +61,15 @@ func TestModelBasedConstruction(t *testing.T) {
 			return false
 		}
 		sim := NewSimulator(a)
-		// Drive each PI with its variable's truth table replicated.
+		// Drive each PI with its variable's truth table.
 		pattern := make([]uint64, 4)
-		for v := 0; v < 4; v++ {
-			var w uint64
-			for row := uint(0); row < 16; row++ {
-				if tt.Var(v).Eval(row) {
-					w |= 1 << row
-				}
-			}
-			pattern[v] = w
+		for v := range pattern {
+			pattern[v] = uint64(tt.Var64(v))
 		}
 		out := sim.Run(pattern)
 		for i, f := range model {
-			if uint16(out[i]&0xFFFF) != uint16(f) {
-				t.Logf("literal %d: sim %04x, model %v", i, out[i]&0xFFFF, f)
+			if out[i] != uint64(f) {
+				t.Logf("literal %d: sim %016x, model %v", i, out[i], f)
 				return false
 			}
 		}

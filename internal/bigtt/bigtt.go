@@ -1,10 +1,14 @@
 // Package bigtt implements truth tables over up to 16 variables, the
-// function domain of large-cone refactoring (the tt package's Func16
-// covers only the 4-variable cut space of rewriting).
+// function domain of large-cone refactoring (the tt package's Func64
+// stops at the six variables of cut rewriting), and the repository's one
+// irredundant sum-of-products cover (Scratch.Cover, ISOP): refactoring
+// factors it for cones of any size, and the structure-library builder
+// (internal/rewlib) for the 4- to 6-variable class functions.
 //
 // A table stores 2^n function bits in 64-bit words. Variables below 6
 // live inside each word as repeating bit patterns; variables 6 and above
-// select word blocks.
+// select word blocks. A table of fewer than six variables uses the low
+// 2^n bits of its only word.
 package bigtt
 
 import (

@@ -3,8 +3,6 @@ package bigtt
 import (
 	"math/rand"
 	"testing"
-
-	"dacpara/internal/tt"
 )
 
 func randomTT(rng *rand.Rand, nvars int) TT {
@@ -16,44 +14,66 @@ func randomTT(rng *rand.Rand, nvars int) TT {
 	return t
 }
 
+// TestAgainstFunc16 holds the 4-variable case to its definition over the
+// 16 rows of a table kept in a uint16.
 func TestAgainstFunc16(t *testing.T) {
-	// For 4 variables, bigtt must agree with the tt package bit for bit.
+	bit := func(f uint16, row uint) bool { return f>>row&1 == 1 }
+	rows := func(at func(row uint) bool) uint16 {
+		var f uint16
+		for row := uint(0); row < 16; row++ {
+			if at(row) {
+				f |= 1 << row
+			}
+		}
+		return f
+	}
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
-		a16 := tt.Func16(rng.Uint32())
-		b16 := tt.Func16(rng.Uint32())
+		a16 := uint16(rng.Uint32())
+		b16 := uint16(rng.Uint32())
 		a := from16(a16)
 		b := from16(b16)
-		if !a.And(b).Equal(from16(a16.And(b16))) {
+		if !a.And(b).Equal(from16(rows(func(r uint) bool { return bit(a16, r) && bit(b16, r) }))) {
 			t.Fatal("And disagrees")
 		}
-		if !a.Or(b).Equal(from16(a16.Or(b16))) {
+		if !a.Or(b).Equal(from16(rows(func(r uint) bool { return bit(a16, r) || bit(b16, r) }))) {
 			t.Fatal("Or disagrees")
 		}
-		if !a.Xor(b).Equal(from16(a16.Xor(b16))) {
+		if !a.Xor(b).Equal(from16(rows(func(r uint) bool { return bit(a16, r) != bit(b16, r) }))) {
 			t.Fatal("Xor disagrees")
 		}
-		if !a.Not().Equal(from16(a16.Not())) {
+		if !a.Not().Equal(from16(rows(func(r uint) bool { return !bit(a16, r) }))) {
 			t.Fatal("Not disagrees")
 		}
-		for v := 0; v < 4; v++ {
-			if !a.Cofactor(v, false).Equal(from16(a16.Cofactor0(v))) {
-				t.Fatalf("Cofactor0(%d) disagrees", v)
+		ones := 0
+		for row := uint(0); row < 16; row++ {
+			if a.Eval(row) != bit(a16, row) {
+				t.Fatalf("Eval(%d) disagrees", row)
 			}
-			if !a.Cofactor(v, true).Equal(from16(a16.Cofactor1(v))) {
-				t.Fatalf("Cofactor1(%d) disagrees", v)
-			}
-			if a.DependsOn(v) != a16.DependsOn(v) {
-				t.Fatalf("DependsOn(%d) disagrees", v)
+			if bit(a16, row) {
+				ones++
 			}
 		}
-		if a.Ones() != a16.Ones() {
+		if a.Ones() != ones {
 			t.Fatal("Ones disagrees")
+		}
+		for v := uint(0); v < 4; v++ {
+			c0 := rows(func(r uint) bool { return bit(a16, r&^(1<<v)) })
+			c1 := rows(func(r uint) bool { return bit(a16, r|1<<v) })
+			if !a.Cofactor(int(v), false).Equal(from16(c0)) {
+				t.Fatalf("Cofactor0(%d) disagrees", v)
+			}
+			if !a.Cofactor(int(v), true).Equal(from16(c1)) {
+				t.Fatalf("Cofactor1(%d) disagrees", v)
+			}
+			if a.DependsOn(int(v)) != (c0 != c1) {
+				t.Fatalf("DependsOn(%d) disagrees", v)
+			}
 		}
 	}
 }
 
-func from16(f tt.Func16) TT {
+func from16(f uint16) TT {
 	t := New(4)
 	t.words[0] = uint64(f)
 	return t
@@ -101,6 +121,14 @@ func TestISOPExact(t *testing.T) {
 			if !CoverTable(nvars, cover).Equal(f) {
 				t.Fatalf("nvars=%d: cover expands wrongly", nvars)
 			}
+		}
+	}
+	// A function that is a single cube is covered by that cube.
+	for _, nvars := range []int{4, 8} {
+		f := Var(nvars, 0).AndNot(Var(nvars, 1)).And(Var(nvars, 3))
+		cover, _ := ISOP(f, New(nvars))
+		if want := (Cube{Lits: 0b1011, Phase: 0b1001}); len(cover) != 1 || cover[0] != want {
+			t.Fatalf("nvars=%d: x0·!x1·x3 covered by %v, want %v", nvars, cover, want)
 		}
 	}
 }

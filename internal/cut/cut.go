@@ -277,13 +277,6 @@ func (m *Manager) Cuts(id int32) ([]Cut, bool) {
 	return e.cuts, true
 }
 
-// Clear drops the stored cuts of id.
-func (m *Manager) Clear(id int32) {
-	e := m.entry(id)
-	e.cuts = nil
-	e.ok = false
-}
-
 // trivial returns the unit cut of a node. Built field by field (not via
 // NewCut) so the hot enumeration path never materializes a leaf slice.
 func (m *Manager) trivial(id int32) Cut {

@@ -99,8 +99,10 @@ func TestRetryBudgetReturnsTypedError(t *testing.T) {
 	// first four) always fires, so at rate 1.0 no activity can ever
 	// commit and the budget must trip.
 	err := ex.Run(sequentialItems(10), func(ctx *Ctx, item int32) error {
-		if !ctx.AcquireAll(item, item+100, item+200, item+300) {
-			return ErrConflict
+		for _, id := range []int32{item, item + 100, item + 200, item + 300} {
+			if !ctx.Acquire(id) {
+				return ErrConflict
+			}
 		}
 		return nil
 	})

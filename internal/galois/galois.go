@@ -143,11 +143,6 @@ type Stats struct {
 	WastedNs    atomic.Int64
 }
 
-// Snapshot returns a plain-value copy of the counters.
-func (s *Stats) Snapshot() (commits, aborts, locks int64) {
-	return s.Commits.Load(), s.Aborts.Load(), s.LocksTaken.Load()
-}
-
 // Ctx is the per-activity handle passed to operators: it acquires locks on
 // behalf of the activity and remembers them for release.
 type Ctx struct {
@@ -178,17 +173,6 @@ func (c *Ctx) Acquire(id int32) bool {
 	if newly {
 		c.held = append(c.held, id)
 		c.stats.LocksTaken.Add(1)
-	}
-	return true
-}
-
-// AcquireAll takes every lock in ids, returning false on the first
-// conflict.
-func (c *Ctx) AcquireAll(ids ...int32) bool {
-	for _, id := range ids {
-		if !c.Acquire(id) {
-			return false
-		}
 	}
 	return true
 }

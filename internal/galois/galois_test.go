@@ -102,7 +102,7 @@ func TestSpeculativeCounterIncrements(t *testing.T) {
 	if shared != n {
 		t.Fatalf("lost updates: %d of %d", shared, n)
 	}
-	commits, aborts, locks := ex.Stats.Snapshot()
+	commits, aborts, locks := ex.Stats.Commits.Load(), ex.Stats.Aborts.Load(), ex.Stats.LocksTaken.Load()
 	if commits != n {
 		t.Fatalf("commits %d", commits)
 	}
@@ -123,8 +123,10 @@ func TestConflictingNeighbors(t *testing.T) {
 		items[i] = int32(i + 1)
 	}
 	err := ex.Run(items, func(ctx *Ctx, item int32) error {
-		if !ctx.AcquireAll(item-1, item, item+1) {
-			return ErrConflict
+		for _, id := range []int32{item - 1, item, item + 1} {
+			if !ctx.Acquire(id) {
+				return ErrConflict
+			}
 		}
 		results[item].Add(1)
 		return nil

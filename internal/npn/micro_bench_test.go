@@ -18,7 +18,7 @@ func BenchmarkCanonLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := tt.Func16(i)
 		_ = m.Canon(f)
-		_ = m.ToCanon(f)
+		_ = m.FromCanon(f)
 	}
 }
 
@@ -26,6 +26,6 @@ func BenchmarkTransformApply(b *testing.B) {
 	m := Shared()
 	tr := m.ToCanon(0x1234)
 	for i := 0; i < b.N; i++ {
-		tr.Apply(tt.Func16(i))
+		tr.Apply(tt.Func16(i).Wide())
 	}
 }

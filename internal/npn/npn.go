@@ -1,4 +1,5 @@
-// Package npn implements NPN classification of 4-input Boolean functions.
+// Package npn implements NPN classification of Boolean functions of up to
+// six inputs.
 //
 // Two functions are NPN-equivalent when one can be obtained from the other
 // by Negating inputs, Permuting inputs and/or Negating the output. The
@@ -7,14 +8,17 @@
 // and maps concrete cut functions onto them through the transform that
 // canonicalizes the cut function.
 //
-// The package computes, at initialization, the canonical representative of
-// every 4-input function together with a compact transform from the
-// function to its representative. Canonicalization of a cut function at
-// rewrite time is therefore a single table lookup.
+// For the 4-variable space the package computes, at initialization, the
+// canonical representative of every function together with a compact
+// transform between the function and its representative (Manager), so
+// canonicalization of a cut function at rewrite time is a single table
+// lookup. The 5- and 6-variable spaces are too large to tabulate and are
+// classified semi-canonically on demand (SemiCanon). Both speak one
+// Transform over six positions; a 4-variable transform is the identity on
+// x4 and x5.
 package npn
 
 import (
-	"sort"
 	"sync"
 
 	"dacpara/internal/tt"
@@ -26,34 +30,34 @@ var Shared = sync.OnceValue(NewManager)
 
 // Transform describes an NPN mapping g = T(f) defined by
 //
-//	g(x0..x3) = Neg XOR f(y0..y3),  y_i = x_{Perm[i]} XOR bit i of Flip.
+//	g(x0..x5) = Neg XOR f(y0..y5),  y_i = x_{Perm[i]} XOR bit i of Flip.
 //
-// Perm is a permutation of {0,1,2,3}; Flip holds input complementations;
+// Perm is a permutation of {0..5}; Flip holds input complementations;
 // Neg complements the output.
 type Transform struct {
-	Perm [4]uint8
+	Perm [6]uint8
 	Flip uint8
 	Neg  bool
 }
 
 // Identity is the transform that maps every function to itself.
-var Identity = Transform{Perm: [4]uint8{0, 1, 2, 3}}
+var Identity = Transform{Perm: [6]uint8{0, 1, 2, 3, 4, 5}}
 
 // Apply computes T(f).
-func (t Transform) Apply(f tt.Func16) tt.Func16 {
-	var out tt.Func16
-	for row := uint(0); row < 16; row++ {
+func (t Transform) Apply(f tt.Func64) tt.Func64 {
+	var out tt.Func64
+	for row := uint(0); row < 64; row++ {
 		src := uint(0)
-		for i := uint(0); i < 4; i++ {
+		for i := uint(0); i < 6; i++ {
 			bit := row >> uint(t.Perm[i]) & 1
 			bit ^= uint(t.Flip) >> i & 1
 			src |= bit << i
 		}
-		bit := uint16(f) >> src & 1
+		bit := uint64(f) >> src & 1
 		if t.Neg {
 			bit ^= 1
 		}
-		out |= tt.Func16(bit) << row
+		out |= tt.Func64(bit) << row
 	}
 	return out
 }
@@ -62,7 +66,7 @@ func (t Transform) Apply(f tt.Func16) tt.Func16 {
 // i.e. Compose(t, a).Apply(f) == t.Apply(a.Apply(f)).
 func Compose(t, a Transform) Transform {
 	var c Transform
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		c.Perm[i] = t.Perm[a.Perm[i]]
 		flip := a.Flip>>uint(i)&1 ^ t.Flip>>uint(a.Perm[i])&1
 		c.Flip |= flip << uint(i)
@@ -72,10 +76,10 @@ func Compose(t, a Transform) Transform {
 }
 
 // Inverse returns the transform that undoes t:
-// Inverse(t).Apply(t.Apply(f)) == f.
+// t.Inverse().Apply(t.Apply(f)) == f.
 func (t Transform) Inverse() Transform {
 	var inv Transform
-	for i := uint8(0); i < 4; i++ {
+	for i := uint8(0); i < 6; i++ {
 		p := t.Perm[i]
 		inv.Perm[p] = i
 		inv.Flip |= (t.Flip >> uint(i) & 1) << uint(p)
@@ -98,132 +102,91 @@ type Class struct {
 // Manager holds the full NPN classification of the 4-variable function
 // space. It is immutable after construction and safe for concurrent use.
 type Manager struct {
-	canon   [65536]tt.Func16
-	toCanon [65536]Transform
-	classOf [65536]int
-	classes []Class
+	canon     [65536]tt.Func16
+	fromCanon [65536]Transform
+	classOf   [65536]uint8
+	classes   []Class
 }
 
-// NewManager computes the classification. It takes a few milliseconds and
-// is typically called once per process (see Shared).
+// generator is one element of a generating set of the 4-variable NPN
+// group: as a transform, and as the word operation that applies it to a
+// table.
+type generator struct {
+	t  Transform
+	op func(tt.Func64) tt.Func64
+}
+
+// generators returns the three adjacent transpositions, the four input
+// flips and the output negation.
+func generators() []generator {
+	var gs []generator
+	for v := 0; v < 3; v++ {
+		t := Identity
+		t.Perm[v], t.Perm[v+1] = t.Perm[v+1], t.Perm[v]
+		gs = append(gs, generator{t, func(f tt.Func64) tt.Func64 { return f.SwapVars(v, v+1) }})
+	}
+	for v := 0; v < 4; v++ {
+		t := Identity
+		t.Flip = 1 << uint(v)
+		gs = append(gs, generator{t, func(f tt.Func64) tt.Func64 { return f.FlipVar(v) }})
+	}
+	return append(gs, generator{Transform{Perm: Identity.Perm, Neg: true}, tt.Func64.Not})
+}
+
+// NewManager computes the classification: a breadth-first walk of every
+// orbit under the generators, each applied to the widened table in a few
+// word operations. It takes 4–8 ms (BenchmarkManagerBuild) and is
+// typically called once per process (see Shared).
 func NewManager() *Manager {
 	m := &Manager{}
 	var seen [65536]bool
-
 	gens := generators()
-	queue := make([]uint32, 0, 1024)
-
+	queue := make([]tt.Func16, 0, 768)
 	for f := 0; f < 65536; f++ {
 		if seen[f] {
 			continue
 		}
-		// BFS over the orbit of f, remembering for every member the
-		// transform from f to that member.
-		orbit := orbitScratch[:0]
-		fromSeed := map[uint16]Transform{uint16(f): Identity}
+		// Every smaller function already has its orbit, so f is the
+		// smallest of its own: the representative. The walk records for
+		// every member the transform from f to it.
+		repr, idx := tt.Func16(f), len(m.classes)
 		seen[f] = true
-		queue = append(queue[:0], uint32(f))
-		minTT := tt.Func16(f)
-		for len(queue) > 0 {
-			cur := tt.Func16(queue[0])
-			queue = queue[1:]
-			orbit = append(orbit, uint16(cur))
-			if cur < minTT {
-				minTT = cur
-			}
-			curT := fromSeed[uint16(cur)]
+		m.fromCanon[f] = Identity
+		queue = append(queue[:0], repr)
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
+			m.canon[cur], m.classOf[cur] = repr, uint8(idx)
+			wide := cur.Wide()
 			for _, g := range gens {
-				next := g.Apply(cur)
+				next := g.op(wide).Narrow16()
 				if !seen[next] {
 					seen[next] = true
-					fromSeed[uint16(next)] = Compose(g, curT)
-					queue = append(queue, uint32(next))
+					m.fromCanon[next] = Compose(g.t, m.fromCanon[cur])
+					queue = append(queue, next)
 				}
 			}
 		}
-		// Transform from seed to the canonical representative.
-		seedToMin := fromSeed[uint16(minTT)]
-		idx := len(m.classes)
-		m.classes = append(m.classes, Class{Repr: minTT, Index: idx, Size: len(orbit)})
-		for _, member := range orbit {
-			m.canon[member] = minTT
-			m.classOf[member] = idx
-			// member = T_m(seed)  =>  canonical = seedToMin(T_m^{-1}(member)).
-			m.toCanon[member] = Compose(seedToMin, fromSeed[member].Inverse())
-		}
-	}
-	// Classes were discovered in ascending order of their smallest seed,
-	// which is also ascending order of representative; keep a stable,
-	// documented order anyway.
-	sort.Slice(m.classes, func(i, j int) bool { return m.classes[i].Repr < m.classes[j].Repr })
-	for i := range m.classes {
-		m.classes[i].Index = i
-		m.classOf[m.classes[i].Repr] = i
-	}
-	// classOf of non-representatives must follow the re-sorted indices.
-	for f := 0; f < 65536; f++ {
-		m.classOf[f] = m.classOf[m.canon[f]]
+		m.classes = append(m.classes, Class{Repr: repr, Index: idx, Size: len(queue)})
 	}
 	return m
-}
-
-var orbitScratch = make([]uint16, 0, 768)
-
-// generators returns a generating set of the NPN transform group: the
-// three adjacent transpositions, the four input flips and the output
-// negation.
-func generators() []Transform {
-	var gs []Transform
-	for v := 0; v < 3; v++ {
-		t := Identity
-		t.Perm[v], t.Perm[v+1] = t.Perm[v+1], t.Perm[v]
-		gs = append(gs, t)
-	}
-	for v := uint(0); v < 4; v++ {
-		t := Identity
-		t.Flip = 1 << v
-		gs = append(gs, t)
-	}
-	gs = append(gs, Transform{Perm: Identity.Perm, Neg: true})
-	return gs
 }
 
 // Canon returns the canonical representative of f's NPN class.
 func (m *Manager) Canon(f tt.Func16) tt.Func16 { return m.canon[f] }
 
+// FromCanon returns the transform t with t.Apply(Canon(f)) == f, the one
+// that carries a structure built for the representative onto f's inputs
+// and output.
+func (m *Manager) FromCanon(f tt.Func16) Transform { return m.fromCanon[f] }
+
 // ToCanon returns the transform t with t.Apply(f) == Canon(f).
-func (m *Manager) ToCanon(f tt.Func16) Transform { return m.toCanon[f] }
+func (m *Manager) ToCanon(f tt.Func16) Transform { return m.fromCanon[f].Inverse() }
 
 // ClassIndex returns the dense index of f's NPN class.
-func (m *Manager) ClassIndex(f tt.Func16) int { return m.classOf[f] }
+func (m *Manager) ClassIndex(f tt.Func16) int { return int(m.classOf[f]) }
 
 // Classes returns all NPN classes ordered by representative.
 func (m *Manager) Classes() []Class { return m.classes }
 
 // NumClasses returns the number of NPN classes (222 for four variables).
 func (m *Manager) NumClasses() int { return len(m.classes) }
-
-// TopClasses returns a class-index membership mask selecting the n most
-// populous classes (largest orbit first, ties broken by representative).
-// Note: the rewriting engines select their practical 134-class subset by
-// implementation cost instead (rewlib.PracticalClasses) — orbit size is
-// a poor proxy for occurrence because the symmetric functions arithmetic
-// circuits are made of (parities, majorities) have small orbits.
-func (m *Manager) TopClasses(n int) []bool {
-	idx := make([]int, len(m.classes))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ca, cb := m.classes[idx[a]], m.classes[idx[b]]
-		if ca.Size != cb.Size {
-			return ca.Size > cb.Size
-		}
-		return ca.Repr < cb.Repr
-	})
-	mask := make([]bool, len(m.classes))
-	for i := 0; i < n && i < len(idx); i++ {
-		mask[idx[i]] = true
-	}
-	return mask
-}

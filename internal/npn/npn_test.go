@@ -42,13 +42,15 @@ func TestCanonIsIdempotentAndInvariant(t *testing.T) {
 
 func TestToCanonTransform(t *testing.T) {
 	m := Shared()
-	err := quick.Check(func(a uint16) bool {
-		f := tt.Func16(a)
-		tr := m.ToCanon(f)
-		return tr.Apply(f) == m.Canon(f)
-	}, &quick.Config{MaxCount: 3000})
-	if err != nil {
-		t.Fatal(err)
+	for v := 0; v < 1<<16; v++ {
+		f := tt.Func16(v)
+		canon := m.Canon(f).Wide()
+		if got := m.ToCanon(f).Apply(f.Wide()); got != canon {
+			t.Fatalf("ToCanon(%v) reaches %v, canon %v", f, got, canon)
+		}
+		if got := m.FromCanon(f).Apply(canon); got != f.Wide() {
+			t.Fatalf("FromCanon(%v) reaches %v from canon %v", f, got, canon)
+		}
 	}
 }
 
@@ -57,47 +59,82 @@ func TestCanonInvariantUnderRandomTransforms(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 2000; i++ {
 		f := tt.Func16(rng.Uint32())
-		tr := randomTransform(rng)
-		if m.Canon(tr.Apply(f)) != m.Canon(f) {
+		tr := randomTransform(rng, 4)
+		g := tr.Apply(f.Wide()).Narrow16()
+		if m.Canon(g) != m.Canon(f) {
 			t.Fatalf("canonical form not invariant: f=%v tr=%+v", f, tr)
 		}
-		if m.ClassIndex(tr.Apply(f)) != m.ClassIndex(f) {
+		if m.ClassIndex(g) != m.ClassIndex(f) {
 			t.Fatal("class index not invariant")
 		}
 	}
 }
 
-func randomTransform(rng *rand.Rand) Transform {
-	var tr Transform
-	perm := rng.Perm(4)
-	for i, p := range perm {
+// randomTransform draws a transform that permutes and flips the first nv
+// variables and is the identity on the rest.
+func randomTransform(rng *rand.Rand, nv int) Transform {
+	tr := Identity
+	for i, p := range rng.Perm(nv) {
 		tr.Perm[i] = uint8(p)
 	}
-	tr.Flip = uint8(rng.Intn(16))
+	tr.Flip = uint8(rng.Intn(1 << nv))
 	tr.Neg = rng.Intn(2) == 1
 	return tr
 }
 
+// refApply16 is the action of a 4-variable transform written out over the
+// 16 rows of a Func16: g(x0..x3) = Neg XOR f(y0..y3) with
+// y_i = x_{Perm[i]} XOR bit i of Flip.
+func refApply16(tr Transform, f tt.Func16) tt.Func16 {
+	var out tt.Func16
+	for row := uint(0); row < 16; row++ {
+		src := uint(0)
+		for i := uint(0); i < 4; i++ {
+			bit := row >> uint(tr.Perm[i]) & 1
+			bit ^= uint(tr.Flip) >> i & 1
+			src |= bit << i
+		}
+		bit := uint16(f) >> src & 1
+		if tr.Neg {
+			bit ^= 1
+		}
+		out |= tt.Func16(bit) << row
+	}
+	return out
+}
+
+// TestTransformGroupLaws holds the one transform at four variables to the
+// 16-row reference: a transform that is the identity on x4 and x5 keeps a
+// widened table widened and acts on it as the reference does, and
+// composition and inversion stay inside the 4-variable group.
 func TestTransformGroupLaws(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
-		a := randomTransform(rng)
-		b := randomTransform(rng)
+		a := randomTransform(rng, 4)
+		b := randomTransform(rng, 4)
 		f := tt.Func16(rng.Uint32())
+		if got, want := a.Apply(f.Wide()), refApply16(a, f).Wide(); got != want {
+			t.Fatalf("a=%+v on %v: %v, reference %v", a, f, got, want)
+		}
 		// Composition law.
-		if Compose(b, a).Apply(f) != b.Apply(a.Apply(f)) {
+		if got, want := Compose(b, a).Apply(f.Wide()), refApply16(b, refApply16(a, f)).Wide(); got != want {
 			t.Fatalf("compose law broken: a=%+v b=%+v", a, b)
 		}
 		// Inverse law.
-		if a.Inverse().Apply(a.Apply(f)) != f {
+		if refApply16(a.Inverse(), refApply16(a, f)) != f {
 			t.Fatalf("inverse law broken: a=%+v", a)
 		}
-		if a.Apply(a.Inverse().Apply(f)) != f {
+		if refApply16(a, refApply16(a.Inverse(), f)) != f {
 			t.Fatalf("inverse law (other side) broken: a=%+v", a)
+		}
+		for _, tr := range []Transform{Compose(b, a), a.Inverse()} {
+			if tr.Perm[4] != 4 || tr.Perm[5] != 5 || tr.Flip>>4 != 0 {
+				t.Fatalf("%+v moves x4 or x5", tr)
+			}
 		}
 	}
 	// Identity behaves.
-	if Identity.Apply(tt.Var1) != tt.Var1 {
+	if refApply16(Identity, tt.Var1) != tt.Var1 {
 		t.Fatal("identity transform changed a function")
 	}
 }
@@ -105,20 +142,29 @@ func TestTransformGroupLaws(t *testing.T) {
 func TestTransformSemantics(t *testing.T) {
 	// A pure permutation transform must agree with PermuteVars: with
 	// g = T(f) and y_i = x_{Perm[i]}, input i of f reads variable Perm[i].
-	tr := Transform{Perm: [4]uint8{1, 0, 2, 3}}
-	f := tt.Var0
-	if got := tr.Apply(f); got != tt.Var1 {
-		t.Fatalf("permuted Var0 = %v, want Var1", got)
+	tr := Identity
+	tr.Perm[0], tr.Perm[1] = 1, 0
+	if got := tr.Apply(tt.Var64(0)); got != tt.Var64(1) {
+		t.Fatalf("permuted x0 = %v, want x1", got)
+	}
+	tr = Identity
+	tr.Perm[2], tr.Perm[5] = 5, 2
+	if got := tr.Apply(tt.Var64(2)); got != tt.Var64(5) {
+		t.Fatalf("permuted x2 = %v, want x5", got)
 	}
 	// Input flips complement the variable feeding that input.
-	tr = Transform{Perm: [4]uint8{0, 1, 2, 3}, Flip: 1}
-	if got := tr.Apply(tt.Var0); got != tt.Var0.Not() {
-		t.Fatalf("flipped Var0 = %v", got)
+	for _, v := range []int{0, 4} {
+		tr = Identity
+		tr.Flip = 1 << uint(v)
+		if got := tr.Apply(tt.Var64(v)); got != tt.Var64(v).Not() {
+			t.Fatalf("flipped x%d = %v", v, got)
+		}
 	}
 	// Output negation.
-	tr = Transform{Perm: [4]uint8{0, 1, 2, 3}, Neg: true}
-	if got := tr.Apply(tt.Var2); got != tt.Var2.Not() {
-		t.Fatalf("negated Var2 = %v", got)
+	tr = Identity
+	tr.Neg = true
+	if got := tr.Apply(tt.Var64(2)); got != tt.Var64(2).Not() {
+		t.Fatalf("negated x2 = %v", got)
 	}
 }
 
@@ -126,18 +172,18 @@ func TestKnownClassMembers(t *testing.T) {
 	m := Shared()
 	// All single variables (and their complements) are NPN-equivalent.
 	cls := m.ClassIndex(tt.Var0)
-	for v := 1; v < 4; v++ {
-		if m.ClassIndex(tt.Var(v)) != cls {
+	for v, x := range []tt.Func16{tt.Var0, tt.Var1, tt.Var2, tt.Var3} {
+		if m.ClassIndex(x) != cls {
 			t.Fatalf("Var%d not in Var0's class", v)
 		}
-		if m.ClassIndex(tt.Var(v).Not()) != cls {
+		if m.ClassIndex(^x) != cls {
 			t.Fatalf("!Var%d not in Var0's class", v)
 		}
 	}
 	// AND2 and OR2 are NPN-equivalent (de Morgan), XOR2 is not.
-	and2 := tt.Var0.And(tt.Var1)
-	or2 := tt.Var0.Or(tt.Var1)
-	xor2 := tt.Var0.Xor(tt.Var1)
+	and2 := tt.Var0 & tt.Var1
+	or2 := tt.Var0 | tt.Var1
+	xor2 := tt.Var0 ^ tt.Var1
 	if m.ClassIndex(and2) != m.ClassIndex(or2) {
 		t.Fatal("AND2 and OR2 must share a class")
 	}
@@ -148,30 +194,5 @@ func TestKnownClassMembers(t *testing.T) {
 	cc := m.Classes()[m.ClassIndex(tt.False)]
 	if cc.Size != 2 {
 		t.Fatalf("constant class size %d, want 2", cc.Size)
-	}
-}
-
-func TestTopClasses(t *testing.T) {
-	m := Shared()
-	mask := m.TopClasses(10)
-	n := 0
-	minSelected := 1 << 30
-	maxDropped := 0
-	for i, sel := range mask {
-		size := m.Classes()[i].Size
-		if sel {
-			n++
-			if size < minSelected {
-				minSelected = size
-			}
-		} else if size > maxDropped {
-			maxDropped = size
-		}
-	}
-	if n != 10 {
-		t.Fatalf("selected %d classes, want 10", n)
-	}
-	if minSelected < maxDropped {
-		t.Fatalf("selection not by size: min selected %d < max dropped %d", minSelected, maxDropped)
 	}
 }

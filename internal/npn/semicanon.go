@@ -33,83 +33,13 @@ import (
 	"dacpara/internal/tt"
 )
 
-// Transform6 describes an NPN mapping over the 6-variable domain with the
-// same semantics as Transform:
-//
-//	g(x0..x5) = Neg XOR f(y0..y5),  y_i = x_{Perm[i]} XOR bit i of Flip.
-type Transform6 struct {
-	Perm [6]uint8
-	Flip uint8
-	Neg  bool
-}
-
-// Identity6 maps every function to itself.
-var Identity6 = Transform6{Perm: [6]uint8{0, 1, 2, 3, 4, 5}}
-
-// Wide6 lifts a 4-variable transform to the 6-variable domain, acting as
-// the identity on x4 and x5. Applying the lifted transform to a widened
-// table widens the 4-variable result.
-func (t Transform) Wide6() Transform6 {
-	w := Transform6{Flip: t.Flip, Neg: t.Neg}
-	for i := 0; i < 4; i++ {
-		w.Perm[i] = t.Perm[i]
-	}
-	w.Perm[4], w.Perm[5] = 4, 5
-	return w
-}
-
-// Apply64 computes T(f).
-func (t Transform6) Apply64(f tt.Func64) tt.Func64 {
-	var out tt.Func64
-	for row := uint(0); row < 64; row++ {
-		src := uint(0)
-		for i := uint(0); i < 6; i++ {
-			bit := row >> uint(t.Perm[i]) & 1
-			bit ^= uint(t.Flip) >> i & 1
-			src |= bit << i
-		}
-		bit := uint64(f) >> src & 1
-		if t.Neg {
-			bit ^= 1
-		}
-		out |= tt.Func64(bit) << row
-	}
-	return out
-}
-
-// Compose6 returns the transform equivalent to applying a first and then
-// t, i.e. Compose6(t, a).Apply64(f) == t.Apply64(a.Apply64(f)).
-func Compose6(t, a Transform6) Transform6 {
-	var c Transform6
-	for i := 0; i < 6; i++ {
-		c.Perm[i] = t.Perm[a.Perm[i]]
-		flip := a.Flip>>uint(i)&1 ^ t.Flip>>uint(a.Perm[i])&1
-		c.Flip |= flip << uint(i)
-	}
-	c.Neg = t.Neg != a.Neg
-	return c
-}
-
-// Inverse returns the transform that undoes t:
-// t.Inverse().Apply64(t.Apply64(f)) == f.
-func (t Transform6) Inverse() Transform6 {
-	var inv Transform6
-	for i := uint8(0); i < 6; i++ {
-		p := t.Perm[i]
-		inv.Perm[p] = i
-		inv.Flip |= (t.Flip >> uint(i) & 1) << uint(p)
-	}
-	inv.Neg = t.Neg
-	return inv
-}
-
 // SemiCanon returns the semi-canonical representative of f's NPN orbit
-// and a transform t with t.Apply64(f) == repr. The representative is
+// and a transform t with t.Apply(f) == repr. The representative is
 // invariant under input permutation/negation and output negation. When
 // f's support fits in four variables the exact 4-variable classification
 // is used, so SemiCanon agrees with Manager.Canon on the whole widened
 // 4-variable space.
-func SemiCanon(f tt.Func64) (tt.Func64, Transform6) {
+func SemiCanon(f tt.Func64) (tt.Func64, Transform) {
 	if bits.OnesCount(f.Support()) <= 4 {
 		return semiCanonNarrow(f)
 	}
@@ -118,16 +48,16 @@ func SemiCanon(f tt.Func64) (tt.Func64, Transform6) {
 
 // semiCanonNarrow compacts the (at most four) support variables into
 // x0..x3 and delegates to the exact 4-variable Manager.
-func semiCanonNarrow(f tt.Func64) (tt.Func64, Transform6) {
+func semiCanonNarrow(f tt.Func64) (tt.Func64, Transform) {
 	// Compaction permutation: support variables first in ascending order,
 	// then the rest ascending. This choice is orbit-consistent because it
 	// is a function of the support set alone.
 	sup := f.Support()
-	pack := Identity6
+	pack := Identity
 	n := uint8(0)
 	for v := uint8(0); v < 6; v++ {
 		if sup>>v&1 == 1 {
-			// f-variable v lands at packed position n (Apply64 reads
+			// f-variable v lands at packed position n (Apply reads
 			// result variable Perm[v] for source variable v).
 			pack.Perm[v] = n
 			n++
@@ -139,18 +69,17 @@ func semiCanonNarrow(f tt.Func64) (tt.Func64, Transform6) {
 			n++
 		}
 	}
-	packed := pack.Apply64(f)
+	packed := pack.Apply(f)
 	m := Shared()
 	f16 := packed.Narrow16()
-	t4 := m.ToCanon(f16).Wide6()
-	return m.Canon(f16).Wide(), Compose6(t4, pack)
+	return m.Canon(f16).Wide(), Compose(m.ToCanon(f16), pack)
 }
 
 // semiCanonWide runs the constrained enumeration for functions with five
 // or six support variables.
-func semiCanonWide(f tt.Func64) (tt.Func64, Transform6) {
+func semiCanonWide(f tt.Func64) (tt.Func64, Transform) {
 	best := tt.True64
-	bestT := Identity6
+	bestT := Identity
 	first := true
 
 	total := f.Ones()
@@ -196,14 +125,14 @@ func semiCanonWide(f tt.Func64) (tt.Func64, Transform6) {
 		flips = enumFlips(flipChoices, flips)
 		for _, flip := range flips {
 			for _, ord := range orders {
-				var t Transform6
+				var t Transform
 				t.Flip = flip
 				t.Neg = neg
 				for w, v := range ord {
 					// f-variable v lands at result position w.
 					t.Perm[v] = uint8(w)
 				}
-				h := t.Apply64(f)
+				h := t.Apply(f)
 				if first || h < best {
 					best, bestT, first = h, t, false
 				}
@@ -314,7 +243,7 @@ type SemiCache struct {
 
 type semiEntry struct {
 	repr tt.Func64
-	t    Transform6
+	t    Transform
 }
 
 // NewSemiCache allocates an empty cache.
@@ -323,7 +252,7 @@ func NewSemiCache() *SemiCache {
 }
 
 // Canon returns SemiCanon(f), computing and caching it on first use.
-func (c *SemiCache) Canon(f tt.Func64) (tt.Func64, Transform6) {
+func (c *SemiCache) Canon(f tt.Func64) (tt.Func64, Transform) {
 	if e, ok := c.m[f]; ok {
 		return e.repr, e.t
 	}

@@ -7,50 +7,27 @@ import (
 	"dacpara/internal/tt"
 )
 
-func randomTransform6(rng *rand.Rand) Transform6 {
-	var t Transform6
-	for i, p := range rng.Perm(6) {
-		t.Perm[i] = uint8(p)
-	}
-	t.Flip = uint8(rng.Intn(64))
-	t.Neg = rng.Intn(2) == 0
-	return t
-}
-
-// TestTransform6Algebra pins the algebra the rewriting path relies on:
-// identity acts trivially, Compose6 matches sequential application,
-// Inverse undoes its transform on both sides, and Wide6 commutes with
-// widening.
+// TestTransform6Algebra pins the algebra the rewriting path relies on at
+// the full six variables: identity acts trivially, Compose matches
+// sequential application and Inverse undoes its transform on both sides.
 func TestTransform6Algebra(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 2000; iter++ {
 		f := tt.Func64(rng.Uint64())
-		a := randomTransform6(rng)
-		b := randomTransform6(rng)
-		if got := Identity6.Apply64(f); got != f {
-			t.Fatalf("Identity6(%v) = %v", f, got)
+		a := randomTransform(rng, 6)
+		b := randomTransform(rng, 6)
+		if got := Identity.Apply(f); got != f {
+			t.Fatalf("Identity(%v) = %v", f, got)
 		}
-		if got, want := Compose6(b, a).Apply64(f), b.Apply64(a.Apply64(f)); got != want {
-			t.Fatalf("Compose6 mismatch: %v vs %v", got, want)
+		if got, want := Compose(b, a).Apply(f), b.Apply(a.Apply(f)); got != want {
+			t.Fatalf("Compose mismatch: %v vs %v", got, want)
 		}
 		inv := a.Inverse()
-		if got := inv.Apply64(a.Apply64(f)); got != f {
+		if got := inv.Apply(a.Apply(f)); got != f {
 			t.Fatalf("inverse failed: %v -> %v", f, got)
 		}
-		if got := a.Apply64(inv.Apply64(f)); got != f {
+		if got := a.Apply(inv.Apply(f)); got != f {
 			t.Fatalf("right inverse failed: %v -> %v", f, got)
-		}
-	}
-	// Wide6 lifts a 4-variable transform so that applying it to a widened
-	// table equals widening the 4-variable application.
-	for iter := 0; iter < 2000; iter++ {
-		f16 := tt.Func16(rng.Uint32())
-		tr := Transform{Flip: uint8(rng.Intn(16)), Neg: rng.Intn(2) == 0}
-		for i, p := range rng.Perm(4) {
-			tr.Perm[i] = uint8(p)
-		}
-		if got, want := tr.Wide6().Apply64(f16.Wide()), tr.Apply(f16).Wide(); got != want {
-			t.Fatalf("Wide6 mismatch for %v: %v vs %v", tr, got, want)
 		}
 	}
 }
@@ -62,7 +39,7 @@ func TestSemiCanonTransformMapsToRepr(t *testing.T) {
 	for iter := 0; iter < 3000; iter++ {
 		f := tt.Func64(rng.Uint64())
 		repr, tr := SemiCanon(f)
-		if got := tr.Apply64(f); got != repr {
+		if got := tr.Apply(f); got != repr {
 			t.Fatalf("transform does not map to repr: SemiCanon(%v) = (%v, %+v), t(f) = %v",
 				f, repr, tr, got)
 		}
@@ -83,7 +60,7 @@ func TestSemiCanonInvariance(t *testing.T) {
 		}
 		repr, _ := SemiCanon(f)
 		for probe := 0; probe < 4; probe++ {
-			g := randomTransform6(rng).Apply64(f)
+			g := randomTransform(rng, 6).Apply(f)
 			gr, _ := SemiCanon(g)
 			if gr != repr {
 				t.Fatalf("orbit split: SemiCanon(%v)=%v but SemiCanon(%v)=%v", f, repr, g, gr)
@@ -125,11 +102,11 @@ func TestSemiCanonInvarianceSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, f := range []tt.Func64{parity6, parity6.Not(), maj5, thr6} {
 		repr, tr := SemiCanon(f)
-		if got := tr.Apply64(f); got != repr {
+		if got := tr.Apply(f); got != repr {
 			t.Fatalf("transform does not reach repr for %v", f)
 		}
 		for probe := 0; probe < 24; probe++ {
-			g := randomTransform6(rng).Apply64(f)
+			g := randomTransform(rng, 6).Apply(f)
 			if gr, _ := SemiCanon(g); gr != repr {
 				t.Fatalf("symmetric orbit split: %v vs %v", gr, repr)
 			}
@@ -154,13 +131,13 @@ func TestSemiCanonAgreesWithExactNarrow(t *testing.T) {
 		if want := m.Canon(f16).Wide(); repr != want {
 			t.Fatalf("f16=%04x: semi repr %v, exact canon %v", v, repr, want)
 		}
-		if got := tr.Apply64(f); got != repr {
+		if got := tr.Apply(f); got != repr {
 			t.Fatalf("f16=%04x: transform misses repr", v)
 		}
 		// Sampled: the same function living on shuffled/negated variables
 		// (support possibly in x2..x5) still lands on the exact canon.
 		if v%97 == 0 {
-			g := randomTransform6(rng).Apply64(f)
+			g := randomTransform(rng, 6).Apply(f)
 			if gr, _ := SemiCanon(g); gr != repr {
 				t.Fatalf("f16=%04x: scattered orbit split: %v vs %v", v, gr, repr)
 			}

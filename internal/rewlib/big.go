@@ -55,7 +55,9 @@ func (b *BigLibrary) ForRepr(repr tt.Func64) []Structure {
 	if ok {
 		return s
 	}
-	s = synthesizeAll64(repr, MaxInputs, b.maxPerClass)
+	// A synthesis error names a structure the synthesizer has already
+	// left out; the forest it returns holds only verified ones.
+	s, _ = synthesizeAll64(repr, MaxInputs, b.maxPerClass)
 	b.mu.Lock()
 	if prior, ok := b.forest[repr]; ok {
 		s = prior

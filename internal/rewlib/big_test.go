@@ -24,7 +24,10 @@ func TestSynthesizeAll64Correct(t *testing.T) {
 			f = f.Cofactor0(5)
 		}
 		const cap = 6
-		structs := synthesizeAll64(f, MaxInputs, cap)
+		structs, err := synthesizeAll64(f, MaxInputs, cap)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(structs) == 0 {
 			t.Fatalf("no structure for %v", f)
 		}
@@ -64,8 +67,8 @@ func TestSynthesizeAll64Deterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(139))
 	for iter := 0; iter < 40; iter++ {
 		f := tt.Func64(rng.Uint64())
-		a := synthesizeAll64(f, MaxInputs, DefaultBigPerClass)
-		b := synthesizeAll64(f, MaxInputs, DefaultBigPerClass)
+		a, _ := synthesizeAll64(f, MaxInputs, DefaultBigPerClass)
+		b, _ := synthesizeAll64(f, MaxInputs, DefaultBigPerClass)
 		if len(a) != len(b) {
 			t.Fatalf("forest sizes differ: %d vs %d", len(a), len(b))
 		}
@@ -132,7 +135,7 @@ func uniqueReprs(rs []tt.Func64) []tt.Func64 {
 // the class untouched.
 func TestBigLibraryPreloadPriority(t *testing.T) {
 	repr, _ := npn.SemiCanon(tt.Func64(0x123456789abcdef0))
-	good := synthesizeAll64(repr, MaxInputs, 8)
+	good, _ := synthesizeAll64(repr, MaxInputs, 8)
 	if len(good) < 2 {
 		t.Fatalf("need at least two structures, have %d", len(good))
 	}

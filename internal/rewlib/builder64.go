@@ -1,16 +1,17 @@
 package rewlib
 
 import (
+	"fmt"
 	"sort"
 
+	"dacpara/internal/bigtt"
 	"dacpara/internal/tt"
 )
 
-// builder64 is the 6-variable counterpart of sbuilder: it constructs one
-// Structure over Func64 tables with builder-local structural hashing and
-// function memoization. The 4-input builder is kept separate and
-// untouched so the classic library stays bit-identical; this mirror only
-// serves the large-cut classes.
+// builder64 constructs one Structure over Func64 tables of nv variables
+// with builder-local structural hashing and function memoization, so
+// repeated subfunctions share gates. It serves every width: the classic
+// 4-input library is the nv = 4 case.
 type builder64 struct {
 	nodes  []SNode
 	strash map[uint32]SLit
@@ -19,12 +20,20 @@ type builder64 struct {
 }
 
 func newBuilder64(nv int) *builder64 {
-	b := &builder64{strash: map[uint32]SLit{}, memo: map[tt.Func64]SLit{}, nv: nv}
+	return &builder64{strash: map[uint32]SLit{}, memo: map[tt.Func64]SLit{}, nv: nv}
+}
+
+// reset empties the builder for the next structure. The maps keep their
+// storage: a forest is some fifty structures, and allocating two maps for
+// each was most of what building the library allocated.
+func (b *builder64) reset() {
+	b.nodes = b.nodes[:0]
+	clear(b.strash)
+	clear(b.memo)
 	b.memo[tt.False64] = SConstFalse
-	for v := 0; v < nv; v++ {
+	for v := 0; v < b.nv; v++ {
 		b.memo[tt.Var64(v)] = SInput(v)
 	}
-	return b
 }
 
 func (b *builder64) lookupMemo(f tt.Func64) (SLit, bool) {
@@ -104,20 +113,29 @@ func (b *builder64) finish(out SLit) Structure {
 	return Structure{Nodes: packed, Out: fix(out)}
 }
 
-// policy64 mirrors policy for the 6-variable decomposer.
+// policy64 selects one run of the decomposer: which variable is preferred
+// for extraction, whether XOR extraction is attempted before MUX
+// expansion, and whether the complement is built and inverted.
 type policy64 struct {
 	order    []int
 	xorFirst bool
 	complOut bool
 }
 
-// maxGates64 bounds one large structure; 6-input cones are legitimately
-// bigger than 4-input ones.
-const maxGates64 = 64
+// guard bounds one structure's gate count and the decomposer's recursion
+// depth: 40 gates and depth 8 cover every 4-input function with room to
+// spare; 5- and 6-input cones are legitimately bigger.
+func (b *builder64) guard() (maxGates, maxDepth int) {
+	if b.nv <= 4 {
+		return 40, 8
+	}
+	return 64, 12
+}
 
-// synthesize64 builds one structure for f under the given policy.
-func synthesize64(f tt.Func64, nv int, p policy64) (Structure, bool) {
-	b := newBuilder64(nv)
+// synthesize64 builds one structure for f under the given policy. ok is
+// false when recursion exceeded the guard.
+func (b *builder64) synthesize64(f tt.Func64, p policy64) (Structure, bool) {
+	b.reset()
 	target := f
 	if p.complOut {
 		target = f.Not()
@@ -133,13 +151,12 @@ func synthesize64(f tt.Func64, nv int, p policy64) (Structure, bool) {
 }
 
 // synth recursively decomposes f: single-literal AND/OR extraction, then
-// XOR extraction, then Shannon/MUX expansion — the same ladder as the
-// 4-input builder with a deeper recursion allowance.
+// XOR extraction, then Shannon/MUX expansion.
 func (b *builder64) synth(f tt.Func64, p policy64, depth int) (SLit, bool) {
 	if l, ok := b.lookupMemo(f); ok {
 		return l, true
 	}
-	if len(b.nodes) > maxGates64 || depth > 12 {
+	if maxGates, maxDepth := b.guard(); len(b.nodes) > maxGates || depth > maxDepth {
 		return 0, false
 	}
 	rec := func(g tt.Func64) (SLit, bool) { return b.synth(g, p, depth+1) }
@@ -202,6 +219,7 @@ func (b *builder64) synth(f tt.Func64, p policy64, depth int) (SLit, bool) {
 		}
 		return b.memoize(f, b.mux(SInput(v), t, e)), true
 	}
+	// f is constant (True handled via memo of False complement).
 	if f == tt.True64 {
 		return SConstTrue, true
 	}
@@ -213,31 +231,23 @@ func (b *builder64) memoize(f tt.Func64, l SLit) SLit {
 	return l
 }
 
-// factorISOP64 builds a structure by algebraically factoring an
-// irredundant cover of f (or of its complement with the output inverted).
-func factorISOP64(f tt.Func64, nv int, compl bool) (Structure, bool) {
+// factorCover64 builds a structure by algebraically factoring an
+// irredundant sum-of-products cover of f (or of its complement with the
+// output inverted), the classic SOP-driven alternative to decomposition.
+func (b *builder64) factorCover64(f tt.Func64, compl bool) Structure {
+	b.reset()
 	target := f
 	if compl {
 		target = f.Not()
 	}
-	cover, table := tt.ISOP64(target, tt.False64, nv)
-	if table != target {
-		return Structure{}, false
-	}
-	b := newBuilder64(nv)
-	out := b.factor(cover)
-	if compl {
-		out = out.not()
-	}
-	s := b.finish(out)
-	if s.Func64() != f {
-		return Structure{}, false
-	}
-	return s, true
+	// No don't-cares: the interval is the function itself.
+	on := bigtt.Make(b.nv, []uint64{uint64(target) & bigtt.WordMask(b.nv)})
+	cover, _ := new(bigtt.Scratch).Cover(on, on)
+	return b.finish(b.factor(cover).Compl(compl))
 }
 
 // factor recursively divides a cover by its most frequent literal.
-func (b *builder64) factor(cover []tt.Cube64) SLit {
+func (b *builder64) factor(cover []bigtt.Cube) SLit {
 	if len(cover) == 0 {
 		return SConstFalse
 	}
@@ -261,10 +271,11 @@ func (b *builder64) factor(cover []tt.Cube64) SLit {
 		}
 	}
 	if bestV < 0 {
+		// No shared literal: balanced OR of cube ANDs.
 		mid := len(cover) / 2
 		return b.or(b.factor(cover[:mid]), b.factor(cover[mid:]))
 	}
-	var quotient, remainder []tt.Cube64
+	var quotient, remainder []bigtt.Cube
 	for _, c := range cover {
 		if c.Lits>>uint(bestV)&1 == 1 && int(c.Phase>>uint(bestV)&1) == bestP {
 			q := c
@@ -283,7 +294,8 @@ func (b *builder64) factor(cover []tt.Cube64) SLit {
 	return b.or(qf, b.factor(remainder))
 }
 
-func (b *builder64) cubeAnd(c tt.Cube64) SLit {
+// cubeAnd builds the conjunction of a cube's literals.
+func (b *builder64) cubeAnd(c bigtt.Cube) SLit {
 	out := SConstTrue
 	for v := 0; v < MaxInputs; v++ {
 		if c.Lits>>uint(v)&1 == 0 {
@@ -294,11 +306,26 @@ func (b *builder64) cubeAnd(c tt.Cube64) SLit {
 	return out
 }
 
+// classicOrders are the twelve variable preference orders of the 4-input
+// library. They are data, not the nv = 4 case of the rotation scheme
+// below: that scheme yields a different set at four variables, and the
+// set decides which structures the library holds — hence every engine's
+// result at k = 4.
+var classicOrders = [][]int{
+	{0, 1, 2, 3}, {1, 2, 3, 0}, {2, 3, 0, 1}, {3, 0, 1, 2},
+	{0, 2, 1, 3}, {1, 3, 2, 0}, {3, 1, 0, 2}, {2, 0, 3, 1},
+	{0, 3, 2, 1}, {3, 2, 1, 0}, {1, 0, 3, 2}, {2, 1, 0, 3},
+}
+
 // varOrders64 returns the deterministic set of variable preference orders
-// the large-cut policies explore: rotations of four base interleavings of
-// the first nv variables. Full permutation enumeration (720 orders at
-// nv=6) buys little over this spread and costs 30x the synthesis time.
+// the policies explore over nv variables. Above four variables these are
+// the rotations of four base interleavings: full permutation enumeration
+// (720 orders at nv=6) buys little over this spread and costs 30x the
+// synthesis time.
 func varOrders64(nv int) [][]int {
+	if nv == 4 {
+		return classicOrders
+	}
 	bases := [][]int{
 		{0, 1, 2, 3, 4, 5},
 		{5, 4, 3, 2, 1, 0},
@@ -332,15 +359,19 @@ func varOrders64(nv int) [][]int {
 	return out
 }
 
-// synthesizeAll64 runs every 6-variable policy on f and returns the
-// deduplicated, verified forest ranked by size. Structures that fail
-// functional verification against f are dropped (they cannot occur absent
-// a builder bug, but the forest must never propagate one).
-func synthesizeAll64(f tt.Func64, nv, maxPerClass int) []Structure {
-	var all []Structure
+// synthesizeAll64 runs every decomposition policy on f, a function of the
+// first nv variables, and returns the deduplicated forest ranked by size.
+// Every structure is verified against f exactly once, here: one that
+// computes anything else is left out of the forest — it must never reach
+// a netlist — and reported in err (which can only mean a builder bug).
+func synthesizeAll64(f tt.Func64, nv, maxPerClass int) (all []Structure, err error) {
+	b := newBuilder64(nv)
 	seen := map[string]bool{}
-	add := func(s Structure, ok bool) {
-		if !ok || s.Func64() != f {
+	add := func(s Structure) {
+		if got := s.Func64(); got != f {
+			if err == nil {
+				err = fmt.Errorf("a structure built for %v computes %v", f, got)
+			}
 			return
 		}
 		k := s.key()
@@ -352,15 +383,17 @@ func synthesizeAll64(f tt.Func64, nv, maxPerClass int) []Structure {
 	for _, order := range varOrders64(nv) {
 		for _, xorFirst := range [2]bool{true, false} {
 			for _, complOut := range [2]bool{false, true} {
-				add(synthesize64(f, nv, policy64{order: order, xorFirst: xorFirst, complOut: complOut}))
+				if s, ok := b.synthesize64(f, policy64{order: order, xorFirst: xorFirst, complOut: complOut}); ok {
+					add(s)
+				}
 			}
 		}
 	}
-	add(factorISOP64(f, nv, false))
-	add(factorISOP64(f, nv, true))
+	add(b.factorCover64(f, false))
+	add(b.factorCover64(f, true))
 	sort.SliceStable(all, func(i, j int) bool { return len(all[i].Nodes) < len(all[j].Nodes) })
 	if maxPerClass > 0 && len(all) > maxPerClass {
 		all = all[:maxPerClass]
 	}
-	return all
+	return all, err
 }

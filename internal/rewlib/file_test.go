@@ -30,7 +30,7 @@ func sampleClasses(t testing.TB, k, n int) []FileClass {
 			continue
 		}
 		seen[repr] = true
-		structs := synthesizeAll64(repr, MaxInputs, 8)
+		structs, _ := synthesizeAll64(repr, MaxInputs, 8)
 		if len(structs) == 0 {
 			continue
 		}

@@ -1,16 +1,20 @@
 // Package rewlib builds the precomputed structure library ("Structure
 // Manager") used by DAG-aware rewriting: for each of the 222 NPN classes
 // of 4-input functions, a forest of alternative AIG structures
-// implementing the class representative.
+// implementing the class representative (Library), and for the 5- and
+// 6-input classes a forest per semi-canonical representative, filled on
+// demand or from a dacpara-rewlib/v1 file (BigLibrary).
 //
 // ABC ships an offline-enumerated forest; this package synthesizes an
 // equivalent one at startup by running a family of decomposition policies
 // (single-literal AND/OR extraction, XOR extraction, Shannon/MUX
 // expansion, and ISOP-based algebraic factoring) over every canonical
-// function, under all variable preference orders and output phases, then
-// deduplicating and ranking the resulting DAGs by node count. Structures
-// within one DAG share subfunctions through builder-local structural
-// hashing, mirroring the shared-node forest of ABC's library.
+// function, under a set of variable preference orders and both output
+// phases, then deduplicating and ranking the resulting DAGs by node
+// count. Structures within one DAG share subfunctions through
+// builder-local structural hashing, mirroring the shared-node forest of
+// ABC's library. One synthesizer over 64-bit tables serves both
+// libraries; the 4-input one is its nv = 4 case.
 package rewlib
 
 import (
@@ -99,16 +103,6 @@ type Structure struct {
 // NumNodes returns the AND-gate count of the structure.
 func (s *Structure) NumNodes() int { return len(s.Nodes) }
 
-// Eval computes the structure's function when input v carries table in[v].
-// Only structures confined to the first four inputs may use it.
-func (s *Structure) Eval(in [4]tt.Func16) tt.Func16 {
-	var wide [MaxInputs]tt.Func64
-	for v := range in {
-		wide[v] = in[v].Wide()
-	}
-	return s.Eval64(wide).Narrow16()
-}
-
 // Eval64 computes the structure's function when input v carries table
 // in[v], over the 6-variable domain.
 func (s *Structure) Eval64(in [MaxInputs]tt.Func64) tt.Func64 {
@@ -132,12 +126,6 @@ func (s *Structure) Eval64(in [MaxInputs]tt.Func64) tt.Func64 {
 		vals[k] = fetch(n.In0).And(fetch(n.In1))
 	}
 	return fetch(s.Out)
-}
-
-// Func returns the function of a 4-input structure over the plain
-// variables.
-func (s *Structure) Func() tt.Func16 {
-	return s.Func64().Narrow16()
 }
 
 // Func64 returns the structure's function over the plain variables of the
@@ -194,11 +182,9 @@ type Params struct {
 func Build(m *npn.Manager, p Params) (*Library, error) {
 	lib := &Library{npn: m, structs: make([][]Structure, m.NumClasses())}
 	for _, cls := range m.Classes() {
-		structs := synthesizeAll(cls.Repr, p.MaxPerClass)
-		for i := range structs {
-			if got := structs[i].Func(); got != cls.Repr {
-				return nil, fmt.Errorf("rewlib: class %s structure %d computes %s", cls.Repr, i, got)
-			}
+		structs, err := synthesizeAll64(cls.Repr.Wide(), 4, p.MaxPerClass)
+		if err != nil {
+			return nil, fmt.Errorf("rewlib: class %s: %w", cls.Repr, err)
 		}
 		lib.structs[cls.Index] = structs
 	}
@@ -216,7 +202,7 @@ func (l *Library) NPN() *npn.Manager { return l.npn }
 // and output onto f's variables.
 func (l *Library) ForFunc(f tt.Func16) (cls int, structs []Structure, inv npn.Transform) {
 	cls = l.npn.ClassIndex(f)
-	return cls, l.structs[cls], l.npn.ToCanon(f).Inverse()
+	return cls, l.structs[cls], l.npn.FromCanon(f)
 }
 
 // PracticalClasses returns a class-index membership mask selecting the n
@@ -266,47 +252,4 @@ func (l *Library) MaxStructures() int {
 		}
 	}
 	return m
-}
-
-// synthesizeAll runs every decomposition policy on f and returns the
-// deduplicated forest ranked by size.
-func synthesizeAll(f tt.Func16, maxPerClass int) []Structure {
-	var all []Structure
-	seen := map[string]bool{}
-	add := func(s Structure, ok bool) {
-		if !ok {
-			return
-		}
-		k := s.key()
-		if !seen[k] {
-			seen[k] = true
-			all = append(all, s)
-		}
-	}
-	for _, order := range varOrders {
-		for _, xorFirst := range [2]bool{true, false} {
-			for _, complOut := range [2]bool{false, true} {
-				add(synthesize(f, policy{order: order, xorFirst: xorFirst, complOut: complOut}))
-			}
-		}
-	}
-	add(factorISOP(f, false))
-	add(factorISOP(f, true))
-	sort.SliceStable(all, func(i, j int) bool { return len(all[i].Nodes) < len(all[j].Nodes) })
-	if maxPerClass > 0 && len(all) > maxPerClass {
-		all = all[:maxPerClass]
-	}
-	return all
-}
-
-var varOrders = [][4]int{
-	{0, 1, 2, 3}, {1, 2, 3, 0}, {2, 3, 0, 1}, {3, 0, 1, 2},
-	{0, 2, 1, 3}, {1, 3, 2, 0}, {3, 1, 0, 2}, {2, 0, 3, 1},
-	{0, 3, 2, 1}, {3, 2, 1, 0}, {1, 0, 3, 2}, {2, 1, 0, 3},
-}
-
-type policy struct {
-	order    [4]int
-	xorFirst bool
-	complOut bool
 }

@@ -39,7 +39,7 @@ func TestStructuresComputeTheirClass(t *testing.T) {
 	m := npn.Shared()
 	for _, cls := range m.Classes() {
 		for si, s := range lib.Structures(cls.Index) {
-			if got := s.Func(); got != cls.Repr {
+			if got := s.Func64(); got != cls.Repr.Wide() {
 				t.Fatalf("class %v structure %d computes %v", cls.Repr, si, got)
 			}
 		}
@@ -88,18 +88,18 @@ func TestForFuncInstantiation(t *testing.T) {
 		s := &structs[rng.Intn(len(structs))]
 		// Drive structure input i with variable inv.Perm[i], complemented
 		// per inv.Flip; complement the output per inv.Neg.
-		var in [4]tt.Func16
-		for v := 0; v < 4; v++ {
-			in[v] = tt.Var(int(inv.Perm[v]))
+		var in [MaxInputs]tt.Func64
+		for v := range in {
+			in[v] = tt.Var64(int(inv.Perm[v]))
 			if inv.Flip>>uint(v)&1 == 1 {
 				in[v] = in[v].Not()
 			}
 		}
-		got := s.Eval(in)
+		got := s.Eval64(in)
 		if inv.Neg {
 			got = got.Not()
 		}
-		if got != f {
+		if got != f.Wide() {
 			t.Fatalf("instantiated structure computes %v, want %v (inv=%+v)", got, f, inv)
 		}
 	}
@@ -135,14 +135,15 @@ func TestPracticalClasses(t *testing.T) {
 	m := npn.Shared()
 	// The practical subset must include the functions arithmetic circuits
 	// are made of: 2- and 3-input parities and the 3-input majority.
-	for _, f := range []tt.Func16{
-		tt.Var0.Xor(tt.Var1),
-		tt.Var0.Xor(tt.Var1).Xor(tt.Var2),
-		tt.Var0.And(tt.Var1).Or(tt.Var0.And(tt.Var2)).Or(tt.Var1.And(tt.Var2)),
-		tt.Var0.And(tt.Var1),
-		tt.Var0,
+	x0, x1, x2 := tt.Var64(0), tt.Var64(1), tt.Var64(2)
+	for _, f := range []tt.Func64{
+		x0.Xor(x1),
+		x0.Xor(x1).Xor(x2),
+		x0.And(x1).Or(x0.And(x2)).Or(x1.And(x2)),
+		x0.And(x1),
+		x0,
 	} {
-		if !mask[m.ClassIndex(f)] {
+		if !mask[m.ClassIndex(f.Narrow16())] {
 			t.Fatalf("practical subset misses %v", f)
 		}
 	}
@@ -193,4 +194,17 @@ func TestStructureSizesAreReasonable(t *testing.T) {
 		t.Fatalf("worst minimal structure has %d gates", worst)
 	}
 	t.Logf("worst minimal structure: %d gates", worst)
+}
+
+// BenchmarkLibraryBuild times what every process pays before its first
+// rewrite (and the repository benchmark in every workload's set-up).
+func BenchmarkLibraryBuild(b *testing.B) {
+	m := npn.Shared()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(m, Params{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -190,7 +190,7 @@ func (s *Scratch) deref(a *aig.AIG, id int32, c *cut.Cut) int {
 // bind points the structure inputs at the cut's leaves through inv, the
 // inverse NPN transform: input v is leaf inv.Perm[v], complemented per
 // inv.Flip, and the output is complemented per inv.Neg.
-func (s *Scratch) bind(inv npn.Transform6, c *cut.Cut) {
+func (s *Scratch) bind(inv npn.Transform, c *cut.Cut) {
 	s.vals[0] = aig.LitFalse
 	for v := 0; v < rewlib.MaxInputs; v++ {
 		s.vals[1+v] = litNone
@@ -401,23 +401,23 @@ func (e *Evaluator) EvaluateLocked(root int32, cuts []cut.Cut, lock Locker) (_ C
 // a cut of the given size, with the class they are filed under and the
 // transform that maps their inputs and output back onto f's. A cut of
 // Size <= 4 never depends on the upper variables, so the narrow table is
-// exact and the classic 4-input library applies (none for a class outside
-// the configured subset); larger cuts are classified semi-canonically
-// (npn.SemiCanon, memoized per worker) and their forests come from the
-// attached BigLibrary, none without one.
-func (e *Evaluator) forest(size uint8, f tt.Func64) (cls int, repr tt.Func64, structs []rewlib.Structure, inv npn.Transform6) {
+// exact and the dense 4-input library applies, its transform one table
+// lookup (none for a class outside the configured subset); larger cuts
+// are classified semi-canonically (npn.SemiCanon, memoized per worker)
+// and their forests come from the attached BigLibrary, none without one.
+func (e *Evaluator) forest(size uint8, f tt.Func64) (cls int, repr tt.Func64, structs []rewlib.Structure, inv npn.Transform) {
 	if size > 4 {
 		if e.Lib.Big == nil {
-			return rewlib.BigClass, 0, nil, npn.Identity6
+			return rewlib.BigClass, 0, nil, npn.Identity
 		}
 		repr, tr := e.semiCache().Canon(f)
 		return rewlib.BigClass, repr, e.Lib.Big.ForRepr(repr), tr.Inverse()
 	}
-	cls, structs, inv4 := e.Lib.ForFunc(f.Narrow16())
+	cls, structs, inv = e.Lib.ForFunc(f.Narrow16())
 	if !e.mask[cls] {
 		structs = nil
 	}
-	return cls, 0, structs, inv4.Wide6()
+	return cls, 0, structs, inv
 }
 
 // wireFunc reports whether the cut function equals a single leaf variable

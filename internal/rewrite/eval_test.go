@@ -7,7 +7,6 @@ import (
 
 	"dacpara/internal/aig"
 	"dacpara/internal/cut"
-	"dacpara/internal/tt"
 )
 
 // TestConstantConeCollapses: a cone computing a constant must yield a
@@ -253,8 +252,5 @@ func TestTrustStoredGainCommitsNegative(t *testing.T) {
 	}
 	if err := a.Check(aig.CheckOptions{}); err != nil {
 		t.Fatal(err)
-	}
-	if !tt.Func16(0).IsConst() {
-		t.Fatal("sanity")
 	}
 }

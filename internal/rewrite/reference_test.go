@@ -46,7 +46,7 @@ func (s *refScratch) coneSavings(a *aig.AIG, root int32, c *cut.Cut) int {
 // instantiate counts the gates a structure over the cut's leaves would
 // add to the graph; ok is false when it resolves a gate to root or reads
 // an input the cut does not have.
-func (s *refScratch) instantiate(a *aig.AIG, st *rewlib.Structure, inv npn.Transform6, leaves []int32, root int32) (nNew int, ok bool) {
+func (s *refScratch) instantiate(a *aig.AIG, st *rewlib.Structure, inv npn.Transform, leaves []int32, root int32) (nNew int, ok bool) {
 	if cap(s.vals) < len(st.Nodes) {
 		s.vals = make([]aig.Lit, len(st.Nodes)*2+8)
 		s.virt = make([]bool, len(st.Nodes)*2+8)
@@ -141,22 +141,22 @@ func refEvaluate(e *Evaluator, s *refScratch, root int32, cuts []cut.Cut) Candid
 			continue
 		}
 		var structs []rewlib.Structure
-		var inv npn.Transform6
+		var inv npn.Transform
 		cls, repr := rewlib.BigClass, tt.Func64(0)
 		if c.Size > 4 {
 			if e.Lib.Big == nil {
 				continue
 			}
-			var tr npn.Transform6
+			var tr npn.Transform
 			repr, tr = e.semiCache().Canon(c.TT)
 			structs, inv = e.Lib.Big.ForRepr(repr), tr.Inverse()
 		} else {
-			var inv4 npn.Transform
-			cls, structs, inv4 = e.Lib.ForFunc(c.TT.Narrow16())
+			cls, structs, _ = e.Lib.ForFunc(c.TT.Narrow16())
 			if !e.mask[cls] {
 				continue
 			}
-			inv = inv4.Wide6()
+			// Recomputed, where the kernel reads the stored inverse.
+			inv = e.Lib.NPN().ToCanon(c.TT.Narrow16()).Inverse()
 		}
 		nStr := e.Cfg.maxStructs(len(structs))
 		for si := 0; si < nStr; si++ {

@@ -1,25 +1,32 @@
 // Package tt implements truth-table arithmetic for Boolean functions of up
-// to four variables, the function domain of 4-input cut rewriting.
+// to six variables, the function domain of cut rewriting at every
+// supported width (k = 4..6).
 //
-// A function is stored as a Func16: bit i of the word holds f(x3,x2,x1,x0)
-// where i = x3<<3 | x2<<2 | x1<<1 | x0. The package provides the Boolean
-// connectives, cofactoring, support computation, decomposition probes
-// (Shannon, XOR, MUX) and an irredundant sum-of-products (ISOP) cover
-// generator in the style of Minato–Morreale, which the structure library
-// uses to factor canonical functions into AIG structures.
+// A function is stored as a Func64: one 64-bit word holds the complete
+// truth table over x0..x5, bit i being f(x5,...,x0) with
+// i = x5<<5 | ... | x0. A function of fewer variables is stored over the
+// same 64-row domain and simply does not depend on the upper variables,
+// so every connective, cofactor, flip and swap is a few word operations
+// whatever the cut width. This is the function type carried by cuts
+// (internal/cut), classified by NPN matching (internal/npn) and
+// decomposed into structures by the library builder (internal/rewlib).
+// Covers (ISOP) live in internal/bigtt, which serves every table size.
+//
+// Func16 is the 16-bit table of a function of x0..x3. It has no algebra
+// of its own: it exists as the dense index of the exact 4-variable NPN
+// table and widens to a Func64 for everything else.
 package tt
 
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
-// Func16 is a complete truth table of a Boolean function over the four
-// variables x0..x3.
+// Func16 is the truth table of a function over x0..x3 in 16 bits: bit i
+// holds f(x3,x2,x1,x0) where i = x3<<3 | x2<<2 | x1<<1 | x0.
 type Func16 uint16
 
-// Truth tables of the four variables and constants.
+// The 4-variable tables of the variables and constants.
 const (
 	Var0  Func16 = 0xAAAA // x0
 	Var1  Func16 = 0xCCCC // x1
@@ -29,61 +36,94 @@ const (
 	True  Func16 = 0xFFFF
 )
 
-// Vars lists the variable truth tables indexed by variable number.
-var Vars = [4]Func16{Var0, Var1, Var2, Var3}
+// Wide widens a 4-variable table to the 6-variable domain: the result
+// computes the same function and does not depend on x4 or x5.
+func (f Func16) Wide() Func64 {
+	w := uint64(f)
+	return Func64(w | w<<16 | w<<32 | w<<48)
+}
 
-// Var returns the truth table of variable v (0..3). It panics if v is out
-// of range; callers index cuts whose width is already validated.
-func Var(v int) Func16 { return Vars[v] }
+// String renders f as a 4-digit hexadecimal constant, the conventional
+// notation for 4-variable truth tables.
+func (f Func16) String() string { return fmt.Sprintf("0x%04X", uint16(f)) }
+
+// MaxVars64 is the variable capacity of a Func64 — the ceiling of
+// large-cut rewriting (k <= 6).
+const MaxVars64 = 6
+
+// Func64 is a complete truth table over the six variables x0..x5: bit i
+// holds f(x5,...,x0) where i = x5<<5 | ... | x0.
+type Func64 uint64
+
+// Truth tables of the six variables and the constants.
+const (
+	False64 Func64 = 0
+	True64  Func64 = ^Func64(0)
+)
+
+// Vars64 lists the variable truth tables indexed by variable number.
+var Vars64 = [6]Func64{
+	0xAAAAAAAAAAAAAAAA, // x0
+	0xCCCCCCCCCCCCCCCC, // x1
+	0xF0F0F0F0F0F0F0F0, // x2
+	0xFF00FF00FF00FF00, // x3
+	0xFFFF0000FFFF0000, // x4
+	0xFFFFFFFF00000000, // x5
+}
+
+// Var64 returns the truth table of variable v (0..5). It panics if v is
+// out of range; callers index cuts whose width is already validated.
+func Var64(v int) Func64 { return Vars64[v] }
+
+// Narrow16 projects a table back to the 4-variable domain. It is exact
+// only when f does not depend on x4 and x5 (the invariant every table
+// built from Var64(0..3) maintains).
+func (f Func64) Narrow16() Func16 { return Func16(f) }
 
 // Not returns the complement of f.
-func (f Func16) Not() Func16 { return ^f }
+func (f Func64) Not() Func64 { return ^f }
 
 // And returns the conjunction of f and g.
-func (f Func16) And(g Func16) Func16 { return f & g }
+func (f Func64) And(g Func64) Func64 { return f & g }
 
 // Or returns the disjunction of f and g.
-func (f Func16) Or(g Func16) Func16 { return f | g }
+func (f Func64) Or(g Func64) Func64 { return f | g }
 
 // Xor returns the exclusive-or of f and g.
-func (f Func16) Xor(g Func16) Func16 { return f ^ g }
+func (f Func64) Xor(g Func64) Func64 { return f ^ g }
 
-// Ones reports the number of satisfying assignments of f.
-func (f Func16) Ones() int { return bits.OnesCount16(uint16(f)) }
+// Ones reports the number of satisfying assignments over the 64-row
+// domain. For a function of k < 6 variables the count is scaled by
+// 2^(6-k) — consistently for every table, so comparisons stay valid.
+func (f Func64) Ones() int { return bits.OnesCount64(uint64(f)) }
 
 // IsConst reports whether f is constant true or false.
-func (f Func16) IsConst() bool { return f == False || f == True }
+func (f Func64) IsConst() bool { return f == False64 || f == True64 }
 
-var cofMask = [4][2]Func16{
-	{0x5555, 0xAAAA},
-	{0x3333, 0xCCCC},
-	{0x0F0F, 0xF0F0},
-	{0x00FF, 0xFF00},
+var cofShift64 = [6]uint{1, 2, 4, 8, 16, 32}
+
+// Cofactor0 returns the negative cofactor of f with respect to variable
+// v, expanded back over the full domain so that it no longer depends on
+// v.
+func (f Func64) Cofactor0(v int) Func64 {
+	low := f &^ Vars64[v]
+	return low | low<<cofShift64[v]
 }
 
-var cofShift = [4]uint{1, 2, 4, 8}
-
-// Cofactor0 returns the negative cofactor of f with respect to variable v,
-// expanded back over the full 16-row domain so that it no longer depends
-// on v.
-func (f Func16) Cofactor0(v int) Func16 {
-	low := f & cofMask[v][0]
-	return low | low<<cofShift[v]
-}
-
-// Cofactor1 returns the positive cofactor of f with respect to variable v.
-func (f Func16) Cofactor1(v int) Func16 {
-	high := f & cofMask[v][1]
-	return high | high>>cofShift[v]
+// Cofactor1 returns the positive cofactor of f with respect to variable
+// v.
+func (f Func64) Cofactor1(v int) Func64 {
+	high := f & Vars64[v]
+	return high | high>>cofShift64[v]
 }
 
 // DependsOn reports whether f depends on variable v.
-func (f Func16) DependsOn(v int) bool { return f.Cofactor0(v) != f.Cofactor1(v) }
+func (f Func64) DependsOn(v int) bool { return f.Cofactor0(v) != f.Cofactor1(v) }
 
 // Support returns a bitmask of the variables f depends on.
-func (f Func16) Support() uint {
+func (f Func64) Support() uint {
 	var s uint
-	for v := 0; v < 4; v++ {
+	for v := 0; v < MaxVars64; v++ {
 		if f.DependsOn(v) {
 			s |= 1 << uint(v)
 		}
@@ -92,165 +132,54 @@ func (f Func16) Support() uint {
 }
 
 // SupportSize returns the number of variables f depends on.
-func (f Func16) SupportSize() int { return bits.OnesCount(f.Support()) }
+func (f Func64) SupportSize() int { return bits.OnesCount(f.Support()) }
+
+// FlipVar returns f with variable v complemented.
+func (f Func64) FlipVar(v int) Func64 {
+	low := f &^ Vars64[v]
+	high := f & Vars64[v]
+	return low<<cofShift64[v] | high>>cofShift64[v]
+}
+
+// SwapVars returns f with variables a < b exchanged: the rows on which
+// the two differ trade places, (1<<b)-(1<<a) rows apart, and every other
+// row stays. It is the step cut merging re-expresses a function with
+// (one swap per variable that moves), so it is three masked shifts and
+// no loop.
+func (f Func64) SwapVars(a, b int) Func64 {
+	up := Vars64[a] &^ Vars64[b] // rows with x_a = 1, x_b = 0
+	sh := cofShift64[b] - cofShift64[a]
+	return f&^(up|up<<sh) | (f&up)<<sh | (f>>sh)&up
+}
 
 // PermuteVars returns f with its variables renamed according to perm:
-// variable v of the result behaves as variable perm[v] of f. perm must be
-// a permutation of {0,1,2,3}.
-func (f Func16) PermuteVars(perm [4]int) Func16 {
-	var out Func16
-	for row := 0; row < 16; row++ {
-		src := 0
-		for v := 0; v < 4; v++ {
-			if row>>uint(v)&1 == 1 {
-				src |= 1 << uint(perm[v])
-			}
+// variable v of the result behaves as variable perm[v] of f. perm must
+// be a permutation of {0..5}.
+func (f Func64) PermuteVars(perm [6]int) Func64 {
+	var out Func64
+	for row := uint(0); row < 64; row++ {
+		src := uint(0)
+		for v := 0; v < MaxVars64; v++ {
+			src |= (row >> uint(v) & 1) << uint(perm[v])
 		}
-		if f>>uint(src)&1 == 1 {
-			out |= 1 << uint(row)
-		}
+		out |= Func64(uint64(f)>>src&1) << row
 	}
 	return out
 }
 
-// FlipVar returns f with variable v complemented.
-func (f Func16) FlipVar(v int) Func16 {
-	low := f & cofMask[v][0]
-	high := f & cofMask[v][1]
-	return low<<cofShift[v] | high>>cofShift[v]
-}
+// Eval evaluates f on the assignment encoded in the low six bits of in.
+func (f Func64) Eval(in uint) bool { return f>>(in&63)&1 == 1 }
 
-// Eval evaluates f on the assignment encoded in the low four bits of in.
-func (f Func16) Eval(in uint) bool { return f>>(in&15)&1 == 1 }
-
-// String renders f as a 4-digit hexadecimal constant, the conventional
-// notation for 4-variable truth tables.
-func (f Func16) String() string { return fmt.Sprintf("0x%04X", uint16(f)) }
+// String renders f as a 16-digit hexadecimal constant.
+func (f Func64) String() string { return fmt.Sprintf("0x%016X", uint64(f)) }
 
 // IsXorDecomposable reports whether f = x_v XOR g for some g independent
 // of v, returning g.
-func (f Func16) IsXorDecomposable(v int) (Func16, bool) {
+func (f Func64) IsXorDecomposable(v int) (Func64, bool) {
 	c0 := f.Cofactor0(v)
 	c1 := f.Cofactor1(v)
 	if c0 == c1.Not() {
 		return c0, true
 	}
 	return 0, false
-}
-
-// Cube is a product term over x0..x3: Lits is a mask of participating
-// variables and Phase gives the polarity of each participating variable
-// (bit set means positive literal).
-type Cube struct {
-	Lits  uint8
-	Phase uint8
-}
-
-// Table returns the truth table of the cube.
-func (c Cube) Table() Func16 {
-	t := True
-	for v := 0; v < 4; v++ {
-		if c.Lits>>uint(v)&1 == 0 {
-			continue
-		}
-		if c.Phase>>uint(v)&1 == 1 {
-			t &= Vars[v]
-		} else {
-			t &= ^Vars[v]
-		}
-	}
-	return t
-}
-
-// NumLits returns the number of literals in the cube.
-func (c Cube) NumLits() int { return bits.OnesCount8(c.Lits) }
-
-// String renders the cube as a product of literals, e.g. "x0·!x2".
-func (c Cube) String() string {
-	if c.Lits == 0 {
-		return "1"
-	}
-	var parts []string
-	for v := 0; v < 4; v++ {
-		if c.Lits>>uint(v)&1 == 0 {
-			continue
-		}
-		if c.Phase>>uint(v)&1 == 1 {
-			parts = append(parts, fmt.Sprintf("x%d", v))
-		} else {
-			parts = append(parts, fmt.Sprintf("!x%d", v))
-		}
-	}
-	return strings.Join(parts, "·")
-}
-
-// ISOP computes an irredundant sum-of-products cover of any function g
-// with f.onset ⊆ g ⊆ f.onset∪dc using the Minato–Morreale interval
-// algorithm. It returns the cover and its exact truth table.
-func ISOP(on, dc Func16) ([]Cube, Func16) {
-	cubes, table := isop(on, on|dc, 4)
-	return cubes, table
-}
-
-// isop covers the Boolean interval [lower, upper] using variables < nv.
-func isop(lower, upper Func16, nv int) ([]Cube, Func16) {
-	if lower == False {
-		return nil, False
-	}
-	if upper == True {
-		return []Cube{{}}, True
-	}
-	// Pick the highest variable in the support of the interval bounds.
-	v := nv - 1
-	for v >= 0 && !lower.DependsOn(v) && !upper.DependsOn(v) {
-		v--
-	}
-	if v < 0 {
-		// lower is a non-false constant with upper != True: impossible
-		// for a well-formed interval, but guard against it.
-		return []Cube{{}}, True
-	}
-	l0, l1 := lower.Cofactor0(v), lower.Cofactor1(v)
-	u0, u1 := upper.Cofactor0(v), upper.Cofactor1(v)
-
-	// Cover the parts that can only be covered with a literal of v.
-	cs0, t0 := isop(l0&^u1, u0, v)
-	cs1, t1 := isop(l1&^u0, u1, v)
-	// Cover the shared remainder without using v.
-	lnew := (l0 &^ t0) | (l1 &^ t1)
-	cs2, t2 := isop(lnew, u0&u1, v)
-
-	var out []Cube
-	table := t2
-	for _, c := range cs0 {
-		c.Lits |= 1 << uint(v)
-		out = append(out, c)
-		table |= c.Table()
-	}
-	for _, c := range cs1 {
-		c.Lits |= 1 << uint(v)
-		c.Phase |= 1 << uint(v)
-		out = append(out, c)
-		table |= c.Table()
-	}
-	out = append(out, cs2...)
-	return out, table
-}
-
-// CoverTable returns the truth table of a cube cover.
-func CoverTable(cover []Cube) Func16 {
-	t := False
-	for _, c := range cover {
-		t |= c.Table()
-	}
-	return t
-}
-
-// CoverLiterals returns the total number of literals in a cover.
-func CoverLiterals(cover []Cube) int {
-	n := 0
-	for _, c := range cover {
-		n += c.NumLits()
-	}
-	return n
 }

@@ -1,5 +1,6 @@
 // Command cec checks combinational equivalence of two AIGER circuits
-// using random simulation screening and a CDCL SAT proof per output.
+// using random simulation screening, functional reduction of the miter
+// and a CDCL SAT proof of whatever that leaves of each output.
 //
 // Usage:
 //
@@ -35,7 +36,9 @@ func main() {
 		fmt.Printf("NOT EQUIVALENT (output %d differs)\n", res.FailingOutput)
 		os.Exit(1)
 	case res.Proved:
-		fmt.Printf("equivalent (SAT-proved, %d conflicts)\n", res.SATConflicts)
+		fmt.Printf("equivalent (SAT-proved, %d conflicts; sweep: %d pairs, %d merges, %d structural hits; SAT: %d calls, %d of them on outputs, %d SAT answers, %d decisions, %d propagations)\n",
+			res.SATConflicts, res.Pairs, res.Merges, res.StructuralHits,
+			res.SATCalls, res.OutputSATCalls, res.SATAnswers, res.Decisions, res.Propagations)
 	default:
 		fmt.Println("equivalent (simulation-only confidence)")
 	}

@@ -41,10 +41,11 @@ func Resub(net *Network, zeroGain bool) Result {
 	return resub.Run(net, resub.Config{ZeroGain: zeroGain})
 }
 
-// Fraig performs functional reduction in place: simulation-guided,
-// SAT-proved merging of functionally equivalent nodes (ABC's `fraig`),
-// catching equivalences that structural rewriting cannot see. It returns
-// the number of nodes merged.
+// Fraig performs functional reduction: simulation-guided, SAT-proved
+// merging of functionally equivalent nodes (ABC's `fraig`), catching
+// equivalences that structural rewriting cannot see. The reduced network
+// is built out of place and net takes it over (node IDs change). It
+// returns the number of nodes merged.
 func Fraig(net *Network) int {
 	return cec.Fraig(net, cec.FraigOptions{}).Merged
 }

@@ -21,7 +21,13 @@ type ReplaceOptions struct {
 //
 // The caller must guarantee that repl's transitive fanin does not contain
 // old (otherwise the graph would become cyclic) and, in parallel contexts,
-// must hold exclusive locks on every node Replace will touch.
+// must hold exclusive locks on every node Replace will touch. With
+// CascadeMerge the guarantee has to hold on the graph as earlier
+// replacements left it: a cascade re-points nodes at ones created later,
+// so neither node IDs nor a topological order taken beforehand say what
+// lies in whose fanin. A caller that merges many equivalent nodes in one
+// sweep cannot keep that cheaply; internal/cec, which once tried, builds
+// the merged graph out of place instead and never calls Replace.
 func (a *AIG) Replace(old int32, repl Lit, opts ReplaceOptions) int {
 	deleted := 0
 	fwd := map[int32]Lit{}

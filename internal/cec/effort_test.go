@@ -1,0 +1,109 @@
+package cec_test
+
+import (
+	"testing"
+
+	"dacpara"
+	"dacpara/internal/aig"
+	"dacpara/internal/bench"
+	"dacpara/internal/cec"
+)
+
+// verifiedFlow is the script of the benchmark's flow_verified workload.
+const verifiedFlow = "b; rw; rf -p; b; rw; rw -z; b; rs -p; rw -z; b"
+
+type pair struct {
+	name string
+	a, b *aig.AIG
+}
+
+// flowVerifiedPairs returns the twelve equivalent pairs the benchmark's
+// flow_verified operation proves: every circuit, read from binary AIGER
+// as the benchmark's inputs are, against its flow output and against its
+// one-pass dacpara rewrite, both on one worker.
+func flowVerifiedPairs(tb testing.TB) []pair {
+	tb.Helper()
+	var pairs []pair
+	names := []string{"sin", "voter", "sqrt", "log2", "mem_ctrl", "mtm"}
+	for i, c := range bench.FlowVerified() {
+		golden := viaAIGER(tb, c)
+		_, out, err := dacpara.Flow(viaAIGER(tb, c), verifiedFlow, dacpara.Config{Workers: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		one := onePass(tb, viaAIGER(tb, c))
+		pairs = append(pairs, pair{names[i] + " flow", golden, out}, pair{names[i] + " rewrite", golden, one})
+	}
+	return pairs
+}
+
+// TestSweepEffort holds the twelve proofs of one flow_verified operation
+// to ceilings on counts that repeat exactly on any machine. They sit
+// where the checker's cost does: a SAT answer is the expensive call, and
+// what keeps it cheap (solving inside the cone) and rare (counterexample
+// feedback, the constant in the class table) shows as propagations, SAT
+// answers and output-stage calls. The measured values are in
+// EXPERIMENTS.md E10; a return to one full assignment per SAT answer
+// multiplies propagations by about three.
+func TestSweepEffort(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	var sum cec.Effort
+	var outputCalls int64
+	for _, p := range flowVerifiedPairs(t) {
+		res, err := cec.Check(p.a, p.b, cec.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if !res.Equivalent || !res.Proved {
+			t.Errorf("%s: equivalent=%v proved=%v", p.name, res.Equivalent, res.Proved)
+		}
+		t.Logf("%-16s pairs %4d merges %4d hits %5d calls %4d answers %3d conflicts %5d decisions %6d propagations %7d output calls %d",
+			p.name, res.Pairs, res.Merges, res.StructuralHits, res.SATCalls, res.SATAnswers,
+			res.SATConflicts, res.Decisions, res.Propagations, res.OutputSATCalls)
+		sum.Pairs += res.Pairs
+		sum.Merges += res.Merges
+		sum.StructuralHits += res.StructuralHits
+		sum.SATCalls += res.SATCalls
+		sum.SATAnswers += res.SATAnswers
+		sum.SATConflicts += res.SATConflicts
+		sum.Decisions += res.Decisions
+		sum.Propagations += res.Propagations
+		outputCalls += res.OutputSATCalls
+	}
+	t.Logf("total: %+v, output-stage SAT calls %d", sum, outputCalls)
+	for _, c := range []struct {
+		name       string
+		got, limit int64
+	}{
+		{"candidate pairs", int64(sum.Pairs), 3500},
+		{"SAT calls", sum.SATCalls, 6500},
+		{"SAT answers", sum.SATAnswers, 300},
+		{"decisions", sum.Decisions, 40_000},
+		{"propagations", sum.Propagations, 1_000_000},
+		{"conflicts", sum.SATConflicts, 9000},
+		{"output-stage SAT calls", outputCalls, 0},
+	} {
+		if c.got > c.limit {
+			t.Errorf("%s: %d, ceiling %d", c.name, c.got, c.limit)
+		}
+	}
+}
+
+// BenchmarkCheck proves the twelve pairs of one flow_verified operation.
+func BenchmarkCheck(b *testing.B) {
+	pairs := flowVerifiedPairs(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conflicts := int64(0)
+		for _, p := range pairs {
+			res, err := cec.Check(p.a, p.b, cec.Options{})
+			if err != nil || !res.Equivalent || !res.Proved {
+				b.Fatalf("%s: %+v, %v", p.name, res, err)
+			}
+			conflicts += res.SATConflicts
+		}
+		b.ReportMetric(float64(conflicts), "conflicts/op")
+	}
+}

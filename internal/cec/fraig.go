@@ -8,11 +8,6 @@ import (
 
 // FraigOptions tune functional reduction.
 type FraigOptions struct {
-	// SimWords is the number of 64-pattern simulation rounds used to form
-	// candidate equivalence classes (0: 4).
-	SimWords int
-	// PairBudget bounds the SAT conflicts per candidate pair (0: 1000).
-	PairBudget int64
 	// Seed drives the simulation patterns.
 	Seed int64
 }
@@ -24,64 +19,50 @@ type FraigResult struct {
 	Merged int
 }
 
-// Fraig performs functional reduction in place: simulation groups nodes
-// into candidate equivalence classes and budgeted SAT calls prove and
-// merge them (ABC's `fraig`). Rewriting is structural and local; fraiging
+// Fraig performs functional reduction: simulation groups nodes into
+// candidate equivalence classes and budgeted SAT calls prove and merge
+// them (ABC's `fraig`). Rewriting is structural and local; fraiging
 // catches functionally equivalent cones rewriting cannot see, and flows
-// commonly run it between optimization passes.
+// commonly run it between optimization passes. The reduced network is
+// built out of place (see reducer) and a takes it over, compacted to the
+// logic its outputs read.
 func Fraig(a *aig.AIG, opts FraigOptions) FraigResult {
 	res := FraigResult{InitialAnds: a.NumAnds()}
-	s := &sweeper{
-		m:          a,
-		enc:        newEncoder(a),
-		words:      opts.SimWords,
-		pairBudget: opts.PairBudget,
+	r, outs := reduce(a, rand.New(rand.NewSource(opts.Seed+0xF4A16)))
+	if err := r.enc.finish(&r.eff); err != nil {
+		panic(err) // only a bug in the solver or the encoding gets here
 	}
-	if s.words <= 0 {
-		s.words = 4
-	}
-	if s.pairBudget <= 0 {
-		s.pairBudget = defaultPairBudget
-	}
-	rng := rand.New(rand.NewSource(opts.Seed + 0xF4A16))
-	s.simulate(rng)
+	res.Merged = r.eff.Merges
 
-	classes := make(map[uint64][]aig.Lit)
-	for _, id := range a.TopoOrder(nil) {
-		if !a.N(id).IsAnd() {
-			continue
-		}
-		sig, compl := s.normSig(id)
-		if sig == nil {
-			continue
-		}
-		key := hashSig(sig)
-		members := classes[key]
-		merged := false
-		for _, repr := range members {
-			rid := repr.Node()
-			if rid == id || a.N(rid).IsDead() {
-				continue
-			}
-			rsig, _ := s.normSig(rid)
-			if rsig == nil || !equalSig(rsig, sig) {
-				continue
-			}
-			target := repr.XorCompl(compl)
-			if target.Node() == id {
-				continue
-			}
-			if s.proveEqual(id, target) {
-				a.Replace(id, target, aig.ReplaceOptions{CascadeMerge: true})
-				res.Merged++
-				merged = true
-				break
-			}
-		}
-		if !merged && len(members) < 4 {
-			classes[key] = append(members, aig.MakeLit(id, compl))
+	// Copy what the outputs reach. ANDs follow the inputs in ID order
+	// and that order is topological.
+	d := r.dst
+	out := aig.New(aig.Options{CapacityHint: a.NumPIs() + d.NumAnds()})
+	out.Name = a.Name
+	at := make([]aig.Lit, d.Capacity())
+	for _, pi := range d.PIs() {
+		at[pi] = out.AddPI()
+	}
+	live := make([]bool, d.Capacity())
+	for _, po := range outs {
+		live[po.Node()] = true
+	}
+	first := int32(d.NumPIs()) + 1
+	for id := d.Capacity() - 1; id >= first; id-- {
+		if n := d.N(id); live[id] {
+			live[n.Fanin0().Node()], live[n.Fanin1().Node()] = true, true
 		}
 	}
+	for id := first; id < d.Capacity(); id++ {
+		if n := d.N(id); live[id] {
+			f0, f1 := n.Fanin0(), n.Fanin1()
+			at[id] = out.And(at[f0.Node()].XorCompl(f0.Compl()), at[f1.Node()].XorCompl(f1.Compl()))
+		}
+	}
+	for _, po := range outs {
+		out.AddPO(at[po.Node()].XorCompl(po.Compl()))
+	}
+	a.Adopt(out)
 	res.FinalAnds = a.NumAnds()
 	return res
 }

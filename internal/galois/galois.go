@@ -242,13 +242,15 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 	}
 	items = e.Fault.shuffled(items)
 	budget := e.retryBudget()
+	// Items are handed out in chunks, so a worker beyond the number of
+	// chunks would be forked, woken and joined without ever getting one.
+	const chunk = 32
 	workers := e.Workers
-	if workers > len(items) {
-		workers = len(items)
+	if chunks := (len(items) + chunk - 1) / chunk; workers > chunks {
+		workers = chunks
 	}
 	var next atomic.Int64
 	var firstErr atomic.Pointer[error]
-	const chunk = 32
 	// cancelled polls the context without blocking; on cancellation it
 	// records ctx.Err() as the run error so every worker stops at its next
 	// activity boundary.

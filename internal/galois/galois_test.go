@@ -212,3 +212,46 @@ func TestSingleWorkerRunsOnCaller(t *testing.T) {
 		t.Fatalf("err=%v, processed %d of 4", err, seen)
 	}
 }
+
+// Items are handed out in chunks of 32, so a list of at most 32 has work
+// for one worker: it must run as a one-worker phase does, on the caller
+// under tag 1, whatever the executor's width. A longer list still forks.
+func TestNoWorkersWithoutAChunk(t *testing.T) {
+	ex := NewExecutor(256, 4)
+	for _, n := range []int{1, 6, 32} {
+		items := make([]int32, n)
+		for i := range items {
+			items[i] = int32(i)
+		}
+		before := runtime.NumGoroutine()
+		seen := 0 // unsynchronised on purpose: -race fails if two workers run
+		err := ex.Run(items, func(c *Ctx, _ int32) error {
+			if c.Worker() != 1 {
+				t.Errorf("%d items: an item ran under worker tag %d", n, c.Worker())
+			}
+			if g := runtime.NumGoroutine(); g != before {
+				t.Errorf("%d items: operator sees %d goroutines, the caller had %d", n, g, before)
+			}
+			seen++
+			return nil
+		})
+		if err != nil || seen != n {
+			t.Fatalf("%d items: err=%v, processed %d", n, err, seen)
+		}
+	}
+	var tags [5]atomic.Int32
+	items := make([]int32, 33*4)
+	if err := ex.Run(items, func(c *Ctx, _ int32) error {
+		tags[c.Worker()].Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	total := int32(0)
+	for w := 1; w <= 4; w++ {
+		total += tags[w].Load()
+	}
+	if total != int32(len(items)) {
+		t.Fatalf("%d of %d items ran under worker tags 1..4", total, len(items))
+	}
+}

@@ -3,6 +3,16 @@
 // clause learning, VSIDS variable activities with phase saving, and Luby
 // restarts. The combinational equivalence checker uses it to prove miter
 // outputs unsatisfiable; it is deliberately dependency-free and compact.
+//
+// One search loop serves two kinds of call. Solve and SolveLimited decide
+// over every variable. SolveWithin decides only over a variable set the
+// caller names and answers SAT once that set is assigned without
+// conflict — sound when the set is closed the way a circuit cone is (see
+// SolveWithin). It is what makes a satisfiable query on one small cone
+// of a large incremental circuit encoding cost that cone, not the whole
+// solver. Either way the decision order (the activity heap) belongs to
+// one call and is built at the call's first decision, so a call that
+// propagation alone refutes never pays for it.
 package sat
 
 // Lit is a literal: 2*variable + 1 for negative polarity.
@@ -66,8 +76,18 @@ type Solver struct {
 	activity []float64
 	varInc   float64
 
-	heap    []int32 // binary max-heap of variables by activity
-	heapPos []int32 // -1 when not in heap
+	// The decision order of the running call: a binary max-heap by
+	// activity over the unassigned variables the call may decide on. It
+	// is built at the call's first decision (ordered) from scope, or from
+	// every variable when scope is nil; inScope stamps the members of a
+	// named scope with scopeEpoch so that backtracking returns only those
+	// to the heap.
+	heap       []int32
+	heapPos    []int32 // -1 when not in heap
+	scope      func() []int32
+	ordered    bool
+	inScope    []uint32
+	scopeEpoch uint32
 
 	trail    []Lit
 	trailLim []int32
@@ -100,8 +120,8 @@ func (s *Solver) NewVar() int {
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.heapPos = append(s.heapPos, -1)
+	s.inScope = append(s.inScope, 0)
 	s.watches = append(s.watches, nil, nil)
-	s.heapInsert(int32(v))
 	return v
 }
 
@@ -346,7 +366,7 @@ func (s *Solver) backtrackTo(level int32) {
 		v := s.trail[i].Var()
 		s.assigns[v] = lUndef
 		s.reasons[v] = nil
-		if s.heapPos[v] < 0 {
+		if s.ordered && s.heapPos[v] < 0 && s.decidable(v) {
 			s.heapInsert(int32(v))
 		}
 	}
@@ -363,7 +383,7 @@ func (s *Solver) varBump(v int) {
 		}
 		s.varInc *= 1e-100
 	}
-	if s.heapPos[v] >= 0 {
+	if s.ordered && s.heapPos[v] >= 0 {
 		s.heapUp(s.heapPos[v])
 	}
 }
@@ -383,18 +403,52 @@ func (s *Solver) claBump(c *clause) {
 
 // Solve searches for a satisfying assignment under the given assumptions.
 func (s *Solver) Solve(assumptions ...Lit) bool {
-	sat, _ := s.SolveLimited(1<<62, assumptions...)
+	sat, _ := s.solve(1<<62, nil, assumptions)
 	return sat
 }
 
 // SolveLimited is Solve under a conflict budget: decided reports whether
 // the search finished; when false the budget ran out and sat is
-// meaningless. SAT sweeping uses small budgets per candidate pair.
+// meaningless.
 func (s *Solver) SolveLimited(budget int64, assumptions ...Lit) (sat, decided bool) {
+	return s.solve(budget, nil, assumptions)
+}
+
+// SolveWithin is SolveLimited with decisions restricted to the variables
+// scope returns: the search answers SAT as soon as all of them are
+// assigned and propagation has found no conflict, whatever else is
+// unassigned. Value is then meaningful for the scope's variables only.
+// UNSAT answers need no argument (they are derived from the clauses as
+// ever); a SAT answer is right when the scope contains the assumptions'
+// variables and is closed in this sense: every assignment of the scope
+// that falsifies no clause written over scope variables alone extends
+// to a model of all original clauses. The Tseitin encoding of a circuit
+// cone closed under fanin is such a set. Its gates' clauses mention only
+// cone variables, so at the answer — where propagation has completed and
+// therefore no clause is falsified — every gate variable of the cone
+// holds the AND of its fanins; the gates outside the cone are functions
+// of the inputs, so evaluating them on the cone's inputs and any values
+// of the other inputs satisfies their clauses too, and does not disturb
+// the cone, which reads no gate outside itself. Learnt clauses are
+// implied by the original ones and hold in that model as well.
+//
+// scope is called at most once, at the call's first decision, and not at
+// all when propagating the assumptions already decides the call — on a
+// SAT sweep that is most calls. The slice is read before the call
+// returns and not kept.
+func (s *Solver) SolveWithin(budget int64, scope func() []int32, assumptions ...Lit) (sat, decided bool) {
+	return s.solve(budget, scope, assumptions)
+}
+
+func (s *Solver) solve(budget int64, scope func() []int32, assumptions []Lit) (sat, decided bool) {
 	if s.unsat {
 		return false, true
 	}
-	defer s.backtrackTo(0)
+	s.scope = scope
+	defer func() {
+		s.scope, s.ordered = nil, false // the final backtrack refills no heap
+		s.backtrackTo(0)
+	}()
 
 	start := s.Conflicts
 	restarts := 0
@@ -471,9 +525,12 @@ func (s *Solver) search(conflictBudget int64, assumptions []Lit) lbool {
 			}
 		}
 		if next == -1 {
+			if !s.ordered {
+				s.buildOrder()
+			}
 			v := s.pickBranchVar()
 			if v < 0 {
-				return lTrue // all variables assigned
+				return lTrue // every variable the call decides on is assigned
 			}
 			next = MkLit(int(v), !s.phase[v])
 			s.Decisions++
@@ -481,6 +538,43 @@ func (s *Solver) search(conflictBudget int64, assumptions []Lit) lbool {
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
 		s.enqueue(next, nil)
 	}
+}
+
+// buildOrder makes the heap the running call's decision order: the
+// unassigned variables of its scope, or all of them.
+func (s *Solver) buildOrder() {
+	for _, v := range s.heap {
+		s.heapPos[v] = -1
+	}
+	s.heap = s.heap[:0]
+	s.ordered = true
+	push := func(v int32) {
+		if s.assigns[v] == lUndef {
+			s.heapPos[v] = int32(len(s.heap))
+			s.heap = append(s.heap, v)
+		}
+	}
+	if s.scope == nil {
+		for v := range s.assigns {
+			push(int32(v))
+		}
+	} else {
+		s.scopeEpoch++
+		for _, v := range s.scope() {
+			if s.inScope[v] != s.scopeEpoch {
+				s.inScope[v] = s.scopeEpoch
+				push(v)
+			}
+		}
+	}
+	for i := int32(len(s.heap))/2 - 1; i >= 0; i-- {
+		s.heapDown(i)
+	}
+}
+
+// decidable reports whether the running call may decide on v.
+func (s *Solver) decidable(v int) bool {
+	return s.scope == nil || s.inScope[v] == s.scopeEpoch
 }
 
 func (s *Solver) pickBranchVar() int32 {
@@ -526,7 +620,8 @@ func medianAct(cs []*clause) float64 {
 	return sum / float64(len(cs))
 }
 
-// Value returns the model value of variable v after a satisfiable Solve.
+// Value returns the model value of variable v after a satisfiable Solve
+// (after SolveWithin: of a variable of the scope).
 func (s *Solver) Value(v int) bool { return s.phase[v] }
 
 // Okay reports whether the solver is still consistent (no root conflict).

@@ -98,3 +98,35 @@ func TestFlowCutCacheByteIdentity(t *testing.T) {
 			ds, dw, sharedFinal.NumAnds(), stepwise.NumAnds())
 	}
 }
+
+// TestCutCacheAcrossInPlaceFraig covers the one rebuild that keeps the
+// caller's pointer: Fraig adopts a freshly numbered network, so a cache
+// shared by the rewrites before and after it holds cut sets about IDs
+// that now name other nodes. Revalidation (version, fanin literals,
+// fanin-set generations) must discard every one of them: the run lands
+// on the network the same calls build with no cache. (The flow's fraig
+// step hands back a new pointer and misses the cache outright.)
+func TestCutCacheAcrossInPlaceFraig(t *testing.T) {
+	net, err := Generate("sin", ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cache *CutCache) *Network {
+		n := net.Clone()
+		cfg := Config{Workers: 1, CutCache: cache}
+		if _, err := Rewrite(n, EngineDACPara, cfg); err != nil {
+			t.Fatal(err)
+		}
+		Fraig(n)
+		if _, err := Rewrite(n, EngineDACPara, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	fresh, cached := run(nil), run(NewCutCache())
+	checkCleanAndEquivalent(t, net, cached)
+	if df, dc := aig.StructuralDigest(fresh), aig.StructuralDigest(cached); df != dc {
+		t.Fatalf("cut cache changed the result: fresh %s vs cached %s (%d vs %d ANDs)",
+			df, dc, fresh.NumAnds(), cached.NumAnds())
+	}
+}

@@ -177,8 +177,8 @@ func ParseFlow(script string) ([]FlowStep, error) {
 // ("-k 6" and "-k=6" are both accepted).
 //
 // Flow is Run on Job{Flow: script} with cfg's knobs and attachments: it
-// returns the per-command results and the final network (balance
-// rebuilds the graph, so the returned pointer may differ from the
+// returns the per-command results and the final network (balance and
+// fraig rebuild the graph, so the returned pointer may differ from the
 // argument).
 func Flow(net *Network, script string, cfg Config) ([]Result, *Network, error) {
 	return FlowResumeContext(context.Background(), net, script, cfg, 0, nil)
@@ -262,14 +262,18 @@ func runFlowStep(ctx context.Context, out *Outcome, job Job, st FlowStep, cfg Co
 		}
 		return resub.RunCtx(ctx, net, resub.Config{ZeroGain: st.ZeroGain})
 	case "fraig":
+		// Like balance, fraig rebuilds the graph, and like balance's its
+		// result goes on under a new pointer: the flow's cut cache is keyed
+		// by graph and must not meet new nodes under old IDs.
 		before := net.Stats()
-		merged := Fraig(net)
-		after := net.Stats()
+		reduced, fr := cec.Reduced(net, cec.FraigOptions{})
+		out.Net = reduced
+		after := reduced.Stats()
 		return Result{
 			Engine:       "fraig",
 			Threads:      1,
 			Passes:       1,
-			Replacements: merged,
+			Replacements: fr.Merged,
 			InitialAnds:  before.Ands,
 			FinalAnds:    after.Ands,
 			InitialDelay: before.Delay,

@@ -89,6 +89,13 @@ func New(opts ...Options) *AIG {
 	return a
 }
 
+// NewLike creates an empty AIG with a's strash option: what a pass that
+// rebuilds a out of place builds into, so the scheme the caller chose
+// survives the pass.
+func (a *AIG) NewLike(capacityHint int) *AIG {
+	return New(Options{GlobalStrash: a.strash != nil, CapacityHint: capacityHint})
+}
+
 // node returns the handle for id. Pages are append-only, so the handle
 // stays valid forever.
 func (a *AIG) node(id int32) Node {

@@ -33,6 +33,15 @@ func TestReplacePO(t *testing.T) {
 	}
 }
 
+func TestNewLikeKeepsTheStrashScheme(t *testing.T) {
+	for _, global := range []bool{false, true} {
+		b := New(Options{GlobalStrash: global}).NewLike(10)
+		if (b.strash != nil) != global || b.Capacity() != 1 {
+			t.Errorf("global=%v: strash %v, capacity %d", global, b.strash != nil, b.Capacity())
+		}
+	}
+}
+
 func TestCloneWithGlobalStrash(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	a := randomNetwork(t, rng, 6, 150, 5)

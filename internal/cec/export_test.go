@@ -6,10 +6,10 @@ import (
 	"dacpara/internal/aig"
 )
 
-// Reduced returns the functional reduction of src as the reducer leaves
-// it — merged-away nodes included — with src's outputs attached, for
-// the tests of the external test package.
-func Reduced(src *aig.AIG, seed int64) (*aig.AIG, Effort) {
+// RawReduction returns the functional reduction of src as the reducer
+// leaves it — merged-away nodes included — with src's outputs attached,
+// for the tests of the external test package.
+func RawReduction(src *aig.AIG, seed int64) (*aig.AIG, Effort) {
 	r, outs := reduce(src, rand.New(rand.NewSource(seed)))
 	for _, po := range outs {
 		r.dst.AddPO(po)

@@ -23,10 +23,19 @@ type FraigResult struct {
 // candidate equivalence classes and budgeted SAT calls prove and merge
 // them (ABC's `fraig`). Rewriting is structural and local; fraiging
 // catches functionally equivalent cones rewriting cannot see, and flows
-// commonly run it between optimization passes. The reduced network is
-// built out of place (see reducer) and a takes it over, compacted to the
-// logic its outputs read.
+// commonly run it between optimization passes. a takes over the network
+// Reduced builds, so its node IDs change.
 func Fraig(a *aig.AIG, opts FraigOptions) FraigResult {
+	out, res := Reduced(a, opts)
+	a.Adopt(out)
+	return res
+}
+
+// Reduced returns the functional reduction of a as a new network with a's
+// strash option, compacted to the logic its outputs read; a itself is
+// left as it was. It is built out of place (see reducer), which is why
+// it cannot come out cyclic.
+func Reduced(a *aig.AIG, opts FraigOptions) (*aig.AIG, FraigResult) {
 	res := FraigResult{InitialAnds: a.NumAnds()}
 	r, outs := reduce(a, rand.New(rand.NewSource(opts.Seed+0xF4A16)))
 	if err := r.enc.finish(&r.eff); err != nil {
@@ -37,7 +46,7 @@ func Fraig(a *aig.AIG, opts FraigOptions) FraigResult {
 	// Copy what the outputs reach. ANDs follow the inputs in ID order
 	// and that order is topological.
 	d := r.dst
-	out := aig.New(aig.Options{CapacityHint: a.NumPIs() + d.NumAnds()})
+	out := a.NewLike(a.NumPIs() + d.NumAnds())
 	out.Name = a.Name
 	at := make([]aig.Lit, d.Capacity())
 	for _, pi := range d.PIs() {
@@ -62,7 +71,6 @@ func Fraig(a *aig.AIG, opts FraigOptions) FraigResult {
 	for _, po := range outs {
 		out.AddPO(at[po.Node()].XorCompl(po.Compl()))
 	}
-	a.Adopt(out)
-	res.FinalAnds = a.NumAnds()
-	return res
+	res.FinalAnds = out.NumAnds()
+	return out, res
 }

@@ -112,21 +112,47 @@ func TestLog2AgainstItsRewriteIsProved(t *testing.T) {
 
 // `rw; fraig` on these returned a cyclic network that no longer computed
 // its input's function. Held to exhaustive simulation, not to
-// dacpara.Equivalent, which runs the code under test.
+// dacpara.Equivalent, which runs the code under test. The second script
+// rewrites what fraig rebuilt, with the flow's cut cache warm from the
+// first rewrite.
 func TestFlowFraigStaysAcyclicAndExact(t *testing.T) {
 	for _, bits := range []int{6, 8} {
-		in := bench.Sin(bits)
-		_, out, err := dacpara.Flow(in.Clone(), "rw; fraig", dacpara.Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		for _, script := range []string{"rw; fraig", "rw; fraig; rw"} {
+			in := bench.Sin(bits)
+			_, out, err := dacpara.Flow(in.Clone(), script, dacpara.Config{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := out.Check(aig.CheckOptions{}); err != nil {
+				t.Errorf("sin(%d) %q: %v", bits, script, err)
+				continue
+			}
+			if k := firstDifference(t, in, out); k >= 0 {
+				t.Errorf("sin(%d) %q: output %d differs from the input network's", bits, script, k)
+			}
 		}
-		if err := out.Check(aig.CheckOptions{}); err != nil {
-			t.Errorf("sin(%d): %v", bits, err)
-			continue
-		}
-		if k := firstDifference(t, in, out); k >= 0 {
-			t.Errorf("sin(%d): output %d differs from the input network's", bits, k)
-		}
+	}
+}
+
+// Fraig on a global-strash network rebuilds it under the same scheme
+// (aig.NewLike) and the caller's pointer takes the result over.
+func TestFraigOnGlobalStrashNetwork(t *testing.T) {
+	a := cec.RandomAIG(rand.New(rand.NewSource(3)), 8, 400, 8).CloneWith(aig.Options{GlobalStrash: true})
+	before := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
+	res := cec.Fraig(a, cec.FraigOptions{})
+	if err := a.Check(aig.CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4); !aig.EqualSignatures(before, after) {
+		t.Fatalf("function changed (merged %d)", res.Merged)
+	}
+	// The adopted graph still hashes structurally: an AND that exists is
+	// found, not built again.
+	var id int32
+	a.ForEachAnd(func(n int32) { id = n })
+	n := a.N(id)
+	if l := a.And(n.Fanin0(), n.Fanin1()); l.Node() != id {
+		t.Fatalf("And of node %d's fanins built node %d", id, l.Node())
 	}
 }
 
@@ -139,7 +165,7 @@ func TestReducedMiterIsSoundAndAcyclic(t *testing.T) {
 	for _, p := range flowVerifiedPairs(t) {
 		m := cec.Miter(p.a, p.b)
 		before := aig.RandomSignature(m, rand.New(rand.NewSource(11)), 8)
-		red, eff := cec.Reduced(m, 5)
+		red, eff := cec.RawReduction(m, 5)
 		if err := red.Check(aig.CheckOptions{}); err != nil {
 			t.Errorf("%s: %v", p.name, err)
 			continue

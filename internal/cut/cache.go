@@ -24,10 +24,10 @@ type cacheKey struct {
 // Manager.NextEpoch), so stored sets are returned only when they are
 // bit-identical to what a cold re-enumeration would produce.
 //
-// A graph that is rebuilt (balance, guard scratch clones) arrives under a
-// new pointer and simply misses; its manager is retained until the cache
-// is dropped, so scope a Cache to one flow run, not to a long-lived
-// process.
+// A graph that is rebuilt (balance, fraig, guard scratch clones) arrives
+// under a new pointer and simply misses; its manager is retained until
+// the cache is dropped, so scope a Cache to one flow run, not to a
+// long-lived process.
 type Cache struct {
 	mu sync.Mutex
 	m  map[cacheKey]*Manager

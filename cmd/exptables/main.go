@@ -246,25 +246,30 @@ func fig2(sc bench.Scale, lib *rewlib.Library) {
 	fmt.Println()
 }
 
-// scaling sweeps worker counts (the speedup experiment; meaningful with
-// many cores).
+// scaling sweeps worker counts against the serial baseline (the
+// speed-up experiment): two arithmetic circuits and one wide MtM circuit,
+// the serial `abc` row first, then both parallel engines per worker
+// count with their speed-up over that row. Worker counts above the
+// machine's CPUs show what over-subscription costs, not a speed-up.
 func scaling(sc bench.Scale, lib *rewlib.Library) {
-	tbl := report.New("Thread scaling (speedup columns need a many-core machine)",
-		"Benchmark", "Engine", "Threads", "T(s)", "ARed", "Aborts")
+	tbl := report.New("Thread scaling",
+		"Benchmark", "Engine", "Threads", "T(s)", "vs abc", "ARed", "Aborts")
 	ths := []int{1, 2, 4, 8}
 	if runtime.NumCPU() > 8 {
 		ths = append(ths, runtime.NumCPU())
 	}
-	for _, name := range []string{"mult", "log2"} {
+	for _, name := range []string{"mult", "log2", "sixteen"} {
 		c, ok := findCircuit(sc, name)
 		if !ok {
 			continue
 		}
+		abc := measure(c, sc, lib, engineRun{"abc", rewrite.EngineSerial, rewrite.Config{}})
+		tbl.Row(c.Name, rewrite.EngineSerial, 1, abc.Duration.Seconds(), 1.0, abc.AreaReduction(), abc.Aborts)
 		for _, e := range []rewrite.Engine{rewrite.EngineLockPar, rewrite.EngineDACPara} {
 			for _, th := range ths {
-				res, err := rewrite.Run(context.Background(), e, c.Instantiate(sc), lib, rewrite.Config{Workers: th})
-				fatal(err)
-				tbl.Row(c.Name, e, th, res.Duration.Seconds(), res.AreaReduction(), res.Aborts)
+				res := measure(c, sc, lib, engineRun{string(e), e, rewrite.Config{Workers: th}})
+				tbl.Row(c.Name, e, th, res.Duration.Seconds(),
+					report.Ratio(abc.Duration.Seconds(), res.Duration.Seconds()), res.AreaReduction(), res.Aborts)
 			}
 		}
 	}

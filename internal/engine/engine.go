@@ -2,8 +2,9 @@
 // repository: one level-partitioning/worklist implementation with
 // pluggable partition policies, one three-phase executor skeleton
 // (enumerate → lock-free evaluate → commit-with-revalidation)
-// parameterized by per-pass hooks, and one spine for metrics shards,
-// context cancellation checkpoints, fault-plan wiring and retry budgets.
+// parameterized by per-pass hooks, and one spine for the worker team
+// (started once per run, see galois.Team), metrics shards, context
+// cancellation checkpoints, fault-plan wiring and retry budgets.
 //
 // Every optimization pass in the repository runs through it:
 //
@@ -32,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -194,6 +194,15 @@ func (e Exec) passes() int {
 	return e.Passes
 }
 
+// executor returns the run's speculative executor: one, on the run's
+// team, with a lock table that grows with the network.
+func (e Exec) executor(a *aig.AIG, team *galois.Team) *galois.Executor {
+	ex := galois.NewExecutor(a.Capacity()+1, team)
+	ex.Fault = e.Fault
+	ex.RetryBudget = e.RetryBudget
+	return ex
+}
+
 // SerialCancelStride is how many nodes Serial mode processes between
 // context polls: coarse enough to keep the hot loop cheap, fine enough
 // that cancellation lands within a few hundred node visits.
@@ -243,24 +252,27 @@ func runDynamic(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (
 	m := e.Metrics
 	m.StartRun(plan.Name, workers, passes)
 	shards := m.Shards(workers + 1) // nil when metrics are off
-	var attempts, replacements, stale atomic.Int64
+	var attempts atomic.Int64
+	tallies := make([]tally, workers+1)
 	env := Env{Shards: shards, Attempts: &attempts, CutPools: cut.NewPools(workers + 1)}
+	// One team and one executor, lock table included, serve every phase
+	// of every level of every pass.
+	team := galois.NewTeam(workers)
+	defer team.Close()
+	ex := e.executor(a, team)
+	// runPhase brackets one executor run with the phase clock and
+	// attributes the executor counter movement to that phase.
+	var specBase metrics.Spec
+	runPhase := func(ph metrics.Phase, wl []int32, op galois.Operator) error {
+		m.PhaseStart(ph)
+		err := ex.RunCtx(ctx, wl, op)
+		cur := metrics.SpecOf(&ex.Stats)
+		m.PhaseEnd(ph, cur.Sub(specBase))
+		specBase = cur
+		return err
+	}
 	var runErr error
-	for p := 0; p < passes; p++ {
-		ex := galois.NewExecutor(a.Capacity()+1, workers)
-		ex.Fault = e.Fault
-		ex.RetryBudget = e.RetryBudget
-		// runPhase brackets one executor run with the phase clock and
-		// attributes the executor counter movement to that phase.
-		specBase := metrics.SpecOf(&ex.Stats)
-		runPhase := func(ph metrics.Phase, wl []int32, op galois.Operator) error {
-			m.PhaseStart(ph)
-			err := ex.RunCtx(ctx, wl, op)
-			cur := metrics.SpecOf(&ex.Stats)
-			m.PhaseEnd(ph, cur.Sub(specBase))
-			specBase = cur
-			return err
-		}
+	for p := 0; p < passes && runErr == nil; p++ {
 		pass.Begin(workers+1, env)
 		worklists := plan.Partition(a)
 
@@ -306,12 +318,12 @@ func runDynamic(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (
 				}
 				return galois.ErrConflict
 			case StatusCommitted:
-				replacements.Add(1)
+				tallies[gc.Worker()].replacements++
 			case StatusStale:
 				// The stored evaluation was outdated on the latest graph:
 				// that evaluation is the (cheap) work a split-operator
 				// conflict throws away.
-				stale.Add(1)
+				tallies[gc.Worker()].stale++
 				if shards != nil {
 					shards[gc.Worker()].WastedEvals++
 				}
@@ -354,9 +366,9 @@ func runDynamic(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (
 					}
 					switch pass.Commit(0, id, nil) {
 					case StatusCommitted:
-						replacements.Add(1)
+						tallies[0].replacements++
 					case StatusStale:
-						stale.Add(1)
+						tallies[0].stale++
 						if shards != nil {
 							shards[0].WastedEvals++
 						}
@@ -367,19 +379,14 @@ func runDynamic(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (
 				runErr = fmt.Errorf("%s: replacement stage: %w", plan.errName(), err)
 				break
 			}
-			// The executor's join above ordered every shard write; fold
+			// The team's barrier above ordered every shard write; fold
 			// the per-worker counters in while the workers are quiescent.
 			m.MergeShards(shards)
 		}
 		m.MergeShards(shards)
-		res.absorb(&ex.Stats)
-		if runErr != nil {
-			break
-		}
 	}
-	res.Attempts = int(attempts.Load())
-	res.Replacements = int(replacements.Load())
-	res.Stale = int(stale.Load())
+	res.absorb(&ex.Stats)
+	res.count(&attempts, tallies)
 	res.finish(a, start, m, runErr)
 	return res, runErr
 }
@@ -401,8 +408,11 @@ func runStatic(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (R
 	m := e.Metrics
 	m.StartRun(plan.Name, workers, passes)
 	shards := m.Shards(workers) // nil when metrics are off
-	var attempts, replacements, stale atomic.Int64
+	var attempts atomic.Int64
+	tallies := make([]tally, 1) // slot 0 commits
 	env := Env{Shards: shards, Attempts: &attempts, CutPools: cut.NewPools(workers)}
+	team := galois.NewTeam(workers)
+	defer team.Close()
 	var runErr error
 	// levelCancelled polls the context at a level boundary and records
 	// the wrapped error once.
@@ -430,9 +440,11 @@ func runStatic(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (R
 				break
 			}
 			m.ObserveLevel(len(wl))
-			parallelFor(workers, wl, func(w int, id int32) {
+			if err := parallelFor(team, wl, func(w int, id int32) {
 				pass.Enumerate(w, id, nil)
-			})
+			}); err != nil {
+				runErr = fmt.Errorf("%s: enumeration stage: %w", plan.errName(), err)
+			}
 		}
 		m.PhaseEnd(metrics.PhaseEnumerate, metrics.Spec{})
 
@@ -442,13 +454,15 @@ func runStatic(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (R
 			if levelCancelled() {
 				break
 			}
-			parallelFor(workers, wl, func(w int, id int32) {
+			if err := parallelFor(team, wl, func(w int, id int32) {
 				if pass.Evaluate(w, id) {
 					if shards != nil {
 						shards[w].Evals++
 					}
 				}
-			})
+			}); err != nil {
+				runErr = fmt.Errorf("%s: evaluation stage: %w", plan.errName(), err)
+			}
 		}
 		m.PhaseEnd(metrics.PhaseEvaluate, metrics.Spec{})
 
@@ -467,9 +481,9 @@ func runStatic(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (R
 				attempts.Add(1)
 				switch pass.Commit(0, id, nil) {
 				case StatusCommitted:
-					replacements.Add(1)
+					tallies[0].replacements++
 				case StatusStale:
-					stale.Add(1)
+					tallies[0].stale++
 					if shards != nil {
 						shards[0].WastedEvals++
 					}
@@ -477,13 +491,11 @@ func runStatic(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (R
 			}
 		}
 		m.PhaseEnd(metrics.PhaseReplace, metrics.Spec{})
-		// parallelFor's join ordered the shard writes of the barriers
+		// parallelFor's barrier ordered the shard writes of the sweeps
 		// above.
 		m.MergeShards(shards)
 	}
-	res.Attempts = int(attempts.Load())
-	res.Replacements = int(replacements.Load())
-	res.Stale = int(stale.Load())
+	res.count(&attempts, tallies)
 	res.finish(a, start, m, runErr)
 	return res, runErr
 }
@@ -504,13 +516,15 @@ func runFused(ctx context.Context, a *aig.AIG, pass FusedPass, plan Plan, e Exec
 	m := e.Metrics
 	m.StartRun(plan.Name, workers, passes)
 	shards := m.Shards(workers + 1) // nil when metrics are off
-	var attempts, replacements, stale atomic.Int64
+	var attempts atomic.Int64
+	tallies := make([]tally, workers+1)
 	env := Env{Shards: shards, Attempts: &attempts, CutPools: cut.NewPools(workers + 1)}
+	team := galois.NewTeam(workers)
+	defer team.Close()
+	ex := e.executor(a, team)
+	var specBase metrics.Spec
 	var runErr error
-	for p := 0; p < passes; p++ {
-		ex := galois.NewExecutor(a.Capacity()+1, workers)
-		ex.Fault = e.Fault
-		ex.RetryBudget = e.RetryBudget
+	for p := 0; p < passes && runErr == nil; p++ {
 		pass.Begin(workers+1, env)
 		worklists := plan.Partition(a)
 		op := func(gc *galois.Ctx, id int32) error {
@@ -518,13 +532,12 @@ func runFused(ctx context.Context, a *aig.AIG, pass FusedPass, plan Plan, e Exec
 			case StatusConflict:
 				return galois.ErrConflict
 			case StatusCommitted:
-				replacements.Add(1)
+				tallies[gc.Worker()].replacements++
 			case StatusStale:
-				stale.Add(1)
+				tallies[gc.Worker()].stale++
 			}
 			return nil
 		}
-		specBase := metrics.SpecOf(&ex.Stats)
 		for _, wl := range worklists {
 			m.PhaseStart(metrics.PhaseFused)
 			err := ex.RunCtx(ctx, wl, op)
@@ -537,14 +550,9 @@ func runFused(ctx context.Context, a *aig.AIG, pass FusedPass, plan Plan, e Exec
 			}
 		}
 		m.MergeShards(shards)
-		res.absorb(&ex.Stats)
-		if runErr != nil {
-			break
-		}
 	}
-	res.Attempts = int(attempts.Load())
-	res.Replacements = int(replacements.Load())
-	res.Stale = int(stale.Load())
+	res.absorb(&ex.Stats)
+	res.count(&attempts, tallies)
 	res.finish(a, start, m, runErr)
 	return res, runErr
 }
@@ -566,7 +574,8 @@ func runSerial(ctx context.Context, a *aig.AIG, pass FusedPass, plan Plan, e Exe
 	// One shard: the serial skeleton has no barriers, so its per-phase
 	// breakdown is the in-loop stage time the pass accumulates there.
 	shards := m.Shards(1)
-	var attempts, replacements, stale atomic.Int64
+	var attempts atomic.Int64
+	tallies := make([]tally, 1)
 	env := Env{Shards: shards, Attempts: &attempts, CutPools: cut.NewPools(1)}
 	var runErr error
 	for p := 0; p < passes && runErr == nil; p++ {
@@ -579,9 +588,9 @@ func runSerial(ctx context.Context, a *aig.AIG, pass FusedPass, plan Plan, e Exe
 				}
 				switch pass.Fuse(0, id, nil) {
 				case StatusCommitted:
-					replacements.Add(1)
+					tallies[0].replacements++
 				case StatusStale:
-					stale.Add(1)
+					tallies[0].stale++
 				}
 			}
 			if runErr != nil {
@@ -590,47 +599,21 @@ func runSerial(ctx context.Context, a *aig.AIG, pass FusedPass, plan Plan, e Exe
 		}
 	}
 	m.MergeShards(shards)
-	res.Attempts = int(attempts.Load())
-	res.Replacements = int(replacements.Load())
-	res.Stale = int(stale.Load())
+	res.count(&attempts, tallies)
 	res.finish(a, start, m, runErr)
 	return res, runErr
 }
 
-// parallelFor distributes items over workers with a barrier at the end
-// (the Static mode's GPU-kernel model).
-func parallelFor(workers int, items []int32, fn func(worker int, id int32)) {
-	if len(items) == 0 {
-		return
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers == 1 {
-		// Nothing to fork: stay on the caller's goroutine.
-		for _, id := range items {
-			fn(0, id)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(items) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
+// parallelFor runs fn over the items on the team, with a barrier at the
+// end (the Static mode's GPU-kernel model). Worker slots are 0-based. A
+// panic in fn comes back as a *galois.PanicError.
+func parallelFor(team *galois.Team, items []int32, fn func(worker int, id int32)) error {
+	workers, cursor := team.Split(len(items))
+	return team.Do(workers, func(worker int) {
+		for lo, hi, ok := cursor.Next(); ok; lo, hi, ok = cursor.Next() {
 			for _, id := range items[lo:hi] {
-				fn(w, id)
+				fn(worker-1, id)
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 }

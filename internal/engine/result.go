@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync/atomic"
 	"time"
 
 	"dacpara/internal/aig"
@@ -49,13 +50,31 @@ type Result struct {
 	Metrics *metrics.Snapshot
 }
 
-// absorb folds one executor's speculative counters into the result.
+// absorb takes the run's speculative counters from its executor, which
+// lives as long as the run: call it once, after the pass loop.
 func (r *Result) absorb(st *galois.Stats) {
-	r.Commits += st.Commits.Load()
-	r.Aborts += st.Aborts.Load()
-	r.InjectedAborts += st.InjectedAborts.Load()
-	r.CommittedWork += time.Duration(st.CommittedNs.Load())
-	r.WastedWork += time.Duration(st.WastedNs.Load())
+	r.Commits = st.Commits
+	r.Aborts = st.Aborts
+	r.InjectedAborts = st.InjectedAborts
+	r.CommittedWork = time.Duration(st.CommittedNs)
+	r.WastedWork = time.Duration(st.WastedNs)
+}
+
+// tally is one worker slot's share of the commit verdicts: plain
+// counters, written only by the worker the slot belongs to and summed by
+// count when the team is quiescent. Padded to a cache line.
+type tally struct {
+	replacements, stale int64
+	_                   [48]byte
+}
+
+// count stamps the attempt, replacement and stale totals.
+func (r *Result) count(attempts *atomic.Int64, tallies []tally) {
+	r.Attempts = int(attempts.Load())
+	for i := range tallies {
+		r.Replacements += int(tallies[i].replacements)
+		r.Stale += int(tallies[i].stale)
+	}
 }
 
 // finish stamps the post-run QoR, duration and completeness, then — with

@@ -17,7 +17,7 @@ func sequentialItems(n int) []int32 {
 
 func TestFaultPlanForcesAbortsButCompletes(t *testing.T) {
 	const n = 2000
-	ex := NewExecutor(n+1, 8)
+	ex := newExecutor(t, n+1, 8)
 	ex.Fault = &FaultPlan{Seed: 99, AbortRate: 0.3}
 	var counts [n + 1]atomic.Int32
 	err := ex.Run(sequentialItems(n), func(ctx *Ctx, item int32) error {
@@ -35,20 +35,20 @@ func TestFaultPlanForcesAbortsButCompletes(t *testing.T) {
 			t.Fatalf("item %d committed %d times", i, counts[i].Load())
 		}
 	}
-	inj := ex.Stats.InjectedAborts.Load()
+	inj := ex.Stats.InjectedAborts
 	if inj == 0 {
 		t.Fatal("no aborts injected at rate 0.3")
 	}
 	// The injected aborts are a subset of all aborts.
-	if inj > ex.Stats.Aborts.Load() {
-		t.Fatalf("injected %d > total aborts %d", inj, ex.Stats.Aborts.Load())
+	if inj > ex.Stats.Aborts {
+		t.Fatalf("injected %d > total aborts %d", inj, ex.Stats.Aborts)
 	}
-	t.Logf("injected %d aborts over %d commits", inj, ex.Stats.Commits.Load())
+	t.Logf("injected %d aborts over %d commits", inj, ex.Stats.Commits)
 }
 
 func TestFaultInjectionIsSeedDeterministic(t *testing.T) {
 	run := func() int64 {
-		ex := NewExecutor(101, 1) // single worker: fully deterministic
+		ex := newExecutor(t, 101, 1) // single worker: fully deterministic
 		ex.Fault = &FaultPlan{Seed: 7, AbortRate: 0.5}
 		err := ex.Run(sequentialItems(100), func(ctx *Ctx, item int32) error {
 			if !ctx.Acquire(item) {
@@ -59,7 +59,7 @@ func TestFaultInjectionIsSeedDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ex.Stats.InjectedAborts.Load()
+		return ex.Stats.InjectedAborts
 	}
 	first := run()
 	if first == 0 {
@@ -76,7 +76,7 @@ func TestLockFreeOperatorImmuneToForcedAborts(t *testing.T) {
 	// Operators that take no locks (the evaluation stage) cannot be
 	// aborted by the fault plan, mirroring the fact that they cannot
 	// conflict.
-	ex := NewExecutor(101, 4)
+	ex := newExecutor(t, 101, 4)
 	ex.Fault = &FaultPlan{Seed: 3, AbortRate: 0.9}
 	var ran atomic.Int32
 	err := ex.Run(sequentialItems(100), func(ctx *Ctx, item int32) error {
@@ -86,19 +86,19 @@ func TestLockFreeOperatorImmuneToForcedAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ran.Load() != 100 || ex.Stats.InjectedAborts.Load() != 0 {
-		t.Fatalf("ran=%d injected=%d", ran.Load(), ex.Stats.InjectedAborts.Load())
+	if ran.Load() != 100 || ex.Stats.InjectedAborts != 0 {
+		t.Fatalf("ran=%d injected=%d", ran.Load(), ex.Stats.InjectedAborts)
 	}
 }
 
 func TestRetryBudgetReturnsTypedError(t *testing.T) {
-	ex := NewExecutor(500, 2)
+	ex := newExecutor(t, 500, 2)
 	ex.Fault = &FaultPlan{Seed: 1, AbortRate: 1.0}
 	ex.RetryBudget = 25
 	// Four acquisitions per activity: the doomed acquire (one of the
 	// first four) always fires, so at rate 1.0 no activity can ever
 	// commit and the budget must trip.
-	err := ex.Run(sequentialItems(10), func(ctx *Ctx, item int32) error {
+	err := ex.Run(sequentialItems(40), func(ctx *Ctx, item int32) error {
 		for _, id := range []int32{item, item + 100, item + 200, item + 300} {
 			if !ctx.Acquire(id) {
 				return ErrConflict
@@ -147,7 +147,7 @@ func TestShuffledWorklistIsSeededPermutation(t *testing.T) {
 }
 
 func TestStallAndLockHoldInjection(t *testing.T) {
-	ex := NewExecutor(33, 2)
+	ex := newExecutor(t, 33, 2)
 	ex.Fault = &FaultPlan{
 		Seed:          2,
 		StallRate:     1.0,
@@ -179,8 +179,9 @@ func TestOperatorPanicBecomesError(t *testing.T) {
 }
 
 func operatorPanicBecomesError(t *testing.T, workers int) {
-	ex := NewExecutor(11, workers)
-	err := ex.Run(sequentialItems(10), func(ctx *Ctx, item int32) error {
+	// 64 items: enough for four workers to share the list.
+	ex := newExecutor(t, 65, workers)
+	err := ex.Run(sequentialItems(64), func(ctx *Ctx, item int32) error {
 		if !ctx.Acquire(item) {
 			return ErrConflict
 		}
@@ -198,7 +199,7 @@ func operatorPanicBecomesError(t *testing.T, workers int) {
 	}
 	// The panicking worker must have released its locks: every lock is
 	// re-acquirable afterwards.
-	for id := int32(1); id <= 10; id++ {
+	for id := int32(1); id <= 64; id++ {
 		if ok, _ := ex.Table.tryAcquire(99, id); !ok {
 			t.Fatalf("lock %d still held after panic", id)
 		}

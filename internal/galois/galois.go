@@ -2,7 +2,9 @@
 // graph algorithms in the style of the Galois system (Pingali et al.,
 // PLDI'11), which the paper uses as its parallel substrate.
 //
-// Work items from a worklist are processed by worker goroutines. An
+// Work items from a worklist are processed by the workers of a Team (see
+// team.go): the calling goroutine plus helpers that are started once per
+// engine run and meet at spinning barriers, as Galois's own threads do. An
 // activity acquires per-node exclusive locks as it discovers the nodes it
 // must read or write; when it fails to acquire a lock held by another
 // activity it aborts — every lock it holds is released and all computation
@@ -117,30 +119,50 @@ func (t *LockTable) release(owner, id int32) {
 }
 
 // Stats aggregates executor behaviour; the conflict experiment of the
-// paper's Fig. 2 is reproduced from these counters.
+// paper's Fig. 2 is reproduced from these counters. They are plain
+// values: every worker counts into a Stats of its own, and the executor
+// folds those into its total at the barrier that ends each run, so the
+// total is read between runs, by the goroutine that calls them.
 type Stats struct {
 	// Commits counts activities that completed.
-	Commits atomic.Int64
+	Commits int64
 	// Aborts counts activities discarded because of a lock conflict.
-	Aborts atomic.Int64
+	Aborts int64
 	// InjectedAborts counts the aborts forced by a FaultPlan (a subset of
 	// Aborts, as each spurious acquire failure aborts its activity).
-	InjectedAborts atomic.Int64
+	InjectedAborts int64
 	// LocksTaken counts successful lock acquisitions; LockFailures the
 	// acquisitions that found the lock held by another activity (each
 	// failure aborts its activity, so failures trace where conflicts
 	// actually arise — the paper's Section 4 claim that enumeration and
 	// replacement conflicts are rare is readable from this counter).
-	LocksTaken   atomic.Int64
-	LockFailures atomic.Int64
+	LocksTaken   int64
+	LockFailures int64
 	// CommittedNs and WastedNs accumulate the time spent inside
 	// committed and aborted activities respectively. On machines without
 	// enough cores to observe wall-clock speedups, the wasted fraction is
 	// the reproducible signal of the paper's Fig. 2: a fused operator
 	// discards its whole (evaluation-heavy) computation on conflict,
 	// split operators discard almost nothing.
-	CommittedNs atomic.Int64
-	WastedNs    atomic.Int64
+	CommittedNs int64
+	WastedNs    int64
+}
+
+func (s *Stats) add(d *Stats) {
+	s.Commits += d.Commits
+	s.Aborts += d.Aborts
+	s.InjectedAborts += d.InjectedAborts
+	s.LocksTaken += d.LocksTaken
+	s.LockFailures += d.LockFailures
+	s.CommittedNs += d.CommittedNs
+	s.WastedNs += d.WastedNs
+}
+
+// workerStats is one worker's counters, padded to two cache lines so that
+// neighbouring workers never write the same one.
+type workerStats struct {
+	Stats
+	_ [72]byte
 }
 
 // Ctx is the per-activity handle passed to operators: it acquires locks on
@@ -161,18 +183,18 @@ func (c *Ctx) Worker() int { return int(c.owner) }
 // conflict. On false the operator must immediately return ErrConflict.
 func (c *Ctx) Acquire(id int32) bool {
 	if c.inj != nil && c.inj.spuriousFail() {
-		c.stats.InjectedAborts.Add(1)
-		c.stats.LockFailures.Add(1)
+		c.stats.InjectedAborts++
+		c.stats.LockFailures++
 		return false
 	}
 	ok, newly := c.table.tryAcquire(c.owner, id)
 	if !ok {
-		c.stats.LockFailures.Add(1)
+		c.stats.LockFailures++
 		return false
 	}
 	if newly {
 		c.held = append(c.held, id)
-		c.stats.LocksTaken.Add(1)
+		c.stats.LocksTaken++
 	}
 	return true
 }
@@ -190,11 +212,13 @@ type Operator func(ctx *Ctx, item int32) error
 
 // Executor runs operators over worklists with a shared lock table, so
 // consecutive phases (enumeration, evaluation, replacement) conflict
-// correctly with each other if they overlap.
+// correctly with each other if they overlap. It lives as long as its
+// team: one engine run.
 type Executor struct {
-	Table   *LockTable
-	Workers int
-	Stats   Stats
+	Table *LockTable
+	Team  *Team
+	// Stats is the total over the runs finished so far.
+	Stats Stats
 
 	// Fault, when non-nil, injects seeded faults into every Run (see
 	// FaultPlan). Nil is the zero-cost production default.
@@ -202,6 +226,8 @@ type Executor struct {
 	// RetryBudget bounds consecutive aborts per item before Run returns a
 	// *RetryBudgetError (0 means DefaultRetryBudget).
 	RetryBudget int
+
+	local []workerStats // by worker tag; folded into Stats after each run
 }
 
 func (e *Executor) retryBudget() int {
@@ -211,13 +237,14 @@ func (e *Executor) retryBudget() int {
 	return e.RetryBudget
 }
 
-// NewExecutor creates an executor with the given parallelism (0 means
-// GOMAXPROCS) over nodes up to capacity.
-func NewExecutor(capacity int32, workers int) *Executor {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// NewExecutor creates an executor that runs on team, over nodes up to
+// capacity (the lock table grows past it on demand).
+func NewExecutor(capacity int32, team *Team) *Executor {
+	return &Executor{
+		Table: NewLockTable(capacity),
+		Team:  team,
+		local: make([]workerStats, team.Workers()+1),
 	}
-	return &Executor{Table: NewLockTable(capacity), Workers: workers}
 }
 
 // Run processes every item of the worklist with op, in parallel, retrying
@@ -242,14 +269,9 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 	}
 	items = e.Fault.shuffled(items)
 	budget := e.retryBudget()
-	// Items are handed out in chunks, so a worker beyond the number of
-	// chunks would be forked, woken and joined without ever getting one.
-	const chunk = 32
-	workers := e.Workers
-	if chunks := (len(items) + chunk - 1) / chunk; workers > chunks {
-		workers = chunks
-	}
-	var next atomic.Int64
+	// A list too short to share, or one that makes a single chunk, runs
+	// as a one-worker phase: on the caller under tag 1, no helper woken.
+	workers, cursor := e.Team.Split(len(items))
 	var firstErr atomic.Pointer[error]
 	// cancelled polls the context without blocking; on cancellation it
 	// records ctx.Err() as the run error so every worker stops at its next
@@ -268,12 +290,14 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 			return false
 		}
 	}
-	work := func(tag int32) {
+	work := func(worker int) {
+		tag := int32(worker)
 		inj := e.Fault.injectorFor(tag)
-		ctx := &Ctx{owner: tag, table: e.Table, stats: &e.Stats, inj: inj}
-		// A panicking operator must not take the process down: release
-		// the activity's locks so other workers are not stranded, and
-		// surface the panic as the run's error.
+		stats := &e.local[worker].Stats
+		ctx := &Ctx{owner: tag, table: e.Table, stats: stats, inj: inj}
+		// A panicking operator must not strand the other workers: release
+		// the activity's locks and surface the panic as the run's error,
+		// which also stops them at their next activity.
 		defer func() {
 			if p := recover(); p != nil {
 				ctx.releaseAll()
@@ -296,11 +320,11 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 			elapsed := time.Since(t0).Nanoseconds()
 			switch err {
 			case nil:
-				e.Stats.Commits.Add(1)
-				e.Stats.CommittedNs.Add(elapsed)
+				stats.Commits++
+				stats.CommittedNs += elapsed
 			case ErrConflict:
-				e.Stats.Aborts.Add(1)
-				e.Stats.WastedNs.Add(elapsed)
+				stats.Aborts++
+				stats.WastedNs += elapsed
 				retry = append(retry, item)
 			default:
 				p := err
@@ -308,15 +332,11 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 			}
 		}
 		for firstErr.Load() == nil && !cancelled() {
-			start := next.Add(chunk) - chunk
-			if start >= int64(len(items)) {
+			lo, hi, ok := cursor.Next()
+			if !ok {
 				break
 			}
-			end := start + chunk
-			if end > int64(len(items)) {
-				end = int64(len(items))
-			}
-			for _, item := range items[start:end] {
+			for _, item := range items[lo:hi] {
 				process(item)
 			}
 		}
@@ -339,8 +359,8 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 				ctx.releaseAll()
 				elapsed := time.Since(t0).Nanoseconds()
 				if err == nil {
-					e.Stats.Commits.Add(1)
-					e.Stats.CommittedNs.Add(elapsed)
+					stats.Commits++
+					stats.CommittedNs += elapsed
 					break
 				}
 				if err != ErrConflict {
@@ -348,8 +368,8 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 					firstErr.CompareAndSwap(nil, &p)
 					break
 				}
-				e.Stats.Aborts.Add(1)
-				e.Stats.WastedNs.Add(elapsed)
+				stats.Aborts++
+				stats.WastedNs += elapsed
 				if r >= budget {
 					var p error = &RetryBudgetError{Item: item, Retries: r}
 					firstErr.CompareAndSwap(nil, &p)
@@ -363,24 +383,15 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 			}
 		}
 	}
-	if workers == 1 {
-		// One worker runs on the caller's goroutine: nothing to fork, no
-		// idle processor to wake, and a one-worker run costs the same
-		// whatever the scheduler does.
-		work(1)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(tag int32) {
-				defer wg.Done()
-				work(tag)
-			}(int32(w + 1))
-		}
-		wg.Wait()
+	err := e.Team.Do(workers, work)
+	// The barrier ordered the workers' counter writes: fold them in on
+	// every path, so that a run that failed still accounts for its work.
+	for w := 1; w <= workers; w++ {
+		e.Stats.add(&e.local[w].Stats)
+		e.local[w].Stats = Stats{}
 	}
 	if p := firstErr.Load(); p != nil {
 		return *p
 	}
-	return nil
+	return err
 }

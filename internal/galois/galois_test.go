@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// newExecutor returns an executor on a team of its own, closed when the
+// test ends.
+func newExecutor(t testing.TB, capacity int32, workers int) *Executor {
+	team := NewTeam(workers)
+	t.Cleanup(team.Close)
+	return NewExecutor(capacity, team)
+}
+
 func TestLockTableBasics(t *testing.T) {
 	tab := NewLockTable(100)
 	ok, newly := tab.tryAcquire(1, 5)
@@ -48,7 +56,7 @@ func TestReleaseWrongOwnerPanics(t *testing.T) {
 }
 
 func TestRunProcessesEveryItemOnce(t *testing.T) {
-	ex := NewExecutor(1000, 8)
+	ex := newExecutor(t, 1000, 8)
 	items := make([]int32, 500)
 	for i := range items {
 		items[i] = int32(i)
@@ -69,8 +77,8 @@ func TestRunProcessesEveryItemOnce(t *testing.T) {
 			t.Fatalf("item %d processed %d times", i, counts[i].Load())
 		}
 	}
-	if ex.Stats.Commits.Load() != 500 {
-		t.Fatalf("commits %d", ex.Stats.Commits.Load())
+	if ex.Stats.Commits != 500 {
+		t.Fatalf("commits %d", ex.Stats.Commits)
 	}
 }
 
@@ -80,7 +88,7 @@ func TestRunProcessesEveryItemOnce(t *testing.T) {
 // retries without losing any.
 func TestSpeculativeCounterIncrements(t *testing.T) {
 	const n = 2000
-	ex := NewExecutor(n+1, 8)
+	ex := newExecutor(t, n+1, 8)
 	var shared int64 // protected by lock 0, not by atomics
 	items := make([]int32, n)
 	for i := range items {
@@ -102,7 +110,7 @@ func TestSpeculativeCounterIncrements(t *testing.T) {
 	if shared != n {
 		t.Fatalf("lost updates: %d of %d", shared, n)
 	}
-	commits, aborts, locks := ex.Stats.Commits.Load(), ex.Stats.Aborts.Load(), ex.Stats.LocksTaken.Load()
+	commits, aborts, locks := ex.Stats.Commits, ex.Stats.Aborts, ex.Stats.LocksTaken
 	if commits != n {
 		t.Fatalf("commits %d", commits)
 	}
@@ -116,7 +124,7 @@ func TestConflictingNeighbors(t *testing.T) {
 	// Activities lock their item and both neighbors; with dense items
 	// this forces conflicts but must still complete exactly once each.
 	const n = 1000
-	ex := NewExecutor(n+2, 8)
+	ex := newExecutor(t, n+2, 8)
 	results := make([]atomic.Int32, n+2)
 	items := make([]int32, n)
 	for i := range items {
@@ -142,7 +150,7 @@ func TestConflictingNeighbors(t *testing.T) {
 }
 
 func TestAbortReleasesLocks(t *testing.T) {
-	ex := NewExecutor(10, 1)
+	ex := newExecutor(t, 10, 1)
 	// First run: operator aborts once, then succeeds; the lock it held
 	// before aborting must have been released for the retry to work.
 	tries := 0
@@ -162,16 +170,16 @@ func TestAbortReleasesLocks(t *testing.T) {
 	if tries != 2 {
 		t.Fatalf("tries %d", tries)
 	}
-	if ex.Stats.Aborts.Load() != 1 || ex.Stats.Commits.Load() != 1 {
-		t.Fatalf("stats commits=%d aborts=%d", ex.Stats.Commits.Load(), ex.Stats.Aborts.Load())
+	if ex.Stats.Aborts != 1 || ex.Stats.Commits != 1 {
+		t.Fatalf("stats commits=%d aborts=%d", ex.Stats.Commits, ex.Stats.Aborts)
 	}
-	if ex.Stats.WastedNs.Load() <= 0 || ex.Stats.CommittedNs.Load() <= 0 {
+	if ex.Stats.WastedNs <= 0 || ex.Stats.CommittedNs <= 0 {
 		t.Fatal("work accounting missing")
 	}
 }
 
 func TestRunPropagatesErrors(t *testing.T) {
-	ex := NewExecutor(10, 4)
+	ex := newExecutor(t, 10, 4)
 	boom := errTest{}
 	err := ex.Run([]int32{1, 2, 3, 4}, func(ctx *Ctx, item int32) error {
 		if item == 3 {
@@ -189,7 +197,7 @@ type errTest struct{}
 func (errTest) Error() string { return "boom" }
 
 func TestEmptyRun(t *testing.T) {
-	ex := NewExecutor(10, 4)
+	ex := newExecutor(t, 10, 4)
 	if err := ex.Run(nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +207,7 @@ func TestEmptyRun(t *testing.T) {
 // its cost does not depend on whether an idle processor wakes in time.
 func TestSingleWorkerRunsOnCaller(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ex := NewExecutor(8, 1)
+	ex := newExecutor(t, 8, 1)
 	seen := 0
 	err := ex.Run([]int32{1, 2, 3, 4}, func(*Ctx, int32) error {
 		if n := runtime.NumGoroutine(); n != before {
@@ -213,24 +221,23 @@ func TestSingleWorkerRunsOnCaller(t *testing.T) {
 	}
 }
 
-// Items are handed out in chunks of 32, so a list of at most 32 has work
-// for one worker: it must run as a one-worker phase does, on the caller
-// under tag 1, whatever the executor's width. A longer list still forks.
+// A list shorter than the inline cutoff is not worth sharing, and a list
+// that makes one chunk has work for one worker: both run as a one-worker
+// phase does, on the caller under tag 1, whatever the team's width — and
+// no helper is woken for them. A longer list is shared, in chunks of a
+// quarter of a worker's share.
 func TestNoWorkersWithoutAChunk(t *testing.T) {
-	ex := NewExecutor(256, 4)
-	for _, n := range []int{1, 6, 32} {
+	ex := newExecutor(t, 4096, 4)
+	settle(ex.Team) // every helper parked: a wake-up would show
+	for _, n := range []int{1, 2, inlineCutoff - 1} {
 		items := make([]int32, n)
 		for i := range items {
 			items[i] = int32(i)
 		}
-		before := runtime.NumGoroutine()
 		seen := 0 // unsynchronised on purpose: -race fails if two workers run
 		err := ex.Run(items, func(c *Ctx, _ int32) error {
 			if c.Worker() != 1 {
 				t.Errorf("%d items: an item ran under worker tag %d", n, c.Worker())
-			}
-			if g := runtime.NumGoroutine(); g != before {
-				t.Errorf("%d items: operator sees %d goroutines, the caller had %d", n, g, before)
 			}
 			seen++
 			return nil
@@ -238,6 +245,25 @@ func TestNoWorkersWithoutAChunk(t *testing.T) {
 		if err != nil || seen != n {
 			t.Fatalf("%d items: err=%v, processed %d", n, err, seen)
 		}
+		for i := range ex.Team.helpers {
+			if !ex.Team.helpers[i].parked.Load() {
+				t.Fatalf("%d items: helper %d was woken", n, i+2)
+			}
+		}
+	}
+	for _, tc := range []struct{ n, workers, chunk int }{
+		{1, 1, 1}, {inlineCutoff - 1, 1, 1}, {inlineCutoff, 4, 1}, {10, 4, 1}, {85, 4, 5}, {1000, 4, 32},
+	} {
+		if w, c := ex.Team.Split(tc.n); w != tc.workers || c.chunk != tc.chunk {
+			t.Errorf("Split(%d) = %d workers, chunks of %d; want %d, %d", tc.n, w, c.chunk, tc.workers, tc.chunk)
+		}
+	}
+	// Twenty items on 32 workers make twenty chunks of one: twelve
+	// workers would find nothing, so they are not part of the phase.
+	wide := NewTeam(32)
+	defer wide.Close()
+	if w, c := wide.Split(20); w != 20 || c.chunk != 1 {
+		t.Errorf("Split(20) on 32 workers = %d workers, chunks of %d; want 20, 1", w, c.chunk)
 	}
 	var tags [5]atomic.Int32
 	items := make([]int32, 33*4)

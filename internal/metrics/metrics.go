@@ -10,8 +10,8 @@
 // The design keeps the lock-free evaluation path lock-free: workers
 // write only to their own cache-line-padded Shard, and shards are merged
 // into the collector at phase barriers, where the engine's own
-// synchronization (Executor.Run's WaitGroup, parallelFor's barrier)
-// already orders the writes. The orchestrating goroutine alone calls the
+// synchronization (the barrier of galois.Team.Do) already orders the
+// writes. The orchestrating goroutine alone calls the
 // Collector methods. A nil *Collector is the zero-cost disabled state —
 // every method is nil-receiver safe — so engines thread the collector
 // unconditionally and production runs pay only a pointer test.
@@ -68,18 +68,9 @@ type Spec struct {
 	WastedNs       int64 `json:"wasted_ns"`
 }
 
-// SpecOf snapshots an executor's counters.
-func SpecOf(s *galois.Stats) Spec {
-	return Spec{
-		Commits:        s.Commits.Load(),
-		Aborts:         s.Aborts.Load(),
-		InjectedAborts: s.InjectedAborts.Load(),
-		LocksTaken:     s.LocksTaken.Load(),
-		LockFailures:   s.LockFailures.Load(),
-		CommittedNs:    s.CommittedNs.Load(),
-		WastedNs:       s.WastedNs.Load(),
-	}
-}
+// SpecOf snapshots an executor's counters (the two types hold the same
+// fields; Spec adds the JSON names).
+func SpecOf(s *galois.Stats) Spec { return Spec(*s) }
 
 // Sub returns the counter deltas since prev.
 func (s Spec) Sub(prev Spec) Spec {
@@ -268,8 +259,8 @@ func (c *Collector) Shards(n int) []Shard {
 }
 
 // MergeShards folds the worker shards into the collector and zeroes
-// them. Call at a phase barrier: the engine's own join (WaitGroup or
-// equivalent) must already order the workers' shard writes before this.
+// them. Call at a phase barrier: the engine's own join (galois.Team.Do)
+// must already order the workers' shard writes before this.
 func (c *Collector) MergeShards(shards []Shard) {
 	if c == nil {
 		return

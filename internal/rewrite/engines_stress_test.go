@@ -3,7 +3,9 @@ package rewrite_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"dacpara/internal/aig"
 	"dacpara/internal/galois"
@@ -90,5 +92,47 @@ func TestStressBudgetErrorLeavesConsistentGraph(t *testing.T) {
 	sig := aig.RandomSignature(net, rand.New(rand.NewSource(2)), 16)
 	if !aig.EqualSignatures(refSig, sig) {
 		t.Fatal("partial run broke equivalence")
+	}
+}
+
+// TestStressOversubscribed puts a team of eight on one processor, with
+// stalls and a lock-hold delay that send workers to sleep inside a phase:
+// the barriers must yield and must give up spinning by the clock, or the
+// run would crawl from one scheduler preemption to the next. It has to
+// finish the stress circuit, equivalent and consistent, like the runs
+// above.
+func TestStressOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	l := lib(t)
+	base := randomAIG(t, rand.New(rand.NewSource(0xDAC)), 24, 500, 8)
+	refSig := aig.RandomSignature(base, rand.New(rand.NewSource(1)), 16)
+	for _, eng := range []namedEngine{
+		{"dacpara", run(rewrite.EngineDACPara)},
+		{"lockpar", run(rewrite.EngineLockPar)},
+		{"dac22", run(rewrite.EngineStaticDAC22)},
+	} {
+		t.Run(eng.name, func(t *testing.T) {
+			net := base.Clone()
+			start := time.Now()
+			res := must(t)(eng.run(net, l, rewrite.Config{
+				Workers: 8,
+				Fault: &galois.FaultPlan{
+					Seed: 4, AbortRate: 0.1, ShuffleWorklist: true,
+					StallRate: 0.02, StallFor: 50 * time.Microsecond,
+					LockHoldDelay: 2 * time.Microsecond,
+				},
+			}))
+			if res.Threads != 8 {
+				t.Fatalf("ran on %d workers", res.Threads)
+			}
+			if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+				t.Fatalf("invariants violated: %v", err)
+			}
+			sig := aig.RandomSignature(net, rand.New(rand.NewSource(1)), 16)
+			if !aig.EqualSignatures(refSig, sig) {
+				t.Fatal("rewriting on an oversubscribed team broke equivalence")
+			}
+			t.Logf("8 workers on one processor: %v", time.Since(start))
+		})
 	}
 }

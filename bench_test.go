@@ -247,36 +247,6 @@ func BenchmarkAblationNoLevels(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStrash compares decentralized fanout-list hashing
-// against a sharded global map (the structural-hashing ablation).
-func BenchmarkAblationStrash(b *testing.B) {
-	sc := benchScale()
-	lib := benchLib(b)
-	c, ok := findSuiteCircuit(sc, "mult")
-	if !ok {
-		b.Skip("mult missing from suite")
-	}
-	for _, e := range []struct {
-		name   string
-		global bool
-	}{{"decentralized", false}, {"global-map", true}} {
-		e := e
-		b.Run(e.name, func(b *testing.B) {
-			var res rewrite.Result
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				a := c.Instantiate(sc)
-				if e.global {
-					a = a.CloneWith(aig.Options{GlobalStrash: true})
-				}
-				b.StartTimer()
-				res = must(rewrite.Run(context.Background(), EngineSerial, a, lib, rewrite.Config{}))
-			}
-			reportResult(b, res)
-		})
-	}
-}
-
 // BenchmarkEquivalenceCheck measures the verification substrate the
 // paper's Section 5.2 relies on ("the rewritten circuits all passed the
 // equivalence check").

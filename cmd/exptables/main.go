@@ -277,27 +277,21 @@ func scaling(sc bench.Scale, lib *rewlib.Library) {
 	fmt.Println()
 }
 
-// ablation exercises the design-choice experiments DESIGN.md calls out:
-// level partitioning (flat worklist) and decentralized vs global strash.
+// ablation exercises the design-choice experiment DESIGN.md calls out:
+// level partitioning against one flat worklist.
 func ablation(sc bench.Scale, lib *rewlib.Library) {
-	tbl := report.New("Ablations: level partitioning and structural hashing",
+	tbl := report.New("Ablation: level partitioning",
 		"Benchmark", "Variant", "T(s)", "ARed", "Stale", "Aborts")
 	for _, name := range []string{"mult", "sin"} {
 		c, ok := findCircuit(sc, name)
 		if !ok {
 			continue
 		}
-		for _, v := range []struct {
-			engineRun
-			net *aig.AIG
-		}{
-			{engineRun{"dacpara(level lists)", rewrite.EngineDACPara, withThreads(rewrite.Config{})}, c.Instantiate(sc)},
-			{engineRun{"dacpara(flat worklist)", rewrite.EngineFlat, withThreads(rewrite.Config{})}, c.Instantiate(sc)},
-			{engineRun{"serial(decentralized strash)", rewrite.EngineSerial, rewrite.Config{}}, c.Instantiate(sc)},
-			{engineRun{"serial(global strash)", rewrite.EngineSerial, rewrite.Config{}},
-				c.Instantiate(sc).CloneWith(aig.Options{GlobalStrash: true})},
+		for _, v := range []engineRun{
+			{"dacpara(level lists)", rewrite.EngineDACPara, withThreads(rewrite.Config{})},
+			{"dacpara(flat worklist)", rewrite.EngineFlat, withThreads(rewrite.Config{})},
 		} {
-			res, err := v.run(v.net, lib)
+			res, err := v.run(c.Instantiate(sc), lib)
 			fatal(err)
 			tbl.Row(c.Name, v.name, res.Duration.Seconds(), res.AreaReduction(), res.Stale, res.Aborts)
 		}

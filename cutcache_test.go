@@ -1,6 +1,8 @@
 package dacpara
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -128,5 +130,40 @@ func TestCutCacheAcrossInPlaceFraig(t *testing.T) {
 	if df, dc := aig.StructuralDigest(fresh), aig.StructuralDigest(cached); df != dc {
 		t.Fatalf("cut cache changed the result: fresh %s vs cached %s (%d vs %d ANDs)",
 			df, dc, fresh.NumAnds(), cached.NumAnds())
+	}
+}
+
+// cachedGraphs lists the graphs a cache holds managers for. The cache
+// offers no view of its contents, so the test reads its map by
+// reflection.
+func cachedGraphs(c *CutCache) map[uintptr]bool {
+	graphs := map[uintptr]bool{}
+	for _, key := range reflect.ValueOf(c).Elem().FieldByName("m").MapKeys() {
+		graphs[key.FieldByName("graph").Pointer()] = true
+	}
+	return graphs
+}
+
+// TestFlowCutCacheKeepsOneGeneration: balance and fraig hand the flow a
+// new graph, and a guarded step rewrites scratch clones; the cut sets of
+// a graph the flow has left behind can never hit again, so the flow drops
+// them instead of pinning every generation until it returns. What is left
+// is the final network's — or nothing, when every rewrite ran on a clone.
+func TestFlowCutCacheKeepsOneGeneration(t *testing.T) {
+	for _, guard := range []bool{false, true} {
+		net, err := Generate("sin", ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewCutCache()
+		out, err := Run(context.Background(), net, Job{Flow: "b; rw; b; rw; fraig; rw", Workers: 1, Guard: guard},
+			Hooks{Attach: Config{CutCache: cache}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs := cachedGraphs(cache)
+		if final := reflect.ValueOf(out.Net).Pointer(); guard && len(graphs) != 0 || !guard && (len(graphs) != 1 || !graphs[final]) {
+			t.Fatalf("guard=%v: the cache holds managers for %d graphs", guard, len(graphs))
+		}
 	}
 }

@@ -3,9 +3,11 @@ package dacpara
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
+	"dacpara/internal/metrics"
 )
 
 // cecBudgetAnds bounds the circuits that get a full SAT-backed
@@ -61,6 +63,16 @@ func TestDifferentialEngines(t *testing.T) {
 						}
 						if s.Engine == "" || len(s.Phases) == 0 {
 							t.Fatalf("%s: degenerate snapshot %+v", eng, s)
+						}
+						// Every engine runs its commits as a bracketed phase of
+						// the one loop: the replacement stage of a split pass,
+						// the fused operator of a commit-only one.
+						commit := "replace"
+						if eng == EngineSerial || eng == EngineLockPar {
+							commit = "fused"
+						}
+						if i := slices.IndexFunc(s.Phases, func(p metrics.PhaseSnapshot) bool { return p.Name == commit }); i < 0 || s.Phases[i].WallNs <= 0 {
+							t.Fatalf("%s: no %s phase with wall time in %+v", eng, commit, s.Phases)
 						}
 						if s.QoR.InitialAnds != res.InitialAnds || s.QoR.FinalAnds != res.FinalAnds {
 							t.Fatalf("%s: snapshot QoR %d->%d, result %d->%d",

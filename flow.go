@@ -209,7 +209,13 @@ func runFlow(ctx context.Context, out *Outcome, job Job, steps []FlowStep, cfg C
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dacpara: flow: %w", err)
 		}
+		before := out.Net
 		res, err := runFlowStep(ctx, out, job, steps[i], cfg)
+		if out.Net != before {
+			// The step rebuilt the graph: the old one's cut sets can never
+			// hit again, and would pin it for the rest of the flow.
+			cfg.CutCache.Drop(before)
+		}
 		if err != nil {
 			return err
 		}

@@ -23,5 +23,4 @@ func (a *AIG) Adopt(b *AIG) {
 	a.numAnds.Store(b.numAnds.Load())
 	a.levelsDirty.Store(b.levelsDirty.Load())
 	a.Name = b.Name
-	a.strash = b.strash
 }

@@ -49,20 +49,10 @@ type AIG struct {
 
 	// Name is an optional design name carried through I/O.
 	Name string
-
-	// strash is non-nil when the graph uses a global structural-hash map
-	// instead of the decentralized fanout-list scheme.
-	strash *globalStrash
 }
 
 // Options configure a new AIG.
 type Options struct {
-	// GlobalStrash selects a sharded global hash map for structural
-	// hashing instead of the default decentralized fanout-list lookup.
-	// The decentralized scheme is what the paper (following ICCAD'18)
-	// uses: it keeps lookups local to the two fanin nodes so that
-	// parallel engines only need per-node locks.
-	GlobalStrash bool
 	// CapacityHint pre-sizes the node store.
 	CapacityHint int
 }
@@ -76,9 +66,6 @@ func New(opts ...Options) *AIG {
 	a := &AIG{}
 	pages := make([]*page, 0, 8)
 	a.pages.Store(&pages)
-	if o.GlobalStrash {
-		a.strash = newGlobalStrash()
-	}
 	a.ensure(int64(o.CapacityHint) + 1)
 	// Allocate the constant node at ID 0.
 	id := a.alloc()
@@ -87,13 +74,6 @@ func New(opts ...Options) *AIG {
 	}
 	a.node(0).setKind(KindConst)
 	return a
-}
-
-// NewLike creates an empty AIG with a's strash option: what a pass that
-// rebuilds a out of place builds into, so the scheme the caller chose
-// survives the pass.
-func (a *AIG) NewLike(capacityHint int) *AIG {
-	return New(Options{GlobalStrash: a.strash != nil, CapacityHint: capacityHint})
 }
 
 // node returns the handle for id. Pages are append-only, so the handle
@@ -280,12 +260,6 @@ func (a *AIG) Lookup(f0, f1 Lit) (Lit, bool) {
 		return l, true
 	}
 	f0, f1 = normalize(f0, f1)
-	if a.strash != nil {
-		if id, ok := a.strash.lookup(f0, f1); ok {
-			return MakeLit(id, false), true
-		}
-		return 0, false
-	}
 	// Scan the shorter fanout list, fanins first: nearly every entry
 	// fails on them, and only a match has its kind read. One load of the
 	// page table serves the whole scan.
@@ -341,9 +315,6 @@ func (a *AIG) newAnd(f0, f1 Lit, tryLock func(int32) bool) Lit {
 	n1.refAdd(1)
 	n1.addFanout(id)
 	a.numAnds.Add(1)
-	if a.strash != nil {
-		a.strash.insert(f0, f1, id)
-	}
 	return MakeLit(id, false)
 }
 
@@ -384,9 +355,6 @@ func (a *AIG) deleteNodeCone(id int32) int {
 	n.bumpVersion()
 	n.resetFanouts()
 	a.numAnds.Add(-1)
-	if a.strash != nil {
-		a.strash.remove(f0, f1, id)
-	}
 	for _, f := range [2]Lit{f0, f1} {
 		fn := a.NodeOf(f)
 		fn.removeFanout(id)

@@ -62,25 +62,23 @@ func TestAndSimplifications(t *testing.T) {
 }
 
 func TestStructuralHashing(t *testing.T) {
-	for _, global := range []bool{false, true} {
-		a := New(Options{GlobalStrash: global})
-		x := a.AddPI()
-		y := a.AddPI()
-		l1 := a.And(x, y)
-		l2 := a.And(y, x) // commuted
-		if l1 != l2 {
-			t.Fatalf("global=%v: commuted AND not shared", global)
-		}
-		l3 := a.And(x.Not(), y)
-		if l3 == l1 {
-			t.Fatalf("global=%v: different phases shared", global)
-		}
-		if a.NumAnds() != 2 {
-			t.Fatalf("global=%v: %d nodes, want 2", global, a.NumAnds())
-		}
-		if err := a.Check(CheckOptions{}); err != nil {
-			t.Fatal(err)
-		}
+	a := New()
+	x := a.AddPI()
+	y := a.AddPI()
+	l1 := a.And(x, y)
+	l2 := a.And(y, x) // commuted
+	if l1 != l2 {
+		t.Fatal("commuted AND not shared")
+	}
+	l3 := a.And(x.Not(), y)
+	if l3 == l1 {
+		t.Fatal("different phases shared")
+	}
+	if a.NumAnds() != 2 {
+		t.Fatalf("%d nodes, want 2", a.NumAnds())
+	}
+	if err := a.Check(CheckOptions{}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -69,7 +69,7 @@ func (a *AIG) Check(opts CheckOptions) error {
 					return fmt.Errorf("aig: node %d missing from fanout list of %d", id, f.Node())
 				}
 			}
-			key := strashKey(f0, f1)
+			key := uint64(f0)<<32 | uint64(f1)
 			if prev, dup := pairs[key]; dup && !opts.AllowDuplicates {
 				return fmt.Errorf("aig: nodes %d and %d share fanin pair (%v, %v)", prev, id, f0, f1)
 			}

@@ -9,18 +9,9 @@ import (
 )
 
 // Clone returns a compact structural copy of the graph (dead slots
-// squeezed out, IDs renumbered topologically) built with the same strash
-// options.
+// squeezed out, IDs renumbered topologically).
 func (a *AIG) Clone() *AIG {
-	return a.CloneWith(Options{GlobalStrash: a.strash != nil})
-}
-
-// CloneWith clones the graph under different construction options — for
-// example into a global-strash network for the structural-hashing
-// ablation experiment.
-func (a *AIG) CloneWith(opts Options) *AIG {
-	opts.CapacityHint = a.NumAnds() + a.NumPIs() + 1
-	b := New(opts)
+	b := New(Options{CapacityHint: a.NumAnds() + a.NumPIs() + 1})
 	b.Name = a.Name
 	m := make([]Lit, a.Capacity())
 	m[0] = LitFalse

@@ -124,9 +124,6 @@ func (a *AIG) Replace(old int32, repl Lit, opts ReplaceOptions) int {
 func (a *AIG) rehash(f int32, f0, f1 Lit) int {
 	fn := a.node(f)
 	old0, old1 := fn.Fanin0(), fn.Fanin1()
-	if a.strash != nil {
-		a.strash.remove(old0, old1, f)
-	}
 	// Attach the new fanins before detaching the old ones so a fanin that
 	// appears on both sides never transiently reaches ref 0.
 	for _, nf := range [2]Lit{f0, f1} {
@@ -145,9 +142,6 @@ func (a *AIG) rehash(f int32, f0, f1 Lit) int {
 		if n.refAdd(-1) == 0 && n.Kind() == KindAnd {
 			deleted += a.deleteNodeCone(of.Node())
 		}
-	}
-	if a.strash != nil {
-		a.strash.insert(f0, f1, f)
 	}
 	a.levelsDirty.Store(true)
 	return deleted

@@ -1,9 +1,6 @@
 package aig
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestReplacePO(t *testing.T) {
 	a := New()
@@ -29,41 +26,6 @@ func TestReplacePO(t *testing.T) {
 	// Same-literal redirect is a no-op.
 	a.ReplacePO(0, m.Not())
 	if err := a.Check(CheckOptions{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewLikeKeepsTheStrashScheme(t *testing.T) {
-	for _, global := range []bool{false, true} {
-		b := New(Options{GlobalStrash: global}).NewLike(10)
-		if (b.strash != nil) != global || b.Capacity() != 1 {
-			t.Errorf("global=%v: strash %v, capacity %d", global, b.strash != nil, b.Capacity())
-		}
-	}
-}
-
-func TestCloneWithGlobalStrash(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	a := randomNetwork(t, rng, 6, 150, 5)
-	b := a.CloneWith(Options{GlobalStrash: true})
-	if err := b.Check(CheckOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	sa := RandomSignature(a, rand.New(rand.NewSource(1)), 3)
-	sb := RandomSignature(b, rand.New(rand.NewSource(1)), 3)
-	if !EqualSignatures(sa, sb) {
-		t.Fatal("global-strash clone not equivalent")
-	}
-	// The global-strash graph behaves identically under replacement.
-	var ands []int32
-	b.ForEachAnd(func(id int32) { ands = append(ands, id) })
-	id := ands[len(ands)/2]
-	n := b.N(id)
-	equiv := b.Or(n.Fanin0().Not(), n.Fanin1().Not()).Not()
-	if equiv.Node() != id {
-		b.Replace(id, equiv, ReplaceOptions{CascadeMerge: true})
-	}
-	if err := b.Check(CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

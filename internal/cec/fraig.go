@@ -46,7 +46,7 @@ func Reduced(a *aig.AIG, opts FraigOptions) (*aig.AIG, FraigResult) {
 	// Copy what the outputs reach. ANDs follow the inputs in ID order
 	// and that order is topological.
 	d := r.dst
-	out := a.NewLike(a.NumPIs() + d.NumAnds())
+	out := aig.New(aig.Options{CapacityHint: a.NumPIs() + d.NumAnds()})
 	out.Name = a.Name
 	at := make([]aig.Lit, d.Capacity())
 	for _, pi := range d.PIs() {

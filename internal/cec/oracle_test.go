@@ -134,28 +134,6 @@ func TestFlowFraigStaysAcyclicAndExact(t *testing.T) {
 	}
 }
 
-// Fraig on a global-strash network rebuilds it under the same scheme
-// (aig.NewLike) and the caller's pointer takes the result over.
-func TestFraigOnGlobalStrashNetwork(t *testing.T) {
-	a := cec.RandomAIG(rand.New(rand.NewSource(3)), 8, 400, 8).CloneWith(aig.Options{GlobalStrash: true})
-	before := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
-	res := cec.Fraig(a, cec.FraigOptions{})
-	if err := a.Check(aig.CheckOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if after := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4); !aig.EqualSignatures(before, after) {
-		t.Fatalf("function changed (merged %d)", res.Merged)
-	}
-	// The adopted graph still hashes structurally: an AND that exists is
-	// found, not built again.
-	var id int32
-	a.ForEachAnd(func(n int32) { id = n })
-	n := a.N(id)
-	if l := a.And(n.Fanin0(), n.Fanin1()); l.Node() != id {
-		t.Fatalf("And of node %d's fanins built node %d", id, l.Node())
-	}
-}
-
 // Reducing a miter must leave a well-formed graph whose outputs are the
 // functions they were.
 func TestReducedMiterIsSoundAndAcyclic(t *testing.T) {

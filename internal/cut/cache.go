@@ -25,9 +25,9 @@ type cacheKey struct {
 // bit-identical to what a cold re-enumeration would produce.
 //
 // A graph that is rebuilt (balance, fraig, guard scratch clones) arrives
-// under a new pointer and simply misses; its manager is retained until
-// the cache is dropped, so scope a Cache to one flow run, not to a
-// long-lived process.
+// under a new pointer and simply misses. The old graph's managers can
+// never hit again, yet each pins its whole network; whoever retires a
+// graph calls Drop for it.
 type Cache struct {
 	mu sync.Mutex
 	m  map[cacheKey]*Manager
@@ -48,4 +48,19 @@ func (c *Cache) Manager(a *aig.AIG, params Params) *Manager {
 	m := NewManager(a, params)
 	c.m[key] = m
 	return m
+}
+
+// Drop forgets every manager of the graph, releasing the cut sets and the
+// network they hold. A nil cache drops nothing.
+func (c *Cache) Drop(a *aig.AIG) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key := range c.m {
+		if key.graph == a {
+			delete(c.m, key)
+		}
+	}
 }

@@ -3,16 +3,21 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dacpara/internal/aig"
+	"dacpara/internal/galois"
 	"dacpara/internal/metrics"
 )
 
 // toyAIG is a 6-AND, 3-level network: enough structure for the policies
-// to produce several worklists and for the skeletons to visit nodes at
+// to produce several worklists and for the loop to visit nodes at
 // different depths.
 func toyAIG() *aig.AIG {
 	a := aig.New()
@@ -27,278 +32,672 @@ func toyAIG() *aig.AIG {
 	return a
 }
 
-// toyPass is a three-phase pass with scripted commit verdicts: the maps
-// are written before the run and only read during it, so the hooks are
-// safe under the executor's workers.
-type toyPass struct {
-	verdict map[int32]Status // nodes with a stored candidate → commit verdict
-
-	begins     int
-	slots      int
-	enumerates atomic.Int64
-	evaluates  atomic.Int64
-	commits    atomic.Int64
+// wideAIG builds one level of ANDs per width given, every AND a primary
+// output, so that level lists are wide enough for the team to share
+// (toyAIG's never are).
+func wideAIG(widths ...int) *aig.AIG {
+	a := aig.New()
+	pis := make([]aig.Lit, 40)
+	for i := range pis {
+		pis[i] = a.AddPI()
+	}
+	prev := pis
+	for _, w := range widths {
+		level := make([]aig.Lit, w)
+		for i := range level {
+			// Distinct pairs, so structural hashing merges none of them:
+			// round q over prev pairs it with input q+1 on, complemented
+			// from the fortieth round.
+			q, r := i/len(prev), i%len(prev)
+			level[i] = a.And(prev[r], pis[(q+r+1)%len(pis)].XorCompl(q/len(pis)%2 == 1))
+			a.AddPO(level[i])
+		}
+		prev = level
+	}
+	return a
 }
 
-func (p *toyPass) Begin(slots int, _ Env) { p.begins++; p.slots = slots }
+// mixedWidths alternates lists the team shares with lists that stay on
+// the caller.
+var mixedWidths = []int{64, 3, 200, 20, 7, 90}
 
-func (p *toyPass) Enumerate(_ int, _ int32, _ Locker) bool {
-	p.enumerates.Add(1)
+// goroutines returns the goroutine count once it holds still: helpers of
+// teams that earlier tests closed may still be on their way out.
+func goroutines() int {
+	for {
+		n := runtime.NumGoroutine()
+		time.Sleep(2 * time.Millisecond)
+		if runtime.NumGoroutine() == n {
+			return n
+		}
+	}
+}
+
+// goroutinesBack fails the test unless the goroutine count comes back to
+// base: a helper that has taken its leave is, for an instant, still on
+// its way out, so the count is polled, yielding, for a bounded time.
+func goroutinesBack(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() != base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// The hooks a scripted pass records, in the order the loop runs them.
+const (
+	hookEnumerate = iota
+	hookEvaluate
+	hookCommit
+)
+
+// event is one hook call.
+type event struct {
+	seq    int64 // global order of hook entry
+	pass   int   // Begin calls so far
+	hook   int
+	worker int
+	id     int32
+}
+
+// script is the state of a scripted toy pass: what its hooks do is fixed
+// before the run and only read during it; what they saw is logged per
+// worker slot, without synchronisation, so that under -race two
+// goroutines sharing a slot would show. It mutates nothing, so the
+// partition of the graph is the same before, during and after the run.
+type script struct {
+	a *aig.AIG
+	// stored says which nodes come out of Evaluate holding a candidate
+	// (nil: all); verdict is Commit's answer (nil: committed).
+	stored  func(id int32) bool
+	verdict func(id int32) Status
+	// flaky nodes lose their first Enumerate and their first locked
+	// Commit to a conflict of the pass's own making.
+	flaky func(id int32) bool
+	// lockFanins makes Enumerate and Commit lock the node's fanins, as the
+	// real passes lock their cones, so injected faults reach the pass.
+	lockFanins bool
+	// panicAt and cancelAt make the first hook that sees the node panic,
+	// or cancel the run's context (0: never).
+	panicAt, cancelAt int32
+	cancel            func()
+
+	env      Env
+	begins   int
+	slots    int
+	seq      atomic.Int64
+	logs     [][]event         // by worker slot
+	tries    [2][]atomic.Int32 // Enumerate and Commit calls per node
+	refused  [3]atomic.Int64   // lock calls the hook made and lost
+	gLo, gHi atomic.Int64      // fewest and most goroutines a hook saw
+}
+
+func (p *script) Begin(slots int, env Env) {
+	p.begins++
+	p.slots, p.env = slots, env
+	if p.logs == nil {
+		p.logs = make([][]event, slots)
+		p.tries[0] = make([]atomic.Int32, p.a.Capacity())
+		p.tries[1] = make([]atomic.Int32, p.a.Capacity())
+	}
+}
+
+// enter logs one hook call and plays the node's scripted mischief.
+func (p *script) enter(hook, worker int, id int32) {
+	p.logs[worker] = append(p.logs[worker], event{p.seq.Add(1), p.begins, hook, worker, id})
+	g := int64(runtime.NumGoroutine())
+	for v := p.gLo.Load(); (v == 0 || g < v) && !p.gLo.CompareAndSwap(v, g); v = p.gLo.Load() {
+	}
+	for v := p.gHi.Load(); g > v && !p.gHi.CompareAndSwap(v, g); v = p.gHi.Load() {
+	}
+	if id != 0 && id == p.panicAt {
+		panic("pass bug")
+	}
+	if id != 0 && id == p.cancelAt {
+		p.cancel()
+	}
+}
+
+// locked plays the lock side of Enumerate and Commit: the scripted
+// conflict, then the fanin locks.
+func (p *script) locked(hook int, id int32, lock Locker) bool {
+	if lock == nil {
+		return true
+	}
+	if p.flaky != nil && p.flaky(id) && p.tries[hook/2][id].Add(1) == 1 {
+		return false
+	}
+	if p.lockFanins {
+		n := p.a.N(id)
+		for _, f := range []int32{n.Fanin0().Node(), n.Fanin1().Node()} {
+			if !lock(f) {
+				p.refused[hook].Add(1)
+				return false
+			}
+		}
+	}
 	return true
 }
 
-func (p *toyPass) Evaluate(_ int, _ int32) bool {
-	p.evaluates.Add(1)
+func (p *script) enumerate(worker int, id int32, lock Locker) bool {
+	p.enter(hookEnumerate, worker, id)
+	return p.locked(hookEnumerate, id, lock)
+}
+
+func (p *script) evaluate(worker int, id int32) bool {
+	p.enter(hookEvaluate, worker, id)
 	return true
 }
 
-func (p *toyPass) Stored(id int32) bool { _, ok := p.verdict[id]; return ok }
+func (p *script) isStored(id int32) bool { return p.stored == nil || p.stored(id) }
 
-func (p *toyPass) Commit(_ int, id int32, _ Locker) Status {
-	p.commits.Add(1)
-	return p.verdict[id]
-}
-
-// toyFused is the fused counterpart; it counts its own attempts through
-// Env like the real fused passes do.
-type toyFused struct {
-	verdict map[int32]Status
-
-	begins int
-	slots  int
-	env    Env
-	fuses  atomic.Int64
-}
-
-func (p *toyFused) Begin(slots int, env Env) { p.begins++; p.slots = slots; p.env = env }
-
-func (p *toyFused) Fuse(_ int, id int32, _ Locker) Status {
-	p.fuses.Add(1)
-	st, ok := p.verdict[id]
-	if !ok {
+func (p *script) commit(worker int, id int32, lock Locker, countAttempt bool) Status {
+	p.enter(hookCommit, worker, id)
+	if !p.a.N(id).IsAnd() {
 		return StatusSkip
 	}
-	p.env.Attempts.Add(1)
-	return st
+	if !p.locked(hookCommit, id, lock) {
+		return StatusConflict
+	}
+	if countAttempt {
+		// A pass the framework runs no evaluation for counts its own.
+		p.env.Attempts.Add(1)
+	}
+	if p.verdict == nil {
+		return StatusCommitted
+	}
+	return p.verdict(id)
 }
 
+// events returns the merged log in hook-entry order.
+func (p *script) events() []event {
+	all := slices.Concat(p.logs...)
+	slices.SortFunc(all, func(x, y event) int { return int(x.seq - y.seq) })
+	return all
+}
+
+// calls counts the logged calls of one hook.
+func (p *script) calls(hook int) (n int64) {
+	for _, log := range p.logs {
+		for _, e := range log {
+			if e.hook == hook {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// The three things a pass can be, over one script: what each type
+// implements is what chooses its phases.
+type (
+	commitOnly  struct{ *script }
+	evaluating  struct{ *script }
+	enumerating struct{ evaluating }
+)
+
+func (p commitOnly) Commit(worker int, id int32, lock Locker) Status {
+	return p.commit(worker, id, lock, true)
+}
+func (p evaluating) Evaluate(worker int, id int32) bool { return p.evaluate(worker, id) }
+func (p evaluating) Stored(id int32) bool               { return p.isStored(id) }
+func (p evaluating) Commit(worker int, id int32, lock Locker) Status {
+	return p.commit(worker, id, lock, false)
+}
+func (p enumerating) Enumerate(worker int, id int32, lock Locker) bool {
+	return p.enumerate(worker, id, lock)
+}
+
+// kinds lists them, each with the first hook the loop runs for it.
+var kinds = []struct {
+	name string
+	pass func(*script) Pass
+	from int // first hook the loop runs
+}{
+	{"commit", func(s *script) Pass { return commitOnly{s} }, hookCommit},
+	{"evaluate+commit", func(s *script) Pass { return evaluating{s} }, hookEvaluate},
+	{"enumerate+evaluate+commit", func(s *script) Pass { return enumerating{evaluating{s}} }, hookEnumerate},
+}
+
+// byID scripts a verdict per node: committed, no-gain, stale in turn.
+func byID(id int32) Status { return StatusCommitted + Status(id%3) }
+
+// TestOneSkeleton runs the loop over every combination of what a pass can
+// be, how its commit runs and how many workers it has, and holds it to
+// the contract of Run and Pass: the slot count and worker tags, the phase
+// order within and across worklists, who gets committed, the accounting,
+// the retry of conflicted activities and the shape of the snapshot.
+func TestOneSkeleton(t *testing.T) {
+	for _, kind := range kinds {
+		for _, serial := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/serial=%v/w%d", kind.name, serial, workers), func(t *testing.T) {
+					a := wideAIG(mixedWidths...)
+					lists := ByLevel(a)
+					listOf := make([]int, a.Capacity())
+					for i, wl := range lists {
+						for _, id := range wl {
+							listOf[id] = i
+						}
+					}
+					evaluates := kind.from <= hookEvaluate
+					s := &script{
+						a:       a,
+						stored:  func(id int32) bool { return id%4 != 0 },
+						verdict: byID,
+						flaky:   func(id int32) bool { return id%5 == 0 },
+					}
+					const passes = 2
+					res, err := Run(context.Background(), a, kind.pass(s),
+						Plan{Name: "toy", Partition: ByLevel, SerialCommit: serial},
+						Exec{Workers: workers, Passes: passes, Metrics: metrics.New()})
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					// Slots and tags. Only a plan with nothing but a serial
+					// commit ignores the worker count.
+					w := workers
+					if serial && kind.from == hookCommit {
+						w = 1
+					}
+					if s.begins != passes || s.slots != w+1 || len(s.env.CutPools) != w+1 || len(s.env.Shards) != w+1 {
+						t.Fatalf("begins=%d slots=%d pools=%d shards=%d, want %d begins and %d of the others",
+							s.begins, s.slots, len(s.env.CutPools), len(s.env.Shards), passes, w+1)
+					}
+					if res.Engine != "toy" || res.Threads != w || res.Passes != passes || res.Incomplete {
+						t.Fatalf("bad result header %+v", res)
+					}
+					events := s.events()
+					for _, e := range events {
+						if onCaller := serial && e.hook == hookCommit; onCaller != (e.worker == 0) || e.worker > w {
+							t.Fatalf("hook %d ran with worker tag %d (serial commit %v, %d workers)", e.hook, e.worker, serial, w)
+						}
+					}
+
+					// Phase order: pass by pass, worklist by worklist, hook by
+					// hook, nothing of the next before the last of this one.
+					var last [3]int
+					for _, e := range events {
+						key := [3]int{e.pass, listOf[e.id], e.hook}
+						if slices.Compare(key[:], last[:]) < 0 {
+							t.Fatalf("call %d: hook %d on list %d of pass %d after hook %d on list %d of pass %d",
+								e.seq, key[2], key[1], key[0], last[2], last[1], last[0])
+						}
+						last = key
+						if e.hook < kind.from {
+							t.Fatalf("hook %d ran for a pass that does not implement it", e.hook)
+						}
+					}
+
+					// Who is visited, and how often: every node once per
+					// phase and pass, plus one retry where the pass reported
+					// a conflict; committed only if stored, when the pass
+					// evaluates.
+					var want [3]int64
+					var wantRepl, wantStale, wantAttempts, wantAborts int
+					a.ForEachAnd(func(id int32) {
+						retry := int64(0)
+						if s.flaky(id) {
+							retry = 1
+						}
+						if kind.from <= hookEnumerate {
+							want[hookEnumerate] += passes + retry
+							wantAborts += int(retry)
+						}
+						if evaluates {
+							want[hookEvaluate] += passes
+							if !s.stored(id) {
+								return
+							}
+						}
+						want[hookCommit] += passes
+						if !serial {
+							want[hookCommit] += retry
+							wantAborts += int(retry)
+						}
+						wantAttempts += passes
+						switch byID(id) {
+						case StatusCommitted:
+							wantRepl += passes
+						case StatusStale:
+							wantStale += passes
+						}
+					})
+					for hook, n := range want {
+						if got := s.calls(hook); got != n {
+							t.Fatalf("hook %d ran %d times, want %d", hook, got, n)
+						}
+					}
+					if evaluates {
+						for _, e := range events {
+							if e.hook == hookCommit && !s.stored(e.id) {
+								t.Fatalf("node %d committed without a stored candidate", e.id)
+							}
+						}
+					}
+					if res.Attempts != wantAttempts || res.Replacements != wantRepl || res.Stale != wantStale {
+						t.Fatalf("attempts=%d replacements=%d stale=%d, want %d/%d/%d",
+							res.Attempts, res.Replacements, res.Stale, wantAttempts, wantRepl, wantStale)
+					}
+					if int(res.Aborts) != wantAborts {
+						t.Fatalf("%d aborts, the pass reported %d conflicts", res.Aborts, wantAborts)
+					}
+
+					// The snapshot: one row per phase the loop ran, one
+					// interval per worklist and pass, and a commit phase with
+					// wall time under the name its kind of pass gives it.
+					names := []string{"enumerate", "evaluate", "replace"}[kind.from:]
+					if !evaluates {
+						names = []string{"fused"}
+					}
+					var got []string
+					for _, p := range res.Metrics.Phases {
+						got = append(got, p.Name)
+						if p.Intervals != int64(passes*len(lists)) || p.WallNs <= 0 {
+							t.Fatalf("phase %s: %d intervals, wall %d ns; want %d intervals with wall time",
+								p.Name, p.Intervals, p.WallNs, passes*len(lists))
+						}
+						if p.Name == "evaluate" && (p.Evals != want[hookEvaluate] || p.WastedEvals != int64(wantStale)) {
+							t.Fatalf("evaluate row: %d evals, %d wasted; want %d, %d", p.Evals, p.WastedEvals, want[hookEvaluate], wantStale)
+						}
+					}
+					if !slices.Equal(got, names) {
+						t.Fatalf("snapshot phases %v, want %v", got, names)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestNoSpeculativePhaseStartsNothing: a plan whose only phase is a
+// serial commit is a plain loop on the caller, whatever worker count it
+// is given.
+func TestNoSpeculativePhaseStartsNothing(t *testing.T) {
+	a := wideAIG(mixedWidths...)
+	s := &script{a: a}
+	base := goroutines()
+	res, err := Run(context.Background(), a, commitOnly{s},
+		Plan{Name: "toy", Partition: Topo, SerialCommit: true}, Exec{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := s.gLo.Load(), s.gHi.Load(); int(lo) != base || int(hi) != base {
+		t.Fatalf("the hooks saw %d to %d goroutines, %d before the run", lo, hi, base)
+	}
+	if res.Threads != 1 || res.Commits != 0 {
+		t.Fatalf("threads=%d executor commits=%d, want 1 and none", res.Threads, res.Commits)
+	}
+}
+
+// TestCancelAtWorklistBoundary: a context cancelled while a worklist is
+// at work stops the run before the next one starts, whatever phase it was
+// in.
+func TestCancelAtWorklistBoundary(t *testing.T) {
+	for _, kind := range kinds {
+		for _, serial := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/serial=%v", kind.name, serial), func(t *testing.T) {
+				a := wideAIG(mixedWidths...)
+				lists := ByLevel(a)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				s := &script{a: a, cancelAt: lists[2][100], cancel: cancel}
+				res, err := Run(ctx, a, kind.pass(s), Plan{Name: "toy", Partition: ByLevel, SerialCommit: serial}, Exec{Workers: 2})
+				if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "toy: ") || !res.Incomplete {
+					t.Fatalf("err = %v, incomplete = %v", err, res.Incomplete)
+				}
+				for _, e := range s.events() {
+					if slices.Contains(lists[3], e.id) {
+						t.Fatalf("hook %d ran on node %d of the list after the cancelled one", e.hook, e.id)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCancelInsideSerialSweep: a serial commit polls the context every
+// SerialCancelStride nodes of its sweep, so a long list stops at the
+// next multiple.
+func TestCancelInsideSerialSweep(t *testing.T) {
+	a := wideAIG(3*SerialCancelStride + 10)
+	list := Flat(a)[0]
+	if len(list) < 3*SerialCancelStride {
+		t.Fatalf("list of %d nodes is too short for the test", len(list))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := &script{a: a, cancelAt: list[SerialCancelStride+44], cancel: cancel}
+	res, err := Run(ctx, a, commitOnly{s}, Plan{Name: "toy", Partition: Flat, SerialCommit: true}, Exec{})
+	if !errors.Is(err, context.Canceled) || !res.Incomplete {
+		t.Fatalf("err = %v, incomplete = %v", err, res.Incomplete)
+	}
+	if n := s.calls(hookCommit); n != 2*SerialCancelStride || res.Replacements != int(n) {
+		t.Fatalf("%d commits, %d replacements; want the sweep to stop after %d", n, res.Replacements, 2*SerialCancelStride)
+	}
+}
+
+// TestPanickingHook: a panic in any hook of any kind of pass, on the
+// executor's workers or in a serial commit, comes back as the run's
+// error.
+func TestPanickingHook(t *testing.T) {
+	for _, kind := range kinds {
+		for _, serial := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/serial=%v/w%d", kind.name, serial, workers), func(t *testing.T) {
+					a := wideAIG(mixedWidths...)
+					s := &script{a: a, panicAt: ByLevel(a)[2][100]}
+					base := goroutines()
+					res, err := Run(context.Background(), a, kind.pass(s),
+						Plan{Name: "toy", Partition: ByLevel, SerialCommit: serial}, Exec{Workers: workers})
+					var pe *galois.PanicError
+					if !errors.As(err, &pe) || pe.Value != "pass bug" || !res.Incomplete {
+						t.Fatalf("err = %v, incomplete = %v", err, res.Incomplete)
+					}
+					goroutinesBack(t, base)
+				})
+			}
+		}
+	}
+}
+
+// The plan shapes the engines use, each a case of the one loop.
+var (
+	dynamicPlan = Plan{Name: "toy", Partition: ByLevel}                        // dacpara
+	staticPlan  = Plan{Name: "toy", Partition: LevelOrder, SerialCommit: true} // dac22, tcad23
+	fusedPlan   = Plan{Name: "toy", Partition: Flat}                           // iccad18
+	serialPlan  = Plan{Name: "toy", Partition: Topo, SerialCommit: true}       // abc, rf, rs
+)
+
 // scriptedVerdicts picks three AND nodes and assigns one verdict each:
-// committed, stale, no-gain.
-func scriptedVerdicts(a *aig.AIG) map[int32]Status {
+// committed, stale, no-gain. The other nodes hold no candidate.
+func scriptedVerdicts(a *aig.AIG) *script {
 	var ands []int32
 	a.ForEachAnd(func(id int32) { ands = append(ands, id) })
-	return map[int32]Status{
-		ands[0]: StatusCommitted,
-		ands[1]: StatusStale,
-		ands[2]: StatusNoGain,
+	verdicts := map[int32]Status{ands[0]: StatusCommitted, ands[1]: StatusStale, ands[2]: StatusNoGain}
+	return &script{
+		a:       a,
+		stored:  func(id int32) bool { _, ok := verdicts[id]; return ok },
+		verdict: func(id int32) Status { return verdicts[id] },
+	}
+}
+
+// threeOneOne fails the test unless the run saw the three candidates of
+// scriptedVerdicts.
+func threeOneOne(t *testing.T, res Result) {
+	t.Helper()
+	if res.Attempts != 3 || res.Replacements != 1 || res.Stale != 1 {
+		t.Fatalf("attempts=%d replacements=%d stale=%d, want 3/1/1", res.Attempts, res.Replacements, res.Stale)
 	}
 }
 
 func TestDynamicAccounting(t *testing.T) {
 	a := toyAIG()
-	pass := &toyPass{verdict: scriptedVerdicts(a)}
-	m := metrics.New()
-	res, err := Run(context.Background(), a, pass, Plan{
-		Name: "toy-dynamic", Partition: ByLevel, Mode: Dynamic,
-	}, Exec{Workers: 2, Metrics: m})
+	s := scriptedVerdicts(a)
+	res, err := Run(context.Background(), a, enumerating{evaluating{s}}, dynamicPlan, Exec{Workers: 2, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pass.begins != 1 || pass.slots != 3 {
-		t.Fatalf("begins=%d slots=%d, want 1 begin with workers+1=3 slots", pass.begins, pass.slots)
+	if s.begins != 1 || s.slots != 3 {
+		t.Fatalf("begins=%d slots=%d, want 1 begin with workers+1=3 slots", s.begins, s.slots)
 	}
 	nAnds := int64(a.NumAnds())
-	if pass.enumerates.Load() != nAnds || pass.evaluates.Load() != nAnds {
-		t.Fatalf("enumerate=%d evaluate=%d, want %d each",
-			pass.enumerates.Load(), pass.evaluates.Load(), nAnds)
+	if s.calls(hookEnumerate) != nAnds || s.calls(hookEvaluate) != nAnds || s.calls(hookCommit) != 3 {
+		t.Fatalf("enumerate=%d evaluate=%d commit=%d, want %d, %d and 3",
+			s.calls(hookEnumerate), s.calls(hookEvaluate), s.calls(hookCommit), nAnds, nAnds)
 	}
-	if res.Attempts != 3 || res.Replacements != 1 || res.Stale != 1 {
-		t.Fatalf("attempts=%d replacements=%d stale=%d, want 3/1/1",
-			res.Attempts, res.Replacements, res.Stale)
-	}
-	if res.Engine != "toy-dynamic" || res.Threads != 2 || res.Incomplete {
-		t.Fatalf("bad result header %+v", res)
-	}
-	if res.Metrics == nil || len(res.Metrics.Phases) == 0 {
-		t.Fatal("no metrics snapshot from instrumented run")
+	threeOneOne(t, res)
+	if res.Threads != 2 || res.Metrics == nil || len(res.Metrics.Phases) != 3 {
+		t.Fatalf("bad result %+v", res)
 	}
 }
 
+// TestDynamicSkipEnumerate: a pass that is no Enumerator (refactor,
+// resub) gets no enumeration phase.
 func TestDynamicSkipEnumerate(t *testing.T) {
 	a := toyAIG()
-	pass := &toyPass{verdict: map[int32]Status{}}
-	if _, err := Run(context.Background(), a, pass, Plan{
-		Name: "toy", Partition: ByLevel, Mode: Dynamic, SkipEnumerate: true, SerialCommit: true,
-	}, Exec{Workers: 2}); err != nil {
+	s := scriptedVerdicts(a)
+	res, err := Run(context.Background(), a, evaluating{s},
+		Plan{Name: "toy", Partition: ByLevel, SerialCommit: true}, Exec{Workers: 2, Metrics: metrics.New()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := pass.enumerates.Load(); n != 0 {
-		t.Fatalf("SkipEnumerate plan ran %d enumerations", n)
+	if n := s.calls(hookEnumerate); n != 0 || res.Metrics.Phases[0].Name != "evaluate" {
+		t.Fatalf("%d enumerations, first phase %q", n, res.Metrics.Phases[0].Name)
 	}
 }
 
 func TestDynamicSerialCommit(t *testing.T) {
 	a := toyAIG()
-	pass := &toyPass{verdict: scriptedVerdicts(a)}
-	res, err := Run(context.Background(), a, pass, Plan{
-		Name: "toy", Partition: ByLevel, Mode: Dynamic, SerialCommit: true,
-	}, Exec{Workers: 4})
+	s := scriptedVerdicts(a)
+	res, err := Run(context.Background(), a, enumerating{evaluating{s}},
+		Plan{Name: "toy", Partition: ByLevel, SerialCommit: true}, Exec{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 3 || res.Replacements != 1 || res.Stale != 1 {
-		t.Fatalf("attempts=%d replacements=%d stale=%d, want 3/1/1",
-			res.Attempts, res.Replacements, res.Stale)
-	}
+	threeOneOne(t, res)
 	// Commit runs once per stored candidate, serially on slot 0.
-	if n := pass.commits.Load(); n != 3 {
-		t.Fatalf("%d commit calls, want 3", n)
+	if n := len(s.logs[0]); n != 3 || s.calls(hookCommit) != 3 {
+		t.Fatalf("%d calls on slot 0, %d commits, want 3 and 3", n, s.calls(hookCommit))
 	}
 }
 
+// TestStaticAccounting: the static models' shape sweeps the whole graph
+// through each phase once, in level order.
 func TestStaticAccounting(t *testing.T) {
 	a := toyAIG()
-	pass := &toyPass{verdict: scriptedVerdicts(a)}
-	res, err := Run(context.Background(), a, pass, Plan{
-		Name: "toy-static", Partition: ByLevel, Mode: Static,
-	}, Exec{Workers: 2})
+	s := scriptedVerdicts(a)
+	res, err := Run(context.Background(), a, enumerating{evaluating{s}}, staticPlan, Exec{Workers: 2, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pass.slots != 2 {
-		t.Fatalf("slots=%d, want workers=2 (static slots are 0-based)", pass.slots)
+	if s.slots != 3 {
+		t.Fatalf("slots=%d, want workers+1=3", s.slots)
 	}
-	nAnds := int64(a.NumAnds())
-	if pass.enumerates.Load() != nAnds || pass.evaluates.Load() != nAnds {
-		t.Fatalf("enumerate=%d evaluate=%d, want %d each",
-			pass.enumerates.Load(), pass.evaluates.Load(), nAnds)
+	var order []int32
+	for _, e := range s.events() {
+		if e.hook == hookCommit {
+			order = append(order, e.id)
+		}
 	}
-	if res.Attempts != 3 || res.Replacements != 1 || res.Stale != 1 {
-		t.Fatalf("attempts=%d replacements=%d stale=%d, want 3/1/1",
-			res.Attempts, res.Replacements, res.Stale)
+	if !slices.IsSortedFunc(order, func(x, y int32) int { return int(a.N(x).Level() - a.N(y).Level()) }) {
+		t.Fatalf("commit order %v is not level order", order)
+	}
+	threeOneOne(t, res)
+	for _, p := range res.Metrics.Phases {
+		if p.Intervals != 1 {
+			t.Fatalf("phase %s ran %d times over one worklist", p.Name, p.Intervals)
+		}
 	}
 }
 
 func TestFusedAccounting(t *testing.T) {
 	a := toyAIG()
-	pass := &toyFused{verdict: scriptedVerdicts(a)}
-	res, err := RunFused(context.Background(), a, pass, Plan{
-		Name: "toy-fused", Partition: Flat, Mode: Fused,
-	}, Exec{Workers: 2})
+	s := scriptedVerdicts(a)
+	s.stored = nil // every node is attempted; the three keep their verdicts, the rest skip
+	res, err := Run(context.Background(), a, commitOnly{s}, fusedPlan, Exec{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pass.slots != 3 {
-		t.Fatalf("slots=%d, want workers+1=3", pass.slots)
+	if s.slots != 3 {
+		t.Fatalf("slots=%d, want workers+1=3", s.slots)
 	}
-	if pass.fuses.Load() != int64(a.NumAnds()) {
-		t.Fatalf("fuse ran %d times, want %d", pass.fuses.Load(), a.NumAnds())
+	if n := s.calls(hookCommit); n != int64(a.NumAnds()) || res.Attempts != a.NumAnds() {
+		t.Fatalf("commit ran %d times with %d attempts, want %d", n, res.Attempts, a.NumAnds())
 	}
-	if res.Attempts != 3 || res.Replacements != 1 || res.Stale != 1 {
-		t.Fatalf("attempts=%d replacements=%d stale=%d, want 3/1/1",
-			res.Attempts, res.Replacements, res.Stale)
+	if res.Replacements != 1 || res.Stale != 1 {
+		t.Fatalf("replacements=%d stale=%d, want 1/1", res.Replacements, res.Stale)
 	}
 }
 
 func TestSerialAccounting(t *testing.T) {
 	a := toyAIG()
-	pass := &toyFused{verdict: scriptedVerdicts(a)}
-	res, err := RunFused(context.Background(), a, pass, Plan{
-		Name: "toy-serial", Partition: Topo, Mode: Serial,
-	}, Exec{Workers: 8}) // Workers is ignored: serial means one thread
+	s := scriptedVerdicts(a)
+	s.stored = nil
+	res, err := Run(context.Background(), a, commitOnly{s}, serialPlan, Exec{Workers: 8}) // ignored: nothing to share
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pass.slots != 1 || res.Threads != 1 {
-		t.Fatalf("slots=%d threads=%d, want 1/1", pass.slots, res.Threads)
+	if s.slots != 2 || res.Threads != 1 {
+		t.Fatalf("slots=%d threads=%d, want 2/1", s.slots, res.Threads)
 	}
 	// The Topo policy hands the serial sweep the FULL order, non-ANDs
 	// included; the pass skips them at visit time (StatusSkip).
-	if got, want := pass.fuses.Load(), int64(len(a.TopoOrder(nil))); got != want {
-		t.Fatalf("fuse ran %d times, want the full topo order %d", got, want)
+	if got, want := s.calls(hookCommit), int64(len(a.TopoOrder(nil))); got != want {
+		t.Fatalf("commit ran %d times, want the full topo order %d", got, want)
 	}
-	if res.Attempts != 3 || res.Replacements != 1 || res.Stale != 1 {
-		t.Fatalf("attempts=%d replacements=%d stale=%d, want 3/1/1",
-			res.Attempts, res.Replacements, res.Stale)
+	if res.Attempts != a.NumAnds() || res.Replacements != 1 || res.Stale != 1 {
+		t.Fatalf("attempts=%d replacements=%d stale=%d, want %d/1/1", res.Attempts, res.Replacements, res.Stale, a.NumAnds())
 	}
 }
 
 func TestMultiPassBeginsPerPass(t *testing.T) {
 	a := toyAIG()
-	pass := &toyPass{verdict: map[int32]Status{}}
-	if _, err := Run(context.Background(), a, pass, Plan{
-		Name: "toy", Partition: ByLevel, Mode: Dynamic,
-	}, Exec{Workers: 1, Passes: 3}); err != nil {
+	s := &script{a: a}
+	if _, err := Run(context.Background(), a, enumerating{evaluating{s}}, dynamicPlan, Exec{Workers: 1, Passes: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if pass.begins != 3 {
-		t.Fatalf("begins=%d, want one per pass (3)", pass.begins)
+	if s.begins != 3 {
+		t.Fatalf("begins=%d, want one per pass (3)", s.begins)
 	}
 }
 
 // TestCancellationContract pins the framework half of every pass's
-// cancellation contract: a cancelled context stops each skeleton with
-// context.Canceled in the chain, the error prefixed by the plan's error
-// name, and the result marked Incomplete.
+// cancellation contract: a cancelled context stops each plan shape with
+// context.Canceled in the chain, the error prefixed by the plan's name,
+// the result marked Incomplete, and no hook run.
 func TestCancellationContract(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cases := []struct {
 		name string
-		run  func(a *aig.AIG) (Result, error)
+		pass func(*script) Pass
+		plan Plan
 	}{
-		{"dynamic", func(a *aig.AIG) (Result, error) {
-			return Run(ctx, a, &toyPass{verdict: map[int32]Status{}},
-				Plan{Name: "toy", Partition: ByLevel, Mode: Dynamic}, Exec{Workers: 2})
-		}},
-		{"static", func(a *aig.AIG) (Result, error) {
-			return Run(ctx, a, &toyPass{verdict: map[int32]Status{}},
-				Plan{Name: "toy", Partition: ByLevel, Mode: Static}, Exec{Workers: 2})
-		}},
-		{"fused", func(a *aig.AIG) (Result, error) {
-			return RunFused(ctx, a, &toyFused{verdict: map[int32]Status{}},
-				Plan{Name: "toy", Partition: Flat, Mode: Fused}, Exec{Workers: 2})
-		}},
-		{"serial", func(a *aig.AIG) (Result, error) {
-			return RunFused(ctx, a, &toyFused{verdict: map[int32]Status{}},
-				Plan{Name: "toy", Partition: Topo, Mode: Serial}, Exec{})
-		}},
+		{"dynamic", kinds[2].pass, dynamicPlan},
+		{"static", kinds[2].pass, staticPlan},
+		{"fused", kinds[0].pass, fusedPlan},
+		{"serial", kinds[0].pass, serialPlan},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := tc.run(toyAIG())
+			a := toyAIG()
+			s := &script{a: a}
+			res, err := Run(ctx, a, tc.pass(s), tc.plan, Exec{Workers: 2})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled in the chain", err)
 			}
 			if !strings.HasPrefix(err.Error(), "toy:") {
 				t.Fatalf("error %q not prefixed with the plan name", err)
 			}
-			if !res.Incomplete {
-				t.Fatal("cancelled run not marked Incomplete")
+			if !res.Incomplete || len(s.events()) != 0 {
+				t.Fatalf("incomplete = %v after %d hook calls", res.Incomplete, len(s.events()))
 			}
 		})
-	}
-}
-
-func TestErrNameOverride(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunFused(ctx, toyAIG(), &toyFused{verdict: map[int32]Status{}},
-		Plan{Name: "long-display-name", ErrName: "short", Partition: Flat, Mode: Serial}, Exec{})
-	if err == nil || !strings.HasPrefix(err.Error(), "short:") {
-		t.Fatalf("error %v does not use the ErrName prefix", err)
-	}
-}
-
-func TestModeMismatchRejected(t *testing.T) {
-	a := toyAIG()
-	if _, err := Run(context.Background(), a, &toyPass{verdict: map[int32]Status{}},
-		Plan{Name: "toy", Partition: Flat, Mode: Fused}, Exec{}); err == nil {
-		t.Fatal("Run accepted a fused mode")
-	}
-	if _, err := RunFused(context.Background(), a, &toyFused{verdict: map[int32]Status{}},
-		Plan{Name: "toy", Partition: Flat, Mode: Dynamic}, Exec{}); err == nil {
-		t.Fatal("RunFused accepted a three-phase mode")
 	}
 }
 
@@ -321,6 +720,10 @@ func TestPolicies(t *testing.T) {
 	}
 	if total != nAnds {
 		t.Fatalf("ByLevel covered %d ANDs, want %d", total, nAnds)
+	}
+
+	if order := LevelOrder(a); len(order) != 1 || !slices.Equal(order[0], slices.Concat(byLevel...)) {
+		t.Fatalf("LevelOrder = %v, want ByLevel's lists %v as one", order, byLevel)
 	}
 
 	flat := Flat(a)

@@ -19,12 +19,25 @@ func ByLevel(a *aig.AIG) [][]int32 {
 	return lists
 }
 
+// LevelOrder is ByLevel's lists concatenated into one worklist: the
+// whole graph as a single unit of work, in level order. With a serial
+// commit this is the static GPU models' schedule — every node enumerated
+// and evaluated against the unchanged input graph, then the stored
+// decisions applied level by level.
+func LevelOrder(a *aig.AIG) [][]int32 {
+	var all []int32
+	for _, wl := range ByLevel(a) {
+		all = append(all, wl...)
+	}
+	return [][]int32{all}
+}
+
 // Flat is the level-partitioning ablation: one worklist holding every
-// live AND node in topological order. Under the Dynamic skeleton,
-// evaluation then races far ahead of replacement validity — stored
-// results go stale much more often — which is exactly what nodeDividing
-// prevents. It is also the natural policy for the Fused and Serial
-// skeletons, which have no phase barriers to exploit levels.
+// live AND node in topological order. With a split pass, evaluation then
+// races far ahead of replacement validity — stored results go stale much
+// more often — which is exactly what nodeDividing prevents. It is also
+// the natural policy for a commit-only pass, which has no phase barriers
+// to exploit levels.
 func Flat(a *aig.AIG) [][]int32 {
 	var all []int32
 	for _, id := range a.TopoOrder(nil) {

@@ -122,33 +122,35 @@ func (t *LockTable) release(owner, id int32) {
 // paper's Fig. 2 is reproduced from these counters. They are plain
 // values: every worker counts into a Stats of its own, and the executor
 // folds those into its total at the barrier that ends each run, so the
-// total is read between runs, by the goroutine that calls them.
+// total is read between runs, by the goroutine that calls them. The JSON
+// names are those of the metrics snapshot (metrics.Spec is this type).
 type Stats struct {
 	// Commits counts activities that completed.
-	Commits int64
+	Commits int64 `json:"commits"`
 	// Aborts counts activities discarded because of a lock conflict.
-	Aborts int64
+	Aborts int64 `json:"aborts"`
 	// InjectedAborts counts the aborts forced by a FaultPlan (a subset of
 	// Aborts, as each spurious acquire failure aborts its activity).
-	InjectedAborts int64
+	InjectedAborts int64 `json:"injected_aborts"`
 	// LocksTaken counts successful lock acquisitions; LockFailures the
 	// acquisitions that found the lock held by another activity (each
 	// failure aborts its activity, so failures trace where conflicts
 	// actually arise — the paper's Section 4 claim that enumeration and
 	// replacement conflicts are rare is readable from this counter).
-	LocksTaken   int64
-	LockFailures int64
+	LocksTaken   int64 `json:"locks_taken"`
+	LockFailures int64 `json:"lock_failures"`
 	// CommittedNs and WastedNs accumulate the time spent inside
 	// committed and aborted activities respectively. On machines without
 	// enough cores to observe wall-clock speedups, the wasted fraction is
 	// the reproducible signal of the paper's Fig. 2: a fused operator
 	// discards its whole (evaluation-heavy) computation on conflict,
 	// split operators discard almost nothing.
-	CommittedNs int64
-	WastedNs    int64
+	CommittedNs int64 `json:"committed_ns"`
+	WastedNs    int64 `json:"wasted_ns"`
 }
 
-func (s *Stats) add(d *Stats) {
+// Add folds the counters of d into s.
+func (s *Stats) Add(d Stats) {
 	s.Commits += d.Commits
 	s.Aborts += d.Aborts
 	s.InjectedAborts += d.InjectedAborts
@@ -156,6 +158,28 @@ func (s *Stats) add(d *Stats) {
 	s.LockFailures += d.LockFailures
 	s.CommittedNs += d.CommittedNs
 	s.WastedNs += d.WastedNs
+}
+
+// Sub returns the counter movement since prev.
+func (s Stats) Sub(prev Stats) Stats {
+	return Stats{
+		Commits:        s.Commits - prev.Commits,
+		Aborts:         s.Aborts - prev.Aborts,
+		InjectedAborts: s.InjectedAborts - prev.InjectedAborts,
+		LocksTaken:     s.LocksTaken - prev.LocksTaken,
+		LockFailures:   s.LockFailures - prev.LockFailures,
+		CommittedNs:    s.CommittedNs - prev.CommittedNs,
+		WastedNs:       s.WastedNs - prev.WastedNs,
+	}
+}
+
+// WastedFraction is the share of speculative work discarded on aborts.
+func (s Stats) WastedFraction() float64 {
+	total := s.CommittedNs + s.WastedNs
+	if total == 0 {
+		return 0
+	}
+	return float64(s.WastedNs) / float64(total)
 }
 
 // workerStats is one worker's counters, padded to two cache lines so that
@@ -387,7 +411,7 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 	// The barrier ordered the workers' counter writes: fold them in on
 	// every path, so that a run that failed still accounts for its work.
 	for w := 1; w <= workers; w++ {
-		e.Stats.add(&e.local[w].Stats)
+		e.Stats.Add(e.local[w].Stats)
 		e.local[w].Stats = Stats{}
 	}
 	if p := firstErr.Load(); p != nil {

@@ -240,6 +240,9 @@ func Rewrite(ctx context.Context, net *aig.AIG, lib *rewlib.Library, cfg rewrite
 		start := time.Now()
 		o, timedOut := attempt(ctx, eng, scratch, lib, acfg, opts.Deadline)
 		att.Duration = time.Since(start)
+		// The scratch copy's cut sets live under its own pointer: adopted
+		// or discarded, nothing will ask for them again.
+		cfg.CutCache.Drop(scratch)
 		att.Result = o.res
 		att.Metrics = o.res.Metrics
 		switch {

@@ -29,10 +29,10 @@ import (
 type Phase uint8
 
 // The phases of DAG-aware rewriting. Split-operator engines (dacpara,
-// the static GPU models, the serial baseline) attribute work to the
-// three separate stages; the fused ICCAD'18 operator runs all three
-// inside one speculative activity and reports under PhaseFused, with the
-// per-stage breakdown coming from shard timings inside the operator.
+// the static GPU models) run the three stages as separate phases; a
+// commit-only pass (the fused ICCAD'18 operator, the serial baseline)
+// runs all three inside its one phase and reports under PhaseFused, with
+// the per-stage breakdown coming from shard timings inside the operator.
 const (
 	PhaseEnumerate Phase = iota
 	PhaseEvaluate
@@ -56,53 +56,10 @@ func (p Phase) String() string {
 	return "invalid"
 }
 
-// Spec is a plain-value copy of the speculative-execution counters of a
-// galois executor: the raw material of the paper's Fig. 2/3 analysis.
-type Spec struct {
-	Commits        int64 `json:"commits"`
-	Aborts         int64 `json:"aborts"`
-	InjectedAborts int64 `json:"injected_aborts"`
-	LocksTaken     int64 `json:"locks_taken"`
-	LockFailures   int64 `json:"lock_failures"`
-	CommittedNs    int64 `json:"committed_ns"`
-	WastedNs       int64 `json:"wasted_ns"`
-}
-
-// SpecOf snapshots an executor's counters (the two types hold the same
-// fields; Spec adds the JSON names).
-func SpecOf(s *galois.Stats) Spec { return Spec(*s) }
-
-// Sub returns the counter deltas since prev.
-func (s Spec) Sub(prev Spec) Spec {
-	return Spec{
-		Commits:        s.Commits - prev.Commits,
-		Aborts:         s.Aborts - prev.Aborts,
-		InjectedAborts: s.InjectedAborts - prev.InjectedAborts,
-		LocksTaken:     s.LocksTaken - prev.LocksTaken,
-		LockFailures:   s.LockFailures - prev.LockFailures,
-		CommittedNs:    s.CommittedNs - prev.CommittedNs,
-		WastedNs:       s.WastedNs - prev.WastedNs,
-	}
-}
-
-func (s *Spec) add(d Spec) {
-	s.Commits += d.Commits
-	s.Aborts += d.Aborts
-	s.InjectedAborts += d.InjectedAborts
-	s.LocksTaken += d.LocksTaken
-	s.LockFailures += d.LockFailures
-	s.CommittedNs += d.CommittedNs
-	s.WastedNs += d.WastedNs
-}
-
-// WastedFraction is the share of speculative work discarded on aborts.
-func (s Spec) WastedFraction() float64 {
-	total := s.CommittedNs + s.WastedNs
-	if total == 0 {
-		return 0
-	}
-	return float64(s.WastedNs) / float64(total)
-}
+// Spec is the speculative-execution counters of a galois executor: the
+// raw material of the paper's Fig. 2/3 analysis, under the name the
+// snapshot schema gives them.
+type Spec = galois.Stats
 
 // ConflictSample is one traced conflict: the phase a lock acquisition
 // failed in and the node whose activity aborted.
@@ -304,8 +261,8 @@ func (c *Collector) PhaseEnd(p Phase, delta Spec) {
 	// The executor already times every activity; committed plus wasted
 	// activity time is the phase's summed per-worker work.
 	agg.workNs += delta.CommittedNs + delta.WastedNs
-	agg.spec.add(delta)
-	c.spec.add(delta)
+	agg.spec.Add(delta)
+	c.spec.Add(delta)
 }
 
 // ObserveLevel records the width of one level worklist — the available

@@ -21,13 +21,15 @@ type Snapshot struct {
 	Passes  int    `json:"passes"`
 	WallNs  int64  `json:"wall_ns"`
 
-	// Phases reports only the phases the engine exercised (split engines:
-	// enumerate/evaluate/replace; the fused ICCAD'18 operator: fused plus
-	// the per-stage work_ns breakdown recorded inside its operator).
+	// Phases reports only the phases the engine exercised (split passes:
+	// enumerate/evaluate/replace; the commit-only ones — the fused
+	// ICCAD'18 operator, the serial baseline — fused, plus the per-stage
+	// work_ns breakdown recorded inside their operator).
 	Phases []PhaseSnapshot `json:"phases"`
 
-	// Levels is the per-level parallelism histogram of the nodeDividing
-	// partition (engines without level barriers leave it empty).
+	// Levels is the width histogram of the plan's worklists: per level
+	// for the nodeDividing partition, one entry for a plan that takes the
+	// whole graph as one list.
 	Levels []LevelBucket `json:"level_histogram,omitempty"`
 
 	// Speculation totals the executor counters across all phases. For a
@@ -89,8 +91,8 @@ type ShardQoR struct {
 type PhaseSnapshot struct {
 	Name string `json:"name"`
 	// WallNs is elapsed time between the phase's barriers (all workers),
-	// summed over intervals; zero for engines that do not barrier the
-	// phase.
+	// summed over intervals; zero for a stage that only exists inside a
+	// commit-only pass's operator.
 	WallNs int64 `json:"wall_ns"`
 	// WorkNs sums per-worker in-operator time attributed to the phase.
 	WorkNs int64 `json:"work_ns"`

@@ -24,19 +24,14 @@ func RunParallel(a *aig.AIG, cfg Config, workers int) rewrite.Result {
 }
 
 // RunParallelCtx is RunParallel under a context, driven by the engine
-// framework's Dynamic skeleton (level worklists, lock-free evaluation,
-// serial revalidating commit). Cancellation is observed at level
-// boundaries; a cancelled run returns the wrapped ctx error with a
-// structurally consistent, partially refactored network and the Result
-// marked Incomplete.
+// framework (level worklists, lock-free evaluation, serial revalidating
+// commit). Cancellation is observed at level boundaries; a cancelled run
+// returns the wrapped ctx error with a structurally consistent,
+// partially refactored network and the Result marked Incomplete.
 func RunParallelCtx(ctx context.Context, a *aig.AIG, cfg Config, workers int) (rewrite.Result, error) {
 	return engine.Run(ctx, a, &refactorPass{a: a, cfg: cfg}, engine.Plan{
 		Name:      "refactor-dacpara",
 		Partition: engine.ByLevel,
-		Mode:      engine.Dynamic,
-		// Refactoring has no cut-manager warm-up; the evaluation hook
-		// builds its own reconvergence windows.
-		SkipEnumerate: true,
 		// Replacements rewire whole cones; instead of locking them, the
 		// serial commit re-validates every stored plan on the latest
 		// graph (version, cone function, re-counted gain).
@@ -64,7 +59,10 @@ type refactorPass struct {
 	prep   []refPrep
 }
 
-var _ engine.Pass = (*refactorPass)(nil)
+var (
+	_ engine.Pass      = (*refactorPass)(nil)
+	_ engine.Evaluator = (*refactorPass)(nil)
+)
 
 func (p *refactorPass) Begin(slots int, _ engine.Env) {
 	p.states = make([]*refactorer, slots)
@@ -73,8 +71,6 @@ func (p *refactorPass) Begin(slots int, _ engine.Env) {
 	}
 	p.prep = make([]refPrep, p.a.Capacity())
 }
-
-func (p *refactorPass) Enumerate(int, int32, engine.Locker) bool { return true }
 
 func (p *refactorPass) Evaluate(worker int, id int32) bool {
 	p.prep[id] = refPrep{}

@@ -70,18 +70,18 @@ func Run(a *aig.AIG, cfg Config) rewrite.Result {
 	return res
 }
 
-// RunCtx is Run under a context, driven by the engine framework's Serial
-// skeleton (one sweep in topological order, immediate commits).
+// RunCtx is Run under a context, driven by the engine framework as a
+// serial commit (one sweep in topological order, immediate commits).
 // Cancellation is observed every engine.SerialCancelStride nodes; a
 // cancelled run returns the wrapped ctx error with a structurally
 // consistent, partially refactored network and the Result marked
 // Incomplete.
 func RunCtx(ctx context.Context, a *aig.AIG, cfg Config) (rewrite.Result, error) {
-	return engine.RunFused(ctx, a, &serialPass{r: newRefactorer(a, cfg)},
-		engine.Plan{Name: "refactor", Partition: engine.Topo, Mode: engine.Serial}, engine.Exec{})
+	return engine.Run(ctx, a, &serialPass{r: newRefactorer(a, cfg)},
+		engine.Plan{Name: "refactor", Partition: engine.Topo, SerialCommit: true}, engine.Exec{})
 }
 
-// serialPass is refactoring as a fused pass: each node end to end.
+// serialPass is refactoring as a commit-only pass: each node end to end.
 type serialPass struct {
 	r        *refactorer
 	attempts *atomic.Int64
@@ -89,7 +89,7 @@ type serialPass struct {
 
 func (p *serialPass) Begin(_ int, env engine.Env) { p.attempts = env.Attempts }
 
-func (p *serialPass) Fuse(_ int, id int32, _ engine.Locker) engine.Status {
+func (p *serialPass) Commit(_ int, id int32, _ engine.Locker) engine.Status {
 	if !p.r.a.N(id).IsAnd() {
 		return engine.StatusSkip
 	}

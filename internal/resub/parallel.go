@@ -22,19 +22,14 @@ func RunParallel(a *aig.AIG, cfg Config, workers int) rewrite.Result {
 }
 
 // RunParallelCtx is RunParallel under a context, driven by the engine
-// framework's Dynamic skeleton (level worklists, lock-free evaluation,
-// serial revalidating commit). Cancellation is observed at level
-// boundaries; a cancelled run returns the wrapped ctx error with a
-// structurally consistent, partially resubstituted network and the
-// Result marked Incomplete.
+// framework (level worklists, lock-free evaluation, serial revalidating
+// commit). Cancellation is observed at level boundaries; a cancelled run
+// returns the wrapped ctx error with a structurally consistent,
+// partially resubstituted network and the Result marked Incomplete.
 func RunParallelCtx(ctx context.Context, a *aig.AIG, cfg Config, workers int) (rewrite.Result, error) {
 	return engine.Run(ctx, a, &resubPass{a: a, cfg: cfg}, engine.Plan{
 		Name:      "resub-dacpara",
 		Partition: engine.ByLevel,
-		Mode:      engine.Dynamic,
-		// Resubstitution has no cut-manager warm-up; the evaluation hook
-		// grows its own reconvergence windows.
-		SkipEnumerate: true,
 		// Substitutions rewire whole MFFCs; instead of locking them, the
 		// serial commit re-validates every stored candidate on the
 		// latest graph (version, window function, divisor liveness,
@@ -66,7 +61,10 @@ type resubPass struct {
 	prep   []resubPrep
 }
 
-var _ engine.Pass = (*resubPass)(nil)
+var (
+	_ engine.Pass      = (*resubPass)(nil)
+	_ engine.Evaluator = (*resubPass)(nil)
+)
 
 func (p *resubPass) Begin(slots int, _ engine.Env) {
 	p.states = make([]*resubber, slots)
@@ -75,8 +73,6 @@ func (p *resubPass) Begin(slots int, _ engine.Env) {
 	}
 	p.prep = make([]resubPrep, p.a.Capacity())
 }
-
-func (p *resubPass) Enumerate(int, int32, engine.Locker) bool { return true }
 
 func (p *resubPass) Evaluate(worker int, id int32) bool {
 	p.prep[id] = resubPrep{}

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"dacpara/internal/aig"
 	"dacpara/internal/cut"
+	"dacpara/internal/engine"
 	"dacpara/internal/rewlib"
 	"dacpara/internal/tt"
 )
@@ -39,10 +40,18 @@ func (s Status) String() string {
 	return "invalid"
 }
 
-// Locker acquires the exclusive lock of a node on behalf of the current
-// activity, returning false on conflict. A nil Locker means serial
-// execution: every acquisition trivially succeeds.
-type Locker func(id int32) bool
+// verdict translates an Execute outcome into the pass framework's.
+func (s Status) verdict() engine.Status {
+	switch s {
+	case StatusConflict:
+		return engine.StatusConflict
+	case StatusCommitted:
+		return engine.StatusCommitted
+	case StatusStale:
+		return engine.StatusStale
+	}
+	return engine.StatusNoGain
+}
 
 // planLimit bounds the number of nodes one replacement may touch; beyond
 // it the candidate is skipped rather than letting a single activity lock
@@ -57,7 +66,7 @@ const planLimit = 2048
 // gain is re-evaluated on the current graph before any mutation. All
 // affected nodes are locked before the first mutation (cautious operator),
 // so a conflict abort never needs rollback.
-func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock Locker) (gain int, st Status) {
+func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker) (gain int, st Status) {
 	a, s := e.A, e.Scratch
 	root := cand.Root
 	lk := func(id int32) bool { return lock == nil || lock(id) }
@@ -86,7 +95,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock Locker) (gain
 		// Some leaf was deleted (and its ID possibly reused): re-enumerate
 		// on the current graph and match the stored leaf set against the
 		// fresh cut set, as the paper prescribes for the Fig. 3 hazard.
-		set, ok := refreshCuts(cm, root, lock, e.CutPool)
+		set, ok := cm.RefreshP(root, lock, e.CutPool)
 		if !ok {
 			return 0, StatusConflict
 		}
@@ -228,23 +237,13 @@ func (s *Scratch) level(a *aig.AIG, st *rewlib.Structure) int32 {
 	return lvl[slot(st.Out)]
 }
 
-// refreshCuts re-enumerates root's cuts under the activity's locks,
-// recycling storage through the worker's pool.
-func refreshCuts(cm *cut.Manager, root int32, lock Locker, pool *cut.Pool) ([]cut.Cut, bool) {
-	visit := cut.Visitor(nil)
-	if lock != nil {
-		visit = cut.Visitor(lock)
-	}
-	return cm.RefreshP(root, visit, pool)
-}
-
 // coneTT recomputes the function of root over the cut's leaves by walking
 // the cone on the current graph, locking every inner node. ok is false
 // when the leaf set no longer covers the cone (a path escapes to a PI,
 // the constant, or past the traversal budget). The budget is 64 nodes for
 // classic 4-input cuts (matching the hardwired-K engine exactly) and
 // wider for large cuts, whose cones are legitimately bigger.
-func (s *Scratch) coneTT(a *aig.AIG, root int32, c *cut.Cut, lock Locker) (f tt.Func64, ok, conflict bool) {
+func (s *Scratch) coneTT(a *aig.AIG, root int32, c *cut.Cut, lock engine.Locker) (f tt.Func64, ok, conflict bool) {
 	s.ov.begin()
 	s.coneLeft = 64
 	if c.Size > 4 {
@@ -253,7 +252,7 @@ func (s *Scratch) coneTT(a *aig.AIG, root int32, c *cut.Cut, lock Locker) (f tt.
 	return s.coneFunc(a, root, c, lock)
 }
 
-func (s *Scratch) coneFunc(a *aig.AIG, id int32, c *cut.Cut, lock Locker) (f tt.Func64, ok, conflict bool) {
+func (s *Scratch) coneFunc(a *aig.AIG, id int32, c *cut.Cut, lock engine.Locker) (f tt.Func64, ok, conflict bool) {
 	for i := uint8(0); i < c.Size; i++ {
 		if c.Leaves[i] == id {
 			return tt.Var64(int(i)), true, false

@@ -1,6 +1,6 @@
 // Package rewrite implements DAG-aware AIG rewriting (Mishchenko et al.,
 // DAC'06): the evaluation and replacement machinery, its adapters onto
-// the pass-engine framework (Pass, serialPass, fusedPass), and the engine
+// the pass-engine framework (Pass, fusedPass), and the engine
 // table binding each named engine to its plan (see Run).
 //
 // Rewriting visits nodes, enumerates their 4-input cuts, matches each

@@ -61,25 +61,33 @@ func Engines() []Engine {
 }
 
 // spec is one row of the engine table: the plan the pass engine drives
-// and, for the three-phase modes, the Pass variant knobs.
+// and the pass it drives. What the pass implements chooses the phases
+// (see engine.Run): Pass splits a node's work into enumeration, lock-free
+// evaluation and revalidating commit, with the two variant knobs of the
+// static models; fusedPass does all of it in the commit, under the
+// activity's locks or, in a serial commit, without.
 type spec struct {
 	plan                             engine.Plan
+	fused                            bool
 	trustStoredGain, skipStaleLeaves bool
 }
 
 var table = map[Engine]spec{
-	EngineSerial:  {plan: engine.Plan{Name: "abc-rewrite", Partition: engine.Topo, Mode: engine.Serial}},
-	EngineLockPar: {plan: engine.Plan{Name: "iccad18-lockpar", ErrName: "iccad18", Partition: engine.Flat, Mode: engine.Fused}},
-	EngineDACPara: {plan: engine.Plan{Name: "dacpara", Partition: engine.ByLevel, Mode: engine.Dynamic}},
-	EngineFlat:    {plan: engine.Plan{Name: "dacpara-flat", Partition: engine.Flat, Mode: engine.Dynamic}},
-	// The static models trust the stored gain at commit time — static
-	// global information — so realized gains may be zero or negative.
+	EngineSerial:  {plan: engine.Plan{Name: "abc-rewrite", Partition: engine.Topo, SerialCommit: true}, fused: true},
+	EngineLockPar: {plan: engine.Plan{Name: "iccad18-lockpar", Partition: engine.Flat}, fused: true},
+	EngineDACPara: {plan: engine.Plan{Name: "dacpara", Partition: engine.ByLevel}},
+	EngineFlat:    {plan: engine.Plan{Name: "dacpara-flat", Partition: engine.Flat}},
+	// The static models: every node is enumerated and evaluated against
+	// the unchanged input graph (one worklist), then the stored decisions
+	// are applied serially in level order, trusting the stored gain —
+	// static global information — so realized gains may be zero or
+	// negative.
 	EngineStaticDAC22: {
-		plan:            engine.Plan{Name: "dac22-novelrewrite", Partition: engine.ByLevel, Mode: engine.Static},
+		plan:            engine.Plan{Name: "dac22-novelrewrite", Partition: engine.LevelOrder, SerialCommit: true},
 		trustStoredGain: true, skipStaleLeaves: true,
 	},
 	EngineStaticTCAD23: {
-		plan:            engine.Plan{Name: "tcad23-gpu", Partition: engine.ByLevel, Mode: engine.Static},
+		plan:            engine.Plan{Name: "tcad23-gpu", Partition: engine.LevelOrder, SerialCommit: true},
 		trustStoredGain: true,
 	},
 }
@@ -90,25 +98,22 @@ func Known(eng Engine) bool {
 	return ok
 }
 
-// Run rewrites the network in place with the named engine. Cancelling ctx interrupts the engine at its next
-// cancellation point — the serial engine polls every
-// engine.SerialCancelStride nodes, the level-partitioned engines stop at
-// level boundaries and phase barriers, the fused engine at activity
-// boundaries — and returns the wrapped ctx error; a retry-budget
-// exhaustion (possibly fault-injected) surfaces the same way. Either
-// leaves the network structurally consistent but partially rewritten,
-// and the Result, marked Incomplete, covers the work done.
+// Run rewrites the network in place with the named engine. Cancelling
+// ctx interrupts the engine at its next cancellation point — a worklist
+// boundary, an activity boundary inside an executor phase, every
+// engine.SerialCancelStride nodes of a serial commit — and returns the
+// wrapped ctx error; a retry-budget exhaustion (possibly fault-injected)
+// surfaces the same way. Either leaves the network structurally
+// consistent but partially rewritten, and the Result, marked Incomplete,
+// covers the work done.
 func Run(ctx context.Context, eng Engine, a *aig.AIG, lib *rewlib.Library, cfg Config) (Result, error) {
 	s, ok := table[eng]
 	if !ok {
 		return Result{}, fmt.Errorf("rewrite: unknown engine %q", eng)
 	}
-	switch s.plan.Mode {
-	case engine.Serial:
-		return engine.RunFused(ctx, a, &serialPass{a: a, lib: lib, cfg: cfg}, s.plan, cfg.Exec())
-	case engine.Fused:
-		return engine.RunFused(ctx, a, &fusedPass{a: a, lib: lib, cfg: cfg}, s.plan, cfg.Exec())
+	var pass engine.Pass = &Pass{A: a, Lib: lib, Cfg: cfg, TrustStoredGain: s.trustStoredGain, SkipStaleLeaves: s.skipStaleLeaves}
+	if s.fused {
+		pass = &fusedPass{a: a, lib: lib, cfg: cfg}
 	}
-	pass := &Pass{A: a, Lib: lib, Cfg: cfg, TrustStoredGain: s.trustStoredGain, SkipStaleLeaves: s.skipStaleLeaves}
 	return engine.Run(ctx, a, pass, s.plan, cfg.Exec())
 }

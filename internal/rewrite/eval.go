@@ -3,6 +3,7 @@ package rewrite
 import (
 	"dacpara/internal/aig"
 	"dacpara/internal/cut"
+	"dacpara/internal/engine"
 	"dacpara/internal/npn"
 	"dacpara/internal/rewlib"
 	"dacpara/internal/tt"
@@ -237,7 +238,7 @@ func (s *Scratch) out(st *rewlib.Structure) (aig.Lit, bool) {
 // A structure that resolves any gate to root itself is rejected: reusing
 // the node under replacement would cycle the graph (it is also the
 // "nothing changes" case when it is the output).
-func (s *Scratch) plan(a *aig.AIG, st *rewlib.Structure, root int32, budget int, lock Locker) (nNew int, ok bool) {
+func (s *Scratch) plan(a *aig.AIG, st *rewlib.Structure, root int32, budget int, lock engine.Locker) (nNew int, ok bool) {
 	if n := gateBase + len(st.Nodes); n > len(s.vals) {
 		s.vals = append(s.vals, make([]aig.Lit, n-len(s.vals))...)
 	}
@@ -338,7 +339,7 @@ func (e *Evaluator) Evaluate(root int32, cuts []cut.Cut) Candidate {
 // a structure is walked only until it has needed more than saved-bar new
 // gates — past that it could not have been chosen, so the budget changes
 // which walks finish, never which candidate wins.
-func (e *Evaluator) EvaluateLocked(root int32, cuts []cut.Cut, lock Locker) (_ Candidate, conflict bool) {
+func (e *Evaluator) EvaluateLocked(root int32, cuts []cut.Cut, lock engine.Locker) (_ Candidate, conflict bool) {
 	a, s := e.A, e.Scratch
 	best := Candidate{Root: root, RootVer: a.N(root).Version()}
 	bestCut := -1

@@ -10,15 +10,23 @@ import (
 	"dacpara/internal/rewlib"
 )
 
-// fusedPass is the ICCAD'18 operator (EngineLockPar) as a framework
-// pass: each node is processed by ONE speculative activity that performs
-// cut enumeration, evaluation and replacement back to back while holding
-// exclusive locks on every related node it touches — the cut cones, the
-// reused shared logic, the fanouts. When any lock is already held by
-// another activity the whole operator aborts and all of its computation
-// (including the expensive evaluation) is discarded and redone later —
-// exactly the waste the paper's Fig. 2 illustrates and DACPara's split
-// operators avoid.
+// fusedPass does all of a node's work in its commit: cut enumeration,
+// evaluation and replacement back to back. It is two engines of the
+// comparison.
+//
+// Under the speculative executor it is the ICCAD'18 operator
+// (EngineLockPar): ONE activity per node that holds exclusive locks on
+// every related node it touches — the cut cones, the reused shared
+// logic, the fanouts. When any lock is already held by another activity
+// the whole operator aborts and all of its computation (including the
+// expensive evaluation) is discarded and redone later — exactly the
+// waste the paper's Fig. 2 illustrates and DACPara's split operators
+// avoid.
+//
+// In a serial commit (nil lock) it is ABC's `rewrite` (EngineSerial):
+// one visit per node in topological order, immediate commits, so every
+// node sees the latest graph. Non-AND nodes are skipped at visit time —
+// the worklist is the full topological order and nodes die mid-pass.
 type fusedPass struct {
 	a   *aig.AIG
 	lib *rewlib.Library
@@ -29,7 +37,7 @@ type fusedPass struct {
 	env engine.Env
 }
 
-var _ engine.FusedPass = (*fusedPass)(nil)
+var _ engine.Pass = (*fusedPass)(nil)
 
 func (p *fusedPass) Begin(slots int, env engine.Env) {
 	p.cm = p.cfg.cutManager(p.a)
@@ -41,20 +49,17 @@ func (p *fusedPass) Begin(slots int, env engine.Env) {
 	p.env = env
 }
 
-func (p *fusedPass) Fuse(worker int, id int32, lock engine.Locker) engine.Status {
+func (p *fusedPass) Commit(worker int, id int32, lock engine.Locker) engine.Status {
 	// One fused activity: enumeration, evaluation and replacement back
-	// to back under one lock set. The shard timings attribute
-	// in-operator time to the three logical stages so the fused engine's
-	// snapshot is comparable with the split engines'.
+	// to back under one lock set, the node's own lock taken by the
+	// framework, which also traces every conflict verdict. The shard
+	// timings attribute in-operator time to the three logical stages so
+	// the fused engine's snapshot is comparable with the split engines'.
 	var sh *metrics.Shard
 	var t0 time.Time
 	if p.env.Shards != nil {
 		sh = &p.env.Shards[worker]
 		t0 = time.Now()
-	}
-	if !lock(id) {
-		sh.Conflict(metrics.PhaseFused, id)
-		return engine.StatusConflict
 	}
 	if !p.a.N(id).IsAnd() {
 		return engine.StatusSkip
@@ -62,19 +67,19 @@ func (p *fusedPass) Fuse(worker int, id int32, lock engine.Locker) engine.Status
 	ev := p.evs[worker]
 	// Enumeration: lock the recursive region whose cut sets the
 	// operator reads or writes.
-	cuts, ok := p.cm.EnsureP(id, cut.Visitor(lock), p.env.CutPool(worker))
+	cuts, ok := p.cm.EnsureP(id, lock, p.env.CutPool(worker))
 	if !ok {
-		sh.Conflict(metrics.PhaseFused, id)
 		return engine.StatusConflict
 	}
 	// The fused operator holds the locks of all cut leaves for its
 	// whole lifetime: evaluation scans their fanout lists for shared
 	// logic, and replacement mutates them.
-	for i := range cuts {
-		for _, leaf := range cuts[i].LeafSlice() {
-			if !lock(leaf) {
-				sh.Conflict(metrics.PhaseFused, id)
-				return engine.StatusConflict
+	if lock != nil {
+		for i := range cuts {
+			for _, leaf := range cuts[i].LeafSlice() {
+				if !lock(leaf) {
+					return engine.StatusConflict
+				}
 			}
 		}
 	}
@@ -83,7 +88,7 @@ func (p *fusedPass) Fuse(worker int, id int32, lock engine.Locker) engine.Status
 		t1 = time.Now()
 		sh.EnumNs += t1.Sub(t0).Nanoseconds()
 	}
-	cand, conflict := ev.EvaluateLocked(id, cuts, Locker(lock))
+	cand, conflict := ev.EvaluateLocked(id, cuts, lock)
 	if sh != nil {
 		t2 := time.Now()
 		sh.EvalNs += t2.Sub(t1).Nanoseconds()
@@ -95,7 +100,6 @@ func (p *fusedPass) Fuse(worker int, id int32, lock engine.Locker) engine.Status
 		// fused-operator waste of the paper's Fig. 2.
 		if sh != nil {
 			sh.WastedEvals++
-			sh.Conflict(metrics.PhaseFused, id)
 		}
 		return engine.StatusConflict
 	}
@@ -103,21 +107,12 @@ func (p *fusedPass) Fuse(worker int, id int32, lock engine.Locker) engine.Status
 		return engine.StatusSkip
 	}
 	p.env.Attempts.Add(1)
-	_, st := ev.Execute(p.cm, &cand, Locker(lock))
+	_, st := ev.Execute(p.cm, &cand, lock)
 	if sh != nil {
 		sh.ReplaceNs += time.Since(t1).Nanoseconds()
-	}
-	switch st {
-	case StatusConflict:
-		if sh != nil {
+		if st == StatusConflict {
 			sh.WastedEvals++
-			sh.Conflict(metrics.PhaseFused, id)
 		}
-		return engine.StatusConflict
-	case StatusCommitted:
-		return engine.StatusCommitted
-	case StatusStale:
-		return engine.StatusStale
 	}
-	return engine.StatusNoGain
+	return st.verdict()
 }

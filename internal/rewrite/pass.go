@@ -1,8 +1,6 @@
 package rewrite
 
 import (
-	"time"
-
 	"dacpara/internal/aig"
 	"dacpara/internal/cut"
 	"dacpara/internal/engine"
@@ -13,9 +11,9 @@ import (
 // enumeration as the Enumerate hook, library matching as the lock-free
 // Evaluate hook storing per-node Candidates, and Execute's
 // revalidate-then-replace as the Commit hook. The same adapter serves
-// every three-phase rewriting engine — DACPara's dynamic skeleton and
-// the DAC'22/TCAD'23 static models — differing only in the two variant
-// knobs below and the engine.Plan it runs under.
+// every split-operator rewriting engine — DACPara per level and the
+// DAC'22/TCAD'23 static models over the whole graph — differing only in
+// the two variant knobs below and the engine.Plan it runs under.
 type Pass struct {
 	A   *aig.AIG
 	Lib *rewlib.Library
@@ -36,7 +34,11 @@ type Pass struct {
 	prep []Candidate
 }
 
-var _ engine.Pass = (*Pass)(nil)
+var (
+	_ engine.Pass       = (*Pass)(nil)
+	_ engine.Enumerator = (*Pass)(nil)
+	_ engine.Evaluator  = (*Pass)(nil)
+)
 
 func (p *Pass) Begin(slots int, env engine.Env) {
 	p.cm = p.Cfg.cutManager(p.A)
@@ -62,7 +64,7 @@ func (p *Pass) Enumerate(worker int, id int32, lock engine.Locker) bool {
 	if !p.A.N(id).IsAnd() {
 		return true
 	}
-	_, ok := p.cm.EnsureP(id, cut.Visitor(lock), p.env.CutPool(worker))
+	_, ok := p.cm.EnsureP(id, lock, p.env.CutPool(worker))
 	return ok
 }
 
@@ -87,86 +89,6 @@ func (p *Pass) Commit(worker int, id int32, lock engine.Locker) engine.Status {
 	if p.SkipStaleLeaves && !cand.Cut.Fresh(p.A) {
 		return engine.StatusStale
 	}
-	_, st := p.evs[worker].Execute(p.cm, &cand, Locker(lock))
-	switch st {
-	case StatusConflict:
-		return engine.StatusConflict
-	case StatusCommitted:
-		return engine.StatusCommitted
-	case StatusStale:
-		return engine.StatusStale
-	}
-	return engine.StatusNoGain
-}
-
-// serialPass is the ABC `rewrite` baseline as a fused framework pass:
-// one visit per node in topological order, immediate commits, so every
-// node sees the latest graph. Non-AND nodes are skipped at visit time —
-// the worklist is the full topological order and nodes die mid-pass.
-type serialPass struct {
-	a   *aig.AIG
-	lib *rewlib.Library
-	cfg Config
-
-	cm  *cut.Manager
-	ev  *Evaluator
-	env engine.Env
-}
-
-var _ engine.FusedPass = (*serialPass)(nil)
-
-func (p *serialPass) Begin(_ int, env engine.Env) {
-	p.cm = p.cfg.cutManager(p.a)
-	p.ev = NewEvaluator(p.a, p.lib, p.cfg)
-	p.ev.CutPool = env.CutPool(0)
-	p.env = env
-}
-
-func (p *serialPass) Fuse(_ int, id int32, _ engine.Locker) engine.Status {
-	if !p.a.N(id).IsAnd() {
-		return engine.StatusSkip
-	}
-	if p.env.Shards == nil {
-		cuts, _ := p.cm.EnsureP(id, nil, p.env.CutPool(0))
-		cand := p.ev.Evaluate(id, cuts)
-		if !cand.Ok() {
-			return engine.StatusSkip
-		}
-		p.env.Attempts.Add(1)
-		_, st := p.ev.Execute(p.cm, &cand, nil)
-		switch st {
-		case StatusCommitted:
-			return engine.StatusCommitted
-		case StatusStale:
-			return engine.StatusStale
-		}
-		return engine.StatusNoGain
-	}
-	// The shard path attributes the in-loop stage time to the three
-	// logical phases so the serial snapshot is comparable with the
-	// parallel engines'.
-	sh := &p.env.Shards[0]
-	t0 := time.Now()
-	cuts, _ := p.cm.EnsureP(id, nil, p.env.CutPool(0))
-	t1 := time.Now()
-	cand := p.ev.Evaluate(id, cuts)
-	t2 := time.Now()
-	sh.EnumNs += t1.Sub(t0).Nanoseconds()
-	sh.EvalNs += t2.Sub(t1).Nanoseconds()
-	sh.Evals++
-	if !cand.Ok() {
-		return engine.StatusSkip
-	}
-	p.env.Attempts.Add(1)
-	t3 := time.Now()
-	_, st := p.ev.Execute(p.cm, &cand, nil)
-	sh.ReplaceNs += time.Since(t3).Nanoseconds()
-	switch st {
-	case StatusCommitted:
-		return engine.StatusCommitted
-	case StatusStale:
-		sh.WastedEvals++
-		return engine.StatusStale
-	}
-	return engine.StatusNoGain
+	_, st := p.evs[worker].Execute(p.cm, &cand, lock)
+	return st.verdict()
 }

@@ -1,6 +1,9 @@
 package rewrite
 
-import "dacpara/internal/aig"
+import (
+	"dacpara/internal/aig"
+	"dacpara/internal/engine"
+)
 
 // replaceSim rehearses aig.Replace on a reference-count overlay without
 // mutating the graph. It visits — and locks — exactly the nodes the real
@@ -11,14 +14,14 @@ import "dacpara/internal/aig"
 // deletion count makes the gain exact.
 type replaceSim struct {
 	a       *aig.AIG
-	lock    Locker
+	lock    engine.Locker
 	ov      *overlay // reference-count changes; fanouts redirected; nodes deleted
 	deleted int
 	visits  int
 }
 
 // newReplaceSim opens a rehearsal on a blank overlay.
-func newReplaceSim(a *aig.AIG, lock Locker, ov *overlay) replaceSim {
+func newReplaceSim(a *aig.AIG, lock engine.Locker, ov *overlay) replaceSim {
 	ov.begin()
 	return replaceSim{a: a, lock: lock, ov: ov}
 }

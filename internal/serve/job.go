@@ -64,7 +64,8 @@ func NetStatsOf(a *aig.AIG) NetStats {
 // fleet is attached and run on local goroutines otherwise.
 type JobRequest struct {
 	dacpara.Job
-	// Network is the parsed input circuit. The job owns it.
+	// Network is the parsed input circuit. The job owns it, and lets go
+	// of it when it reaches a terminal state.
 	Network *dacpara.Network
 }
 
@@ -145,6 +146,7 @@ func (j *Job) cancelRequest(cause error) (changed, immediate bool) {
 	case StateQueued:
 		j.state = StateCancelled
 		j.finished = time.Now()
+		j.release()
 		changed, immediate = true, true
 	case StateRunning:
 		changed = true
@@ -258,10 +260,21 @@ func (j *Job) noteRequeue(resumeStep int) {
 	j.mu.Unlock()
 }
 
+// release drops what only a job that may still run needs: the parsed
+// network and the restored shard blobs. The record of a terminal job
+// stays for the life of the process; its status is rendered from the
+// statistics and digest taken at submission, its result from the cached
+// bytes. Call under j.mu, in the transition to a terminal state.
+func (j *Job) release() {
+	j.req.Network = nil
+	j.shardOut = nil
+}
+
 func (j *Job) finish(state State, res *CachedResult, verify *dacpara.Verdict, cacheHit bool, errMsg string) {
 	j.mu.Lock()
 	j.state = state
 	j.finished = time.Now()
+	j.release()
 	j.result = res
 	j.verify = verify
 	j.cacheHit = cacheHit

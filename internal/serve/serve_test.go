@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -376,4 +380,67 @@ func TestDrainCancelsAfterGrace(t *testing.T) {
 	if d := time.Since(t0); d > 30*time.Second {
 		t.Fatalf("drain took %v", d)
 	}
+}
+
+// TestTerminalJobReleasesItsNetwork: the record of a finished job stays
+// for the life of the process, the graph it ran on does not — whichever
+// way the job ended — and neither its status nor its result needs it.
+func TestTerminalJobReleasesItsNetwork(t *testing.T) {
+	s := New(Options{MaxConcurrent: 1, QueueLimit: 4, WorkersPerJob: 2,
+		MemSoftLimit: 1 << 40, MemHardLimit: 1 << 40, WatchdogInterval: time.Hour})
+	defer s.Drain(0)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	released := func(j *Job, want State, submitted JobStatus) JobStatus {
+		t.Helper()
+		waitDone(t, j, 60*time.Second)
+		j.mu.Lock()
+		net, shards := j.req.Network, j.shardOut
+		j.mu.Unlock()
+		st := j.Status()
+		if st.State != want || net != nil || shards != nil {
+			t.Fatalf("job %s is %s (want %s) holding network %v, shard blobs %v", j.ID, st.State, want, net != nil, shards != nil)
+		}
+		if st.Input != submitted.Input || st.Input.Ands == 0 || st.Digest != submitted.Digest || st.Digest == "" {
+			t.Fatalf("status lost its input: %+v, at submission %+v", st, submitted)
+		}
+		return st
+	}
+
+	done, err := s.Submit(fastRequest(t, "voter"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := released(done, StateDone, done.Status()); st.Output == nil || st.Output.Ands >= st.Input.Ands {
+		t.Fatalf("no area reduction: %+v -> %+v", st.Input, st.Output)
+	}
+	resp, err := http.Get(srv.URL + "/jobs/" + done.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, done.Result().AIGER) {
+		t.Fatalf("result: status %d, %d bytes, err %v; want the %d cached bytes", resp.StatusCode, len(body), err, len(done.Result().AIGER))
+	}
+
+	// A watchdog kill fails the running job; the one queued behind it is
+	// cancelled before it ever runs.
+	failed, err := s.Submit(slowRequest(t, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failedAt := failed.Status()
+	<-failed.Started()
+	queued, err := s.Submit(fastRequest(t, "sin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queuedAt := queued.Status()
+	if _, err := s.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	released(queued, StateCancelled, queuedAt)
+	s.observeMemory(1<<40 + 1)
+	released(failed, StateFailed, failedAt)
 }

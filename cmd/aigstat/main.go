@@ -15,7 +15,6 @@ import (
 
 	"dacpara/internal/aig"
 	"dacpara/internal/engine"
-	"dacpara/internal/partition"
 	"dacpara/internal/serve"
 )
 
@@ -25,19 +24,17 @@ import (
 type fileStat struct {
 	File string `json:"file"`
 	serve.NetStats
-	Digest    string               `json:"digest,omitempty"`
-	Levels    []int                `json:"levels,omitempty"`
-	Frontiers []partition.Frontier `json:"frontiers,omitempty"`
+	Digest string `json:"digest,omitempty"`
+	Levels []int  `json:"levels,omitempty"`
 }
 
 func main() {
 	hist := flag.Bool("levels", false, "print the level histogram (DACPara worklist sizes)")
-	frontN := flag.Int("frontiers", 0, "print the top-N candidate partition frontiers (fewest crossing edges first) that `dacpara -partition` would cut along")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON (job-status field names)")
 	digest := flag.Bool("digest", false, "with -json: include the structural digest dacparad keys its result cache by")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: aigstat [-levels] [-frontiers N] [-json [-digest]] file.aig ...")
+		fmt.Fprintln(os.Stderr, "usage: aigstat [-levels] [-json [-digest]] file.aig ...")
 		os.Exit(2)
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -57,9 +54,6 @@ func main() {
 					st.Levels = append(st.Levels, len(wl))
 				}
 			}
-			if *frontN > 0 {
-				st.Frontiers = topFrontiers(a, *frontN)
-			}
 			if err := enc.Encode(st); err != nil {
 				fmt.Fprintln(os.Stderr, "aigstat:", err)
 				os.Exit(1)
@@ -73,25 +67,5 @@ func main() {
 				fmt.Printf("  level %4d: %d nodes\n", lv+1, len(wl))
 			}
 		}
-		if *frontN > 0 {
-			fs := topFrontiers(a, *frontN)
-			if len(fs) == 0 {
-				fmt.Println("  no candidate frontiers (circuit too shallow to cut)")
-			}
-			for _, f := range fs {
-				fmt.Printf("  frontier after level %4d: crossing=%d shards %d/%d\n",
-					f.Level, f.Crossing, f.Below, f.Above)
-			}
-		}
 	}
-}
-
-// topFrontiers returns the N cheapest candidate cuts of the level sweep
-// that drives partition.Select.
-func topFrontiers(a *aig.AIG, n int) []partition.Frontier {
-	fs := partition.SweepFrontiers(a)
-	if len(fs) > n {
-		fs = fs[:n]
-	}
-	return fs
 }

@@ -35,7 +35,6 @@ func main() {
 		p2        = flag.Bool("p2", false, "use the paper's P2 configuration (unlimited, 1 pass)")
 		zero      = flag.Bool("z", false, "also apply zero-gain rewrites")
 		level     = flag.Bool("l", false, "preserve levels: reject depth-increasing rewrites")
-		partN     = flag.Int("partition", 0, "split the circuit into N shards along low-coupling frontiers, rewrite each shard independently on local goroutines, CEC-verify per shard and whole, and stitch (0 = whole-circuit run)")
 		guard     = flag.Bool("guard", false, "guarded execution: verify each engine run on a scratch copy and degrade dacpara -> iccad18 -> abc on failure")
 		deadln    = flag.Duration("guard-deadline", 0, "with -guard: per-attempt wall-clock deadline (0 = none)")
 		verify    = flag.Bool("verify", false, "equivalence-check the result against the input")
@@ -84,7 +83,6 @@ func main() {
 	// check with a simulation screen after the run.
 	job := dacpara.Job{
 		Engine:          dacpara.Engine(*engine),
-		Partition:       *partN,
 		Guard:           *guard,
 		GuardDeadlineNs: int64(*deadln),
 		Verify:          *verify && !*simOnly,
@@ -169,10 +167,6 @@ func main() {
 			res.Replacements, res.Attempts, res.Stale, res.Commits, res.Aborts)
 		if res.Metrics != nil {
 			snapshots = append(snapshots, res.Metrics)
-			if p := res.Metrics.Partition; p != nil {
-				fmt.Printf("partition: shards=%d crossing=%d balance=%.2f rejected=%d\n",
-					p.Shards, p.CrossingEdges, p.Balance, p.Rejected)
-			}
 		}
 	}
 

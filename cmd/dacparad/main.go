@@ -15,14 +15,6 @@
 // its job resumes from the last uploaded checkpoint on another worker;
 // with zero live workers the coordinator runs jobs locally.
 //
-// A submission with partition=N (N >= 2) runs partitioned: the circuit
-// is split into N shards along low-coupling frontiers, each shard is
-// rewritten independently — fanned out across the worker fleet when one
-// is attached, on local goroutines otherwise — CEC-verified, and
-// stitched back. A lost worker costs only its shard's attempt, and on a
-// durable coordinator finished shards survive a crash and are not
-// re-run.
-//
 // Usage:
 //
 //	dacparad -addr :8080 -max-jobs 8 -queue 64
@@ -31,7 +23,6 @@
 //	dacparad -role worker -join http://coord:8080 -worker-id w1
 //
 //	curl -X POST --data-binary @circuit.aig 'localhost:8080/jobs?engine=dacpara&workers=4'
-//	curl -X POST --data-binary @circuit.aig 'localhost:8080/jobs?engine=dacpara&partition=4&verify=1'
 //	curl localhost:8080/jobs/j00000001
 //	curl localhost:8080/jobs/j00000001/metrics
 //	curl -o optimized.aig localhost:8080/jobs/j00000001/result

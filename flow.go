@@ -226,7 +226,7 @@ func runFlow(ctx context.Context, out *Outcome, job Job, steps []FlowStep, cfg C
 			}
 		}
 	}
-	out.Result = summarizeFlow(out.Steps, cfg, out.Net)
+	out.Result = summarizeFlow(out.Steps, out.Net)
 	return nil
 }
 
@@ -296,10 +296,11 @@ func runFlowStep(ctx context.Context, out *Outcome, job Job, st FlowStep, cfg Co
 
 // summarizeFlow folds a flow's per-step results into one job-level
 // summary: the QoR spans first input to final output, the work counters
-// accumulate across steps, and the metrics snapshot is the last
-// instrumented step's.
-func summarizeFlow(steps []Result, cfg Config, final *Network) Result {
-	out := Result{Engine: "flow", Threads: cfg.Workers, Passes: len(steps)}
+// accumulate across steps, Threads is the most any step ran with (each
+// step resolves a defaulted worker count itself), and the metrics
+// snapshot is the last instrumented step's.
+func summarizeFlow(steps []Result, final *Network) Result {
+	out := Result{Engine: "flow", Passes: len(steps)}
 	if len(steps) > 0 {
 		out.InitialAnds = steps[0].InitialAnds
 		out.InitialDelay = steps[0].InitialDelay
@@ -308,6 +309,7 @@ func summarizeFlow(steps []Result, cfg Config, final *Network) Result {
 	out.FinalAnds = st.Ands
 	out.FinalDelay = st.Delay
 	for _, r := range steps {
+		out.Threads = max(out.Threads, r.Threads)
 		out.Replacements += r.Replacements
 		out.Attempts += r.Attempts
 		out.Stale += r.Stale

@@ -47,12 +47,6 @@ const (
 	// OpLeaseExpired records a failed lease (missed heartbeats or a
 	// worker-reported error) and the re-enqueue that followed.
 	OpLeaseExpired Op = "lease_expired"
-	// OpShardDone records one shard of a partitioned job finishing: Step
-	// is the shard index, Digest the optimized shard's structural digest
-	// (matching the shard blob in the checkpoint store), Worker who ran
-	// it. Non-terminal — recovery re-runs only the shards without such a
-	// record and resumes at the stitch step.
-	OpShardDone Op = "shard_done"
 )
 
 // Terminal reports whether the op ends a job's lifecycle; a job whose

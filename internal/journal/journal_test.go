@@ -57,7 +57,7 @@ func TestJobSurvivesTheLog(t *testing.T) {
 	want := dacpara.Job{
 		Engine: dacpara.EngineLockPar, Workers: 3, K: 5, Passes: 2, MaxCuts: 8, MaxStructs: 5, Classes: 222,
 		ZeroGain: true, PreserveDelay: true, Seed: -7, Verify: true, VerifyBudget: 1000,
-		DeadlineNs: 30e9, Partition: 4, InputDigest: "sha256:aaaa",
+		DeadlineNs: 30e9, InputDigest: "sha256:aaaa",
 	}
 	guarded := dacpara.Job{Flow: "b; rw", Guard: true, GuardDeadlineNs: 5e9, InputDigest: "sha256:bbbb"}
 	path := filepath.Join(t.TempDir(), "journal.wal")
@@ -92,7 +92,7 @@ func TestJobSurvivesTheLog(t *testing.T) {
 	}
 	const wire = `"req":{"engine":"iccad18","workers":3,"k":5,"passes":2,"max_cuts":8,"max_structs":5,"classes":222,` +
 		`"zero_gain":true,"preserve_delay":true,"seed":-7,"verify":true,"verify_budget":1000,` +
-		`"deadline_ns":30000000000,"partition":4,"input_digest":"sha256:aaaa"}`
+		`"deadline_ns":30000000000,"input_digest":"sha256:aaaa"}`
 	if !bytes.Contains(data, []byte(wire)) {
 		t.Fatalf("submitted record does not carry the journal's request JSON %s:\n%q", wire, data)
 	}

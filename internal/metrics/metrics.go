@@ -119,14 +119,17 @@ const levelBuckets = 24
 // when tracing is enabled without an explicit budget.
 const DefaultConflictSamples = 64
 
-// QoR carries the quality-of-result deltas of one run into the snapshot.
+// QoR is the quality-of-result record of one run: FinishRun's argument
+// and the snapshot's qor object.
 type QoR struct {
-	InitialAnds, FinalAnds   int
-	InitialDelay, FinalDelay int
-	Replacements             int
-	Attempts                 int
-	Stale                    int
-	Incomplete               bool
+	InitialAnds  int  `json:"initial_ands"`
+	FinalAnds    int  `json:"final_ands"`
+	InitialDelay int  `json:"initial_delay"`
+	FinalDelay   int  `json:"final_delay"`
+	Replacements int  `json:"replacements"`
+	Attempts     int  `json:"attempts"`
+	Stale        int  `json:"stale"`
+	Incomplete   bool `json:"incomplete"`
 }
 
 // Collector accumulates one engine run's instrumentation. Method calls

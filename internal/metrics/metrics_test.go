@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -93,6 +94,22 @@ func TestPhaseAccounting(t *testing.T) {
 	q := s.QoR
 	if q.InitialAnds != 100 || q.FinalAnds != 90 || q.Replacements != 7 || q.Attempts != 9 || q.Stale != 1 {
 		t.Fatalf("qor %+v", q)
+	}
+	// The qor object's names and order are part of dacpara-metrics/v1.
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		QoR json.RawMessage `json:"qor"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	const wire = `{"initial_ands":100,"final_ands":90,"initial_delay":12,"final_delay":11,` +
+		`"replacements":7,"attempts":9,"stale":1,"incomplete":false}`
+	if string(doc.QoR) != wire {
+		t.Fatalf("qor object %s, want %s", doc.QoR, wire)
 	}
 }
 

@@ -43,48 +43,7 @@ type Snapshot struct {
 	ConflictSamples []ConflictSample `json:"conflict_samples,omitempty"`
 
 	Memory MemSnapshot `json:"memory"`
-	QoR    QoRSnapshot `json:"qor"`
-
-	// Partition describes a partitioned run — one huge circuit split
-	// along low-coupling frontiers, shards rewritten independently and
-	// stitched back (see internal/partition). Nil for ordinary runs.
-	Partition *PartitionSnapshot `json:"partition,omitempty"`
-}
-
-// PartitionSnapshot is the partition section of a snapshot: the shape
-// of the split, the pipeline timings and the per-shard QoR.
-type PartitionSnapshot struct {
-	// Shards is the effective shard count; RequestedShards what the
-	// caller asked for (shallow circuits can support fewer).
-	Shards          int `json:"shards"`
-	RequestedShards int `json:"requested_shards,omitempty"`
-	// CrossingEdges counts AND→AND edges spanning shard boundaries;
-	// Balance is max shard size over the ideal size (1.0 = perfect).
-	CrossingEdges int     `json:"crossing_edges"`
-	Balance       float64 `json:"balance"`
-
-	SelectNs   int64 `json:"select_ns"`
-	ExtractNs  int64 `json:"extract_ns"`
-	OptimizeNs int64 `json:"optimize_ns"`
-	StitchNs   int64 `json:"stitch_ns"`
-	VerifyNs   int64 `json:"verify_ns"`
-
-	// Rejected counts shards whose optimized graph failed its CEC check
-	// and had its original cone kept.
-	Rejected int        `json:"rejected,omitempty"`
-	PerShard []ShardQoR `json:"per_shard,omitempty"`
-}
-
-// ShardQoR is one shard's row of the partition section.
-type ShardQoR struct {
-	Shard       int    `json:"shard"`
-	Inputs      int    `json:"inputs"`
-	Outputs     int    `json:"outputs"`
-	InitialAnds int    `json:"initial_ands"`
-	FinalAnds   int    `json:"final_ands"`
-	WallNs      int64  `json:"wall_ns"`
-	Worker      string `json:"worker,omitempty"`
-	Rejected    bool   `json:"rejected,omitempty"`
+	QoR    QoR         `json:"qor"`
 }
 
 // PhaseSnapshot aggregates one phase across all passes and levels.
@@ -125,18 +84,6 @@ type MemSnapshot struct {
 	HeapInuseEnd int64 `json:"heap_inuse_end"`
 }
 
-// QoRSnapshot is the quality-of-result record of the run.
-type QoRSnapshot struct {
-	InitialAnds  int  `json:"initial_ands"`
-	FinalAnds    int  `json:"final_ands"`
-	InitialDelay int  `json:"initial_delay"`
-	FinalDelay   int  `json:"final_delay"`
-	Replacements int  `json:"replacements"`
-	Attempts     int  `json:"attempts"`
-	Stale        int  `json:"stale"`
-	Incomplete   bool `json:"incomplete"`
-}
-
 // Snapshot renders the collector's current state. Call after FinishRun;
 // a nil collector yields nil.
 func (c *Collector) Snapshot() *Snapshot {
@@ -157,16 +104,7 @@ func (c *Collector) Snapshot() *Snapshot {
 			PauseTotalNs: int64(c.endMem.PauseTotalNs - c.startMem.PauseTotalNs),
 			HeapInuseEnd: int64(c.endMem.HeapInuse),
 		},
-		QoR: QoRSnapshot{
-			InitialAnds:  c.qor.InitialAnds,
-			FinalAnds:    c.qor.FinalAnds,
-			InitialDelay: c.qor.InitialDelay,
-			FinalDelay:   c.qor.FinalDelay,
-			Replacements: c.qor.Replacements,
-			Attempts:     c.qor.Attempts,
-			Stale:        c.qor.Stale,
-			Incomplete:   c.qor.Incomplete,
-		},
+		QoR: c.qor,
 	}
 	for p := Phase(0); p < numPhases; p++ {
 		agg := &c.phases[p]
@@ -236,27 +174,6 @@ func (s *Snapshot) Format(w io.Writer) {
 	q := s.QoR
 	fmt.Fprintf(w, "  qor: ands %d -> %d, delay %d -> %d, replacements=%d attempts=%d stale=%d\n",
 		q.InitialAnds, q.FinalAnds, q.InitialDelay, q.FinalDelay, q.Replacements, q.Attempts, q.Stale)
-	if p := s.Partition; p != nil {
-		fmt.Fprintf(w, "  partition: shards=%d crossing=%d balance=%.2f select=%s extract=%s stitch=%s verify=%s rejected=%d\n",
-			p.Shards, p.CrossingEdges, p.Balance,
-			time.Duration(p.SelectNs).Round(time.Microsecond),
-			time.Duration(p.ExtractNs).Round(time.Microsecond),
-			time.Duration(p.StitchNs).Round(time.Microsecond),
-			time.Duration(p.VerifyNs).Round(time.Microsecond),
-			p.Rejected)
-		for _, sh := range p.PerShard {
-			fmt.Fprintf(w, "    shard %d: ands %d -> %d, io %d/%d, wall=%s",
-				sh.Shard, sh.InitialAnds, sh.FinalAnds, sh.Inputs, sh.Outputs,
-				time.Duration(sh.WallNs).Round(time.Microsecond))
-			if sh.Worker != "" {
-				fmt.Fprintf(w, " worker=%s", sh.Worker)
-			}
-			if sh.Rejected {
-				fmt.Fprintf(w, " REJECTED")
-			}
-			fmt.Fprintln(w)
-		}
-	}
 	if len(s.ConflictSamples) > 0 {
 		fmt.Fprintf(w, "  conflict samples (%d):", len(s.ConflictSamples))
 		for i, cs := range s.ConflictSamples {

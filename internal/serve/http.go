@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"dacpara"
@@ -39,12 +41,12 @@ const DefaultMaxUploadBytes = 256 << 20
 //
 // Submission query parameters: engine (abc|iccad18|dacpara|dac22|tcad23)
 // or flow (a whole synthesis script, e.g. "b; rw; rf -p; rs -p; b" —
-// mutually exclusive with engine), workers, passes, zero_gain,
+// mutually exclusive with engine), workers, k, passes, zero_gain,
 // preserve_delay, max_cuts, max_structs, classes, preset (p1|p2), seed,
 // format (aiger|bench), verify, verify_budget, deadline (a Go duration
-// such as 30s or 2m bounding the job's running time), partition (shard
-// count ≥ 2 for a partitioned run). Each maps onto one field of the
-// job spec; see JobRequest and dacpara.Job.
+// such as 30s or 2m bounding the job's running time). Each maps onto
+// one field of the job spec; see JobRequest and dacpara.Job. Any other
+// parameter is a 400 (see submitParams).
 func (s *Service) Handler() http.Handler {
 	return s.handler(DefaultMaxUploadBytes)
 }
@@ -239,6 +241,16 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, maxUpload
 	writeJSON(w, http.StatusAccepted, job.Status())
 }
 
+// submitParams is every query parameter a submission may carry. A key
+// outside it is rejected, never ignored: a typo (pases=2) or a parameter
+// of an older daemon (partition=4) must not run a different job than
+// the one the client asked for.
+var submitParams = []string{
+	"engine", "flow", "preset", "workers", "k", "passes", "max_cuts",
+	"max_structs", "classes", "zero_gain", "preserve_delay", "seed",
+	"format", "verify", "verify_budget", "deadline",
+}
+
 // parseSubmission validates the query parameters and streams the body
 // through the circuit parser. The query is parsed strictly: Query()
 // silently drops parameters containing raw semicolons, which would turn
@@ -250,6 +262,16 @@ func parseSubmission(r *http.Request, maxUpload int64) (JobRequest, error) {
 	q, err := url.ParseQuery(r.URL.RawQuery)
 	if err != nil {
 		return req, fmt.Errorf("parsing query (URL-encode semicolons in flow scripts as %%3B): %w", err)
+	}
+	var unknown []string
+	for key := range q {
+		if !slices.Contains(submitParams, key) {
+			unknown = append(unknown, key)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return req, fmt.Errorf("unknown parameter %q (accepted: %s)", unknown, strings.Join(submitParams, ", "))
 	}
 	req.Engine = dacpara.Engine(q.Get("engine"))
 	req.Flow = q.Get("flow")
@@ -263,8 +285,8 @@ func parseSubmission(r *http.Request, maxUpload int64) (JobRequest, error) {
 	default:
 		return req, fmt.Errorf("unknown preset %q (want p1 or p2)", q.Get("preset"))
 	}
-	// Ranges and exclusions (k, partition, engine vs flow) are the
-	// spec's own to check: Submit runs Job.Validate.
+	// Ranges and exclusions (k, engine vs flow) are the spec's own to
+	// check: Submit runs Job.Validate.
 	for _, p := range []struct {
 		name string
 		dst  *int
@@ -275,7 +297,6 @@ func parseSubmission(r *http.Request, maxUpload int64) (JobRequest, error) {
 		{"max_cuts", &req.MaxCuts},
 		{"max_structs", &req.MaxStructs},
 		{"classes", &req.Classes},
-		{"partition", &req.Partition},
 	} {
 		if v := q.Get(p.name); v != "" {
 			n, err := strconv.Atoi(v)

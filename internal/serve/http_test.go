@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -288,8 +289,8 @@ func TestHTTPBadRequests(t *testing.T) {
 
 // TestQueryToJob pins the query-string face of the job spec: every
 // accepted parameter lands in its dacpara.Job field (explicit values
-// over a preset's), and everything the parser or Job.Validate rejects
-// is a 400 before a job exists.
+// over a preset's), and everything the parser or Job.Validate rejects —
+// a key it does not know included — is a 400 before a job exists.
 func TestQueryToJob(t *testing.T) {
 	parse := func(query string) (JobRequest, error) {
 		r := httptest.NewRequest(http.MethodPost, "/jobs?"+query, strings.NewReader("aag 0 0 0 0 0\n"))
@@ -298,10 +299,10 @@ func TestQueryToJob(t *testing.T) {
 	for query, want := range map[string]dacpara.Job{
 		"": {},
 		"engine=abc&workers=3&k=5&passes=2&max_cuts=8&max_structs=5&classes=222&zero_gain=1&preserve_delay=true" +
-			"&seed=-7&verify=1&verify_budget=1000&deadline=30s&partition=4&format=aiger": {
+			"&seed=-7&verify=1&verify_budget=1000&deadline=30s&format=aiger": {
 			Engine: dacpara.EngineSerial, Workers: 3, K: 5, Passes: 2, MaxCuts: 8, MaxStructs: 5, Classes: 222,
 			ZeroGain: true, PreserveDelay: true, Seed: -7, Verify: true, VerifyBudget: 1000,
-			DeadlineNs: int64(30 * time.Second), Partition: 4,
+			DeadlineNs: int64(30 * time.Second),
 		},
 		"flow=b%3B+rw+-z%3B+b&workers=1": {Flow: "b; rw -z; b", Workers: 1},
 		"preset=p1":                      dacpara.Job{}.WithKnobs(dacpara.P1()),
@@ -317,11 +318,19 @@ func TestQueryToJob(t *testing.T) {
 		}
 	}
 
+	for _, key := range []string{"pases", "partition"} {
+		_, err := parse("engine=abc&" + key + "=2")
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(key)) ||
+			!strings.Contains(err.Error(), strings.Join(submitParams, ", ")) {
+			t.Errorf("unknown parameter %s: error %v does not name it and list the accepted ones", key, err)
+		}
+	}
+
 	_, srv := startDaemon(t, Options{MaxConcurrent: 1, QueueLimit: 2})
 	for _, query := range []string{
 		"engine=frobnicate", "engine=dacpara-flat", "engine=abc&flow=b", "flow=b%3B+frobnicate", "flow=b;rw",
 		"workers=minusone", "workers=-1", "k=3", "k=9", "passes=x", "max_cuts=x", "max_structs=x", "classes=x",
-		"partition=1", "partition=65", "zero_gain=maybe", "preserve_delay=maybe", "verify=maybe",
+		"pases=2", "partition=2", "engine=abc&Workers=2", "zero_gain=maybe", "preserve_delay=maybe", "verify=maybe",
 		"seed=x", "verify_budget=-1", "deadline=soon", "deadline=-5s", "preset=p9", "format=vhdl",
 	} {
 		if _, resp := submit(t, srv.URL, query, []byte("aag 0 0 0 0 0\n")); resp.StatusCode != http.StatusBadRequest {

@@ -60,8 +60,7 @@ func NetStatsOf(a *aig.AIG) NetStats {
 // up, not from submission, so a deep queue does not eat the budget; an
 // expired one terminates the job in StateDeadlineExceeded via the
 // engines' cooperative cancellation points, leaving the working network
-// valid. A partitioned job's shards fan out to cluster workers when a
-// fleet is attached and run on local goroutines otherwise.
+// valid.
 type JobRequest struct {
 	dacpara.Job
 	// Network is the parsed input circuit. The job owns it, and lets go
@@ -82,13 +81,6 @@ type Job struct {
 	// from resumeStep on.
 	resumeStep int
 	resumed    bool
-
-	// shardOut holds digest-verified optimized-shard blobs restored by
-	// crash recovery for a partitioned job: shard index → binary AIGER.
-	// Shards present here are not re-run; the job resumes at the stitch
-	// step once the missing ones finish. Written only before the
-	// scheduler starts, read only by the job's own run.
-	shardOut map[int][]byte
 
 	ctx     context.Context
 	cancel  context.CancelCauseFunc
@@ -261,13 +253,12 @@ func (j *Job) noteRequeue(resumeStep int) {
 }
 
 // release drops what only a job that may still run needs: the parsed
-// network and the restored shard blobs. The record of a terminal job
-// stays for the life of the process; its status is rendered from the
-// statistics and digest taken at submission, its result from the cached
-// bytes. Call under j.mu, in the transition to a terminal state.
+// network. The record of a terminal job stays for the life of the
+// process; its status is rendered from the statistics and digest taken
+// at submission, its result from the cached bytes. Call under j.mu, in
+// the transition to a terminal state.
 func (j *Job) release() {
 	j.req.Network = nil
-	j.shardOut = nil
 }
 
 func (j *Job) finish(state State, res *CachedResult, verify *dacpara.Verdict, cacheHit bool, errMsg string) {
@@ -293,10 +284,6 @@ type JobStatus struct {
 	Workers int            `json:"workers"`
 	Passes  int            `json:"passes"`
 	Seed    int64          `json:"seed"`
-
-	// Partition is the requested shard count of a partitioned job (0:
-	// whole-circuit job).
-	Partition int `json:"partition,omitempty"`
 
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
@@ -353,7 +340,6 @@ func (j *Job) Status() JobStatus {
 		Workers:     j.req.Workers,
 		Passes:      j.req.Passes,
 		Seed:        j.req.Seed,
-		Partition:   j.req.Partition,
 		SubmittedAt: j.submitted,
 		DeadlineNs:  j.req.DeadlineNs,
 		Resumed:     j.resumed,

@@ -140,15 +140,6 @@ func (s *Service) persistTerminal(job *Job, state State, errMsg string) {
 	delete(d.lastCk, job.ID)
 	d.ckMu.Unlock()
 	d.store.Remove(job.ID)
-	removeShardBlobs(d.store, job.ID, job.req.Partition)
-}
-
-// removeShardBlobs frees the per-shard checkpoint blobs of a terminal
-// partitioned job (no-op for whole-circuit jobs).
-func removeShardBlobs(store *journal.Store, jobID string, shards int) {
-	for i := 0; i < shards; i++ {
-		store.Remove(shardJobID(jobID, i))
-	}
 }
 
 // checkpointFn returns the flow step-boundary hook for a job: snapshot
@@ -249,9 +240,6 @@ type replayState struct {
 	errMsg      string
 	submittedNs int64
 	finishedNs  int64
-	// shards maps finished shard index → journaled digest for a
-	// partitioned job (OpShardDone records).
-	shards map[int]string
 }
 
 // openDurability opens the journal and blob store under Options.DataDir,
@@ -295,11 +283,6 @@ func (s *Service) openDurability(rec *Recovery) ([]*Job, error) {
 				rp.ckStep = r.Step
 				rp.ckDigest = r.Digest
 			}
-		case journal.OpShardDone:
-			if rp.shards == nil {
-				rp.shards = make(map[int]string)
-			}
-			rp.shards[r.Step] = r.Digest
 		case journal.OpDone, journal.OpFailed, journal.OpCancelled, journal.OpDeadlineExceeded:
 			rp.terminal = r.Op
 			rp.errMsg = r.Err
@@ -315,7 +298,6 @@ func (s *Service) openDurability(rec *Recovery) ([]*Job, error) {
 			s.restoreTerminal(rp)
 			rec.Restored = append(rec.Restored, id)
 			store.Remove(id) // blob cleanup may have been interrupted
-			removeShardBlobs(store, id, rp.req.Partition)
 			continue
 		}
 		job, resumed, err := s.rebuildLive(rp)
@@ -392,7 +374,7 @@ func (s *Service) rebuildLive(rp *replayState) (job *Job, resumed bool, err erro
 
 	req := JobRequest{Job: *rp.req, Network: input}
 	resumeStep := 0
-	if req.Flow != "" && req.Partition < 2 && rp.ckStep > 0 {
+	if req.Flow != "" && rp.ckStep > 0 {
 		if net, ok := s.loadTrustedCheckpoint(rp); ok {
 			req.Network = net
 			resumeStep = rp.ckStep
@@ -401,15 +383,6 @@ func (s *Service) rebuildLive(rp *replayState) (job *Job, resumed bool, err erro
 	}
 
 	job = newJob(req)
-	if req.Partition >= 2 && len(rp.shards) > 0 {
-		// Reload the optimized-shard blobs that made it to disk before
-		// the crash; the re-run re-partitions (deterministically), skips
-		// the shards restored here and resumes at the stitch step once
-		// the missing ones finish. Every blob is digest-verified; any
-		// doubt just re-runs that shard.
-		job.shardOut = s.loadTrustedShards(rp)
-		resumed = len(job.shardOut) > 0
-	}
 	job.ID = rp.id
 	// The journaled InputDigest — cache key and status digest — and the
 	// input stats describe the original submission, not the checkpoint
@@ -442,28 +415,6 @@ func (s *Service) loadTrustedCheckpoint(rp *replayState) (*dacpara.Network, bool
 		return nil, false
 	}
 	return net, true
-}
-
-// loadTrustedShards returns the digest-verified optimized-shard blobs
-// of an interrupted partitioned job: for each journaled OpShardDone the
-// shard's checkpoint blob must pass its CRC, carry the journaled shard
-// index and digest, and re-digest to the same value when parsed. A
-// shard blob is an optimization, never an obligation — any doubt and
-// that shard simply re-runs.
-func (s *Service) loadTrustedShards(rp *replayState) map[int][]byte {
-	out := make(map[int][]byte, len(rp.shards))
-	for i, digest := range rp.shards {
-		ck, err := s.dur.store.LoadCheckpoint(shardJobID(rp.id, i))
-		if err != nil || ck.Step != i || ck.Digest != digest {
-			continue
-		}
-		net, err := aig.Read(bytes.NewReader(ck.AIGER))
-		if err != nil || StructuralDigest(net) != digest {
-			continue
-		}
-		out[i] = ck.AIGER
-	}
-	return out
 }
 
 // crashForTest simulates kill -9 for the recovery tests: the journal is

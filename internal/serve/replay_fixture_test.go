@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +12,7 @@ import (
 	"time"
 
 	"dacpara"
+	"dacpara/internal/journal"
 )
 
 // TestReplayParentJournal opens a data directory written by the commit
@@ -18,7 +23,9 @@ import (
 // without Drain while the third was mid-flow), and requires today's service to
 // replay it to the same job states: three terminal records restored with
 // every journaled field of their spec, the interrupted flow resumed from
-// its step checkpoint, the never-started partitioned job re-run.
+// its step checkpoint, the never-started job re-run — whole, although
+// its journaled spec asks for two shards ("partition":2, a key of that
+// commit's job spec that today's decoder skips).
 func TestReplayParentJournal(t *testing.T) {
 	// Open appends to the journal and rewrites blobs: replay a copy.
 	dir, fixture := t.TempDir(), filepath.Join("testdata", "parent_wal")
@@ -105,10 +112,77 @@ func TestReplayParentJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, part, 60*time.Second)
-	if st := part.Status(); st.State != StateDone || st.Partition != 2 || st.Verify == nil || !st.Verify.Equivalent {
-		t.Fatalf("requeued partitioned job: %+v", st)
+	st := part.Status()
+	if st.State != StateDone || st.Verify == nil || !st.Verify.Equivalent {
+		t.Fatalf("requeued formerly partitioned job: %+v", st)
+	}
+	if body, err := json.Marshal(st); err != nil || bytes.Contains(body, []byte("partition")) {
+		t.Fatalf("status of the formerly partitioned job (marshal error %v): %s", err, body)
 	}
 	if m := s.Metrics(); m.Jobs.Done != 3 || m.Jobs.DeadlineExceeded != 1 || m.Jobs.Cancelled != 1 || m.Jobs.Failed != 0 {
 		t.Fatalf("process counters after replay: %+v", m.Jobs)
+	}
+}
+
+// TestReplayShardRecords replays a journal as a daemon that still
+// partitioned would have left it mid-job: a submitted record whose spec
+// carries "partition":2 and two shard_done records, no terminal one. The
+// submitted payload is the parent's literal JSON (today's job spec has
+// no field to marshal the key from), framed as journal.Encode frames the
+// rest. Every record counts as replayed and the job re-runs whole; the
+// shard checkpoints such a daemon also left (<job>.sN.ckpt) belong to no
+// job and are never opened.
+func TestReplayShardRecords(t *testing.T) {
+	const id = "j00000001"
+	net := mustGenerate(t, "voter")
+	input, _, err := dacpara.Encode(net, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := []byte(`{"op":"submitted","job":"` + id + `","t":1,"req":{"engine":"dacpara","workers":2,` +
+		`"verify":true,"partition":2,"input_digest":"` + StructuralDigest(net) + `"}}`)
+	wal := []byte("DACJNL1\n")
+	wal = binary.LittleEndian.AppendUint32(wal, uint32(len(submitted)))
+	wal = binary.LittleEndian.AppendUint32(wal, crc32.Checksum(submitted, crc32.MakeTable(crc32.Castagnoli)))
+	wal = append(wal, submitted...)
+	rest, err := journal.Encode([]journal.Record{
+		{Op: journal.OpStarted, Job: id, TimeNs: 2},
+		{Op: "shard_done", Job: id, TimeNs: 3, Step: 0, Digest: "sha256:0000", Worker: "local"},
+		{Op: "shard_done", Job: id, TimeNs: 4, Step: 1, Digest: "sha256:1111", Worker: "w1"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := journal.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveInput(id, input); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveCheckpoint(journal.Checkpoint{Job: id + ".s0", Digest: "sha256:0000", AIGER: input}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalName), append(wal, rest...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, rec, err := Open(durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(time.Second)
+	if rec.Replayed != 4 || rec.TruncatedBytes != 0 || !reflect.DeepEqual(rec.Requeued, []string{id}) ||
+		len(rec.Resumed)+len(rec.Distrusted)+len(rec.Lost)+len(rec.Restored) != 0 {
+		t.Fatalf("recovery report %+v, want 4 records replayed and %s requeued from its input", rec, id)
+	}
+	job, err := s.Job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job, 60*time.Second)
+	if st := job.Status(); st.State != StateDone || st.Verify == nil || !st.Verify.Equivalent {
+		t.Fatalf("formerly partitioned job: %+v", st)
 	}
 }

@@ -395,11 +395,11 @@ func TestTerminalJobReleasesItsNetwork(t *testing.T) {
 		t.Helper()
 		waitDone(t, j, 60*time.Second)
 		j.mu.Lock()
-		net, shards := j.req.Network, j.shardOut
+		net := j.req.Network
 		j.mu.Unlock()
 		st := j.Status()
-		if st.State != want || net != nil || shards != nil {
-			t.Fatalf("job %s is %s (want %s) holding network %v, shard blobs %v", j.ID, st.State, want, net != nil, shards != nil)
+		if st.State != want || net != nil {
+			t.Fatalf("job %s is %s (want %s), still holding its network", j.ID, st.State, want)
 		}
 		if st.Input != submitted.Input || st.Input.Ands == 0 || st.Digest != submitted.Digest || st.Digest == "" {
 			t.Fatalf("status lost its input: %+v, at submission %+v", st, submitted)

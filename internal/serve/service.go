@@ -471,9 +471,7 @@ func (s *Service) run(job *Job) {
 		defer cancelDeadline()
 	}
 
-	// Partitioned jobs never go to a single worker whole: Run fans their
-	// shards out through the job's shard dispatcher instead.
-	if job.req.Partition == 0 && s.coord != nil && s.runRemote(rctx, job, key) {
+	if s.coord != nil && s.runRemote(rctx, job, key) {
 		return
 	}
 	s.runLocal(rctx, job, key, job.req.Network, job.currentResumeStep())
@@ -514,15 +512,11 @@ func (s *Service) serveHit(job *Job, key string, res *CachedResult) {
 // (the submitted input at step 0 for a fresh job; a recovery or
 // failover checkpoint otherwise).
 func (s *Service) runLocal(rctx context.Context, job *Job, key string, net *dacpara.Network, resumeStep int) {
-	hooks := dacpara.Hooks{
+	out, err := dacpara.Run(rctx, net, job.req.Job, dacpara.Hooks{
 		ResumeStep: resumeStep,
 		Checkpoint: s.checkpointFn(job),
 		Attach:     dacpara.Config{Metrics: dacpara.NewMetrics()},
-	}
-	if job.req.Partition != 0 {
-		hooks.Shard = s.shardRunner(job)
-	}
-	out, err := dacpara.Run(rctx, net, job.req.Job, hooks)
+	})
 	if err != nil {
 		s.finishError(job, out.Verify, err)
 		return

@@ -15,10 +15,10 @@ import (
 )
 
 // Job is the one serialisable description of an optimization run: what
-// to run (one engine pass or a flow script), under which knobs, split or
-// whole, guarded or not, verified or not. The command line builds one
-// from its flags, the daemon from a submission's query string; the
-// journal records it, a cluster lease carries it, and Run executes it.
+// to run (one engine pass or a flow script), under which knobs, guarded
+// or not, verified or not. The command line builds one from its flags,
+// the daemon from a submission's query string; the journal records it,
+// a cluster lease carries it, and Run executes it.
 // Its JSON form is the `req` object of a journal record and of a lease
 // frame.
 type Job struct {
@@ -53,18 +53,10 @@ type Job struct {
 	// Whoever owns the job's context enforces it — the service scheduler
 	// wraps local runs and remote dispatch alike in it; Run observes ctx.
 	DeadlineNs int64 `json:"deadline_ns,omitempty"`
-	// Partition, when ≥ 2, cuts the circuit into that many shards along
-	// low-coupling frontiers, runs the job on every shard independently,
-	// CEC-checks each optimized shard against the cone it replaces (a
-	// failing shard is rejected and its original logic kept) and
-	// stitches the shards back, re-strashing. 0 runs the circuit whole.
-	Partition int `json:"partition,omitempty"`
 	// Guard runs every rewriting engine inside the fault-containment
 	// boundary of the guard package: on a scratch copy, under panic
 	// recovery and the per-attempt GuardDeadlineNs (0: none), verified
 	// before commit, degrading dacpara → iccad18 → abc on failure.
-	// Mutually exclusive with Partition, which verifies every shard
-	// already.
 	Guard           bool  `json:"guard,omitempty"`
 	GuardDeadlineNs int64 `json:"guard_deadline_ns,omitempty"`
 
@@ -115,12 +107,6 @@ func (j Job) steps() ([]FlowStep, error) {
 	if j.K != 0 && (j.K < 4 || j.K > MaxCutWidth) {
 		return nil, fmt.Errorf("dacpara: cut width k=%d out of range 4..%d", j.K, MaxCutWidth)
 	}
-	if j.Partition != 0 && (j.Partition < 2 || j.Partition > MaxPartitionShards) {
-		return nil, fmt.Errorf("dacpara: partition must be 2..%d (got %d)", MaxPartitionShards, j.Partition)
-	}
-	if j.Partition != 0 && j.Guard {
-		return nil, errors.New("dacpara: partition and guard are mutually exclusive (partitioned runs verify every shard already)")
-	}
 	if min(j.Workers, j.Passes, j.MaxCuts, j.MaxStructs, j.Classes) < 0 ||
 		min(j.VerifyBudget, j.DeadlineNs, j.GuardDeadlineNs) < 0 {
 		return nil, errors.New("dacpara: negative knob, budget or deadline")
@@ -144,14 +130,6 @@ func (j Job) Key(digest string) string {
 // mutate it. A non-nil error aborts the flow.
 type FlowCheckpoint func(completed int, net *Network) error
 
-// ShardFunc runs job — the parent job narrowed to one whole-circuit,
-// unverified shard task — on shard i of a partitioned run. It may mutate
-// sub freely and returns the optimized shard, the run's result and a tag
-// naming who did the work (a cluster worker id, "local", ...). An error
-// aborts the whole run, so implementations that can fail over handle
-// that internally.
-type ShardFunc func(ctx context.Context, i int, sub *Network, job Job) (*Network, Result, string, error)
-
 // Hooks are what a caller injects into a run that cannot be serialised
 // with its Job; the zero value runs the job from the start, in-process.
 type Hooks struct {
@@ -164,11 +142,6 @@ type Hooks struct {
 	// Checkpoint, when non-nil, runs after every completed flow step —
 	// with ResumeStep, the primitive durable crash recovery is built on.
 	Checkpoint FlowCheckpoint
-	// Shard, when non-nil, replaces the in-process run of each shard of a
-	// partitioned job (a service dispatches shards to its worker fleet
-	// through it). All shards are then started at once; the dispatcher
-	// bounds its own concurrency.
-	Shard ShardFunc
 	// Attach supplies the process-local fields of the run's Config —
 	// Metrics, Fault, RetryBudget, CutCache. Its knob fields are
 	// ignored: the Job's apply.
@@ -192,15 +165,14 @@ var ErrNotEquivalent = errors.New("verification: result not equivalent to input"
 // work done up to that point: Net is the latest structurally consistent
 // state and Steps the flow steps that finished.
 type Outcome struct {
-	// Net is the optimized network. Engine and partitioned jobs rewrite
-	// the argument in place; a flow's balance steps rebuild the graph, so
-	// for a flow job Net may be a different pointer.
+	// Net is the optimized network. An engine job rewrites the argument
+	// in place; a flow's balance steps rebuild the graph, so for a flow
+	// job Net may be a different pointer.
 	Net *Network
 	// Result is the run record: the engine's own for a single pass, the
-	// script-spanning summary for a flow, the fold over accepted shards
-	// for a partitioned job.
+	// script-spanning summary for a flow.
 	Result Result
-	// Steps holds a whole-circuit flow job's per-command results.
+	// Steps holds a flow job's per-command results.
 	Steps []Result
 	// Reports holds one guard report per rewriting command of a guarded
 	// job, in script order.
@@ -211,7 +183,7 @@ type Outcome struct {
 }
 
 // Run executes the job on net: it is the one place that chooses engine
-// or flow, plain or guarded, whole or partitioned, and then verifies.
+// or flow, plain or guarded, and then verifies.
 // Cancelling ctx stops the run at the next cancellation point (between
 // flow steps and inside every step; see rewrite.Run) with the wrapped
 // ctx error; no goroutines outlive the call. When Hooks.Attach.Metrics
@@ -229,17 +201,14 @@ func Run(ctx context.Context, net *Network, job Job, h Hooks) (Outcome, error) {
 	}
 	cfg := job.Config(h.Attach)
 	var golden *Network
-	if job.Verify && job.Partition == 0 {
+	if job.Verify {
 		// A resumed job verifies against the state it resumed from: the
 		// checkpointed prefix was verified by digest at recovery.
 		golden = net.Clone()
 	}
-	switch {
-	case job.Partition != 0:
-		err = runPartitioned(ctx, &out, job, cfg, h) // verifies the stitched whole itself
-	case job.Flow != "":
+	if job.Flow != "" {
 		err = runFlow(ctx, &out, job, steps, cfg, h)
-	default:
+	} else {
 		out.Result, err = rewriteStep(ctx, &out, job, job.Engine, cfg)
 	}
 	if err != nil || golden == nil {
@@ -278,8 +247,8 @@ func rewriteStep(ctx context.Context, out *Outcome, job Job, eng Engine, cfg Con
 	return res, err
 }
 
-// Encode renders a network as binary AIGER, the form every result,
-// checkpoint and shard blob takes. With shipped set it also returns the
+// Encode renders a network as binary AIGER, the form every result and
+// checkpoint blob takes. With shipped set it also returns the
 // structural digest of the bytes as their receiver will parse them:
 // parsing merges ANDs an engine left with equal fanin pairs, so the
 // in-memory graph can digest differently from the blob it encodes to. A

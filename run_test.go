@@ -3,24 +3,21 @@ package dacpara
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/partition"
 )
 
-// TestRunMatrix drives the one runner over every combination of its four
-// choices — engine or flow, plain or guarded, whole or partitioned,
-// verified or not — at one worker, where every engine is byte-
-// deterministic. Each output must be aig.Check-clean and digest-equal to
-// what the kept wrappers Rewrite and Flow produce: on the whole circuit;
-// for a partitioned job, on every shard of the same split before the
-// same stitch; for a guarded job, with every rewriting command on a
-// scratch clone that is adopted back, which is what the guard does (a
-// clone renumbers nodes, so a guarded flow legitimately lands on a
-// different graph than a plain one). Guard and partition exclude each
-// other, which Run must reject before touching the network.
+// TestRunMatrix drives the one runner over every combination of its
+// three choices — engine or flow, plain or guarded, verified or not — at
+// one worker, where every engine is byte-deterministic. Each output must
+// be aig.Check-clean and digest-equal to what the kept wrappers Rewrite
+// and Flow produce on the circuit; for a guarded job, with every
+// rewriting command on a scratch clone that is adopted back, which is
+// what the guard does (a clone renumbers nodes, so a guarded flow
+// legitimately lands on a different graph than a plain one).
 func TestRunMatrix(t *testing.T) {
 	golden, err := Generate("voter", ScaleTiny)
 	if err != nil {
@@ -29,7 +26,7 @@ func TestRunMatrix(t *testing.T) {
 	cfg := Config{Workers: 1}
 	const script = "b; rw; rf; rw -z; b"
 
-	// viaWrapper is the reference: the kept wrapper on one (sub-)network.
+	// viaWrapper is the reference: the kept wrapper on the network.
 	viaWrapper := func(net *Network, flow bool) (*Network, error) {
 		if !flow {
 			_, err := Rewrite(net, EngineDACPara, cfg)
@@ -44,8 +41,8 @@ func TestRunMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[fmt.Sprint(flow, 0)] = aig.StructuralDigest(whole)
-		want[fmt.Sprint(flow, 0, "guard")] = want[fmt.Sprint(flow, 0)]
+		want[fmt.Sprint(flow, false)] = aig.StructuralDigest(whole)
+		want[fmt.Sprint(flow, true)] = want[fmt.Sprint(flow, false)]
 		if flow {
 			steps, err := ParseFlow(script)
 			if err != nil {
@@ -65,71 +62,60 @@ func TestRunMatrix(t *testing.T) {
 				}
 				cur.Adopt(scratch)
 			}
-			want[fmt.Sprint(flow, 0, "guard")] = aig.StructuralDigest(cur)
+			want[fmt.Sprint(flow, true)] = aig.StructuralDigest(cur)
 		}
-		stitched, _, err := partition.Run(context.Background(), golden.Clone(), partition.RunOptions{
-			Shards: 2,
-			Optimize: func(_ context.Context, _ int, sub *aig.AIG) (*aig.AIG, string, error) {
-				out, err := viaWrapper(sub, flow)
-				return out, "wrapper", err
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[fmt.Sprint(flow, 2)] = aig.StructuralDigest(stitched)
 	}
 
 	for _, flow := range []bool{false, true} {
 		for _, guard := range []bool{false, true} {
-			for _, shards := range []int{0, 2} {
-				for _, verify := range []bool{false, true} {
-					job := Job{Engine: EngineDACPara, Guard: guard, Partition: shards, Verify: verify}.WithKnobs(cfg)
-					if flow {
-						job.Engine, job.Flow = "", script
-					}
-					t.Run(fmt.Sprintf("flow=%t/guard=%t/partition=%d/verify=%t", flow, guard, shards, verify), func(t *testing.T) {
-						net := golden.Clone()
-						out, err := Run(context.Background(), net, job, Hooks{})
-						if guard && shards != 0 {
-							if err == nil {
-								t.Fatal("guard with partition accepted")
-							}
-							if out.Net != net || aig.StructuralDigest(net) != aig.StructuralDigest(golden) {
-								t.Fatal("rejected job touched the network")
-							}
-							return
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := out.Net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
-							t.Fatalf("structural check: %v", err)
-						}
-						key := fmt.Sprint(flow, shards)
-						if guard {
-							key = fmt.Sprint(flow, shards, "guard")
-						}
-						if got := aig.StructuralDigest(out.Net); got != want[key] {
-							t.Fatalf("digest %s, the wrappers give %s", got, want[key])
-						}
-						if out.Result.FinalAnds != out.Net.NumAnds() || out.Result.InitialAnds != golden.NumAnds() {
-							t.Fatalf("result spans %d -> %d ANDs, run went %d -> %d",
-								out.Result.InitialAnds, out.Result.FinalAnds, golden.NumAnds(), out.Net.NumAnds())
-						}
-						if verify != (out.Verify != nil) || (verify && !out.Verify.Equivalent) {
-							t.Fatalf("verify=%t gave verdict %+v", verify, out.Verify)
-						}
-						if wantReports := guard; wantReports != (len(out.Reports) > 0) {
-							t.Fatalf("guard=%t gave %d guard reports", guard, len(out.Reports))
-						}
-						if flow && shards == 0 && len(out.Steps) != 5 {
-							t.Fatalf("%d step results for a five-command script", len(out.Steps))
-						}
-					})
+			for _, verify := range []bool{false, true} {
+				job := Job{Engine: EngineDACPara, Guard: guard, Verify: verify}.WithKnobs(cfg)
+				if flow {
+					job.Engine, job.Flow = "", script
 				}
+				t.Run(fmt.Sprintf("flow=%t/guard=%t/verify=%t", flow, guard, verify), func(t *testing.T) {
+					out, err := Run(context.Background(), golden.Clone(), job, Hooks{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := out.Net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+						t.Fatalf("structural check: %v", err)
+					}
+					if got, ref := aig.StructuralDigest(out.Net), want[fmt.Sprint(flow, guard)]; got != ref {
+						t.Fatalf("digest %s, the wrappers give %s", got, ref)
+					}
+					if out.Result.FinalAnds != out.Net.NumAnds() || out.Result.InitialAnds != golden.NumAnds() {
+						t.Fatalf("result spans %d -> %d ANDs, run went %d -> %d",
+							out.Result.InitialAnds, out.Result.FinalAnds, golden.NumAnds(), out.Net.NumAnds())
+					}
+					if verify != (out.Verify != nil) || (verify && !out.Verify.Equivalent) {
+						t.Fatalf("verify=%t gave verdict %+v", verify, out.Verify)
+					}
+					if wantReports := guard; wantReports != (len(out.Reports) > 0) {
+						t.Fatalf("guard=%t gave %d guard reports", guard, len(out.Reports))
+					}
+					if flow && len(out.Steps) != 5 {
+						t.Fatalf("%d step results for a five-command script", len(out.Steps))
+					}
+				})
 			}
 		}
+	}
+}
+
+// TestFlowSummaryThreads: a flow left to default its worker count
+// reports the count its steps resolved it to, not the zero it was given.
+func TestFlowSummaryThreads(t *testing.T) {
+	net, err := Generate("voter", ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(context.Background(), net, Job{Flow: "b; rw; rf -p -w=3"}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := max(runtime.GOMAXPROCS(0), 3); out.Result.Threads != want {
+		t.Fatalf("flow summary reports %d threads, its steps ran with up to %d", out.Result.Threads, want)
 	}
 }
 
@@ -148,8 +134,6 @@ func TestRunRejectsBeforeTouching(t *testing.T) {
 		"flow typo":         {Flow: "b; rw; frobnicate"},
 		"k too small":       {K: 3},
 		"k too large":       {K: MaxCutWidth + 1},
-		"one shard":         {Partition: 1},
-		"too many shards":   {Partition: MaxPartitionShards + 1},
 		"negative workers":  {Workers: -1},
 		"negative deadline": {DeadlineNs: -1},
 		"negative budget":   {VerifyBudget: -1},
@@ -190,19 +174,18 @@ func TestJobKey(t *testing.T) {
 	}
 	seen := map[string]string{base.Key("d"): "base"}
 	for name, j := range map[string]Job{
-		"engine":    {Engine: EngineSerial, Workers: 1},
-		"flow":      {Flow: "b", Workers: 1},
-		"workers":   {Engine: EngineDACPara, Workers: 2},
-		"k":         {Engine: EngineDACPara, Workers: 1, K: 5},
-		"passes":    {Engine: EngineDACPara, Workers: 1, Passes: 2},
-		"cuts":      {Engine: EngineDACPara, Workers: 1, MaxCuts: 8},
-		"structs":   {Engine: EngineDACPara, Workers: 1, MaxStructs: 5},
-		"classes":   {Engine: EngineDACPara, Workers: 1, Classes: 222},
-		"zero":      {Engine: EngineDACPara, Workers: 1, ZeroGain: true},
-		"delay":     {Engine: EngineDACPara, Workers: 1, PreserveDelay: true},
-		"seed":      {Engine: EngineDACPara, Workers: 1, Seed: 7},
-		"partition": {Engine: EngineDACPara, Workers: 1, Partition: 2},
-		"guard":     {Engine: EngineDACPara, Workers: 1, Guard: true},
+		"engine":  {Engine: EngineSerial, Workers: 1},
+		"flow":    {Flow: "b", Workers: 1},
+		"workers": {Engine: EngineDACPara, Workers: 2},
+		"k":       {Engine: EngineDACPara, Workers: 1, K: 5},
+		"passes":  {Engine: EngineDACPara, Workers: 1, Passes: 2},
+		"cuts":    {Engine: EngineDACPara, Workers: 1, MaxCuts: 8},
+		"structs": {Engine: EngineDACPara, Workers: 1, MaxStructs: 5},
+		"classes": {Engine: EngineDACPara, Workers: 1, Classes: 222},
+		"zero":    {Engine: EngineDACPara, Workers: 1, ZeroGain: true},
+		"delay":   {Engine: EngineDACPara, Workers: 1, PreserveDelay: true},
+		"seed":    {Engine: EngineDACPara, Workers: 1, Seed: 7},
+		"guard":   {Engine: EngineDACPara, Workers: 1, Guard: true},
 	} {
 		k := j.Key("d")
 		if other, dup := seen[k]; dup {

@@ -19,7 +19,7 @@ func TestWarmEnumerationZeroAlloc(t *testing.T) {
 			m := NewManager(a, Params{})
 			pool := NewPool()
 			visit := func(id int32) { m.EnsureP(id, nil, pool) }
-			invalidate := func(id int32) { m.entry(id).ok = false }
+			invalidate := func(id int32) { m.entry(id).state.Store(0) }
 			a.ForEachAnd(visit)
 
 			// Settle: one warm revalidation and one warm recompute so

@@ -18,6 +18,7 @@ package cut
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -172,18 +173,23 @@ const (
 	cutPageMask = cutPageSize - 1
 )
 
-// entry is a node's stored cut set, tagged with the incarnation of the
-// node it was computed for plus the provenance needed to prove, in a
-// later epoch, that the stored set is still bit-identical to what a cold
-// re-enumeration would produce: the fanin literals at compute time, the
-// fanin entries' content generations, and the bitmask of fanin cuts that
-// were fresh when the merge ran. If all of these still hold, the merge
-// inputs are unchanged and the merge is skipped (see Manager.ensure).
+// entry is a node's stored cut set together with the provenance needed to
+// prove, in a later epoch, that the stored set is still bit-identical to
+// what a cold re-enumeration would produce: the fanin literals at compute
+// time, the fanin entries' content generations, and the bitmask of fanin
+// cuts that were fresh when the merge ran. If all of these still hold, the
+// merge inputs are unchanged and the merge is skipped (see Manager.ensure).
+//
+// state is the one word other workers may look at. It is 0 for an entry
+// that holds nothing, epoch<<32 | node version once the set has been
+// computed or validated for that incarnation in that epoch, and busy
+// while one worker — the one whose compare-and-swap put busy there — is
+// computing it. Every other field belongs to that worker until it stores
+// the word that publishes them.
 type entry struct {
+	state atomic.Uint64
 	cuts  []Cut
-	ver   uint32 // node incarnation the set was computed for
 	gen   uint32 // content generation: bumped when a recompute changes the set
-	epoch uint32 // manager epoch at which the entry was last validated
 	f0    aig.Lit
 	f1    aig.Lit
 	g0    uint32 // fanin entry generations at compute time
@@ -194,16 +200,31 @@ type entry struct {
 	// than 64 cuts cannot be represented; the entry is then never reused
 	// across epochs).
 	maskOK bool
-	ok     bool
 }
+
+// busy is the state of an entry one worker is computing. No published
+// word equals it: that would take the last epoch and the last version at
+// once.
+const busy = ^uint64(0)
 
 type cutPage [cutPageSize]entry
 
 // Manager stores the cut sets of every node (the paper's "Cut Manager").
 // Entries live in an append-only paged store, so the table can grow while
-// other goroutines hold entry pointers; a given entry is only accessed by
-// the thread holding the corresponding node's lock (or by the single
-// thread of a serial engine).
+// other goroutines hold entry pointers.
+//
+// Who may touch an entry is decided by the entry itself, not by a lock
+// (the publish rule): a set published for the node's current incarnation
+// in the current epoch is immutable and anyone may read it; an entry that
+// is not is written by the one worker that claimed it, and a worker that
+// meets a claimed entry waits for the publication. A worker only ever
+// waits for an entry in the cone below one it has claimed, and the graph
+// is acyclic, so the deepest claim is always held by a worker that is
+// computing, not waiting. Workers may therefore enumerate any nodes of an
+// unchanging graph at once with no visitor. What the rule does not cover
+// is a graph that changes underneath: Refresh and the fused operator run
+// while replacements do, and the visitor's node locks are what keeps an
+// entry from being republished while the activity that read it goes on.
 type Manager struct {
 	a      *aig.AIG
 	params Params
@@ -271,7 +292,7 @@ func (m *Manager) entry(id int32) *entry {
 // the trivial cut. Individual cuts may still be stale (Cut.Fresh).
 func (m *Manager) Cuts(id int32) ([]Cut, bool) {
 	e := m.entry(id)
-	if !e.ok || e.ver != m.a.N(id).Version() {
+	if s := e.state.Load(); s == 0 || s == busy || uint32(s) != m.a.N(id).Version() {
 		return nil, false
 	}
 	return e.cuts, true
@@ -293,15 +314,18 @@ func (m *Manager) trivial(id int32) Cut {
 func constCut() Cut { return NewCut(nil, tt.False64) }
 
 // Visitor is called by Ensure for every node whose cut entry it reads or
-// writes, before the access. Parallel operators acquire the node's
-// exclusive lock here and return false on conflict, aborting enumeration.
+// writes, before the access. Operators that run while the graph changes
+// acquire the node's exclusive lock here and return false on conflict,
+// aborting enumeration.
 type Visitor func(id int32) bool
 
 // Ensure computes and stores the cut set of id if absent or stale,
-// recursively ensuring fanin cut sets first (the paper's Section 4.2:
-// enumeration "recursively acquires exclusive locks for the current node
-// and all its relevant nodes"). visit, when non-nil, is invoked for every
-// node touched; a false return aborts with ok=false.
+// recursively ensuring fanin cut sets first. With a nil visitor it is safe
+// to call from any number of goroutines while the graph does not change
+// (see Manager). visit, when non-nil, is invoked for every node touched —
+// the paper's Section 4.2, enumeration "recursively acquires exclusive
+// locks for the current node and all its relevant nodes"; a false return
+// aborts with ok=false, every claim the call held given back.
 func (m *Manager) Ensure(id int32, visit Visitor) ([]Cut, bool) {
 	return m.EnsureP(id, visit, nil)
 }
@@ -318,10 +342,10 @@ func (m *Manager) EnsureP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
 // ensure is the recursive enumerator. It returns the node's cut set plus
 // the entry's content generation, which the parent's reuse check records.
 //
-// An entry is trusted without recomputation in exactly two cases: its
-// epoch matches the manager's (it was computed or validated earlier in
-// this pass — the historical Ensure hit), or this is its first visit of a
-// new epoch and the stored provenance proves a cold merge would see
+// An entry is trusted without recomputation in exactly two cases: it is
+// published for this epoch (it was computed or validated earlier in this
+// pass — the historical Ensure hit, one load), or this is its first visit
+// of a new epoch and the stored provenance proves a cold merge would see
 // bit-identical inputs: same node incarnation, same fanin literals
 // (rehash changes fanins without a version bump), same fanin set
 // contents (generation match) and the same subset of fanin cuts fresh
@@ -336,16 +360,28 @@ func (m *Manager) ensure(id int32, visit Visitor, pool *Pool) ([]Cut, uint32, bo
 	}
 	n := m.a.N(id)
 	e := m.entry(id)
-	if e.ok && e.epoch == m.epoch && e.ver == n.Version() {
-		return e.cuts, e.gen, true
+	ver := n.Version()
+	valid := uint64(m.epoch)<<32 | uint64(ver)
+	// Read a published set, or claim the entry; a claimed one is on its way
+	// to being published (or, after an abort, to being claimable again).
+	var old uint64
+	for {
+		if old = e.state.Load(); old == valid {
+			return e.cuts, e.gen, true
+		}
+		if old != busy && e.state.CompareAndSwap(old, busy) {
+			break
+		}
+		runtime.Gosched()
 	}
+	stored := old != 0                  // the entry holds a set, of whatever incarnation
+	had := stored && uint32(old) == ver // and it is this incarnation's
 	switch n.Kind() {
 	case aig.KindConst, aig.KindPI:
 		// Leaves never change incarnation in place: a version match means
 		// the stored unit cut is still exact.
-		if e.ok && e.ver == n.Version() {
-			e.epoch = m.epoch
-			return e.cuts, e.gen, true
+		if had {
+			break
 		}
 		var one [1]Cut
 		if n.Kind() == aig.KindConst {
@@ -353,46 +389,54 @@ func (m *Manager) ensure(id int32, visit Visitor, pool *Pool) ([]Cut, uint32, bo
 		} else {
 			one[0] = m.trivial(id)
 		}
-		m.commit(e, one[:], pool, n.Version())
+		m.commit(e, one[:], pool, stored)
 		e.maskOK = false
 	case aig.KindAnd:
 		f0, f1 := n.Fanin0(), n.Fanin1()
 		s0, g0, ok := m.ensure(f0.Node(), visit, pool)
-		if !ok {
-			return nil, 0, false
+		var s1 []Cut
+		var g1 uint32
+		if ok {
+			s1, g1, ok = m.ensure(f1.Node(), visit, pool)
 		}
-		s1, g1, ok := m.ensure(f1.Node(), visit, pool)
 		if !ok {
+			// The activity aborts: give the claim back, or the entry would
+			// keep every later visitor waiting.
+			e.state.Store(old)
 			return nil, 0, false
 		}
 		mm0, mok0 := freshMask(m.a, s0)
 		mm1, mok1 := freshMask(m.a, s1)
-		if e.ok && e.ver == n.Version() && e.maskOK && mok0 && mok1 &&
+		if had && e.maskOK && mok0 && mok1 &&
 			e.f0 == f0 && e.f1 == f1 && e.g0 == g0 && e.g1 == g1 &&
 			e.m0 == mm0 && e.m1 == mm1 {
-			e.epoch = m.epoch
-			return e.cuts, e.gen, true
+			break
 		}
 		res := m.mergeInto(scratchFor(pool, m.params.maxCuts()+2), id, f0, f1, s0, s1, mm0, mok0, mm1, mok1)
-		m.commit(e, res, pool, n.Version())
+		m.commit(e, res, pool, stored)
 		e.f0, e.f1, e.g0, e.g1 = f0, f1, g0, g1
 		e.m0, e.m1, e.maskOK = mm0, mm1, mok0 && mok1
+		if pool != nil {
+			pool.merges++
+		}
 	default:
 		// A dead node has no cuts; store an empty set for its current
 		// incarnation so callers see "enumerated, nothing usable".
-		m.commit(e, nil, pool, n.Version())
+		m.commit(e, nil, pool, stored)
 		e.maskOK = false
 	}
-	return e.cuts, e.gen, true
+	cuts, gen := e.cuts, e.gen
+	e.state.Store(valid)
+	return cuts, gen, true
 }
 
-// commit stores res as the entry's cut set for incarnation ver, bumping
-// the content generation when the set changed and recycling storage
-// through the pool: the resident slice is reused in place whenever it is
-// large enough, so a recompute that reproduces the previous set's size
-// allocates nothing.
-func (m *Manager) commit(e *entry, res []Cut, pool *Pool, ver uint32) {
-	if !e.ok || !cutsEqual(e.cuts, res) {
+// commit stores res as the claimed entry's cut set, bumping the content
+// generation when the set changed (stored: the entry held one) and
+// recycling storage through the pool: the resident slice is reused in
+// place whenever it is large enough, so a recompute that reproduces the
+// previous set's size allocates nothing.
+func (m *Manager) commit(e *entry, res []Cut, pool *Pool, stored bool) {
+	if !stored || !cutsEqual(e.cuts, res) {
 		e.gen++
 	}
 	if cap(e.cuts) >= len(res) {
@@ -408,9 +452,6 @@ func (m *Manager) commit(e *entry, res []Cut, pool *Pool, ver uint32) {
 		e.cuts = poolGet(pool, len(res))
 	}
 	copy(e.cuts, res)
-	e.ver = ver
-	e.epoch = m.epoch
-	e.ok = true
 }
 
 // cutsEqual reports whether two cut sets are bit-identical (Cut has no
@@ -456,7 +497,7 @@ func (m *Manager) RefreshP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
 	if visit != nil && !visit(id) {
 		return nil, false
 	}
-	m.entry(id).ok = false
+	m.entry(id).state.Store(0)
 	return m.EnsureP(id, visit, pool)
 }
 

@@ -12,6 +12,7 @@ package cut
 type Pool struct {
 	scratch []Cut
 	free    [][]Cut
+	merges  int // cut sets merged through this pool, for the publish-protocol tests
 }
 
 // NewPool creates an empty pool.

@@ -1,18 +1,20 @@
 // Package engine is the shared divide-and-conquer pass pipeline of this
 // repository: one worklist partitioner with pluggable policies, one loop
-// — per worklist: enumerate → lock-free evaluate → commit — whose phases
-// are chosen by what the pass can do, and one spine for the worker team
-// (started once per run, see galois.Team), metrics shards, context
-// cancellation checkpoints, fault-plan wiring and retry budgets.
+// — per worklist: one lock-free sweep (enumerate, then evaluate, chunk by
+// chunk) → commit of the nodes that came out of it with a candidate —
+// whose steps are chosen by what the pass can do, and one spine for the
+// worker team (started once per run, see galois.Team), metrics shards,
+// context cancellation checkpoints, fault-plan wiring and retry budgets.
 //
 // Every optimization pass in the repository runs through Run, and every
 // engine of the paper's comparison is a case of its loop (Algorithm 1):
 //
-//   - DACPara: all three phases per level worklist, each under the
-//     speculative executor, evaluation lock-free between barriers;
-//   - the DAC'22/TCAD'23 static GPU models: the same three phases over
-//     ONE worklist — the whole graph in level order — with a serial
-//     commit, so every decision is taken on the unchanged input graph;
+//   - DACPara: per level worklist, the sweep and then the replacement of
+//     the stored candidates under the speculative executor — the only
+//     step that takes locks, and the only one that can abort;
+//   - the DAC'22/TCAD'23 static GPU models: the same two steps over ONE
+//     worklist — the whole graph in level order — with a serial commit,
+//     so every decision is taken on the unchanged input graph;
 //   - the ICCAD'18 fused-lock baseline: the commit phase alone, the pass
 //     doing all three stages inside it under one lock set;
 //   - the ABC serial baseline, serial refactoring and resubstitution:
@@ -41,8 +43,8 @@ import (
 
 // Locker tries to take the calling activity's lock on a node, reporting
 // false on conflict. A nil Locker means the caller runs serially and
-// needs no locks. It is the cut manager's visitor type, so a pass hands
-// its lock straight to enumeration.
+// needs no locks. It is the cut manager's visitor type, so a commit hands
+// its lock straight to the re-enumeration it may need.
 type Locker = cut.Visitor
 
 // Policy partitions a network into ordered worklists — the paper's
@@ -106,9 +108,9 @@ type Pass interface {
 	Commit(worker int, id int32, lock Locker) Status
 }
 
-// Evaluator gives each worklist a lock-free evaluation phase before its
-// commit phase, and restricts the commit phase to the nodes that came
-// out of it with a stored candidate.
+// Evaluator gives each worklist a lock-free sweep before its commit
+// phase, and restricts the commit phase to the nodes that came out of it
+// with a stored candidate.
 type Evaluator interface {
 	// Evaluate computes and stores the node's best candidate against the
 	// immutable graph, lock-free; true counts one evaluation.
@@ -117,12 +119,14 @@ type Evaluator interface {
 	Stored(id int32) bool
 }
 
-// Enumerator gives each worklist an enumeration phase ahead of the
-// others.
+// Enumerator adds an enumeration step to the sweep: a worker enumerates
+// the nodes of a chunk, then evaluates them.
 type Enumerator interface {
-	// Enumerate prepares one node (cut sets, windows); false reports a
-	// lock conflict (the framework records it and retries the node).
-	Enumerate(worker int, id int32, lock Locker) bool
+	// Enumerate prepares one node (cut sets, windows) against the
+	// immutable graph. It takes no lock and cannot fail: other workers are
+	// enumerating other nodes of the list at the same time, so what the
+	// hook shares with them it must share safely (see cut.Manager).
+	Enumerate(worker int, id int32)
 }
 
 // Plan describes how a pass is driven.
@@ -160,17 +164,19 @@ type Exec struct {
 const SerialCancelStride = 256
 
 // Run drives a pass over the network: for each pass, for each worklist
-// of the plan's partition, the enumeration phase (if the pass is an
-// Enumerator), the lock-free evaluation phase (if it is an Evaluator)
-// and the commit phase, under the speculative executor or — the commit,
-// when the plan says so — serially. The worklist boundary is the
-// cancellation point of Algorithm 1: between worklists no activity is in
-// flight, so stopping there abandons no speculative work; the executor
-// also stops between activities, and a serial sweep polls every
-// SerialCancelStride nodes. A non-nil error (cancellation, retry-budget
-// exhaustion, fault injection, a panicking hook as *galois.PanicError)
-// leaves the network structurally consistent but only partially
-// optimized; the Result covers the work done and is marked Incomplete.
+// of the plan's partition, the lock-free sweep (if the pass is an
+// Evaluator, with an enumeration step if it is an Enumerator too) and the
+// commit phase over the nodes the sweep left a candidate on (every node,
+// without a sweep), under the speculative executor or — when the plan says
+// so — serially. The worklist boundary is the cancellation point of
+// Algorithm 1: between worklists no activity is in flight, so stopping
+// there abandons no speculative work; the sweep also stops between
+// chunks, the executor between activities, and a serial commit polls
+// every SerialCancelStride nodes. A non-nil error (cancellation,
+// retry-budget exhaustion, fault injection, a panicking hook as
+// *galois.PanicError) leaves the network structurally consistent but only
+// partially optimized; the Result covers the work done and is marked
+// Incomplete.
 func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result, error) {
 	start := time.Now()
 	enum, _ := pass.(Enumerator)
@@ -181,10 +187,10 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 	if eval != nil {
 		commitPhase = metrics.PhaseReplace
 	}
-	speculative := enum != nil || eval != nil || !plan.SerialCommit
+	sweeps := enum != nil || eval != nil
 	workers := e.Workers
 	switch {
-	case !speculative:
+	case !sweeps && plan.SerialCommit:
 		workers = 1
 	case workers <= 0:
 		workers = runtime.GOMAXPROCS(0)
@@ -204,36 +210,89 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 	tallies := make([]tally, workers+1)
 	env := Env{Shards: shards, Attempts: &attempts, CutPools: cut.NewPools(workers + 1)}
 
-	// One team and one executor, lock table included, serve every phase
-	// of every worklist of every pass. A plan with no speculative phase
-	// gets a team of one — no goroutine — and no executor.
+	// One team serves every sweep and every commit phase of every worklist
+	// of every pass, and one executor, lock table included, the speculative
+	// commits. A plan with nothing to share gets a team of one — no
+	// goroutine — and one that commits serially no executor.
 	team := galois.NewTeam(workers)
 	defer team.Close()
 	var ex *galois.Executor
-	if speculative {
+	if !plan.SerialCommit {
 		ex = galois.NewExecutor(a.Capacity()+1, team)
 		ex.Fault = e.Fault
 		ex.RetryBudget = e.RetryBudget
 	}
-	// runPhase brackets one executor run with the phase clock and
-	// attributes the executor counter movement to that phase.
-	var specBase galois.Stats
-	runPhase := func(ph metrics.Phase, wl []int32, op galois.Operator) error {
-		m.PhaseStart(ph)
-		err := ex.RunCtx(ctx, wl, op)
-		m.PhaseEnd(ph, ex.Stats.Sub(specBase))
-		specBase = ex.Stats
-		if err != nil {
-			return fmt.Errorf("%s stage: %w", ph, err)
+	// sweep is the lock-free step of one worklist, run on the team itself:
+	// a worker takes a chunk, enumerates it, then evaluates it. Nothing in
+	// it takes a lock, so nothing aborts and nothing is retried; the chunk
+	// clocks are its work, booked as committed time.
+	var sweepNs int64
+	done := ctx.Done()
+	sweep := func(wl []int32) error {
+		t0 := time.Now()
+		n, cur := team.Split(len(wl))
+		perr := team.Do(n, func(worker int) {
+			tl := &tallies[worker]
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				lo, hi, ok := cur.Next()
+				if !ok {
+					return
+				}
+				chunk := wl[lo:hi]
+				c0 := time.Now()
+				c1 := c0
+				if enum != nil {
+					for _, id := range chunk {
+						enum.Enumerate(worker, id)
+					}
+					c1 = time.Now()
+				}
+				tl.enumNs += c1.Sub(c0).Nanoseconds()
+				if eval == nil {
+					continue
+				}
+				var evals int64
+				for _, id := range chunk {
+					if eval.Evaluate(worker, id) {
+						evals++
+					}
+				}
+				tl.evalNs += time.Since(c1).Nanoseconds()
+				if shards != nil {
+					shards[worker].Evals += evals
+				}
+			}
+		})
+		wall := time.Since(t0)
+		var enumNs, evalNs int64
+		for w := 1; w <= n; w++ {
+			tl := &tallies[w]
+			enumNs, evalNs = enumNs+tl.enumNs, evalNs+tl.evalNs
+			tl.enumNs, tl.evalNs = 0, 0
 		}
-		return nil
-	}
-	// conflict books one aborted activity.
-	conflict := func(gc *galois.Ctx, ph metrics.Phase, id int32) error {
-		if shards != nil {
-			shards[gc.Worker()].Conflict(ph, id)
+		sweepNs += enumNs + evalNs
+		// The two phases share the sweep's wall in proportion to their
+		// work, so that the phase walls still add up to the time between
+		// barriers.
+		var enumWall time.Duration
+		if work := enumNs + evalNs; work > 0 {
+			enumWall = time.Duration(float64(wall) * float64(enumNs) / float64(work))
 		}
-		return galois.ErrConflict
+		if enum != nil {
+			m.Interval(metrics.PhaseEnumerate, enumWall, metrics.Spec{CommittedNs: enumNs})
+		}
+		if eval != nil {
+			m.Interval(metrics.PhaseEvaluate, wall-enumWall, metrics.Spec{CommittedNs: evalNs})
+		}
+		if perr != nil {
+			return fmt.Errorf("sweep: %w", perr)
+		}
+		return ctx.Err()
 	}
 	// book counts one commit verdict into the worker's tally. A stale
 	// verdict means the candidate's evaluation was thrown away.
@@ -248,82 +307,79 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 			}
 		}
 	}
-	enumOp := func(gc *galois.Ctx, id int32) error {
-		if !gc.Acquire(id) || !enum.Enumerate(gc.Worker(), id, gc.Acquire) {
-			return conflict(gc, metrics.PhaseEnumerate, id)
+	// conflict books one aborted commit.
+	conflict := func(gc *galois.Ctx, id int32) error {
+		if shards != nil {
+			shards[gc.Worker()].Conflict(commitPhase, id)
 		}
-		return nil
-	}
-	evalOp := func(gc *galois.Ctx, id int32) error {
-		// Completely lock-free: the phase barriers guarantee the graph is
-		// immutable while evaluation runs.
-		if eval.Evaluate(gc.Worker(), id) && shards != nil {
-			shards[gc.Worker()].Evals++
-		}
-		return nil
+		return galois.ErrConflict
 	}
 	commitOp := func(gc *galois.Ctx, id int32) error {
-		if eval != nil && !eval.Stored(id) {
-			return nil
-		}
 		if !gc.Acquire(id) {
-			return conflict(gc, commitPhase, id)
+			return conflict(gc, id)
 		}
 		st := pass.Commit(gc.Worker(), id, gc.Acquire)
 		if st == StatusConflict {
-			return conflict(gc, commitPhase, id)
+			return conflict(gc, id)
 		}
 		book(gc.Worker(), st)
 		return nil
 	}
-	// serialCommit is the commit phase on the caller, slot 0, no locks. It
-	// runs as a one-worker team phase so that a panicking Commit comes
-	// back as an error here too.
-	serialCommit := func(wl []int32) (err error) {
+	// commit is the commit phase of one list: under the executor, which
+	// keeps a list shorter than the hand-out rule's cutoff on the caller,
+	// or serially on slot 0 with no locks — as a one-worker team phase, so
+	// that a panicking Commit comes back as an error here too.
+	commit := func(wl []int32) (err error) {
+		var perr error // what the phase failed with, a cancelled serial commit apart
 		m.PhaseStart(commitPhase)
-		perr := team.Do(1, func(int) {
-			for i, id := range wl {
-				if i%SerialCancelStride == 0 {
-					if err = ctx.Err(); err != nil {
-						return
+		if plan.SerialCommit {
+			perr = team.Do(1, func(int) {
+				for i, id := range wl {
+					if i%SerialCancelStride == 0 {
+						if err = ctx.Err(); err != nil {
+							return
+						}
 					}
-				}
-				if eval == nil || eval.Stored(id) {
 					book(0, pass.Commit(0, id, nil))
 				}
-			}
-		})
-		m.PhaseEnd(commitPhase, metrics.Spec{})
+			})
+			m.PhaseEnd(commitPhase, metrics.Spec{})
+		} else {
+			before := ex.Stats
+			perr = ex.RunCtx(ctx, wl, commitOp)
+			m.PhaseEnd(commitPhase, ex.Stats.Sub(before))
+		}
 		if perr != nil {
 			return fmt.Errorf("%s stage: %w", commitPhase, perr)
 		}
 		return err
 	}
-	// runList takes one worklist through its phases.
+	// runList takes one worklist through the sweep and the commit phase.
+	var stored []int32
 	runList := func(wl []int32) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		m.ObserveLevel(len(wl))
-		if enum != nil {
-			if err := runPhase(metrics.PhaseEnumerate, wl, enumOp); err != nil {
+		if sweeps {
+			if err := sweep(wl); err != nil {
 				return err
 			}
 		}
 		if eval != nil {
-			if err := runPhase(metrics.PhaseEvaluate, wl, evalOp); err != nil {
-				return err
-			}
+			// Only the nodes that hold a candidate go on, in worklist
+			// order: most levels of a deep circuit leave fewer than the
+			// team would share, and commit on the caller with no barrier.
+			stored = stored[:0]
 			for _, id := range wl {
 				if eval.Stored(id) {
-					attempts.Add(1)
+					stored = append(stored, id)
 				}
 			}
+			attempts.Add(int64(len(stored)))
+			wl = stored
 		}
-		if plan.SerialCommit {
-			return serialCommit(wl)
-		}
-		return runPhase(commitPhase, wl, commitOp)
+		return commit(wl)
 	}
 
 	var runErr error
@@ -334,8 +390,8 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 				continue
 			}
 			err := runList(wl)
-			// The phase barriers ordered every shard write; fold the
-			// per-worker counters in while the workers are quiescent.
+			// The barriers ordered every shard write; fold the per-worker
+			// counters in while the workers are quiescent.
 			m.MergeShards(shards)
 			if err != nil {
 				runErr = fmt.Errorf("%s: %w", plan.Name, err)
@@ -346,6 +402,7 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 	if ex != nil {
 		res.absorb(&ex.Stats)
 	}
+	res.CommittedWork += time.Duration(sweepNs)
 	res.count(&attempts, tallies)
 	res.finish(a, start, m, runErr)
 	return res, runErr

@@ -114,11 +114,11 @@ type script struct {
 	// (nil: all); verdict is Commit's answer (nil: committed).
 	stored  func(id int32) bool
 	verdict func(id int32) Status
-	// flaky nodes lose their first Enumerate and their first locked
-	// Commit to a conflict of the pass's own making.
+	// flaky nodes lose their first locked Commit to a conflict of the
+	// pass's own making.
 	flaky func(id int32) bool
-	// lockFanins makes Enumerate and Commit lock the node's fanins, as the
-	// real passes lock their cones, so injected faults reach the pass.
+	// lockFanins makes a locked Commit lock the node's fanins, as the real
+	// passes lock their cones, so injected faults reach the pass.
 	lockFanins bool
 	// panicAt and cancelAt make the first hook that sees the node panic,
 	// or cancel the run's context (0: never).
@@ -129,10 +129,10 @@ type script struct {
 	begins   int
 	slots    int
 	seq      atomic.Int64
-	logs     [][]event         // by worker slot
-	tries    [2][]atomic.Int32 // Enumerate and Commit calls per node
-	refused  [3]atomic.Int64   // lock calls the hook made and lost
-	gLo, gHi atomic.Int64      // fewest and most goroutines a hook saw
+	logs     [][]event      // by worker slot
+	tries    []atomic.Int32 // locked Commit calls per node
+	refused  atomic.Int64   // fanin locks Commit asked for and lost
+	gLo, gHi atomic.Int64   // fewest and most goroutines a hook saw
 }
 
 func (p *script) Begin(slots int, env Env) {
@@ -140,8 +140,7 @@ func (p *script) Begin(slots int, env Env) {
 	p.slots, p.env = slots, env
 	if p.logs == nil {
 		p.logs = make([][]event, slots)
-		p.tries[0] = make([]atomic.Int32, p.a.Capacity())
-		p.tries[1] = make([]atomic.Int32, p.a.Capacity())
+		p.tries = make([]atomic.Int32, p.a.Capacity())
 	}
 }
 
@@ -161,20 +160,20 @@ func (p *script) enter(hook, worker int, id int32) {
 	}
 }
 
-// locked plays the lock side of Enumerate and Commit: the scripted
-// conflict, then the fanin locks.
-func (p *script) locked(hook int, id int32, lock Locker) bool {
+// locked plays the lock side of Commit: the scripted conflict, then the
+// fanin locks.
+func (p *script) locked(id int32, lock Locker) bool {
 	if lock == nil {
 		return true
 	}
-	if p.flaky != nil && p.flaky(id) && p.tries[hook/2][id].Add(1) == 1 {
+	if p.flaky != nil && p.flaky(id) && p.tries[id].Add(1) == 1 {
 		return false
 	}
 	if p.lockFanins {
 		n := p.a.N(id)
 		for _, f := range []int32{n.Fanin0().Node(), n.Fanin1().Node()} {
 			if !lock(f) {
-				p.refused[hook].Add(1)
+				p.refused.Add(1)
 				return false
 			}
 		}
@@ -182,10 +181,7 @@ func (p *script) locked(hook int, id int32, lock Locker) bool {
 	return true
 }
 
-func (p *script) enumerate(worker int, id int32, lock Locker) bool {
-	p.enter(hookEnumerate, worker, id)
-	return p.locked(hookEnumerate, id, lock)
-}
+func (p *script) enumerate(worker int, id int32) { p.enter(hookEnumerate, worker, id) }
 
 func (p *script) evaluate(worker int, id int32) bool {
 	p.enter(hookEvaluate, worker, id)
@@ -199,7 +195,7 @@ func (p *script) commit(worker int, id int32, lock Locker, countAttempt bool) St
 	if !p.a.N(id).IsAnd() {
 		return StatusSkip
 	}
-	if !p.locked(hookCommit, id, lock) {
+	if !p.locked(id, lock) {
 		return StatusConflict
 	}
 	if countAttempt {
@@ -247,9 +243,12 @@ func (p evaluating) Stored(id int32) bool               { return p.isStored(id) 
 func (p evaluating) Commit(worker int, id int32, lock Locker) Status {
 	return p.commit(worker, id, lock, false)
 }
-func (p enumerating) Enumerate(worker int, id int32, lock Locker) bool {
-	return p.enumerate(worker, id, lock)
-}
+func (p enumerating) Enumerate(worker int, id int32) { p.enumerate(worker, id) }
+
+var (
+	_ Evaluator  = evaluating{}
+	_ Enumerator = enumerating{}
+)
 
 // kinds lists them, each with the first hook the loop runs for it.
 var kinds = []struct {
@@ -267,9 +266,11 @@ func byID(id int32) Status { return StatusCommitted + Status(id%3) }
 
 // TestOneSkeleton runs the loop over every combination of what a pass can
 // be, how its commit runs and how many workers it has, and holds it to
-// the contract of Run and Pass: the slot count and worker tags, the phase
-// order within and across worklists, who gets committed, the accounting,
-// the retry of conflicted activities and the shape of the snapshot.
+// the contract of Run and Pass: the slot count and worker tags, the step
+// order within and across worklists — one sweep in which every worker
+// enumerates a chunk and then evaluates it, then the commit of the stored
+// nodes — the accounting, the retry of conflicted commits and the shape
+// of the snapshot.
 func TestOneSkeleton(t *testing.T) {
 	for _, kind := range kinds {
 		for _, serial := range []bool{false, true} {
@@ -318,35 +319,70 @@ func TestOneSkeleton(t *testing.T) {
 						}
 					}
 
-					// Phase order: pass by pass, worklist by worklist, hook by
-					// hook, nothing of the next before the last of this one.
+					// Step order: pass by pass, worklist by worklist, the sweep
+					// before the commit phase, nothing of the next before the
+					// last of this one.
+					step := func(hook int) int {
+						if hook == hookCommit {
+							return 1
+						}
+						return 0
+					}
 					var last [3]int
 					for _, e := range events {
-						key := [3]int{e.pass, listOf[e.id], e.hook}
+						key := [3]int{e.pass, listOf[e.id], step(e.hook)}
 						if slices.Compare(key[:], last[:]) < 0 {
-							t.Fatalf("call %d: hook %d on list %d of pass %d after hook %d on list %d of pass %d",
-								e.seq, key[2], key[1], key[0], last[2], last[1], last[0])
+							t.Fatalf("call %d: hook %d on list %d of pass %d after step %d on list %d of pass %d",
+								e.seq, e.hook, key[1], key[0], last[2], last[1], last[0])
 						}
 						last = key
 						if e.hook < kind.from {
 							t.Fatalf("hook %d ran for a pass that does not implement it", e.hook)
 						}
 					}
+					// Inside a sweep: what a worker enumerates it evaluates
+					// next, node for node, before it enumerates anything else
+					// — a chunk at a time — and chunks are taken in list
+					// order.
+					if kind.from == hookEnumerate {
+						for worker, log := range s.logs {
+							var chunk []int32
+							for i := 0; i < len(log); i++ {
+								switch e := log[i]; e.hook {
+								case hookEnumerate:
+									if i > 0 && log[i-1].hook == hookEvaluate {
+										if len(chunk) > 0 {
+											t.Fatalf("worker %d enumerated node %d with %v of its last chunk not evaluated", worker, e.id, chunk)
+										}
+										if prev := log[i-1]; prev.pass == e.pass && listOf[prev.id] == listOf[e.id] && prev.id > e.id {
+											t.Fatalf("worker %d took the chunk of node %d after that of node %d", worker, e.id, prev.id)
+										}
+									}
+									chunk = append(chunk, e.id)
+								case hookEvaluate:
+									if len(chunk) == 0 || chunk[0] != e.id {
+										t.Fatalf("worker %d evaluated node %d, its enumerated chunk holds %v", worker, e.id, chunk)
+									}
+									chunk = chunk[1:]
+								case hookCommit:
+									if len(chunk) > 0 {
+										t.Fatalf("worker %d committed node %d with %v enumerated and not evaluated", worker, e.id, chunk)
+									}
+								}
+							}
+						}
+					}
 
 					// Who is visited, and how often: every node once per
-					// phase and pass, plus one retry where the pass reported
-					// a conflict; committed only if stored, when the pass
-					// evaluates.
+					// sweep hook and pass; in the commit phase only the nodes
+					// the sweep stored a candidate on (every node, without a
+					// sweep), plus one retry where the pass reported a
+					// conflict — which only a locked commit can.
 					var want [3]int64
 					var wantRepl, wantStale, wantAttempts, wantAborts int
 					a.ForEachAnd(func(id int32) {
-						retry := int64(0)
-						if s.flaky(id) {
-							retry = 1
-						}
 						if kind.from <= hookEnumerate {
-							want[hookEnumerate] += passes + retry
-							wantAborts += int(retry)
+							want[hookEnumerate] += passes
 						}
 						if evaluates {
 							want[hookEvaluate] += passes
@@ -355,9 +391,9 @@ func TestOneSkeleton(t *testing.T) {
 							}
 						}
 						want[hookCommit] += passes
-						if !serial {
-							want[hookCommit] += retry
-							wantAborts += int(retry)
+						if !serial && s.flaky(id) {
+							want[hookCommit]++
+							wantAborts++
 						}
 						wantAttempts += passes
 						switch byID(id) {
@@ -386,10 +422,17 @@ func TestOneSkeleton(t *testing.T) {
 					if int(res.Aborts) != wantAborts {
 						t.Fatalf("%d aborts, the pass reported %d conflicts", res.Aborts, wantAborts)
 					}
+					// Only the commit phase has activities, and only under the
+					// executor: one per node it was handed, per pass.
+					if wantCommits := want[hookCommit] - int64(wantAborts); serial && res.Commits != 0 || !serial && res.Commits != wantCommits {
+						t.Fatalf("%d executor commits, want %d (serial commit: %v)", res.Commits, wantCommits, serial)
+					}
 
-					// The snapshot: one row per phase the loop ran, one
-					// interval per worklist and pass, and a commit phase with
-					// wall time under the name its kind of pass gives it.
+					// The snapshot: one row per phase the loop ran — the sweep
+					// reports as the two phases it fuses — one interval per
+					// worklist and pass, every row with wall and work time,
+					// the commit phase under the name its kind of pass gives
+					// it, and no speculation outside it.
 					names := []string{"enumerate", "evaluate", "replace"}[kind.from:]
 					if !evaluates {
 						names = []string{"fused"}
@@ -403,6 +446,11 @@ func TestOneSkeleton(t *testing.T) {
 						}
 						if p.Name == "evaluate" && (p.Evals != want[hookEvaluate] || p.WastedEvals != int64(wantStale)) {
 							t.Fatalf("evaluate row: %d evals, %d wasted; want %d, %d", p.Evals, p.WastedEvals, want[hookEvaluate], wantStale)
+						}
+						if inSweep := p.Name == "enumerate" || p.Name == "evaluate"; inSweep &&
+							(p.WorkNs <= 0 || p.Speculation != metrics.Spec{CommittedNs: p.WorkNs}) {
+							t.Fatalf("phase %s of the sweep: work %d ns, speculation %+v; want its chunk time as committed work and nothing else",
+								p.Name, p.WorkNs, p.Speculation)
 						}
 					}
 					if !slices.Equal(got, names) {
@@ -553,6 +601,18 @@ func TestDynamicAccounting(t *testing.T) {
 	threeOneOne(t, res)
 	if res.Threads != 2 || res.Metrics == nil || len(res.Metrics.Phases) != 3 {
 		t.Fatalf("bad result %+v", res)
+	}
+	// The executor saw the three stored nodes and no other: the sweep has no
+	// activities, only chunk time, which counts as committed work.
+	if res.Commits != 3 || res.Aborts != 0 {
+		t.Fatalf("commits=%d aborts=%d, want the 3 stored nodes and no abort", res.Commits, res.Aborts)
+	}
+	var sweepNs int64
+	for _, p := range res.Metrics.Phases[:2] {
+		sweepNs += p.WorkNs
+	}
+	if replaceNs := res.Metrics.Phases[2].Speculation.CommittedNs; sweepNs <= 0 || res.CommittedWork.Nanoseconds() != sweepNs+replaceNs {
+		t.Fatalf("committed work %d ns, want the sweep's %d plus the replace phase's %d", res.CommittedWork.Nanoseconds(), sweepNs, replaceNs)
 	}
 }
 

@@ -27,8 +27,10 @@ type Result struct {
 	Replacements, Attempts, Stale int
 
 	// Commits and Aborts are the speculative-execution counters of the
-	// Galois substrate (zero for serial engines). InjectedAborts counts
-	// the subset forced by a FaultPlan.
+	// Galois substrate: the activities of the commit phase (replace or
+	// fused) under the executor, and nothing else — the lock-free sweep
+	// has no activities, and a serial commit none either. InjectedAborts
+	// counts the subset forced by a FaultPlan.
 	Commits, Aborts, InjectedAborts int64
 
 	// Incomplete marks a run that stopped early because the executor
@@ -40,7 +42,8 @@ type Result struct {
 	// CommittedWork and WastedWork are the total time spent inside
 	// committed and aborted activities: the paper's Fig. 2 signal. A
 	// fused operator (ICCAD'18) wastes its whole evaluation on conflict;
-	// DACPara's split operators waste almost nothing.
+	// DACPara's split operators waste almost nothing. The chunk time of
+	// the lock-free sweep, which cannot abort, counts as committed.
 	CommittedWork, WastedWork time.Duration
 
 	Duration time.Duration
@@ -60,12 +63,14 @@ func (r *Result) absorb(st *galois.Stats) {
 	r.WastedWork = time.Duration(st.WastedNs)
 }
 
-// tally is one worker slot's share of the commit verdicts: plain
-// counters, written only by the worker the slot belongs to and summed by
-// count when the team is quiescent. Padded to a cache line.
+// tally is one worker slot's share of the commit verdicts and of the
+// current sweep's chunk time: plain counters, written only by the worker
+// the slot belongs to and read when the team is quiescent. Padded to a
+// cache line.
 type tally struct {
 	replacements, stale int64
-	_                   [48]byte
+	enumNs, evalNs      int64
+	_                   [32]byte
 }
 
 // count stamps the attempt, replacement and stale totals.

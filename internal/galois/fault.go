@@ -16,9 +16,10 @@ import (
 // A nil *FaultPlan is the zero-cost default: the executor takes a single
 // nil check per run and otherwise behaves exactly as without the fault
 // subsystem. All injected behaviour is derived from Seed plus the worker
-// tag, so a run with a given plan, worklist and worker count injects the
-// same faults every time (the interleaving of real conflicts of course
-// remains nondeterministic).
+// tag, one random stream per worker for as long as the executor runs under
+// the plan, so the same sequence of runs with a given plan, worklists and
+// worker count injects the same faults every time (the interleaving of
+// real conflicts of course remains nondeterministic).
 //
 // Forced aborts are injected as spurious Acquire failures: a doomed
 // activity sees one of its lock acquisitions fail even though the lock is

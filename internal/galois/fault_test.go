@@ -219,3 +219,39 @@ func TestNilFaultPlanIsInert(t *testing.T) {
 		t.Fatal("zero plan active")
 	}
 }
+
+// A worker's fault stream runs on from phase to phase: a run made of many
+// one-item phases — the replace phase of a deep, narrow circuit — must see
+// the plan's abort rate like one long phase does, not the first draw of
+// the stream over and over.
+func TestFaultStreamOutlivesThePhase(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ex := newExecutor(t, 500, workers)
+		ex.Fault = &FaultPlan{Seed: 42, AbortRate: 0.25}
+		const phases = 2000
+		for i := int32(1); i <= phases; i++ {
+			item := 1 + i%90
+			// Four acquisitions, so that whichever of its first four the plan
+			// refuses, the activity has it.
+			err := ex.Run([]int32{item}, func(c *Ctx, item int32) error {
+				for _, id := range []int32{item, item + 100, item + 200, item + 300} {
+					if !c.Acquire(id) {
+						return ErrConflict
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("phase %d: %v", i, err)
+			}
+		}
+		st := ex.Stats
+		if st.Commits != phases || st.Aborts != st.InjectedAborts {
+			t.Fatalf("%d workers: %+v, want %d commits and no abort but the injected ones", workers, st, phases)
+		}
+		if rate := float64(st.InjectedAborts) / float64(st.Commits+st.Aborts); rate < 0.2 || rate > 0.3 {
+			t.Fatalf("%d workers: %d of %d attempts aborted (%.3f), the plan says 0.25",
+				workers, st.InjectedAborts, st.Commits+st.Aborts, rate)
+		}
+	}
+}

@@ -251,7 +251,27 @@ type Executor struct {
 	// *RetryBudgetError (0 means DefaultRetryBudget).
 	RetryBudget int
 
-	local []workerStats // by worker tag; folded into Stats after each run
+	local  []workerStats // by worker tag; folded into Stats after each run
+	inj    []*injector   // by worker tag, for the plan injFor; nil if it injects nothing
+	injFor *FaultPlan
+}
+
+// injectors returns the workers' fault state under the current plan. It is
+// made once per plan, not per run: a worker's random stream has to run on
+// from one phase to the next, or every phase would replay the same first
+// draws and a run of short phases would see no fault at all, or the same
+// one every time.
+func (e *Executor) injectors() []*injector {
+	if e.injFor != e.Fault {
+		e.injFor, e.inj = e.Fault, nil
+		if e.Fault.active() {
+			e.inj = make([]*injector, len(e.local))
+			for tag := range e.inj {
+				e.inj[tag] = e.Fault.injectorFor(int32(tag))
+			}
+		}
+	}
+	return e.inj
 }
 
 func (e *Executor) retryBudget() int {
@@ -296,6 +316,7 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 	// A list too short to share, or one that makes a single chunk, runs
 	// as a one-worker phase: on the caller under tag 1, no helper woken.
 	workers, cursor := e.Team.Split(len(items))
+	injectors := e.injectors()
 	var firstErr atomic.Pointer[error]
 	// cancelled polls the context without blocking; on cancellation it
 	// records ctx.Err() as the run error so every worker stops at its next
@@ -316,7 +337,10 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 	}
 	work := func(worker int) {
 		tag := int32(worker)
-		inj := e.Fault.injectorFor(tag)
+		var inj *injector
+		if injectors != nil {
+			inj = injectors[worker]
+		}
 		stats := &e.local[worker].Stats
 		ctx := &Ctx{owner: tag, table: e.Table, stats: stats, inj: inj}
 		// A panicking operator must not strand the other workers: release

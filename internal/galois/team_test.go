@@ -286,18 +286,64 @@ func TestStatsFoldedOnEveryReturn(t *testing.T) {
 	}
 }
 
-// BenchmarkPhaseDispatch is what a phase costs beyond its work: an empty
-// operator at two workers over lists of 3 items (stays on the caller), 8
-// (a level of a deep arithmetic circuit), 85 (one MtM level) and 1 000.
+// BenchmarkPhaseDispatch is what a phase costs beyond its work, at two
+// workers, for the two ways a list is handed to the team. executor: an
+// empty operator under the speculative executor — the commit phase — over
+// lists of 3 items (stays on the caller), 8 (a level of a deep arithmetic
+// circuit), 85 (one MtM level) and 1 000. sweep: empty enumerate and
+// evaluate hooks driven straight by the team the way engine.Run's
+// lock-free sweep drives them — Split, a chunk off the cursor, the two
+// hooks over it between chunk clocks — over 8, 85 and 1 000.
 func BenchmarkPhaseDispatch(b *testing.B) {
 	for _, n := range []int{3, 8, 85, 1000} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
+		b.Run(fmt.Sprint("executor/", n), func(b *testing.B) {
 			ex := newExecutor(b, int32(n+1), 2)
 			items := sequentialItems(n)
 			op := func(*Ctx, int32) error { return nil }
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := ex.Run(items, op); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, n := range []int{8, 85, 1000} {
+		b.Run(fmt.Sprint("sweep/", n), func(b *testing.B) {
+			team := NewTeam(2)
+			defer team.Close()
+			items := sequentialItems(n)
+			enumerate := func(int, int32) {}
+			evaluate := func(int, int32) bool { return true }
+			var work [3]struct {
+				enumNs, evalNs, evals int64
+				_                     [40]byte
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				workers, cur := team.Split(n)
+				err := team.Do(workers, func(worker int) {
+					w := &work[worker]
+					for {
+						lo, hi, ok := cur.Next()
+						if !ok {
+							return
+						}
+						c0 := time.Now()
+						for _, id := range items[lo:hi] {
+							enumerate(worker, id)
+						}
+						c1 := time.Now()
+						for _, id := range items[lo:hi] {
+							if evaluate(worker, id) {
+								w.evals++
+							}
+						}
+						w.enumNs += c1.Sub(c0).Nanoseconds()
+						w.evalNs += time.Since(c1).Nanoseconds()
+					}
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -77,8 +77,8 @@ type ConflictSample struct {
 type Shard struct {
 	// EnumNs, EvalNs and ReplaceNs attribute in-operator time to the
 	// three logical stages; fused operators fill all three, split
-	// engines may leave them zero (their stage time is the phase wall
-	// time instead).
+	// engines leave them zero (their stage work comes with the phase
+	// intervals instead).
 	EnumNs, EvalNs, ReplaceNs int64
 	// Evals counts evaluations performed; WastedEvals the subset whose
 	// result was discarded — by an abort in a fused operator, or found
@@ -133,8 +133,8 @@ type QoR struct {
 }
 
 // Collector accumulates one engine run's instrumentation. Method calls
-// (StartRun, PhaseStart/PhaseEnd, ObserveLevel, MergeShards, FinishRun,
-// Snapshot) must come from the single orchestrating goroutine; workers
+// (StartRun, PhaseStart/PhaseEnd, Interval, ObserveLevel, MergeShards,
+// FinishRun, Snapshot) must come from the single orchestrating goroutine; workers
 // touch only their own Shard. The zero collector is ready to use; a nil
 // collector is the disabled state (Nop).
 type Collector struct {
@@ -256,13 +256,26 @@ func (c *Collector) PhaseEnd(p Phase, delta Spec) {
 		return
 	}
 	agg := &c.phases[p]
+	var wall time.Duration
 	if !agg.open.IsZero() {
-		agg.wallNs += time.Since(agg.open).Nanoseconds()
+		wall = time.Since(agg.open)
 		agg.open = time.Time{}
 	}
+	c.Interval(p, wall, delta)
+}
+
+// Interval books one barrier-to-barrier execution of phase p whose wall
+// time the caller measured itself — the lock-free sweep, which runs two
+// phases between one pair of barriers and divides its wall between them.
+func (c *Collector) Interval(p Phase, wall time.Duration, delta Spec) {
+	if c == nil {
+		return
+	}
+	agg := &c.phases[p]
+	agg.wallNs += wall.Nanoseconds()
 	agg.intervals++
-	// The executor already times every activity; committed plus wasted
-	// activity time is the phase's summed per-worker work.
+	// Committed plus wasted time is the phase's summed per-worker work:
+	// the executor times every activity, the sweep every chunk.
 	agg.workNs += delta.CommittedNs + delta.WastedNs
 	agg.spec.Add(delta)
 	c.spec.Add(delta)

@@ -225,8 +225,13 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 // slightly stale after rewriting; the estimate is a heuristic bound, like
 // ABC's update-level option.
 func (s *Scratch) level(a *aig.AIG, st *rewlib.Structure) int32 {
-	lvl := make([]int32, gateBase+len(st.Nodes))
+	n := gateBase + len(st.Nodes)
+	if n > len(s.lvl) {
+		s.lvl = make([]int32, n)
+	}
+	lvl := s.lvl[:n]
 	for i := range lvl {
+		lvl[i] = 0
 		if l := s.vals[i]; l < litNone {
 			lvl[i] = a.N(l.Node()).Level()
 		} else if i >= gateBase {

@@ -27,11 +27,12 @@ const (
 	EngineLockPar Engine = "iccad18"
 	// EngineDACPara is the paper's contribution (Algorithm 1): nodes are
 	// divided by level, and each level's worklist runs three separate
-	// parallel operators — cut enumeration locking only the cut sets it
-	// touches, lock-free evaluation (over 90% of the runtime) storing its
-	// best result per node, and replacement re-validating the stored cut
-	// and structure on the LATEST graph before locking and updating. A
-	// conflict can only discard the cheap replacement bookkeeping, never
+	// parallel operators — cut enumeration, whose cut sets publish
+	// themselves instead of being locked, lock-free evaluation (over 90%
+	// of the runtime) storing its best result per node — the two sharing
+	// one sweep of the level — and replacement re-validating the stored
+	// cut and structure on the LATEST graph before locking and updating.
+	// A conflict can only discard the cheap replacement bookkeeping, never
 	// the evaluation — the essence of the paper's Fig. 2.
 	EngineDACPara Engine = "dacpara"
 	// EngineStaticDAC22 models the DAC'22 GPU rewriter (NovelRewrite) on

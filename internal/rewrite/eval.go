@@ -68,6 +68,8 @@ type Scratch struct {
 	// the inputs once per cut; plan fills the gates of one structure.
 	vals []aig.Lit
 	neg  bool // the bound transform complements the output
+	// lvl is level's table over the same indices.
+	lvl []int32
 
 	// memo remembers what a gate over two existing literals resolves to,
 	// from forget to forget: a direct-mapped cache, an entry counts while

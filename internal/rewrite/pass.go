@@ -8,7 +8,8 @@ import (
 )
 
 // Pass adapts DAG-aware rewriting to the pass-engine framework: cut
-// enumeration as the Enumerate hook, library matching as the lock-free
+// enumeration as the Enumerate hook — lock-free, the cut manager's
+// entries publish themselves — library matching as the lock-free
 // Evaluate hook storing per-node Candidates, and Execute's
 // revalidate-then-replace as the Commit hook. The same adapter serves
 // every split-operator rewriting engine — DACPara per level and the
@@ -60,12 +61,10 @@ func (p *Pass) Begin(slots int, env engine.Env) {
 	p.prep = make([]Candidate, p.A.Capacity())
 }
 
-func (p *Pass) Enumerate(worker int, id int32, lock engine.Locker) bool {
-	if !p.A.N(id).IsAnd() {
-		return true
+func (p *Pass) Enumerate(worker int, id int32) {
+	if p.A.N(id).IsAnd() {
+		p.cm.EnsureP(id, nil, p.env.CutPool(worker))
 	}
-	_, ok := p.cm.EnsureP(id, lock, p.env.CutPool(worker))
-	return ok
 }
 
 func (p *Pass) Evaluate(worker int, id int32) bool {

@@ -29,8 +29,7 @@ func main() {
 		engine    = flag.String("engine", "dacpara", "engine: abc, iccad18, dacpara, dac22, tcad23")
 		threads   = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		passes    = flag.Int("passes", 1, "rewriting passes")
-		cutK      = flag.Int("k", 0, "rewriting cut width, 4..6 (0 = classic 4-input; 5/6 use the large-cut NPN library, see -rewlib)")
-		rewlibF   = flag.String("rewlib", "", "preload a dacpara-rewlib/v1 structure-library file (see cmd/rewlibgen); classes not in the file are synthesized on demand")
+		cutK      = flag.Int("k", 0, "rewriting cut width, 4..6 (0 = classic 4-input; 5/6 synthesize their structure forests on first use)")
 		p1        = flag.Bool("p1", false, "use the paper's P1 configuration (8 cuts, 5 structures, 2 passes)")
 		p2        = flag.Bool("p2", false, "use the paper's P2 configuration (unlimited, 1 pass)")
 		zero      = flag.Bool("z", false, "also apply zero-gain rewrites")
@@ -99,13 +98,6 @@ func main() {
 	if err := job.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *rewlibF != "" {
-		loaded, rejected, err := dacpara.LoadRewlib(*rewlibF)
-		fatal(err)
-		if rejected > 0 {
-			fmt.Fprintf(os.Stderr, "dacpara: rewlib %s: %d corrupt classes rejected (%d loaded)\n", *rewlibF, rejected, loaded)
-		}
 	}
 	var hooks dacpara.Hooks
 	if *stats || *statsJSON != "" {

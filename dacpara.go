@@ -24,7 +24,6 @@ package dacpara
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 
 	"dacpara/internal/aig"
@@ -122,13 +121,6 @@ type CutCache = cut.Cache
 // NewCutCache creates an empty persistent cut cache.
 func NewCutCache() *CutCache { return cut.NewCache() }
 
-// RewlibEnv names the environment variable that, when set, points at a
-// dacpara-rewlib/v1 file (see cmd/rewlibgen) used to preload the
-// large-cut structure forests. The file is purely an acceleration: every
-// class is re-verified functionally on load, missing or corrupt files
-// are ignored, and any class not in the file is synthesized on demand.
-const RewlibEnv = "DACPARA_REWLIB"
-
 var defaultLibrary = sync.OnceValues(func() (*Library, error) {
 	return rewlib.Build(npn.Shared(), rewlib.Params{})
 })
@@ -136,34 +128,10 @@ var defaultLibrary = sync.OnceValues(func() (*Library, error) {
 // DefaultLibrary returns the process-wide structure library, built on
 // first use and then cached: 4–8 ms for the NPN table
 // (BenchmarkManagerBuild in internal/npn) and 18–28 ms for the 222 class
-// forests (BenchmarkLibraryBuild in internal/rewlib).
+// forests (BenchmarkLibraryBuild in internal/rewlib). The forests of the
+// 5/6-input classes that Config.K >= 5 meets fill in on first use and are
+// likewise shared by every run of the process.
 func DefaultLibrary() (*Library, error) { return defaultLibrary() }
-
-// defaultBig is the process-wide large-cut structure forest used by
-// rewriting with Config.K >= 5, preloaded from the $DACPARA_REWLIB file
-// when one is set and synthesizing any other class on demand.
-var defaultBig = sync.OnceValue(func() *rewlib.BigLibrary {
-	b := rewlib.NewBigLibrary(rewlib.DefaultBigPerClass)
-	if path := os.Getenv(RewlibEnv); path != "" {
-		if f, err := rewlib.ReadLibraryFile(path); err == nil {
-			f.Preload(b)
-		}
-	}
-	return b
-})
-
-// LoadRewlib decodes a dacpara-rewlib/v1 library file and preloads its
-// classes into the process-wide large-cut forest, returning how many
-// classes were installed and how many were rejected by functional
-// re-verification.
-func LoadRewlib(path string) (loaded, rejected int, err error) {
-	f, err := rewlib.ReadLibraryFile(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	loaded, rejected = f.Preload(defaultBig())
-	return loaded, rejected, nil
-}
 
 // Rewrite optimizes the network in place with the chosen engine and
 // returns the run statistics: Run on Job{Engine: engine} with cfg's

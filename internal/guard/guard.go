@@ -29,42 +29,40 @@ import (
 // DefaultLadder returns the degradation ladder starting at first: the
 // requested engine, then the ICCAD'18 fused-lock engine, then the serial
 // ABC engine — each rung trading throughput for a simpler concurrency
-// model. An empty first means rewrite.EngineDACPara.
+// model, so a rung is only ever followed by simpler ones: iccad18
+// degrades to abc alone, and abc, the simplest, has nowhere to go. An
+// empty first means rewrite.EngineDACPara.
 func DefaultLadder(first rewrite.Engine) []rewrite.Engine {
-	if first == "" {
+	switch first {
+	case "":
 		first = rewrite.EngineDACPara
+	case rewrite.EngineSerial:
+		return []rewrite.Engine{first}
+	case rewrite.EngineLockPar:
+		return []rewrite.Engine{first, rewrite.EngineSerial}
 	}
-	ladder := []rewrite.Engine{first}
-	for _, e := range []rewrite.Engine{rewrite.EngineLockPar, rewrite.EngineSerial} {
-		if e != first {
-			ladder = append(ladder, e)
-		}
-	}
-	return ladder
+	return []rewrite.Engine{first, rewrite.EngineLockPar, rewrite.EngineSerial}
 }
 
-// Options configures guarded execution. The zero value runs the default
-// ladder with no deadline and a 16-round simulation screen.
+// The equivalence screen simulates simRounds rounds of 64 random
+// patterns drawn from simSeed, so it is deterministic. It is one-sided: a
+// mismatch proves the rewrite broke the function, a match is
+// high-confidence but not a proof.
+const (
+	simRounds = 16
+	simSeed   = 0
+)
+
+// Options configures guarded execution. The zero value runs
+// DefaultLadder("") with no deadline.
 type Options struct {
-	// Engine is the first rung of the ladder (default rewrite.EngineDACPara).
-	// Ignored when Ladder is set explicitly.
+	// Engine is the first rung; the rest of the ladder follows from it
+	// (DefaultLadder).
 	Engine rewrite.Engine
-	// Ladder overrides the engine sequence; nil means
-	// DefaultLadder(Engine).
-	Ladder []rewrite.Engine
-	// Deadline bounds each attempt's wall-clock time; 0 means none. A
-	// timed-out engine keeps running on its (discarded) scratch copy
-	// until its bounded retries let it finish, so a timeout never blocks
-	// the degradation.
+	// Deadline bounds each attempt's wall-clock time; 0 means none. It is
+	// a context deadline on the attempt: the engine observes it where it
+	// observes cancellation, and the attempt returns once it has.
 	Deadline time.Duration
-	// SimRounds is the number of 64-pattern random simulation rounds in
-	// the equivalence screen (default 16). The screen is one-sided: a
-	// mismatch proves the rewrite broke the function, a match is
-	// high-confidence but not a proof.
-	SimRounds int
-	// Seed seeds the simulation patterns, making the screen
-	// deterministic.
-	Seed int64
 	// Sabotage, when non-nil, is applied to the first rung's scratch
 	// network after the engine runs and before verification. It exists so
 	// tests (and chaos drills) can inject a corrupting fault and observe
@@ -72,19 +70,12 @@ type Options struct {
 	Sabotage func(*aig.AIG)
 }
 
-func (o Options) simRounds() int {
-	if o.SimRounds <= 0 {
-		return 16
-	}
-	return o.SimRounds
-}
-
 // Attempt records one rung of the ladder.
 type Attempt struct {
 	// Engine is the rung that ran.
 	Engine rewrite.Engine
-	// Result is the engine's own statistics (zero if it timed out or
-	// panicked before returning).
+	// Result is the engine's own statistics (zero if it panicked; the
+	// work done up to the deadline if it timed out).
 	Result rewrite.Result
 	// Duration is the attempt's wall-clock time as seen by the guard.
 	Duration time.Duration
@@ -101,10 +92,8 @@ type Attempt struct {
 	// Committed reports that this rung's result was adopted.
 	Committed bool
 	// Metrics is the rung's instrumentation snapshot, present when the
-	// caller set Config.Metrics and the engine returned (nil after a
-	// timeout or panic). Each rung runs with its own collector: a
-	// timed-out engine keeps running on its abandoned scratch copy, so
-	// sharing one collector across rungs would race.
+	// caller set Config.Metrics and the engine returned one. The rungs
+	// share the caller's collector; every run resets it on entry.
 	Metrics *metrics.Snapshot
 }
 
@@ -155,51 +144,26 @@ func (r *Report) String() string {
 // network is unchanged.
 var ErrExhausted = errors.New("guard: every engine in the degradation ladder failed")
 
-type outcome struct {
-	res      rewrite.Result
-	err      error
-	panicked string
-}
-
-// attempt runs one engine on the scratch network under panic recovery
-// and the deadline. On timeout the goroutine is abandoned: it only
-// touches the scratch copy, which the caller discards, and the engine's
-// bounded retries guarantee it terminates eventually. A cancelled
-// context unblocks the wait the same way — the engines observe
-// cancellation only at pass boundaries, and a caller enforcing a
-// wall-clock deadline (e.g. the daemon's per-job deadline) should not
-// wait out a slow pass for an attempt it is about to discard; a result
-// that raced the cancel is still drained and kept.
-func attempt(ctx context.Context, eng rewrite.Engine, scratch *aig.AIG, lib *rewlib.Library, cfg rewrite.Config, deadline time.Duration) (outcome, bool) {
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- outcome{panicked: fmt.Sprintf("%v\n%s", p, debug.Stack())}
-			}
-		}()
-		res, err := rewrite.Run(ctx, eng, scratch, lib, cfg)
-		ch <- outcome{res: res, err: err}
-	}()
-	var timeout <-chan time.Time
+// attempt runs one engine on the scratch network, on the calling
+// goroutine, under panic recovery and the deadline. The deadline is a
+// context deadline: every engine polls its context at chunk, activity and
+// 256-node boundaries and returns the wrapped ctx error with its worker
+// team already stopped, so nothing of a timed-out attempt is still
+// running when attempt returns. An engine that finishes in spite of an
+// expired deadline has a result, and it is kept.
+func attempt(ctx context.Context, eng rewrite.Engine, scratch *aig.AIG, lib *rewlib.Library, cfg rewrite.Config, deadline time.Duration) (res rewrite.Result, panicked string, err error) {
 	if deadline > 0 {
-		t := time.NewTimer(deadline)
-		defer t.Stop()
-		timeout = t.C
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
 	}
-	select {
-	case o := <-ch:
-		return o, false
-	case <-timeout:
-		return outcome{}, true
-	case <-ctx.Done():
-		select {
-		case o := <-ch:
-			return o, false
-		default:
+	defer func() {
+		if p := recover(); p != nil {
+			res, panicked, err = rewrite.Result{}, fmt.Sprintf("%v\n%s", p, debug.Stack()), nil
 		}
-		return outcome{err: ctx.Err()}, false
-	}
+	}()
+	res, err = rewrite.Run(ctx, eng, scratch, lib, cfg)
+	return res, "", err
 }
 
 // Rewrite optimizes net in place under the guard. On success the adopted
@@ -215,50 +179,40 @@ func attempt(ctx context.Context, eng rewrite.Engine, scratch *aig.AIG, lib *rew
 // caller's network untouched. A rung that completes and verifies before
 // the cancel is observed still commits.
 func Rewrite(ctx context.Context, net *aig.AIG, lib *rewlib.Library, cfg rewrite.Config, opts Options) (rewrite.Result, *Report, error) {
-	rounds := opts.simRounds()
-	refSig := aig.RandomSignature(net, rand.New(rand.NewSource(opts.Seed)), rounds)
-
-	ladder := opts.Ladder
-	if len(ladder) == 0 {
-		ladder = DefaultLadder(opts.Engine)
-	}
+	refSig := aig.RandomSignature(net, rand.New(rand.NewSource(simSeed)), simRounds)
+	ladder := DefaultLadder(opts.Engine)
 	// An unknown engine is a configuration error, not a runtime fault:
 	// reject it up front instead of masking the typo by degrading.
-	for _, eng := range ladder {
-		if !rewrite.Known(eng) {
-			return rewrite.Result{}, nil, fmt.Errorf("guard: unknown engine %q", eng)
-		}
+	if !rewrite.Known(ladder[0]) {
+		return rewrite.Result{}, nil, fmt.Errorf("guard: unknown engine %q", ladder[0])
 	}
 	rep := &Report{}
 	for i, eng := range ladder {
 		att := Attempt{Engine: eng}
 		scratch := net.Clone()
-		acfg := cfg
-		if cfg.Metrics != nil {
-			acfg.Metrics = metrics.New()
-		}
 		start := time.Now()
-		o, timedOut := attempt(ctx, eng, scratch, lib, acfg, opts.Deadline)
+		res, panicked, err := attempt(ctx, eng, scratch, lib, cfg, opts.Deadline)
 		att.Duration = time.Since(start)
 		// The scratch copy's cut sets live under its own pointer: adopted
 		// or discarded, nothing will ask for them again.
 		cfg.CutCache.Drop(scratch)
-		att.Result = o.res
-		att.Metrics = o.res.Metrics
+		att.Result = res
+		att.Metrics = res.Metrics
 		switch {
-		case timedOut:
+		case panicked != "":
+			att.Panic = panicked
+		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
+			// The attempt's own deadline, not the caller's.
 			att.TimedOut = true
-		case o.panicked != "":
-			att.Panic = o.panicked
-		case o.err != nil:
-			att.Err = o.err.Error()
+		case err != nil:
+			att.Err = err.Error()
 		default:
 			if i == 0 && opts.Sabotage != nil {
 				opts.Sabotage(scratch)
 			}
 			if err := scratch.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
 				att.Violation = "invariant violation: " + err.Error()
-			} else if sig := aig.RandomSignature(scratch, rand.New(rand.NewSource(opts.Seed)), rounds); !aig.EqualSignatures(refSig, sig) {
+			} else if sig := aig.RandomSignature(scratch, rand.New(rand.NewSource(simSeed)), simRounds); !aig.EqualSignatures(refSig, sig) {
 				att.Violation = "simulation mismatch against pre-rewrite snapshot"
 			}
 		}

@@ -76,7 +76,7 @@ func TestGuardFaultInjectionTerminates(t *testing.T) {
 			ShuffleWorklist: true,
 		},
 	}
-	res, rep, err := guard.Rewrite(context.Background(), net, lib(t), cfg, guard.Options{Engine: rewrite.EngineDACPara, Seed: 7})
+	res, rep, err := guard.Rewrite(context.Background(), net, lib(t), cfg, guard.Options{Engine: rewrite.EngineDACPara})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,15 +154,15 @@ func TestGuardBudgetExhaustionDegradesToSerial(t *testing.T) {
 	assertEquivalent(t, golden, net)
 }
 
-// TestGuardDeadline abandons an attempt that exceeds its deadline; with
-// a single-rung ladder the guard reports exhaustion and leaves the
-// network untouched.
+// TestGuardDeadline stops an attempt that exceeds its deadline; on abc's
+// one-rung ladder the guard reports exhaustion and leaves the network
+// untouched.
 func TestGuardDeadline(t *testing.T) {
 	net := bench.Multiplier(8)
 	golden := net.Clone()
 	before := net.NumAnds()
 	opts := guard.Options{
-		Ladder:   []rewrite.Engine{rewrite.EngineDACPara},
+		Engine:   rewrite.EngineSerial,
 		Deadline: time.Nanosecond,
 	}
 	_, rep, err := guard.Rewrite(context.Background(), net, lib(t), rewrite.Config{Workers: 2}, opts)
@@ -184,9 +184,7 @@ func TestGuardDeadline(t *testing.T) {
 func TestGuardRejectsUnknownEngine(t *testing.T) {
 	net := bench.Multiplier(6)
 	before := net.NumAnds()
-	_, rep, err := guard.Rewrite(context.Background(), net, lib(t), rewrite.Config{}, guard.Options{
-		Ladder: []rewrite.Engine{"no-such-engine", rewrite.EngineSerial},
-	})
+	_, rep, err := guard.Rewrite(context.Background(), net, lib(t), rewrite.Config{}, guard.Options{Engine: "no-such-engine"})
 	if err == nil || errors.Is(err, guard.ErrExhausted) {
 		t.Fatalf("expected a config error, got %v", err)
 	}
@@ -206,7 +204,7 @@ func TestDefaultLadder(t *testing.T) {
 		{rewrite.EngineDACPara, []rewrite.Engine{"dacpara", "iccad18", "abc"}},
 		{"", []rewrite.Engine{"dacpara", "iccad18", "abc"}},
 		{rewrite.EngineLockPar, []rewrite.Engine{"iccad18", "abc"}},
-		{rewrite.EngineSerial, []rewrite.Engine{"abc", "iccad18"}},
+		{rewrite.EngineSerial, []rewrite.Engine{"abc"}},
 		{rewrite.EngineStaticDAC22, []rewrite.Engine{"dac22", "iccad18", "abc"}},
 	}
 	for _, c := range cases {

@@ -43,23 +43,32 @@ type Transform struct {
 // Identity is the transform that maps every function to itself.
 var Identity = Transform{Perm: [6]uint8{0, 1, 2, 3, 4, 5}}
 
-// Apply computes T(f).
+// Apply computes T(f) in word operations: one FlipVar per set bit of
+// Flip, then Perm sorted to the identity by at most five exchanges, each
+// a SwapVars on the table (exchanging entries a and b of the permutation
+// of g(x) = h(x_{Perm[0]}..x_{Perm[5]}) exchanges variables a and b of
+// h), then Not for Neg. Semi-canonical classification calls it once per
+// candidate ordering, which made the row-by-row form (kept in the tests
+// as the reference) 87 % of a k = 5 run.
 func (t Transform) Apply(f tt.Func64) tt.Func64 {
-	var out tt.Func64
-	for row := uint(0); row < 64; row++ {
-		src := uint(0)
-		for i := uint(0); i < 6; i++ {
-			bit := row >> uint(t.Perm[i]) & 1
-			bit ^= uint(t.Flip) >> i & 1
-			src |= bit << i
+	for v := 0; v < 6; v++ {
+		if t.Flip>>uint(v)&1 == 1 {
+			f = f.FlipVar(v)
 		}
-		bit := uint64(f) >> src & 1
-		if t.Neg {
-			bit ^= 1
-		}
-		out |= tt.Func64(bit) << row
 	}
-	return out
+	p := t.Perm
+	for a := 0; a < 5; a++ {
+		for b := a + 1; p[a] != uint8(a); b++ {
+			if p[b] == uint8(a) {
+				p[a], p[b] = p[b], p[a]
+				f = f.SwapVars(a, b)
+			}
+		}
+	}
+	if t.Neg {
+		f = f.Not()
+	}
+	return f
 }
 
 // Compose returns the transform equivalent to applying a first and then t,

@@ -82,6 +82,40 @@ func randomTransform(rng *rand.Rand, nv int) Transform {
 	return tr
 }
 
+// refApply is the definition of Transform.Apply written out row by row:
+// g(x0..x5) = Neg XOR f(y0..y5) with y_i = x_{Perm[i]} XOR bit i of Flip.
+// It was Apply until the word-operation form replaced it.
+func refApply(tr Transform, f tt.Func64) tt.Func64 {
+	var out tt.Func64
+	for row := uint(0); row < 64; row++ {
+		src := uint(0)
+		for i := uint(0); i < 6; i++ {
+			bit := row >> uint(tr.Perm[i]) & 1
+			bit ^= uint(tr.Flip) >> i & 1
+			src |= bit << i
+		}
+		bit := uint64(f) >> src & 1
+		if tr.Neg {
+			bit ^= 1
+		}
+		out |= tt.Func64(bit) << row
+	}
+	return out
+}
+
+// TestApplyMatchesRowLoop holds the word-operation Apply to the row loop
+// on random 6-variable transforms and tables; TestToCanonTransform is the
+// exhaustive 4-variable half.
+func TestApplyMatchesRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 200000; i++ {
+		tr, f := randomTransform(rng, 6), tt.Func64(rng.Uint64())
+		if got, want := tr.Apply(f), refApply(tr, f); got != want {
+			t.Fatalf("%+v on %v: %v, row loop %v", tr, f, got, want)
+		}
+	}
+}
+
 // refApply16 is the action of a 4-variable transform written out over the
 // 16 rows of a Func16: g(x0..x3) = Neg XOR f(y0..y3) with
 // y_i = x_{Perm[i]} XOR bit i of Flip.

@@ -80,15 +80,21 @@ func TestSynthesizeAll64Deterministic(t *testing.T) {
 	}
 }
 
-// TestBigLibraryOnDemand: ForRepr synthesizes missing classes, caches
-// them, and stays consistent under concurrent lookups.
+// TestBigLibraryOnDemand: the library's large-cut half — ForRepr
+// synthesizes missing classes, caches them, and stays consistent under
+// concurrent lookups.
 func TestBigLibraryOnDemand(t *testing.T) {
-	b := NewBigLibrary(4)
+	lib, err := Build(npn.Shared(), Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(149))
-	var reprs []tt.Func64
-	for len(reprs) < 8 {
+	reprs := map[tt.Func64]bool{}
+	var order []tt.Func64
+	for len(order) < 8 {
 		r, _ := npn.SemiCanon(tt.Func64(rng.Uint64()))
-		reprs = append(reprs, r)
+		reprs[r] = true
+		order = append(order, r)
 	}
 	var wg sync.WaitGroup
 	results := make([][]Structure, 16)
@@ -97,64 +103,20 @@ func TestBigLibraryOnDemand(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[g] = b.ForRepr(reprs[g%len(reprs)])
+			results[g] = lib.ForRepr(order[g%len(order)])
 		}()
 	}
 	wg.Wait()
 	for g := 0; g < 16; g++ {
-		want := b.ForRepr(reprs[g%len(reprs)])
-		if len(results[g]) != len(want) || len(want) == 0 || len(want) > 4 {
+		want := lib.ForRepr(order[g%len(order)])
+		if len(results[g]) != len(want) || len(want) == 0 || len(want) > DefaultBigPerClass {
 			t.Fatalf("goroutine %d saw %d structures, steady state %d", g, len(results[g]), len(want))
 		}
-	}
-	if b.Len() != len(uniqueReprs(reprs)) {
-		t.Fatalf("library holds %d classes, want %d", b.Len(), len(uniqueReprs(reprs)))
-	}
-	cls := b.Classes()
-	for i := 1; i < len(cls); i++ {
-		if cls[i-1] >= cls[i] {
-			t.Fatal("Classes() not sorted")
+		if &results[g][0] != &want[0] {
+			t.Fatalf("goroutine %d was served a forest that lost the cache slot", g)
 		}
 	}
-}
-
-func uniqueReprs(rs []tt.Func64) []tt.Func64 {
-	seen := map[tt.Func64]bool{}
-	var out []tt.Func64
-	for _, r := range rs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// TestBigLibraryPreloadPriority: a preloaded forest wins over on-demand
-// synthesis for its class; a wrong-function forest is rejected and leaves
-// the class untouched.
-func TestBigLibraryPreloadPriority(t *testing.T) {
-	repr, _ := npn.SemiCanon(tt.Func64(0x123456789abcdef0))
-	good, _ := synthesizeAll64(repr, MaxInputs, 8)
-	if len(good) < 2 {
-		t.Fatalf("need at least two structures, have %d", len(good))
-	}
-	b := NewBigLibrary(8)
-	if !b.Preload(repr, good[:1]) {
-		t.Fatal("valid preload rejected")
-	}
-	if got := b.ForRepr(repr); len(got) != 1 || structKey(&got[0]) != structKey(&good[0]) {
-		t.Fatalf("preloaded forest not served: %d structures", len(got))
-	}
-	// Wrong function: must be rejected, and the installed forest stays.
-	other, _ := npn.SemiCanon(tt.Func64(0x00ff00ff00ff00f1))
-	if other == repr {
-		t.Skip("collision between probe classes")
-	}
-	if b.Preload(other, good[:1]) {
-		t.Fatal("wrong-function preload accepted")
-	}
-	if got := b.ForRepr(repr); len(got) != 1 {
-		t.Fatalf("rejection disturbed installed class: %d structures", len(got))
+	if len(lib.big) != len(reprs) {
+		t.Fatalf("library holds %d classes, want %d", len(lib.big), len(reprs))
 	}
 }

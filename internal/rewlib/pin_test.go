@@ -150,7 +150,6 @@ func TestLibraryContentPinned(t *testing.T) {
 	got = append(got, pinSection{Name: "npn/exact-table", Items: 1 << 16, SHA256: h.sum()})
 
 	h = newPinHash()
-	big := NewBigLibrary(DefaultBigPerClass)
 	sample := pinBigSample()
 	for _, f := range sample {
 		repr, tr := npn.SemiCanon(f)
@@ -162,7 +161,7 @@ func TestLibraryContentPinned(t *testing.T) {
 		h.u64(uint64(repr))
 		h.h.Write(tr.Perm[:])
 		h.h.Write([]byte{tr.Flip, neg})
-		h.forest(big.ForRepr(repr))
+		h.forest(lib.ForRepr(repr))
 	}
 	got = append(got, pinSection{Name: "big/sample-forests", Items: len(sample), SHA256: h.sum()})
 

@@ -3,7 +3,7 @@
 // of 4-input functions, a forest of alternative AIG structures
 // implementing the class representative (Library), and for the 5- and
 // 6-input classes a forest per semi-canonical representative, filled on
-// demand or from a dacpara-rewlib/v1 file (BigLibrary).
+// demand (Library.ForRepr).
 //
 // ABC ships an offline-enumerated forest; this package synthesizes an
 // equivalent one at startup by running a family of decomposition policies
@@ -20,6 +20,7 @@ package rewlib
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"dacpara/internal/npn"
 	"dacpara/internal/tt"
@@ -148,25 +149,16 @@ func (s *Structure) key() string {
 	return string(b)
 }
 
-// Library is the per-class structure forest. It is immutable after Build
-// (except for the optional Big attachment) and safe for concurrent use.
+// Library is the structure forest: dense over the 222 4-input classes,
+// immutable after Build, and lazily filled, behind a lock, over the
+// 5/6-input classes rewriting meets (ForRepr). It is safe for concurrent
+// use and must not be copied.
 type Library struct {
 	npn     *npn.Manager
 	structs [][]Structure // by class index
 
-	// Big, when non-nil, provides the large-cut (5/6-input) forest keyed
-	// by semi-canonical representative. The classic 4-input classes above
-	// are untouched by it.
-	Big *BigLibrary
-}
-
-// WithBig returns a copy of the library with the large-cut forest
-// attached. The receiver is not modified, so a shared 4-input library can
-// be specialized per configuration without races.
-func (l *Library) WithBig(b *BigLibrary) *Library {
-	cp := *l
-	cp.Big = b
-	return &cp
+	bigMu sync.RWMutex
+	big   map[tt.Func64][]Structure // by semi-canonical representative
 }
 
 // Params configure library construction.
@@ -180,7 +172,11 @@ type Params struct {
 // structure fails functional verification against its class
 // representative (which would indicate a bug, not bad input).
 func Build(m *npn.Manager, p Params) (*Library, error) {
-	lib := &Library{npn: m, structs: make([][]Structure, m.NumClasses())}
+	lib := &Library{
+		npn:     m,
+		structs: make([][]Structure, m.NumClasses()),
+		big:     map[tt.Func64][]Structure{},
+	}
 	for _, cls := range m.Classes() {
 		structs, err := synthesizeAll64(cls.Repr.Wide(), 4, p.MaxPerClass)
 		if err != nil {

@@ -28,9 +28,8 @@ const Common134 = 134
 // parameterizations are P1() and P2().
 type Config struct {
 	// K is the cut width, 4..cut.MaxK (0: classic 4-input rewriting).
-	// Widths above 4 require a library with a large-cut forest attached
-	// (rewlib.Library.Big); without one, 5/6-input cuts enumerate but
-	// yield no structural candidates.
+	// Cuts of 5 and 6 leaves are matched against forests the library
+	// synthesizes on first use (rewlib.Library.ForRepr).
 	K int
 	// MaxCuts bounds stored cuts per node (0: cut.DefaultCutLimit(K)).
 	MaxCuts int

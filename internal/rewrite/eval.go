@@ -407,14 +407,11 @@ func (e *Evaluator) EvaluateLocked(root int32, cuts []cut.Cut, lock engine.Locke
 // exact and the dense 4-input library applies, its transform one table
 // lookup (none for a class outside the configured subset); larger cuts
 // are classified semi-canonically (npn.SemiCanon, memoized per worker)
-// and their forests come from the attached BigLibrary, none without one.
+// and their forests come from the library's lazily filled large-cut half.
 func (e *Evaluator) forest(size uint8, f tt.Func64) (cls int, repr tt.Func64, structs []rewlib.Structure, inv npn.Transform) {
 	if size > 4 {
-		if e.Lib.Big == nil {
-			return rewlib.BigClass, 0, nil, npn.Identity
-		}
 		repr, tr := e.semiCache().Canon(f)
-		return rewlib.BigClass, repr, e.Lib.Big.ForRepr(repr), tr.Inverse()
+		return rewlib.BigClass, repr, e.Lib.ForRepr(repr), tr.Inverse()
 	}
 	cls, structs, inv = e.Lib.ForFunc(f.Narrow16())
 	if !e.mask[cls] {

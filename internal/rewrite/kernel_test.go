@@ -6,7 +6,6 @@ import (
 	"dacpara/internal/aig"
 	"dacpara/internal/bench"
 	"dacpara/internal/cut"
-	"dacpara/internal/rewlib"
 )
 
 // TestEvaluateMatchesReference holds the kernel to the evaluator it
@@ -27,28 +26,22 @@ func TestEvaluateMatchesReference(t *testing.T) {
 	configs := []struct {
 		name string
 		cfg  Config
-		lib  *rewlib.Library
 	}{
-		{"default", Config{}, lib},
-		{"P1", p1, lib},
-		{"zero-gain", Config{ZeroGain: true}, lib},
-		{"preserve-delay", Config{PreserveDelay: true}, lib},
-		{"k=5", Config{K: 5}, lib.WithBig(rewlib.NewBigLibrary(0))},
+		{"default", Config{}},
+		{"P1", p1},
+		{"zero-gain", Config{ZeroGain: true}},
+		{"preserve-delay", Config{PreserveDelay: true}},
+		{"k=5", Config{K: 5}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
 			set := nets
 			if testing.Short() {
-				// Large cuts are synthesized on demand, minutes under
-				// the race detector.
 				set = bench.FlowVerified()
-				if tc.cfg.K > 4 {
-					set = set[:3]
-				}
 			}
 			for _, a := range set {
 				cm := cut.NewManager(a, cut.Params{K: tc.cfg.K, MaxCuts: tc.cfg.MaxCuts})
-				ev := NewEvaluator(a, tc.lib, tc.cfg)
+				ev := NewEvaluator(a, lib, tc.cfg)
 				ref := &refScratch{delta: map[int32]int32{}}
 				a.ForEachAnd(func(id int32) {
 					cuts, _ := cm.Ensure(id, nil)

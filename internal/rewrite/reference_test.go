@@ -144,12 +144,9 @@ func refEvaluate(e *Evaluator, s *refScratch, root int32, cuts []cut.Cut) Candid
 		var inv npn.Transform
 		cls, repr := rewlib.BigClass, tt.Func64(0)
 		if c.Size > 4 {
-			if e.Lib.Big == nil {
-				continue
-			}
 			var tr npn.Transform
 			repr, tr = e.semiCache().Canon(c.TT)
-			structs, inv = e.Lib.Big.ForRepr(repr), tr.Inverse()
+			structs, inv = e.Lib.ForRepr(repr), tr.Inverse()
 		} else {
 			cls, structs, _ = e.Lib.ForFunc(c.TT.Narrow16())
 			if !e.mask[cls] {

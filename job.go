@@ -232,10 +232,6 @@ func rewriteStep(ctx context.Context, out *Outcome, job Job, eng Engine, cfg Con
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.K >= 5 {
-		// Large-cut rewriting needs the 5/6-input forests.
-		lib = lib.WithBig(defaultBig())
-	}
 	if !job.Guard {
 		return rewrite.Run(ctx, eng, out.Net, lib, cfg)
 	}

@@ -2,6 +2,7 @@ package dacpara
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"testing"
@@ -157,5 +158,81 @@ func TestLargeCutQoRAndEquivalence(t *testing.T) {
 				t.Errorf("k=5 ended at %d ANDs, worse than k=4's %d", finals[5], finals[4])
 			}
 		})
+	}
+}
+
+const goldenK56Path = "testdata/golden_k56.json"
+
+// updateK56 rewrites the golden file from the code under test. The
+// checked-in file was recorded while large-cut structures could still
+// come from a library file (none was set); regenerating it is a
+// statement that k = 5/6 engine output was meant to change.
+var updateK56 = flag.Bool("update-k56", false, "rewrite "+goldenK56Path)
+
+// goldenK56Entry is one row of testdata/golden_k56.json.
+type goldenK56Entry struct {
+	Circuit string `json:"circuit"`
+	Engine  string `json:"engine"`
+	K       int    `json:"k"`
+	Digest  string `json:"digest"`
+	Ands    int    `json:"ands"`
+}
+
+// TestGoldenK56ByteIdentity pins large-cut engine output the way
+// golden_k4.json pins k = 4: abc and dacpara at one worker, k = 5 and
+// k = 6, over the six flow_verified circuits, byte for byte. The
+// library pin (internal/rewlib's golden_rewlib.json) holds what the
+// synthesizer builds for sampled classes; this holds what the engines
+// do with it — classification, forest lookup, evaluation and commit.
+func TestGoldenK56ByteIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	circuits := largeConeCircuits()[:6]
+	engines, widths := []Engine{EngineSerial, EngineDACPara}, []int{5, 6}
+	var golden []goldenK56Entry
+	if !*updateK56 {
+		data, err := os.ReadFile(goldenK56Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &golden); err != nil {
+			t.Fatal(err)
+		}
+		if want := len(circuits) * len(engines) * len(widths); len(golden) != want {
+			t.Fatalf("%d golden rows, want %d", len(golden), want)
+		}
+	}
+	var recorded []goldenK56Entry
+	for _, c := range circuits {
+		for _, eng := range engines {
+			for _, k := range widths {
+				net := c.Clone()
+				res, err := Rewrite(net, eng, Config{K: k, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := goldenK56Entry{
+					Circuit: c.Name, Engine: string(eng), K: k,
+					Digest: aig.StructuralDigest(net), Ands: res.FinalAnds,
+				}
+				if !*updateK56 {
+					if want := golden[len(recorded)]; got != want {
+						t.Errorf("%s %s k=%d: %s (%d ANDs), golden %+v", c.Name, eng, k, got.Digest, got.Ands, want)
+					}
+				}
+				recorded = append(recorded, got)
+			}
+		}
+	}
+	if *updateK56 {
+		data, err := json.MarshalIndent(recorded, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenK56Path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("wrote %d rows to %s\n", len(recorded), goldenK56Path)
 	}
 }

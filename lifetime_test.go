@@ -13,8 +13,9 @@ import (
 // TestNoGoroutineOutlivesRun: every engine, and the parallel refactor and
 // resub passes, start their worker team once per run and must have ended
 // it by the time Run returns — when the run succeeds, when its context is
-// cancelled while the team is at work, and when the retry budget runs out
-// in the middle of a phase. (The operator-panic ending needs a pass that
+// cancelled while the team is at work, when the retry budget runs out in
+// the middle of a phase, and when every rung of a guarded job runs into
+// the attempt deadline. (The operator-panic ending needs a pass that
 // panics; internal/engine's TestTeamLifetime has it, for every skeleton.)
 func TestNoGoroutineOutlivesRun(t *testing.T) {
 	jobs := []Job{
@@ -99,4 +100,28 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			back(t, base)
 		})
 	}
+	// The guard's deadline stops an attempt, it does not abandon it: three
+	// rungs (dacpara, iccad18, abc) of 500 passes each are cut short at
+	// 10 ms, and none of them is still running when Run reports the
+	// ladder exhausted.
+	t.Run("guard-deadline", func(t *testing.T) {
+		net, err := Generate("voter", ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := goroutines()
+		out, err := Run(context.Background(), net, Job{
+			Engine: EngineDACPara, Workers: 3, Passes: 500, ZeroGain: true,
+			Guard: true, GuardDeadlineNs: int64(10 * time.Millisecond),
+		}, Hooks{})
+		if !errors.Is(err, ErrGuardExhausted) {
+			t.Fatalf("err = %v, want the ladder exhausted", err)
+		}
+		for _, a := range out.Reports[0].Attempts {
+			if !a.TimedOut {
+				t.Errorf("rung %s: %+v, want it timed out", a.Engine, a)
+			}
+		}
+		back(t, base)
+	})
 }

@@ -20,73 +20,73 @@ import (
 	"dacpara"
 )
 
-func main() {
-	var (
-		in        = flag.String("in", "", "input AIGER file (ASCII or binary)")
-		gen       = flag.String("gen", "", "generate a named benchmark instead of reading a file (see -list)")
-		scale     = flag.String("scale", "small", "generated benchmark scale: tiny, small, full")
-		outPath   = flag.String("out", "", "output AIGER file (optional)")
-		engine    = flag.String("engine", "dacpara", "engine: abc, iccad18, dacpara, dac22, tcad23")
-		threads   = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-		passes    = flag.Int("passes", 1, "rewriting passes")
-		cutK      = flag.Int("k", 0, "rewriting cut width, 4..6 (0 = classic 4-input; 5/6 synthesize their structure forests on first use)")
-		p1        = flag.Bool("p1", false, "use the paper's P1 configuration (8 cuts, 5 structures, 2 passes)")
-		p2        = flag.Bool("p2", false, "use the paper's P2 configuration (unlimited, 1 pass)")
-		zero      = flag.Bool("z", false, "also apply zero-gain rewrites")
-		level     = flag.Bool("l", false, "preserve levels: reject depth-increasing rewrites")
-		guard     = flag.Bool("guard", false, "guarded execution: verify each engine run on a scratch copy and degrade dacpara -> iccad18 -> abc on failure")
-		deadln    = flag.Duration("guard-deadline", 0, "with -guard: per-attempt wall-clock deadline (0 = none)")
-		verify    = flag.Bool("verify", false, "equivalence-check the result against the input")
-		simOnly   = flag.Bool("sim-only", false, "verification by simulation only (for large circuits)")
-		lut       = flag.Int("lut", 0, "after optimizing, also map into k-input LUTs and report mapped area/depth")
-		script    = flag.String("script", "", "run an ABC-style flow instead of one engine, e.g. \"b; rw; rf -p; rs -p -w=8; b\" (per-step flags: -z zero-gain, -p parallel refactor/resub, -w=N workers; use 'resyn2' for the classic script)")
-		list      = flag.Bool("list", false, "list generatable benchmarks and exit")
-		stats     = flag.Bool("stats", false, "collect engine metrics and print a per-phase summary")
-		statsJSON = flag.String("stats-json", "", "collect engine metrics and write the snapshot(s) as JSON to this file ('-' for stdout)")
-		traceConf = flag.Int("trace-conflicts", 0, "with -stats/-stats-json: sample up to N aborted activities per worker into the snapshot")
-		pprofPfx  = flag.String("pprof", "", "write CPU and heap profiles around the run to <prefix>.cpu.pprof and <prefix>.heap.pprof")
-	)
-	flag.Parse()
+// cli is the command line: every flag, bound to a flag set.
+type cli struct {
+	fs                                                *flag.FlagSet
+	in, gen, scale, outPath, engine, script           *string
+	statsJSON, pprofPfx                               *string
+	threads, passes, cutK, lut, traceConf             *int
+	p1, p2, zero, level, verify, simOnly, list, stats *bool
+}
 
-	if *list {
-		for _, n := range dacpara.BenchmarkNames(parseScale(*scale)) {
-			fmt.Println(n)
-		}
-		return
+func newCLI(fs *flag.FlagSet) *cli {
+	return &cli{
+		fs:        fs,
+		in:        fs.String("in", "", "input AIGER file (ASCII or binary)"),
+		gen:       fs.String("gen", "", "generate a named benchmark instead of reading a file (see -list)"),
+		scale:     fs.String("scale", "small", "generated benchmark scale: tiny, small, full"),
+		outPath:   fs.String("out", "", "output AIGER file (optional)"),
+		engine:    fs.String("engine", "dacpara", "engine: abc, iccad18, dacpara, dac22, tcad23"),
+		threads:   fs.Int("threads", 0, "worker threads (0 = GOMAXPROCS)"),
+		passes:    fs.Int("passes", 0, "rewriting passes (0 = one, or the preset's)"),
+		cutK:      fs.Int("k", 0, "rewriting cut width, 4..6 (0 = classic 4-input; 5/6 synthesize their structure forests on first use)"),
+		p1:        fs.Bool("p1", false, "start from the paper's P1 configuration (8 cuts, 5 structures, 2 passes); knob flags override it"),
+		p2:        fs.Bool("p2", false, "start from the paper's P2 configuration (unlimited, 1 pass); knob flags override it"),
+		zero:      fs.Bool("z", false, "also apply zero-gain rewrites"),
+		level:     fs.Bool("l", false, "preserve levels: reject depth-increasing rewrites"),
+		verify:    fs.Bool("verify", false, "equivalence-check the result against the input"),
+		simOnly:   fs.Bool("sim-only", false, "verification by simulation only (for large circuits)"),
+		lut:       fs.Int("lut", 0, "after optimizing, also map into k-input LUTs and report mapped area/depth"),
+		script:    fs.String("script", "", "run an ABC-style flow instead of one engine, e.g. \"b; rw; rf -p; rs -p -w=8; b\" (per-step flags: -z zero-gain, -p parallel refactor/resub, -w=N workers; use 'resyn2' for the classic script)"),
+		list:      fs.Bool("list", false, "list generatable benchmarks and exit"),
+		stats:     fs.Bool("stats", false, "collect engine metrics and print a per-phase summary"),
+		statsJSON: fs.String("stats-json", "", "collect engine metrics and write the snapshot(s) as JSON to this file ('-' for stdout)"),
+		traceConf: fs.Int("trace-conflicts", 0, "with -stats/-stats-json: sample up to N aborted activities per worker into the snapshot"),
+		pprofPfx:  fs.String("pprof", "", "write CPU and heap profiles around the run to <prefix>.cpu.pprof and <prefix>.heap.pprof"),
 	}
+}
 
-	var net *dacpara.Network
-	var err error
+// job builds the run's one Job from the parsed flags and validates it. A
+// preset (-p1, -p2) is the starting point and only the knob flags the
+// user set override it, as dacparad's preset= does with its query
+// parameters. -sim-only replaces the job's own SAT-backed check with a
+// simulation screen after the run.
+func (c *cli) job() (dacpara.Job, error) {
+	var cfg dacpara.Config
 	switch {
-	case *gen != "":
-		net, err = dacpara.Generate(*gen, parseScale(*scale))
-	case *in != "":
-		net, err = dacpara.ReadAIGER(*in)
-	default:
-		fmt.Fprintln(os.Stderr, "dacpara: need -in or -gen (see -h)")
-		os.Exit(2)
-	}
-	fatal(err)
-
-	cfg := dacpara.Config{Workers: *threads, Passes: *passes, ZeroGain: *zero, PreserveDelay: *level}
-	if *p1 {
+	case *c.p1 && *c.p2:
+		return dacpara.Job{}, errors.New("dacpara: -p1 and -p2 are exclusive")
+	case *c.p1:
 		cfg = dacpara.P1()
-		cfg.Workers = *threads
-	}
-	if *p2 {
+	case *c.p2:
 		cfg = dacpara.P2()
-		cfg.Workers = *threads
 	}
-	cfg.K = *cutK
-	// One job from the flags; -sim-only replaces the job's own SAT-backed
-	// check with a simulation screen after the run.
-	job := dacpara.Job{
-		Engine:          dacpara.Engine(*engine),
-		Guard:           *guard,
-		GuardDeadlineNs: int64(*deadln),
-		Verify:          *verify && !*simOnly,
-	}.WithKnobs(cfg)
-	if flow := *script; flow != "" {
+	c.fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "threads":
+			cfg.Workers = *c.threads
+		case "passes":
+			cfg.Passes = *c.passes
+		case "k":
+			cfg.K = *c.cutK
+		case "z":
+			cfg.ZeroGain = *c.zero
+		case "l":
+			cfg.PreserveDelay = *c.level
+		}
+	})
+	job := dacpara.Job{Engine: dacpara.Engine(*c.engine), Verify: *c.verify && !*c.simOnly}.WithKnobs(cfg)
+	if flow := *c.script; flow != "" {
 		switch flow {
 		case "resyn2":
 			flow = dacpara.Resyn2
@@ -95,24 +95,52 @@ func main() {
 		}
 		job.Engine, job.Flow = "", flow
 	}
-	if err := job.Validate(); err != nil {
+	return job, job.Validate()
+}
+
+func main() {
+	c := newCLI(flag.CommandLine)
+	flag.Parse()
+
+	if *c.list {
+		for _, n := range dacpara.BenchmarkNames(parseScale(*c.scale)) {
+			fmt.Println(n)
+		}
+		return
+	}
+
+	var net *dacpara.Network
+	var err error
+	switch {
+	case *c.gen != "":
+		net, err = dacpara.Generate(*c.gen, parseScale(*c.scale))
+	case *c.in != "":
+		net, err = dacpara.ReadAIGER(*c.in)
+	default:
+		fmt.Fprintln(os.Stderr, "dacpara: need -in or -gen (see -h)")
+		os.Exit(2)
+	}
+	fatal(err)
+
+	job, err := c.job()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	var hooks dacpara.Hooks
-	if *stats || *statsJSON != "" {
+	if *c.stats || *c.statsJSON != "" {
 		hooks.Attach.Metrics = dacpara.NewMetrics()
-		hooks.Attach.Metrics.TraceConflicts(*traceConf)
+		hooks.Attach.Metrics.TraceConflicts(*c.traceConf)
 	}
 
-	if *pprofPfx != "" {
-		f, err := os.Create(*pprofPfx + ".cpu.pprof")
+	if *c.pprofPfx != "" {
+		f, err := os.Create(*c.pprofPfx + ".cpu.pprof")
 		fatal(err)
 		fatal(pprof.StartCPUProfile(f))
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			h, err := os.Create(*pprofPfx + ".heap.pprof")
+			h, err := os.Create(*c.pprofPfx + ".heap.pprof")
 			fatal(err)
 			defer h.Close()
 			fatal(pprof.WriteHeapProfile(h))
@@ -120,15 +148,12 @@ func main() {
 	}
 
 	var golden *dacpara.Network
-	if *verify && *simOnly {
+	if *c.verify && *c.simOnly {
 		golden = net.Clone()
 	}
 
 	before := net.Stats()
 	out, err := dacpara.Run(context.Background(), net, job, hooks)
-	for _, rep := range out.Reports {
-		fmt.Println(rep)
-	}
 	if errors.Is(err, dacpara.ErrNotEquivalent) {
 		fmt.Fprintln(os.Stderr, "dacpara: EQUIVALENCE CHECK FAILED")
 		os.Exit(1)
@@ -162,19 +187,19 @@ func main() {
 		}
 	}
 
-	if *stats {
+	if *c.stats {
 		for _, s := range snapshots {
 			s.Format(os.Stdout)
 		}
 	}
-	if *statsJSON != "" {
-		fatal(writeSnapshots(*statsJSON, snapshots))
+	if *c.statsJSON != "" {
+		fatal(writeSnapshots(*c.statsJSON, snapshots))
 	}
 
-	if *lut > 0 {
-		m, err := dacpara.MapLUT(net, *lut)
+	if *c.lut > 0 {
+		m, err := dacpara.MapLUT(net, *c.lut)
 		fatal(err)
-		fmt.Printf("mapped: %d LUT%d, depth %d\n", m.Area, *lut, m.Depth)
+		fmt.Printf("mapped: %d LUT%d, depth %d\n", m.Area, *c.lut, m.Depth)
 	}
 
 	if golden != nil {
@@ -185,12 +210,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *verify {
+	if *c.verify {
 		fmt.Println("equivalence check passed")
 	}
 
-	if *outPath != "" {
-		fatal(net.WriteFile(*outPath))
+	if *c.outPath != "" {
+		fatal(net.WriteFile(*c.outPath))
 	}
 }
 

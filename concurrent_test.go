@@ -177,7 +177,7 @@ func TestPassContextCancellation(t *testing.T) {
 	cancel()
 	step := func(n *Network, st FlowStep) (Result, *Network, error) {
 		out := Outcome{Net: n}
-		res, err := runFlowStep(ctx, &out, Job{}, st, Config{})
+		res, err := runFlowStep(ctx, &out, st, Config{})
 		return res, out.Net, err
 	}
 	variants := []struct {

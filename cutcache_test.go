@@ -145,25 +145,21 @@ func cachedGraphs(c *CutCache) map[uintptr]bool {
 }
 
 // TestFlowCutCacheKeepsOneGeneration: balance and fraig hand the flow a
-// new graph, and a guarded step rewrites scratch clones; the cut sets of
-// a graph the flow has left behind can never hit again, so the flow drops
-// them instead of pinning every generation until it returns. What is left
-// is the final network's — or nothing, when every rewrite ran on a clone.
+// new graph; the cut sets of a graph the flow has left behind can never
+// hit again, so the flow drops them instead of pinning every generation
+// until it returns. What is left is the final network's.
 func TestFlowCutCacheKeepsOneGeneration(t *testing.T) {
-	for _, guard := range []bool{false, true} {
-		net, err := Generate("sin", ScaleTiny)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cache := NewCutCache()
-		out, err := Run(context.Background(), net, Job{Flow: "b; rw; b; rw; fraig; rw", Workers: 1, Guard: guard},
-			Hooks{Attach: Config{CutCache: cache}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphs := cachedGraphs(cache)
-		if final := reflect.ValueOf(out.Net).Pointer(); guard && len(graphs) != 0 || !guard && (len(graphs) != 1 || !graphs[final]) {
-			t.Fatalf("guard=%v: the cache holds managers for %d graphs", guard, len(graphs))
-		}
+	net, err := Generate("sin", ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewCutCache()
+	out, err := Run(context.Background(), net, Job{Flow: "b; rw; b; rw; fraig; rw", Workers: 1},
+		Hooks{Attach: Config{CutCache: cache}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if graphs := cachedGraphs(cache); len(graphs) != 1 || !graphs[reflect.ValueOf(out.Net).Pointer()] {
+		t.Fatalf("the cache holds managers for %d graphs", len(graphs))
 	}
 }

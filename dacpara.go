@@ -30,7 +30,6 @@ import (
 	"dacpara/internal/bench"
 	"dacpara/internal/cec"
 	"dacpara/internal/cut"
-	"dacpara/internal/guard"
 	"dacpara/internal/metrics"
 	"dacpara/internal/npn"
 	"dacpara/internal/rewlib"
@@ -140,14 +139,6 @@ func Rewrite(net *Network, engine Engine, cfg Config) (Result, error) {
 	out, err := Run(context.Background(), net, Job{Engine: engine}.WithKnobs(cfg), Hooks{Attach: cfg})
 	return out.Result, err
 }
-
-// GuardReport is the attempt-by-attempt history of one guarded rewrite
-// (Job.Guard).
-type GuardReport = guard.Report
-
-// ErrGuardExhausted reports that every rung of a guarded job's
-// degradation ladder failed; the network is left unchanged.
-var ErrGuardExhausted = guard.ErrExhausted
 
 // ReadAIGER loads a network from an AIGER file (ASCII or binary).
 func ReadAIGER(path string) (*Network, error) { return aig.ReadFile(path) }

@@ -51,7 +51,7 @@ func TestDifferentialEngines(t *testing.T) {
 							t.Fatalf("structural check: %v", err)
 						}
 						sig := aig.RandomSignature(net, rand.New(rand.NewSource(seed)), rounds)
-						if !aig.EqualSignatures(goldenSig, sig) {
+						if !slices.Equal(goldenSig, sig) {
 							t.Fatalf("%s result differs from input under simulation", eng)
 						}
 						// The same run exercises the instrumentation of every
@@ -136,7 +136,7 @@ func TestDifferentialCrossPassFlow(t *testing.T) {
 						t.Fatalf("structural check: %v", err)
 					}
 					sig := aig.RandomSignature(final, rand.New(rand.NewSource(seed)), rounds)
-					if !aig.EqualSignatures(goldenSig, sig) {
+					if !slices.Equal(goldenSig, sig) {
 						t.Fatalf("flow result differs from input under simulation")
 					}
 					if small {

@@ -194,7 +194,7 @@ func FlowResumeContext(ctx context.Context, net *Network, script string, cfg Con
 // runFlow drives a whole-circuit flow job: steps from the resume cursor
 // on, one at a time, the checkpoint hook after each. On an error the
 // outcome holds the steps that finished and the latest network.
-func runFlow(ctx context.Context, out *Outcome, job Job, steps []FlowStep, cfg Config, h Hooks) error {
+func runFlow(ctx context.Context, out *Outcome, steps []FlowStep, cfg Config, h Hooks) error {
 	if h.ResumeStep < 0 || h.ResumeStep > len(steps) {
 		return fmt.Errorf("dacpara: flow: resume step %d out of range [0, %d]", h.ResumeStep, len(steps))
 	}
@@ -210,7 +210,7 @@ func runFlow(ctx context.Context, out *Outcome, job Job, steps []FlowStep, cfg C
 			return fmt.Errorf("dacpara: flow: %w", err)
 		}
 		before := out.Net
-		res, err := runFlowStep(ctx, out, job, steps[i], cfg)
+		res, err := runFlowStep(ctx, out, steps[i], cfg)
 		if out.Net != before {
 			// The step rebuilt the graph: the old one's cut sets can never
 			// hit again, and would pin it for the rest of the flow.
@@ -232,7 +232,7 @@ func runFlow(ctx context.Context, out *Outcome, job Job, steps []FlowStep, cfg C
 
 // runFlowStep executes one validated step on out.Net, replacing it when
 // the step rebuilds the graph.
-func runFlowStep(ctx context.Context, out *Outcome, job Job, st FlowStep, cfg Config) (Result, error) {
+func runFlowStep(ctx context.Context, out *Outcome, st FlowStep, cfg Config) (Result, error) {
 	net := out.Net
 	// workers resolves the per-step override against the job's.
 	workers := cfg.Workers
@@ -291,7 +291,7 @@ func runFlowStep(ctx context.Context, out *Outcome, job Job, st FlowStep, cfg Co
 	if st.K > 0 {
 		cfg.K = st.K
 	}
-	return rewriteStep(ctx, out, job, st.Engine, cfg)
+	return rewriteStep(ctx, net, st.Engine, cfg)
 }
 
 // summarizeFlow folds a flow's per-step results into one job-level

@@ -90,67 +90,6 @@ func TestFlowValidatesWholeScriptUpFront(t *testing.T) {
 	}
 }
 
-func TestRewriteGuardedFacade(t *testing.T) {
-	net, err := Generate("mult", ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := net.Clone()
-	out, err := Run(context.Background(), net, Job{Engine: EngineDACPara, Workers: 2, Guard: true}, Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Reports) != 1 {
-		t.Fatalf("%d guard reports, want 1", len(out.Reports))
-	}
-	res, rep := out.Result, out.Reports[0]
-	if len(rep.Attempts) == 0 || rep.Committed == "" {
-		t.Fatalf("empty guard report: %+v", rep)
-	}
-	if res.FinalAnds >= res.InitialAnds {
-		t.Fatalf("no area reduction: %d -> %d", res.InitialAnds, res.FinalAnds)
-	}
-	eq, err := Equivalent(golden, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("guarded rewrite broke equivalence")
-	}
-}
-
-func TestFlowGuarded(t *testing.T) {
-	net, err := Generate("voter", ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := net.Clone()
-	out, err := Run(context.Background(), net, Job{Flow: "balance; rewrite; iccad18", Workers: 2, Guard: true}, Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, reports, final := out.Steps, out.Reports, out.Net
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
-	}
-	// One report per rewriting command (balance runs unguarded).
-	if len(reports) != 2 {
-		t.Fatalf("%d guard reports, want 2", len(reports))
-	}
-	for _, rep := range reports {
-		if rep.Committed == "" || rep.Degraded {
-			t.Fatalf("clean flow should commit without degradation: %+v", rep)
-		}
-	}
-	eq, err := Equivalent(golden, final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("guarded flow broke equivalence")
-	}
-}
-
 func TestFlowEngineCommands(t *testing.T) {
 	net, err := Generate("voter", ScaleTiny)
 	if err != nil {

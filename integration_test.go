@@ -2,6 +2,7 @@ package dacpara
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -35,7 +36,7 @@ func TestFullPipelineOverSuite(t *testing.T) {
 			}
 			sg := aig.RandomSignature(golden, rand.New(rand.NewSource(9)), 4)
 			sn := aig.RandomSignature(net, rand.New(rand.NewSource(9)), 4)
-			if !aig.EqualSignatures(sg, sn) {
+			if !slices.Equal(sg, sn) {
 				t.Fatal("rewriting changed the function")
 			}
 			m, err := MapLUT(net, 6)

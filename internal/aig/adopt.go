@@ -1,9 +1,9 @@
 package aig
 
 // Adopt replaces a's contents with b's, transferring ownership of b's
-// node storage; b must not be used afterwards. Guarded execution relies
-// on this to commit a verified scratch copy back into the caller's
-// network without invalidating the caller's *AIG pointer.
+// node storage; b must not be used afterwards. An out-of-place rebuild
+// (cec.Fraig) uses it to hand its result back under the caller's *AIG
+// pointer.
 //
 // Adopt moves slice headers and atomic values only — no node (and hence
 // no lock or atomic counter) is copied by value. It must not run

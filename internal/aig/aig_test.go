@@ -2,6 +2,7 @@ package aig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -165,7 +166,7 @@ func TestCloneEquivalence(t *testing.T) {
 	}
 	sa := RandomSignature(a, rand.New(rand.NewSource(1)), 4)
 	sb := RandomSignature(b, rand.New(rand.NewSource(1)), 4)
-	if !EqualSignatures(sa, sb) {
+	if !slices.Equal(sa, sb) {
 		t.Fatal("clone not equivalent")
 	}
 	if err := b.Check(CheckOptions{}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -54,7 +55,7 @@ func checkSameFunction(t *testing.T, a, b *AIG) {
 	}
 	sa := RandomSignature(a, rand.New(rand.NewSource(3)), 4)
 	sb := RandomSignature(b, rand.New(rand.NewSource(3)), 4)
-	if !EqualSignatures(sa, sb) {
+	if !slices.Equal(sa, sb) {
 		t.Fatal("function changed through AIGER round trip")
 	}
 }
@@ -168,7 +169,7 @@ func TestRandomSignatureDetectsDifference(t *testing.T) {
 	b.AddPO(b.Or(xb, yb))
 	sa := RandomSignature(a, rand.New(rand.NewSource(1)), 2)
 	sb := RandomSignature(b, rand.New(rand.NewSource(1)), 2)
-	if EqualSignatures(sa, sb) {
+	if slices.Equal(sa, sb) {
 		t.Fatal("AND and OR produced equal signatures")
 	}
 }

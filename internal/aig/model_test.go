@@ -2,6 +2,7 @@ package aig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -108,7 +109,7 @@ func TestReplaceModelBased(t *testing.T) {
 			}
 		}
 		got := RandomSignature(a, rand.New(rand.NewSource(9)), 2)
-		if !EqualSignatures(ref, got) {
+		if !slices.Equal(ref, got) {
 			t.Fatalf("iter %d: function drifted", iter)
 		}
 	}

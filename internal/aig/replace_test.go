@@ -2,6 +2,7 @@ package aig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -205,7 +206,7 @@ func TestReplaceKeepsFunction(t *testing.T) {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		after := RandomSignature(a, rand.New(rand.NewSource(2)), 4)
-		if !EqualSignatures(before, after) {
+		if !slices.Equal(before, after) {
 			t.Fatalf("iter %d: function changed", iter)
 		}
 	}

@@ -157,16 +157,3 @@ func RandomSignature(a *AIG, rng *rand.Rand, rounds int) []uint64 {
 	}
 	return sig
 }
-
-// EqualSignatures compares two signatures.
-func EqualSignatures(x, y []uint64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
-}

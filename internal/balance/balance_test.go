@@ -2,6 +2,7 @@ package balance
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -28,7 +29,7 @@ func TestBalancesChain(t *testing.T) {
 	}
 	sa := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
 	sb := aig.RandomSignature(b, rand.New(rand.NewSource(1)), 4)
-	if !aig.EqualSignatures(sa, sb) {
+	if !slices.Equal(sa, sb) {
 		t.Fatal("balancing changed the function")
 	}
 }
@@ -56,7 +57,7 @@ func TestArrivalAwareBalancing(t *testing.T) {
 	}
 	sa := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
 	sb := aig.RandomSignature(b, rand.New(rand.NewSource(2)), 4)
-	if !aig.EqualSignatures(sa, sb) {
+	if !slices.Equal(sa, sb) {
 		t.Fatal("function changed")
 	}
 }
@@ -77,7 +78,7 @@ func TestBalancePreservesFunctionOnSuite(t *testing.T) {
 		}
 		sa := aig.RandomSignature(gen, rand.New(rand.NewSource(3)), 4)
 		sb := aig.RandomSignature(b, rand.New(rand.NewSource(3)), 4)
-		if !aig.EqualSignatures(sa, sb) {
+		if !slices.Equal(sa, sb) {
 			t.Fatalf("%s: function changed", gen.Name)
 		}
 		t.Logf("%s: area %d->%d delay %d->%d", gen.Name,
@@ -95,7 +96,7 @@ func TestComplementEdgesAreFrontiers(t *testing.T) {
 	b := Run(a)
 	sa := aig.RandomSignature(a, rand.New(rand.NewSource(4)), 4)
 	sb := aig.RandomSignature(b, rand.New(rand.NewSource(4)), 4)
-	if !aig.EqualSignatures(sa, sb) {
+	if !slices.Equal(sa, sb) {
 		t.Fatal("complement frontier mishandled")
 	}
 }

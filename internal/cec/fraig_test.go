@@ -2,6 +2,7 @@ package cec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -26,7 +27,7 @@ func TestFraigMergesFunctionalDuplicates(t *testing.T) {
 		t.Fatalf("area %d -> %d", initial, a.NumAnds())
 	}
 	after := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
-	if !aig.EqualSignatures(before, after) {
+	if !slices.Equal(before, after) {
 		t.Fatal("fraig changed the function")
 	}
 	if err := a.Check(aig.CheckOptions{}); err != nil {
@@ -45,7 +46,7 @@ func TestFraigOnRandomNetworks(t *testing.T) {
 			t.Fatalf("iter %d: fraig grew the network", iter)
 		}
 		after := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
-		if !aig.EqualSignatures(before, after) {
+		if !slices.Equal(before, after) {
 			t.Fatalf("iter %d: function changed (merged %d)", iter, res.Merged)
 		}
 		if err := a.Check(aig.CheckOptions{}); err != nil {

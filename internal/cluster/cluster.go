@@ -118,8 +118,8 @@ func (c Config) withDefaults() Config {
 type Task struct {
 	// Job is the coordinator-side job ID.
 	Job string `json:"job"`
-	// Req carries engine/flow, config knobs, seed, verify settings and
-	// the input digest.
+	// Req carries engine/flow, config knobs, verify settings and the
+	// input digest.
 	Req dacpara.Job `json:"req"`
 	// ResumeStep is the flow cursor the worker starts from (0 for a
 	// fresh run; >0 only for flow jobs resuming a checkpoint).

@@ -24,7 +24,7 @@ type cacheKey struct {
 // Manager.NextEpoch), so stored sets are returned only when they are
 // bit-identical to what a cold re-enumeration would produce.
 //
-// A graph that is rebuilt (balance, fraig, guard scratch clones) arrives
+// A graph that is rebuilt (balance, fraig, a clone) arrives
 // under a new pointer and simply misses. The old graph's managers can
 // never hit again, yet each pins its whole network; whoever retires a
 // graph calls Drop for it.

@@ -144,7 +144,7 @@ type Plan struct {
 }
 
 // Exec carries the spine knobs shared by every pass: parallelism, pass
-// count, fault injection, retry budget and the metrics collector.
+// count, fault injection and the metrics collector.
 type Exec struct {
 	// Workers sets the parallelism (0: runtime.GOMAXPROCS).
 	Workers int
@@ -152,8 +152,6 @@ type Exec struct {
 	Passes int
 	// Fault injects seeded faults into the speculative executor.
 	Fault *galois.FaultPlan
-	// RetryBudget bounds consecutive aborts per work item.
-	RetryBudget int
 	// Metrics, when non-nil, collects the run's instrumentation.
 	Metrics *metrics.Collector
 }
@@ -220,7 +218,6 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 	if !plan.SerialCommit {
 		ex = galois.NewExecutor(a.Capacity()+1, team)
 		ex.Fault = e.Fault
-		ex.RetryBudget = e.RetryBudget
 	}
 	// sweep is the lock-free step of one worklist, run on the team itself:
 	// a worker takes a chunk, enumerates it, then evaluates it. Nothing in

@@ -11,7 +11,7 @@ import (
 
 // Result reports one pass-engine run. Every pass in the repository —
 // rewriting, refactoring, resubstitution — returns this shape, so flow
-// steps, guard reports and the service speak one result type.
+// steps and the service speak one result type.
 type Result struct {
 	Engine  string
 	Threads int

@@ -144,7 +144,7 @@ func TestTeamLifetime(t *testing.T) {
 		{"cancelled", func(s *script, _ *Exec, node int32, cancel func()) { s.cancelAt, s.cancel = node, cancel },
 			func(err error) bool { return errors.Is(err, context.Canceled) }},
 		{"budget", func(_ *script, e *Exec, _ int32, _ func()) {
-			e.Fault, e.RetryBudget = &galois.FaultPlan{Seed: 1, AbortRate: 1}, 5
+			e.Fault = &galois.FaultPlan{Seed: 1, AbortRate: 1, RetryBudget: 5}
 		}, func(err error) bool {
 			var rbe *galois.RetryBudgetError
 			return errors.As(err, &rbe)

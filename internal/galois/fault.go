@@ -10,8 +10,8 @@ import (
 // exists to provoke the rare interleavings that speculative parallel
 // rewriting must survive — conflict storms, slow lock holders, stalled
 // workers, adversarial scheduling — so that tests can exercise the abort,
-// retry and guarded-rollback machinery on demand instead of waiting for
-// them to occur naturally.
+// retry and retry-budget machinery on demand instead of waiting for them
+// to occur naturally.
 //
 // A nil *FaultPlan is the zero-cost default: the executor takes a single
 // nil check per run and otherwise behaves exactly as without the fault
@@ -55,6 +55,11 @@ type FaultPlan struct {
 	// ShuffleWorklist processes the items in a seeded random permutation
 	// instead of the caller's order, breaking locality assumptions.
 	ShuffleWorklist bool
+
+	// RetryBudget bounds consecutive aborts per item before Run returns a
+	// *RetryBudgetError (0: DefaultRetryBudget). It sits on the plan
+	// because only a plan that forces aborts can exhaust a budget.
+	RetryBudget int
 }
 
 // active reports whether the plan injects anything.
@@ -63,6 +68,14 @@ func (p *FaultPlan) active() bool {
 		return false
 	}
 	return p.AbortRate > 0 || p.LockHoldDelay > 0 || p.StallRate > 0 || p.ShuffleWorklist
+}
+
+// retryBudget resolves the plan's budget; a nil plan has the default.
+func (p *FaultPlan) retryBudget() int {
+	if p == nil || p.RetryBudget <= 0 {
+		return DefaultRetryBudget
+	}
+	return p.RetryBudget
 }
 
 // shuffled returns the worklist to process: the caller's slice untouched,

@@ -93,8 +93,7 @@ func TestLockFreeOperatorImmuneToForcedAborts(t *testing.T) {
 
 func TestRetryBudgetReturnsTypedError(t *testing.T) {
 	ex := newExecutor(t, 500, 2)
-	ex.Fault = &FaultPlan{Seed: 1, AbortRate: 1.0}
-	ex.RetryBudget = 25
+	ex.Fault = &FaultPlan{Seed: 1, AbortRate: 1.0, RetryBudget: 25}
 	// Four acquisitions per activity: the doomed acquire (one of the
 	// first four) always fires, so at rate 1.0 no activity can ever
 	// commit and the budget must trip.

@@ -35,8 +35,8 @@ var ErrConflict error = conflictError{}
 // PanicError wraps a panic recovered inside an executor worker. The
 // worker's locks are released and the run stops with this error instead
 // of crashing the process; the graph may be left half-mutated by the
-// panicking activity, so callers must treat the network as suspect
-// (guarded execution verifies and rolls back).
+// panicking activity, so callers must treat the network as suspect:
+// discard it, or check it (aig.Check, an equivalence check) before use.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -245,11 +245,9 @@ type Executor struct {
 	Stats Stats
 
 	// Fault, when non-nil, injects seeded faults into every Run (see
-	// FaultPlan). Nil is the zero-cost production default.
+	// FaultPlan) and sets its retry budget. Nil is the zero-cost
+	// production default.
 	Fault *FaultPlan
-	// RetryBudget bounds consecutive aborts per item before Run returns a
-	// *RetryBudgetError (0 means DefaultRetryBudget).
-	RetryBudget int
 
 	local  []workerStats // by worker tag; folded into Stats after each run
 	inj    []*injector   // by worker tag, for the plan injFor; nil if it injects nothing
@@ -272,13 +270,6 @@ func (e *Executor) injectors() []*injector {
 		}
 	}
 	return e.inj
-}
-
-func (e *Executor) retryBudget() int {
-	if e.RetryBudget <= 0 {
-		return DefaultRetryBudget
-	}
-	return e.RetryBudget
 }
 
 // NewExecutor creates an executor that runs on team, over nodes up to
@@ -312,7 +303,7 @@ func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error
 		return ctx.Err()
 	}
 	items = e.Fault.shuffled(items)
-	budget := e.retryBudget()
+	budget := e.Fault.retryBudget()
 	// A list too short to share, or one that makes a single chunk, runs
 	// as a one-worker phase: on the caller under tag 1, no helper woken.
 	workers, cursor := e.Team.Split(len(items))

@@ -13,7 +13,7 @@ import (
 func sampleRecords() []Record {
 	return []Record{
 		{Op: OpSubmitted, Job: "j00000001", TimeNs: 100, Req: &Request{
-			Flow: "b; rw -z; b", Workers: 4, Passes: 3, Seed: 7, InputDigest: "sha256:aaaa",
+			Flow: "b; rw -z; b", Workers: 4, Passes: 3, InputDigest: "sha256:aaaa",
 		}},
 		{Op: OpStarted, Job: "j00000001", TimeNs: 200},
 		{Op: OpCheckpoint, Job: "j00000001", TimeNs: 300, Step: 1, Digest: "sha256:bbbb"},
@@ -56,16 +56,16 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 func TestJobSurvivesTheLog(t *testing.T) {
 	want := dacpara.Job{
 		Engine: dacpara.EngineLockPar, Workers: 3, K: 5, Passes: 2, MaxCuts: 8, MaxStructs: 5, Classes: 222,
-		ZeroGain: true, PreserveDelay: true, Seed: -7, Verify: true, VerifyBudget: 1000,
+		ZeroGain: true, PreserveDelay: true, Verify: true, VerifyBudget: 1000,
 		DeadlineNs: 30e9, InputDigest: "sha256:aaaa",
 	}
-	guarded := dacpara.Job{Flow: "b; rw", Guard: true, GuardDeadlineNs: 5e9, InputDigest: "sha256:bbbb"}
+	flow := dacpara.Job{Flow: "b; rw", InputDigest: "sha256:bbbb"}
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	log, _, _, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, job := range []dacpara.Job{want, guarded} {
+	for i, job := range []dacpara.Job{want, flow} {
 		if err := log.Append(Record{Op: OpSubmitted, Job: "j" + string(rune('1'+i)), Req: &job}); err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestJobSurvivesTheLog(t *testing.T) {
 		t.Fatalf("reopen: %d records, %d bytes dropped, err %v", len(recs), dropped, err)
 	}
 	log.Close()
-	for i, job := range []dacpara.Job{want, guarded} {
+	for i, job := range []dacpara.Job{want, flow} {
 		got := *recs[i].Req
 		if got != job {
 			t.Errorf("job %d came back as %+v, want %+v", i, got, job)
@@ -91,7 +91,7 @@ func TestJobSurvivesTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	const wire = `"req":{"engine":"iccad18","workers":3,"k":5,"passes":2,"max_cuts":8,"max_structs":5,"classes":222,` +
-		`"zero_gain":true,"preserve_delay":true,"seed":-7,"verify":true,"verify_budget":1000,` +
+		`"zero_gain":true,"preserve_delay":true,"verify":true,"verify_budget":1000,` +
 		`"deadline_ns":30000000000,"input_digest":"sha256:aaaa"}`
 	if !bytes.Contains(data, []byte(wire)) {
 		t.Fatalf("submitted record does not carry the journal's request JSON %s:\n%q", wire, data)

@@ -2,6 +2,7 @@ package refactor
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -25,7 +26,7 @@ func TestRefactorPreservesFunction(t *testing.T) {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
 		after := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
-		if !aig.EqualSignatures(before, after) {
+		if !slices.Equal(before, after) {
 			t.Fatalf("%s: function changed", a.Name)
 		}
 		if a.NumAnds() > initial {
@@ -126,7 +127,7 @@ func TestRunParallelPreservesFunction(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		got := aig.RandomSignature(a, rand.New(rand.NewSource(6)), 4)
-		if !aig.EqualSignatures(golden, got) {
+		if !slices.Equal(golden, got) {
 			t.Fatalf("workers=%d: function changed", workers)
 		}
 		if a.NumAnds() > initial {

@@ -2,6 +2,7 @@ package resub
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -18,7 +19,7 @@ func TestRunParallelPreservesFunction(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		got := aig.RandomSignature(a, rand.New(rand.NewSource(6)), 4)
-		if !aig.EqualSignatures(golden, got) {
+		if !slices.Equal(golden, got) {
 			t.Fatalf("workers=%d: function changed", workers)
 		}
 		if a.NumAnds() > initial {

@@ -2,6 +2,7 @@ package resub
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -24,7 +25,7 @@ func TestResubPreservesFunction(t *testing.T) {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
 		after := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
-		if !aig.EqualSignatures(before, after) {
+		if !slices.Equal(before, after) {
 			t.Fatalf("%s: function changed", a.Name)
 		}
 		if a.NumAnds() > initial {
@@ -49,7 +50,7 @@ func TestZeroResubFindsExistingEquivalent(t *testing.T) {
 	before := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
 	Run(a, Config{})
 	after := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
-	if !aig.EqualSignatures(before, after) {
+	if !slices.Equal(before, after) {
 		t.Fatal("function changed")
 	}
 	if err := a.Check(aig.CheckOptions{}); err != nil {
@@ -78,7 +79,7 @@ func TestOneResubSharesDivisors(t *testing.T) {
 	t.Logf("area %d -> %d (substitutions %d)", initial, a.NumAnds(), res.Replacements)
 	sig := aig.RandomSignature(a, rand.New(rand.NewSource(3)), 4)
 	want := aig.RandomSignature(rebuildReference(), rand.New(rand.NewSource(3)), 4)
-	if !aig.EqualSignatures(sig, want) {
+	if !slices.Equal(sig, want) {
 		t.Fatal("function drifted from reference")
 	}
 }
@@ -104,7 +105,7 @@ func TestResubAfterRewrite(t *testing.T) {
 	mid := a.NumAnds()
 	Run(a, Config{ZeroGain: true})
 	after := aig.RandomSignature(a, rand.New(rand.NewSource(4)), 4)
-	if !aig.EqualSignatures(before, after) {
+	if !slices.Equal(before, after) {
 		t.Fatal("function changed")
 	}
 	if a.NumAnds() > mid || mid > initial {

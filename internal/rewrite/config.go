@@ -55,12 +55,10 @@ type Config struct {
 	// Fault injects seeded faults into the speculative executor of the
 	// parallel engines — forced aborts, lock-hold delays, worker stalls,
 	// worklist shuffles (see galois.FaultPlan). Nil, the default, costs
-	// nothing. Serial engines take no locks and are unaffected.
-	Fault *galois.FaultPlan
+	// nothing. Serial engines take no locks and are unaffected. Its
 	// RetryBudget bounds consecutive aborts per work item before a
-	// parallel engine gives up with a *galois.RetryBudgetError instead of
-	// livelocking (0: galois.DefaultRetryBudget).
-	RetryBudget int
+	// parallel engine gives up with a *galois.RetryBudgetError.
+	Fault *galois.FaultPlan
 	// Metrics, when non-nil, collects per-phase timings, per-level
 	// parallelism, speculative-work accounting and QoR deltas for the run
 	// (see internal/metrics). The engine resets the collector on entry
@@ -130,15 +128,13 @@ func (c Config) cutManager(a *aig.AIG) *cut.Manager {
 }
 
 // Exec materializes the Config's spine knobs for the pass-engine
-// framework (parallelism, pass count, fault plan, retry budget,
-// metrics).
+// framework (parallelism, pass count, fault plan, metrics).
 func (c Config) Exec() engine.Exec {
 	return engine.Exec{
-		Workers:     c.Workers,
-		Passes:      c.Passes,
-		Fault:       c.Fault,
-		RetryBudget: c.RetryBudget,
-		Metrics:     c.Metrics,
+		Workers: c.Workers,
+		Passes:  c.Passes,
+		Fault:   c.Fault,
+		Metrics: c.Metrics,
 	}
 }
 

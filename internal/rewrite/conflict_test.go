@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -82,7 +83,7 @@ func TestConflictAbortLeavesGraphUntouched(t *testing.T) {
 				t.Fatalf("seed %d fail@%d: capacity changed", seed, fail)
 			}
 			after := aig.RandomSignature(b, rand.New(rand.NewSource(1)), 2)
-			if !aig.EqualSignatures(before, after) {
+			if !slices.Equal(before, after) {
 				t.Fatalf("seed %d fail@%d: function changed on abort", seed, fail)
 			}
 			if err := b.Check(aig.CheckOptions{}); err != nil {

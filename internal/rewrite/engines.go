@@ -93,12 +93,6 @@ var table = map[Engine]spec{
 	},
 }
 
-// Known reports whether the table has a row for eng.
-func Known(eng Engine) bool {
-	_, ok := table[eng]
-	return ok
-}
-
 // Run rewrites the network in place with the named engine. Cancelling
 // ctx interrupts the engine at its next cancellation point — a worklist
 // boundary, an activity boundary inside an executor phase, every

@@ -2,6 +2,7 @@ package rewrite_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -57,7 +58,7 @@ func TestP1P2OnMtM(t *testing.T) {
 		}
 		sa := aig.RandomSignature(golden, rand.New(rand.NewSource(3)), 4)
 		sb := aig.RandomSignature(a, rand.New(rand.NewSource(3)), 4)
-		if !aig.EqualSignatures(sa, sb) {
+		if !slices.Equal(sa, sb) {
 			t.Fatalf("%s: function changed", cfg.name)
 		}
 		t.Logf("%s: %d -> %d (replacements %d, stale %d)",
@@ -83,7 +84,7 @@ func TestFlatAblationIsWorse(t *testing.T) {
 	// Both remain functionally sound regardless of quality.
 	sa := aig.RandomSignature(base, rand.New(rand.NewSource(2)), 4)
 	for _, g := range []*aig.AIG{leveled, flat} {
-		if !aig.EqualSignatures(sa, aig.RandomSignature(g, rand.New(rand.NewSource(2)), 4)) {
+		if !slices.Equal(sa, aig.RandomSignature(g, rand.New(rand.NewSource(2)), 4)) {
 			t.Fatal("ablation variant changed the function")
 		}
 	}
@@ -103,7 +104,7 @@ func TestWorkerSweep(t *testing.T) {
 		if err := a.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
 			t.Fatalf("workers=%d: %v", th, err)
 		}
-		if !aig.EqualSignatures(ref, aig.RandomSignature(a, rand.New(rand.NewSource(8)), 4)) {
+		if !slices.Equal(ref, aig.RandomSignature(a, rand.New(rand.NewSource(8)), 4)) {
 			t.Fatalf("workers=%d: function changed", th)
 		}
 	}

@@ -2,6 +2,7 @@ package rewrite_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -66,7 +67,7 @@ func TestFig3CutStalenessDetection(t *testing.T) {
 		t.Logf("stored candidate outcome: %v", st)
 	}
 	after := aig.RandomSignature(a, newRand(), 4)
-	if !aig.EqualSignatures(before, after) {
+	if !slices.Equal(before, after) {
 		t.Fatal("stale-cut execution corrupted the circuit")
 	}
 	if err := a.Check(aig.CheckOptions{}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestStressFaultInjectionAcrossWorkerCounts(t *testing.T) {
 						t.Fatalf("invariants violated: %v", err)
 					}
 					sig := aig.RandomSignature(net, rand.New(rand.NewSource(1)), 16)
-					if !aig.EqualSignatures(refSig, sig) {
+					if !slices.Equal(refSig, sig) {
 						t.Fatal("rewriting under fault injection broke equivalence")
 					}
 				})
@@ -66,8 +67,8 @@ func TestStressFaultInjectionAcrossWorkerCounts(t *testing.T) {
 
 // TestStressBudgetErrorLeavesConsistentGraph exhausts the retry budget
 // mid-run and verifies the partial result is still a valid, equivalent
-// network — the contract that makes guarded rollback optional for
-// budget errors and mandatory only for corruption.
+// network — the contract that lets Run return a budget error without
+// rolling anything back.
 func TestStressBudgetErrorLeavesConsistentGraph(t *testing.T) {
 	l := lib(t)
 	rng := rand.New(rand.NewSource(7))
@@ -75,9 +76,8 @@ func TestStressBudgetErrorLeavesConsistentGraph(t *testing.T) {
 	refSig := aig.RandomSignature(base, rand.New(rand.NewSource(2)), 16)
 	net := base.Clone()
 	cfg := rewrite.Config{
-		Workers:     4,
-		RetryBudget: 30,
-		Fault:       &galois.FaultPlan{Seed: 11, AbortRate: 1.0},
+		Workers: 4,
+		Fault:   &galois.FaultPlan{Seed: 11, AbortRate: 1.0, RetryBudget: 30},
 	}
 	res, err := run(rewrite.EngineDACPara)(net, l, cfg)
 	if err == nil {
@@ -90,7 +90,7 @@ func TestStressBudgetErrorLeavesConsistentGraph(t *testing.T) {
 		t.Fatalf("partial run left invalid graph: %v", cerr)
 	}
 	sig := aig.RandomSignature(net, rand.New(rand.NewSource(2)), 16)
-	if !aig.EqualSignatures(refSig, sig) {
+	if !slices.Equal(refSig, sig) {
 		t.Fatal("partial run broke equivalence")
 	}
 }
@@ -129,7 +129,7 @@ func TestStressOversubscribed(t *testing.T) {
 				t.Fatalf("invariants violated: %v", err)
 			}
 			sig := aig.RandomSignature(net, rand.New(rand.NewSource(1)), 16)
-			if !aig.EqualSignatures(refSig, sig) {
+			if !slices.Equal(refSig, sig) {
 				t.Fatal("rewriting on an oversubscribed team broke equivalence")
 			}
 			t.Logf("8 workers on one processor: %v", time.Since(start))

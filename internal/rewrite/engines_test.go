@@ -3,6 +3,7 @@ package rewrite_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -99,7 +100,7 @@ func TestParallelEnginesPreserveFunction(t *testing.T) {
 					t.Fatalf("seed %d: invariants: %v", seed, err)
 				}
 				after := aig.RandomSignature(a, rand.New(rand.NewSource(7)), 4)
-				if !aig.EqualSignatures(before, after) {
+				if !slices.Equal(before, after) {
 					t.Fatalf("seed %d: function changed", seed)
 				}
 				t.Logf("seed %d: %d -> %d ands (repl=%d stale=%d commits=%d aborts=%d)",

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -200,7 +201,7 @@ func TestInstantiateMatchesFunction(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := aig.RandomSignature(a, rand.New(rand.NewSource(7)), 4)
-		if !aig.EqualSignatures(before, after) {
+		if !slices.Equal(before, after) {
 			t.Fatalf("iter %d: %d replacements broke the function", iter, res.Replacements)
 		}
 	}

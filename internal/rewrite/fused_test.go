@@ -2,6 +2,7 @@ package rewrite_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -42,7 +43,7 @@ func TestParallelConflictsHappenAndResolve(t *testing.T) {
 	}
 	sa := aig.RandomSignature(golden, rand.New(rand.NewSource(1)), 4)
 	sb := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
-	if !aig.EqualSignatures(sa, sb) {
+	if !slices.Equal(sa, sb) {
 		t.Fatal("function changed")
 	}
 	if res.WastedWork > 0 && res.WastedFraction() <= 0 {
@@ -63,7 +64,7 @@ func TestMultiPass(t *testing.T) {
 	}
 	sa := aig.RandomSignature(golden, rand.New(rand.NewSource(1)), 4)
 	sb := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
-	if !aig.EqualSignatures(sa, sb) {
+	if !slices.Equal(sa, sb) {
 		t.Fatal("function changed")
 	}
 	// A second pass can only improve or hold area. Two runs compare only

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -72,7 +73,7 @@ func TestSerialPreservesFunction(t *testing.T) {
 			t.Fatalf("seed %d: post-rewrite invariants: %v", seed, err)
 		}
 		after := aig.RandomSignature(a, rand.New(rand.NewSource(99)), 4)
-		if !aig.EqualSignatures(before, after) {
+		if !slices.Equal(before, after) {
 			t.Fatalf("seed %d: function changed by rewriting", seed)
 		}
 		t.Logf("seed %d: %d -> %d ands (%d replacements, %d attempts, %d stale)",

@@ -2,6 +2,7 @@ package rewrite_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -20,7 +21,7 @@ func TestPreservesFunction(t *testing.T) {
 		}
 		sa := aig.RandomSignature(golden, rand.New(rand.NewSource(1)), 4)
 		sb := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
-		if !aig.EqualSignatures(sa, sb) {
+		if !slices.Equal(sa, sb) {
 			t.Fatalf("%v: function changed", variant)
 		}
 		if res.Engine == "" || res.FinalAnds == 0 {

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -33,7 +34,7 @@ func TestOnlyReplacementTakesLocks(t *testing.T) {
 			if err := a.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
 				t.Fatal(err)
 			}
-			if !aig.EqualSignatures(before, aig.RandomSignature(a, rand.New(rand.NewSource(7)), 4)) {
+			if !slices.Equal(before, aig.RandomSignature(a, rand.New(rand.NewSource(7)), 4)) {
 				t.Fatal("function changed")
 			}
 			snap := res.Metrics

@@ -42,9 +42,9 @@ const DefaultMaxUploadBytes = 256 << 20
 // Submission query parameters: engine (abc|iccad18|dacpara|dac22|tcad23)
 // or flow (a whole synthesis script, e.g. "b; rw; rf -p; rs -p; b" —
 // mutually exclusive with engine), workers, k, passes, zero_gain,
-// preserve_delay, max_cuts, max_structs, classes, preset (p1|p2), seed,
-// format (aiger|bench), verify, verify_budget, deadline (a Go duration
-// such as 30s or 2m bounding the job's running time). Each maps onto
+// preserve_delay, max_cuts, max_structs, classes, preset (p1|p2), format
+// (aiger|bench), verify, verify_budget, deadline (a Go duration such as
+// 30s or 2m bounding the job's running time). Each maps onto
 // one field of the job spec; see JobRequest and dacpara.Job. Any other
 // parameter is a 400 (see submitParams).
 func (s *Service) Handler() http.Handler {
@@ -247,8 +247,8 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, maxUpload
 // the one the client asked for.
 var submitParams = []string{
 	"engine", "flow", "preset", "workers", "k", "passes", "max_cuts",
-	"max_structs", "classes", "zero_gain", "preserve_delay", "seed",
-	"format", "verify", "verify_budget", "deadline",
+	"max_structs", "classes", "zero_gain", "preserve_delay", "format",
+	"verify", "verify_budget", "deadline",
 }
 
 // parseSubmission validates the query parameters and streams the body
@@ -321,13 +321,6 @@ func parseSubmission(r *http.Request, maxUpload int64) (JobRequest, error) {
 			}
 			*p.dst = b
 		}
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return req, fmt.Errorf("bad seed %q", v)
-		}
-		req.Seed = n
 	}
 	if v := q.Get("verify_budget"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)

@@ -92,7 +92,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 	// Submit the voter circuit and poll it to completion.
 	input := circuitBytes(t, "voter")
-	st, resp := submit(t, base, "engine=dacpara&workers=2&seed=1", input)
+	st, resp := submit(t, base, "engine=dacpara&workers=2", input)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
@@ -174,12 +174,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 func TestHTTPCacheHitOnResubmission(t *testing.T) {
 	_, srv := startDaemon(t, Options{MaxConcurrent: 2, QueueLimit: 8, WorkersPerJob: 2})
 	input := circuitBytes(t, "mult")
-	st, _ := submit(t, srv.URL, "seed=3", input)
+	st, _ := submit(t, srv.URL, "engine=dacpara", input)
 	first := pollStatus(t, srv.URL, st.ID, 60*time.Second)
 	if first.State != StateDone || first.CacheHit {
 		t.Fatalf("first: %+v", first)
 	}
-	st2, _ := submit(t, srv.URL, "seed=3", input)
+	st2, _ := submit(t, srv.URL, "engine=dacpara", input)
 	second := pollStatus(t, srv.URL, st2.ID, 60*time.Second)
 	if second.State != StateDone || !second.CacheHit {
 		t.Fatalf("resubmission not a cache hit: state=%s cache_hit=%v", second.State, second.CacheHit)
@@ -299,9 +299,9 @@ func TestQueryToJob(t *testing.T) {
 	for query, want := range map[string]dacpara.Job{
 		"": {},
 		"engine=abc&workers=3&k=5&passes=2&max_cuts=8&max_structs=5&classes=222&zero_gain=1&preserve_delay=true" +
-			"&seed=-7&verify=1&verify_budget=1000&deadline=30s&format=aiger": {
+			"&verify=1&verify_budget=1000&deadline=30s&format=aiger": {
 			Engine: dacpara.EngineSerial, Workers: 3, K: 5, Passes: 2, MaxCuts: 8, MaxStructs: 5, Classes: 222,
-			ZeroGain: true, PreserveDelay: true, Seed: -7, Verify: true, VerifyBudget: 1000,
+			ZeroGain: true, PreserveDelay: true, Verify: true, VerifyBudget: 1000,
 			DeadlineNs: int64(30 * time.Second),
 		},
 		"flow=b%3B+rw+-z%3B+b&workers=1": {Flow: "b; rw -z; b", Workers: 1},
@@ -318,7 +318,7 @@ func TestQueryToJob(t *testing.T) {
 		}
 	}
 
-	for _, key := range []string{"pases", "partition"} {
+	for _, key := range []string{"pases", "partition", "seed"} {
 		_, err := parse("engine=abc&" + key + "=2")
 		if err == nil || !strings.Contains(err.Error(), strconv.Quote(key)) ||
 			!strings.Contains(err.Error(), strings.Join(submitParams, ", ")) {
@@ -344,7 +344,7 @@ func TestHTTPListJobs(t *testing.T) {
 	input := circuitBytes(t, "voter")
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, _ := submit(t, srv.URL, fmt.Sprintf("seed=%d", i), input)
+		st, _ := submit(t, srv.URL, fmt.Sprintf("passes=%d", i+1), input)
 		ids = append(ids, st.ID)
 	}
 	resp, err := http.Get(srv.URL + "/jobs")

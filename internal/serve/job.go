@@ -283,7 +283,6 @@ type JobStatus struct {
 	Flow    string         `json:"flow,omitempty"`
 	Workers int            `json:"workers"`
 	Passes  int            `json:"passes"`
-	Seed    int64          `json:"seed"`
 
 	SubmittedAt time.Time  `json:"submitted_at"`
 	StartedAt   *time.Time `json:"started_at,omitempty"`
@@ -339,7 +338,6 @@ func (j *Job) Status() JobStatus {
 		Flow:        j.req.Flow,
 		Workers:     j.req.Workers,
 		Passes:      j.req.Passes,
-		Seed:        j.req.Seed,
 		SubmittedAt: j.submitted,
 		DeadlineNs:  j.req.DeadlineNs,
 		Resumed:     j.resumed,

@@ -24,8 +24,9 @@ import (
 // replay it to the same job states: three terminal records restored with
 // every journaled field of their spec, the interrupted flow resumed from
 // its step checkpoint, the never-started job re-run — whole, although
-// its journaled spec asks for two shards ("partition":2, a key of that
-// commit's job spec that today's decoder skips).
+// its journaled spec asks for two shards. "partition":2 and the first
+// job's "seed":7 are keys of that commit's job spec that today's decoder
+// skips.
 func TestReplayParentJournal(t *testing.T) {
 	// Open appends to the journal and rewrites blobs: replay a copy.
 	dir, fixture := t.TempDir(), filepath.Join("testdata", "parent_wal")
@@ -75,7 +76,7 @@ func TestReplayParentJournal(t *testing.T) {
 	}{
 		"j00000001": {StateDone, "", dacpara.Job{
 			Engine: dacpara.EngineSerial, Workers: 2, K: 5, Passes: 2, MaxCuts: 8, MaxStructs: 5, Classes: 222,
-			ZeroGain: true, PreserveDelay: true, Seed: 7, Verify: true, VerifyBudget: 1000,
+			ZeroGain: true, PreserveDelay: true, Verify: true, VerifyBudget: 1000,
 			DeadlineNs: int64(time.Minute), InputDigest: voter,
 		}},
 		"j00000002": {StateDeadlineExceeded, "deadline 1ms exceeded: dacpara: flow: context deadline exceeded", dacpara.Job{
@@ -127,11 +128,12 @@ func TestReplayParentJournal(t *testing.T) {
 // TestReplayShardRecords replays a journal as a daemon that still
 // partitioned would have left it mid-job: a submitted record whose spec
 // carries "partition":2 and two shard_done records, no terminal one. The
-// submitted payload is the parent's literal JSON (today's job spec has
-// no field to marshal the key from), framed as journal.Encode frames the
-// rest. Every record counts as replayed and the job re-runs whole; the
-// shard checkpoints such a daemon also left (<job>.sN.ckpt) belong to no
-// job and are never opened.
+// spec also carries the "seed" and "guard" keys of older job specs. The
+// submitted payload is literal JSON (today's job spec has no field to
+// marshal those keys from), framed as journal.Encode frames the rest.
+// Every record counts as replayed and the job re-runs whole and plain;
+// the shard checkpoints such a daemon also left (<job>.sN.ckpt) belong to
+// no job and are never opened.
 func TestReplayShardRecords(t *testing.T) {
 	const id = "j00000001"
 	net := mustGenerate(t, "voter")
@@ -139,8 +141,8 @@ func TestReplayShardRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitted := []byte(`{"op":"submitted","job":"` + id + `","t":1,"req":{"engine":"dacpara","workers":2,` +
-		`"verify":true,"partition":2,"input_digest":"` + StructuralDigest(net) + `"}}`)
+	submitted := []byte(`{"op":"submitted","job":"` + id + `","t":1,"req":{"engine":"dacpara","workers":2,"seed":7,` +
+		`"verify":true,"guard":true,"guard_deadline_ns":5000000000,"partition":2,"input_digest":"` + StructuralDigest(net) + `"}}`)
 	wal := []byte("DACJNL1\n")
 	wal = binary.LittleEndian.AppendUint32(wal, uint32(len(submitted)))
 	wal = binary.LittleEndian.AppendUint32(wal, crc32.Checksum(submitted, crc32.MakeTable(crc32.Castagnoli)))
@@ -184,5 +186,8 @@ func TestReplayShardRecords(t *testing.T) {
 	waitDone(t, job, 60*time.Second)
 	if st := job.Status(); st.State != StateDone || st.Verify == nil || !st.Verify.Equivalent {
 		t.Fatalf("formerly partitioned job: %+v", st)
+	}
+	if want := (dacpara.Job{Engine: dacpara.EngineDACPara, Workers: 2, Verify: true, InputDigest: StructuralDigest(net)}); job.req.Job != want {
+		t.Fatalf("old spec decoded as %+v, want %+v", job.req.Job, want)
 	}
 }

@@ -104,7 +104,7 @@ func TestQueueFullTypedRejection(t *testing.T) {
 func TestResultCacheHit(t *testing.T) {
 	s := New(Options{MaxConcurrent: 1, QueueLimit: 8})
 	defer s.Drain(time.Second)
-	first, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, Seed: 7}, Network: mustGenerate(t, "mult")})
+	first, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1}, Network: mustGenerate(t, "mult")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestResultCacheHit(t *testing.T) {
 		t.Fatalf("first job: %+v", first.Status())
 	}
 
-	again, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, Seed: 7}, Network: mustGenerate(t, "mult")})
+	again, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1}, Network: mustGenerate(t, "mult")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,14 @@ func TestResultCacheHit(t *testing.T) {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 
-	// A different seed is a different key: no hit.
-	other, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, Seed: 8}, Network: mustGenerate(t, "mult")})
+	// A knob that shapes the result is part of the key: no hit.
+	other, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, ZeroGain: true}, Network: mustGenerate(t, "mult")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, other, 30*time.Second)
 	if other.Status().CacheHit {
-		t.Fatal("different seed served from cache")
+		t.Fatal("a zero-gain job served from the plain job's cache entry")
 	}
 }
 
@@ -150,16 +150,16 @@ func TestResultCacheHit(t *testing.T) {
 func TestCacheHitKeepsVerify(t *testing.T) {
 	s := New(Options{MaxConcurrent: 1, QueueLimit: 8})
 	defer s.Drain(time.Second)
-	run := func(seed int64, verify bool) JobStatus {
+	run := func(passes int, verify bool) JobStatus {
 		t.Helper()
-		j, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, Seed: seed, Verify: verify}, Network: mustGenerate(t, "mult")})
+		j, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1, Passes: passes, Verify: verify}, Network: mustGenerate(t, "mult")})
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitDone(t, j, 30*time.Second)
 		st := j.Status()
 		if st.State != StateDone {
-			t.Fatalf("seed %d verify=%t: %+v", seed, verify, st)
+			t.Fatalf("passes %d verify=%t: %+v", passes, verify, st)
 		}
 		return st
 	}

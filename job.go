@@ -7,16 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"dacpara/internal/aig"
-	"dacpara/internal/guard"
 	"dacpara/internal/rewrite"
 )
 
 // Job is the one serialisable description of an optimization run: what
-// to run (one engine pass or a flow script), under which knobs, guarded
-// or not, verified or not. The command line builds one from its flags,
+// to run (one engine pass or a flow script), under which knobs, verified
+// or not. The command line builds one from its flags,
 // the daemon from a submission's query string; the journal records it,
 // a cluster lease carries it, and Run executes it.
 // Its JSON form is the `req` object of a journal record and of a lease
@@ -41,9 +39,6 @@ type Job struct {
 	ZeroGain      bool `json:"zero_gain,omitempty"`
 	PreserveDelay bool `json:"preserve_delay,omitempty"`
 
-	// Seed salts the result-cache key (and is reserved for seeded engine
-	// behaviour).
-	Seed int64 `json:"seed,omitempty"`
 	// Verify checks the result against the input before the run
 	// completes, spending at most VerifyBudget SAT conflicts per output
 	// (0: the checker's default); see EquivalentBudget.
@@ -53,12 +48,6 @@ type Job struct {
 	// Whoever owns the job's context enforces it — the service scheduler
 	// wraps local runs and remote dispatch alike in it; Run observes ctx.
 	DeadlineNs int64 `json:"deadline_ns,omitempty"`
-	// Guard runs every rewriting engine inside the fault-containment
-	// boundary of the guard package: on a scratch copy, under panic
-	// recovery and the per-attempt GuardDeadlineNs (0: none), verified
-	// before commit, degrading dacpara → iccad18 → abc on failure.
-	Guard           bool  `json:"guard,omitempty"`
-	GuardDeadlineNs int64 `json:"guard_deadline_ns,omitempty"`
 
 	// InputDigest is the structural digest of the submitted circuit; a
 	// recovered input blob must re-digest to it or the job is not re-run.
@@ -74,7 +63,7 @@ func (j Job) WithKnobs(cfg Config) Job {
 }
 
 // Config returns attach — whose process-local fields (Metrics, Fault,
-// RetryBudget, CutCache) pass through — with the job's engine knobs.
+// CutCache) pass through — with the job's engine knobs.
 func (j Job) Config(attach Config) Config {
 	attach.Workers, attach.K, attach.Passes = j.Workers, j.K, j.Passes
 	attach.MaxCuts, attach.MaxStructs, attach.NumClasses = j.MaxCuts, j.MaxStructs, j.Classes
@@ -108,7 +97,7 @@ func (j Job) steps() ([]FlowStep, error) {
 		return nil, fmt.Errorf("dacpara: cut width k=%d out of range 4..%d", j.K, MaxCutWidth)
 	}
 	if min(j.Workers, j.Passes, j.MaxCuts, j.MaxStructs, j.Classes) < 0 ||
-		min(j.VerifyBudget, j.DeadlineNs, j.GuardDeadlineNs) < 0 {
+		min(j.VerifyBudget, j.DeadlineNs) < 0 {
 		return nil, errors.New("dacpara: negative knob, budget or deadline")
 	}
 	return steps, nil
@@ -143,8 +132,8 @@ type Hooks struct {
 	// with ResumeStep, the primitive durable crash recovery is built on.
 	Checkpoint FlowCheckpoint
 	// Attach supplies the process-local fields of the run's Config —
-	// Metrics, Fault, RetryBudget, CutCache. Its knob fields are
-	// ignored: the Job's apply.
+	// Metrics, Fault (with its retry budget), CutCache. Its knob fields
+	// are ignored: the Job's apply.
 	Attach Config
 }
 
@@ -174,19 +163,22 @@ type Outcome struct {
 	Result Result
 	// Steps holds a flow job's per-command results.
 	Steps []Result
-	// Reports holds one guard report per rewriting command of a guarded
-	// job, in script order.
-	Reports []*GuardReport
 	// Verify is the verdict of the job's equivalence check, nil when
 	// none ran.
 	Verify *Verdict
 }
 
 // Run executes the job on net: it is the one place that chooses engine
-// or flow, plain or guarded, and then verifies.
+// or flow and then verifies, and the one failure boundary: a step that
+// fails ends the run with its error, and nothing is retried on another
+// engine. A retry-budget exhaustion (*galois.RetryBudgetError) or a
+// cancelled or expired ctx (the wrapped ctx error) leaves the network
+// structurally consistent and the Result marked Incomplete; a panicking
+// worker comes back as a *galois.PanicError, after which the network is
+// suspect. Job.Verify is the one equivalence check.
 // Cancelling ctx stops the run at the next cancellation point (between
-// flow steps and inside every step; see rewrite.Run) with the wrapped
-// ctx error; no goroutines outlive the call. When Hooks.Attach.Metrics
+// flow steps and inside every step; see rewrite.Run); no goroutines
+// outlive the call. When Hooks.Attach.Metrics
 // is set, every instrumented step resets the collector on entry and
 // attaches its own snapshot to its Result, so a flow yields one
 // snapshot per rewriting or parallel refactor/resub step.
@@ -207,9 +199,9 @@ func Run(ctx context.Context, net *Network, job Job, h Hooks) (Outcome, error) {
 		golden = net.Clone()
 	}
 	if job.Flow != "" {
-		err = runFlow(ctx, &out, job, steps, cfg, h)
+		err = runFlow(ctx, &out, steps, cfg, h)
 	} else {
-		out.Result, err = rewriteStep(ctx, &out, job, job.Engine, cfg)
+		out.Result, err = rewriteStep(ctx, net, job.Engine, cfg)
 	}
 	if err != nil || golden == nil {
 		return out, err
@@ -225,22 +217,13 @@ func Run(ctx context.Context, net *Network, job Job, h Hooks) (Outcome, error) {
 	return out, nil
 }
 
-// rewriteStep runs one rewriting engine over out.Net in place — under
-// the guard when the job asks for it, appending the guard's report.
-func rewriteStep(ctx context.Context, out *Outcome, job Job, eng Engine, cfg Config) (Result, error) {
+// rewriteStep runs one rewriting engine over net in place.
+func rewriteStep(ctx context.Context, net *Network, eng Engine, cfg Config) (Result, error) {
 	lib, err := DefaultLibrary()
 	if err != nil {
 		return Result{}, err
 	}
-	if !job.Guard {
-		return rewrite.Run(ctx, eng, out.Net, lib, cfg)
-	}
-	res, rep, err := guard.Rewrite(ctx, out.Net, lib, cfg,
-		guard.Options{Engine: eng, Deadline: time.Duration(job.GuardDeadlineNs)})
-	if rep != nil {
-		out.Reports = append(out.Reports, rep)
-	}
-	return res, err
+	return rewrite.Run(ctx, eng, net, lib, cfg)
 }
 
 // Encode renders a network as binary AIGER, the form every result and

@@ -14,9 +14,9 @@ import (
 // resub passes, start their worker team once per run and must have ended
 // it by the time Run returns — when the run succeeds, when its context is
 // cancelled while the team is at work, when the retry budget runs out in
-// the middle of a phase, and when every rung of a guarded job runs into
-// the attempt deadline. (The operator-panic ending needs a pass that
-// panics; internal/engine's TestTeamLifetime has it, for every skeleton.)
+// the middle of a phase, and when the run's context reaches its deadline.
+// (The operator-panic ending needs a pass that panics; internal/engine's
+// TestTeamLifetime has it, for every skeleton.)
 func TestNoGoroutineOutlivesRun(t *testing.T) {
 	jobs := []Job{
 		{Flow: "rf -p -w=3"}, {Flow: "rs -p -w=3"},
@@ -91,7 +91,7 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			}
 			base := goroutines()
 			_, err = Run(context.Background(), net, job, Hooks{Attach: Config{
-				Fault: &galois.FaultPlan{Seed: 2, AbortRate: 1}, RetryBudget: 8,
+				Fault: &galois.FaultPlan{Seed: 2, AbortRate: 1, RetryBudget: 8},
 			}})
 			var rbe *galois.RetryBudgetError
 			if !errors.As(err, &rbe) {
@@ -100,27 +100,23 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			back(t, base)
 		})
 	}
-	// The guard's deadline stops an attempt, it does not abandon it: three
-	// rungs (dacpara, iccad18, abc) of 500 passes each are cut short at
-	// 10 ms, and none of them is still running when Run reports the
-	// ladder exhausted.
-	t.Run("guard-deadline", func(t *testing.T) {
+	// A deadline stops the run, it does not abandon it: 500 passes are cut
+	// short at 10 ms, and nothing of them is still running when Run
+	// returns the deadline's error.
+	t.Run("deadline", func(t *testing.T) {
 		net, err := Generate("voter", ScaleTiny)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base := goroutines()
-		out, err := Run(context.Background(), net, Job{
-			Engine: EngineDACPara, Workers: 3, Passes: 500, ZeroGain: true,
-			Guard: true, GuardDeadlineNs: int64(10 * time.Millisecond),
-		}, Hooks{})
-		if !errors.Is(err, ErrGuardExhausted) {
-			t.Fatalf("err = %v, want the ladder exhausted", err)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		out, err := Run(ctx, net, Job{Engine: EngineDACPara, Workers: 3, Passes: 500, ZeroGain: true}, Hooks{})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want the run stopped at its deadline", err)
 		}
-		for _, a := range out.Reports[0].Attempts {
-			if !a.TimedOut {
-				t.Errorf("rung %s: %+v, want it timed out", a.Engine, a)
-			}
+		if !out.Result.Incomplete {
+			t.Errorf("result %+v of a stopped run is not marked incomplete", out.Result)
 		}
 		back(t, base)
 	})

@@ -4,20 +4,17 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"dacpara/internal/aig"
+	"dacpara/internal/galois"
 )
 
 // TestRunMatrix drives the one runner over every combination of its
-// three choices — engine or flow, plain or guarded, verified or not — at
-// one worker, where every engine is byte-deterministic. Each output must
-// be aig.Check-clean and digest-equal to what the kept wrappers Rewrite
-// and Flow produce on the circuit; for a guarded job, with every
-// rewriting command on a scratch clone that is adopted back, which is
-// what the guard does (a clone renumbers nodes, so a guarded flow
-// legitimately lands on a different graph than a plain one).
+// two choices — engine or flow, verified or not — at one worker, where
+// every engine is byte-deterministic. Each output must be aig.Check-clean
+// and digest-equal to what the kept wrappers Rewrite and Flow produce on
+// the circuit.
 func TestRunMatrix(t *testing.T) {
 	golden, err := Generate("voter", ScaleTiny)
 	if err != nil {
@@ -35,70 +32,43 @@ func TestRunMatrix(t *testing.T) {
 		_, out, err := Flow(net, script, cfg)
 		return out, err
 	}
-	want := map[string]string{}
+	want := map[bool]string{}
 	for _, flow := range []bool{false, true} {
 		whole, err := viaWrapper(golden.Clone(), flow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[fmt.Sprint(flow, false)] = aig.StructuralDigest(whole)
-		want[fmt.Sprint(flow, true)] = want[fmt.Sprint(flow, false)]
-		if flow {
-			steps, err := ParseFlow(script)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur := golden.Clone()
-			for i, cmd := range strings.Split(script, ";") {
-				if steps[i].Engine == "" {
-					if _, cur, err = Flow(cur, cmd, cfg); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				scratch := cur.Clone()
-				if _, _, err := Flow(scratch, cmd, cfg); err != nil {
-					t.Fatal(err)
-				}
-				cur.Adopt(scratch)
-			}
-			want[fmt.Sprint(flow, true)] = aig.StructuralDigest(cur)
-		}
+		want[flow] = aig.StructuralDigest(whole)
 	}
 
 	for _, flow := range []bool{false, true} {
-		for _, guard := range []bool{false, true} {
-			for _, verify := range []bool{false, true} {
-				job := Job{Engine: EngineDACPara, Guard: guard, Verify: verify}.WithKnobs(cfg)
-				if flow {
-					job.Engine, job.Flow = "", script
-				}
-				t.Run(fmt.Sprintf("flow=%t/guard=%t/verify=%t", flow, guard, verify), func(t *testing.T) {
-					out, err := Run(context.Background(), golden.Clone(), job, Hooks{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := out.Net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
-						t.Fatalf("structural check: %v", err)
-					}
-					if got, ref := aig.StructuralDigest(out.Net), want[fmt.Sprint(flow, guard)]; got != ref {
-						t.Fatalf("digest %s, the wrappers give %s", got, ref)
-					}
-					if out.Result.FinalAnds != out.Net.NumAnds() || out.Result.InitialAnds != golden.NumAnds() {
-						t.Fatalf("result spans %d -> %d ANDs, run went %d -> %d",
-							out.Result.InitialAnds, out.Result.FinalAnds, golden.NumAnds(), out.Net.NumAnds())
-					}
-					if verify != (out.Verify != nil) || (verify && !out.Verify.Equivalent) {
-						t.Fatalf("verify=%t gave verdict %+v", verify, out.Verify)
-					}
-					if wantReports := guard; wantReports != (len(out.Reports) > 0) {
-						t.Fatalf("guard=%t gave %d guard reports", guard, len(out.Reports))
-					}
-					if flow && len(out.Steps) != 5 {
-						t.Fatalf("%d step results for a five-command script", len(out.Steps))
-					}
-				})
+		for _, verify := range []bool{false, true} {
+			job := Job{Engine: EngineDACPara, Verify: verify}.WithKnobs(cfg)
+			if flow {
+				job.Engine, job.Flow = "", script
 			}
+			t.Run(fmt.Sprintf("flow=%t/verify=%t", flow, verify), func(t *testing.T) {
+				out, err := Run(context.Background(), golden.Clone(), job, Hooks{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := out.Net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+					t.Fatalf("structural check: %v", err)
+				}
+				if got, ref := aig.StructuralDigest(out.Net), want[flow]; got != ref {
+					t.Fatalf("digest %s, the wrappers give %s", got, ref)
+				}
+				if out.Result.FinalAnds != out.Net.NumAnds() || out.Result.InitialAnds != golden.NumAnds() {
+					t.Fatalf("result spans %d -> %d ANDs, run went %d -> %d",
+						out.Result.InitialAnds, out.Result.FinalAnds, golden.NumAnds(), out.Net.NumAnds())
+				}
+				if verify != (out.Verify != nil) || (verify && !out.Verify.Equivalent) {
+					t.Fatalf("verify=%t gave verdict %+v", verify, out.Verify)
+				}
+				if flow && len(out.Steps) != 5 {
+					t.Fatalf("%d step results for a five-command script", len(out.Steps))
+				}
+			})
 		}
 	}
 }
@@ -154,10 +124,10 @@ func TestRunRejectsBeforeTouching(t *testing.T) {
 // knobs, and Config passes the process-local attachments through.
 func TestJobKnobsRoundTrip(t *testing.T) {
 	cfg := Config{K: 5, MaxCuts: 8, MaxStructs: 5, NumClasses: 222, ZeroGain: true, PreserveDelay: true, Passes: 2, Workers: 3}
-	attach := Config{Metrics: NewMetrics(), CutCache: NewCutCache(), RetryBudget: 9, Workers: 64}
+	attach := Config{Metrics: NewMetrics(), CutCache: NewCutCache(), Fault: &galois.FaultPlan{AbortRate: 1, RetryBudget: 9}, Workers: 64}
 	got := Job{Engine: EngineSerial}.WithKnobs(cfg).Config(attach)
 	want := cfg
-	want.Metrics, want.CutCache, want.RetryBudget = attach.Metrics, attach.CutCache, attach.RetryBudget
+	want.Metrics, want.CutCache, want.Fault = attach.Metrics, attach.CutCache, attach.Fault
 	if got != want {
 		t.Fatalf("round trip gave %+v, want %+v", got, want)
 	}
@@ -184,8 +154,6 @@ func TestJobKey(t *testing.T) {
 		"classes": {Engine: EngineDACPara, Workers: 1, Classes: 222},
 		"zero":    {Engine: EngineDACPara, Workers: 1, ZeroGain: true},
 		"delay":   {Engine: EngineDACPara, Workers: 1, PreserveDelay: true},
-		"seed":    {Engine: EngineDACPara, Workers: 1, Seed: 7},
-		"guard":   {Engine: EngineDACPara, Workers: 1, Guard: true},
 	} {
 		k := j.Key("d")
 		if other, dup := seen[k]; dup {

@@ -26,7 +26,6 @@ import (
 	"dacpara/internal/bench"
 	"dacpara/internal/cec"
 	"dacpara/internal/lutmap"
-	"dacpara/internal/npn"
 	"dacpara/internal/report"
 	"dacpara/internal/rewlib"
 	"dacpara/internal/rewrite"
@@ -44,7 +43,7 @@ var (
 func main() {
 	flag.Parse()
 	sc := parseScale(*scaleFlag)
-	lib, err := rewlib.Build(npn.Shared(), rewlib.Params{})
+	lib, err := dacpara.DefaultLibrary()
 	fatal(err)
 
 	fmt.Printf("# DACPara experiment tables — scale=%s threads=%d runs=%d cpus=%d\n\n",
@@ -64,7 +63,7 @@ func main() {
 	case "ablation":
 		ablation(sc, lib)
 	case "flows":
-		flows(sc)
+		flows(sc, lib)
 	case "all":
 		table1(sc)
 		table2(sc, lib)
@@ -72,7 +71,7 @@ func main() {
 		fig2(sc, lib)
 		scaling(sc, lib)
 		ablation(sc, lib)
-		flows(sc)
+		flows(sc, lib)
 	default:
 		fmt.Fprintln(os.Stderr, "exptables: unknown -table", *table)
 		os.Exit(2)
@@ -303,7 +302,7 @@ func ablation(sc bench.Scale, lib *rewlib.Library) {
 // flows reports the extension pipeline: DACPara alone vs the full
 // resyn2rs script, with post-mapping LUT area/depth showing the
 // downstream value of AIG optimization.
-func flows(sc bench.Scale) {
+func flows(sc bench.Scale, lib *rewlib.Library) {
 	tbl := report.New("Extension: optimization flows and 6-LUT mapping",
 		"Benchmark", "Stage", "Area", "Delay", "LUT6", "LUT depth", "T(s)")
 	for _, name := range []string{"sin", "mult", "log2"} {
@@ -320,7 +319,7 @@ func flows(sc bench.Scale) {
 		}
 		row("initial", base, 0)
 		opt := base.Clone()
-		res, err := rewrite.Run(context.Background(), rewrite.EngineDACPara, opt, mustLib(), rewrite.Config{Workers: *threads})
+		res, err := rewrite.Run(context.Background(), rewrite.EngineDACPara, opt, lib, rewrite.Config{Workers: *threads})
 		fatal(err)
 		row("dacpara", opt, res.Duration.Seconds())
 		full := base.Clone()
@@ -331,17 +330,6 @@ func flows(sc bench.Scale) {
 	}
 	tbl.Render(os.Stdout)
 	fmt.Println()
-}
-
-var libOnce *rewlib.Library
-
-func mustLib() *rewlib.Library {
-	if libOnce == nil {
-		var err error
-		libOnce, err = rewlib.Build(npn.Shared(), rewlib.Params{})
-		fatal(err)
-	}
-	return libOnce
 }
 
 func findCircuit(sc bench.Scale, base string) (bench.Circuit, bool) {

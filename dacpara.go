@@ -126,10 +126,10 @@ var defaultLibrary = sync.OnceValues(func() (*Library, error) {
 
 // DefaultLibrary returns the process-wide structure library, built on
 // first use and then cached: 4–8 ms for the NPN table
-// (BenchmarkManagerBuild in internal/npn) and 18–28 ms for the 222 class
-// forests (BenchmarkLibraryBuild in internal/rewlib). The forests of the
-// 5/6-input classes that Config.K >= 5 meets fill in on first use and are
-// likewise shared by every run of the process.
+// (BenchmarkManagerBuild in internal/npn) and 4–6 ms at two workers for
+// the 222 class forests (BenchmarkLibraryBuild in internal/rewlib). The
+// forests of the 5/6-input classes that Config.K >= 5 meets fill in on
+// first use and are likewise shared by every run of the process.
 func DefaultLibrary() (*Library, error) { return defaultLibrary() }
 
 // Rewrite optimizes the network in place with the chosen engine and

@@ -31,7 +31,7 @@ func (l *Library) ForRepr(repr tt.Func64) []Structure {
 	}
 	// A synthesis error names a structure the synthesizer has already
 	// left out; the forest it returns holds only verified ones.
-	s, _ = synthesizeAll64(repr, MaxInputs, DefaultBigPerClass)
+	s, _ = newBuilder64(MaxInputs).synthesizeAll64(repr, DefaultBigPerClass)
 	l.bigMu.Lock()
 	if prior, ok := l.big[repr]; ok {
 		s = prior

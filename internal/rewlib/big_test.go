@@ -18,13 +18,14 @@ func TestSynthesizeAll64Correct(t *testing.T) {
 	for v := range in {
 		in[v] = tt.Var64(v)
 	}
+	b := newBuilder64(MaxInputs)
 	for iter := 0; iter < 60; iter++ {
 		f := tt.Func64(rng.Uint64())
 		if iter%2 == 0 {
 			f = f.Cofactor0(5)
 		}
 		const cap = 6
-		structs, err := synthesizeAll64(f, MaxInputs, cap)
+		structs, err := b.synthesizeAll64(f, cap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func TestSynthesizeAll64Correct(t *testing.T) {
 			if si > 0 && structs[si-1].NumNodes() > s.NumNodes() {
 				t.Fatalf("forest not sorted by size at %d", si)
 			}
-			key := structKey(s)
+			key := structureKey(s)
 			if seen[key] {
 				t.Fatalf("duplicate structure %d", si)
 			}
@@ -52,28 +53,22 @@ func TestSynthesizeAll64Correct(t *testing.T) {
 	}
 }
 
-func structKey(s *Structure) string {
-	b := make([]byte, 0, 4*len(s.Nodes)+2)
-	for _, n := range s.Nodes {
-		b = append(b, byte(n.In0), byte(n.In0>>8), byte(n.In1), byte(n.In1>>8))
-	}
-	return string(append(b, byte(s.Out), byte(s.Out>>8)))
-}
-
-// TestSynthesizeAll64Deterministic: two independent synthesis runs of the
-// same representative must produce identical forests — the foundation of
-// the generator's reproducibility guarantee.
+// TestSynthesizeAll64Deterministic: a fresh builder and one that has
+// served every earlier representative must produce identical forests —
+// the foundation of the generator's reproducibility guarantee, whichever
+// worker's builder a class lands on.
 func TestSynthesizeAll64Deterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(139))
+	warm := newBuilder64(MaxInputs)
 	for iter := 0; iter < 40; iter++ {
 		f := tt.Func64(rng.Uint64())
-		a, _ := synthesizeAll64(f, MaxInputs, DefaultBigPerClass)
-		b, _ := synthesizeAll64(f, MaxInputs, DefaultBigPerClass)
+		a, _ := newBuilder64(MaxInputs).synthesizeAll64(f, DefaultBigPerClass)
+		b, _ := warm.synthesizeAll64(f, DefaultBigPerClass)
 		if len(a) != len(b) {
 			t.Fatalf("forest sizes differ: %d vs %d", len(a), len(b))
 		}
 		for i := range a {
-			if structKey(&a[i]) != structKey(&b[i]) {
+			if structureKey(&a[i]) != structureKey(&b[i]) {
 				t.Fatalf("structure %d differs between runs", i)
 			}
 		}

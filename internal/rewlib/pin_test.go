@@ -39,12 +39,23 @@ func (p pinHash) u64(v uint64) {
 	p.h.Write(b[:])
 }
 
+// structureKey serializes a structure: every gate's fanins, then the
+// output, two big-endian bytes a literal.
+func structureKey(s *Structure) string {
+	b := make([]byte, 0, 4*len(s.Nodes)+2)
+	for _, n := range s.Nodes {
+		b = append(b, byte(n.In0>>8), byte(n.In0), byte(n.In1>>8), byte(n.In1))
+	}
+	b = append(b, byte(s.Out>>8), byte(s.Out))
+	return string(b)
+}
+
 // forest hashes a class forest: its size, then every structure's key in
 // forest order, length-prefixed.
 func (p pinHash) forest(structs []Structure) {
 	p.u64(uint64(len(structs)))
 	for i := range structs {
-		k := structs[i].key()
+		k := structureKey(&structs[i])
 		p.u64(uint64(len(k)))
 		p.h.Write([]byte(k))
 	}
@@ -65,6 +76,20 @@ func pinLibrary(name string, lib *Library) pinSection {
 		structs += len(lib.Structures(cls.Index))
 	}
 	return pinSection{Name: name, Items: structs, SHA256: h.sum()}
+}
+
+// pinPractical hashes the 134-class mask.
+func pinPractical(lib *Library) pinSection {
+	h := newPinHash()
+	mask := lib.PracticalClasses(134)
+	for _, in := range mask {
+		b := byte(0)
+		if in {
+			b = 1
+		}
+		h.h.Write([]byte{b})
+	}
+	return pinSection{Name: "library/practical-134", Items: len(mask), SHA256: h.sum()}
 }
 
 // pinBigSample is the fixed sample of 5- and 6-input functions whose
@@ -110,10 +135,15 @@ func pinBigSample() []tt.Func64 {
 // class subset, the exact NPN table with its transforms, and the
 // classification and large-cut forests of a fixed sample of 5- and
 // 6-input functions. The end-to-end goldens only see AND counts and
-// graph digests; this names the layer that moved.
+// graph digests; this names the layer that moved. Both libraries are
+// built here, on a team as wide as -cpu makes GOMAXPROCS, so that
+// `-cpu 1,2,4` pins each width.
 func TestLibraryContentPinned(t *testing.T) {
 	m := npn.Shared()
-	lib := sharedLib()
+	lib, err := Build(m, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	capped, err := Build(m, Params{MaxPerClass: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -121,20 +151,10 @@ func TestLibraryContentPinned(t *testing.T) {
 	got := []pinSection{
 		pinLibrary("library/default", lib),
 		pinLibrary("library/max-per-class-5", capped),
+		pinPractical(lib),
 	}
 
 	h := newPinHash()
-	mask := lib.PracticalClasses(134)
-	for _, in := range mask {
-		b := byte(0)
-		if in {
-			b = 1
-		}
-		h.h.Write([]byte{b})
-	}
-	got = append(got, pinSection{Name: "library/practical-134", Items: len(mask), SHA256: h.sum()})
-
-	h = newPinHash()
 	for f := 0; f < 1<<16; f++ {
 		f16 := tt.Func16(f)
 		tr := m.ToCanon(f16)

@@ -18,10 +18,12 @@
 package rewlib
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
+	"dacpara/internal/galois"
 	"dacpara/internal/npn"
 	"dacpara/internal/tt"
 )
@@ -107,7 +109,13 @@ func (s *Structure) NumNodes() int { return len(s.Nodes) }
 // Eval64 computes the structure's function when input v carries table
 // in[v], over the 6-variable domain.
 func (s *Structure) Eval64(in [MaxInputs]tt.Func64) tt.Func64 {
-	vals := make([]tt.Func64, len(s.Nodes))
+	// Every structure the synthesizer has built fits the stack buffer
+	// (the largest has 54 gates), so verifying one allocates nothing.
+	var buf [64]tt.Func64
+	vals := buf[:]
+	if len(s.Nodes) > len(buf) {
+		vals = make([]tt.Func64, len(s.Nodes))
+	}
 	fetch := func(l SLit) tt.Func64 {
 		var v tt.Func64
 		switch {
@@ -139,23 +147,14 @@ func (s *Structure) Func64() tt.Func64 {
 	return s.Eval64(in)
 }
 
-// key serializes the structure for deduplication.
-func (s *Structure) key() string {
-	b := make([]byte, 0, 4*len(s.Nodes)+2)
-	for _, n := range s.Nodes {
-		b = append(b, byte(n.In0>>8), byte(n.In0), byte(n.In1>>8), byte(n.In1))
-	}
-	b = append(b, byte(s.Out>>8), byte(s.Out))
-	return string(b)
-}
-
 // Library is the structure forest: dense over the 222 4-input classes,
 // immutable after Build, and lazily filled, behind a lock, over the
 // 5/6-input classes rewriting meets (ForRepr). It is safe for concurrent
 // use and must not be copied.
 type Library struct {
-	npn     *npn.Manager
-	structs [][]Structure // by class index
+	npn       *npn.Manager
+	structs   [][]Structure // by class index
+	practical []int         // every class index, in PracticalClasses order
 
 	bigMu sync.RWMutex
 	big   map[tt.Func64][]Structure // by semi-canonical representative
@@ -168,22 +167,40 @@ type Params struct {
 	MaxPerClass int
 }
 
-// Build synthesizes the library. It returns an error if any generated
+// Build synthesizes the library, its classes split across a
+// GOMAXPROCS-wide worker team. It returns an error if any generated
 // structure fails functional verification against its class
-// representative (which would indicate a bug, not bad input).
+// representative (which would indicate a bug, not bad input): the first
+// such class in class order, so the error, like the library, is the same
+// at every team width. A panic in synthesis returns as a
+// *galois.PanicError.
 func Build(m *npn.Manager, p Params) (*Library, error) {
+	classes := m.Classes()
 	lib := &Library{
 		npn:     m,
-		structs: make([][]Structure, m.NumClasses()),
+		structs: make([][]Structure, len(classes)),
 		big:     map[tt.Func64][]Structure{},
 	}
-	for _, cls := range m.Classes() {
-		structs, err := synthesizeAll64(cls.Repr.Wide(), 4, p.MaxPerClass)
-		if err != nil {
-			return nil, fmt.Errorf("rewlib: class %s: %w", cls.Repr, err)
+	errs := make([]error, len(classes))
+	team := galois.NewTeam(0)
+	defer team.Close()
+	workers, cur := team.Split(len(classes))
+	if err := team.Do(workers, func(int) {
+		b := newBuilder64(4)
+		for lo, hi, ok := cur.Next(); ok; lo, hi, ok = cur.Next() {
+			for _, cls := range classes[lo:hi] {
+				lib.structs[cls.Index], errs[cls.Index] = b.synthesizeAll64(cls.Repr.Wide(), p.MaxPerClass)
+			}
 		}
-		lib.structs[cls.Index] = structs
+	}); err != nil {
+		return nil, fmt.Errorf("rewlib: %w", err)
 	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("rewlib: class %s: %w", classes[i].Repr, err)
+		}
+	}
+	lib.rankPractical()
 	return lib, nil
 }
 
@@ -209,33 +226,36 @@ func (l *Library) ForFunc(f tt.Func16) (cls int, structs []Structure, inv npn.Tr
 // (parities, majorities, simple control cones), so minimal structure cost
 // is the natural reproduction of that subset.
 func (l *Library) PracticalClasses(n int) []bool {
-	type entry struct {
-		cls  int
-		cost int
-		size int
-	}
-	entries := make([]entry, len(l.structs))
-	for i, forest := range l.structs {
-		cost := 1 << 20
-		if len(forest) > 0 {
-			cost = forest[0].NumNodes() // forests are sorted by size
-		}
-		entries[i] = entry{cls: i, cost: cost, size: l.npn.Classes()[i].Size}
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].cost != entries[b].cost {
-			return entries[a].cost < entries[b].cost
-		}
-		if entries[a].size != entries[b].size {
-			return entries[a].size > entries[b].size
-		}
-		return entries[a].cls < entries[b].cls
-	})
 	mask := make([]bool, len(l.structs))
-	for i := 0; i < n && i < len(entries); i++ {
-		mask[entries[i].cls] = true
+	for i := 0; i < n && i < len(l.practical); i++ {
+		mask[l.practical[i]] = true
 	}
 	return mask
+}
+
+// rankPractical orders the classes for PracticalClasses: minimal
+// structure cost, then orbit size descending, then index.
+func (l *Library) rankPractical() {
+	cost := func(cls int) int {
+		if forest := l.structs[cls]; len(forest) > 0 {
+			return forest[0].NumNodes() // forests are sorted by size
+		}
+		return 1 << 20
+	}
+	classes := l.npn.Classes()
+	l.practical = make([]int, len(l.structs))
+	for i := range l.practical {
+		l.practical[i] = i
+	}
+	slices.SortFunc(l.practical, func(a, b int) int {
+		if c := cmp.Compare(cost(a), cost(b)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(classes[b].Size, classes[a].Size); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // MaxStructures returns the largest per-class forest size, the bound a

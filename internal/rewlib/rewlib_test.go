@@ -2,6 +2,8 @@ package rewlib
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -51,7 +53,7 @@ func TestStructuresAreDeduplicated(t *testing.T) {
 	for i := 0; i < npn.Shared().NumClasses(); i++ {
 		seen := map[string]bool{}
 		for _, s := range lib.Structures(i) {
-			k := s.key()
+			k := structureKey(&s)
 			if seen[k] {
 				t.Fatalf("class %d has duplicate structure", i)
 			}
@@ -154,6 +156,45 @@ func TestPracticalClasses(t *testing.T) {
 			t.Fatalf("class %d missing from full selection", i)
 		}
 	}
+	for _, n := range []int{0, 1, 134, 222, 300} {
+		if got, want := lib.PracticalClasses(n), practicalReference(lib, n); !slices.Equal(got, want) {
+			t.Fatalf("PracticalClasses(%d) differs from the reference ranking", n)
+		}
+	}
+}
+
+// practicalReference is the ranking PracticalClasses made on every call
+// before Build ranked the classes once: sort every class by minimal
+// structure cost, then orbit size descending, then index, and take the
+// first n.
+func practicalReference(l *Library, n int) []bool {
+	type entry struct {
+		cls  int
+		cost int
+		size int
+	}
+	entries := make([]entry, len(l.structs))
+	for i, forest := range l.structs {
+		cost := 1 << 20
+		if len(forest) > 0 {
+			cost = forest[0].NumNodes()
+		}
+		entries[i] = entry{cls: i, cost: cost, size: l.npn.Classes()[i].Size}
+	}
+	sort.Slice(entries, func(a, b int) bool {
+		if entries[a].cost != entries[b].cost {
+			return entries[a].cost < entries[b].cost
+		}
+		if entries[a].size != entries[b].size {
+			return entries[a].size > entries[b].size
+		}
+		return entries[a].cls < entries[b].cls
+	})
+	mask := make([]bool, len(l.structs))
+	for i := 0; i < n && i < len(entries); i++ {
+		mask[entries[i].cls] = true
+	}
+	return mask
 }
 
 func TestSLitHelpers(t *testing.T) {
@@ -194,6 +235,72 @@ func TestStructureSizesAreReasonable(t *testing.T) {
 		t.Fatalf("worst minimal structure has %d gates", worst)
 	}
 	t.Logf("worst minimal structure: %d gates", worst)
+}
+
+// TestBuildConcurrent races two Builds, each on its own team: whichever
+// worker synthesizes which class, both libraries must pin the same.
+func TestBuildConcurrent(t *testing.T) {
+	var libs [2]*Library
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range libs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			libs[i], errs[i] = Build(npn.Shared(), Params{})
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pin := range []func(*Library) pinSection{
+		func(l *Library) pinSection { return pinLibrary("library/default", l) },
+		pinPractical,
+	} {
+		if a, b := pin(libs[0]), pin(libs[1]); a != b {
+			t.Fatalf("concurrent builds differ: %+v vs %+v", a, b)
+		}
+	}
+}
+
+// TestBuildAllocs holds the library build to a few allocations a class:
+// the forest it keeps, not the synthesis that found it.
+func TestBuildAllocs(t *testing.T) {
+	m := npn.Shared()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Build(m, Params{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per Build", allocs)
+	if allocs > 10000 {
+		t.Fatalf("Build allocates %.0f times, want at most 10000", allocs)
+	}
+}
+
+// TestTableGrows fills a table far past its initial size: every key must
+// still read back, under its stamp only.
+func TestTableGrows(t *testing.T) {
+	var tb table[uint64]
+	tb.init(4)
+	const stamp = 7
+	for k := uint64(0); k < 100; k++ {
+		tb.put(tb.find(k*k, stamp), k*k, stamp, SLit(k))
+	}
+	for k := uint64(0); k < 100; k++ {
+		if s := tb.find(k*k, stamp); s.stamp != stamp || s.lit != SLit(k) {
+			t.Fatalf("key %d: slot %+v", k*k, *s)
+		}
+		if s := tb.find(k*k, stamp+1); s.stamp == stamp+1 {
+			t.Fatalf("key %d found under a later stamp", k*k)
+		}
+	}
+	if tb.n != 100 || len(tb.slots) < 200 {
+		t.Fatalf("%d entries in %d slots", tb.n, len(tb.slots))
+	}
 }
 
 // BenchmarkLibraryBuild times what every process pays before its first

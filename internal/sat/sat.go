@@ -587,10 +587,12 @@ func (s *Solver) pickBranchVar() int32 {
 	return -1
 }
 
-// reduceDB removes the less active half of the learnt clauses.
+// reduceDB removes the learnt clauses whose activity is below the mean,
+// except the reasons of current assignments and clauses of at most two
+// literals. That need not be half of them: the share depends on how the
+// activity is spread.
 func (s *Solver) reduceDB() {
-	// Partial selection: keep locked (reason) and high-activity clauses.
-	lim := medianAct(s.learnts)
+	lim := meanAct(s.learnts)
 	keep := s.learnts[:0]
 	for _, c := range s.learnts {
 		locked := false
@@ -609,7 +611,7 @@ func (s *Solver) reduceDB() {
 	s.learnts = keep
 }
 
-func medianAct(cs []*clause) float64 {
+func meanAct(cs []*clause) float64 {
 	if len(cs) == 0 {
 		return 0
 	}
@@ -638,13 +640,6 @@ func luby(i int) int {
 			return luby(i + 1 - (1<<(k-1) - 1) - 1)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- activity heap -----------------------------------------------------

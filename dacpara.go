@@ -110,16 +110,6 @@ func P2() Config { return rewrite.P2() }
 // MaxCutWidth is the largest supported rewriting cut width (Config.K).
 const MaxCutWidth = cut.MaxK
 
-// CutCache makes cut sets persistent across engine passes and flow steps
-// (Config.CutCache): stored sets are revalidated incrementally by node
-// version instead of re-enumerated from scratch, with byte-identical
-// results. Scope one cache to one flow run or one network's optimization
-// session; Flow installs one automatically when the config has none.
-type CutCache = cut.Cache
-
-// NewCutCache creates an empty persistent cut cache.
-func NewCutCache() *CutCache { return cut.NewCache() }
-
 var defaultLibrary = sync.OnceValues(func() (*Library, error) {
 	return rewlib.Build(npn.Shared(), rewlib.Params{})
 })

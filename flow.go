@@ -198,24 +198,11 @@ func runFlow(ctx context.Context, out *Outcome, steps []FlowStep, cfg Config, h 
 	if h.ResumeStep < 0 || h.ResumeStep > len(steps) {
 		return fmt.Errorf("dacpara: flow: resume step %d out of range [0, %d]", h.ResumeStep, len(steps))
 	}
-	// One cut cache per flow run: rewriting steps reuse cut sets across
-	// passes and steps, invalidating incrementally by node version
-	// instead of re-enumerating from scratch (results are byte-identical
-	// either way; see cut.Cache).
-	if cfg.CutCache == nil {
-		cfg.CutCache = NewCutCache()
-	}
 	for i := h.ResumeStep; i < len(steps); i++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dacpara: flow: %w", err)
 		}
-		before := out.Net
 		res, err := runFlowStep(ctx, out, steps[i], cfg)
-		if out.Net != before {
-			// The step rebuilt the graph: the old one's cut sets can never
-			// hit again, and would pin it for the rest of the flow.
-			cfg.CutCache.Drop(before)
-		}
 		if err != nil {
 			return err
 		}
@@ -269,8 +256,7 @@ func runFlowStep(ctx context.Context, out *Outcome, st FlowStep, cfg Config) (Re
 		return resub.RunCtx(ctx, net, resub.Config{ZeroGain: st.ZeroGain})
 	case "fraig":
 		// Like balance, fraig rebuilds the graph, and like balance's its
-		// result goes on under a new pointer: the flow's cut cache is keyed
-		// by graph and must not meet new nodes under old IDs.
+		// result goes on under a new pointer.
 		before := net.Stats()
 		reduced, fr := cec.Reduced(net, cec.FraigOptions{})
 		out.Net = reduced

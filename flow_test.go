@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"dacpara/internal/aig"
 )
 
 func TestFlowResyn2(t *testing.T) {
@@ -31,6 +33,38 @@ func TestFlowResyn2(t *testing.T) {
 	}
 	if !eq {
 		t.Fatal("flow broke equivalence")
+	}
+}
+
+// TestFlowIsItsStepsInSequence: a flow carries no state from one step to
+// the next, so it lands on the network its steps build when each runs as
+// a flow of its own — across two rewrites of one graph, the parallel
+// refactor and resub, and the graph rebuilds of fraig and balance. One
+// worker: dacpara at Workers > 1 is not byte-deterministic on a
+// multi-core host.
+func TestFlowIsItsStepsInSequence(t *testing.T) {
+	net, err := Generate("sin", ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const script = "rw; rw -z; rf -p; rs -p; fraig; b; rw"
+
+	_, whole, err := Flow(net.Clone(), script, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stepwise := net.Clone()
+	for _, step := range strings.Split(script, ";") {
+		var ferr error
+		if _, stepwise, ferr = Flow(stepwise, step, Config{Workers: 1}); ferr != nil {
+			t.Fatal(ferr)
+		}
+	}
+
+	if dw, ds := aig.StructuralDigest(whole), aig.StructuralDigest(stepwise); dw != ds {
+		t.Fatalf("the flow differs from its steps run one at a time: %s vs %s (%d vs %d ANDs)",
+			dw, ds, whole.NumAnds(), stepwise.NumAnds())
 	}
 }
 

@@ -114,8 +114,7 @@ func TestLog2AgainstItsRewriteIsProved(t *testing.T) {
 // `rw; fraig` on these returned a cyclic network that no longer computed
 // its input's function. Held to exhaustive simulation, not to
 // dacpara.Equivalent, which runs the code under test. The second script
-// rewrites what fraig rebuilt, with the flow's cut cache warm from the
-// first rewrite.
+// rewrites what fraig rebuilt.
 func TestFlowFraigStaysAcyclicAndExact(t *testing.T) {
 	for _, bits := range []int{6, 8} {
 		for _, script := range []string{"rw; fraig", "rw; fraig; rw"} {

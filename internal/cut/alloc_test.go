@@ -3,15 +3,15 @@ package cut
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
-// TestWarmEnumerationZeroAlloc pins the zero-allocation contract of the
-// warm enumeration paths: once a manager has enumerated a graph and its
-// pool scratch has grown to the sweep's working size, neither epoch
-// revalidation (the persistent-cache fast path) nor a full recompute of
-// unchanged sets (every entry invalidated, then re-ensured — the cold
-// enumeration shape running against warm entry storage) may touch the
-// heap. The bench-smoke CI job runs this test as its allocation gate.
+// TestWarmEnumerationZeroAlloc pins the zero-allocation contract of warm
+// enumeration: once a manager has enumerated a graph and its pool scratch
+// has grown to the sweep's working size, a full recompute after NextEpoch
+// (the cold enumeration shape running against warm entry storage) may not
+// touch the heap. The bench-smoke CI job runs this test as its allocation
+// gate.
 func TestWarmEnumerationZeroAlloc(t *testing.T) {
 	for _, shape := range faninShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -19,39 +19,35 @@ func TestWarmEnumerationZeroAlloc(t *testing.T) {
 			m := NewManager(a, Params{})
 			pool := NewPool()
 			visit := func(id int32) { m.EnsureP(id, nil, pool) }
-			invalidate := func(id int32) { m.entry(id).state.Store(0) }
 			a.ForEachAnd(visit)
 
-			// Settle: one warm revalidation and one warm recompute so
-			// entry slices and the pool scratch reach steady-state
-			// capacity before measuring.
+			// Settle: one warm recompute so entry slices and the pool
+			// scratch reach steady-state capacity before measuring.
 			m.NextEpoch()
-			a.ForEachAnd(visit)
-			a.ForEachAnd(invalidate)
 			a.ForEachAnd(visit)
 
 			if avg := testing.AllocsPerRun(10, func() {
 				m.NextEpoch()
 				a.ForEachAnd(visit)
 			}); avg != 0 {
-				t.Errorf("warm epoch revalidation: %v allocs/run, want 0", avg)
-			}
-
-			if avg := testing.AllocsPerRun(10, func() {
-				a.ForEachAnd(invalidate)
-				a.ForEachAnd(visit)
-			}); avg != 0 {
-				t.Errorf("warm recompute of unchanged sets: %v allocs/run, want 0", avg)
+				t.Errorf("warm recompute after NextEpoch: %v allocs/run, want 0", avg)
 			}
 		})
 	}
 }
 
-// TestEpochReuseByteIdentity checks that the epoch-revalidation fast path
-// hands back bit-identical cut sets: a manager revalidated across an
-// epoch bump must serve exactly the sets a cold manager computes on the
-// same graph, LeafVer stamps included.
-func TestEpochReuseByteIdentity(t *testing.T) {
+// TestEntrySize pins a cut table entry, one per node of every pass, at a
+// state word and a slice header on 64-bit platforms.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); unsafe.Sizeof(uintptr(0)) == 8 && got != 32 {
+		t.Fatalf("a cut entry takes %d bytes, want 32", got)
+	}
+}
+
+// TestNextEpochRecomputes: on an unchanged graph, NextEpoch makes the next
+// sweep merge every AND again, and the recomputed sets are bit-identical
+// to a cold manager's, LeafVer stamps included.
+func TestNextEpochRecomputes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomAIG(rng, 16, 2000)
 
@@ -59,22 +55,17 @@ func TestEpochReuseByteIdentity(t *testing.T) {
 	pool := NewPool()
 	a.ForEachAnd(func(id int32) { warm.EnsureP(id, nil, pool) })
 	warm.NextEpoch()
-	a.ForEachAnd(func(id int32) { warm.EnsureP(id, nil, pool) })
+	pool.merges = 0
+	var ids []int32
+	a.ForEachAnd(func(id int32) {
+		ids = append(ids, id)
+		warm.EnsureP(id, nil, pool)
+	})
+	if pool.merges != len(ids) {
+		t.Fatalf("%d merges after NextEpoch for %d ANDs", pool.merges, len(ids))
+	}
 
 	cold := NewManager(a, Params{})
 	a.ForEachAnd(func(id int32) { cold.Ensure(id, nil) })
-
-	a.ForEachAnd(func(id int32) {
-		ws, wok := warm.Cuts(id)
-		cs, cok := cold.Cuts(id)
-		if wok != cok || len(ws) != len(cs) {
-			t.Fatalf("node %d: set shape differs (warm ok=%v n=%d, cold ok=%v n=%d)",
-				id, wok, len(ws), cok, len(cs))
-		}
-		for i := range ws {
-			if ws[i] != cs[i] {
-				t.Fatalf("node %d cut %d differs:\nwarm %+v\ncold %+v", id, i, ws[i], cs[i])
-			}
-		}
-	})
+	sameSets(t, "after NextEpoch", warm, cold, ids)
 }

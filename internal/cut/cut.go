@@ -173,33 +173,17 @@ const (
 	cutPageMask = cutPageSize - 1
 )
 
-// entry is a node's stored cut set together with the provenance needed to
-// prove, in a later epoch, that the stored set is still bit-identical to
-// what a cold re-enumeration would produce: the fanin literals at compute
-// time, the fanin entries' content generations, and the bitmask of fanin
-// cuts that were fresh when the merge ran. If all of these still hold, the
-// merge inputs are unchanged and the merge is skipped (see Manager.ensure).
+// entry is a node's stored cut set.
 //
 // state is the one word other workers may look at. It is 0 for an entry
 // that holds nothing, epoch<<32 | node version once the set has been
-// computed or validated for that incarnation in that epoch, and busy
-// while one worker — the one whose compare-and-swap put busy there — is
-// computing it. Every other field belongs to that worker until it stores
-// the word that publishes them.
+// computed for that incarnation in that epoch, and busy while one
+// worker — the one whose compare-and-swap put busy there — is computing
+// it. The set belongs to that worker until it stores the word that
+// publishes it.
 type entry struct {
 	state atomic.Uint64
 	cuts  []Cut
-	gen   uint32 // content generation: bumped when a recompute changes the set
-	f0    aig.Lit
-	f1    aig.Lit
-	g0    uint32 // fanin entry generations at compute time
-	g1    uint32
-	m0    uint64 // fanin cut freshness bitmasks at compute time
-	m1    uint64
-	// maskOK records whether m0/m1 cover the fanin sets (a set longer
-	// than 64 cuts cannot be represented; the entry is then never reused
-	// across epochs).
-	maskOK bool
 }
 
 // busy is the state of an entry one worker is computing. No published
@@ -229,10 +213,9 @@ type Manager struct {
 	a      *aig.AIG
 	params Params
 
-	// epoch is the current validation epoch. An entry whose epoch matches
-	// has already been validated (or computed) since the last NextEpoch
-	// call and is returned without re-checking its fanins. Written only
-	// between passes (NextEpoch), read by all workers during one.
+	// epoch is stamped into every published entry: a set published under
+	// an older one is recomputed on its next Ensure. Written only between
+	// sweeps (NextEpoch), read by all workers during one.
 	epoch uint32
 
 	pages  atomic.Pointer[[]*cutPage]
@@ -251,12 +234,9 @@ func NewManager(a *aig.AIG, params Params) *Manager {
 // K returns the resolved cut width the manager enumerates with.
 func (m *Manager) K() int { return m.params.k() }
 
-// NextEpoch opens a new validation epoch: the next Ensure of each node
-// revalidates its stored set against the current graph (node version,
-// fanin literals, fanin set generations and freshness) instead of
-// trusting it outright. Engine passes call it once per pass when reusing
-// a cached manager, before any worker runs; it must never race with
-// enumeration.
+// NextEpoch forgets every stored set: the next Ensure of each node
+// recomputes it into the storage it already holds. It must never race
+// with enumeration.
 func (m *Manager) NextEpoch() { m.epoch++ }
 
 func (m *Manager) grow(n int32) {
@@ -288,14 +268,21 @@ func (m *Manager) entry(id int32) *entry {
 }
 
 // Cuts returns node id's stored cut set and whether a set computed for
-// the node's current incarnation exists. The first cut, when present, is
-// the trivial cut. Individual cuts may still be stale (Cut.Fresh).
+// the node's current incarnation in this epoch exists. The first cut,
+// when present, is the trivial cut. Individual cuts may still be stale
+// (Cut.Fresh).
 func (m *Manager) Cuts(id int32) ([]Cut, bool) {
 	e := m.entry(id)
-	if s := e.state.Load(); s == 0 || s == busy || uint32(s) != m.a.N(id).Version() {
+	if e.state.Load() != m.published(id) {
 		return nil, false
 	}
 	return e.cuts, true
+}
+
+// published is the state word of node id's entry once its set is
+// computed for the node's current incarnation in this epoch.
+func (m *Manager) published(id int32) uint64 {
+	return uint64(m.epoch)<<32 | uint64(m.a.N(id).Version())
 }
 
 // trivial returns the unit cut of a node. Built field by field (not via
@@ -319,13 +306,14 @@ func constCut() Cut { return NewCut(nil, tt.False64) }
 // aborting enumeration.
 type Visitor func(id int32) bool
 
-// Ensure computes and stores the cut set of id if absent or stale,
-// recursively ensuring fanin cut sets first. With a nil visitor it is safe
-// to call from any number of goroutines while the graph does not change
-// (see Manager). visit, when non-nil, is invoked for every node touched —
-// the paper's Section 4.2, enumeration "recursively acquires exclusive
-// locks for the current node and all its relevant nodes"; a false return
-// aborts with ok=false, every claim the call held given back.
+// Ensure computes and stores the cut set of id unless one is published
+// for the node's incarnation in this epoch, recursively ensuring fanin
+// cut sets first. With a nil visitor it is safe to call from any number
+// of goroutines while the graph does not change (see Manager). visit,
+// when non-nil, is invoked for every node touched — the paper's Section
+// 4.2, enumeration "recursively acquires exclusive locks for the current
+// node and all its relevant nodes"; a false return aborts with ok=false,
+// every claim the call held given back.
 func (m *Manager) Ensure(id int32, visit Visitor) ([]Cut, bool) {
 	return m.EnsureP(id, visit, nil)
 }
@@ -335,110 +323,67 @@ func (m *Manager) Ensure(id int32, visit Visitor) ([]Cut, bool) {
 // enumeration with a warm pool performs no heap allocation. A nil pool
 // falls back to plain allocation.
 func (m *Manager) EnsureP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
-	set, _, ok := m.ensure(id, visit, pool)
-	return set, ok
-}
-
-// ensure is the recursive enumerator. It returns the node's cut set plus
-// the entry's content generation, which the parent's reuse check records.
-//
-// An entry is trusted without recomputation in exactly two cases: it is
-// published for this epoch (it was computed or validated earlier in this
-// pass — the historical Ensure hit, one load), or this is its first visit
-// of a new epoch and the stored provenance proves a cold merge would see
-// bit-identical inputs: same node incarnation, same fanin literals
-// (rehash changes fanins without a version bump), same fanin set
-// contents (generation match) and the same subset of fanin cuts fresh
-// (freshness mask match — the merge budget makes the kept set depend on
-// which pairs merged, so freshness drift alone invalidates). Identical
-// inputs give an identical merge output, including the leaf version
-// stamps: a fresh fanin cut's leaves still carry the versions recorded at
-// compute time, so the skipped re-stamp would write the same values.
-func (m *Manager) ensure(id int32, visit Visitor, pool *Pool) ([]Cut, uint32, bool) {
 	if visit != nil && !visit(id) {
-		return nil, 0, false
+		return nil, false
 	}
 	n := m.a.N(id)
 	e := m.entry(id)
-	ver := n.Version()
-	valid := uint64(m.epoch)<<32 | uint64(ver)
+	valid := m.published(id)
 	// Read a published set, or claim the entry; a claimed one is on its way
 	// to being published (or, after an abort, to being claimable again).
 	var old uint64
 	for {
 		if old = e.state.Load(); old == valid {
-			return e.cuts, e.gen, true
+			return e.cuts, true
 		}
 		if old != busy && e.state.CompareAndSwap(old, busy) {
 			break
 		}
 		runtime.Gosched()
 	}
-	stored := old != 0                  // the entry holds a set, of whatever incarnation
-	had := stored && uint32(old) == ver // and it is this incarnation's
 	switch n.Kind() {
 	case aig.KindConst, aig.KindPI:
-		// Leaves never change incarnation in place: a version match means
-		// the stored unit cut is still exact.
-		if had {
-			break
-		}
 		var one [1]Cut
 		if n.Kind() == aig.KindConst {
 			one[0] = constCut()
 		} else {
 			one[0] = m.trivial(id)
 		}
-		m.commit(e, one[:], pool, stored)
-		e.maskOK = false
+		commit(e, one[:], pool)
 	case aig.KindAnd:
 		f0, f1 := n.Fanin0(), n.Fanin1()
-		s0, g0, ok := m.ensure(f0.Node(), visit, pool)
+		s0, ok := m.EnsureP(f0.Node(), visit, pool)
 		var s1 []Cut
-		var g1 uint32
 		if ok {
-			s1, g1, ok = m.ensure(f1.Node(), visit, pool)
+			s1, ok = m.EnsureP(f1.Node(), visit, pool)
 		}
 		if !ok {
 			// The activity aborts: give the claim back, or the entry would
 			// keep every later visitor waiting.
 			e.state.Store(old)
-			return nil, 0, false
+			return nil, false
 		}
 		mm0, mok0 := freshMask(m.a, s0)
 		mm1, mok1 := freshMask(m.a, s1)
-		if had && e.maskOK && mok0 && mok1 &&
-			e.f0 == f0 && e.f1 == f1 && e.g0 == g0 && e.g1 == g1 &&
-			e.m0 == mm0 && e.m1 == mm1 {
-			break
-		}
-		res := m.mergeInto(scratchFor(pool, m.params.maxCuts()+2), id, f0, f1, s0, s1, mm0, mok0, mm1, mok1)
-		m.commit(e, res, pool, stored)
-		e.f0, e.f1, e.g0, e.g1 = f0, f1, g0, g1
-		e.m0, e.m1, e.maskOK = mm0, mm1, mok0 && mok1
+		commit(e, m.mergeInto(scratchFor(pool, m.params.maxCuts()+2), id, f0, f1, s0, s1, mm0, mok0, mm1, mok1), pool)
 		if pool != nil {
 			pool.merges++
 		}
 	default:
 		// A dead node has no cuts; store an empty set for its current
 		// incarnation so callers see "enumerated, nothing usable".
-		m.commit(e, nil, pool, stored)
-		e.maskOK = false
+		commit(e, nil, pool)
 	}
-	cuts, gen := e.cuts, e.gen
+	cuts := e.cuts
 	e.state.Store(valid)
-	return cuts, gen, true
+	return cuts, true
 }
 
-// commit stores res as the claimed entry's cut set, bumping the content
-// generation when the set changed (stored: the entry held one) and
-// recycling storage through the pool: the resident slice is reused in
-// place whenever it is large enough, so a recompute that reproduces the
-// previous set's size allocates nothing.
-func (m *Manager) commit(e *entry, res []Cut, pool *Pool, stored bool) {
-	if !stored || !cutsEqual(e.cuts, res) {
-		e.gen++
-	}
+// commit stores res as the claimed entry's cut set, recycling storage
+// through the pool: the resident slice is reused in place whenever it is
+// large enough, so a recompute that reproduces the previous set's size
+// allocates nothing.
+func commit(e *entry, res []Cut, pool *Pool) {
 	if cap(e.cuts) >= len(res) {
 		if len(res) == 0 && cap(e.cuts) > 0 {
 			// A dying entry donates its storage instead of pinning it.
@@ -454,23 +399,9 @@ func (m *Manager) commit(e *entry, res []Cut, pool *Pool, stored bool) {
 	copy(e.cuts, res)
 }
 
-// cutsEqual reports whether two cut sets are bit-identical (Cut has no
-// reference fields, so element equality is exact).
-func cutsEqual(a, b []Cut) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // freshMask computes the bitmask of fresh cuts in a set. ok is false when
-// the set is too long for a 64-bit mask; callers then fall back to
-// per-cut Fresh checks and forgo cross-epoch reuse.
+// the set is too long for a 64-bit mask; the merge then falls back to
+// per-cut Fresh checks.
 func freshMask(a *aig.AIG, s []Cut) (uint64, bool) {
 	if len(s) > 64 {
 		return 0, false
@@ -505,7 +436,7 @@ func (m *Manager) RefreshP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
 // into the caller-provided scratch, skipping stale fanin cuts (whose
 // leaves were deleted or reused by rewriting since they were enumerated).
 // Freshness comes from the precomputed masks when they cover the sets
-// (mok*), which also become the entry's reuse provenance.
+// (mok*).
 //
 // Each pair is merged leaves first; most unions are then dropped by the
 // dominance test, and only a cut that is kept has its function computed.

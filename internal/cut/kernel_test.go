@@ -3,6 +3,7 @@ package cut
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -226,7 +227,7 @@ func TestMergeIntoMatchesReference(t *testing.T) {
 				n := a.N(id)
 				s0, _ := m.Cuts(n.Fanin0().Node())
 				s1, _ := m.Cuts(n.Fanin1().Node())
-				if want := refMergeInto(m, id, n.Fanin0(), n.Fanin1(), s0, s1); !cutsEqual(got, want) {
+				if want := refMergeInto(m, id, n.Fanin0(), n.Fanin1(), s0, s1); !slices.Equal(got, want) {
 					t.Fatalf("%+v node %d:\n got %+v\nwant %+v", p, id, got, want)
 				}
 			})

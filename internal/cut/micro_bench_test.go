@@ -127,30 +127,6 @@ func BenchmarkEnsureWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkEnsureEpochWarm measures the persistent-cut revalidation
-// sweep: the manager holds every set from the previous epoch, NextEpoch
-// opens a new one, and re-enumeration reduces to version checks against
-// warm per-worker pools. This is the per-pass cost a flow-level cut.Cache
-// pays instead of cold enumeration; the bench-smoke CI gate pins it (and
-// TestWarmEnumerationZeroAlloc asserts it) at 0 allocs/op.
-func BenchmarkEnsureEpochWarm(b *testing.B) {
-	for _, shape := range faninShapes {
-		b.Run(shape.name, func(b *testing.B) {
-			a := shape.build()
-			m := NewManager(a, Params{})
-			pool := NewPool()
-			visit := func(id int32) { m.EnsureP(id, nil, pool) }
-			a.ForEachAnd(visit)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.NextEpoch()
-				a.ForEachAnd(visit)
-			}
-		})
-	}
-}
-
 // BenchmarkRefresh measures the paper's re-enumeration step: the stored
 // set of a deep node is invalidated and recomputed against warm fanin
 // sets, the cost paid whenever replacement finds a result outdated.

@@ -2,6 +2,7 @@ package cut
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -172,7 +173,7 @@ func TestAddCutInvariants(t *testing.T) {
 				refSet := append([]Cut(nil), set...)
 				refAdded := refAddCut(&refSet, c)
 				added := addCut(&set, c)
-				if added != refAdded || !cutsEqual(set, refSet) {
+				if added != refAdded || !slices.Equal(set, refSet) {
 					t.Fatalf("k=%d: dominance first keeps %+v (added=%v), the old order %+v (added=%v)",
 						k, set, added, refSet, refAdded)
 				}

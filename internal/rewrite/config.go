@@ -11,8 +11,6 @@
 package rewrite
 
 import (
-	"dacpara/internal/aig"
-	"dacpara/internal/cut"
 	"dacpara/internal/engine"
 	"dacpara/internal/galois"
 	"dacpara/internal/metrics"
@@ -66,13 +64,6 @@ type Config struct {
 	// reused across flow steps yields one snapshot per step. Nil, the
 	// default, costs nothing on the hot paths.
 	Metrics *metrics.Collector
-	// CutCache, when non-nil, makes cut sets persistent across engine
-	// passes and flow steps: each pass reuses the cached manager for the
-	// graph and revalidates stored sets incrementally by node version
-	// instead of re-enumerating from scratch (see cut.Cache). Nil, the
-	// default, enumerates fresh per pass — results are byte-identical
-	// either way. Flow runs install one cache automatically.
-	CutCache *cut.Cache
 }
 
 // P1 is the paper's Table 3 "DACPara-P1" configuration: 8 cuts per node,
@@ -112,19 +103,6 @@ func (c Config) maxStructs(n int) int {
 		return n
 	}
 	return c.MaxStructs
-}
-
-// cutManager resolves the pass's cut manager: the persistent cached one
-// (opening a new validation epoch) when a CutCache is configured, a
-// fresh throwaway manager otherwise.
-func (c Config) cutManager(a *aig.AIG) *cut.Manager {
-	params := cut.Params{K: c.K, MaxCuts: c.MaxCuts}
-	if c.CutCache != nil {
-		m := c.CutCache.Manager(a, params)
-		m.NextEpoch()
-		return m
-	}
-	return cut.NewManager(a, params)
 }
 
 // Exec materializes the Config's spine knobs for the pass-engine

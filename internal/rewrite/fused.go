@@ -40,7 +40,7 @@ type fusedPass struct {
 var _ engine.Pass = (*fusedPass)(nil)
 
 func (p *fusedPass) Begin(slots int, env engine.Env) {
-	p.cm = p.cfg.cutManager(p.a)
+	p.cm = cut.NewManager(p.a, cut.Params{K: p.cfg.K, MaxCuts: p.cfg.MaxCuts})
 	p.evs = make([]*Evaluator, slots)
 	for w := range p.evs {
 		p.evs[w] = NewEvaluator(p.a, p.lib, p.cfg)

@@ -42,7 +42,7 @@ var (
 )
 
 func (p *Pass) Begin(slots int, env engine.Env) {
-	p.cm = p.Cfg.cutManager(p.A)
+	p.cm = cut.NewManager(p.A, cut.Params{K: p.Cfg.K, MaxCuts: p.Cfg.MaxCuts})
 	p.env = env
 	p.evs = make([]*Evaluator, slots)
 	for w := range p.evs {

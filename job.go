@@ -62,8 +62,8 @@ func (j Job) WithKnobs(cfg Config) Job {
 	return j
 }
 
-// Config returns attach — whose process-local fields (Metrics, Fault,
-// CutCache) pass through — with the job's engine knobs.
+// Config returns attach — whose process-local fields (Metrics, Fault)
+// pass through — with the job's engine knobs.
 func (j Job) Config(attach Config) Config {
 	attach.Workers, attach.K, attach.Passes = j.Workers, j.K, j.Passes
 	attach.MaxCuts, attach.MaxStructs, attach.NumClasses = j.MaxCuts, j.MaxStructs, j.Classes
@@ -132,8 +132,8 @@ type Hooks struct {
 	// with ResumeStep, the primitive durable crash recovery is built on.
 	Checkpoint FlowCheckpoint
 	// Attach supplies the process-local fields of the run's Config —
-	// Metrics, Fault (with its retry budget), CutCache. Its knob fields
-	// are ignored: the Job's apply.
+	// Metrics, Fault (with its retry budget). Its knob fields are ignored:
+	// the Job's apply.
 	Attach Config
 }
 

@@ -124,10 +124,10 @@ func TestRunRejectsBeforeTouching(t *testing.T) {
 // knobs, and Config passes the process-local attachments through.
 func TestJobKnobsRoundTrip(t *testing.T) {
 	cfg := Config{K: 5, MaxCuts: 8, MaxStructs: 5, NumClasses: 222, ZeroGain: true, PreserveDelay: true, Passes: 2, Workers: 3}
-	attach := Config{Metrics: NewMetrics(), CutCache: NewCutCache(), Fault: &galois.FaultPlan{AbortRate: 1, RetryBudget: 9}, Workers: 64}
+	attach := Config{Metrics: NewMetrics(), Fault: &galois.FaultPlan{AbortRate: 1, RetryBudget: 9}, Workers: 64}
 	got := Job{Engine: EngineSerial}.WithKnobs(cfg).Config(attach)
 	want := cfg
-	want.Metrics, want.CutCache, want.Fault = attach.Metrics, attach.CutCache, attach.Fault
+	want.Metrics, want.Fault = attach.Metrics, attach.Fault
 	if got != want {
 		t.Fatalf("round trip gave %+v, want %+v", got, want)
 	}

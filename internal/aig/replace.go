@@ -6,9 +6,9 @@ import "fmt"
 type ReplaceOptions struct {
 	// CascadeMerge re-hashes fanouts whose fanin pair, after patching,
 	// duplicates an existing node, merging the two (ABC's behaviour).
-	// Parallel engines disable it so that the set of mutated nodes is
-	// known — and lockable — before any mutation happens; the duplicate
-	// pairs left behind are functionally harmless and rare.
+	// A commit under locks disables it so that the set of mutated nodes
+	// is known — and lockable — before any mutation happens; the
+	// duplicate pairs left behind are functionally harmless and rare.
 	CascadeMerge bool
 }
 

@@ -4,19 +4,19 @@
 // chunk) → commit of the nodes that came out of it with a candidate —
 // whose steps are chosen by what the pass can do, and one spine for the
 // worker team (started once per run, see galois.Team), metrics shards,
-// context cancellation checkpoints, fault-plan wiring and retry budgets.
+// context cancellation checkpoints, and the executor's fault plans and
+// retry budgets.
 //
 // Every optimization pass in the repository runs through Run, and every
 // engine of the paper's comparison is a case of its loop (Algorithm 1):
 //
-//   - DACPara: per level worklist, the sweep and then the replacement of
-//     the stored candidates under the speculative executor — the only
-//     step that takes locks, and the only one that can abort;
+//   - DACPara: per level worklist, the sweep and then a serial commit of
+//     the stored candidates in worklist order — no lock, no abort;
 //   - the DAC'22/TCAD'23 static GPU models: the same two steps over ONE
-//     worklist — the whole graph in level order — with a serial commit,
-//     so every decision is taken on the unchanged input graph;
-//   - the ICCAD'18 fused-lock baseline: the commit phase alone, the pass
-//     doing all three stages inside it under one lock set;
+//     worklist — the whole graph in level order — so every decision is
+//     taken on the unchanged input graph;
+//   - the ICCAD'18 fused-lock baseline: the commit phase alone, under the
+//     executor, the pass doing all three stages inside it under one lock set;
 //   - the ABC serial baseline, serial refactoring and resubstitution:
 //     the commit phase alone, serially — one thread, immediate commits;
 //   - parallel refactoring and resubstitution: lock-free evaluation per
@@ -135,11 +135,11 @@ type Plan struct {
 	Name string
 	// Partition is the worklist policy.
 	Partition Policy
-	// SerialCommit runs the commit phase serially on slot 0 instead of
-	// under the speculative executor — for passes whose replacements are
-	// not lock-safe and rely on commit-time revalidation instead, and for
-	// the serial baselines. A plan whose only phase is a serial commit
-	// runs on one worker whatever Exec.Workers says.
+	// SerialCommit runs the commit phase serially on slot 0, in worklist
+	// order with a nil Locker, instead of under the speculative executor
+	// — every plan but iccad18's: safety comes from commit-time
+	// revalidation. A plan whose only phase is a serial commit runs on
+	// one worker whatever Exec.Workers says.
 	SerialCommit bool
 }
 
@@ -150,7 +150,7 @@ type Exec struct {
 	Workers int
 	// Passes repeats the whole sweep (0: one pass).
 	Passes int
-	// Fault injects seeded faults into the speculative executor.
+	// Fault injects seeded faults into the speculative executor (iccad18's).
 	Fault *galois.FaultPlan
 	// Metrics, when non-nil, collects the run's instrumentation.
 	Metrics *metrics.Collector
@@ -222,8 +222,9 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 	// sweep is the lock-free step of one worklist, run on the team itself:
 	// a worker takes a chunk, enumerates it, then evaluates it. Nothing in
 	// it takes a lock, so nothing aborts and nothing is retried; the chunk
-	// clocks are its work, booked as committed time.
-	var sweepNs int64
+	// clocks are its work, booked as committed time; lockFreeNs also sums
+	// the serial commits'.
+	var lockFreeNs int64
 	done := ctx.Done()
 	sweep := func(wl []int32) error {
 		t0 := time.Now()
@@ -272,7 +273,7 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 			enumNs, evalNs = enumNs+tl.enumNs, evalNs+tl.evalNs
 			tl.enumNs, tl.evalNs = 0, 0
 		}
-		sweepNs += enumNs + evalNs
+		lockFreeNs += enumNs + evalNs
 		// The two phases share the sweep's wall in proportion to their
 		// work, so that the phase walls still add up to the time between
 		// barriers.
@@ -325,11 +326,13 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 	// commit is the commit phase of one list: under the executor, which
 	// keeps a list shorter than the hand-out rule's cutoff on the caller,
 	// or serially on slot 0 with no locks — as a one-worker team phase, so
-	// that a panicking Commit comes back as an error here too.
+	// that a panicking Commit comes back as an error here too, its elapsed
+	// time booked as work.
 	commit := func(wl []int32) (err error) {
 		var perr error // what the phase failed with, a cancelled serial commit apart
 		m.PhaseStart(commitPhase)
 		if plan.SerialCommit {
+			c0 := time.Now()
 			perr = team.Do(1, func(int) {
 				for i, id := range wl {
 					if i%SerialCancelStride == 0 {
@@ -340,7 +343,9 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 					book(0, pass.Commit(0, id, nil))
 				}
 			})
-			m.PhaseEnd(commitPhase, metrics.Spec{})
+			ns := time.Since(c0).Nanoseconds()
+			lockFreeNs += ns
+			m.PhaseEnd(commitPhase, metrics.Spec{CommittedNs: ns})
 		} else {
 			before := ex.Stats
 			perr = ex.RunCtx(ctx, wl, commitOp)
@@ -399,7 +404,7 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 	if ex != nil {
 		res.absorb(&ex.Stats)
 	}
-	res.CommittedWork += time.Duration(sweepNs)
+	res.CommittedWork += time.Duration(lockFreeNs)
 	res.count(&attempts, tallies)
 	res.finish(a, start, m, runErr)
 	return res, runErr

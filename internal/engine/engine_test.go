@@ -553,9 +553,11 @@ func TestPanickingHook(t *testing.T) {
 	}
 }
 
-// The plan shapes the engines use, each a case of the one loop.
+// The plan shapes of the loop: the engines' and, as dynamicPlan, a split
+// pass whose commit runs under the executor, which no engine uses now.
 var (
-	dynamicPlan = Plan{Name: "toy", Partition: ByLevel}                        // dacpara
+	dynamicPlan = Plan{Name: "toy", Partition: ByLevel}
+	levelPlan   = Plan{Name: "toy", Partition: ByLevel, SerialCommit: true}    // dacpara, rf -p, rs -p
 	staticPlan  = Plan{Name: "toy", Partition: LevelOrder, SerialCommit: true} // dac22, tcad23
 	fusedPlan   = Plan{Name: "toy", Partition: Flat}                           // iccad18
 	serialPlan  = Plan{Name: "toy", Partition: Topo, SerialCommit: true}       // abc, rf, rs
@@ -634,8 +636,7 @@ func TestDynamicSkipEnumerate(t *testing.T) {
 func TestDynamicSerialCommit(t *testing.T) {
 	a := toyAIG()
 	s := scriptedVerdicts(a)
-	res, err := Run(context.Background(), a, enumerating{evaluating{s}},
-		Plan{Name: "toy", Partition: ByLevel, SerialCommit: true}, Exec{Workers: 4})
+	res, err := Run(context.Background(), a, enumerating{evaluating{s}}, levelPlan, Exec{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,6 +644,43 @@ func TestDynamicSerialCommit(t *testing.T) {
 	// Commit runs once per stored candidate, serially on slot 0.
 	if n := len(s.logs[0]); n != 3 || s.calls(hookCommit) != 3 {
 		t.Fatalf("%d calls on slot 0, %d commits, want 3 and 3", n, s.calls(hookCommit))
+	}
+}
+
+// TestSerialCommitBooksItsWork: a serial commit phase is work like any
+// other — one worker's, so no more than its wall time — and it counts in
+// Result.CommittedWork beside the sweep's chunks.
+func TestSerialCommitBooksItsWork(t *testing.T) {
+	for _, tc := range []struct {
+		name, phase string
+		pass        func(*script) Pass
+		plan        Plan
+	}{
+		{"level", "replace", kinds[2].pass, levelPlan},
+		{"static", "replace", kinds[2].pass, staticPlan},
+		{"serial", "fused", kinds[0].pass, serialPlan},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := wideAIG(mixedWidths...)
+			res, err := Run(context.Background(), a, tc.pass(&script{a: a, verdict: byID}), tc.plan,
+				Exec{Workers: 2, Metrics: metrics.New()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var work int64
+			for _, p := range res.Metrics.Phases {
+				work += p.WorkNs
+				if p.Name != tc.phase {
+					continue
+				}
+				if p.WorkNs <= 0 || p.WorkNs > p.WallNs || p.Speculation != (metrics.Spec{CommittedNs: p.WorkNs}) {
+					t.Fatalf("%s phase: work %d ns, wall %d ns, speculation %+v", p.Name, p.WorkNs, p.WallNs, p.Speculation)
+				}
+			}
+			if res.CommittedWork.Nanoseconds() != work {
+				t.Fatalf("committed work %d ns, the phases worked %d", res.CommittedWork.Nanoseconds(), work)
+			}
+		})
 	}
 }
 

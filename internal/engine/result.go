@@ -42,8 +42,8 @@ type Result struct {
 	// CommittedWork and WastedWork are the total time spent inside
 	// committed and aborted activities: the paper's Fig. 2 signal. A
 	// fused operator (ICCAD'18) wastes its whole evaluation on conflict;
-	// DACPara's split operators waste almost nothing. The chunk time of
-	// the lock-free sweep, which cannot abort, counts as committed.
+	// DACPara's split operators waste nothing. The lock-free sweep's chunk
+	// time and a serial commit's time, which cannot abort, count as committed.
 	CommittedWork, WastedWork time.Duration
 
 	Duration time.Duration

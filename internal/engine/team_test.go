@@ -127,8 +127,8 @@ func TestTeamLifetime(t *testing.T) {
 		pass func(*script) Pass
 		plan Plan
 	}{
-		{kinds[2].pass, Plan{Name: "dacpara", Partition: ByLevel}},
-		{kinds[2].pass, Plan{Name: "dacpara-flat", Partition: Flat}},
+		{kinds[2].pass, Plan{Name: "dacpara", Partition: ByLevel, SerialCommit: true}},
+		{kinds[2].pass, Plan{Name: "dacpara-flat", Partition: Flat, SerialCommit: true}},
 		{kinds[1].pass, Plan{Name: "rf -p", Partition: ByLevel, SerialCommit: true}},
 		{kinds[2].pass, Plan{Name: "dac22", Partition: LevelOrder, SerialCommit: true}},
 		{kinds[0].pass, Plan{Name: "iccad18", Partition: Flat}},

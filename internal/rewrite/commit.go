@@ -63,9 +63,9 @@ const planLimit = 2048
 // paper's replacement operator (Section 4.4): the stored cut must still be
 // a cut of the node (leaves alive, or re-enumerated and matched), the
 // stored structure must still match the cut function's NPN class, and the
-// gain is re-evaluated on the current graph before any mutation. All
-// affected nodes are locked before the first mutation (cautious operator),
-// so a conflict abort never needs rollback.
+// gain is re-evaluated on the current graph before any mutation. Under a
+// lock (iccad18) all affected nodes are locked before the first mutation
+// (cautious operator), so a conflict abort never needs rollback.
 func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker) (gain int, st Status) {
 	a, s := e.A, e.Scratch
 	root := cand.Root
@@ -216,7 +216,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 	if out.Node() == root {
 		return 0, StatusStale
 	}
-	a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: lock == nil})
+	a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: e.CascadeMerge})
 	return gain, StatusCommitted
 }
 

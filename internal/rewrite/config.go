@@ -50,12 +50,12 @@ type Config struct {
 	// Workers sets the parallelism of parallel engines
 	// (0: runtime.GOMAXPROCS).
 	Workers int
-	// Fault injects seeded faults into the speculative executor of the
-	// parallel engines — forced aborts, lock-hold delays, worker stalls,
-	// worklist shuffles (see galois.FaultPlan). Nil, the default, costs
-	// nothing. Serial engines take no locks and are unaffected. Its
-	// RetryBudget bounds consecutive aborts per work item before a
-	// parallel engine gives up with a *galois.RetryBudgetError.
+	// Fault injects seeded faults into iccad18's speculative executor —
+	// forced aborts, lock-hold delays, worker stalls, worklist shuffles
+	// (see galois.FaultPlan); no other engine takes a lock or reads it.
+	// Nil, the default, costs nothing. Its RetryBudget bounds consecutive
+	// aborts per work item before iccad18 gives up with a
+	// *galois.RetryBudgetError.
 	Fault *galois.FaultPlan
 	// Metrics, when non-nil, collects per-phase timings, per-level
 	// parallelism, speculative-work accounting and QoR deltas for the run

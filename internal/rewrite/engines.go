@@ -26,14 +26,13 @@ const (
 	// a conflict discards all of it (see fusedPass).
 	EngineLockPar Engine = "iccad18"
 	// EngineDACPara is the paper's contribution (Algorithm 1): nodes are
-	// divided by level, and each level's worklist runs three separate
-	// parallel operators — cut enumeration, whose cut sets publish
-	// themselves instead of being locked, lock-free evaluation (over 90%
-	// of the runtime) storing its best result per node — the two sharing
-	// one sweep of the level — and replacement re-validating the stored
-	// cut and structure on the LATEST graph before locking and updating.
-	// A conflict can only discard the cheap replacement bookkeeping, never
-	// the evaluation — the essence of the paper's Fig. 2.
+	// divided by level, and each level's worklist runs cut enumeration,
+	// whose cut sets publish themselves instead of being locked, and
+	// lock-free evaluation (over 90% of the runtime) storing its best
+	// result per node — one parallel sweep — then replacement
+	// re-validating each stored candidate on the LATEST graph. Unlike the
+	// paper's, the replacement runs serially in worklist order with no
+	// lock (EXPERIMENTS.md E18), so the output is the same at any width.
 	EngineDACPara Engine = "dacpara"
 	// EngineStaticDAC22 models the DAC'22 GPU rewriter (NovelRewrite) on
 	// the CPU: enumerate and evaluate ALL nodes once, in parallel,
@@ -66,30 +65,33 @@ func Engines() []Engine {
 // (see engine.Run): Pass splits a node's work into enumeration, lock-free
 // evaluation and revalidating commit, with the two variant knobs of the
 // static models; fusedPass does all of it in the commit, under the
-// activity's locks or, in a serial commit, without.
+// activity's locks or, in a serial commit, without. cascade is
+// aig.ReplaceOptions.CascadeMerge.
 type spec struct {
 	plan                             engine.Plan
-	fused                            bool
+	fused, cascade                   bool
 	trustStoredGain, skipStaleLeaves bool
 }
 
+// Only iccad18 commits under the executor. dacpara and its ablation do
+// not cascade, as when they committed under locks (EXPERIMENTS.md E18).
 var table = map[Engine]spec{
-	EngineSerial:  {plan: engine.Plan{Name: "abc-rewrite", Partition: engine.Topo, SerialCommit: true}, fused: true},
+	EngineSerial:  {plan: engine.Plan{Name: "abc-rewrite", Partition: engine.Topo, SerialCommit: true}, fused: true, cascade: true},
 	EngineLockPar: {plan: engine.Plan{Name: "iccad18-lockpar", Partition: engine.Flat}, fused: true},
-	EngineDACPara: {plan: engine.Plan{Name: "dacpara", Partition: engine.ByLevel}},
-	EngineFlat:    {plan: engine.Plan{Name: "dacpara-flat", Partition: engine.Flat}},
+	EngineDACPara: {plan: engine.Plan{Name: "dacpara", Partition: engine.ByLevel, SerialCommit: true}},
+	EngineFlat:    {plan: engine.Plan{Name: "dacpara-flat", Partition: engine.Flat, SerialCommit: true}},
 	// The static models: every node is enumerated and evaluated against
 	// the unchanged input graph (one worklist), then the stored decisions
 	// are applied serially in level order, trusting the stored gain —
 	// static global information — so realized gains may be zero or
 	// negative.
 	EngineStaticDAC22: {
-		plan:            engine.Plan{Name: "dac22-novelrewrite", Partition: engine.LevelOrder, SerialCommit: true},
-		trustStoredGain: true, skipStaleLeaves: true,
+		plan:    engine.Plan{Name: "dac22-novelrewrite", Partition: engine.LevelOrder, SerialCommit: true},
+		cascade: true, trustStoredGain: true, skipStaleLeaves: true,
 	},
 	EngineStaticTCAD23: {
-		plan:            engine.Plan{Name: "tcad23-gpu", Partition: engine.LevelOrder, SerialCommit: true},
-		trustStoredGain: true,
+		plan:    engine.Plan{Name: "tcad23-gpu", Partition: engine.LevelOrder, SerialCommit: true},
+		cascade: true, trustStoredGain: true,
 	},
 }
 
@@ -97,18 +99,18 @@ var table = map[Engine]spec{
 // ctx interrupts the engine at its next cancellation point — a worklist
 // boundary, an activity boundary inside an executor phase, every
 // engine.SerialCancelStride nodes of a serial commit — and returns the
-// wrapped ctx error; a retry-budget exhaustion (possibly fault-injected)
-// surfaces the same way. Either leaves the network structurally
-// consistent but partially rewritten, and the Result, marked Incomplete,
-// covers the work done.
+// wrapped ctx error; an iccad18 retry-budget exhaustion (possibly
+// fault-injected) surfaces the same way. Either leaves the network
+// structurally consistent but partially rewritten, and the Result,
+// marked Incomplete, covers the work done.
 func Run(ctx context.Context, eng Engine, a *aig.AIG, lib *rewlib.Library, cfg Config) (Result, error) {
 	s, ok := table[eng]
 	if !ok {
 		return Result{}, fmt.Errorf("rewrite: unknown engine %q", eng)
 	}
-	var pass engine.Pass = &Pass{A: a, Lib: lib, Cfg: cfg, TrustStoredGain: s.trustStoredGain, SkipStaleLeaves: s.skipStaleLeaves}
+	var pass engine.Pass = &Pass{A: a, Lib: lib, Cfg: cfg, CascadeMerge: s.cascade, TrustStoredGain: s.trustStoredGain, SkipStaleLeaves: s.skipStaleLeaves}
 	if s.fused {
-		pass = &fusedPass{a: a, lib: lib, cfg: cfg}
+		pass = &fusedPass{a: a, lib: lib, cfg: cfg, cascade: s.cascade}
 	}
 	return engine.Run(ctx, a, pass, s.plan, cfg.Exec())
 }

@@ -14,10 +14,13 @@ import (
 )
 
 // TestStressFaultInjectionAcrossWorkerCounts drives the speculative
-// engines across worker-count permutations with shuffled worklists and a
+// engine across worker-count permutations with shuffled worklists and a
 // nonzero forced-abort rate, asserting after every run that the graph
 // still satisfies its structural invariants and computes the same
-// functions. Run with -race to make it a race test as well.
+// functions. Run with -race to make it a race test as well. dacpara runs
+// under the same plan and must not notice it: it builds no executor, so
+// nothing is refused, shuffled or aborted, and its output is the plain
+// run's.
 func TestStressFaultInjectionAcrossWorkerCounts(t *testing.T) {
 	l := lib(t)
 	workerCounts := []int{1, 2, 4, 8}
@@ -33,6 +36,9 @@ func TestStressFaultInjectionAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xDAC))
 	base := randomAIG(t, rng, 24, 500, 8)
 	refSig := aig.RandomSignature(base, rand.New(rand.NewSource(1)), 16)
+	plain := base.Clone()
+	must(t)(run(rewrite.EngineDACPara)(plain, l, rewrite.Config{Workers: 1}))
+	plainDigest := aig.StructuralDigest(plain)
 
 	for _, eng := range stressEngines {
 		for _, workers := range workerCounts {
@@ -49,7 +55,14 @@ func TestStressFaultInjectionAcrossWorkerCounts(t *testing.T) {
 						},
 					}
 					res := must(t)(eng.run(net, l, cfg))
-					if workers > 1 && res.InjectedAborts == 0 {
+					if eng.name == "dacpara" {
+						if res.Aborts != 0 || res.InjectedAborts != 0 || res.Commits != 0 {
+							t.Errorf("dacpara ran activities: %d commits, %d aborts (%d injected)", res.Commits, res.Aborts, res.InjectedAborts)
+						}
+						if d := aig.StructuralDigest(net); d != plainDigest {
+							t.Errorf("digest %s under the fault plan, %s at one worker without it", d, plainDigest)
+						}
+					} else if workers > 1 && res.InjectedAborts == 0 {
 						t.Errorf("no injected aborts at rate 0.25")
 					}
 					if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
@@ -65,10 +78,10 @@ func TestStressFaultInjectionAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestStressBudgetErrorLeavesConsistentGraph exhausts the retry budget
-// mid-run and verifies the partial result is still a valid, equivalent
-// network — the contract that lets Run return a budget error without
-// rolling anything back.
+// TestStressBudgetErrorLeavesConsistentGraph exhausts iccad18's retry
+// budget mid-run and verifies the partial result is still a valid,
+// equivalent network — the contract that lets Run return a budget error
+// without rolling anything back.
 func TestStressBudgetErrorLeavesConsistentGraph(t *testing.T) {
 	l := lib(t)
 	rng := rand.New(rand.NewSource(7))
@@ -79,7 +92,7 @@ func TestStressBudgetErrorLeavesConsistentGraph(t *testing.T) {
 		Workers: 4,
 		Fault:   &galois.FaultPlan{Seed: 11, AbortRate: 1.0, RetryBudget: 30},
 	}
-	res, err := run(rewrite.EngineDACPara)(net, l, cfg)
+	res, err := run(rewrite.EngineLockPar)(net, l, cfg)
 	if err == nil {
 		t.Fatal("expected a retry-budget error at abort rate 1.0")
 	}

@@ -297,6 +297,10 @@ type Evaluator struct {
 	// gain).
 	TrustStoredGain bool
 
+	// CascadeMerge makes Execute also merge the fanouts a replacement
+	// leaves structurally equal: a column of the engine table.
+	CascadeMerge bool
+
 	// CutPool is the worker slot's cut-storage pool, used by Execute's
 	// commit-time re-enumeration. Nil degrades to plain allocation.
 	CutPool *cut.Pool

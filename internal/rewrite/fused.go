@@ -28,9 +28,10 @@ import (
 // node sees the latest graph. Non-AND nodes are skipped at visit time —
 // the worklist is the full topological order and nodes die mid-pass.
 type fusedPass struct {
-	a   *aig.AIG
-	lib *rewlib.Library
-	cfg Config
+	a       *aig.AIG
+	lib     *rewlib.Library
+	cfg     Config
+	cascade bool // Evaluator.CascadeMerge
 
 	cm  *cut.Manager
 	evs []*Evaluator
@@ -44,6 +45,7 @@ func (p *fusedPass) Begin(slots int, env engine.Env) {
 	p.evs = make([]*Evaluator, slots)
 	for w := range p.evs {
 		p.evs[w] = NewEvaluator(p.a, p.lib, p.cfg)
+		p.evs[w].CascadeMerge = p.cascade
 		p.evs[w].CutPool = env.CutPool(w)
 	}
 	p.env = env

@@ -14,12 +14,13 @@ import (
 // revalidate-then-replace as the Commit hook. The same adapter serves
 // every split-operator rewriting engine — DACPara per level and the
 // DAC'22/TCAD'23 static models over the whole graph — differing only in
-// the two variant knobs below and the engine.Plan it runs under.
+// the variant knobs below and the engine.Plan it runs under.
 type Pass struct {
 	A   *aig.AIG
 	Lib *rewlib.Library
 	Cfg Config
 
+	CascadeMerge bool // Evaluator.CascadeMerge
 	// TrustStoredGain makes commits trust the evaluation-time gain
 	// instead of re-evaluating it on the latest graph — the static GPU
 	// models' behaviour (decisions from static global information).
@@ -48,6 +49,7 @@ func (p *Pass) Begin(slots int, env engine.Env) {
 	for w := range p.evs {
 		p.evs[w] = NewEvaluator(p.A, p.Lib, p.Cfg)
 		p.evs[w].TrustStoredGain = p.TrustStoredGain
+		p.evs[w].CascadeMerge = p.CascadeMerge
 		p.evs[w].CutPool = env.CutPool(w)
 	}
 	// Ensure the PI and constant cut sets once, serially: every

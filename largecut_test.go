@@ -14,9 +14,7 @@ import (
 // digest and final AND count an engine produced on a tiny-suite circuit
 // BEFORE cut enumeration was parameterized over K. iccad18 at 4 workers
 // is run-to-run nondeterministic (its lock-based speculation commits in
-// arrival order) and is deliberately absent; the dacpara rows at 4
-// workers were recorded on a 1-CPU host and are held to QoR, not bytes
-// (see goldenByteIdentical).
+// arrival order) and is deliberately absent.
 type goldenK4Entry struct {
 	Circuit string `json:"circuit"`
 	Engine  string `json:"engine"`
@@ -41,14 +39,12 @@ func loadGoldenK4(t *testing.T) []goldenK4Entry {
 	return entries
 }
 
-// goldenByteIdentical reports whether a golden row pins bytes: every
-// engine at one worker and the serial-commit engines (abc, dac22,
-// tcad23) at any width. dacpara's replacement phase commits under the
-// speculative executor, so with Workers > 1 on a multi-core host the
-// commit order inside a level — and with it the graph — varies run to
-// run, exactly like iccad18 (DESIGN.md, "Multi-worker nondeterminism").
+// goldenByteIdentical reports whether a golden row pins bytes: every row
+// but a multi-worker iccad18 one, the one engine that commits under the
+// speculative executor, in the order the workers win their locks
+// (DESIGN.md, "Multi-worker nondeterminism"). The file has no such row.
 func goldenByteIdentical(e goldenK4Entry) bool {
-	return e.Workers == 1 || Engine(e.Engine) != EngineDACPara
+	return e.Workers == 1 || Engine(e.Engine) != EngineLockPar
 }
 
 // TestGoldenK4ByteIdentity is the backward differential pin of the

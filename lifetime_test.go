@@ -13,8 +13,9 @@ import (
 // TestNoGoroutineOutlivesRun: every engine, and the parallel refactor and
 // resub passes, start their worker team once per run and must have ended
 // it by the time Run returns — when the run succeeds, when its context is
-// cancelled while the team is at work, when the retry budget runs out in
-// the middle of a phase, and when the run's context reaches its deadline.
+// cancelled while the team is at work, under a fault plan that refuses
+// every lock (iccad18 runs out of retries in the middle of a phase), and
+// when the run's context reaches its deadline.
 // (The operator-panic ending needs a pass that panics; internal/engine's
 // TestTeamLifetime has it, for every skeleton.)
 func TestNoGoroutineOutlivesRun(t *testing.T) {
@@ -82,8 +83,11 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			back(t, base)
 		})
 		if job.Engine != EngineDACPara && job.Engine != EngineLockPar {
-			continue // the other runs take no locks a fault plan could refuse
+			continue
 		}
+		// iccad18 runs out of retries under a plan that refuses every lock;
+		// dacpara, on a team of the same width, takes no lock to refuse and
+		// succeeds.
 		t.Run(name+"/budget", func(t *testing.T) {
 			net, err := Generate("voter", ScaleTiny)
 			if err != nil {
@@ -94,8 +98,8 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 				Fault: &galois.FaultPlan{Seed: 2, AbortRate: 1, RetryBudget: 8},
 			}})
 			var rbe *galois.RetryBudgetError
-			if !errors.As(err, &rbe) {
-				t.Fatalf("err = %v, want *galois.RetryBudgetError", err)
+			if locks := job.Engine == EngineLockPar; locks && !errors.As(err, &rbe) || !locks && err != nil {
+				t.Fatalf("err = %v, want *galois.RetryBudgetError from iccad18 only", err)
 			}
 			back(t, base)
 		})

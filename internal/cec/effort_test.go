@@ -37,8 +37,27 @@ func flowVerifiedPairs(tb testing.TB) []pair {
 	return pairs
 }
 
+// pinnedEffort is each proof's pairs, merges, structural hits, SAT calls,
+// SAT answers, conflicts, decisions and propagations, recorded before the
+// solver's storage was rebuilt (EXPERIMENTS.md E19): a change of layout
+// that is not a change of search leaves every one of them where it is.
+var pinnedEffort = map[string][8]int64{
+	"sin flow":         {404, 404, 485, 808, 0, 661, 193, 73875},
+	"sin rewrite":      {389, 389, 686, 778, 0, 617, 193, 58593},
+	"voter flow":       {90, 87, 98, 180, 3, 239, 231, 5479},
+	"voter rewrite":    {88, 86, 126, 176, 2, 237, 178, 4647},
+	"sqrt flow":        {113, 113, 460, 226, 0, 529, 834, 33867},
+	"sqrt rewrite":     {116, 116, 571, 232, 0, 529, 768, 32243},
+	"log2 flow":        {306, 305, 426, 612, 1, 1232, 1455, 96309},
+	"log2 rewrite":     {275, 274, 513, 550, 1, 1176, 1283, 79654},
+	"mem_ctrl flow":    {158, 124, 407, 301, 34, 351, 1301, 29207},
+	"mem_ctrl rewrite": {111, 86, 582, 212, 25, 264, 990, 16086},
+	"mtm flow":         {206, 154, 421, 382, 52, 482, 4102, 75149},
+	"mtm rewrite":      {152, 111, 606, 281, 41, 383, 3451, 54468},
+}
+
 // TestSweepEffort holds the twelve proofs of one flow_verified operation
-// to ceilings on counts that repeat exactly on any machine. They sit
+// to the counts in pinnedEffort, and their sums to ceilings. They sit
 // where the checker's cost does: a SAT answer is the expensive call, and
 // what keeps it cheap (solving inside the cone) and rare (counterexample
 // feedback, the constant in the class table) shows as propagations, SAT
@@ -62,6 +81,11 @@ func TestSweepEffort(t *testing.T) {
 		t.Logf("%-16s pairs %4d merges %4d hits %5d calls %4d answers %3d conflicts %5d decisions %6d propagations %7d output calls %d",
 			p.name, res.Pairs, res.Merges, res.StructuralHits, res.SATCalls, res.SATAnswers,
 			res.SATConflicts, res.Decisions, res.Propagations, res.OutputSATCalls)
+		got := [8]int64{int64(res.Pairs), int64(res.Merges), int64(res.StructuralHits), res.SATCalls, res.SATAnswers,
+			res.SATConflicts, res.Decisions, res.Propagations}
+		if got != pinnedEffort[p.name] {
+			t.Errorf("%s: effort %v, pinned %v", p.name, got, pinnedEffort[p.name])
+		}
 		sum.Pairs += res.Pairs
 		sum.Merges += res.Merges
 		sum.StructuralHits += res.StructuralHits

@@ -8,25 +8,21 @@ import (
 	"strings"
 )
 
-// ParseDIMACS loads a CNF in DIMACS format into a fresh solver. It
-// returns the solver, the declared variable count, and whether the
-// formula was detected unsatisfiable already while adding clauses.
-func ParseDIMACS(r io.Reader) (*Solver, int, error) {
+// ParseDIMACS loads a CNF in DIMACS format into a fresh solver with the
+// declared number of variables, and returns it with that number. A
+// formula found unsatisfiable while its clauses are added is not an
+// error: the solver's Okay reports it, and Solve answers UNSAT. A
+// declared count above 2^30 or a literal above the declared count is.
+func ParseDIMACS(r io.Reader) (*Solver, int, error) { return parseDIMACS(r, 1<<30) }
+
+// parseDIMACS is ParseDIMACS with at most limit variables (2^30 is what
+// a Lit can name).
+func parseDIMACS(r io.Reader, limit int) (*Solver, int, error) {
 	s := New()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	declaredVars := 0
-	seenHeader := false
+	declaredVars := -1
 	var clause []Lit
-	ensureVar := func(v int) error {
-		if v <= 0 {
-			return fmt.Errorf("dimacs: variable %d out of range", v)
-		}
-		for s.NumVars() < v {
-			s.NewVar()
-		}
-		return nil
-	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "c") {
@@ -37,17 +33,17 @@ func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 			if len(fields) != 4 || fields[1] != "cnf" {
 				return nil, 0, fmt.Errorf("dimacs: bad problem line %q", line)
 			}
-			var err error
-			if declaredVars, err = strconv.Atoi(fields[2]); err != nil {
-				return nil, 0, fmt.Errorf("dimacs: bad variable count: %w", err)
+			n, err := strconv.Atoi(fields[2])
+			if err != nil || n < 0 || n > limit {
+				return nil, 0, fmt.Errorf("dimacs: variable count %q is not in 0..%d", fields[2], limit)
 			}
-			if err := ensureVar(declaredVars); declaredVars > 0 && err != nil {
-				return nil, 0, err
+			declaredVars = n
+			for s.NumVars() < n {
+				s.NewVar()
 			}
-			seenHeader = true
 			continue
 		}
-		if !seenHeader {
+		if declaredVars < 0 {
 			return nil, 0, fmt.Errorf("dimacs: clause before problem line: %q", line)
 		}
 		for _, tok := range strings.Fields(line) {
@@ -60,14 +56,10 @@ func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 				clause = clause[:0]
 				continue
 			}
-			v := n
-			if v < 0 {
-				v = -v
+			if n < -declaredVars || n > declaredVars {
+				return nil, 0, fmt.Errorf("dimacs: literal %d names no declared variable (%d declared)", n, declaredVars)
 			}
-			if err := ensureVar(v); err != nil {
-				return nil, 0, err
-			}
-			clause = append(clause, MkLit(v-1, n < 0))
+			clause = append(clause, MkLit(max(n, -n)-1, n < 0))
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -76,7 +68,7 @@ func ParseDIMACS(r io.Reader) (*Solver, int, error) {
 	if len(clause) > 0 {
 		s.AddClause(clause...)
 	}
-	return s, declaredVars, nil
+	return s, max(declaredVars, 0), nil
 }
 
 // WriteDIMACSModel prints a model in the conventional "v" line format.

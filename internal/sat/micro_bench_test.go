@@ -11,20 +11,8 @@ func BenchmarkRandom3SAT(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		const nv = 60
-		nc := int(4.2 * nv)
 		s := New()
-		for v := 0; v < nv; v++ {
-			s.NewVar()
-		}
-		ok := true
-		for c := 0; c < nc && ok; c++ {
-			ok = s.AddClause(
-				MkLit(rng.Intn(nv), rng.Intn(2) == 0),
-				MkLit(rng.Intn(nv), rng.Intn(2) == 0),
-				MkLit(rng.Intn(nv), rng.Intn(2) == 0),
-			)
-		}
+		ok := random3SAT(rng, s, 60, int(4.2*60))
 		b.StartTimer()
 		if ok {
 			s.Solve()

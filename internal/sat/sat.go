@@ -13,6 +13,9 @@
 // solver. Either way the decision order (the activity heap) belongs to
 // one call and is built at the call's first decision, so a call that
 // propagation alone refutes never pays for it.
+//
+// The clauses live in one arena of literals, named by int32 handles: the
+// clause database holds no pointer.
 package sat
 
 // Lit is a literal: 2*variable + 1 for negative polarity.
@@ -44,35 +47,52 @@ const (
 	lFalse
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
+// Clause c is arena[c:c+clauseHead+size]: a header (size << hdrShift |
+// flags), an activity word (a learnt clause's index in learnts and acts,
+// else 0) and the literals.
+const (
+	hdrLearnt  = 1
+	hdrDeleted = 2
+	hdrShift   = 2
+	clauseHead = 2
+	noReason   = -1 // the reason of a decision, an assumption or a root unit
+)
 
-type clause struct {
-	lits    []Lit
-	learnt  bool
-	act     float64
-	deleted bool
-}
-
+// A watcher of clause c: when blocker, a literal of c, is true, c is not
+// read. A binary clause's watcher holds ^c (negative) and the other
+// literal as its blocker, so propagation never reads the arena for it.
 type watcher struct {
-	c       *clause
+	c       int32
 	blocker Lit
 }
 
-// Solver is a CDCL SAT solver. The zero value is ready to use.
-type Solver struct {
-	clauses []*clause
-	learnts []*clause
-	watches [][]watcher // indexed by literal
+// proofStep says what a clause told to a proof log is.
+type proofStep uint8
 
-	assigns  []lbool
-	phase    []bool // saved phases
+const (
+	proofInput  proofStep = iota // a clause given to AddClause, as given
+	proofLearnt                  // a clause the search derived
+	proofUnsat                   // an UNSAT answer: the negated assumptions
+)
+
+// newProof, when set, gives every solver New returns a proof log. Only
+// the tests set it (export_test.go): they check every UNSAT answer
+// against the logged clauses by unit propagation.
+var newProof func() func(proofStep, []Lit)
+
+// Solver is a CDCL SAT solver; New makes one.
+type Solver struct {
+	arena    []Lit
+	wasted   int         // arena words of deleted clauses
+	learnts  []int32     // live learnt clauses, oldest first
+	acts     []float64   // activity of learnts[i]
+	nClauses int         // original clauses of two or more literals
+	watches  [][]watcher // indexed by literal
+
+	vals     []lbool // indexed by literal
+	phase    []bool  // saved phases
 	levels   []int32
-	reasons  []*clause
+	reasons  []int32 // clause handle, or noReason
 	activity []float64
 	varInc   float64
 
@@ -93,10 +113,16 @@ type Solver struct {
 	trailLim []int32
 	qhead    int
 
-	seen     []bool
-	unsat    bool
-	claInc   float64
-	conflNum int64
+	seen   []bool
+	unsat  bool
+	claInc float64
+
+	// Scratch reused by AddClause, analyze and the proof log.
+	add, learnt, logged []Lit
+	toClear             []int32
+
+	proof       func(proofStep, []Lit)
+	compactions int // for the tests
 
 	// Stats
 	Conflicts, Decisions, Propagations int64
@@ -104,19 +130,23 @@ type Solver struct {
 
 // New returns an empty solver.
 func New() *Solver {
-	return &Solver{varInc: 1, claInc: 1}
+	s := &Solver{varInc: 1, claInc: 1}
+	if newProof != nil {
+		s.proof = newProof()
+	}
+	return s
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.levels) }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := len(s.levels)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.phase = append(s.phase, false)
 	s.levels = append(s.levels, 0)
-	s.reasons = append(s.reasons, nil)
+	s.reasons = append(s.reasons, noReason)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.heapPos = append(s.heapPos, -1)
@@ -125,32 +155,23 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-func (s *Solver) value(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		if v == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return v
-}
-
 // AddClause adds a clause. It returns false when the formula is already
 // unsatisfiable at the root level. Must be called before Solve at decision
 // level 0.
 func (s *Solver) AddClause(lits ...Lit) bool {
+	if s.proof != nil {
+		// A copy, so that lits does not escape.
+		s.logged = append(s.logged[:0], lits...)
+		s.proof(proofInput, s.logged)
+	}
 	if s.unsat {
 		return false
 	}
-	// Normalize: sort, drop duplicates and false literals, detect
-	// tautologies and satisfied clauses.
-	out := lits[:0:0]
+	// Normalize: drop duplicates and false literals, detect tautologies
+	// and satisfied clauses.
+	out := s.add[:0]
 	for _, l := range lits {
-		switch s.value(l) {
+		switch s.vals[l] {
 		case lTrue:
 			return true
 		case lFalse:
@@ -170,124 +191,159 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.add = out
 	switch len(out) {
 	case 0:
 		s.unsat = true
 		return false
 	case 1:
-		if !s.enqueue(out[0], nil) {
-			s.unsat = true
-			return false
-		}
-		if s.propagate() != nil {
-			s.unsat = true
-			return false
-		}
-		return true
+		s.assign(out[0], noReason) // unassigned, as every literal of out
+		s.unsat = s.propagate() != noReason
+		return !s.unsat
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.watch(c)
+	s.newClause(out, false)
 	return true
 }
 
-func (s *Solver) watch(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+// newClause stores lits in the arena and watches its first two.
+func (s *Solver) newClause(lits []Lit, learnt bool) int32 {
+	c := int32(len(s.arena))
+	hdr, act := Lit(len(lits))<<hdrShift, Lit(0)
+	if learnt {
+		hdr |= hdrLearnt
+		act = Lit(len(s.learnts))
+		s.learnts = append(s.learnts, c)
+		s.acts = append(s.acts, s.claInc)
+	} else {
+		s.nClauses++
+	}
+	s.arena = append(s.arena, hdr, act)
+	s.arena = append(s.arena, lits...)
+	w0, w1 := watcher{c, lits[1]}, watcher{c, lits[0]}
+	if len(lits) == 2 {
+		w0.c, w1.c = ^c, ^c
+	}
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], w0)
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], w1)
+	return c
+}
+
+// lits returns the literals of clause c.
+func (s *Solver) lits(c int32) []Lit {
+	n := int32(s.arena[c] >> hdrShift)
+	return s.arena[c+clauseHead : c+clauseHead+n]
 }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
-	switch s.value(l) {
-	case lTrue:
-		return true
-	case lFalse:
-		return false
-	}
+// assign makes the unassigned literal l true.
+func (s *Solver) assign(l Lit, from int32) {
 	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Neg())
+	s.vals[l], s.vals[l^1] = lTrue, lFalse
 	s.phase[v] = !l.Neg()
 	s.levels[v] = s.decisionLevel()
 	s.reasons[v] = from
 	s.trail = append(s.trail, l)
-	return true
 }
 
 // propagate performs unit propagation, returning a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// noReason.
+func (s *Solver) propagate() int32 {
+	vals, arena := s.vals, s.arena // neither grows here
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
-		j := 0
+		confl, i, j := int32(noReason), 0, 0
 	nextWatcher:
-		for i := 0; i < len(ws); i++ {
+		for ; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				ws[j] = w
 				j++
 				continue
 			}
+			if w.c < 0 {
+				// Binary: the other literal is implied, or false.
+				ws[j] = w
+				j++
+				if vals[w.blocker] == lUndef {
+					s.assign(w.blocker, ^w.c)
+					continue
+				}
+				// analyze reads the conflict as the swap below leaves it.
+				confl = ^w.c
+				arena[confl+clauseHead], arena[confl+clauseHead+1] = w.blocker, falseLit
+				break
+			}
 			c := w.c
-			if c.deleted {
+			hdr := arena[c]
+			if hdr&hdrDeleted != 0 {
 				continue
 			}
+			lits := arena[c+clauseHead : c+clauseHead+int32(hdr>>hdrShift)]
 			// Make sure the false literal is lits[1].
-			falseLit := p.Not()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == lTrue {
-				ws[j] = watcher{c, c.lits[0]}
+			if vals[lits[0]] == lTrue {
+				ws[j] = watcher{c, lits[0]}
 				j++
 				continue
 			}
 			// Find a new watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
 					continue nextWatcher
 				}
 			}
 			// Unit or conflicting.
-			ws[j] = watcher{c, c.lits[0]}
+			ws[j] = watcher{c, lits[0]}
 			j++
-			if !s.enqueue(c.lits[0], c) {
-				// Conflict: keep remaining watchers.
-				copy(ws[j:], ws[i+1:])
-				s.watches[p] = ws[:j+len(ws)-(i+1)]
-				s.qhead = len(s.trail)
-				return c
+			if vals[lits[0]] == lUndef {
+				s.assign(lits[0], c)
+				continue
 			}
+			confl = c
+			break
 		}
-		s.watches[p] = ws[:j]
+		if confl != noReason {
+			// Keep the watchers not visited.
+			s.watches[p] = ws[:j+copy(ws[j:], ws[i+1:])]
+			s.qhead = len(s.trail)
+			return confl
+		}
+		if j < len(ws) {
+			s.watches[p] = ws[:j]
+		}
 	}
-	return nil
+	return noReason
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
-	learnt := []Lit{0} // slot for the asserting literal
+// clause (asserting literal first) and the backtrack level. The clause
+// is scratch, valid until the next call.
+func (s *Solver) analyze(confl int32) ([]Lit, int32) {
+	learnt := append(s.learnt[:0], 0) // slot for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
-	var toClear []int
+	toClear := s.toClear[:0]
 
 	for {
 		s.claBump(confl)
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p != -1 && q == p {
 				continue
 			}
 			v := q.Var()
 			if !s.seen[v] && s.levels[v] > 0 {
 				s.seen[v] = true
-				toClear = append(toClear, v)
+				toClear = append(toClear, int32(v))
 				s.varBump(v)
 				if s.levels[v] == s.decisionLevel() {
 					counter++
@@ -317,13 +373,13 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
 		r := s.reasons[v]
-		if r == nil {
+		if r == noReason {
 			learnt[j] = learnt[i]
 			j++
 			continue
 		}
 		redundant := true
-		for _, q := range r.lits {
+		for _, q := range s.lits(r) {
 			if q.Var() == v {
 				continue
 			}
@@ -354,6 +410,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 	for _, v := range toClear {
 		s.seen[v] = false
 	}
+	s.learnt, s.toClear = learnt, toClear
 	return learnt, bt
 }
 
@@ -363,10 +420,12 @@ func (s *Solver) backtrackTo(level int32) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= int(bound); i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = lUndef
-		s.reasons[v] = nil
-		if s.ordered && s.heapPos[v] < 0 && s.decidable(v) {
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
+		s.reasons[v] = noReason
+		// Back to the heap, if the running call may decide on v.
+		if s.ordered && s.heapPos[v] < 0 && (s.scope == nil || s.inScope[v] == s.scopeEpoch) {
 			s.heapInsert(int32(v))
 		}
 	}
@@ -388,17 +447,31 @@ func (s *Solver) varBump(v int) {
 	}
 }
 
-func (s *Solver) claBump(c *clause) {
-	if !c.learnt {
+func (s *Solver) claBump(c int32) {
+	if s.arena[c]&hdrLearnt == 0 {
 		return
 	}
-	c.act += s.claInc
-	if c.act > 1e20 {
-		for _, l := range s.learnts {
-			l.act *= 1e-20
+	i := s.arena[c+1]
+	s.acts[i] += s.claInc
+	if s.acts[i] > 1e20 {
+		for k := range s.acts {
+			s.acts[k] *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
+}
+
+// refuted logs an UNSAT answer, the clause of the negated assumptions,
+// and returns it.
+func (s *Solver) refuted(assumptions []Lit) (sat, decided bool) {
+	if s.proof != nil {
+		s.logged = s.logged[:0]
+		for _, a := range assumptions {
+			s.logged = append(s.logged, a.Not())
+		}
+		s.proof(proofUnsat, s.logged)
+	}
+	return false, true
 }
 
 // Solve searches for a satisfying assignment under the given assumptions.
@@ -442,7 +515,7 @@ func (s *Solver) SolveWithin(budget int64, scope func() []int32, assumptions ...
 
 func (s *Solver) solve(budget int64, scope func() []int32, assumptions []Lit) (sat, decided bool) {
 	if s.unsat {
-		return false, true
+		return s.refuted(nil)
 	}
 	s.scope = scope
 	defer func() {
@@ -463,7 +536,7 @@ func (s *Solver) solve(budget int64, scope func() []int32, assumptions []Lit) (s
 		case lTrue:
 			return true, true
 		case lFalse:
-			return false, true
+			return s.refuted(assumptions)
 		}
 		restarts++
 	}
@@ -474,7 +547,7 @@ func (s *Solver) search(conflictBudget int64, assumptions []Lit) lbool {
 	conflicts := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noReason {
 			s.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -483,23 +556,17 @@ func (s *Solver) search(conflictBudget int64, assumptions []Lit) lbool {
 			}
 			learnt, bt := s.analyze(confl)
 			s.backtrackTo(bt)
-			if len(learnt) == 1 {
-				if !s.enqueue(learnt[0], nil) {
-					s.unsat = true
-					return lFalse
-				}
-			} else {
-				c := &clause{lits: learnt, learnt: true, act: s.claInc}
-				s.learnts = append(s.learnts, c)
-				s.watch(c)
-				if !s.enqueue(learnt[0], c) {
-					s.unsat = true
-					return lFalse
-				}
+			if s.proof != nil {
+				s.proof(proofLearnt, learnt)
 			}
+			from := int32(noReason)
+			if len(learnt) > 1 {
+				from = s.newClause(learnt, true)
+			}
+			s.assign(learnt[0], from) // unassigned: its level was above bt
 			s.varInc /= 0.95
 			s.claInc /= 0.999
-			if len(s.learnts) > 4000+len(s.clauses) {
+			if len(s.learnts) > 4000+s.nClauses {
 				s.reduceDB()
 			}
 			continue
@@ -512,7 +579,7 @@ func (s *Solver) search(conflictBudget int64, assumptions []Lit) lbool {
 		var next Lit = -1
 		for int(s.decisionLevel()) < len(assumptions) {
 			p := assumptions[s.decisionLevel()]
-			switch s.value(p) {
+			switch s.vals[p] {
 			case lTrue:
 				s.trailLim = append(s.trailLim, int32(len(s.trail)))
 			case lFalse:
@@ -536,7 +603,7 @@ func (s *Solver) search(conflictBudget int64, assumptions []Lit) lbool {
 			s.Decisions++
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.enqueue(next, nil)
+		s.assign(next, noReason)
 	}
 }
 
@@ -549,13 +616,13 @@ func (s *Solver) buildOrder() {
 	s.heap = s.heap[:0]
 	s.ordered = true
 	push := func(v int32) {
-		if s.assigns[v] == lUndef {
+		if s.vals[2*v] == lUndef {
 			s.heapPos[v] = int32(len(s.heap))
 			s.heap = append(s.heap, v)
 		}
 	}
 	if s.scope == nil {
-		for v := range s.assigns {
+		for v := range s.levels {
 			push(int32(v))
 		}
 	} else {
@@ -572,15 +639,10 @@ func (s *Solver) buildOrder() {
 	}
 }
 
-// decidable reports whether the running call may decide on v.
-func (s *Solver) decidable(v int) bool {
-	return s.scope == nil || s.inScope[v] == s.scopeEpoch
-}
-
 func (s *Solver) pickBranchVar() int32 {
 	for len(s.heap) > 0 {
 		v := s.heapPop()
-		if s.assigns[v] == lUndef {
+		if s.vals[2*v] == lUndef {
 			return v
 		}
 	}
@@ -590,36 +652,91 @@ func (s *Solver) pickBranchVar() int32 {
 // reduceDB removes the learnt clauses whose activity is below the mean,
 // except the reasons of current assignments and clauses of at most two
 // literals. That need not be half of them: the share depends on how the
-// activity is spread.
+// activity is spread. A removed clause stays in the arena, marked, until
+// marked clauses are more than half of it; then the arena is compacted.
 func (s *Solver) reduceDB() {
-	lim := meanAct(s.learnts)
-	keep := s.learnts[:0]
-	for _, c := range s.learnts {
+	lim := 0.0 // the mean activity; reduceDB runs with 4000 learnts or more
+	for _, a := range s.acts {
+		lim += a
+	}
+	lim /= float64(len(s.acts))
+	n := 0
+	for i, c := range s.learnts {
+		lits := s.lits(c)
 		locked := false
-		for _, l := range c.lits {
-			if s.reasons[l.Var()] == c && s.assigns[l.Var()] != lUndef {
+		for _, l := range lits {
+			if s.reasons[l.Var()] == c && s.vals[l] != lUndef {
 				locked = true
 				break
 			}
 		}
-		if locked || len(c.lits) <= 2 || c.act >= lim {
-			keep = append(keep, c)
+		if locked || len(lits) <= 2 || s.acts[i] >= lim {
+			s.learnts[n], s.acts[n] = c, s.acts[i]
+			s.arena[c+1] = Lit(n)
+			n++
 		} else {
-			c.deleted = true
+			s.arena[c] |= hdrDeleted
+			s.wasted += clauseHead + len(lits)
 		}
 	}
-	s.learnts = keep
+	s.learnts, s.acts = s.learnts[:n], s.acts[:n]
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
-func meanAct(cs []*clause) float64 {
-	if len(cs) == 0 {
-		return 0
+// compact slides the live clauses to the front of the arena, in order,
+// and moves every handle with them. The watchers of removed clauses go;
+// every watch list keeps the order of the rest, so the search cannot
+// tell a compaction happened.
+func (s *Solver) compact() {
+	// Each live clause's new handle goes to its activity word, and every
+	// handle is mapped through it before anything moves.
+	s.eachLive(func(c, _, to int32) { s.arena[c+1] = Lit(to) })
+	for l, ws := range s.watches {
+		j := 0
+		for _, w := range ws {
+			tag := w.c >> 31 // -1 for a binary clause's watcher, else 0
+			if c := w.c ^ tag; s.arena[c]&hdrDeleted == 0 {
+				ws[j] = watcher{int32(s.arena[c+1]) ^ tag, w.blocker}
+				j++
+			}
+		}
+		s.watches[l] = ws[:j]
 	}
-	sum := 0.0
-	for _, c := range cs {
-		sum += c.act
+	for v, r := range s.reasons {
+		if r != noReason {
+			s.reasons[v] = int32(s.arena[r+1])
+		}
 	}
-	return sum / float64(len(cs))
+	// learnts is in arena order, as clauses are made and removed in order.
+	k := 0
+	s.arena = s.arena[:s.eachLive(func(c, size, to int32) {
+		copy(s.arena[to:], s.arena[c:c+size])
+		s.arena[to+1] = 0
+		if s.arena[to]&hdrLearnt != 0 {
+			s.learnts[k], s.arena[to+1] = to, Lit(k)
+			k++
+		}
+	})]
+	s.wasted = 0
+	s.compactions++
+}
+
+// eachLive calls f on every clause not deleted, in arena order, with its
+// size in words and the handle it has after a compaction, and returns the
+// live words.
+func (s *Solver) eachLive(f func(c, size, to int32)) int32 {
+	to := int32(0)
+	for c := int32(0); c < int32(len(s.arena)); {
+		size := clauseHead + int32(s.arena[c]>>hdrShift)
+		if s.arena[c]&hdrDeleted == 0 {
+			f(c, size, to)
+			to += size
+		}
+		c += size
+	}
+	return to
 }
 
 // Value returns the model value of variable v after a satisfiable Solve
@@ -644,8 +761,6 @@ func luby(i int) int {
 
 // --- activity heap -----------------------------------------------------
 
-func (s *Solver) heapLess(a, b int32) bool { return s.activity[a] > s.activity[b] }
-
 func (s *Solver) heapInsert(v int32) {
 	s.heapPos[v] = int32(len(s.heap))
 	s.heap = append(s.heap, v)
@@ -669,7 +784,7 @@ func (s *Solver) heapUp(i int32) {
 	v := s.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.heapLess(v, s.heap[parent]) {
+		if !(s.activity[v] > s.activity[s.heap[parent]]) {
 			break
 		}
 		s.heap[i] = s.heap[parent]
@@ -681,24 +796,25 @@ func (s *Solver) heapUp(i int32) {
 }
 
 func (s *Solver) heapDown(i int32) {
-	v := s.heap[i]
-	n := int32(len(s.heap))
+	heap, pos, act := s.heap, s.heapPos, s.activity
+	v := heap[i]
+	n := int32(len(heap))
 	for {
 		left := 2*i + 1
 		if left >= n {
 			break
 		}
 		child := left
-		if right := left + 1; right < n && s.heapLess(s.heap[right], s.heap[left]) {
+		if right := left + 1; right < n && act[heap[right]] > act[heap[left]] {
 			child = right
 		}
-		if !s.heapLess(s.heap[child], v) {
+		if !(act[heap[child]] > act[v]) {
 			break
 		}
-		s.heap[i] = s.heap[child]
-		s.heapPos[s.heap[i]] = i
+		heap[i] = heap[child]
+		pos[heap[i]] = i
 		i = child
 	}
-	s.heap[i] = v
-	s.heapPos[v] = i
+	heap[i] = v
+	pos[v] = i
 }

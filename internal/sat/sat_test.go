@@ -122,25 +122,7 @@ func TestPigeonhole(t *testing.T) {
 	// PHP(4,3): 4 pigeons, 3 holes — classically unsat, exercises clause
 	// learning.
 	s := New()
-	const pigeons, holes = 4, 3
-	v := func(p, h int) int { return p*holes + h }
-	for i := 0; i < pigeons*holes; i++ {
-		s.NewVar()
-	}
-	for p := 0; p < pigeons; p++ {
-		var c []Lit
-		for h := 0; h < holes; h++ {
-			c = append(c, MkLit(v(p, h), false))
-		}
-		s.AddClause(c...)
-	}
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 < pigeons; p1++ {
-			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(MkLit(v(p1, h), true), MkLit(v(p2, h), true))
-			}
-		}
-	}
+	pigeonhole(s, 4, 3)
 	if s.Solve() {
 		t.Fatal("pigeonhole 4/3 reported sat")
 	}

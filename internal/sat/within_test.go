@@ -182,3 +182,60 @@ func TestSolveWithinAsksForScopeLazily(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveWarmZeroAlloc holds the search to its scratch: once warm, a
+// SolveWithin allocates nothing. The queries on a circuit's cones decide
+// and answer without a conflict; the budgeted ones on a pigeonhole
+// formula conflict, learn, reduce the learnt clauses and compact the
+// arena, whose storage is by then as large as it gets.
+func TestSolveWarmZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := randomCircuit(rng, 8, 120)
+	s := New()
+	c.encode(s)
+	var queries, cones [][]int32
+	for range 8 {
+		q := []Lit{MkLit(8+rng.Intn(120), rng.Intn(2) == 0), MkLit(8+rng.Intn(120), rng.Intn(2) == 0)}
+		queries = append(queries, []int32{int32(q[0]), int32(q[1])})
+		cones = append(cones, c.cone(q...))
+	}
+	i := 0
+	scope := func() []int32 { return cones[i] }
+	assume := make([]Lit, 2)
+	cone := func() {
+		for i = range queries {
+			assume[0], assume[1] = Lit(queries[i][0]), Lit(queries[i][1])
+			s.SolveWithin(1000, scope, assume...)
+		}
+	}
+
+	php := New()
+	pigeonhole(php, 10, 9)
+	all := make([]int32, php.NumVars())
+	for v := range all {
+		all[v] = int32(v)
+	}
+	whole := func() []int32 { return all }
+	conflicts := func() { php.SolveWithin(100, whole) }
+
+	for _, q := range []struct {
+		name string
+		run  func()
+		warm int
+		s    *Solver
+	}{{"cone queries", cone, 3, s}, {"conflicts", conflicts, 100, php}} {
+		for range q.warm {
+			q.run()
+		}
+		decisions := q.s.Decisions
+		if allocs := testing.AllocsPerRun(50, q.run); allocs != 0 {
+			t.Errorf("%s: %v allocations per warm call", q.name, allocs)
+		}
+		if q.s.Decisions == decisions {
+			t.Errorf("weak test: %s made no decision", q.name)
+		}
+	}
+	if php.compactions < 2 {
+		t.Errorf("weak test: %d compactions", php.compactions)
+	}
+}

@@ -47,7 +47,7 @@ func newCLI(fs *flag.FlagSet) *cli {
 		verify:    fs.Bool("verify", false, "equivalence-check the result against the input"),
 		simOnly:   fs.Bool("sim-only", false, "verification by simulation only (for large circuits)"),
 		lut:       fs.Int("lut", 0, "after optimizing, also map into k-input LUTs and report mapped area/depth"),
-		script:    fs.String("script", "", "run an ABC-style flow instead of one engine, e.g. \"b; rw; rf -p; rs -p -w=8; b\" (per-step flags: -z zero-gain, -p parallel refactor/resub, -w=N workers; use 'resyn2' for the classic script)"),
+		script:    fs.String("script", "", "run an ABC-style flow instead of one engine, e.g. \"b; rw; rf; rs -w=8; b\" (per-step flags: -z zero-gain, -w=N workers, -k=N cut width on rewriting; -p on rf/rs is accepted and does nothing; use 'resyn2' for the classic script)"),
 		list:      fs.Bool("list", false, "list generatable benchmarks and exit"),
 		stats:     fs.Bool("stats", false, "collect engine metrics and print a per-phase summary"),
 		statsJSON: fs.String("stats-json", "", "collect engine metrics and write the snapshot(s) as JSON to this file ('-' for stdout)"),

@@ -162,7 +162,8 @@ func TestRewriteContextCancellation(t *testing.T) {
 }
 
 // TestPassContextCancellation pins the cancellation contract of the
-// non-rewriting flow steps, serial and parallel: a pre-cancelled context
+// non-rewriting flow steps, at the job's and at two workers: a
+// pre-cancelled context
 // stops every variant with context.Canceled in the error chain before
 // it transforms anything, and the step's Result is marked Incomplete.
 // The service's job cancellation relies on every flow step honouring
@@ -185,9 +186,9 @@ func TestPassContextCancellation(t *testing.T) {
 		step FlowStep
 	}{
 		{"refactor", FlowStep{Cmd: "refactor"}},
-		{"refactor-parallel", FlowStep{Cmd: "refactor", Parallel: true, Workers: 2}},
+		{"refactor-parallel", FlowStep{Cmd: "refactor", Workers: 2}},
 		{"resub", FlowStep{Cmd: "resub"}},
-		{"resub-parallel", FlowStep{Cmd: "resub", Parallel: true, Workers: 2}},
+		{"resub-parallel", FlowStep{Cmd: "resub", Workers: 2}},
 	}
 	for _, v := range variants {
 		v := v
@@ -222,20 +223,20 @@ func TestPassContextCancellation(t *testing.T) {
 }
 
 // TestParallelPassDeterministicOutput extends the Workers=1 determinism
-// property to the framework's parallel refactor and resub passes: with a
-// single worker the engine's level sweeps are sequential, so repeated
-// concurrent runs must produce byte-identical AIGER output.
+// property to the framework's level-parallel refactor and resub passes:
+// with a single worker the engine's level sweeps are sequential, so
+// repeated concurrent runs must produce byte-identical AIGER output.
 func TestParallelPassDeterministicOutput(t *testing.T) {
 	passes := []struct {
 		name string
 		run  func(n *Network) error
 	}{
 		{"refactor-parallel", func(n *Network) error {
-			_, _, err := Flow(n, "refactor -p -w=1", Config{})
+			_, _, err := Flow(n, "refactor -w=1", Config{})
 			return err
 		}},
 		{"resub-parallel", func(n *Network) error {
-			_, _, err := Flow(n, "resub -p -w=1", Config{})
+			_, _, err := Flow(n, "resub -w=1", Config{})
 			return err
 		}},
 	}

@@ -95,7 +95,7 @@ func TestDifferentialEngines(t *testing.T) {
 }
 
 // TestDifferentialCrossPassFlow runs whole cross-pass sequences through
-// the framework — rewrite, parallel refactor, parallel resub and balance
+// the framework — rewrite, level-parallel refactor and resub, and balance
 // in one script — at one and several workers, and checks each final
 // network against the golden input's simulation signature. Small
 // circuits additionally get a SAT-backed equivalence proof. This is the
@@ -105,7 +105,7 @@ func TestDifferentialCrossPassFlow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const script = "rw; rf -p; rs -p; b"
+	const script = "rw; rf; rs; b"
 	for _, name := range BenchmarkNames(ScaleTiny) {
 		name := name
 		t.Run(name, func(t *testing.T) {

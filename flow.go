@@ -19,10 +19,12 @@ import (
 func Balance(net *Network) *Network { return balance.Run(net) }
 
 // Refactor resynthesizes large reconvergence-driven cones (up to ten
-// leaves by default) through SOP factoring — ABC's `refactor`, the
-// complement to 4-cut rewriting.
+// leaves) through SOP factoring — ABC's `refactor`, the complement to
+// 4-cut rewriting — on every CPU; the output does not depend on their
+// number.
 func Refactor(net *Network, zeroGain bool) Result {
-	return refactor.Run(net, refactor.Config{ZeroGain: zeroGain})
+	res, _ := refactor.Run(context.Background(), net, refactor.Config{ZeroGain: zeroGain}, 0)
+	return res
 }
 
 // LUTMapping is a k-input LUT cover of a network.
@@ -36,9 +38,11 @@ func MapLUT(net *Network, k int) (LUTMapping, error) {
 }
 
 // Resub resubstitutes nodes as simple functions of existing divisors in
-// their reconvergence windows (ABC's `resub`), freeing their MFFCs.
+// their reconvergence windows (ABC's `resub`), freeing their MFFCs, on
+// every CPU; the output does not depend on their number.
 func Resub(net *Network, zeroGain bool) Result {
-	return resub.Run(net, resub.Config{ZeroGain: zeroGain})
+	res, _ := resub.Run(context.Background(), net, resub.Config{ZeroGain: zeroGain}, 0)
+	return res
 }
 
 // Fraig performs functional reduction: simulation-guided, SAT-proved
@@ -56,9 +60,6 @@ type FlowStep struct {
 	Cmd string
 	// ZeroGain reports the -z flag.
 	ZeroGain bool
-	// Parallel reports the -p flag on refactor/resub: run the step
-	// through the DACPara pass engine instead of serially.
-	Parallel bool
 	// Workers is the per-step worker override from -w=N (0: use the
 	// flow Config's Workers).
 	Workers int
@@ -99,8 +100,8 @@ func ParseFlow(script string) ([]FlowStep, error) {
 			switch {
 			case f == "-z":
 				st.ZeroGain = true
-			case f == "-p":
-				st.Parallel = true
+			case f == "-p" && (st.Cmd == "refactor" || st.Cmd == "resub"):
+				// Accepted and ignored (see Flow).
 			case strings.HasPrefix(f, "-w="):
 				n, err := strconv.Atoi(f[len("-w="):])
 				if err != nil || n <= 0 {
@@ -128,25 +129,16 @@ func ParseFlow(script string) ([]FlowStep, error) {
 		}
 		switch st.Cmd {
 		case "balance", "fraig":
-			if st.ZeroGain || st.Parallel || st.Workers != 0 || st.K != 0 {
+			if st.ZeroGain || st.Workers != 0 || st.K != 0 {
 				return nil, fmt.Errorf("dacpara: flow command %q does not accept flags", st.Cmd)
 			}
 		case "refactor", "resub":
-			if st.Workers != 0 && !st.Parallel {
-				return nil, fmt.Errorf("dacpara: flow command %q: -w= requires -p", st.Cmd)
-			}
 			if st.K != 0 {
 				return nil, fmt.Errorf("dacpara: flow command %q: -k= applies to rewriting commands only", st.Cmd)
 			}
 		case "rewrite":
-			if st.Parallel {
-				return nil, fmt.Errorf("dacpara: flow command %q is always engine-driven; -p applies to refactor/resub only", st.Cmd)
-			}
 			st.Engine = EngineDACPara
 		default:
-			if st.Parallel {
-				return nil, fmt.Errorf("dacpara: flow command %q is always engine-driven; -p applies to refactor/resub only", st.Cmd)
-			}
 			st.Engine = Engine(st.Cmd)
 			if !slices.Contains(Engines(), st.Engine) {
 				return nil, fmt.Errorf("dacpara: flow: unknown command %q", st.Cmd)
@@ -166,13 +158,14 @@ func ParseFlow(script string) ([]FlowStep, error) {
 // (abc, iccad18, dacpara, dac22, tcad23), rewrite (= dacpara), balance,
 // refactor, resub and fraig, plus the ABC short aliases b, rw, rf, rs.
 //
-// Flags: rewrite, refactor and resub accept -z (zero-gain commits);
-// refactor and resub accept -p to run through the DACPara pass engine
-// (level-parallel evaluation with serial revalidating commits) and, with
-// -p, a per-step -w=N worker override; rewriting commands accept a
-// per-step -k=N cut-width override (4..6, see Config.K):
+// Flags: rewrite, refactor and resub accept -z (zero-gain commits) and a
+// per-step -w=N worker override; rewriting commands accept a per-step
+// -k=N cut-width override (4..6, see Config.K):
 //
-//	"b; rw -k 6; rf -p; rs -p -w=8; b"
+//	"b; rw -k 6; rf; rs -w=8; b"
+//
+// refactor and resub also accept -p and ignore it: old scripts and
+// journaled jobs carry it.
 //
 // ("-k 6" and "-k=6" are both accepted).
 //
@@ -245,15 +238,9 @@ func runFlowStep(ctx context.Context, out *Outcome, st FlowStep, cfg Config) (Re
 			FinalDelay:   after.Delay,
 		}, nil
 	case "refactor":
-		if st.Parallel {
-			return refactor.RunParallelCtx(ctx, net, refactor.Config{ZeroGain: st.ZeroGain, Metrics: cfg.Metrics}, workers)
-		}
-		return refactor.RunCtx(ctx, net, refactor.Config{ZeroGain: st.ZeroGain})
+		return refactor.Run(ctx, net, refactor.Config{ZeroGain: st.ZeroGain, Metrics: cfg.Metrics}, workers)
 	case "resub":
-		if st.Parallel {
-			return resub.RunParallelCtx(ctx, net, resub.Config{ZeroGain: st.ZeroGain, Metrics: cfg.Metrics}, workers)
-		}
-		return resub.RunCtx(ctx, net, resub.Config{ZeroGain: st.ZeroGain})
+		return resub.Run(ctx, net, resub.Config{ZeroGain: st.ZeroGain, Metrics: cfg.Metrics}, workers)
 	case "fraig":
 		// Like balance, fraig rebuilds the graph, and like balance's its
 		// result goes on under a new pointer.

@@ -3,6 +3,7 @@ package dacpara
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,16 +39,15 @@ func TestFlowResyn2(t *testing.T) {
 
 // TestFlowIsItsStepsInSequence: a flow carries no state from one step to
 // the next, so it lands on the network its steps build when each runs as
-// a flow of its own — across two rewrites of one graph, the parallel
-// refactor and resub, and the graph rebuilds of fraig and balance. One
-// worker: dacpara at Workers > 1 is not byte-deterministic on a
-// multi-core host.
+// a flow of its own — across two rewrites of one graph, refactor and
+// resub, and the graph rebuilds of fraig and balance. One worker: dacpara
+// at Workers > 1 is not byte-deterministic on a multi-core host.
 func TestFlowIsItsStepsInSequence(t *testing.T) {
 	net, err := Generate("sin", ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const script = "rw; rw -z; rf -p; rs -p; fraig; b; rw"
+	const script = "rw; rw -z; rf; rs; fraig; b; rw"
 
 	_, whole, err := Flow(net.Clone(), script, Config{Workers: 1})
 	if err != nil {
@@ -121,6 +121,40 @@ func TestFlowValidatesWholeScriptUpFront(t *testing.T) {
 	}
 	if len(steps) != 3 || steps[1].Engine != EngineDACPara || !steps[1].ZeroGain || steps[2].Engine != EngineLockPar {
 		t.Fatalf("parsed steps %+v", steps)
+	}
+}
+
+// TestParseFlowRetiredP: refactor and resub have one pass, so the -p that
+// once chose it is accepted on them and changes nothing — old scripts and
+// journaled jobs carry it — and stays an error everywhere else; -w=N
+// needs no -p.
+func TestParseFlowRetiredP(t *testing.T) {
+	for with, without := range map[string]string{
+		"rf -p":                   "rf",
+		"refactor -p -z":          "refactor -z",
+		"rs -p -w=2":              "rs -w=2",
+		"b; rf -p; rs -p -w=2; b": "b; rf; rs -w=2; b",
+	} {
+		got, err := ParseFlow(with)
+		if err != nil {
+			t.Fatalf("%q: %v", with, err)
+		}
+		want, err := ParseFlow(without)
+		if err != nil {
+			t.Fatalf("%q: %v", without, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%q parses to %+v, %q to %+v", with, got, without, want)
+		}
+	}
+	for _, bad := range []string{"rw -p", "b -p", "fraig -p", "dacpara -p"} {
+		if _, err := ParseFlow(bad); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+	steps, err := ParseFlow("rf -w=2")
+	if err != nil || len(steps) != 1 || steps[0].Workers != 2 {
+		t.Fatalf("rf -w=2: %+v, %v", steps, err)
 	}
 }
 

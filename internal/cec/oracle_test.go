@@ -211,7 +211,7 @@ func TestVerdictsAgreeWithExhaustiveSimulation(t *testing.T) {
 	if testing.Short() {
 		circuits = circuits[6:]
 	}
-	scripts := []string{"rw", "b; rw; rf -p; b; rw -z", "rw; rs -p; b"}
+	scripts := []string{"rw", "b; rw; rf; b; rw -z", "rw; rs; b"}
 	for _, c := range circuits {
 		for si, script := range scripts {
 			out, err := dacpara.Run(context.Background(), c.net.Clone(), dacpara.Job{Flow: script, Workers: 1}, dacpara.Hooks{})

@@ -138,7 +138,7 @@ func TestWholeGraphSweepMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
 			a := randomAIG(rng, 16, 3000)
-			serialPass := func() *Manager {
+			serialSweep := func() *Manager {
 				m := NewManager(a, Params{})
 				for _, id := range levelOrder(a) {
 					m.Ensure(id, nil)
@@ -152,7 +152,7 @@ func TestWholeGraphSweepMatchesSerial(t *testing.T) {
 			if got := merges(pools); got != len(ids) {
 				t.Fatalf("cold: %d merges for %d nodes", got, len(ids))
 			}
-			sameSets(t, "cold", m, serialPass(), ids)
+			sameSets(t, "cold", m, serialSweep(), ids)
 
 			// Rewrite a few dozen nodes into new logic over their fanins,
 			// as a pass would: some stored sets lose cuts, some nodes are
@@ -171,7 +171,7 @@ func TestWholeGraphSweepMatchesSerial(t *testing.T) {
 			if got := merges(pools); got != len(ids) {
 				t.Fatalf("warm: %d merges for %d nodes", got, len(ids))
 			}
-			sameSets(t, "warm", m, serialPass(), ids)
+			sameSets(t, "warm", m, serialSweep(), ids)
 		})
 	}
 }

@@ -17,11 +17,11 @@
 //     taken on the unchanged input graph;
 //   - the ICCAD'18 fused-lock baseline: the commit phase alone, under the
 //     executor, the pass doing all three stages inside it under one lock set;
-//   - the ABC serial baseline, serial refactoring and resubstitution:
-//     the commit phase alone, serially — one thread, immediate commits;
-//   - parallel refactoring and resubstitution: lock-free evaluation per
-//     level, then a serial commit that revalidates every stored
-//     candidate on the latest graph.
+//   - the ABC serial baseline: the commit phase alone, serially — one
+//     thread, immediate commits;
+//   - refactoring and resubstitution: lock-free evaluation per level,
+//     then a serial commit that revalidates every stored candidate on
+//     the latest graph.
 //
 // The framework owns the loop, the Result assembly, the phase clocks and
 // shard merges, and the attempt/replacement/stale accounting; a pass

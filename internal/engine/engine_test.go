@@ -557,10 +557,10 @@ func TestPanickingHook(t *testing.T) {
 // pass whose commit runs under the executor, which no engine uses now.
 var (
 	dynamicPlan = Plan{Name: "toy", Partition: ByLevel}
-	levelPlan   = Plan{Name: "toy", Partition: ByLevel, SerialCommit: true}    // dacpara, rf -p, rs -p
+	levelPlan   = Plan{Name: "toy", Partition: ByLevel, SerialCommit: true}    // dacpara, rf, rs
 	staticPlan  = Plan{Name: "toy", Partition: LevelOrder, SerialCommit: true} // dac22, tcad23
 	fusedPlan   = Plan{Name: "toy", Partition: Flat}                           // iccad18
-	serialPlan  = Plan{Name: "toy", Partition: Topo, SerialCommit: true}       // abc, rf, rs
+	serialPlan  = Plan{Name: "toy", Partition: Topo, SerialCommit: true}       // abc
 )
 
 // scriptedVerdicts picks three AND nodes and assigns one verdict each:

@@ -35,7 +35,7 @@ func TestLargeConeWarmZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkRefactorSet is `rf -p` on one worker over the six circuits of
+// BenchmarkRefactorSet is `rf` on one worker over the six circuits of
 // the repository benchmark's flow_verified workload.
 func BenchmarkRefactorSet(b *testing.B) {
 	set := bench.FlowVerified()
@@ -48,7 +48,7 @@ func BenchmarkRefactorSet(b *testing.B) {
 		}
 		b.StartTimer()
 		for _, a := range nets {
-			RunParallel(a, Config{}, 1)
+			run(a, Config{}, 1)
 		}
 	}
 }

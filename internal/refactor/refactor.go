@@ -1,19 +1,19 @@
 // Package refactor implements large-cone resynthesis in the style of
 // ABC's `refactor` command: for each node, a reconvergence-driven cut of
-// up to MaxLeaves inputs is computed, the cone's function is extracted as
+// up to maxLeaves inputs is computed, the cone's function is extracted as
 // a wide truth table, re-synthesized by algebraic factoring of an
 // irredundant sum-of-products cover (trying both polarities), and the
 // factored form replaces the cone when it saves nodes.
 //
 // Refactoring complements 4-cut rewriting: it sees across much larger
-// windows (10 inputs by default), catching redundancy that no 4-input
-// replacement can express. Synthesis flows interleave the two (see the
-// -script option of cmd/dacpara).
+// windows (10 inputs), catching redundancy that no 4-input replacement
+// can express. Synthesis flows interleave the two (see the -script option
+// of cmd/dacpara).
 package refactor
 
 import (
 	"context"
-	"sync/atomic"
+	"slices"
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bigtt"
@@ -23,36 +23,20 @@ import (
 	"dacpara/internal/rewrite"
 )
 
+// The window bounds: the reconvergence-driven cut width (ABC's default)
+// and the cone node count considered.
+const (
+	maxLeaves = 10
+	maxCone   = 200
+)
+
 // Config tunes refactoring.
 type Config struct {
-	// MaxLeaves bounds the reconvergence-driven cut width (0: 10, ABC's
-	// default; capped at bigtt.MaxVars).
-	MaxLeaves int
-	// MaxConeSize bounds the cone node count considered (0: 200).
-	MaxConeSize int
 	// ZeroGain also commits restructurings that do not change the count.
 	ZeroGain bool
-	// Metrics, when non-nil, collects the parallel engine's per-phase
-	// timings and per-level parallelism (the serial path ignores it).
+	// Metrics, when non-nil, collects the engine's per-phase timings and
+	// per-level parallelism.
 	Metrics *metrics.Collector
-}
-
-func (c Config) maxLeaves() int {
-	n := c.MaxLeaves
-	if n <= 0 {
-		n = 10
-	}
-	if n > bigtt.MaxVars {
-		n = bigtt.MaxVars
-	}
-	return n
-}
-
-func (c Config) maxCone() int {
-	if c.MaxConeSize <= 0 {
-		return 200
-	}
-	return c.MaxConeSize
 }
 
 // minGain is the commit threshold: 1 node saved, or 0 with ZeroGain.
@@ -64,40 +48,94 @@ func (c Config) minGain() int {
 }
 
 // Run refactors the network in place and reports statistics in a
-// rewrite.Result (the engines share the result shape).
-func Run(a *aig.AIG, cfg Config) rewrite.Result {
-	res, _ := RunCtx(context.Background(), a, cfg)
-	return res
-}
-
-// RunCtx is Run under a context, driven by the engine framework as a
-// serial commit (one sweep in topological order, immediate commits).
-// Cancellation is observed every engine.SerialCancelStride nodes; a
+// rewrite.Result (the engines share the result shape). It applies the
+// paper's divide-and-conquer principle to refactoring: nodes are divided
+// by level; each list's expensive stage — reconvergence-cut computation,
+// cone extraction and SOP factoring — runs lock-free on the workers
+// against the immutable graph (barrier semantics, like DACPara's
+// paraEvaOperator), and a serial commit stage re-validates every stored
+// plan on the latest graph before replacing. The output does not depend
+// on the worker count. Cancellation is observed at level boundaries; a
 // cancelled run returns the wrapped ctx error with a structurally
 // consistent, partially refactored network and the Result marked
 // Incomplete.
-func RunCtx(ctx context.Context, a *aig.AIG, cfg Config) (rewrite.Result, error) {
-	return engine.Run(ctx, a, &serialPass{r: newRefactorer(a, cfg)},
-		engine.Plan{Name: "refactor", Partition: engine.Topo, SerialCommit: true}, engine.Exec{})
+func Run(ctx context.Context, a *aig.AIG, cfg Config, workers int) (rewrite.Result, error) {
+	return engine.Run(ctx, a, &refactorPass{a: a, cfg: cfg}, engine.Plan{
+		Name:      "refactor",
+		Partition: engine.ByLevel,
+		// Replacements rewire whole cones; instead of locking them, the
+		// serial commit re-validates every stored plan on the latest
+		// graph (version, cone function, re-counted gain).
+		SerialCommit: true,
+	}, engine.Exec{Workers: workers, Metrics: cfg.Metrics})
 }
 
-// serialPass is refactoring as a commit-only pass: each node end to end.
-type serialPass struct {
-	r        *refactorer
-	attempts *atomic.Int64
+// refPrep is one node's stored candidate, copied out of the evaluating
+// worker's scratch, and the root version it was planned at.
+type refPrep struct {
+	candidate
+	rootVer uint32
 }
 
-func (p *serialPass) Begin(_ int, env engine.Env) { p.attempts = env.Attempts }
+// refactorPass is refactoring as a framework pass: Evaluate runs the
+// expensive window/factoring work lock-free and stores a plan; Commit
+// re-validates it on the latest graph before replacing.
+type refactorPass struct {
+	a   *aig.AIG
+	cfg Config
 
-func (p *serialPass) Commit(_ int, id int32, _ engine.Locker) engine.Status {
-	if !p.r.a.N(id).IsAnd() {
-		return engine.StatusSkip
+	// states holds one refactorer per worker slot; none is ever used by
+	// two goroutines.
+	states []*refactorer
+	prep   []refPrep
+}
+
+var (
+	_ engine.Pass      = (*refactorPass)(nil)
+	_ engine.Evaluator = (*refactorPass)(nil)
+)
+
+func (p *refactorPass) Begin(slots int, _ engine.Env) {
+	p.states = make([]*refactorer, slots)
+	for w := range p.states {
+		p.states[w] = newRefactorer(p.a, p.cfg)
 	}
-	st := p.r.tryNode(id)
-	if st != engine.StatusSkip {
-		p.attempts.Add(1)
+	p.prep = make([]refPrep, p.a.Capacity())
+}
+
+func (p *refactorPass) Evaluate(worker int, id int32) bool {
+	p.prep[id] = refPrep{}
+	if !p.a.N(id).IsAnd() {
+		return false
 	}
-	return st
+	if c := p.states[worker].evaluate(id); c.leaves != nil {
+		p.prep[id] = refPrep{
+			candidate: candidate{leaves: slices.Clone(c.leaves), f: c.f.Clone(), plan: c.plan.stored()},
+			rootVer:   p.a.N(id).Version(),
+		}
+	}
+	return true
+}
+
+func (p *refactorPass) Stored(id int32) bool { return p.prep[id].leaves != nil }
+
+func (p *refactorPass) Commit(worker int, id int32, _ engine.Locker) engine.Status {
+	c := &p.prep[id]
+	r := p.states[worker]
+	// Dynamic re-validation: the stored plan is applied only if the cone
+	// still computes the same function over still-alive leaves and the
+	// gain re-verifies on the latest graph.
+	if p.a.N(id).Version() != c.rootVer || !p.a.N(id).IsAnd() {
+		return engine.StatusStale
+	}
+	if cur, ok := r.coneFunction(id, c.leaves); !ok || !cur.Equal(c.f) {
+		return engine.StatusStale
+	}
+	gain, ok := r.gain(id, c.leaves, c.plan)
+	if !ok || gain < p.cfg.minGain() || !r.apply(id, c.leaves, c.plan) {
+		return engine.StatusNoGain
+	}
+	return engine.StatusCommitted
 }
 
 // refactorer is one worker's state: the graph, and the scratch every
@@ -129,48 +167,31 @@ type candidate struct {
 	plan   plan
 }
 
-// tryNode refactors one cone root.
-func (r *refactorer) tryNode(root int32) engine.Status {
-	c, st := r.evaluate(root)
-	if c.leaves == nil {
-		return st
-	}
-	if !r.apply(root, c.leaves, c.plan) {
-		return engine.StatusSkip
-	}
-	return engine.StatusCommitted
-}
-
 // evaluate plans a replacement of root's cone on the current graph
-// without touching it. Without a candidate (nil leaves) the status says
-// why: StatusSkip when root has no usable window, StatusNoGain when the
-// cheaper polarity's factored form does not pay.
-func (r *refactorer) evaluate(root int32) (candidate, engine.Status) {
-	leaves, ok := r.win.Cut(root, r.cfg.maxLeaves())
+// without touching it. It returns no candidate (nil leaves) when root has
+// no usable window or the cheaper polarity's factored form does not pay.
+func (r *refactorer) evaluate(root int32) candidate {
+	leaves, ok := r.win.Cut(root, maxLeaves)
 	if !ok || len(leaves) < 3 {
-		return candidate{}, engine.StatusSkip
+		return candidate{}
 	}
 	f, ok := r.coneFunction(root, leaves)
 	if !ok {
-		return candidate{}, engine.StatusSkip
+		return candidate{}
 	}
 	pl := r.bestPlan(f)
-	gain, ok := r.gain(root, leaves, pl)
-	if !ok {
-		return candidate{}, engine.StatusSkip
+	if gain, ok := r.gain(root, leaves, pl); !ok || gain < r.cfg.minGain() {
+		return candidate{}
 	}
-	if gain < r.cfg.minGain() {
-		return candidate{}, engine.StatusNoGain
-	}
-	return candidate{leaves: leaves, f: f, plan: pl}, engine.StatusSkip
+	return candidate{leaves: leaves, f: f, plan: pl}
 }
 
 // coneFunction computes root's function over the leaves, giving up on a
-// cone of more than MaxConeSize+1 nodes (the simulation's own limit only
+// cone of more than maxCone+1 nodes (the simulation's own limit only
 // bounds the work spent on one).
 func (r *refactorer) coneFunction(root int32, leaves []int32) (bigtt.TT, bool) {
-	f, ok := r.win.Simulate(root, leaves, r.cfg.maxCone())
-	return f, ok && len(r.win.Cone()) <= r.cfg.maxCone()+1
+	f, ok := r.win.Simulate(root, leaves, maxCone)
+	return f, ok && len(r.win.Cone()) <= maxCone+1
 }
 
 // gain counts what replacing root by the plan saves on the current graph:

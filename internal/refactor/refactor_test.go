@@ -1,6 +1,7 @@
 package refactor
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dacpara/internal/aig"
 	"dacpara/internal/bench"
 	"dacpara/internal/bigtt"
+	"dacpara/internal/rewrite"
 )
 
 func TestRefactorPreservesFunction(t *testing.T) {
@@ -18,22 +20,45 @@ func TestRefactorPreservesFunction(t *testing.T) {
 		bench.MemCtrl(4000, 11),
 		bench.MtM("m", 6000, 3),
 	}
-	for _, a := range nets {
+	for _, base := range nets {
+		checkPreserves(t, base)
+	}
+}
+
+// TestRunParallelPreservesFunction runs the largest circuit of the suite
+// at one and at four workers.
+func TestRunParallelPreservesFunction(t *testing.T) {
+	checkPreserves(t, bench.MtM("m", 8000, 21))
+}
+
+// checkPreserves refactors a copy of base at one and at four workers and
+// fails if a copy changes function, breaks an invariant or grows.
+func checkPreserves(t *testing.T, base *aig.AIG) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		a := base.Clone()
 		before := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
 		initial := a.NumAnds()
-		res := Run(a, Config{})
+		res := run(a, Config{}, workers)
 		if err := a.Check(aig.CheckOptions{}); err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
+			t.Fatalf("%s w%d: %v", a.Name, workers, err)
 		}
 		after := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
 		if !slices.Equal(before, after) {
-			t.Fatalf("%s: function changed", a.Name)
+			t.Fatalf("%s w%d: function changed", a.Name, workers)
 		}
 		if a.NumAnds() > initial {
-			t.Fatalf("%s: area grew %d -> %d", a.Name, initial, a.NumAnds())
+			t.Fatalf("%s w%d: area grew %d -> %d", a.Name, workers, initial, a.NumAnds())
 		}
-		t.Logf("%s: %d -> %d (replacements %d)", a.Name, initial, a.NumAnds(), res.Replacements)
+		t.Logf("%s w%d: %d -> %d (replacements %d, stale %d)",
+			a.Name, workers, initial, a.NumAnds(), res.Replacements, res.Stale)
 	}
+}
+
+// run is Run without a context.
+func run(a *aig.AIG, cfg Config, workers int) rewrite.Result {
+	res, _ := Run(context.Background(), a, cfg, workers)
+	return res
 }
 
 func TestRefactorFindsWideRedundancy(t *testing.T) {
@@ -52,7 +77,7 @@ func TestRefactorFindsWideRedundancy(t *testing.T) {
 	h := a.And(g, a.And(in[3], a.And(in[4], in[5])))
 	a.AddPO(h)
 	initial := a.NumAnds()
-	res := Run(a, Config{})
+	res := run(a, Config{}, 1)
 	if res.Replacements == 0 || a.NumAnds() >= initial {
 		t.Fatalf("refactoring missed wide redundancy: %d -> %d (%d replacements)",
 			initial, a.NumAnds(), res.Replacements)
@@ -117,38 +142,18 @@ func evalPlan(p plan, nvars int) bigtt.TT {
 	return out
 }
 
-func TestRunParallelPreservesFunction(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		a := bench.MtM("m", 8000, 21)
-		golden := aig.RandomSignature(a, rand.New(rand.NewSource(6)), 4)
-		initial := a.NumAnds()
-		res := RunParallel(a, Config{}, workers)
-		if err := a.Check(aig.CheckOptions{}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := aig.RandomSignature(a, rand.New(rand.NewSource(6)), 4)
-		if !slices.Equal(golden, got) {
-			t.Fatalf("workers=%d: function changed", workers)
-		}
-		if a.NumAnds() > initial {
-			t.Fatalf("workers=%d: area grew", workers)
-		}
-		t.Logf("workers=%d: %d -> %d (repl %d, stale %d)",
-			workers, initial, a.NumAnds(), res.Replacements, res.Stale)
-	}
-}
+// serialReduction is what the serial refactoring pass, deleted since,
+// saved on Sin(12): 5548 -> 5097 ANDs.
+const serialReduction = 451
 
-func TestRunParallelComparableToSerial(t *testing.T) {
-	a1 := bench.Sin(12)
-	a2 := a1.Clone()
-	rs := Run(a1, Config{})
-	rp := RunParallel(a2, Config{}, 4)
-	t.Logf("serial %d -> %d; parallel %d -> %d (stale %d)",
-		rs.InitialAnds, rs.FinalAnds, rp.InitialAnds, rp.FinalAnds, rp.Stale)
-	// The parallel variant trades a few stale plans for parallelism; its
-	// quality must stay within 10% of serial refactoring.
-	if float64(rp.AreaReduction()) < 0.9*float64(rs.AreaReduction()) {
-		t.Fatalf("parallel refactoring lost too much quality: %d vs %d",
-			rp.AreaReduction(), rs.AreaReduction())
+// TestRunKeepsSerialQuality: the level pass trades a few stale plans for
+// parallelism; its area reduction must stay within 10% of the serial
+// pass's.
+func TestRunKeepsSerialQuality(t *testing.T) {
+	a := bench.Sin(12)
+	res := run(a, Config{}, 4)
+	t.Logf("%d -> %d (stale %d); the serial pass saved %d", res.InitialAnds, res.FinalAnds, res.Stale, serialReduction)
+	if float64(res.AreaReduction()) < 0.9*serialReduction {
+		t.Fatalf("refactoring lost too much quality: %d vs the serial pass's %d", res.AreaReduction(), serialReduction)
 	}
 }

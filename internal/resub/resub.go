@@ -10,7 +10,7 @@ package resub
 import (
 	"context"
 	"math/bits"
-	"sync/atomic"
+	"slices"
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bigtt"
@@ -20,34 +20,21 @@ import (
 	"dacpara/internal/rewrite"
 )
 
+// The window bounds: the cut width, the divisor set per node and the
+// cone a search simulates.
+const (
+	maxLeaves   = 8
+	maxDivisors = 50
+	maxCone     = 300
+)
+
 // Config tunes resubstitution.
 type Config struct {
-	// MaxLeaves bounds the window cut width (0: 8).
-	MaxLeaves int
-	// MaxDivisors bounds the divisor set per node (0: 50).
-	MaxDivisors int
 	// ZeroGain also accepts size-neutral substitutions.
 	ZeroGain bool
-	// Metrics, when non-nil, collects the parallel engine's per-phase
-	// timings and per-level parallelism (the serial path ignores it).
+	// Metrics, when non-nil, collects the engine's per-phase timings and
+	// per-level parallelism.
 	Metrics *metrics.Collector
-}
-
-func (c Config) maxLeaves() int {
-	if c.MaxLeaves <= 0 {
-		return 8
-	}
-	if c.MaxLeaves > bigtt.MaxVars {
-		return bigtt.MaxVars
-	}
-	return c.MaxLeaves
-}
-
-func (c Config) maxDivisors() int {
-	if c.MaxDivisors <= 0 {
-		return 50
-	}
-	return c.MaxDivisors
 }
 
 // minGain is the commit threshold: 1 node saved, or 0 with ZeroGain.
@@ -58,40 +45,128 @@ func (c Config) minGain() int {
 	return 1
 }
 
-// Run resubstitutes over the network in place.
-func Run(a *aig.AIG, cfg Config) rewrite.Result {
-	res, _ := RunCtx(context.Background(), a, cfg)
-	return res
+// Run resubstitutes over the network in place. It applies the paper's
+// divide-and-conquer principle to resubstitution: nodes are divided by
+// level; the expensive stage — window growth, cone simulation and divisor
+// matching — runs lock-free on the workers against the immutable graph
+// (barrier semantics, like DACPara's paraEvaOperator), and a serial
+// commit stage re-validates every stored candidate on the latest graph
+// before substituting. The output does not depend on the worker count.
+// Cancellation is observed at level boundaries; a cancelled run returns
+// the wrapped ctx error with a structurally consistent, partially
+// resubstituted network and the Result marked Incomplete.
+func Run(ctx context.Context, a *aig.AIG, cfg Config, workers int) (rewrite.Result, error) {
+	return engine.Run(ctx, a, &resubPass{a: a, cfg: cfg}, engine.Plan{
+		Name:      "resub",
+		Partition: engine.ByLevel,
+		// Substitutions rewire whole MFFCs; instead of locking them, the
+		// serial commit re-validates every stored candidate on the
+		// latest graph (version, window function, divisor liveness,
+		// re-counted gain).
+		SerialCommit: true,
+	}, engine.Exec{Workers: workers, Metrics: cfg.Metrics})
 }
 
-// RunCtx is Run under a context, driven by the engine framework as a
-// serial commit (one sweep in topological order, immediate commits).
-// Cancellation is observed every engine.SerialCancelStride nodes; a
-// cancelled run returns the wrapped ctx error with a structurally
-// consistent, partially resubstituted network and the Result marked
-// Incomplete.
-func RunCtx(ctx context.Context, a *aig.AIG, cfg Config) (rewrite.Result, error) {
-	return engine.Run(ctx, a, &serialPass{r: newResubber(a, cfg)},
-		engine.Plan{Name: "resub", Partition: engine.Topo, SerialCommit: true}, engine.Exec{})
+// resubPrep is one node's stored candidate plus everything commit-time
+// revalidation needs: the window and the function it was matched
+// against, both copied out of the searching worker's scratch.
+type resubPrep struct {
+	cand    resubCand
+	rootVer uint32
+	leaves  []int32
+	f       bigtt.TT
 }
 
-// serialPass is resubstitution as a commit-only pass: each node end to end.
-type serialPass struct {
-	r        *resubber
-	attempts *atomic.Int64
+// resubPass is resubstitution as a framework pass: Evaluate runs the
+// divisor search lock-free and stores the first match; Commit
+// re-validates it on the latest graph before substituting.
+type resubPass struct {
+	a   *aig.AIG
+	cfg Config
+
+	// states holds one resubber per worker slot; none is ever used by two
+	// goroutines.
+	states []*resubber
+	prep   []resubPrep
 }
 
-func (p *serialPass) Begin(_ int, env engine.Env) { p.attempts = env.Attempts }
+var (
+	_ engine.Pass      = (*resubPass)(nil)
+	_ engine.Evaluator = (*resubPass)(nil)
+)
 
-func (p *serialPass) Commit(_ int, id int32, _ engine.Locker) engine.Status {
-	if !p.r.a.N(id).IsAnd() {
-		return engine.StatusSkip
+func (p *resubPass) Begin(slots int, _ engine.Env) {
+	p.states = make([]*resubber, slots)
+	for w := range p.states {
+		p.states[w] = newResubber(p.a, p.cfg)
 	}
-	st := p.r.tryNode(id)
-	if st != engine.StatusSkip {
-		p.attempts.Add(1)
+	p.prep = make([]resubPrep, p.a.Capacity())
+}
+
+func (p *resubPass) Evaluate(worker int, id int32) bool {
+	p.prep[id] = resubPrep{}
+	if !p.a.N(id).IsAnd() {
+		return false
 	}
-	return st
+	if cand, leaves, f := p.states[worker].search(id); cand.kind != candNone {
+		p.prep[id] = resubPrep{cand: cand, rootVer: p.a.N(id).Version(), leaves: slices.Clone(leaves), f: f.Clone()}
+	}
+	return true
+}
+
+func (p *resubPass) Stored(id int32) bool { return p.prep[id].cand.kind != candNone }
+
+func (p *resubPass) Commit(worker int, id int32, _ engine.Locker) engine.Status {
+	c := &p.prep[id]
+	r := p.states[worker]
+	a, w := p.a, r.win
+	// Dynamic re-validation on the latest graph: the root must be
+	// untouched, the window leaves alive, the window function unchanged,
+	// the candidate's divisors still outside the (re-counted) MFFC, and
+	// the substitution relation must still hold over the recomputed
+	// divisor functions.
+	if a.N(id).Version() != c.rootVer || !a.N(id).IsAnd() {
+		return engine.StatusStale
+	}
+	for _, l := range c.leaves {
+		if a.N(l).IsDead() {
+			return engine.StatusStale
+		}
+	}
+	f, ok := w.Simulate(id, c.leaves, maxCone)
+	if !ok || !f.Equal(c.f) {
+		return engine.StatusStale
+	}
+	// A copy adds no gate; an AND or XOR is charged one.
+	cost := 1
+	if c.cand.kind == candCopy {
+		cost = 0
+	}
+	if w.MFFC(id, c.leaves)-cost < p.cfg.minGain() {
+		return engine.StatusNoGain
+	}
+	// A divisor is a leaf or a cone node that survives the substitution.
+	t1, ok1 := w.TableOf(c.cand.l1.Node())
+	if !ok1 || w.InMFFC(c.cand.l1.Node()) {
+		return engine.StatusStale
+	}
+	var holds bool
+	if c.cand.kind != candCopy {
+		t2, ok2 := w.TableOf(c.cand.l2.Node())
+		holds = ok2 && !w.InMFFC(c.cand.l2.Node()) &&
+			matching(t1.Words(), t2.Words(), f.Words(), bigtt.WordMask(len(c.leaves)), 1<<c.cand.form()) != 0
+	} else if c.cand.l1.Compl() {
+		holds = t1.EqualNot(f)
+	} else {
+		holds = t1.Equal(f)
+	}
+	if !holds {
+		return engine.StatusStale
+	}
+	if !r.apply(id, c.cand) {
+		return engine.StatusNoGain
+	}
+	return engine.StatusCommitted
 }
 
 // resubber is one worker's state: the graph, its window scratch and the
@@ -114,9 +189,6 @@ type divisor struct {
 	tt bigtt.TT
 }
 
-// maxCone bounds the window cone a search simulates.
-const maxCone = 300
-
 // candKind tags a stored substitution candidate.
 type candKind int
 
@@ -131,7 +203,7 @@ const (
 )
 
 // resubCand is the first applicable substitution search finds — pure
-// data, so the parallel engine can store it and re-validate later.
+// data, so the pass can store it and re-validate later.
 type resubCand struct {
 	kind   candKind
 	l1, l2 aig.Lit
@@ -200,33 +272,22 @@ func matching(a, b, f []uint64, full uint64, want uint) uint {
 	return want
 }
 
-func (r *resubber) tryNode(root int32) engine.Status {
-	cand, _, _, out := r.search(root)
-	if cand.kind == candNone {
-		return out
-	}
-	// First match wins: if the commit rejects (structural no-op), the
-	// node is left alone rather than re-searched.
-	return r.apply(root, cand)
-}
-
 // search finds the first applicable substitution for root without
-// touching the graph. When no candidate exists, the returned status is
-// StatusSkip (no usable window) or StatusNoGain (searched, nothing
-// found); the leaves and window function are returned for commit-time
-// revalidation and live in the window until its next use.
-func (r *resubber) search(root int32) (resubCand, []int32, bigtt.TT, engine.Status) {
+// touching the graph. With a candidate, the leaves and window function
+// are returned for commit-time revalidation and live in the window until
+// its next use.
+func (r *resubber) search(root int32) (resubCand, []int32, bigtt.TT) {
 	none := resubCand{}
 	w := r.win
-	leaves, ok := w.Cut(root, r.cfg.maxLeaves())
+	leaves, ok := w.Cut(root, maxLeaves)
 	if !ok || len(leaves) < 2 {
-		return none, nil, bigtt.TT{}, engine.StatusSkip
+		return none, nil, bigtt.TT{}
 	}
 	// Window functions: the root's cone over the leaves, tracking each
 	// inner node's table.
 	fRoot, ok := w.Simulate(root, leaves, maxCone)
 	if !ok {
-		return none, nil, bigtt.TT{}, engine.StatusSkip
+		return none, nil, bigtt.TT{}
 	}
 	// The MFFC of root dies on substitution; divisors must survive, so
 	// exclude it.
@@ -241,7 +302,7 @@ func (r *resubber) search(root int32) (resubCand, []int32, bigtt.TT, engine.Stat
 			continue
 		}
 		r.divs = append(r.divs, divisor{id: id, tt: w.Table(len(leaves) + i)})
-		if len(r.divs) >= r.cfg.maxDivisors() {
+		if len(r.divs) >= maxDivisors {
 			break
 		}
 	}
@@ -252,10 +313,10 @@ func (r *resubber) search(root int32) (resubCand, []int32, bigtt.TT, engine.Stat
 	if saved >= minGain {
 		for _, d := range r.divs {
 			if d.tt.Equal(fRoot) {
-				return resubCand{kind: candCopy, l1: aig.MakeLit(d.id, false)}, leaves, fRoot, engine.StatusSkip
+				return resubCand{kind: candCopy, l1: aig.MakeLit(d.id, false)}, leaves, fRoot
 			}
 			if d.tt.EqualNot(fRoot) {
-				return resubCand{kind: candCopy, l1: aig.MakeLit(d.id, true)}, leaves, fRoot, engine.StatusSkip
+				return resubCand{kind: candCopy, l1: aig.MakeLit(d.id, true)}, leaves, fRoot
 			}
 		}
 	}
@@ -263,22 +324,23 @@ func (r *resubber) search(root int32) (resubCand, []int32, bigtt.TT, engine.Stat
 	// 1-resub: root = g(d1, d2) for a single fresh gate; costs 1 node,
 	// needs saved >= 2 for positive gain (or >= 1 for zero-gain).
 	if saved-1 < minGain {
-		return none, leaves, fRoot, engine.StatusNoGain
+		return none, nil, bigtt.TT{}
 	}
 	f, full := fRoot.Words(), bigtt.WordMask(len(leaves))
 	for i, d1 := range r.divs {
 		for _, d2 := range r.divs[i+1:] {
 			if m := matching(d1.tt.Words(), d2.tt.Words(), f, full, allForms); m != 0 {
-				return formCand(uint(bits.TrailingZeros(m)), d1.id, d2.id), leaves, fRoot, engine.StatusSkip
+				return formCand(uint(bits.TrailingZeros(m)), d1.id, d2.id), leaves, fRoot
 			}
 		}
 	}
-	return none, leaves, fRoot, engine.StatusNoGain
+	return none, nil, bigtt.TT{}
 }
 
 // apply commits a found candidate to the graph, re-running the
-// structural guards (root reuse, hash-lookup no-ops, XOR cost check).
-func (r *resubber) apply(root int32, c resubCand) engine.Status {
+// structural guards (root reuse, hash-lookup no-ops, XOR cost check); it
+// reports whether the graph changed.
+func (r *resubber) apply(root int32, c resubCand) bool {
 	switch c.kind {
 	case candCopy:
 		return r.commit(root, c.l1)
@@ -287,35 +349,35 @@ func (r *resubber) apply(root int32, c resubCand) engine.Status {
 	case candXor:
 		return r.commitXor(root, c.l1.Node(), c.l2.Node(), c.compl)
 	}
-	return engine.StatusSkip
+	return false
 }
 
 // commit replaces root by an existing literal.
-func (r *resubber) commit(root int32, l aig.Lit) engine.Status {
+func (r *resubber) commit(root int32, l aig.Lit) bool {
 	if l.Node() == root {
-		return engine.StatusSkip
+		return false
 	}
 	r.a.Replace(root, l, aig.ReplaceOptions{CascadeMerge: true})
-	return engine.StatusCommitted
+	return true
 }
 
 // commitGate replaces root by a fresh (or shared) AND gate over two
 // divisors.
-func (r *resubber) commitGate(root int32, l1, l2 aig.Lit, compl bool) engine.Status {
+func (r *resubber) commitGate(root int32, l1, l2 aig.Lit, compl bool) bool {
 	if l1.Node() == root || l2.Node() == root {
-		return engine.StatusSkip
+		return false
 	}
 	// A structural lookup may resolve to the root itself (same fanin
 	// pair); reject that no-op.
 	if g, ok := r.a.Lookup(l1, l2); ok && g.Node() == root {
-		return engine.StatusSkip
+		return false
 	}
 	out := r.a.And(l1, l2).XorCompl(compl)
 	if out.Node() == root {
-		return engine.StatusSkip
+		return false
 	}
 	r.a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: true})
-	return engine.StatusCommitted
+	return true
 }
 
 // commitXor replaces root by an XOR of two divisors (three gates, so it
@@ -324,33 +386,33 @@ func (r *resubber) commitGate(root int32, l1, l2 aig.Lit, compl bool) engine.Sta
 // MFFC). All three gate pairs are pre-checked against the structural
 // hash BEFORE building, so the root is never reused as an intermediate
 // (cycle) and a bail-out never leaves dangling gates behind.
-func (r *resubber) commitXor(root int32, d1, d2 int32, compl bool) engine.Status {
+func (r *resubber) commitXor(root int32, d1, d2 int32, compl bool) bool {
 	if d1 == root || d2 == root {
-		return engine.StatusSkip
+		return false
 	}
 	if r.win.MFFC(root, nil) < 4 { // root's whole MFFC: 3 fresh gates + headroom
-		return engine.StatusNoGain
+		return false
 	}
 	a := r.a
 	la := aig.MakeLit(d1, false)
 	lb := aig.MakeLit(d2, false)
 	e1, ok1 := a.Lookup(la, lb.Not())
 	if ok1 && e1.Node() == root {
-		return engine.StatusSkip
+		return false
 	}
 	e2, ok2 := a.Lookup(la.Not(), lb)
 	if ok2 && e2.Node() == root {
-		return engine.StatusSkip
+		return false
 	}
 	if ok1 && ok2 {
 		if e3, ok3 := a.Lookup(e1.Not(), e2.Not()); ok3 && e3.Node() == root {
-			return engine.StatusSkip
+			return false
 		}
 	}
 	out := a.Xor(la, lb).XorCompl(compl)
 	if out.Node() == root {
-		return engine.StatusSkip
+		return false
 	}
 	a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: true})
-	return engine.StatusCommitted
+	return true
 }

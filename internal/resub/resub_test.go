@@ -1,12 +1,14 @@
 package resub
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"dacpara/internal/aig"
 	"dacpara/internal/bench"
+	"dacpara/internal/rewrite"
 )
 
 func TestResubPreservesFunction(t *testing.T) {
@@ -17,21 +19,60 @@ func TestResubPreservesFunction(t *testing.T) {
 		bench.MtM("m", 6000, 9),
 		bench.Voter(63),
 	}
-	for _, a := range nets {
+	for _, base := range nets {
+		checkPreserves(t, base)
+	}
+}
+
+// TestRunParallelPreservesFunction runs the largest circuit of the suite
+// at one and at four workers.
+func TestRunParallelPreservesFunction(t *testing.T) {
+	checkPreserves(t, bench.MtM("m", 8000, 21))
+}
+
+// checkPreserves resubstitutes a copy of base at one and at four workers
+// and fails if a copy changes function, breaks an invariant or grows.
+func checkPreserves(t *testing.T, base *aig.AIG) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		a := base.Clone()
 		before := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
 		initial := a.NumAnds()
-		res := Run(a, Config{})
+		res := run(a, Config{}, workers)
 		if err := a.Check(aig.CheckOptions{}); err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
+			t.Fatalf("%s w%d: %v", a.Name, workers, err)
 		}
 		after := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
 		if !slices.Equal(before, after) {
-			t.Fatalf("%s: function changed", a.Name)
+			t.Fatalf("%s w%d: function changed", a.Name, workers)
 		}
 		if a.NumAnds() > initial {
-			t.Fatalf("%s: area grew %d -> %d", a.Name, initial, a.NumAnds())
+			t.Fatalf("%s w%d: area grew %d -> %d", a.Name, workers, initial, a.NumAnds())
 		}
-		t.Logf("%s: %d -> %d (substitutions %d)", a.Name, initial, a.NumAnds(), res.Replacements)
+		t.Logf("%s w%d: %d -> %d (substitutions %d, stale %d)",
+			a.Name, workers, initial, a.NumAnds(), res.Replacements, res.Stale)
+	}
+}
+
+// run is Run without a context.
+func run(a *aig.AIG, cfg Config, workers int) rewrite.Result {
+	res, _ := Run(context.Background(), a, cfg, workers)
+	return res
+}
+
+// serialReduction is what the serial resubstitution pass, deleted since,
+// saved on Sin(12): 5548 -> 4700 ANDs.
+const serialReduction = 848
+
+// TestRunKeepsSerialQuality: the level pass trades a few stale candidates
+// for parallelism; its area reduction must stay within 10% of the serial
+// pass's.
+func TestRunKeepsSerialQuality(t *testing.T) {
+	a := bench.Sin(12)
+	res := run(a, Config{}, 4)
+	t.Logf("%d -> %d (stale %d); the serial pass saved %d", res.InitialAnds, res.FinalAnds, res.Stale, serialReduction)
+	if float64(res.AreaReduction()) < 0.9*serialReduction {
+		t.Fatalf("resubstitution lost too much quality: %d vs the serial pass's %d", res.AreaReduction(), serialReduction)
 	}
 }
 
@@ -48,7 +89,7 @@ func TestZeroResubFindsExistingEquivalent(t *testing.T) {
 	redundant := a.Or(a.And(x, y.Not()), shared) // == x&y | x&!y == x... actually x&(y|!y)=x
 	a.AddPO(a.And(redundant, z.Not()))
 	before := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
-	Run(a, Config{})
+	run(a, Config{}, 1)
 	after := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
 	if !slices.Equal(before, after) {
 		t.Fatal("function changed")
@@ -72,7 +113,7 @@ func TestOneResubSharesDivisors(t *testing.T) {
 	chain := a.And(a.And(y, z), x)
 	a.AddPO(chain)
 	initial := a.NumAnds()
-	res := Run(a, Config{})
+	res := run(a, Config{}, 1)
 	if err := a.Check(aig.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +142,9 @@ func TestResubAfterRewrite(t *testing.T) {
 	a := bench.Square(10)
 	initial := a.NumAnds()
 	before := aig.RandomSignature(a, rand.New(rand.NewSource(4)), 4)
-	Run(a, Config{})
+	run(a, Config{}, 1)
 	mid := a.NumAnds()
-	Run(a, Config{ZeroGain: true})
+	run(a, Config{ZeroGain: true}, 1)
 	after := aig.RandomSignature(a, rand.New(rand.NewSource(4)), 4)
 	if !slices.Equal(before, after) {
 		t.Fatal("function changed")

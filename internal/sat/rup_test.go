@@ -214,7 +214,7 @@ func TestUnsatAnswersFollowByUnitPropagation(t *testing.T) {
 		name string
 		net  *aig.AIG
 	}{{"log2(7,3)", bench.Log2(7, 3)}, {"sin(8)", bench.Sin(8)}} {
-		for si, script := range []string{"rw", "b; rw; rf -p; b; rw -z", "rw; rs -p; b"} {
+		for si, script := range []string{"rw", "b; rw; rf; b; rw -z", "rw; rs; b"} {
 			_, out, err := dacpara.Flow(c.net.Clone(), script, dacpara.Config{Workers: 1})
 			if err != nil {
 				t.Fatal(err)

@@ -40,7 +40,7 @@ const DefaultMaxUploadBytes = 256 << 20
 // guessing.
 //
 // Submission query parameters: engine (abc|iccad18|dacpara|dac22|tcad23)
-// or flow (a whole synthesis script, e.g. "b; rw; rf -p; rs -p; b" —
+// or flow (a whole synthesis script, e.g. "b; rw; rf; rs; b" —
 // mutually exclusive with engine), workers, k, passes, zero_gain,
 // preserve_delay, max_cuts, max_structs, classes, preset (p1|p2), format
 // (aiger|bench), verify, verify_budget, deadline (a Go duration such as

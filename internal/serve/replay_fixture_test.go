@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dacpara"
+	"dacpara/internal/aig"
 	"dacpara/internal/journal"
 )
 
@@ -189,5 +190,69 @@ func TestReplayShardRecords(t *testing.T) {
 	}
 	if want := (dacpara.Job{Engine: dacpara.EngineDACPara, Workers: 2, Verify: true, InputDigest: StructuralDigest(net)}); job.req.Job != want {
 		t.Fatalf("old spec decoded as %+v, want %+v", job.req.Job, want)
+	}
+}
+
+// TestReplayRetiredParallelFlag replays a journal left mid-job by a daemon
+// whose refactor and resub still had a serial pass beside the
+// level-parallel one that -p chose: a submitted record (literal JSON, as
+// that daemon's Submit journaled it) whose flow carries -p on rf and rs,
+// then a started record. The job re-runs to done and lands on the
+// network the same flow without -p builds.
+func TestReplayRetiredParallelFlag(t *testing.T) {
+	const id = "j00000001"
+	net := mustGenerate(t, "sin")
+	input, _, err := dacpara.Encode(net, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := []byte(`{"op":"submitted","job":"` + id + `","t":1,"req":{"flow":"b; rf -p; rs -p -w=2; b","workers":2,` +
+		`"verify":true,"verify_budget":50000,"input_digest":"` + StructuralDigest(net) + `"}}`)
+	wal := []byte("DACJNL1\n")
+	wal = binary.LittleEndian.AppendUint32(wal, uint32(len(submitted)))
+	wal = binary.LittleEndian.AppendUint32(wal, crc32.Checksum(submitted, crc32.MakeTable(crc32.Castagnoli)))
+	wal = append(wal, submitted...)
+	rest, err := journal.Encode([]journal.Record{{Op: journal.OpStarted, Job: id, TimeNs: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := journal.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveInput(id, input); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalName), append(wal, rest...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, rec, err := Open(durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(time.Second)
+	if rec.Replayed != 2 || !reflect.DeepEqual(rec.Requeued, []string{id}) {
+		t.Fatalf("recovery report %+v, want 2 records replayed and %s requeued", rec, id)
+	}
+	job, err := s.Job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job, 60*time.Second)
+	if st := job.Status(); st.State != StateDone || st.Verify == nil || !st.Verify.Equivalent {
+		t.Fatalf("replayed -p flow job: %+v", st)
+	}
+	got, err := aig.Read(bytes.NewReader(job.Result().AIGER))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := dacpara.Flow(net.Clone(), "b; rf; rs -w=2; b", dacpara.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := StructuralDigest(got), StructuralDigest(want); g != w {
+		t.Fatalf("replayed job's output %s (%d ANDs), the flow without -p %s (%d ANDs)", g, got.NumAnds(), w, want.NumAnds())
 	}
 }

@@ -32,9 +32,6 @@ type Options struct {
 	// the default).
 	CacheEntries int
 	CacheBytes   int64
-	// VerifyBudget is the default SAT conflict budget per output for
-	// Verify submissions (default 50000).
-	VerifyBudget int64
 	// DataDir, when non-empty, makes the service durable: every job
 	// lifecycle transition is journaled (fsync'd, CRC-framed) and every
 	// flow job checkpoints its working network at step boundaries, so a
@@ -69,6 +66,10 @@ type Options struct {
 	Cluster *cluster.Config
 }
 
+// defaultVerifyBudget is the SAT conflict budget per output of a Verify
+// submission that sets none.
+const defaultVerifyBudget = 50_000
+
 func (o Options) withDefaults() Options {
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 64
@@ -87,9 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 256 << 20
-	}
-	if o.VerifyBudget <= 0 {
-		o.VerifyBudget = 50_000
 	}
 	if o.WatchdogInterval <= 0 {
 		o.WatchdogInterval = time.Second
@@ -288,7 +286,7 @@ func (s *Service) Submit(req JobRequest) (*Job, error) {
 		req.Workers = s.opts.WorkersPerJob
 	}
 	if req.VerifyBudget == 0 {
-		req.VerifyBudget = s.opts.VerifyBudget
+		req.VerifyBudget = defaultVerifyBudget
 	}
 	if req.DeadlineNs == 0 {
 		req.DeadlineNs = int64(s.opts.DefaultDeadline)

@@ -181,7 +181,7 @@ type Outcome struct {
 // outlive the call. When Hooks.Attach.Metrics
 // is set, every instrumented step resets the collector on entry and
 // attaches its own snapshot to its Result, so a flow yields one
-// snapshot per rewriting or parallel refactor/resub step.
+// snapshot per rewriting, refactor or resub step.
 func Run(ctx context.Context, net *Network, job Job, h Hooks) (Outcome, error) {
 	out := Outcome{Net: net}
 	steps, err := job.steps()

@@ -10,12 +10,12 @@ import (
 	"dacpara/internal/galois"
 )
 
-// TestNoGoroutineOutlivesRun: every engine, and the parallel refactor and
-// resub passes, start their worker team once per run and must have ended
-// it by the time Run returns — when the run succeeds, when its context is
-// cancelled while the team is at work, under a fault plan that refuses
-// every lock (iccad18 runs out of retries in the middle of a phase), and
-// when the run's context reaches its deadline.
+// TestNoGoroutineOutlivesRun: every engine, and refactor and resub (under
+// the -p that old jobs carry), start their worker team once per run and
+// must have ended it by the time Run returns — when the run succeeds,
+// when its context is cancelled while the team is at work, under a fault
+// plan that refuses every lock (iccad18 runs out of retries in the middle
+// of a phase), and when the run's context reaches its deadline.
 // (The operator-panic ending needs a pass that panics; internal/engine's
 // TestTeamLifetime has it, for every skeleton.)
 func TestNoGoroutineOutlivesRun(t *testing.T) {

@@ -80,7 +80,7 @@ func TestFlowSummaryThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(context.Background(), net, Job{Flow: "b; rw; rf -p -w=3"}, Hooks{})
+	out, err := Run(context.Background(), net, Job{Flow: "b; rw; rf -w=3"}, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,9 +262,8 @@ func BenchmarkEquivalenceCheck(b *testing.B) {
 	must(rewrite.Run(context.Background(), EngineDACPara, a, lib, rewrite.Config{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eq, err := Equivalent(golden, a)
-		if err != nil || !eq {
-			b.Fatalf("equivalence check failed: eq=%v err=%v", eq, err)
+		if _, err := Verify(golden, a, 0); err != nil {
+			b.Fatalf("equivalence check failed: %v", err)
 		}
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"runtime/pprof"
 
 	"dacpara"
+	"dacpara/internal/cec"
+	"dacpara/internal/lutmap"
 )
 
 // cli is the command line: every flag, bound to a flag set.
@@ -45,8 +47,8 @@ func newCLI(fs *flag.FlagSet) *cli {
 		zero:      fs.Bool("z", false, "also apply zero-gain rewrites"),
 		level:     fs.Bool("l", false, "preserve levels: reject depth-increasing rewrites"),
 		verify:    fs.Bool("verify", false, "equivalence-check the result against the input"),
-		simOnly:   fs.Bool("sim-only", false, "verification by simulation only (for large circuits)"),
-		lut:       fs.Int("lut", 0, "after optimizing, also map into k-input LUTs and report mapped area/depth"),
+		simOnly:   fs.Bool("sim-only", false, "with -verify: check by simulation only (for large circuits)"),
+		lut:       fs.Int("lut", 0, "after optimizing, also map into k-input LUTs (2..16) and report mapped area/depth"),
 		script:    fs.String("script", "", "run an ABC-style flow instead of one engine, e.g. \"b; rw; rf; rs -w=8; b\" (per-step flags: -z zero-gain, -w=N workers, -k=N cut width on rewriting; -p on rf/rs is accepted and does nothing; use 'resyn2' for the classic script)"),
 		list:      fs.Bool("list", false, "list generatable benchmarks and exit"),
 		stats:     fs.Bool("stats", false, "collect engine metrics and print a per-phase summary"),
@@ -60,12 +62,17 @@ func newCLI(fs *flag.FlagSet) *cli {
 // preset (-p1, -p2) is the starting point and only the knob flags the
 // user set override it, as dacparad's preset= does with its query
 // parameters. -sim-only replaces the job's own SAT-backed check with a
-// simulation screen after the run.
+// simulation screen after the run. Flags that only matter after the run
+// are checked here too, so a bad one fails before any work.
 func (c *cli) job() (dacpara.Job, error) {
 	var cfg dacpara.Config
 	switch {
 	case *c.p1 && *c.p2:
 		return dacpara.Job{}, errors.New("dacpara: -p1 and -p2 are exclusive")
+	case *c.simOnly && !*c.verify:
+		return dacpara.Job{}, errors.New("dacpara: -sim-only needs -verify")
+	case *c.lut != 0 && (*c.lut < 2 || *c.lut > lutmap.MaxK):
+		return dacpara.Job{}, fmt.Errorf("dacpara: -lut %d out of range 2..%d", *c.lut, lutmap.MaxK)
 	case *c.p1:
 		cfg = dacpara.P1()
 	case *c.p2:
@@ -197,15 +204,15 @@ func main() {
 	}
 
 	if *c.lut > 0 {
-		m, err := dacpara.MapLUT(net, *c.lut)
+		m, err := lutmap.Map(net, *c.lut)
 		fatal(err)
 		fmt.Printf("mapped: %d LUT%d, depth %d\n", m.Area, *c.lut, m.Depth)
 	}
 
 	if golden != nil {
-		eq, err := dacpara.EquivalentFast(golden, net)
+		r, err := cec.Check(golden, net, cec.Options{SimOnly: true, SimRounds: 64})
 		fatal(err)
-		if !eq {
+		if !r.Equivalent {
 			fmt.Fprintln(os.Stderr, "dacpara: EQUIVALENCE CHECK FAILED")
 			os.Exit(1)
 		}

@@ -32,6 +32,8 @@ func TestJobFromFlags(t *testing.T) {
 		{"-verify", dacpara.Job{Engine: dacpara.EngineDACPara, Verify: true}},
 		{"-verify -sim-only", dacpara.Job{Engine: dacpara.EngineDACPara}},
 		{"-script resyn2 -z", dacpara.Job{Flow: dacpara.Resyn2, ZeroGain: true}},
+		{"-lut 2", dacpara.Job{Engine: dacpara.EngineDACPara}},
+		{"-lut 16", dacpara.Job{Engine: dacpara.EngineDACPara}},
 	} {
 		fs := flag.NewFlagSet("dacpara", flag.ContinueOnError)
 		cl := newCLI(fs)
@@ -47,7 +49,8 @@ func TestJobFromFlags(t *testing.T) {
 			t.Errorf("%q gave %+v, want %+v", c.args, got, c.want)
 		}
 	}
-	for _, args := range []string{"-p1 -p2", "-k 3", "-engine frobnicate", "-script b;frobnicate", "-threads -1"} {
+	for _, args := range []string{"-p1 -p2", "-k 3", "-engine frobnicate", "-script b;frobnicate", "-threads -1",
+		"-sim-only", "-lut 1", "-lut 17", "-lut -1"} {
 		fs := flag.NewFlagSet("dacpara", flag.ContinueOnError)
 		cl := newCLI(fs)
 		if err := fs.Parse(strings.Fields(args)); err != nil {

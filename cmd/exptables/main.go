@@ -312,7 +312,7 @@ func flows(sc bench.Scale, lib *rewlib.Library) {
 		}
 		base := c.Instantiate(sc)
 		row := func(stage string, net *aig.AIG, secs float64) {
-			m, err := lutmap.Map(net, lutmap.Config{K: 6})
+			m, err := lutmap.Map(net, 6)
 			fatal(err)
 			st := net.Stats()
 			tbl.Row(c.Name, stage, st.Ands, st.Delay, m.Area, m.Depth, secs)

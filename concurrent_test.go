@@ -37,13 +37,8 @@ func TestConcurrentFacadeUse(t *testing.T) {
 					errc <- fmt.Errorf("%s/%d: %w", engine, i, err)
 					return
 				}
-				eq, err := Equivalent(golden, net)
-				if err != nil {
+				if _, err := Verify(golden, net, 0); err != nil {
 					errc <- fmt.Errorf("%s/%d: %w", engine, i, err)
-					return
-				}
-				if !eq {
-					errc <- fmt.Errorf("%s/%d: not equivalent", engine, i)
 				}
 			}(engine, i)
 		}
@@ -150,12 +145,8 @@ func TestRewriteContextCancellation(t *testing.T) {
 			if err := net.Check(aig.CheckOptions{}); err != nil {
 				t.Fatalf("network inconsistent after cancel: %v", err)
 			}
-			eq, err := Equivalent(golden, net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !eq {
-				t.Fatal("cancelled run corrupted the circuit")
+			if _, err := Verify(golden, net, 0); err != nil {
+				t.Fatalf("cancelled run corrupted the circuit: %v", err)
 			}
 		})
 	}
@@ -232,11 +223,11 @@ func TestParallelPassDeterministicOutput(t *testing.T) {
 		run  func(n *Network) error
 	}{
 		{"refactor-parallel", func(n *Network) error {
-			_, _, err := Flow(n, "refactor -w=1", Config{})
+			_, err := Run(context.Background(), n, Job{Flow: "refactor -w=1"}, Hooks{})
 			return err
 		}},
 		{"resub-parallel", func(n *Network) error {
-			_, _, err := Flow(n, "resub -w=1", Config{})
+			_, err := Run(context.Background(), n, Job{Flow: "resub -w=1"}, Hooks{})
 			return err
 		}},
 	}
@@ -300,8 +291,9 @@ func TestFlowContextCancellation(t *testing.T) {
 	}
 }
 
-// TestEquivalentBudget exercises the bounded-effort CEC entry point.
-func TestEquivalentBudget(t *testing.T) {
+// TestVerifyBudget: Verify proves an equivalent pair within a bounded
+// conflict budget, and fails a different pair with ErrNotEquivalent.
+func TestVerifyBudget(t *testing.T) {
 	a, err := Generate("sqrt", ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
@@ -310,23 +302,20 @@ func TestEquivalentBudget(t *testing.T) {
 	if _, err := Rewrite(b, EngineDACPara, Config{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	eq, proved, err := EquivalentBudget(a, b, 100_000)
+	v, err := Verify(a, b, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eq || !proved {
-		t.Fatalf("eq=%v proved=%v, want true/true", eq, proved)
+	if !v.Equivalent || !v.Proved {
+		t.Fatalf("verdict %+v, want equivalent and proved", *v)
 	}
 
 	// A genuinely different pair must never be reported equivalent,
 	// proved or not.
 	c := a.Clone()
 	c.ReplacePO(0, c.PO(0).Not())
-	eq, _, err = EquivalentBudget(a, c, 100_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq {
-		t.Fatal("inequivalent pair reported equivalent")
+	v, err = Verify(a, c, 100_000)
+	if !errors.Is(err, ErrNotEquivalent) || v == nil || v.Equivalent {
+		t.Fatalf("inequivalent pair: verdict %+v, error %v", v, err)
 	}
 }

@@ -18,7 +18,9 @@
 //	out, _ := dacpara.Run(ctx, net, dacpara.Job{Engine: dacpara.EngineDACPara, Verify: true}, dacpara.Hooks{})
 //	fmt.Println(out.Result.AreaReduction(), out.Verify.Proved)
 //
-// Rewrite and Flow are shorthands for the two common jobs.
+// Run is the one way in. Rewrite and FlowResumeContext are shorthands
+// for Run on a one-engine job and a flow job, and Verify is the
+// equivalence check that Job.Verify runs.
 package dacpara
 
 import (
@@ -133,9 +135,6 @@ func Rewrite(net *Network, engine Engine, cfg Config) (Result, error) {
 // ReadAIGER loads a network from an AIGER file (ASCII or binary).
 func ReadAIGER(path string) (*Network, error) { return aig.ReadFile(path) }
 
-// NewNetwork returns an empty network for programmatic construction.
-func NewNetwork() *Network { return aig.New() }
-
 // Generate builds one of the named benchmark circuits of the paper's
 // Table 1 ("sin", "voter", "square", "sqrt", "mult", "log2", "mem_ctrl",
 // "hyp", "div", "sixteen", "twenty", "twentythree"), including its
@@ -170,40 +169,22 @@ func baseName(n string) string {
 	return n
 }
 
-// Equivalent checks combinational equivalence of two networks (random
-// simulation screening plus a SAT proof per output).
-func Equivalent(a, b *Network) (bool, error) {
-	r, err := cec.Check(a, b, cec.Options{})
+// Verify checks out against golden for combinational equivalence:
+// random simulation screens every output, then SAT proves it, spending
+// at most budget conflicts per output (0: the checker's default of
+// 200000). When the budget runs out on some output the check degrades
+// honestly instead of hanging: the verdict is the simulation screen's
+// and Proved is false. A counterexample, from simulation or SAT, is
+// always definitive, and returns the verdict with ErrNotEquivalent.
+// This is the one check behind Job.Verify, in Run and in the service.
+func Verify(golden, out *Network, budget int64) (*Verdict, error) {
+	r, err := cec.Check(golden, out, cec.Options{OutputBudget: budget})
 	if err != nil {
-		return false, err
+		return nil, fmt.Errorf("verification: %w", err)
 	}
-	return r.Equivalent, nil
-}
-
-// EquivalentFast is a simulation-only check for very large networks:
-// inequivalence is definitive, equivalence is high-confidence but not
-// proved.
-func EquivalentFast(a, b *Network) (bool, error) {
-	r, err := cec.Check(a, b, cec.Options{SimOnly: true, SimRounds: 64})
-	if err != nil {
-		return false, err
+	v := &Verdict{Equivalent: r.Equivalent, Proved: r.Proved}
+	if !v.Equivalent {
+		return v, ErrNotEquivalent
 	}
-	return r.Equivalent, nil
-}
-
-// EquivalentBudget is Equivalent with a bounded proof effort: at most
-// conflictBudget SAT conflicts are spent per output (0 means the default
-// budget of 200000). When the budget runs out on some output the check
-// degrades honestly instead of hanging: eq reflects the simulation
-// screen's verdict and proved is false. Inequivalence (a counterexample
-// from simulation or SAT) is always definitive. This is the bound a
-// service should use when verifying untrusted submissions — a
-// SAT-adversarial circuit then costs a bounded slice of solver work, not
-// an unbounded job.
-func EquivalentBudget(a, b *Network, conflictBudget int64) (eq, proved bool, err error) {
-	r, err := cec.Check(a, b, cec.Options{OutputBudget: conflictBudget})
-	if err != nil {
-		return false, false, err
-	}
-	return r.Equivalent, r.Proved, nil
+	return v, nil
 }

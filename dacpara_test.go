@@ -1,7 +1,10 @@
 package dacpara
 
 import (
+	"errors"
 	"testing"
+
+	"dacpara/internal/aig"
 )
 
 func TestGenerateKnownNames(t *testing.T) {
@@ -43,12 +46,8 @@ func TestRewriteAllEnginesRoundTrip(t *testing.T) {
 		if res.AreaReduction() < 0 && engine != EngineStaticDAC22 && engine != EngineStaticTCAD23 {
 			t.Fatalf("%s: area increased by %d", engine, -res.AreaReduction())
 		}
-		eq, err := Equivalent(golden, net)
-		if err != nil {
+		if _, err := Verify(golden, net, 0); err != nil {
 			t.Fatalf("%s: %v", engine, err)
-		}
-		if !eq {
-			t.Fatalf("%s: rewritten circuit not equivalent", engine)
 		}
 	}
 }
@@ -88,21 +87,18 @@ func TestDefaultLibraryIsShared(t *testing.T) {
 	}
 }
 
-func TestEquivalentFastDetectsDifference(t *testing.T) {
-	a := NewNetwork()
+func TestVerifyDetectsDifference(t *testing.T) {
+	a := aig.New()
 	x := a.AddPI()
 	y := a.AddPI()
 	a.AddPO(a.And(x, y))
-	b := NewNetwork()
+	b := aig.New()
 	xb := b.AddPI()
 	yb := b.AddPI()
 	b.AddPO(b.Or(xb, yb))
-	eq, err := EquivalentFast(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq {
-		t.Fatal("different circuits reported equivalent")
+	v, err := Verify(a, b, 0)
+	if !errors.Is(err, ErrNotEquivalent) || v.Equivalent {
+		t.Fatalf("different circuits: verdict %+v, error %v", v, err)
 	}
 }
 
@@ -119,11 +115,7 @@ func TestAIGERInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := Equivalent(net, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("AIGER round trip changed the function")
+	if _, err := Verify(net, back, 0); err != nil {
+		t.Fatalf("AIGER round trip changed the function: %v", err)
 	}
 }

@@ -79,12 +79,8 @@ func TestDifferentialEngines(t *testing.T) {
 								eng, s.QoR.InitialAnds, s.QoR.FinalAnds, res.InitialAnds, res.FinalAnds)
 						}
 						if small && workers == 4 {
-							eq, err := Equivalent(golden, net)
-							if err != nil {
+							if _, err := Verify(golden, net, 0); err != nil {
 								t.Fatal(err)
-							}
-							if !eq {
-								t.Fatalf("%s: CEC disproved equivalence", eng)
 							}
 						}
 					})
@@ -119,34 +115,22 @@ func TestDifferentialCrossPassFlow(t *testing.T) {
 			small := golden.Stats().Ands <= cecBudgetAnds
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-					net := golden.Clone()
-					results, final, err := Flow(net, script, Config{Workers: workers})
-					if err != nil {
-						t.Fatal(err)
+					// Small circuits are also CEC-proved, by the job's own check.
+					out := runJob(t, golden.Clone(), Job{Flow: script, Workers: workers, Verify: small})
+					if len(out.Steps) != 4 {
+						t.Fatalf("flow ran %d steps, want 4", len(out.Steps))
 					}
-					if len(results) != 4 {
-						t.Fatalf("flow ran %d steps, want 4", len(results))
-					}
-					for _, res := range results {
+					for _, res := range out.Steps {
 						if res.Incomplete {
 							t.Fatalf("step %s incomplete without error", res.Engine)
 						}
 					}
-					if err := final.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+					if err := out.Net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
 						t.Fatalf("structural check: %v", err)
 					}
-					sig := aig.RandomSignature(final, rand.New(rand.NewSource(seed)), rounds)
+					sig := aig.RandomSignature(out.Net, rand.New(rand.NewSource(seed)), rounds)
 					if !slices.Equal(goldenSig, sig) {
 						t.Fatalf("flow result differs from input under simulation")
-					}
-					if small {
-						eq, err := Equivalent(golden, final)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !eq {
-							t.Fatal("CEC disproved flow equivalence")
-						}
 					}
 				})
 			}

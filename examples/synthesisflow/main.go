@@ -4,11 +4,12 @@
 // optimization due to its local optimality").
 //
 // The flow generates each circuit, applies `double` scaling as the paper
-// does, runs repeated DACPara passes until the area converges, and
-// verifies the final netlist against the original.
+// does, runs three DACPara passes as one flow job, and verifies the final
+// netlist against the original through the job's own check.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,42 +21,29 @@ import (
 func main() {
 	circuits := []string{"sin", "square", "mult", "voter", "div"}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "circuit\tarea\tpass1\tpass2\tpass3\tfinal delay\ttotal time\tverified")
+	fmt.Fprintln(w, "circuit\tarea\tpass1\tpass2\tpass3\tfinal delay\ttotal time\tproved")
 
 	for _, name := range circuits {
 		net, err := dacpara.Generate(name, dacpara.ScaleTiny)
 		if err != nil {
 			log.Fatal(err)
 		}
-		golden := net.Clone()
 		initial := net.Stats()
 
-		// Iterate rewriting until it stops paying off (at most 3 passes):
-		// rewriting is locally optimal, so later passes exploit the
-		// opportunities earlier replacements exposed.
-		areas := make([]int, 0, 3)
-		var total float64
-		for pass := 0; pass < 3; pass++ {
-			res, err := dacpara.Rewrite(net, dacpara.EngineDACPara, dacpara.Config{})
-			if err != nil {
-				log.Fatal(err)
-			}
-			total += res.Duration.Seconds()
-			areas = append(areas, net.Stats().Ands)
-			if res.AreaReduction() == 0 {
-				break
-			}
-		}
-		for len(areas) < 3 {
-			areas = append(areas, areas[len(areas)-1])
-		}
-
-		eq, err := dacpara.Equivalent(golden, net)
+		// Rewrite three times: rewriting is locally optimal, so later
+		// passes exploit the opportunities earlier replacements exposed.
+		// Verify checks the final netlist against the input; a
+		// non-equivalent result fails the run with
+		// dacpara.ErrNotEquivalent.
+		job := dacpara.Job{Flow: "rw; rw; rw", Verify: true}
+		out, err := dacpara.Run(context.Background(), net, job, dacpara.Hooks{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		s := out.Steps
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.2fs\t%v\n",
-			name, initial.Ands, areas[0], areas[1], areas[2], net.Stats().Delay, total, eq)
+			name, initial.Ands, s[0].FinalAnds, s[1].FinalAnds, s[2].FinalAnds,
+			out.Net.Stats().Delay, out.Result.Duration.Seconds(), out.Verify.Proved)
 	}
 	w.Flush()
 }

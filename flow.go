@@ -9,50 +9,9 @@ import (
 
 	"dacpara/internal/balance"
 	"dacpara/internal/cec"
-	"dacpara/internal/lutmap"
 	"dacpara/internal/refactor"
 	"dacpara/internal/resub"
 )
-
-// Balance returns a depth-balanced copy of the network (ABC's `balance`):
-// AND chains are re-associated into arrival-sorted balanced trees.
-func Balance(net *Network) *Network { return balance.Run(net) }
-
-// Refactor resynthesizes large reconvergence-driven cones (up to ten
-// leaves) through SOP factoring — ABC's `refactor`, the complement to
-// 4-cut rewriting — on every CPU; the output does not depend on their
-// number.
-func Refactor(net *Network, zeroGain bool) Result {
-	res, _ := refactor.Run(context.Background(), net, refactor.Config{ZeroGain: zeroGain}, 0)
-	return res
-}
-
-// LUTMapping is a k-input LUT cover of a network.
-type LUTMapping = lutmap.Mapping
-
-// MapLUT covers the network with k-input LUTs (priority-cuts technology
-// mapping, depth-oriented with area recovery) — the downstream consumer
-// that turns AIG-level rewriting gains into mapped area and depth.
-func MapLUT(net *Network, k int) (LUTMapping, error) {
-	return lutmap.Map(net, lutmap.Config{K: k})
-}
-
-// Resub resubstitutes nodes as simple functions of existing divisors in
-// their reconvergence windows (ABC's `resub`), freeing their MFFCs, on
-// every CPU; the output does not depend on their number.
-func Resub(net *Network, zeroGain bool) Result {
-	res, _ := resub.Run(context.Background(), net, resub.Config{ZeroGain: zeroGain}, 0)
-	return res
-}
-
-// Fraig performs functional reduction: simulation-guided, SAT-proved
-// merging of functionally equivalent nodes (ABC's `fraig`), catching
-// equivalences that structural rewriting cannot see. The reduced network
-// is built out of place and net takes it over (node IDs change). It
-// returns the number of nodes merged.
-func Fraig(net *Network) int {
-	return cec.Fraig(net, cec.FraigOptions{}).Merged
-}
 
 // FlowStep is one validated command of a flow script.
 type FlowStep struct {
@@ -83,7 +42,26 @@ var flowAliases = map[string]string{
 // ParseFlow parses and validates a whole flow script without touching
 // any network: unknown commands and flags are rejected up front, so a
 // script error can never leave a network half-transformed by the
-// commands that preceded the typo.
+// commands that preceded the typo. A flow job (Job.Flow) runs the steps
+// it returns.
+//
+// A script is an ABC-style semicolon-separated command sequence, e.g.
+//
+//	"balance; rewrite; refactor; balance; rewrite -z; balance"
+//
+// (the classic resyn2 shape). Supported commands: every Engine name
+// (abc, iccad18, dacpara, dac22, tcad23), rewrite (= dacpara), balance,
+// refactor, resub and fraig, plus the ABC short aliases b, rw, rf, rs.
+//
+// Flags: rewrite, refactor and resub accept -z (zero-gain commits) and a
+// per-step -w=N worker override; rewriting commands accept a per-step
+// -k=N cut-width override (4..6, see Config.K; "-k 6" and "-k=6" are
+// both accepted):
+//
+//	"b; rw -k 6; rf; rs -w=8; b"
+//
+// refactor and resub also accept -p and ignore it: old scripts and
+// journaled jobs carry it.
 func ParseFlow(script string) ([]FlowStep, error) {
 	var steps []FlowStep
 	for _, raw := range strings.Split(script, ";") {
@@ -101,7 +79,7 @@ func ParseFlow(script string) ([]FlowStep, error) {
 			case f == "-z":
 				st.ZeroGain = true
 			case f == "-p" && (st.Cmd == "refactor" || st.Cmd == "resub"):
-				// Accepted and ignored (see Flow).
+				// Accepted and ignored (see above).
 			case strings.HasPrefix(f, "-w="):
 				n, err := strconv.Atoi(f[len("-w="):])
 				if err != nil || n <= 0 {
@@ -149,36 +127,11 @@ func ParseFlow(script string) ([]FlowStep, error) {
 	return steps, nil
 }
 
-// Flow runs an ABC-style synthesis script over the network: a
-// semicolon-separated command sequence, e.g.
-//
-//	"balance; rewrite; refactor; balance; rewrite -z; balance"
-//
-// (the classic resyn2 shape). Supported commands: every Engine name
-// (abc, iccad18, dacpara, dac22, tcad23), rewrite (= dacpara), balance,
-// refactor, resub and fraig, plus the ABC short aliases b, rw, rf, rs.
-//
-// Flags: rewrite, refactor and resub accept -z (zero-gain commits) and a
-// per-step -w=N worker override; rewriting commands accept a per-step
-// -k=N cut-width override (4..6, see Config.K):
-//
-//	"b; rw -k 6; rf; rs -w=8; b"
-//
-// refactor and resub also accept -p and ignore it: old scripts and
-// journaled jobs carry it.
-//
-// ("-k 6" and "-k=6" are both accepted).
-//
-// Flow is Run on Job{Flow: script} with cfg's knobs and attachments: it
-// returns the per-command results and the final network (balance and
-// fraig rebuild the graph, so the returned pointer may differ from the
-// argument).
-func Flow(net *Network, script string, cfg Config) ([]Result, *Network, error) {
-	return FlowResumeContext(context.Background(), net, script, cfg, 0, nil)
-}
-
-// FlowResumeContext is Flow under a context, with the resume cursor and
-// step-boundary checkpoint of Hooks.
+// FlowResumeContext is Run on Job{Flow: script} with cfg's knobs and
+// attachments, under ctx, with the resume cursor and step-boundary
+// checkpoint of Hooks. It returns the per-command results and the final
+// network (balance and fraig rebuild the graph, so the returned pointer
+// may differ from the argument).
 func FlowResumeContext(ctx context.Context, net *Network, script string, cfg Config, startStep int, checkpoint FlowCheckpoint) ([]Result, *Network, error) {
 	out, err := Run(ctx, net, Job{Flow: script}.WithKnobs(cfg), Hooks{ResumeStep: startStep, Checkpoint: checkpoint, Attach: cfg})
 	return out.Steps, out.Net, err
@@ -222,7 +175,7 @@ func runFlowStep(ctx context.Context, out *Outcome, st FlowStep, cfg Config) (Re
 	switch st.Cmd {
 	case "balance":
 		before := net.Stats()
-		balanced, err := balance.RunCtx(ctx, net)
+		balanced, err := balance.Run(ctx, net)
 		if err != nil {
 			return Result{Engine: "balance", Threads: 1, Passes: 1, Incomplete: true}, err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dacpara/internal/aig"
+	"dacpara/internal/lutmap"
 )
 
 func TestFlowResyn2(t *testing.T) {
@@ -15,25 +16,14 @@ func TestFlowResyn2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := net.Clone()
 	initial := net.Stats()
-	results, final, err := Flow(net, Resyn2, Config{})
-	if err != nil {
-		t.Fatal(err)
+	out := runJob(t, net, Job{Flow: Resyn2, Verify: true})
+	if len(out.Steps) != len(strings.Split(Resyn2, ";")) {
+		t.Fatalf("expected one result per command, got %d", len(out.Steps))
 	}
-	if len(results) != len(strings.Split(Resyn2, ";")) {
-		t.Fatalf("expected one result per command, got %d", len(results))
-	}
-	st := final.Stats()
+	st := out.Net.Stats()
 	if st.Ands >= initial.Ands {
 		t.Fatalf("resyn2 did not reduce area: %d -> %d", initial.Ands, st.Ands)
-	}
-	eq, err := Equivalent(golden, final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("flow broke equivalence")
 	}
 }
 
@@ -49,17 +39,11 @@ func TestFlowIsItsStepsInSequence(t *testing.T) {
 	}
 	const script = "rw; rw -z; rf; rs; fraig; b; rw"
 
-	_, whole, err := Flow(net.Clone(), script, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := runJob(t, net.Clone(), Job{Flow: script, Workers: 1}).Net
 
 	stepwise := net.Clone()
 	for _, step := range strings.Split(script, ";") {
-		var ferr error
-		if _, stepwise, ferr = Flow(stepwise, step, Config{Workers: 1}); ferr != nil {
-			t.Fatal(ferr)
-		}
+		stepwise = runJob(t, stepwise, Job{Flow: step, Workers: 1}).Net
 	}
 
 	if dw, ds := aig.StructuralDigest(whole), aig.StructuralDigest(stepwise); dw != ds {
@@ -70,16 +54,13 @@ func TestFlowIsItsStepsInSequence(t *testing.T) {
 
 func TestFlowBalanceReducesDepth(t *testing.T) {
 	// A skewed AND chain balances to logarithmic depth through the flow.
-	net := NewNetwork()
+	net := aig.New()
 	acc := net.AddPI()
 	for i := 1; i < 32; i++ {
 		acc = net.And(acc, net.AddPI())
 	}
 	net.AddPO(acc)
-	_, final, err := Flow(net, "balance", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := runJob(t, net, Job{Flow: "balance"}).Net
 	if final.Delay() != 5 {
 		t.Fatalf("balanced 32-AND chain depth %d, want 5", final.Delay())
 	}
@@ -90,10 +71,10 @@ func TestFlowRejectsUnknownCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Flow(net, "balance; frobnicate", Config{}); err == nil {
+	if _, err := Run(context.Background(), net, Job{Flow: "balance; frobnicate"}, Hooks{}); err == nil {
 		t.Fatal("unknown command accepted")
 	}
-	if _, _, err := Flow(net, "rewrite -q", Config{}); err == nil {
+	if _, err := Run(context.Background(), net, Job{Flow: "rewrite -q"}, Hooks{}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
 }
@@ -106,7 +87,7 @@ func TestFlowValidatesWholeScriptUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := net.NumAnds()
-	if _, _, err := Flow(net, "rewrite; balance; frobnicate", Config{}); err == nil {
+	if _, err := Run(context.Background(), net, Job{Flow: "rewrite; balance; frobnicate"}, Hooks{}); err == nil {
 		t.Fatal("unknown trailing command accepted")
 	}
 	if net.NumAnds() != before {
@@ -163,20 +144,9 @@ func TestFlowEngineCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := net.Clone()
-	results, final, err := Flow(net, "abc; iccad18; dacpara", Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
-	}
-	eq, err := Equivalent(golden, final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("engine sequence broke equivalence")
+	out := runJob(t, net, Job{Flow: "abc; iccad18; dacpara", Workers: 2, Verify: true})
+	if len(out.Steps) != 3 {
+		t.Fatalf("%d results", len(out.Steps))
 	}
 }
 
@@ -185,20 +155,12 @@ func TestRefactorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := net.Clone()
-	res := Refactor(net, false)
+	res := runJob(t, net, Job{Flow: "rf", Verify: true}).Steps[0]
 	if res.Engine != "refactor" {
 		t.Fatalf("engine %q", res.Engine)
 	}
 	if res.AreaReduction() < 0 {
 		t.Fatal("refactor grew the network")
-	}
-	eq, err := Equivalent(golden, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("refactor broke equivalence")
 	}
 }
 
@@ -207,20 +169,9 @@ func TestFlowFraig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := net.Clone()
-	results, final, err := Flow(net, "fraig; rewrite; fraig", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 || results[0].Engine != "fraig" {
-		t.Fatalf("results %+v", results)
-	}
-	eq, err := Equivalent(golden, final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("fraig flow broke equivalence")
+	out := runJob(t, net, Job{Flow: "fraig; rewrite; fraig", Verify: true})
+	if len(out.Steps) != 3 || out.Steps[0].Engine != "fraig" {
+		t.Fatalf("results %+v", out.Steps)
 	}
 }
 
@@ -229,15 +180,12 @@ func TestRewritingImprovesLUTMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := MapLUT(base, 6)
+	before, err := lutmap.Map(base, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := base.Clone()
-	if _, err := Rewrite(opt, EngineDACPara, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := MapLUT(opt, 6)
+	opt := runJob(t, base.Clone(), Job{}).Net
+	after, err := lutmap.Map(opt, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,23 +200,13 @@ func TestFlowResub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := net.Clone()
-	results, final, err := Flow(net, "resub; rewrite; resub -z", Config{})
-	if err != nil {
-		t.Fatal(err)
+	before := net.NumAnds()
+	out := runJob(t, net, Job{Flow: "resub; rewrite; resub -z", Verify: true})
+	if len(out.Steps) != 3 || out.Steps[0].Engine != "resub" {
+		t.Fatalf("results %+v", out.Steps)
 	}
-	if len(results) != 3 || results[0].Engine != "resub" {
-		t.Fatalf("results %+v", results)
-	}
-	if final.NumAnds() >= golden.NumAnds() {
-		t.Fatalf("flow did not shrink: %d -> %d", golden.NumAnds(), final.NumAnds())
-	}
-	eq, err := Equivalent(golden, final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("resub flow broke equivalence")
+	if out.Net.NumAnds() >= before {
+		t.Fatalf("flow did not shrink: %d -> %d", before, out.Net.NumAnds())
 	}
 }
 
@@ -307,12 +245,8 @@ func TestFlowResumeContext(t *testing.T) {
 	if len(resumed) != 2 {
 		t.Fatalf("resumed run executed %d steps, want 2", len(resumed))
 	}
-	eq, err := Equivalent(golden, resumedFinal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("resumed flow broke equivalence")
+	if _, err := Verify(golden, resumedFinal, 0); err != nil {
+		t.Fatalf("resumed flow broke equivalence: %v", err)
 	}
 	_ = final
 

@@ -14,7 +14,7 @@ import (
 // outputs, some of them complemented.
 func fuzzNetwork(seed int64) *Network {
 	rng := rand.New(rand.NewSource(seed))
-	a := NewNetwork()
+	a := aig.New()
 	lits := make([]aig.Lit, 0, 140)
 	for n := 2 + rng.Intn(11); len(lits) < n; {
 		lits = append(lits, a.AddPI())

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dacpara/internal/aig"
+	"dacpara/internal/lutmap"
 )
 
 // TestFullPipelineOverSuite drives the complete stack on every benchmark
@@ -39,7 +40,7 @@ func TestFullPipelineOverSuite(t *testing.T) {
 			if !slices.Equal(sg, sn) {
 				t.Fatal("rewriting changed the function")
 			}
-			m, err := MapLUT(net, 6)
+			m, err := lutmap.Map(net, 6)
 			if err != nil {
 				t.Fatal(err)
 			}

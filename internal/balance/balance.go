@@ -18,17 +18,11 @@ import (
 	"dacpara/internal/engine"
 )
 
-// Run returns a balanced copy of the network. The input is not modified.
-func Run(a *aig.AIG) *aig.AIG {
-	b, _ := RunCtx(context.Background(), a)
-	return b
-}
-
-// RunCtx is Run under a context. Balancing builds a fresh network, so
-// cancellation (polled every engine.SerialCancelStride roots in the
-// build pass) simply discards the partial copy and returns nil with the
-// wrapped ctx error — the input is never modified either way.
-func RunCtx(ctx context.Context, a *aig.AIG) (*aig.AIG, error) {
+// Run returns a balanced copy of the network. Balancing builds a fresh
+// network, so cancellation (polled every engine.SerialCancelStride roots
+// in the build pass) simply discards the partial copy and returns nil
+// with the wrapped ctx error — the input is never modified either way.
+func Run(ctx context.Context, a *aig.AIG) (*aig.AIG, error) {
 	b := aig.New(aig.Options{CapacityHint: a.NumAnds() + a.NumPIs() + 1})
 	b.Name = a.Name
 

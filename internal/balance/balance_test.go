@@ -1,6 +1,7 @@
 package balance
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,7 +21,10 @@ func TestBalancesChain(t *testing.T) {
 	if a.Delay() != 7 {
 		t.Fatalf("chain depth %d, want 7", a.Delay())
 	}
-	b := Run(a)
+	b, err := Run(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b.Delay() != 3 {
 		t.Fatalf("balanced depth %d, want 3", b.Delay())
 	}
@@ -49,7 +53,10 @@ func TestArrivalAwareBalancing(t *testing.T) {
 		acc = a.And(acc, a.AddPI())
 	}
 	a.AddPO(acc)
-	b := Run(a)
+	b, err := Run(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The late signal has level 4; the other 5 chain inputs are PIs; a
 	// good schedule reaches 4 + ceil(log2(...)) ~ 7 but never 4+5.
 	if b.Delay() > a.Delay() {
@@ -69,7 +76,10 @@ func TestBalancePreservesFunctionOnSuite(t *testing.T) {
 		bench.Voter(31),
 		bench.MemCtrl(3000, 4),
 	} {
-		b := Run(gen)
+		b, err := Run(context.Background(), gen)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := b.Check(aig.CheckOptions{}); err != nil {
 			t.Fatalf("%s: %v", gen.Name, err)
 		}
@@ -93,7 +103,10 @@ func TestComplementEdgesAreFrontiers(t *testing.T) {
 	or := a.Or(x, y)
 	top := a.And(or, z)
 	a.AddPO(top)
-	b := Run(a)
+	b, err := Run(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sa := aig.RandomSignature(a, rand.New(rand.NewSource(4)), 4)
 	sb := aig.RandomSignature(b, rand.New(rand.NewSource(4)), 4)
 	if !slices.Equal(sa, sb) {

@@ -1,6 +1,7 @@
 package cec_test
 
 import (
+	"context"
 	"testing"
 
 	"dacpara"
@@ -27,10 +28,11 @@ func flowVerifiedPairs(tb testing.TB) []pair {
 	names := []string{"sin", "voter", "sqrt", "log2", "mem_ctrl", "mtm"}
 	for i, c := range bench.FlowVerified() {
 		golden := viaAIGER(tb, c)
-		_, out, err := dacpara.Flow(viaAIGER(tb, c), verifiedFlow, dacpara.Config{Workers: 1})
+		run, err := dacpara.Run(context.Background(), viaAIGER(tb, c), dacpara.Job{Flow: verifiedFlow, Workers: 1}, dacpara.Hooks{})
 		if err != nil {
 			tb.Fatal(err)
 		}
+		out := run.Net
 		one := onePass(tb, viaAIGER(tb, c))
 		pairs = append(pairs, pair{names[i] + " flow", golden, out}, pair{names[i] + " rewrite", golden, one})
 	}

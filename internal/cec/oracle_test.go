@@ -113,16 +113,17 @@ func TestLog2AgainstItsRewriteIsProved(t *testing.T) {
 
 // `rw; fraig` on these returned a cyclic network that no longer computed
 // its input's function. Held to exhaustive simulation, not to
-// dacpara.Equivalent, which runs the code under test. The second script
+// dacpara.Verify, which runs the code under test. The second script
 // rewrites what fraig rebuilt.
 func TestFlowFraigStaysAcyclicAndExact(t *testing.T) {
 	for _, bits := range []int{6, 8} {
 		for _, script := range []string{"rw; fraig", "rw; fraig; rw"} {
 			in := bench.Sin(bits)
-			_, out, err := dacpara.Flow(in.Clone(), script, dacpara.Config{Workers: 1})
+			run, err := dacpara.Run(context.Background(), in.Clone(), dacpara.Job{Flow: script, Workers: 1}, dacpara.Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			out := run.Net
 			if err := out.Check(aig.CheckOptions{}); err != nil {
 				t.Errorf("sin(%d) %q: %v", bits, script, err)
 				continue

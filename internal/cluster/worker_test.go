@@ -95,9 +95,8 @@ func TestWorkerRunsEngineJobOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := dacpara.Equivalent(golden, out)
-	if err != nil || !eq {
-		t.Fatalf("remote result not equivalent (eq=%v err=%v)", eq, err)
+	if _, err := dacpara.Verify(golden, out, 0); err != nil {
+		t.Fatalf("remote result not equivalent: %v", err)
 	}
 	if res.Result.FinalAnds <= 0 || res.Result.FinalAnds > res.Result.InitialAnds {
 		t.Fatalf("implausible result record: %+v", res.Result)
@@ -126,8 +125,8 @@ func TestWorkerRunsFlowWithCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eq, err := dacpara.Equivalent(golden, out); err != nil || !eq {
-		t.Fatalf("flow result not equivalent (eq=%v err=%v)", eq, err)
+	if _, err := dacpara.Verify(golden, out, 0); err != nil {
+		t.Fatalf("flow result not equivalent: %v", err)
 	}
 }
 
@@ -201,8 +200,8 @@ func TestKilledWorkerFailsOverMidJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eq, err := dacpara.Equivalent(golden, out); err != nil || !eq {
-		t.Fatalf("failover result not equivalent (eq=%v err=%v)", eq, err)
+	if _, err := dacpara.Verify(golden, out, 0); err != nil {
+		t.Fatalf("failover result not equivalent: %v", err)
 	}
 	m := c.Metrics()
 	if m.LeasesExpired < 1 || m.Requeued < 1 {

@@ -21,39 +21,15 @@ import (
 	"dacpara/internal/cone"
 )
 
-// Config tunes the mapper.
-type Config struct {
-	// K is the LUT input count (0: 6).
-	K int
-	// CutsPerNode bounds the priority-cut set (0: 8).
-	CutsPerNode int
-	// AreaIterations is the number of area-recovery passes (0: 2).
-	AreaIterations int
-}
+// The priority-cut set holds at most cutsPerNode cuts per node, and the
+// mapper runs areaIterations area-recovery passes.
+const (
+	cutsPerNode    = 8
+	areaIterations = 2
+)
 
-func (c Config) k() int {
-	if c.K <= 0 {
-		return 6
-	}
-	if c.K > 16 {
-		return 16
-	}
-	return c.K
-}
-
-func (c Config) cuts() int {
-	if c.CutsPerNode <= 0 {
-		return 8
-	}
-	return c.CutsPerNode
-}
-
-func (c Config) areaIters() int {
-	if c.AreaIterations <= 0 {
-		return 2
-	}
-	return c.AreaIterations
-}
+// MaxK is the widest LUT the mapper covers with.
+const MaxK = 16
 
 // LUT is one mapped lookup table: a root node covering the cone between
 // its leaves and itself.
@@ -88,10 +64,11 @@ type nodeData struct {
 	mapRefs int32
 }
 
-// Map covers the network with k-input LUTs.
-func Map(a *aig.AIG, cfg Config) (Mapping, error) {
-	k := cfg.k()
-	maxCuts := cfg.cuts()
+// Map covers the network with k-input LUTs, 2 <= k <= MaxK.
+func Map(a *aig.AIG, k int) (Mapping, error) {
+	if k < 2 || k > MaxK {
+		return Mapping{}, fmt.Errorf("lutmap: LUT width %d out of range 2..%d", k, MaxK)
+	}
 	data := make([]nodeData, a.Capacity())
 	order := a.TopoOrder(nil)
 
@@ -125,8 +102,8 @@ func Map(a *aig.AIG, cfg Config) (Mapping, error) {
 		}
 		sortCuts(cand, areaMode)
 		cand = dedupeCuts(cand)
-		if len(cand) > maxCuts {
-			cand = cand[:maxCuts]
+		if len(cand) > cutsPerNode {
+			cand = cand[:cutsPerNode]
 		}
 		nd := &data[id]
 		nd.best = 0
@@ -150,7 +127,7 @@ func Map(a *aig.AIG, cfg Config) (Mapping, error) {
 	m := extractCover(a, data)
 
 	// Phase 2: area recovery under the achieved depth.
-	for iter := 0; iter < cfg.areaIters(); iter++ {
+	for iter := 0; iter < areaIterations; iter++ {
 		markMapRefs(a, data, m)
 		for _, id := range order {
 			if a.N(id).IsAnd() {

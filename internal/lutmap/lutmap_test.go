@@ -24,7 +24,7 @@ func TestMapSimpleTree(t *testing.T) {
 		lits = next
 	}
 	a.AddPO(lits[0])
-	m, err := Map(a, Config{K: 6})
+	m, err := Map(a, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestMapBenchmarks(t *testing.T) {
 		bench.Voter(31),
 		bench.MemCtrl(2000, 3),
 	} {
-		m, err := Map(a, Config{K: 6})
+		m, err := Map(a, 6)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
@@ -59,11 +59,11 @@ func TestMapBenchmarks(t *testing.T) {
 
 func TestMapK4(t *testing.T) {
 	a := bench.Adder(12)
-	m4, err := Map(a, Config{K: 4})
+	m4, err := Map(a, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m6, err := Map(a, Config{K: 6})
+	m6, err := Map(a, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMapK4(t *testing.T) {
 // first.
 func TestRewritingImprovesMapping(t *testing.T) {
 	a := bench.Multiplier(10)
-	m1, err := Map(a, Config{})
+	m1, err := Map(a, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func checkFunctional(t *testing.T, a *aig.AIG, m Mapping) {
 
 func TestValidateCatchesOversizedLUT(t *testing.T) {
 	a := bench.Adder(4)
-	m, err := Map(a, Config{K: 4})
+	m, err := Map(a, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +127,23 @@ func TestValidateCatchesOversizedLUT(t *testing.T) {
 	bad.LUTs[0].Leaves = make([]int32, 10)
 	if err := validate(a, bad, 4); err == nil {
 		t.Fatal("oversized LUT accepted")
+	}
+}
+
+// TestMapRejectsWidth: a width outside 2..MaxK is an error, not a panic
+// (k = 1: no AND fits a 1-input cut) or a silent clamp (k > MaxK).
+func TestMapRejectsWidth(t *testing.T) {
+	a := bench.Adder(4)
+	for _, k := range []int{-1, 0, 1, MaxK + 1} {
+		if _, err := Map(a, k); err == nil {
+			t.Errorf("k=%d accepted", k)
+		}
+	}
+	for _, k := range []int{2, MaxK} {
+		m, err := Map(a, k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		checkFunctional(t, a, m)
 	}
 }

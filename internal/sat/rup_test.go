@@ -2,6 +2,7 @@ package sat_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -199,10 +200,11 @@ func TestUnsatAnswersFollowByUnitPropagation(t *testing.T) {
 	var pairs []pair
 	names := []string{"sin", "voter", "sqrt", "log2", "mem_ctrl", "mtm"}
 	for i, c := range bench.FlowVerified() {
-		_, flowed, err := dacpara.Flow(viaAIGER(t, c), "b; rw; rf -p; b; rw; rw -z; b; rs -p; rw -z; b", dacpara.Config{Workers: 1})
+		run, err := dacpara.Run(context.Background(), viaAIGER(t, c), dacpara.Job{Flow: "b; rw; rf -p; b; rw; rw -z; b; rs -p; rw -z; b", Workers: 1}, dacpara.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		flowed := run.Net
 		once := viaAIGER(t, c)
 		if _, err := dacpara.Rewrite(once, dacpara.EngineDACPara, dacpara.Config{Workers: 1}); err != nil {
 			t.Fatal(err)
@@ -215,10 +217,11 @@ func TestUnsatAnswersFollowByUnitPropagation(t *testing.T) {
 		net  *aig.AIG
 	}{{"log2(7,3)", bench.Log2(7, 3)}, {"sin(8)", bench.Sin(8)}} {
 		for si, script := range []string{"rw", "b; rw; rf; b; rw -z", "rw; rs; b"} {
-			_, out, err := dacpara.Flow(c.net.Clone(), script, dacpara.Config{Workers: 1})
+			run, err := dacpara.Run(context.Background(), c.net.Clone(), dacpara.Job{Flow: script, Workers: 1}, dacpara.Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			out := run.Net
 			for _, noSweep := range []bool{false, true} {
 				pairs = append(pairs, pair{fmt.Sprintf("%s %q NoSweep=%v", c.name, script, noSweep), c.net, out, cec.Options{Seed: int64(si), NoSweep: noSweep}})
 			}

@@ -198,8 +198,8 @@ func TestClusterFailoverE2E(t *testing.T) {
 		t.Fatalf("finishing worker %q, want a live worker other than killed %q", st.Worker, holder)
 	}
 	out := fetchResult(t, srv.URL, j.ID)
-	if eq, err := dacpara.Equivalent(golden, out); err != nil || !eq {
-		t.Fatalf("failover output not equivalent to input (eq=%v err=%v)", eq, err)
+	if _, err := dacpara.Verify(golden, out, 0); err != nil {
+		t.Fatalf("failover output not equivalent to input: %v", err)
 	}
 	cm := s.Metrics().Cluster
 	if cm.LeasesExpired < 1 || cm.Requeued < 1 || cm.CompletedRemote < 1 {
@@ -231,8 +231,8 @@ func TestClusterZeroWorkersRunsLocally(t *testing.T) {
 		t.Fatalf("degraded_local = %d, want >= 1", got)
 	}
 	out := fetchResult(t, srv.URL, j.ID)
-	if eq, err := dacpara.Equivalent(golden, out); err != nil || !eq {
-		t.Fatalf("local-degraded output not equivalent (eq=%v err=%v)", eq, err)
+	if _, err := dacpara.Verify(golden, out, 0); err != nil {
+		t.Fatalf("local-degraded output not equivalent: %v", err)
 	}
 }
 
@@ -264,8 +264,8 @@ func TestClusterFleetLossResumesLocally(t *testing.T) {
 		t.Fatalf("degraded_local = %d, want >= 1", got)
 	}
 	out := fetchResult(t, srv.URL, j.ID)
-	if eq, err := dacpara.Equivalent(golden, out); err != nil || !eq {
-		t.Fatalf("fleet-loss output not equivalent (eq=%v err=%v)", eq, err)
+	if _, err := dacpara.Verify(golden, out, 0); err != nil {
+		t.Fatalf("fleet-loss output not equivalent: %v", err)
 	}
 }
 

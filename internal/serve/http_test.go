@@ -121,8 +121,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eq, err := dacpara.Equivalent(golden, optimized); err != nil || !eq {
-		t.Fatalf("result not equivalent to input: eq=%v err=%v", eq, err)
+	if _, err := dacpara.Verify(golden, optimized, 0); err != nil {
+		t.Fatalf("result not equivalent to input: %v", err)
 	}
 
 	// The job metrics endpoint serves a dacpara-metrics/v1 snapshot that

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -248,10 +249,11 @@ func TestReplayRetiredParallelFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := dacpara.Flow(net.Clone(), "b; rf; rs -w=2; b", dacpara.Config{Workers: 2})
+	run, err := dacpara.Run(context.Background(), net.Clone(), dacpara.Job{Flow: "b; rf; rs -w=2; b", Workers: 2}, dacpara.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := run.Net
 	if g, w := StructuralDigest(got), StructuralDigest(want); g != w {
 		t.Fatalf("replayed job's output %s (%d ANDs), the flow without -p %s (%d ANDs)", g, got.NumAnds(), w, want.NumAnds())
 	}

@@ -477,29 +477,26 @@ func (s *Service) run(job *Job) {
 
 // serveHit finishes a job from a cached result. The cache key ignores
 // the verification settings, so an entry may lack the verdict a
-// verifying job needs: the check then runs against the cached bytes and
-// the verdict joins the entry.
+// verifying job needs: Run's own check (dacpara.Verify) then runs
+// against the cached bytes and the verdict joins the entry.
 func (s *Service) serveHit(job *Job, key string, res *CachedResult) {
 	if !job.req.Verify {
 		s.terminate(job, StateDone, res, nil, true, "")
 		return
 	}
 	if res.Verify == nil {
-		var eq, proved bool
 		out, err := decodeAIGER(res.AIGER)
-		if err == nil {
-			eq, proved, err = dacpara.EquivalentBudget(job.req.Network, out, job.req.VerifyBudget)
-		}
 		if err != nil {
 			s.terminate(job, StateFailed, nil, nil, true, "verification: "+err.Error())
 			return
 		}
-		verified := *res
-		verified.Verify = &dacpara.Verdict{Equivalent: eq, Proved: proved}
-		if !eq {
-			s.terminate(job, StateFailed, nil, verified.Verify, true, dacpara.ErrNotEquivalent.Error())
+		verdict, err := dacpara.Verify(job.req.Network, out, job.req.VerifyBudget)
+		if err != nil {
+			s.terminate(job, StateFailed, nil, verdict, true, err.Error())
 			return
 		}
+		verified := *res
+		verified.Verify = verdict
 		res = &verified
 		s.cache.put(key, res)
 	}

@@ -39,9 +39,9 @@ type Job struct {
 	ZeroGain      bool `json:"zero_gain,omitempty"`
 	PreserveDelay bool `json:"preserve_delay,omitempty"`
 
-	// Verify checks the result against the input before the run
-	// completes, spending at most VerifyBudget SAT conflicts per output
-	// (0: the checker's default); see EquivalentBudget.
+	// Verify checks the result against the input, with the function
+	// Verify, before the run completes, spending at most VerifyBudget SAT
+	// conflicts per output (0: the checker's default).
 	Verify       bool  `json:"verify,omitempty"`
 	VerifyBudget int64 `json:"verify_budget,omitempty"`
 	// DeadlineNs bounds the job's wall-clock running time (0: unbounded).
@@ -206,15 +206,8 @@ func Run(ctx context.Context, net *Network, job Job, h Hooks) (Outcome, error) {
 	if err != nil || golden == nil {
 		return out, err
 	}
-	eq, proved, err := EquivalentBudget(golden, out.Net, job.VerifyBudget)
-	if err != nil {
-		return out, fmt.Errorf("verification: %w", err)
-	}
-	out.Verify = &Verdict{Equivalent: eq, Proved: proved}
-	if !eq {
-		return out, ErrNotEquivalent
-	}
-	return out, nil
+	out.Verify, err = Verify(golden, out.Net, job.VerifyBudget)
+	return out, err
 }
 
 // rewriteStep runs one rewriting engine over net in place.

@@ -97,10 +97,7 @@ func TestGoldenLargeCone(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, out, err := Flow(net, k.script, Config{Workers: k.workers})
-				if err != nil {
-					t.Fatal(err)
-				}
+				out := runJob(t, net, Job{Flow: k.script, Workers: k.workers}).Net
 				got := goldenLargeConeEntry{
 					Circuit: c.Name, Script: k.script, Workers: k.workers,
 					Digest: aig.StructuralDigest(out), Ands: out.NumAnds(),

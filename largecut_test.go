@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dacpara/internal/aig"
+	"dacpara/internal/cec"
 )
 
 // goldenK4Entry is one row of testdata/golden_k4.json: the structural
@@ -108,15 +109,15 @@ func checkCleanAndEquivalent(t *testing.T, golden, net *Network) {
 	if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
 		t.Fatalf("structural check: %v", err)
 	}
-	check := EquivalentFast
+	opts := cec.Options{SimOnly: true, SimRounds: 64}
 	if golden.Stats().Ands <= cecBudgetAnds {
-		check = Equivalent
+		opts = cec.Options{}
 	}
-	eq, err := check(golden, net)
+	r, err := cec.Check(golden, net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eq {
+	if !r.Equivalent {
 		t.Fatal("equivalence disproved")
 	}
 }

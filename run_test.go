@@ -13,8 +13,8 @@ import (
 // TestRunMatrix drives the one runner over every combination of its
 // two choices — engine or flow, verified or not — at one worker, where
 // every engine is byte-deterministic. Each output must be aig.Check-clean
-// and digest-equal to what the kept wrappers Rewrite and Flow produce on
-// the circuit.
+// and digest-equal to what the kept wrappers Rewrite and
+// FlowResumeContext produce on the circuit.
 func TestRunMatrix(t *testing.T) {
 	golden, err := Generate("voter", ScaleTiny)
 	if err != nil {
@@ -29,7 +29,7 @@ func TestRunMatrix(t *testing.T) {
 			_, err := Rewrite(net, EngineDACPara, cfg)
 			return net, err
 		}
-		_, out, err := Flow(net, script, cfg)
+		_, out, err := FlowResumeContext(context.Background(), net, script, cfg, 0, nil)
 		return out, err
 	}
 	want := map[bool]string{}
@@ -71,6 +71,16 @@ func TestRunMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// runJob runs job on net with no hooks and fails the test on an error.
+func runJob(t testing.TB, net *Network, job Job) Outcome {
+	t.Helper()
+	out, err := Run(context.Background(), net, job, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestFlowSummaryThreads: a flow left to default its worker count

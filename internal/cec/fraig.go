@@ -19,22 +19,14 @@ type FraigResult struct {
 	Merged int
 }
 
-// Fraig performs functional reduction: simulation groups nodes into
+// Reduced performs functional reduction: simulation groups nodes into
 // candidate equivalence classes and budgeted SAT calls prove and merge
 // them (ABC's `fraig`). Rewriting is structural and local; fraiging
 // catches functionally equivalent cones rewriting cannot see, and flows
-// commonly run it between optimization passes. a takes over the network
-// Reduced builds, so its node IDs change.
-func Fraig(a *aig.AIG, opts FraigOptions) FraigResult {
-	out, res := Reduced(a, opts)
-	a.Adopt(out)
-	return res
-}
-
-// Reduced returns the functional reduction of a as a new network with a's
-// strash option, compacted to the logic its outputs read; a itself is
-// left as it was. It is built out of place (see reducer), which is why
-// it cannot come out cyclic.
+// commonly run it between optimization passes. It returns the reduction
+// of a as a new network with a's strash option, compacted to the logic
+// its outputs read; a itself is left as it was. It is built out of place
+// (see reducer), which is why it cannot come out cyclic.
 func Reduced(a *aig.AIG, opts FraigOptions) (*aig.AIG, FraigResult) {
 	res := FraigResult{InitialAnds: a.NumAnds()}
 	r, outs := reduce(a, rand.New(rand.NewSource(opts.Seed+0xF4A16)))

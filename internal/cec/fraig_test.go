@@ -19,18 +19,18 @@ func TestFraigMergesFunctionalDuplicates(t *testing.T) {
 	a.AddPO(a.And(xor2, z.Not()))
 	before := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
 	initial := a.NumAnds()
-	res := Fraig(a, FraigOptions{})
+	out, res := Reduced(a, FraigOptions{})
 	if res.Merged == 0 {
 		t.Fatal("functional duplicate not merged")
 	}
-	if a.NumAnds() >= initial {
-		t.Fatalf("area %d -> %d", initial, a.NumAnds())
+	if out.NumAnds() >= initial || res.FinalAnds != out.NumAnds() {
+		t.Fatalf("area %d -> %d (reported %d)", initial, out.NumAnds(), res.FinalAnds)
 	}
-	after := aig.RandomSignature(a, rand.New(rand.NewSource(1)), 4)
+	after := aig.RandomSignature(out, rand.New(rand.NewSource(1)), 4)
 	if !slices.Equal(before, after) {
 		t.Fatal("fraig changed the function")
 	}
-	if err := a.Check(aig.CheckOptions{}); err != nil {
+	if err := out.Check(aig.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -41,15 +41,15 @@ func TestFraigOnRandomNetworks(t *testing.T) {
 		a := randomAIG(rng, 8, 400, 8)
 		before := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
 		initial := a.NumAnds()
-		res := Fraig(a, FraigOptions{Seed: int64(iter)})
-		if a.NumAnds() > initial {
+		out, res := Reduced(a, FraigOptions{Seed: int64(iter)})
+		if out.NumAnds() > initial {
 			t.Fatalf("iter %d: fraig grew the network", iter)
 		}
-		after := aig.RandomSignature(a, rand.New(rand.NewSource(2)), 4)
+		after := aig.RandomSignature(out, rand.New(rand.NewSource(2)), 4)
 		if !slices.Equal(before, after) {
 			t.Fatalf("iter %d: function changed (merged %d)", iter, res.Merged)
 		}
-		if err := a.Check(aig.CheckOptions{}); err != nil {
+		if err := out.Check(aig.CheckOptions{}); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
@@ -64,9 +64,12 @@ func TestFraigComplementedEquivalence(t *testing.T) {
 	orInv := a.Or(x.Not(), y.Not())
 	a.AddPO(a.And(nand, a.AddPI()))
 	a.AddPO(a.And(orInv, a.AddPI()))
-	res := Fraig(a, FraigOptions{})
-	_ = res
-	if err := a.Check(aig.CheckOptions{}); err != nil {
+	before := aig.RandomSignature(a, rand.New(rand.NewSource(3)), 4)
+	out, _ := Reduced(a, FraigOptions{})
+	if !slices.Equal(before, aig.RandomSignature(out, rand.New(rand.NewSource(3)), 4)) {
+		t.Fatal("fraig changed the function")
+	}
+	if err := out.Check(aig.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

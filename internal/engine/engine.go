@@ -2,7 +2,8 @@
 // repository: one worklist partitioner with pluggable policies, one loop
 // — per worklist: one lock-free sweep (enumerate, then evaluate, chunk by
 // chunk) → commit of the nodes that came out of it with a candidate —
-// whose steps are chosen by what the pass can do, and one spine for the
+// whose steps are chosen by what the pass can do, one candidate store
+// that carries the sweep's decisions to the commit, and one spine for the
 // worker team (started once per run, see galois.Team), metrics shards,
 // context cancellation checkpoints, and the executor's fault plans and
 // retry budgets.
@@ -23,9 +24,10 @@
 //     then a serial commit that revalidates every stored candidate on
 //     the latest graph.
 //
-// The framework owns the loop, the Result assembly, the phase clocks and
-// shard merges, and the attempt/replacement/stale accounting; a pass
-// supplies only the per-node work.
+// The framework owns the loop, the candidates between sweep and commit,
+// the Result assembly, the phase clocks and shard merges, and the
+// attempt/replacement/stale accounting; a pass supplies only the per-node
+// work.
 package engine
 
 import (
@@ -72,10 +74,10 @@ const (
 // Env hands a pass the spine resources it may account against: the
 // per-worker metrics shards (nil when metrics are off), the shared
 // attempt counter (a pass that does not implement Evaluator counts its
-// own attempts; otherwise the framework counts the Stored nodes), and
-// the per-worker-slot cut-storage pools. Pools are created once per
-// engine run and survive the pass loop, so later passes enumerate into
-// already-warm free lists.
+// own attempts; otherwise the framework counts the candidates the sweep
+// stored), and the per-worker-slot cut-storage pools. Pools are created
+// once per engine run and survive the pass loop, so later passes
+// enumerate into already-warm free lists.
 type Env struct {
 	Shards   []metrics.Shard
 	Attempts *atomic.Int64
@@ -91,32 +93,33 @@ func (e Env) CutPool(worker int) *cut.Pool {
 	return nil
 }
 
-// Pass is what every pass implements. Begin is called once per pass,
-// before partitioning, with the worker-slot count: always workers+1.
-// The executor's workers carry the tags 1..workers; slot 0 belongs to
-// the serial commit. A hook indexes its per-worker state by the worker
-// argument and nothing else.
+// Pass is what every pass implements; C is the candidate its sweep
+// hands its commit. Begin is called once per pass, before partitioning,
+// with the worker-slot count: always workers+1. The executor's workers
+// carry the tags 1..workers; slot 0 belongs to the serial commit. A hook
+// indexes its per-worker state by the worker argument and nothing else.
 //
 // A pass that is only a Pass does all of a node's work in Commit (the
 // fused and serial operators). Implementing Evaluator and Enumerator as
 // well splits that work into the phases of Algorithm 1.
-type Pass interface {
+type Pass[C any] interface {
 	Begin(slots int, env Env)
 	// Commit applies the node's candidate — for an Evaluator, after
-	// revalidating the stored one on the latest graph. When lock is
-	// non-nil the framework already holds the node's own lock.
-	Commit(worker int, id int32, lock Locker) Status
+	// revalidating cand, the one its Evaluate stored, on the latest
+	// graph; a commit-only pass gets a nil cand. When lock is non-nil the
+	// framework already holds the node's own lock.
+	Commit(worker int, id int32, cand *C, lock Locker) Status
 }
 
 // Evaluator gives each worklist a lock-free sweep before its commit
 // phase, and restricts the commit phase to the nodes that came out of it
-// with a stored candidate.
-type Evaluator interface {
-	// Evaluate computes and stores the node's best candidate against the
-	// immutable graph, lock-free; true counts one evaluation.
-	Evaluate(worker int, id int32) bool
-	// Stored reports whether the node holds a stored candidate.
-	Stored(id int32) bool
+// with a stored candidate. An Evaluator's commit phase is always serial.
+type Evaluator[C any] interface {
+	// Evaluate computes the node's best candidate against the immutable
+	// graph, lock-free, into cand — a slot of the engine's that may hold
+	// an earlier node's candidate — and reports whether it stored one
+	// and whether the call counts as one evaluation.
+	Evaluate(worker int, id int32, cand *C) (stored, counted bool)
 }
 
 // Enumerator adds an enumeration step to the sweep: a worker enumerates
@@ -135,11 +138,12 @@ type Plan struct {
 	Name string
 	// Partition is the worklist policy.
 	Partition Policy
-	// SerialCommit runs the commit phase serially on slot 0, in worklist
-	// order with a nil Locker, instead of under the speculative executor
-	// — every plan but iccad18's: safety comes from commit-time
-	// revalidation. A plan whose only phase is a serial commit runs on
-	// one worker whatever Exec.Workers says.
+	// SerialCommit runs a commit-only pass's commit phase serially on
+	// slot 0, in worklist order with a nil Locker, instead of under the
+	// speculative executor — abc's, not iccad18's. A plan whose only
+	// phase is a serial commit runs on one worker whatever Exec.Workers
+	// says. An Evaluator commits serially whatever it says: safety comes
+	// from commit-time revalidation.
 	SerialCommit bool
 }
 
@@ -164,21 +168,22 @@ const SerialCancelStride = 256
 // Run drives a pass over the network: for each pass, for each worklist
 // of the plan's partition, the lock-free sweep (if the pass is an
 // Evaluator, with an enumeration step if it is an Enumerator too) and the
-// commit phase over the nodes the sweep left a candidate on (every node,
-// without a sweep), under the speculative executor or — when the plan says
-// so — serially. The worklist boundary is the cancellation point of
-// Algorithm 1: between worklists no activity is in flight, so stopping
-// there abandons no speculative work; the sweep also stops between
-// chunks, the executor between activities, and a serial commit polls
-// every SerialCancelStride nodes. A non-nil error (cancellation,
+// commit phase over the nodes the sweep left a candidate on, serially in
+// worklist order — or, for a commit-only pass, over every node, under
+// the speculative executor or, when the plan says so, serially. The
+// worklist boundary is the cancellation point of Algorithm 1: between
+// worklists no activity is in flight, so stopping there abandons no
+// speculative work; the sweep also stops between chunks, the executor
+// between activities, and a serial commit polls every
+// SerialCancelStride nodes. A non-nil error (cancellation,
 // retry-budget exhaustion, fault injection, a panicking hook as
 // *galois.PanicError) leaves the network structurally consistent but only
 // partially optimized; the Result covers the work done and is marked
 // Incomplete.
-func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result, error) {
+func Run[C any](ctx context.Context, a *aig.AIG, pass Pass[C], plan Plan, e Exec) (Result, error) {
 	start := time.Now()
 	enum, _ := pass.(Enumerator)
-	eval, _ := pass.(Evaluator)
+	eval, _ := pass.(Evaluator[C])
 	// The commit phase reports as the replacement stage of a split pass,
 	// or as the fused operator a commit-only pass is.
 	commitPhase := metrics.PhaseFused
@@ -186,9 +191,10 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 		commitPhase = metrics.PhaseReplace
 	}
 	sweeps := enum != nil || eval != nil
+	serial := plan.SerialCommit || eval != nil
 	workers := e.Workers
 	switch {
-	case !sweeps && plan.SerialCommit:
+	case !sweeps && serial:
 		workers = 1
 	case workers <= 0:
 		workers = runtime.GOMAXPROCS(0)
@@ -215,10 +221,21 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 	team := galois.NewTeam(workers)
 	defer team.Close()
 	var ex *galois.Executor
-	if !plan.SerialCommit {
+	if !serial {
 		ex = galois.NewExecutor(a.Capacity()+1, team)
 		ex.Fault = e.Fault
 	}
+	// The candidate store: the sweep evaluates the node at worklist
+	// position i into cands[i] and notes in stored[i] whether it kept one;
+	// then the stored candidates move, in worklist order, to the front,
+	// their IDs to ids. It is grown to the longest worklist and reused
+	// across worklists and passes — the paper's prepInfo, sized by the
+	// worklist instead of the graph.
+	var (
+		cands  []C
+		stored []bool
+		ids    []int32
+	)
 	// sweep is the lock-free step of one worklist, run on the team itself:
 	// a worker takes a chunk, enumerates it, then evaluates it. Nothing in
 	// it takes a lock, so nothing aborts and nothing is retried; the chunk
@@ -255,8 +272,10 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 					continue
 				}
 				var evals int64
-				for _, id := range chunk {
-					if eval.Evaluate(worker, id) {
+				for i, id := range chunk {
+					ok, counted := eval.Evaluate(worker, id, &cands[lo+i])
+					stored[lo+i] = ok
+					if counted {
 						evals++
 					}
 				}
@@ -316,7 +335,7 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 		if !gc.Acquire(id) {
 			return conflict(gc, id)
 		}
-		st := pass.Commit(gc.Worker(), id, gc.Acquire)
+		st := pass.Commit(gc.Worker(), id, nil, gc.Acquire)
 		if st == StatusConflict {
 			return conflict(gc, id)
 		}
@@ -327,20 +346,24 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 	// keeps a list shorter than the hand-out rule's cutoff on the caller,
 	// or serially on slot 0 with no locks — as a one-worker team phase, so
 	// that a panicking Commit comes back as an error here too, its elapsed
-	// time booked as work.
+	// time booked as work. An Evaluator's i-th node gets cands[i].
 	commit := func(wl []int32) (err error) {
 		var perr error // what the phase failed with, a cancelled serial commit apart
 		m.PhaseStart(commitPhase)
-		if plan.SerialCommit {
+		if serial {
 			c0 := time.Now()
 			perr = team.Do(1, func(int) {
+				var cand *C
 				for i, id := range wl {
 					if i%SerialCancelStride == 0 {
 						if err = ctx.Err(); err != nil {
 							return
 						}
 					}
-					book(0, pass.Commit(0, id, nil))
+					if eval != nil {
+						cand = &cands[i]
+					}
+					book(0, pass.Commit(0, id, cand, nil))
 				}
 			})
 			ns := time.Since(c0).Nanoseconds()
@@ -357,12 +380,14 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 		return err
 	}
 	// runList takes one worklist through the sweep and the commit phase.
-	var stored []int32
 	runList := func(wl []int32) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		m.ObserveLevel(len(wl))
+		if eval != nil && len(wl) > len(cands) {
+			cands, stored = make([]C, len(wl)), make([]bool, len(wl))
+		}
 		if sweeps {
 			if err := sweep(wl); err != nil {
 				return err
@@ -370,16 +395,18 @@ func Run(ctx context.Context, a *aig.AIG, pass Pass, plan Plan, e Exec) (Result,
 		}
 		if eval != nil {
 			// Only the nodes that hold a candidate go on, in worklist
-			// order: most levels of a deep circuit leave fewer than the
-			// team would share, and commit on the caller with no barrier.
-			stored = stored[:0]
-			for _, id := range wl {
-				if eval.Stored(id) {
-					stored = append(stored, id)
+			// order. A swap, not a copy, keeps every slot's candidate in
+			// one slot only.
+			ids = ids[:0]
+			for i, id := range wl {
+				if stored[i] {
+					k := len(ids)
+					cands[k], cands[i] = cands[i], cands[k]
+					ids = append(ids, id)
 				}
 			}
-			attempts.Add(int64(len(stored)))
-			wl = stored
+			attempts.Add(int64(len(ids)))
+			wl = ids
 		}
 		return commit(wl)
 	}

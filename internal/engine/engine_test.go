@@ -101,7 +101,14 @@ type event struct {
 	hook   int
 	worker int
 	id     int32
+	cand   payload // what a Commit was handed (0: nil)
 }
+
+// payload is a scripted pass's candidate: derived from the node ID, so
+// that a candidate handed to the wrong node's Commit shows.
+type payload int64
+
+func payloadOf(id int32) payload { return payload(id)*7919 + 17 }
 
 // script is the state of a scripted toy pass: what its hooks do is fixed
 // before the run and only read during it; what they saw is logged per
@@ -111,7 +118,8 @@ type event struct {
 type script struct {
 	a *aig.AIG
 	// stored says which nodes come out of Evaluate holding a candidate
-	// (nil: all); verdict is Commit's answer (nil: committed).
+	// (nil: all) — payloadOf(id), while a node without one leaves its
+	// negation in the slot; verdict is Commit's answer (nil: committed).
 	stored  func(id int32) bool
 	verdict func(id int32) Status
 	// flaky nodes lose their first locked Commit to a conflict of the
@@ -146,7 +154,7 @@ func (p *script) Begin(slots int, env Env) {
 
 // enter logs one hook call and plays the node's scripted mischief.
 func (p *script) enter(hook, worker int, id int32) {
-	p.logs[worker] = append(p.logs[worker], event{p.seq.Add(1), p.begins, hook, worker, id})
+	p.logs[worker] = append(p.logs[worker], event{seq: p.seq.Add(1), pass: p.begins, hook: hook, worker: worker, id: id})
 	g := int64(runtime.NumGoroutine())
 	for v := p.gLo.Load(); (v == 0 || g < v) && !p.gLo.CompareAndSwap(v, g); v = p.gLo.Load() {
 	}
@@ -183,15 +191,20 @@ func (p *script) locked(id int32, lock Locker) bool {
 
 func (p *script) enumerate(worker int, id int32) { p.enter(hookEnumerate, worker, id) }
 
-func (p *script) evaluate(worker int, id int32) bool {
+func (p *script) evaluate(worker int, id int32, cand *payload) (stored, counted bool) {
 	p.enter(hookEvaluate, worker, id)
-	return true
+	stored = p.stored == nil || p.stored(id)
+	if *cand = payloadOf(id); !stored {
+		*cand = -*cand
+	}
+	return stored, true
 }
 
-func (p *script) isStored(id int32) bool { return p.stored == nil || p.stored(id) }
-
-func (p *script) commit(worker int, id int32, lock Locker, countAttempt bool) Status {
+func (p *script) commit(worker int, id int32, cand *payload, lock Locker, countAttempt bool) Status {
 	p.enter(hookCommit, worker, id)
+	if cand != nil {
+		p.logs[worker][len(p.logs[worker])-1].cand = *cand
+	}
 	if !p.a.N(id).IsAnd() {
 		return StatusSkip
 	}
@@ -235,56 +248,61 @@ type (
 	enumerating struct{ evaluating }
 )
 
-func (p commitOnly) Commit(worker int, id int32, lock Locker) Status {
-	return p.commit(worker, id, lock, true)
+func (p commitOnly) Commit(worker int, id int32, cand *payload, lock Locker) Status {
+	return p.commit(worker, id, cand, lock, true)
 }
-func (p evaluating) Evaluate(worker int, id int32) bool { return p.evaluate(worker, id) }
-func (p evaluating) Stored(id int32) bool               { return p.isStored(id) }
-func (p evaluating) Commit(worker int, id int32, lock Locker) Status {
-	return p.commit(worker, id, lock, false)
+func (p evaluating) Evaluate(worker int, id int32, cand *payload) (bool, bool) {
+	return p.evaluate(worker, id, cand)
+}
+func (p evaluating) Commit(worker int, id int32, cand *payload, lock Locker) Status {
+	return p.commit(worker, id, cand, lock, false)
 }
 func (p enumerating) Enumerate(worker int, id int32) { p.enumerate(worker, id) }
 
 var (
-	_ Evaluator  = evaluating{}
-	_ Enumerator = enumerating{}
+	_ Evaluator[payload] = evaluating{}
+	_ Enumerator         = enumerating{}
 )
 
 // kinds lists them, each with the first hook the loop runs for it.
 var kinds = []struct {
 	name string
-	pass func(*script) Pass
+	pass func(*script) Pass[payload]
 	from int // first hook the loop runs
 }{
-	{"commit", func(s *script) Pass { return commitOnly{s} }, hookCommit},
-	{"evaluate+commit", func(s *script) Pass { return evaluating{s} }, hookEvaluate},
-	{"enumerate+evaluate+commit", func(s *script) Pass { return enumerating{evaluating{s}} }, hookEnumerate},
+	{"commit", func(s *script) Pass[payload] { return commitOnly{s} }, hookCommit},
+	{"evaluate+commit", func(s *script) Pass[payload] { return evaluating{s} }, hookEvaluate},
+	{"enumerate+evaluate+commit", func(s *script) Pass[payload] { return enumerating{evaluating{s}} }, hookEnumerate},
 }
 
 // byID scripts a verdict per node: committed, no-gain, stale in turn.
 func byID(id int32) Status { return StatusCommitted + Status(id%3) }
 
 // TestOneSkeleton runs the loop over every combination of what a pass can
-// be, how its commit runs and how many workers it has, and holds it to
-// the contract of Run and Pass: the slot count and worker tags, the step
-// order within and across worklists — one sweep in which every worker
-// enumerates a chunk and then evaluates it, then the commit of the stored
-// nodes — the accounting, the retry of conflicted commits and the shape
-// of the snapshot.
+// be, what its plan says of the commit and how many workers it has, and
+// holds it to the contract of Run and Pass: the slot count and worker
+// tags, the step order within and across worklists — one sweep in which
+// every worker enumerates a chunk and then evaluates it, then the commit
+// of the stored nodes, each handed the candidate its evaluation stored —
+// the accounting, the retry of conflicted commits and the shape of the
+// snapshot. An Evaluator commits serially whatever its plan says, so its
+// serial=false cases hold the loop to ignoring the flag.
 func TestOneSkeleton(t *testing.T) {
 	for _, kind := range kinds {
-		for _, serial := range []bool{false, true} {
+		for _, flag := range []bool{false, true} {
 			for _, workers := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/serial=%v/w%d", kind.name, serial, workers), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/serial=%v/w%d", kind.name, flag, workers), func(t *testing.T) {
 					a := wideAIG(mixedWidths...)
 					lists := ByLevel(a)
 					listOf := make([]int, a.Capacity())
+					posOf := make([]int, a.Capacity())
 					for i, wl := range lists {
-						for _, id := range wl {
-							listOf[id] = i
+						for k, id := range wl {
+							listOf[id], posOf[id] = i, k
 						}
 					}
 					evaluates := kind.from <= hookEvaluate
+					serial := flag || evaluates
 					s := &script{
 						a:       a,
 						stored:  func(id int32) bool { return id%4 != 0 },
@@ -293,7 +311,7 @@ func TestOneSkeleton(t *testing.T) {
 					}
 					const passes = 2
 					res, err := Run(context.Background(), a, kind.pass(s),
-						Plan{Name: "toy", Partition: ByLevel, SerialCommit: serial},
+						Plan{Name: "toy", Partition: ByLevel, SerialCommit: flag},
 						Exec{Workers: workers, Passes: passes, Metrics: metrics.New()})
 					if err != nil {
 						t.Fatal(err)
@@ -408,12 +426,25 @@ func TestOneSkeleton(t *testing.T) {
 							t.Fatalf("hook %d ran %d times, want %d", hook, got, n)
 						}
 					}
-					if evaluates {
-						for _, e := range events {
-							if e.hook == hookCommit && !s.stored(e.id) {
-								t.Fatalf("node %d committed without a stored candidate", e.id)
-							}
+					// What each commit was handed: the candidate the node's
+					// evaluation stored — no other node's, no unstored slot —
+					// in worklist order; nothing for a commit-only pass.
+					var prev event
+					for _, e := range events {
+						if e.hook != hookCommit {
+							continue
 						}
+						if evaluates && !s.stored(e.id) {
+							t.Fatalf("node %d committed without a stored candidate", e.id)
+						}
+						if want := payloadOf(e.id); evaluates && e.cand != want || !evaluates && e.cand != 0 {
+							t.Fatalf("commit of node %d handed candidate %d (evaluates: %v; stored: %d)", e.id, e.cand, evaluates, want)
+						}
+						if serial && prev.hook == hookCommit && prev.pass == e.pass &&
+							listOf[prev.id] == listOf[e.id] && posOf[prev.id] >= posOf[e.id] {
+							t.Fatalf("serial commit of node %d after node %d, which follows it in the worklist", e.id, prev.id)
+						}
+						prev = e
 					}
 					if res.Attempts != wantAttempts || res.Replacements != wantRepl || res.Stale != wantStale {
 						t.Fatalf("attempts=%d replacements=%d stale=%d, want %d/%d/%d",
@@ -553,14 +584,12 @@ func TestPanickingHook(t *testing.T) {
 	}
 }
 
-// The plan shapes of the loop: the engines' and, as dynamicPlan, a split
-// pass whose commit runs under the executor, which no engine uses now.
+// The plan shapes of the engines.
 var (
-	dynamicPlan = Plan{Name: "toy", Partition: ByLevel}
-	levelPlan   = Plan{Name: "toy", Partition: ByLevel, SerialCommit: true}    // dacpara, rf, rs
-	staticPlan  = Plan{Name: "toy", Partition: LevelOrder, SerialCommit: true} // dac22, tcad23
-	fusedPlan   = Plan{Name: "toy", Partition: Flat}                           // iccad18
-	serialPlan  = Plan{Name: "toy", Partition: Topo, SerialCommit: true}       // abc
+	levelPlan  = Plan{Name: "toy", Partition: ByLevel}                  // dacpara, rf, rs
+	staticPlan = Plan{Name: "toy", Partition: LevelOrder}               // dac22, tcad23
+	fusedPlan  = Plan{Name: "toy", Partition: Flat}                     // iccad18
+	serialPlan = Plan{Name: "toy", Partition: Topo, SerialCommit: true} // abc
 )
 
 // scriptedVerdicts picks three AND nodes and assigns one verdict each:
@@ -588,7 +617,7 @@ func threeOneOne(t *testing.T, res Result) {
 func TestDynamicAccounting(t *testing.T) {
 	a := toyAIG()
 	s := scriptedVerdicts(a)
-	res, err := Run(context.Background(), a, enumerating{evaluating{s}}, dynamicPlan, Exec{Workers: 2, Metrics: metrics.New()})
+	res, err := Run(context.Background(), a, enumerating{evaluating{s}}, levelPlan, Exec{Workers: 2, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,10 +633,10 @@ func TestDynamicAccounting(t *testing.T) {
 	if res.Threads != 2 || res.Metrics == nil || len(res.Metrics.Phases) != 3 {
 		t.Fatalf("bad result %+v", res)
 	}
-	// The executor saw the three stored nodes and no other: the sweep has no
-	// activities, only chunk time, which counts as committed work.
-	if res.Commits != 3 || res.Aborts != 0 {
-		t.Fatalf("commits=%d aborts=%d, want the 3 stored nodes and no abort", res.Commits, res.Aborts)
+	// Neither the sweep nor the serial commit has activities, only time,
+	// which counts as committed work.
+	if res.Commits != 0 || res.Aborts != 0 {
+		t.Fatalf("commits=%d aborts=%d, want no executor activity", res.Commits, res.Aborts)
 	}
 	var sweepNs int64
 	for _, p := range res.Metrics.Phases[:2] {
@@ -624,7 +653,7 @@ func TestDynamicSkipEnumerate(t *testing.T) {
 	a := toyAIG()
 	s := scriptedVerdicts(a)
 	res, err := Run(context.Background(), a, evaluating{s},
-		Plan{Name: "toy", Partition: ByLevel, SerialCommit: true}, Exec{Workers: 2, Metrics: metrics.New()})
+		levelPlan, Exec{Workers: 2, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,7 +682,7 @@ func TestDynamicSerialCommit(t *testing.T) {
 func TestSerialCommitBooksItsWork(t *testing.T) {
 	for _, tc := range []struct {
 		name, phase string
-		pass        func(*script) Pass
+		pass        func(*script) Pass[payload]
 		plan        Plan
 	}{
 		{"level", "replace", kinds[2].pass, levelPlan},
@@ -756,7 +785,7 @@ func TestSerialAccounting(t *testing.T) {
 func TestMultiPassBeginsPerPass(t *testing.T) {
 	a := toyAIG()
 	s := &script{a: a}
-	if _, err := Run(context.Background(), a, enumerating{evaluating{s}}, dynamicPlan, Exec{Workers: 1, Passes: 3}); err != nil {
+	if _, err := Run(context.Background(), a, enumerating{evaluating{s}}, levelPlan, Exec{Workers: 1, Passes: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if s.begins != 3 {
@@ -773,10 +802,10 @@ func TestCancellationContract(t *testing.T) {
 	cancel()
 	cases := []struct {
 		name string
-		pass func(*script) Pass
+		pass func(*script) Pass[payload]
 		plan Plan
 	}{
-		{"dynamic", kinds[2].pass, dynamicPlan},
+		{"dynamic", kinds[2].pass, levelPlan},
 		{"static", kinds[2].pass, staticPlan},
 		{"fused", kinds[0].pass, fusedPlan},
 		{"serial", kinds[0].pass, serialPlan},

@@ -60,18 +60,17 @@ func (c Config) minGain() int {
 // consistent, partially refactored network and the Result marked
 // Incomplete.
 func Run(ctx context.Context, a *aig.AIG, cfg Config, workers int) (rewrite.Result, error) {
-	return engine.Run(ctx, a, &refactorPass{a: a, cfg: cfg}, engine.Plan{
-		Name:      "refactor",
-		Partition: engine.ByLevel,
-		// Replacements rewire whole cones; instead of locking them, the
-		// serial commit re-validates every stored plan on the latest
-		// graph (version, cone function, re-counted gain).
-		SerialCommit: true,
-	}, engine.Exec{Workers: workers, Metrics: cfg.Metrics})
+	// Replacements rewire whole cones; instead of locking them, the
+	// engine's serial commit re-validates every stored plan on the latest
+	// graph (version, cone function, re-counted gain).
+	return engine.Run[refPrep](ctx, a, &refactorPass{a: a, cfg: cfg},
+		engine.Plan{Name: "refactor", Partition: engine.ByLevel},
+		engine.Exec{Workers: workers, Metrics: cfg.Metrics})
 }
 
 // refPrep is one node's stored candidate, copied out of the evaluating
-// worker's scratch, and the root version it was planned at.
+// worker's scratch, and the root version it was planned at: the engine
+// keeps it from the sweep to the commit.
 type refPrep struct {
 	candidate
 	rootVer uint32
@@ -87,12 +86,11 @@ type refactorPass struct {
 	// states holds one refactorer per worker slot; none is ever used by
 	// two goroutines.
 	states []*refactorer
-	prep   []refPrep
 }
 
 var (
-	_ engine.Pass      = (*refactorPass)(nil)
-	_ engine.Evaluator = (*refactorPass)(nil)
+	_ engine.Pass[refPrep]      = (*refactorPass)(nil)
+	_ engine.Evaluator[refPrep] = (*refactorPass)(nil)
 )
 
 func (p *refactorPass) Begin(slots int, _ engine.Env) {
@@ -100,27 +98,24 @@ func (p *refactorPass) Begin(slots int, _ engine.Env) {
 	for w := range p.states {
 		p.states[w] = newRefactorer(p.a, p.cfg)
 	}
-	p.prep = make([]refPrep, p.a.Capacity())
 }
 
-func (p *refactorPass) Evaluate(worker int, id int32) bool {
-	p.prep[id] = refPrep{}
+func (p *refactorPass) Evaluate(worker int, id int32, cand *refPrep) (stored, counted bool) {
 	if !p.a.N(id).IsAnd() {
-		return false
+		return false, false
 	}
-	if c := p.states[worker].evaluate(id); c.leaves != nil {
-		p.prep[id] = refPrep{
-			candidate: candidate{leaves: slices.Clone(c.leaves), f: c.f.Clone(), plan: c.plan.stored()},
-			rootVer:   p.a.N(id).Version(),
-		}
+	c := p.states[worker].evaluate(id)
+	if c.leaves == nil {
+		return false, true
 	}
-	return true
+	*cand = refPrep{
+		candidate: candidate{leaves: slices.Clone(c.leaves), f: c.f.Clone(), plan: c.plan.stored()},
+		rootVer:   p.a.N(id).Version(),
+	}
+	return true, true
 }
 
-func (p *refactorPass) Stored(id int32) bool { return p.prep[id].leaves != nil }
-
-func (p *refactorPass) Commit(worker int, id int32, _ engine.Locker) engine.Status {
-	c := &p.prep[id]
+func (p *refactorPass) Commit(worker int, id int32, c *refPrep, _ engine.Locker) engine.Status {
 	r := p.states[worker]
 	// Dynamic re-validation: the stored plan is applied only if the cone
 	// still computes the same function over still-alive leaves and the

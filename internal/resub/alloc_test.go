@@ -16,9 +16,10 @@ func TestLargeConeWarmZeroAlloc(t *testing.T) {
 	a := bench.MemCtrl(1500, 5)
 	p := &resubPass{a: a, cfg: Config{}}
 	p.Begin(2, engine.Env{})
+	var slot resubPrep
 	var noGain []int32
 	a.ForEachAnd(func(id int32) {
-		if p.Evaluate(1, id); !p.Stored(id) {
+		if stored, _ := p.Evaluate(1, id, &slot); !stored {
 			noGain = append(noGain, id)
 		}
 	})
@@ -27,7 +28,7 @@ func TestLargeConeWarmZeroAlloc(t *testing.T) {
 	}
 	n := testing.AllocsPerRun(3, func() {
 		for _, id := range noGain {
-			p.Evaluate(1, id)
+			p.Evaluate(1, id, &slot)
 		}
 	})
 	if n != 0 {

@@ -56,20 +56,19 @@ func (c Config) minGain() int {
 // the wrapped ctx error with a structurally consistent, partially
 // resubstituted network and the Result marked Incomplete.
 func Run(ctx context.Context, a *aig.AIG, cfg Config, workers int) (rewrite.Result, error) {
-	return engine.Run(ctx, a, &resubPass{a: a, cfg: cfg}, engine.Plan{
-		Name:      "resub",
-		Partition: engine.ByLevel,
-		// Substitutions rewire whole MFFCs; instead of locking them, the
-		// serial commit re-validates every stored candidate on the
-		// latest graph (version, window function, divisor liveness,
-		// re-counted gain).
-		SerialCommit: true,
-	}, engine.Exec{Workers: workers, Metrics: cfg.Metrics})
+	// Substitutions rewire whole MFFCs; instead of locking them, the
+	// engine's serial commit re-validates every stored candidate on the
+	// latest graph (version, window function, divisor liveness,
+	// re-counted gain).
+	return engine.Run[resubPrep](ctx, a, &resubPass{a: a, cfg: cfg},
+		engine.Plan{Name: "resub", Partition: engine.ByLevel},
+		engine.Exec{Workers: workers, Metrics: cfg.Metrics})
 }
 
 // resubPrep is one node's stored candidate plus everything commit-time
 // revalidation needs: the window and the function it was matched
-// against, both copied out of the searching worker's scratch.
+// against, both copied out of the searching worker's scratch. The engine
+// keeps it from the sweep to the commit.
 type resubPrep struct {
 	cand    resubCand
 	rootVer uint32
@@ -87,12 +86,11 @@ type resubPass struct {
 	// states holds one resubber per worker slot; none is ever used by two
 	// goroutines.
 	states []*resubber
-	prep   []resubPrep
 }
 
 var (
-	_ engine.Pass      = (*resubPass)(nil)
-	_ engine.Evaluator = (*resubPass)(nil)
+	_ engine.Pass[resubPrep]      = (*resubPass)(nil)
+	_ engine.Evaluator[resubPrep] = (*resubPass)(nil)
 )
 
 func (p *resubPass) Begin(slots int, _ engine.Env) {
@@ -100,24 +98,21 @@ func (p *resubPass) Begin(slots int, _ engine.Env) {
 	for w := range p.states {
 		p.states[w] = newResubber(p.a, p.cfg)
 	}
-	p.prep = make([]resubPrep, p.a.Capacity())
 }
 
-func (p *resubPass) Evaluate(worker int, id int32) bool {
-	p.prep[id] = resubPrep{}
+func (p *resubPass) Evaluate(worker int, id int32, c *resubPrep) (stored, counted bool) {
 	if !p.a.N(id).IsAnd() {
-		return false
+		return false, false
 	}
-	if cand, leaves, f := p.states[worker].search(id); cand.kind != candNone {
-		p.prep[id] = resubPrep{cand: cand, rootVer: p.a.N(id).Version(), leaves: slices.Clone(leaves), f: f.Clone()}
+	cand, leaves, f := p.states[worker].search(id)
+	if cand.kind == candNone {
+		return false, true
 	}
-	return true
+	*c = resubPrep{cand: cand, rootVer: p.a.N(id).Version(), leaves: slices.Clone(leaves), f: f.Clone()}
+	return true, true
 }
 
-func (p *resubPass) Stored(id int32) bool { return p.prep[id].cand.kind != candNone }
-
-func (p *resubPass) Commit(worker int, id int32, _ engine.Locker) engine.Status {
-	c := &p.prep[id]
+func (p *resubPass) Commit(worker int, id int32, c *resubPrep, _ engine.Locker) engine.Status {
 	r := p.states[worker]
 	a, w := p.a, r.win
 	// Dynamic re-validation on the latest graph: the root must be

@@ -73,24 +73,26 @@ type spec struct {
 	trustStoredGain, skipStaleLeaves bool
 }
 
-// Only iccad18 commits under the executor. dacpara and its ablation do
-// not cascade, as when they committed under locks (EXPERIMENTS.md E18).
+// Only iccad18 commits under the executor; a Pass, which evaluates,
+// always commits serially, so SerialCommit only tells abc from iccad18.
+// dacpara and its ablation do not cascade, as when they committed under
+// locks (EXPERIMENTS.md E18).
 var table = map[Engine]spec{
 	EngineSerial:  {plan: engine.Plan{Name: "abc-rewrite", Partition: engine.Topo, SerialCommit: true}, fused: true, cascade: true},
 	EngineLockPar: {plan: engine.Plan{Name: "iccad18-lockpar", Partition: engine.Flat}, fused: true},
-	EngineDACPara: {plan: engine.Plan{Name: "dacpara", Partition: engine.ByLevel, SerialCommit: true}},
-	EngineFlat:    {plan: engine.Plan{Name: "dacpara-flat", Partition: engine.Flat, SerialCommit: true}},
+	EngineDACPara: {plan: engine.Plan{Name: "dacpara", Partition: engine.ByLevel}},
+	EngineFlat:    {plan: engine.Plan{Name: "dacpara-flat", Partition: engine.Flat}},
 	// The static models: every node is enumerated and evaluated against
 	// the unchanged input graph (one worklist), then the stored decisions
 	// are applied serially in level order, trusting the stored gain —
 	// static global information — so realized gains may be zero or
 	// negative.
 	EngineStaticDAC22: {
-		plan:    engine.Plan{Name: "dac22-novelrewrite", Partition: engine.LevelOrder, SerialCommit: true},
+		plan:    engine.Plan{Name: "dac22-novelrewrite", Partition: engine.LevelOrder},
 		cascade: true, trustStoredGain: true, skipStaleLeaves: true,
 	},
 	EngineStaticTCAD23: {
-		plan:    engine.Plan{Name: "tcad23-gpu", Partition: engine.LevelOrder, SerialCommit: true},
+		plan:    engine.Plan{Name: "tcad23-gpu", Partition: engine.LevelOrder},
 		cascade: true, trustStoredGain: true,
 	},
 }
@@ -108,7 +110,7 @@ func Run(ctx context.Context, eng Engine, a *aig.AIG, lib *rewlib.Library, cfg C
 	if !ok {
 		return Result{}, fmt.Errorf("rewrite: unknown engine %q", eng)
 	}
-	var pass engine.Pass = &Pass{A: a, Lib: lib, Cfg: cfg, CascadeMerge: s.cascade, TrustStoredGain: s.trustStoredGain, SkipStaleLeaves: s.skipStaleLeaves}
+	var pass engine.Pass[Candidate] = &Pass{A: a, Lib: lib, Cfg: cfg, CascadeMerge: s.cascade, TrustStoredGain: s.trustStoredGain, SkipStaleLeaves: s.skipStaleLeaves}
 	if s.fused {
 		pass = &fusedPass{a: a, lib: lib, cfg: cfg, cascade: s.cascade}
 	}

@@ -38,7 +38,7 @@ type fusedPass struct {
 	env engine.Env
 }
 
-var _ engine.Pass = (*fusedPass)(nil)
+var _ engine.Pass[Candidate] = (*fusedPass)(nil)
 
 func (p *fusedPass) Begin(slots int, env engine.Env) {
 	p.cm = cut.NewManager(p.a, cut.Params{K: p.cfg.K, MaxCuts: p.cfg.MaxCuts})
@@ -51,7 +51,8 @@ func (p *fusedPass) Begin(slots int, env engine.Env) {
 	p.env = env
 }
 
-func (p *fusedPass) Commit(worker int, id int32, lock engine.Locker) engine.Status {
+// Commit ignores the engine's candidate: a commit-only pass is given none.
+func (p *fusedPass) Commit(worker int, id int32, _ *Candidate, lock engine.Locker) engine.Status {
 	// One fused activity: enumeration, evaluation and replacement back
 	// to back under one lock set, the node's own lock taken by the
 	// framework, which also traces every conflict verdict. The shard

@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -110,4 +112,33 @@ func BenchmarkEvaluateSet(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(found)/float64(b.N), "candidates/op")
+}
+
+// BenchmarkDACParaPass is one dacpara P2 pass over a 32 k-AND MtM circuit
+// on one worker. B/AND is the heap the pass allocates per AND of its
+// input: what a candidate store sized by the graph would show first.
+func BenchmarkDACParaPass(b *testing.B) {
+	lib := testLib(b)
+	src := bench.MtM("mtm32k", 32000, 1)
+	cfg := P2()
+	cfg.Workers = 1
+	var ms runtime.MemStats
+	var allocated uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		a := src.Clone()
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		b.StartTimer()
+		if _, err := Run(context.Background(), EngineDACPara, a, lib, cfg); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		allocated += ms.TotalAlloc - before
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(allocated)/float64(b.N)/float64(src.NumAnds()), "B/AND")
 }

@@ -10,7 +10,7 @@ import (
 // Pass adapts DAG-aware rewriting to the pass-engine framework: cut
 // enumeration as the Enumerate hook — lock-free, the cut manager's
 // entries publish themselves — library matching as the lock-free
-// Evaluate hook storing per-node Candidates, and Execute's
+// Evaluate hook filling the engine's Candidate slot, and Execute's
 // revalidate-then-replace as the Commit hook. The same adapter serves
 // every split-operator rewriting engine — DACPara per level and the
 // DAC'22/TCAD'23 static models over the whole graph — differing only in
@@ -30,16 +30,15 @@ type Pass struct {
 	// (NovelRewrite) conditional-replacement rule.
 	SkipStaleLeaves bool
 
-	cm   *cut.Manager
-	env  engine.Env
-	evs  []*Evaluator
-	prep []Candidate
+	cm  *cut.Manager
+	env engine.Env
+	evs []*Evaluator
 }
 
 var (
-	_ engine.Pass       = (*Pass)(nil)
-	_ engine.Enumerator = (*Pass)(nil)
-	_ engine.Evaluator  = (*Pass)(nil)
+	_ engine.Pass[Candidate]      = (*Pass)(nil)
+	_ engine.Enumerator           = (*Pass)(nil)
+	_ engine.Evaluator[Candidate] = (*Pass)(nil)
 )
 
 func (p *Pass) Begin(slots int, env engine.Env) {
@@ -58,9 +57,6 @@ func (p *Pass) Begin(slots int, env engine.Env) {
 	for _, pi := range p.A.PIs() {
 		p.cm.Ensure(pi, nil)
 	}
-	// prepInfo: pre-replacement information per node ID ("the container
-	// prepInfo with the same capacity as AIG").
-	p.prep = make([]Candidate, p.A.Capacity())
 }
 
 func (p *Pass) Enumerate(worker int, id int32) {
@@ -69,27 +65,25 @@ func (p *Pass) Enumerate(worker int, id int32) {
 	}
 }
 
-func (p *Pass) Evaluate(worker int, id int32) bool {
-	var cand Candidate
-	var cuts []cut.Cut
-	ok := p.A.N(id).IsAnd()
-	if ok {
-		cuts, ok = p.cm.Cuts(id)
+// Evaluate fills the node's slot of the engine's candidate store — the
+// paper's prepInfo, whose capacity is the AIG's there and the longest
+// worklist's here.
+func (p *Pass) Evaluate(worker int, id int32, cand *Candidate) (stored, counted bool) {
+	if !p.A.N(id).IsAnd() {
+		return false, false
 	}
-	if ok {
-		cand = p.evs[worker].Evaluate(id, cuts)
+	cuts, ok := p.cm.Cuts(id)
+	if !ok {
+		return false, false
 	}
-	p.prep[id] = cand
-	return ok
+	*cand = p.evs[worker].Evaluate(id, cuts)
+	return cand.Ok(), true
 }
 
-func (p *Pass) Stored(id int32) bool { return p.prep[id].Ok() }
-
-func (p *Pass) Commit(worker int, id int32, lock engine.Locker) engine.Status {
-	cand := p.prep[id]
+func (p *Pass) Commit(worker int, id int32, cand *Candidate, lock engine.Locker) engine.Status {
 	if p.SkipStaleLeaves && !cand.Cut.Fresh(p.A) {
 		return engine.StatusStale
 	}
-	_, st := p.evs[worker].Execute(p.cm, &cand, lock)
+	_, st := p.evs[worker].Execute(p.cm, cand, lock)
 	return st.verdict()
 }

@@ -18,8 +18,7 @@ const (
 // checks) walks sequential cache lines instead of striding across full
 // node records. A Node handle is a (page, index) pair into these arrays.
 type page struct {
-	fanin0  [pageSize]atomic.Uint32
-	fanin1  [pageSize]atomic.Uint32
+	fanins  [pageSize]atomic.Uint64 // fanin1<<32 | fanin0
 	meta    [pageSize]atomic.Uint32 // kind (2 bits) | level (30 bits)
 	ref     [pageSize]atomic.Int32
 	version [pageSize]atomic.Uint32
@@ -46,6 +45,9 @@ type AIG struct {
 
 	numAnds     atomic.Int64
 	levelsDirty atomic.Bool
+
+	// clock is the last version handed out (see Node.Version).
+	clock atomic.Uint64
 
 	// Name is an optional design name carried through I/O.
 	Name string
@@ -225,6 +227,27 @@ func (a *AIG) ReplacePO(k int, l Lit) {
 	}
 }
 
+// The clock hands out versions 1..maxVersion. moving, above all of them,
+// is what a node holds while restamp draws its next one.
+const (
+	moving     = ^uint32(0)
+	maxVersion = moving - 1
+)
+
+// restamp gives node n a new incarnation: the graph clock's next value.
+// The node holds moving before the draw, so a reader that took its old
+// version did so before the draw, and any stamp built from what it read
+// is below the value the node ends up with. Without the sentinel a reader
+// could take the old version and still meet a stamp drawn after the move.
+func (a *AIG) restamp(n Node) {
+	n.p.version[n.i].Store(moving)
+	v := a.clock.Add(1)
+	if v > uint64(maxVersion) {
+		panic(fmt.Sprintf("aig: version clock passed its bound %d", maxVersion))
+	}
+	n.p.version[n.i].Store(uint32(v))
+}
+
 // normalize orders an AND fanin pair canonically (smaller literal first).
 func normalize(f0, f1 Lit) (Lit, Lit) {
 	if f0 > f1 {
@@ -261,8 +284,8 @@ func (a *AIG) Lookup(f0, f1 Lit) (Lit, bool) {
 	}
 	f0, f1 = normalize(f0, f1)
 	// Scan the shorter fanout list, fanins first: nearly every entry
-	// fails on them, and only a match has its kind read. One load of the
-	// page table serves the whole scan.
+	// fails on its one fanin word, and only a match has its kind read.
+	// One load of the page table serves the whole scan.
 	pages := *a.pages.Load()
 	p0, i0 := pages[f0.Node()>>pageBits], f0.Node()&pageMask
 	p1, i1 := pages[f1.Node()>>pageBits], f1.Node()&pageMask
@@ -270,12 +293,13 @@ func (a *AIG) Lookup(f0, f1 Lit) (Lit, bool) {
 	if len(p1.fanouts[i1]) < len(host) {
 		host = p1.fanouts[i1]
 	}
+	pair := faninPair(f0, f1)
 	for _, e := range host {
 		if e < 0 {
 			continue
 		}
 		g := Node{p: pages[e>>pageBits], i: e & pageMask}
-		if g.Fanin0() == f0 && g.Fanin1() == f1 && g.Kind() == KindAnd {
+		if g.p.fanins[g.i].Load() == pair && g.Kind() == KindAnd {
 			return MakeLit(e, false), true
 		}
 	}
@@ -304,7 +328,7 @@ func (a *AIG) newAnd(f0, f1 Lit, tryLock func(int32) bool) Lit {
 	id := a.allocReuse(tryLock)
 	n := a.node(id)
 	n.setKind(KindAnd)
-	n.bumpVersion()
+	a.restamp(n)
 	n.setFanins(f0, f1)
 	n.resetFanouts()
 	n.refStore(0)
@@ -352,7 +376,7 @@ func (a *AIG) deleteNodeCone(id int32) int {
 	deleted := 1
 	f0, f1 := n.Fanin0(), n.Fanin1()
 	n.setKind(KindFree)
-	n.bumpVersion()
+	a.restamp(n)
 	n.resetFanouts()
 	a.numAnds.Add(-1)
 	for _, f := range [2]Lit{f0, f1} {

@@ -1,8 +1,10 @@
 package aig
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -267,6 +269,25 @@ func TestVersionBumpsOnReuse(t *testing.T) {
 	if a.N(id).Version() == v1 || a.N(id).Version() == v0 {
 		t.Fatal("version must bump on reuse")
 	}
+}
+
+// TestVersionClockBound: the graph's version clock never wraps. The
+// change that would take it past its bound panics, and the message names
+// the bound.
+func TestVersionClockBound(t *testing.T) {
+	a := New()
+	x, y := a.AddPI(), a.AddPI()
+	a.And(x, y)
+	a.clock.Store(uint64(maxVersion) - 1)
+	a.And(x, y.Not()) // draws the last value
+	defer func() {
+		msg, _ := recover().(string)
+		if want := fmt.Sprint(maxVersion); !strings.Contains(msg, want) {
+			t.Fatalf("a version change past the bound: recovered %q, want a panic naming %s", msg, want)
+		}
+	}()
+	a.And(x.Not(), y)
+	t.Fatal("a version change past the clock's bound did not panic")
 }
 
 func TestCapacityAndPages(t *testing.T) {

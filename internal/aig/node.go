@@ -45,10 +45,10 @@ const (
 // simulation, strash scans — touch sequential memory instead of striding
 // over full node records. Handles are small values; copy them freely.
 //
-// Field synchronization: kind+level (one packed word), the fanins, the
-// reference count and the incarnation version are atomic, so the
-// lock-free evaluation stage and speculative activities may read them at
-// any time (they see a consistent individual value; cross-field
+// Field synchronization: kind+level (one packed word), the fanin pair
+// (another), the reference count and the incarnation version are atomic,
+// so the lock-free evaluation stage and speculative activities may read
+// them at any time (they see a consistent individual value; cross-field
 // consistency requires the node's exclusive lock, which every writer
 // holds). The fanout list is accessed only under the node's lock (or
 // single-threaded).
@@ -57,15 +57,16 @@ type Node struct {
 	i int32
 }
 
-// Version identifies the node slot's incarnation: it is bumped every time
-// the slot is allocated for a new AND gate and every time the gate is
-// deleted. A stored reference to node id taken at version v is stale —
-// the node was deleted, and its ID possibly reused for different logic
-// (the paper's Fig. 3 hazard) — exactly when Version() != v. PIs and the
-// constant are never deleted; their version stays 0.
+// Version identifies the node slot's incarnation: it is stamped from the
+// graph's clock every time the slot is allocated for a new AND gate and
+// every time the gate is deleted, so it only grows, and a version taken
+// before a change is below every version after it. A stored reference to
+// node id taken at version v is stale — the node was deleted, and its ID
+// possibly reused for different logic (the paper's Fig. 3 hazard) —
+// exactly when Version() != v; a set of references taken when none was
+// above s is stale exactly when one is now. PIs and the constant are
+// never deleted; their version stays 0.
 func (n Node) Version() uint32 { return n.p.version[n.i].Load() }
-
-func (n Node) bumpVersion() { n.p.version[n.i].Add(1) }
 
 // Kind returns the node's kind.
 func (n Node) Kind() Kind { return Kind(n.p.meta[n.i].Load() >> kindShift) }
@@ -95,15 +96,17 @@ func (n Node) IsPI() bool { return n.Kind() == KindPI }
 func (n Node) IsDead() bool { return n.Kind() == KindFree }
 
 // Fanin0 returns the first (smaller-literal) fanin of an AND node.
-func (n Node) Fanin0() Lit { return Lit(n.p.fanin0[n.i].Load()) }
+func (n Node) Fanin0() Lit { return Lit(uint32(n.p.fanins[n.i].Load())) }
 
 // Fanin1 returns the second fanin of an AND node.
-func (n Node) Fanin1() Lit { return Lit(n.p.fanin1[n.i].Load()) }
+func (n Node) Fanin1() Lit { return Lit(n.p.fanins[n.i].Load() >> 32) }
 
-func (n Node) setFanins(f0, f1 Lit) {
-	n.p.fanin0[n.i].Store(uint32(f0))
-	n.p.fanin1[n.i].Store(uint32(f1))
-}
+// setFanins stores both fanins in one word, so no reader sees half of the
+// change.
+func (n Node) setFanins(f0, f1 Lit) { n.p.fanins[n.i].Store(faninPair(f0, f1)) }
+
+// faninPair is the fanin word of an AND over (f0, f1).
+func faninPair(f0, f1 Lit) uint64 { return uint64(f1)<<32 | uint64(f0) }
 
 // Ref returns the current reference count: the number of AND fanins and
 // primary outputs pointing at the node.

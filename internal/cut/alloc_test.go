@@ -44,9 +44,17 @@ func TestEntrySize(t *testing.T) {
 	}
 }
 
+// TestCutSize pins a cut at 48 bytes: six leaves, one stamp, the size, the
+// function and the signature. Every stored set is a run of these.
+func TestCutSize(t *testing.T) {
+	if got := unsafe.Sizeof(Cut{}); got != 48 {
+		t.Fatalf("a cut takes %d bytes, want 48", got)
+	}
+}
+
 // TestNextEpochRecomputes: on an unchanged graph, NextEpoch makes the next
 // sweep merge every AND again, and the recomputed sets are bit-identical
-// to a cold manager's, LeafVer stamps included.
+// to a cold manager's, stamps included.
 func TestNextEpochRecomputes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randomAIG(rng, 16, 2000)

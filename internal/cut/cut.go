@@ -37,16 +37,17 @@ const MaxK = tt.MaxVars64
 
 // Cut is a set of at most MaxK leaves together with the function of the
 // root node over those leaves. Leaves are sorted ascending; variable i of
-// TT corresponds to Leaves[i]. LeafVer records each leaf's incarnation
-// version at enumeration time: a cut is stale — and must not be trusted —
-// once any leaf's version has moved (the leaf was deleted, and possibly
-// its ID reused for new logic, the paper's Fig. 3 hazard).
+// TT corresponds to Leaves[i]. Stamp is the largest leaf version at
+// enumeration time. Versions come from the graph's clock, so a leaf that
+// moves afterwards (is deleted, and its ID possibly reused for new logic,
+// the paper's Fig. 3 hazard) gets a version above Stamp: a cut is stale —
+// and must not be trusted — once any leaf's version is above its Stamp.
 type Cut struct {
-	Leaves  [MaxK]int32
-	LeafVer [MaxK]uint32
-	Size    uint8
-	TT      tt.Func64
-	sig     uint64
+	Leaves [MaxK]int32
+	Stamp  uint32
+	Size   uint8
+	TT     tt.Func64
+	sig    uint64
 }
 
 // NewCut builds a cut from a sorted leaf slice and its function.
@@ -62,13 +63,14 @@ func NewCut(leaves []int32, f tt.Func64) Cut {
 }
 
 // Fresh reports whether every leaf of the cut is still alive in the same
-// incarnation it had when the cut was enumerated. Only the atomic version
-// counters are read, so Fresh is safe as a lock-free pre-filter: a leaf's
-// version moves when it is deleted (and again if its ID is reused), so a
-// version match implies the leaf is the same live node.
+// incarnation it had when the cut was enumerated: no leaf's version is
+// above Stamp. Only the atomic versions are read, so Fresh is safe as a
+// lock-free pre-filter: a leaf's version moves above every stamp taken
+// before, when it is deleted (and again if its ID is reused), and a leaf
+// in the middle of a move reads above every stamp too.
 func (c *Cut) Fresh(a *aig.AIG) bool {
 	for i := uint8(0); i < c.Size; i++ {
-		if a.N(c.Leaves[i]).Version() != c.LeafVer[i] {
+		if a.N(c.Leaves[i]).Version() > c.Stamp {
 			return false
 		}
 	}
@@ -291,7 +293,7 @@ func (m *Manager) trivial(id int32) Cut {
 	var c Cut
 	c.Size = 1
 	c.Leaves[0] = id
-	c.LeafVer[0] = m.a.N(id).Version()
+	c.Stamp = m.a.N(id).Version()
 	c.TT = tt.Var64(0)
 	c.sig = 1 << (uint(id) & 63)
 	return c
@@ -440,7 +442,7 @@ func (m *Manager) RefreshP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
 //
 // Each pair is merged leaves first; most unions are then dropped by the
 // dominance test, and only a cut that is kept has its function computed.
-// Leaf versions are the parents': their freshness was established with
+// The stamp is the parents': their freshness was established against
 // those very values, so a leaf that moves afterwards leaves a cut Fresh
 // rejects, never a new stamp on the old incarnation's function.
 func (m *Manager) mergeInto(dst []Cut, id int32, f0, f1 aig.Lit, s0, s1 []Cut, m0 uint64, mok0 bool, m1 uint64, mok1 bool) []Cut {
@@ -502,17 +504,19 @@ func insertCut(s []Cut, c *Cut) []Cut {
 	w := 1
 	for x := 1; x < len(s); x++ {
 		if !c.dominates(&s[x]) {
-			s[w] = s[x]
+			if w != x {
+				s[w] = s[x]
+			}
 			w++
 		}
 	}
 	return append(s[:w], *c)
 }
 
-// mergeLeaves unions the leaves of two fanin cuts into c — leaves, their
-// versions as the parents recorded them, size and signature, all else
-// zero — and notes in p0 and p1 the position each parent's leaf takes in
-// the union. It fails when the union exceeds k leaves.
+// mergeLeaves unions the leaves of two fanin cuts into c — leaves, the
+// larger of the parents' stamps, size and signature, all else zero — and
+// notes in p0 and p1 the position each parent's leaf takes in the union.
+// It fails when the union exceeds k leaves.
 func mergeLeaves(c, c0, c1 *Cut, k int, p0, p1 *[MaxK]uint8) bool {
 	// Quick reject: the signature ORs bits (id mod 64), so distinct set
 	// bits never exceed the true union size; more than k bits set proves
@@ -529,18 +533,18 @@ func mergeLeaves(c, c0, c1 *Cut, k int, p0, p1 *[MaxK]uint8) bool {
 		}
 		switch {
 		case j == c1.Size || i < c0.Size && c0.Leaves[i] < c1.Leaves[j]:
-			c.Leaves[n], c.LeafVer[n], p0[i] = c0.Leaves[i], c0.LeafVer[i], n
+			c.Leaves[n], p0[i] = c0.Leaves[i], n
 			i++
 		case i == c0.Size || c1.Leaves[j] < c0.Leaves[i]:
-			c.Leaves[n], c.LeafVer[n], p1[j] = c1.Leaves[j], c1.LeafVer[j], n
+			c.Leaves[n], p1[j] = c1.Leaves[j], n
 			j++
 		default:
-			c.Leaves[n], c.LeafVer[n], p0[i], p1[j] = c0.Leaves[i], c0.LeafVer[i], n, n
+			c.Leaves[n], p0[i], p1[j] = c0.Leaves[i], n, n
 			i, j = i+1, j+1
 		}
 		n++
 	}
-	c.Size, c.sig = n, sig
+	c.Size, c.sig, c.Stamp = n, sig, max(c0.Stamp, c1.Stamp)
 	return true
 }
 

@@ -118,7 +118,7 @@ func refMergeInto(m *Manager, id int32, f0, f1 aig.Lit, s0, s1 []Cut) []Cut {
 				continue
 			}
 			for x := uint8(0); x < c.Size; x++ {
-				c.LeafVer[x] = m.a.N(c.Leaves[x]).Version()
+				c.Stamp = max(c.Stamp, m.a.N(c.Leaves[x]).Version())
 			}
 			if refAddCut(&dst, c) && len(dst) > maxCuts {
 				drop := 1
@@ -239,9 +239,9 @@ func TestMergeIntoMatchesReference(t *testing.T) {
 // masks recorded before a leaf was rewritten away — the window the fused
 // engine leaves open, since leaves of fanin cuts are not under the
 // activity's locks. The merged cuts over that leaf carry the old
-// incarnation's function, so they must carry its version too and fail
-// Fresh; stamping them with the version read after the merge would pass
-// the old function off as the new node's.
+// incarnation's function, so they must carry the parents' stamp too and
+// fail Fresh; stamping them with the version read after the merge would
+// pass the old function off as the new node's.
 func TestMergeKeepsParentVersions(t *testing.T) {
 	a := aig.New()
 	x, y, z, w := a.AddPI(), a.AddPI(), a.AddPI(), a.AddPI()
@@ -257,6 +257,10 @@ func TestMergeKeepsParentVersions(t *testing.T) {
 	m0, ok0 := freshMask(a, s0)
 	m1, ok1 := freshMask(a, s1)
 	oldVer := a.N(xy.Node()).Version()
+	var parents uint32
+	for _, c := range append(slices.Clone(s0), s1...) {
+		parents = max(parents, c.Stamp)
+	}
 
 	a.Replace(xy.Node(), x, aig.ReplaceOptions{})
 	if a.N(xy.Node()).Version() == oldVer {
@@ -268,13 +272,13 @@ func TestMergeKeepsParentVersions(t *testing.T) {
 	over := 0
 	for i := range merged {
 		c := &merged[i]
-		for v, l := range c.LeafSlice() {
+		for _, l := range c.LeafSlice() {
 			if l != xy.Node() {
 				continue
 			}
 			over++
-			if c.LeafVer[v] != oldVer {
-				t.Fatalf("cut %v stamps the rewritten leaf with version %d, its parents recorded %d", c.LeafSlice(), c.LeafVer[v], oldVer)
+			if c.Stamp > parents {
+				t.Fatalf("cut %v over the rewritten leaf has stamp %d, above every parent's (%d)", c.LeafSlice(), c.Stamp, parents)
 			}
 			if c.Fresh(a) {
 				t.Fatalf("cut %v over a rewritten leaf passes Fresh", c.LeafSlice())

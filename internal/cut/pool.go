@@ -1,8 +1,10 @@
 package cut
 
-// Pool is a per-worker free list of cut-set storage. Steady-state
-// enumeration recycles entry slices in place, so a warm pool lets
-// EnsureP/RefreshP run without heap allocation: the merge scratch is
+// Pool is a per-worker store of cut-set storage. Entry storage is carved
+// off the front of the pool's current chunk, a few thousand cuts long, as
+// chunk[:n:n], so a cold sweep allocates once per chunk, not once per set.
+// Steady-state enumeration recycles entry slices in place, so a warm pool
+// lets EnsureP/RefreshP run without heap allocation: the merge scratch is
 // reused across nodes, grown entry slices come from the free list, and
 // storage shed by shrinking or dying entries goes back onto it.
 //
@@ -12,7 +14,8 @@ package cut
 type Pool struct {
 	scratch []Cut
 	free    [][]Cut
-	merges  int // cut sets merged through this pool, for the publish-protocol tests
+	chunk   []Cut // what is left of the current chunk
+	merges  int   // cut sets merged through this pool, for the publish-protocol tests
 }
 
 // NewPool creates an empty pool.
@@ -31,6 +34,12 @@ func NewPools(n int) []*Pool {
 // storage cannot pin unbounded memory in a pool.
 const poolMaxFree = 256
 
+// chunkCuts is the length of one storage chunk: 192 KiB of 48-byte cuts.
+// A set that does not fit in what is left of a chunk starts a new one,
+// so less than a set's worth (DefaultMaxCuts+1 cuts at k = 4) of each
+// chunk goes unused.
+const chunkCuts = 4096
+
 // scratchFor returns an empty merge-scratch slice with capacity >= n,
 // reusing the pool's resident scratch when possible.
 func scratchFor(p *Pool, n int) []Cut {
@@ -43,21 +52,27 @@ func scratchFor(p *Pool, n int) []Cut {
 	return p.scratch[:0]
 }
 
-// poolGet returns a slice of length n, recycled from the free list when a
-// large-enough slice is available.
+// poolGet returns a slice of length n: recycled from the free list when a
+// large-enough slice is there, carved from the current chunk otherwise.
 func poolGet(p *Pool, n int) []Cut {
-	if p != nil {
-		f := p.free
-		for i := len(f) - 1; i >= 0; i-- {
-			if cap(f[i]) >= n {
-				s := f[i]
-				f[i] = f[len(f)-1]
-				p.free = f[:len(f)-1]
-				return s[:n]
-			}
+	if p == nil {
+		return make([]Cut, n)
+	}
+	f := p.free
+	for i := len(f) - 1; i >= 0; i-- {
+		if cap(f[i]) >= n {
+			s := f[i]
+			f[i] = f[len(f)-1]
+			p.free = f[:len(f)-1]
+			return s[:n]
 		}
 	}
-	return make([]Cut, n)
+	if len(p.chunk) < n {
+		p.chunk = make([]Cut, max(n, chunkCuts))
+	}
+	s := p.chunk[:n:n]
+	p.chunk = p.chunk[n:]
+	return s
 }
 
 // poolPut donates storage to the free list.

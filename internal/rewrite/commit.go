@@ -82,16 +82,12 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 
 	// 1. Establish a valid cut on the latest graph.
 	c := cand.Cut
-	fresh := true
 	for i := uint8(0); i < c.Size; i++ {
 		if !lk(c.Leaves[i]) {
 			return 0, StatusConflict
 		}
-		if a.N(c.Leaves[i]).Version() != c.LeafVer[i] {
-			fresh = false
-		}
 	}
-	if !fresh {
+	if !c.Fresh(a) {
 		// Some leaf was deleted (and its ID possibly reused): re-enumerate
 		// on the current graph and match the stored leaf set against the
 		// fresh cut set, as the paper prescribes for the Fig. 3 hazard.

@@ -114,6 +114,33 @@ func BenchmarkEvaluateSet(b *testing.B) {
 	b.ReportMetric(float64(found)/float64(b.N), "candidates/op")
 }
 
+// TestDACParaPassAllocs holds a cold dacpara P2 pass — a fresh graph, a
+// fresh cut table — over the 32 k-AND MtM at one worker to half an
+// allocation per AND of its input. Cut sets are carved from per-worker
+// chunks, so a pass allocates per chunk and per level, not per node; a
+// change that goes back to one allocation per stored set shows here as
+// about three times the bound. The bench-smoke CI job runs this test as
+// an allocation gate.
+func TestDACParaPassAllocs(t *testing.T) {
+	lib := testLib(t)
+	src := bench.MtM("mtm32k", 32000, 1)
+	cfg := P2()
+	cfg.Workers = 1
+	a := src.Clone()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	if _, err := Run(context.Background(), EngineDACPara, a, lib, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	perAnd := float64(ms.Mallocs-before) / float64(src.NumAnds())
+	t.Logf("%d allocations, %.3f per AND", ms.Mallocs-before, perAnd)
+	if perAnd > 0.5 {
+		t.Fatalf("a cold dacpara pass makes %.3f allocations per AND, want at most 0.5", perAnd)
+	}
+}
+
 // BenchmarkDACParaPass is one dacpara P2 pass over a 32 k-AND MtM circuit
 // on one worker. B/AND is the heap the pass allocates per AND of its
 // input: what a candidate store sized by the graph would show first.

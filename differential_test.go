@@ -16,6 +16,14 @@ import (
 // rewriting engine has no realistic chance of surviving.
 const cecBudgetAnds = 1500
 
+// checkOptions holds eng's result to strash uniqueness unless it may
+// leave two ANDs on one fanin pair: dacpara and iccad18 do not merge the
+// fanouts a replacement makes equal (EXPERIMENTS.md E18); abc, dac22 and
+// tcad23 do.
+func checkOptions(eng Engine) aig.CheckOptions {
+	return aig.CheckOptions{AllowDuplicates: eng == EngineDACPara || eng == EngineLockPar}
+}
+
 // TestDifferentialEngines is the differential-testing pass of the
 // suite: every generated tiny-scale circuit goes through all five
 // engines at two worker counts, and each result must match the golden
@@ -47,7 +55,7 @@ func TestDifferentialEngines(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+						if err := net.Check(checkOptions(eng)); err != nil {
 							t.Fatalf("structural check: %v", err)
 						}
 						sig := aig.RandomSignature(net, rand.New(rand.NewSource(seed)), rounds)

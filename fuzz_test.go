@@ -87,7 +87,7 @@ func FuzzEngines(f *testing.F) {
 				if _, err := Rewrite(net, eng, Config{K: k, Workers: 2}); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+				if err := net.Check(checkOptions(eng)); err != nil {
 					t.Fatalf("%s: structural check: %v", what, err)
 				}
 				if !slices.Equal(truthTables(net), want) {

@@ -18,7 +18,6 @@ func TestLitAlgebra(t *testing.T) {
 		l := MakeLit(id, c)
 		return l.Node() == id && l.Compl() == c &&
 			l.Not().Not() == l && l.Not().Compl() != c &&
-			l.Regular().Compl() == false &&
 			l.XorCompl(true) == l.Not() && l.XorCompl(false) == l
 	}, nil)
 	if err != nil {
@@ -304,31 +303,6 @@ func TestCapacityAndPages(t *testing.T) {
 	}
 	if err := a.Check(CheckOptions{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMarks(t *testing.T) {
-	a := New()
-	for i := 0; i < 100; i++ {
-		a.AddPI()
-	}
-	m := NewMarks(a)
-	m.Next()
-	m.Mark(5)
-	if !m.Marked(5) || m.Marked(6) {
-		t.Fatal("basic marking broken")
-	}
-	m.Next()
-	if m.Marked(5) {
-		t.Fatal("epoch did not invalidate marks")
-	}
-	m.Mark(2000) // beyond initial capacity: must grow
-	if !m.Marked(2000) {
-		t.Fatal("grown mark lost")
-	}
-	m.Unmark(2000)
-	if m.Marked(2000) {
-		t.Fatal("unmark failed")
 	}
 }
 

@@ -55,9 +55,6 @@ func (l Lit) XorCompl(c bool) Lit {
 	return l
 }
 
-// Regular returns the literal with the complement bit cleared.
-func (l Lit) Regular() Lit { return l &^ 1 }
-
 // IsConst reports whether the literal refers to the constant node.
 func (l Lit) IsConst() bool { return l.Node() == 0 }
 

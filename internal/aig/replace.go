@@ -178,31 +178,3 @@ func (a *AIG) RefCone(root int32, isLeaf func(int32) bool) int {
 	}
 	return count
 }
-
-// HasInTFI reports whether target lies in the transitive fanin of id. The
-// search prunes on levels: along fanin edges levels strictly decrease, so
-// subtrees whose level is not above target's cannot contain it. Levels
-// must be fresh (call Levelize after structural changes); the rewriting
-// engines themselves never need this check — candidate structures are
-// built bottom-up from cut leaves, so the only possible cycle is a lookup
-// returning the rewritten node itself, which engines reject directly.
-func (a *AIG) HasInTFI(id, target int32, m *Marks) bool {
-	if id == target {
-		return true
-	}
-	tlevel := a.node(target).Level()
-	m.Next()
-	var dfs func(int32) bool
-	dfs = func(cur int32) bool {
-		if cur == target {
-			return true
-		}
-		n := a.node(cur)
-		if n.Kind() != KindAnd || n.Level() <= tlevel || m.Marked(cur) {
-			return false
-		}
-		m.Mark(cur)
-		return dfs(n.Fanin0().Node()) || dfs(n.Fanin1().Node())
-	}
-	return dfs(id)
-}

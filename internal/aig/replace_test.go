@@ -254,24 +254,6 @@ func equalRefs(x, y []int32) bool {
 	return true
 }
 
-func TestHasInTFI(t *testing.T) {
-	a, x, _, _, _, xy, _, f, g := buildDiamond(t)
-	a.Levelize()
-	m := NewMarks(a)
-	if !a.HasInTFI(f.Node(), xy.Node(), m) {
-		t.Fatal("xy is in TFI of f")
-	}
-	if !a.HasInTFI(f.Node(), x.Node(), m) {
-		t.Fatal("x is in TFI of f")
-	}
-	if a.HasInTFI(xy.Node(), f.Node(), m) {
-		t.Fatal("f is not in TFI of xy")
-	}
-	if a.HasInTFI(f.Node(), g.Node(), m) {
-		t.Fatal("g is not in TFI of f")
-	}
-}
-
 func TestCheckDetectsCorruption(t *testing.T) {
 	a := New()
 	x := a.AddPI()

@@ -268,17 +268,6 @@ func wordDependsOn(x uint64, v int) bool {
 	return (x>>(1<<v)^x)&^wordPatterns[v] != 0
 }
 
-// SupportSize counts the variables t depends on.
-func (t TT) SupportSize() int {
-	n := 0
-	for v := 0; v < t.nvars; v++ {
-		if t.DependsOn(v) {
-			n++
-		}
-	}
-	return n
-}
-
 // Clone returns a copy.
 func (t TT) Clone() TT {
 	out := New(t.nvars)
@@ -301,9 +290,6 @@ type Cube struct {
 	Lits  uint32
 	Phase uint32
 }
-
-// NumLits counts the literals.
-func (c Cube) NumLits() int { return bits.OnesCount32(c.Lits) }
 
 // Table expands the cube over nvars variables.
 func (c Cube) Table(nvars int) TT {

@@ -130,10 +130,6 @@ type Params struct {
 	MaxCuts int
 }
 
-// DefaultMaxCuts matches ABC's practical per-node cut budget for 4-input
-// cuts. It equals DefaultCutLimit(4).
-const DefaultMaxCuts = 54
-
 // DefaultCutLimit returns the default per-node cut budget for width k.
 // Wider cuts multiply merge work per pair, so the budget shrinks as k
 // grows: 54 matches ABC's 4-input practice, 12 matches mockturtle's
@@ -208,7 +204,7 @@ type cutPage [cutPageSize]entry
 // is acyclic, so the deepest claim is always held by a worker that is
 // computing, not waiting. Workers may therefore enumerate any nodes of an
 // unchanging graph at once with no visitor. What the rule does not cover
-// is a graph that changes underneath: Refresh and the fused operator run
+// is a graph that changes underneath: RefreshP and the fused operator run
 // while replacements do, and the visitor's node locks are what keeps an
 // entry from being republished while the activity that read it goes on.
 type Manager struct {
@@ -417,15 +413,11 @@ func freshMask(a *aig.AIG, s []Cut) (uint64, bool) {
 	return msk, true
 }
 
-// Refresh recomputes id's cut set on the latest graph even if a set for
+// RefreshP recomputes id's cut set on the latest graph even if a set for
 // the current incarnation exists — the paper's re-enumeration step when a
 // stored result is found outdated at replacement time. Fanin sets are
-// reused (Ensure semantics) with their stale cuts filtered out.
-func (m *Manager) Refresh(id int32, visit Visitor) ([]Cut, bool) {
-	return m.RefreshP(id, visit, nil)
-}
-
-// RefreshP is Refresh with a per-worker storage pool (see EnsureP).
+// reused (Ensure semantics) with their stale cuts filtered out. pool is
+// a per-worker storage pool, or nil (see EnsureP).
 func (m *Manager) RefreshP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
 	if visit != nil && !visit(id) {
 		return nil, false

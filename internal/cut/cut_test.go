@@ -272,7 +272,7 @@ func TestRefreshForcesRecomputation(t *testing.T) {
 	// no structure), leaving f's stored cuts partially stale.
 	repl := a.Or(x, y)
 	a.Replace(xy.Node(), repl, aig.ReplaceOptions{CascadeMerge: true})
-	fresh, ok := m.Refresh(f.Node(), nil)
+	fresh, ok := m.RefreshP(f.Node(), nil, nil)
 	if !ok {
 		t.Fatal("refresh failed")
 	}

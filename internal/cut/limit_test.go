@@ -32,9 +32,6 @@ func TestParamsMaxCutsResolution(t *testing.T) {
 			t.Errorf("Params%+v.maxCuts() = %d, want %d", c.p, got, c.want)
 		}
 	}
-	if DefaultMaxCuts != DefaultCutLimit(4) {
-		t.Errorf("DefaultMaxCuts (%d) != DefaultCutLimit(4) (%d)", DefaultMaxCuts, DefaultCutLimit(4))
-	}
 	for k := 1; k <= 4; k++ {
 		if got := DefaultCutLimit(k); got != 54 {
 			t.Errorf("DefaultCutLimit(%d) = %d, want 54", k, got)

@@ -140,7 +140,7 @@ func BenchmarkRefresh(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Refresh(root, nil)
+				m.RefreshP(root, nil, nil)
 			}
 		})
 	}

@@ -36,7 +36,7 @@ const poolMaxFree = 256
 
 // chunkCuts is the length of one storage chunk: 192 KiB of 48-byte cuts.
 // A set that does not fit in what is left of a chunk starts a new one,
-// so less than a set's worth (DefaultMaxCuts+1 cuts at k = 4) of each
+// so less than a set's worth (DefaultCutLimit(4)+1 cuts) of each
 // chunk goes unused.
 const chunkCuts = 4096
 

@@ -1,6 +1,7 @@
 package galois
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -20,7 +21,7 @@ func TestFaultPlanForcesAbortsButCompletes(t *testing.T) {
 	ex := newExecutor(t, n+1, 8)
 	ex.Fault = &FaultPlan{Seed: 99, AbortRate: 0.3}
 	var counts [n + 1]atomic.Int32
-	err := ex.Run(sequentialItems(n), func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), sequentialItems(n), func(ctx *Ctx, item int32) error {
 		if !ctx.Acquire(item) {
 			return ErrConflict
 		}
@@ -50,7 +51,7 @@ func TestFaultInjectionIsSeedDeterministic(t *testing.T) {
 	run := func() int64 {
 		ex := newExecutor(t, 101, 1) // single worker: fully deterministic
 		ex.Fault = &FaultPlan{Seed: 7, AbortRate: 0.5}
-		err := ex.Run(sequentialItems(100), func(ctx *Ctx, item int32) error {
+		err := ex.RunCtx(context.Background(), sequentialItems(100), func(ctx *Ctx, item int32) error {
 			if !ctx.Acquire(item) {
 				return ErrConflict
 			}
@@ -79,7 +80,7 @@ func TestLockFreeOperatorImmuneToForcedAborts(t *testing.T) {
 	ex := newExecutor(t, 101, 4)
 	ex.Fault = &FaultPlan{Seed: 3, AbortRate: 0.9}
 	var ran atomic.Int32
-	err := ex.Run(sequentialItems(100), func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), sequentialItems(100), func(ctx *Ctx, item int32) error {
 		ran.Add(1)
 		return nil
 	})
@@ -97,7 +98,7 @@ func TestRetryBudgetReturnsTypedError(t *testing.T) {
 	// Four acquisitions per activity: the doomed acquire (one of the
 	// first four) always fires, so at rate 1.0 no activity can ever
 	// commit and the budget must trip.
-	err := ex.Run(sequentialItems(40), func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), sequentialItems(40), func(ctx *Ctx, item int32) error {
 		for _, id := range []int32{item, item + 100, item + 200, item + 300} {
 			if !ctx.Acquire(id) {
 				return ErrConflict
@@ -154,7 +155,7 @@ func TestStallAndLockHoldInjection(t *testing.T) {
 		LockHoldDelay: time.Microsecond,
 	}
 	start := time.Now()
-	err := ex.Run(sequentialItems(32), func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), sequentialItems(32), func(ctx *Ctx, item int32) error {
 		if !ctx.Acquire(item) {
 			return ErrConflict
 		}
@@ -180,7 +181,7 @@ func TestOperatorPanicBecomesError(t *testing.T) {
 func operatorPanicBecomesError(t *testing.T, workers int) {
 	// 64 items: enough for four workers to share the list.
 	ex := newExecutor(t, 65, workers)
-	err := ex.Run(sequentialItems(64), func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), sequentialItems(64), func(ctx *Ctx, item int32) error {
 		if !ctx.Acquire(item) {
 			return ErrConflict
 		}
@@ -232,7 +233,7 @@ func TestFaultStreamOutlivesThePhase(t *testing.T) {
 			item := 1 + i%90
 			// Four acquisitions, so that whichever of its first four the plan
 			// refuses, the activity has it.
-			err := ex.Run([]int32{item}, func(c *Ctx, item int32) error {
+			err := ex.RunCtx(context.Background(), []int32{item}, func(c *Ctx, item int32) error {
 				for _, id := range []int32{item, item + 100, item + 200, item + 300} {
 					if !c.Acquire(id) {
 						return ErrConflict

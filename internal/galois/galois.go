@@ -282,22 +282,17 @@ func NewExecutor(capacity int32, team *Team) *Executor {
 	}
 }
 
-// Run processes every item of the worklist with op, in parallel, retrying
-// conflicted items until all commit or an item exhausts the retry budget.
-// It returns the first non-conflict error; a *RetryBudgetError means a
-// pathological conflict storm (or an adversarial FaultPlan) kept one item
-// from ever committing.
-func (e *Executor) Run(items []int32, op Operator) error {
-	return e.RunCtx(context.Background(), items, op)
-}
-
-// RunCtx is Run under a context: workers observe cancellation between
-// activities (at chunk boundaries of the main loop and between retries of
-// the drain loop), never mid-operator, so an in-flight activity always
-// finishes and releases its locks before the worker exits. A cancelled
-// run returns ctx.Err(); items not yet processed are simply left undone,
-// which for the rewriting engines means a structurally consistent but
-// partially rewritten network.
+// RunCtx processes every item of the worklist with op, in parallel,
+// retrying conflicted items until all commit or an item exhausts the
+// retry budget. It returns the first non-conflict error; a
+// *RetryBudgetError means a pathological conflict storm (or an
+// adversarial FaultPlan) kept one item from ever committing. Workers
+// observe cancellation between activities (at chunk boundaries of the
+// main loop and between retries of the drain loop), never mid-operator,
+// so an in-flight activity always finishes and releases its locks before
+// the worker exits. A cancelled run returns ctx.Err(); items not yet
+// processed are simply left undone, which for the rewriting engines means
+// a structurally consistent but partially rewritten network.
 func (e *Executor) RunCtx(ctx context.Context, items []int32, op Operator) error {
 	if len(items) == 0 {
 		return ctx.Err()

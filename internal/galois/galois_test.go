@@ -1,6 +1,7 @@
 package galois
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -62,7 +63,7 @@ func TestRunProcessesEveryItemOnce(t *testing.T) {
 		items[i] = int32(i)
 	}
 	var counts [500]atomic.Int32
-	err := ex.Run(items, func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), items, func(ctx *Ctx, item int32) error {
 		if !ctx.Acquire(item) {
 			return ErrConflict
 		}
@@ -94,7 +95,7 @@ func TestSpeculativeCounterIncrements(t *testing.T) {
 	for i := range items {
 		items[i] = int32(i + 1)
 	}
-	err := ex.Run(items, func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), items, func(ctx *Ctx, item int32) error {
 		if !ctx.Acquire(item) {
 			return ErrConflict
 		}
@@ -130,7 +131,7 @@ func TestConflictingNeighbors(t *testing.T) {
 	for i := range items {
 		items[i] = int32(i + 1)
 	}
-	err := ex.Run(items, func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), items, func(ctx *Ctx, item int32) error {
 		for _, id := range []int32{item - 1, item, item + 1} {
 			if !ctx.Acquire(id) {
 				return ErrConflict
@@ -154,7 +155,7 @@ func TestAbortReleasesLocks(t *testing.T) {
 	// First run: operator aborts once, then succeeds; the lock it held
 	// before aborting must have been released for the retry to work.
 	tries := 0
-	err := ex.Run([]int32{1}, func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), []int32{1}, func(ctx *Ctx, item int32) error {
 		if !ctx.Acquire(item) {
 			return ErrConflict
 		}
@@ -181,7 +182,7 @@ func TestAbortReleasesLocks(t *testing.T) {
 func TestRunPropagatesErrors(t *testing.T) {
 	ex := newExecutor(t, 10, 4)
 	boom := errTest{}
-	err := ex.Run([]int32{1, 2, 3, 4}, func(ctx *Ctx, item int32) error {
+	err := ex.RunCtx(context.Background(), []int32{1, 2, 3, 4}, func(ctx *Ctx, item int32) error {
 		if item == 3 {
 			return boom
 		}
@@ -198,7 +199,7 @@ func (errTest) Error() string { return "boom" }
 
 func TestEmptyRun(t *testing.T) {
 	ex := newExecutor(t, 10, 4)
-	if err := ex.Run(nil, nil); err != nil {
+	if err := ex.RunCtx(context.Background(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -209,7 +210,7 @@ func TestSingleWorkerRunsOnCaller(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ex := newExecutor(t, 8, 1)
 	seen := 0
-	err := ex.Run([]int32{1, 2, 3, 4}, func(*Ctx, int32) error {
+	err := ex.RunCtx(context.Background(), []int32{1, 2, 3, 4}, func(*Ctx, int32) error {
 		if n := runtime.NumGoroutine(); n != before {
 			t.Errorf("operator sees %d goroutines, the caller had %d", n, before)
 		}
@@ -235,7 +236,7 @@ func TestNoWorkersWithoutAChunk(t *testing.T) {
 			items[i] = int32(i)
 		}
 		seen := 0 // unsynchronised on purpose: -race fails if two workers run
-		err := ex.Run(items, func(c *Ctx, _ int32) error {
+		err := ex.RunCtx(context.Background(), items, func(c *Ctx, _ int32) error {
 			if c.Worker() != 1 {
 				t.Errorf("%d items: an item ran under worker tag %d", n, c.Worker())
 			}
@@ -267,7 +268,7 @@ func TestNoWorkersWithoutAChunk(t *testing.T) {
 	}
 	var tags [5]atomic.Int32
 	items := make([]int32, 33*4)
-	if err := ex.Run(items, func(c *Ctx, _ int32) error {
+	if err := ex.RunCtx(context.Background(), items, func(c *Ctx, _ int32) error {
 		tags[c.Worker()].Add(1)
 		return nil
 	}); err != nil {

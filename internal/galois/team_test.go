@@ -170,7 +170,7 @@ func TestNoGoroutinePerPhase(t *testing.T) {
 	ex := newExecutor(t, 4096, 3)
 	for _, n := range []int{2, 600, 40, 1, 2000, 17} {
 		saw := make([]int, n+1) // by item: no two activities share one
-		err := ex.Run(sequentialItems(n), func(_ *Ctx, item int32) error {
+		err := ex.RunCtx(context.Background(), sequentialItems(n), func(_ *Ctx, item int32) error {
 			saw[item] = runtime.NumGoroutine()
 			return nil
 		})
@@ -199,7 +199,7 @@ func TestTeamOversubscribed(t *testing.T) {
 	sum := make([]int32, n+2) // sum[i] is protected by lock i
 	start := time.Now()
 	for round := 0; round < 20; round++ {
-		err := ex.Run(sequentialItems(n), func(c *Ctx, item int32) error {
+		err := ex.RunCtx(context.Background(), sequentialItems(n), func(c *Ctx, item int32) error {
 			for _, id := range []int32{item - 1, item, item + 1} {
 				if !c.Acquire(id) {
 					return ErrConflict
@@ -302,7 +302,7 @@ func BenchmarkPhaseDispatch(b *testing.B) {
 			op := func(*Ctx, int32) error { return nil }
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ex.Run(items, op); err != nil {
+				if err := ex.RunCtx(context.Background(), items, op); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -115,10 +115,6 @@ type phaseAgg struct {
 // parallelism histogram (widths up to 2^22 nodes per level and beyond).
 const levelBuckets = 24
 
-// DefaultConflictSamples bounds the traced conflicts per worker shard
-// when tracing is enabled without an explicit budget.
-const DefaultConflictSamples = 64
-
 // QoR is the quality-of-result record of one run: FinishRun's argument
 // and the snapshot's qor object.
 type QoR struct {

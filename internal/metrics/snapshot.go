@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -136,9 +135,6 @@ func (c *Collector) Snapshot() *Snapshot {
 	}
 	return s
 }
-
-// JSON renders the snapshot as indented JSON.
-func (s *Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 
 // Format writes a human-readable multi-line summary (the -stats view).
 func (s *Snapshot) Format(w io.Writer) {

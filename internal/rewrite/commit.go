@@ -8,51 +8,6 @@ import (
 	"dacpara/internal/tt"
 )
 
-// Status classifies the outcome of executing a candidate on the latest
-// graph.
-type Status int
-
-// Execute outcomes. StatusStale and StatusNoGain are the paper's "missed
-// optimization opportunities" — stored information that no longer holds on
-// the current AIG; StatusConflict means a lock could not be acquired and
-// the activity must abort and retry.
-const (
-	StatusCommitted Status = iota
-	StatusStale
-	StatusNoGain
-	StatusHazard
-	StatusConflict
-)
-
-func (s Status) String() string {
-	switch s {
-	case StatusCommitted:
-		return "committed"
-	case StatusStale:
-		return "stale"
-	case StatusNoGain:
-		return "no-gain"
-	case StatusHazard:
-		return "hazard"
-	case StatusConflict:
-		return "conflict"
-	}
-	return "invalid"
-}
-
-// verdict translates an Execute outcome into the pass framework's.
-func (s Status) verdict() engine.Status {
-	switch s {
-	case StatusConflict:
-		return engine.StatusConflict
-	case StatusCommitted:
-		return engine.StatusCommitted
-	case StatusStale:
-		return engine.StatusStale
-	}
-	return engine.StatusNoGain
-}
-
 // planLimit bounds the number of nodes one replacement may touch; beyond
 // it the candidate is skipped rather than letting a single activity lock
 // an unbounded region.
@@ -65,26 +20,28 @@ const planLimit = 2048
 // stored structure must still match the cut function's NPN class, and the
 // gain is re-evaluated on the current graph before any mutation. Under a
 // lock (iccad18) all affected nodes are locked before the first mutation
-// (cautious operator), so a conflict abort never needs rollback.
-func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker) (gain int, st Status) {
+// (cautious operator), so a conflict abort never needs rollback. A stale
+// or no-gain verdict is one of the paper's "missed optimization
+// opportunities".
+func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker) (gain int, st engine.Status) {
 	a, s := e.A, e.Scratch
 	root := cand.Root
 	lk := func(id int32) bool { return lock == nil || lock(id) }
 	if !lk(root) {
-		return 0, StatusConflict
+		return 0, engine.StatusConflict
 	}
 	rn := a.N(root)
 	if !rn.IsAnd() || rn.Version() != cand.RootVer {
 		// The node was rewritten away (its ID possibly reused for new
 		// logic) since evaluation: the stored information is outdated.
-		return 0, StatusStale
+		return 0, engine.StatusStale
 	}
 
 	// 1. Establish a valid cut on the latest graph.
 	c := cand.Cut
 	for i := uint8(0); i < c.Size; i++ {
 		if !lk(c.Leaves[i]) {
-			return 0, StatusConflict
+			return 0, engine.StatusConflict
 		}
 	}
 	if !c.Fresh(a) {
@@ -93,7 +50,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 		// fresh cut set, as the paper prescribes for the Fig. 3 hazard.
 		set, ok := cm.RefreshP(root, lock, e.CutPool)
 		if !ok {
-			return 0, StatusConflict
+			return 0, engine.StatusConflict
 		}
 		matched := false
 		for i := range set {
@@ -104,7 +61,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 			}
 		}
 		if !matched {
-			return 0, StatusStale
+			return 0, engine.StatusStale
 		}
 	}
 
@@ -113,10 +70,10 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 	// the authoritative truth table for NPN matching.
 	curTT, ok, conflict := s.coneTT(a, root, &c, lock)
 	if conflict {
-		return 0, StatusConflict
+		return 0, engine.StatusConflict
 	}
 	if !ok {
-		return 0, StatusStale
+		return 0, engine.StatusStale
 	}
 
 	// 3. Resolve the replacement literal plan for the current function,
@@ -128,7 +85,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 	switch cand.Kind {
 	case CandConst:
 		if curTT != tt.False64 && curTT != tt.True64 {
-			return 0, StatusStale
+			return 0, engine.StatusStale
 		}
 		out = aig.LitFalse.XorCompl(curTT == tt.True64)
 	case CandWire:
@@ -136,7 +93,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 		wc.TT = curTT
 		leaf, phase, isWire := wireFunc(&wc)
 		if !isWire {
-			return 0, StatusStale
+			return 0, engine.StatusStale
 		}
 		out = aig.MakeLit(leaf, phase)
 	case CandStruct:
@@ -144,7 +101,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 		// match the cut's truth table (Section 4.4).
 		cls, repr, structs, inv := e.forest(c.Size, curTT)
 		if cls != cand.Class || repr != cand.Repr || cand.Struct >= len(structs) {
-			return 0, StatusStale
+			return 0, engine.StatusStale
 		}
 		str = &structs[cand.Struct]
 		s.bind(inv, &c)
@@ -152,16 +109,16 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 		s.conflict = false
 		var ok bool
 		if nNew, ok = s.plan(a, str, root, len(str.Nodes), lock); s.conflict {
-			return 0, StatusConflict
+			return 0, engine.StatusConflict
 		} else if !ok {
-			return 0, StatusStale
+			return 0, engine.StatusStale
 		}
 		if e.Cfg.PreserveDelay && s.level(a, str) > rn.Level() {
-			return 0, StatusNoGain
+			return 0, engine.StatusNoGain
 		}
 		out, outNew = s.out(str)
 	default:
-		return 0, StatusStale
+		return 0, engine.StatusStale
 	}
 
 	// 4. Simulate the full replacement (fanout redirection, cascaded
@@ -185,9 +142,11 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 	deleted, okSim, conflictSim := sim.run(root, out, outNew)
 	switch {
 	case conflictSim:
-		return 0, StatusConflict
+		return 0, engine.StatusConflict
 	case !okSim:
-		return 0, StatusHazard
+		// The rehearsal gave up (more than planLimit nodes, or one node
+		// twice in the cascade): the candidate is skipped as no gain.
+		return 0, engine.StatusNoGain
 	}
 
 	gain = deleted - nNew
@@ -196,7 +155,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 		minGain = 0
 	}
 	if gain < minGain && !e.TrustStoredGain {
-		return gain, StatusNoGain
+		return gain, engine.StatusNoGain
 	}
 
 	// 5. Commit: build the new gates, then redirect and delete. Every node
@@ -210,10 +169,10 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 		out, _ = s.out(str)
 	}
 	if out.Node() == root {
-		return 0, StatusStale
+		return 0, engine.StatusStale
 	}
 	a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: e.CascadeMerge})
-	return gain, StatusCommitted
+	return gain, engine.StatusCommitted
 }
 
 // level estimates the level (depth) the output of the planned structure

@@ -7,6 +7,7 @@ import (
 
 	"dacpara/internal/aig"
 	"dacpara/internal/cut"
+	"dacpara/internal/engine"
 	"dacpara/internal/rewlib"
 )
 
@@ -48,7 +49,7 @@ func TestConflictAbortLeavesGraphUntouched(t *testing.T) {
 		}
 		total := 0
 		area := a.NumAnds()
-		if _, st := ev.Execute(cm, &cand, func(id int32) bool { total++; return true }); st == StatusConflict {
+		if _, st := ev.Execute(cm, &cand, func(id int32) bool { total++; return true }); st == engine.StatusConflict {
 			t.Fatal("all-grant locker conflicted")
 		}
 		if a.NumAnds() == area {
@@ -68,7 +69,7 @@ func TestConflictAbortLeavesGraphUntouched(t *testing.T) {
 				n++
 				return n != fail
 			})
-			if st != StatusConflict {
+			if st != engine.StatusConflict {
 				// Later acquisitions may not be reached on other code
 				// paths; whatever happened must still be sound.
 				if err := b.Check(aig.CheckOptions{}); err != nil {

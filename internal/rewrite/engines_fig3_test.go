@@ -50,7 +50,7 @@ func TestFig3CutStalenessDetection(t *testing.T) {
 		t.Fatal("the redundant cone must yield a candidate")
 	}
 	gain, st := ev.Execute(cm, &candN10, nil)
-	if st != rewrite.StatusCommitted || gain <= 0 {
+	if st != engine.StatusCommitted || gain <= 0 {
 		t.Fatalf("n10 rewrite: %v gain=%d", st, gain)
 	}
 
@@ -101,7 +101,7 @@ func TestStaleRootSkipped(t *testing.T) {
 	if fresh.Node() != root.Node() {
 		t.Skipf("allocator did not reuse ID %d", root.Node())
 	}
-	if _, st := ev.Execute(cm, &cand, nil); st != rewrite.StatusStale {
+	if _, st := ev.Execute(cm, &cand, nil); st != engine.StatusStale {
 		t.Fatalf("stale root executed with status %v", st)
 	}
 }

@@ -65,7 +65,7 @@ func TestStressFaultInjectionAcrossWorkerCounts(t *testing.T) {
 					} else if workers > 1 && res.InjectedAborts == 0 {
 						t.Errorf("no injected aborts at rate 0.25")
 					}
-					if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+					if err := net.Check(eng.checkOptions()); err != nil {
 						t.Fatalf("invariants violated: %v", err)
 					}
 					sig := aig.RandomSignature(net, rand.New(rand.NewSource(1)), 16)
@@ -138,7 +138,7 @@ func TestStressOversubscribed(t *testing.T) {
 			if res.Threads != 8 {
 				t.Fatalf("ran on %d workers", res.Threads)
 			}
-			if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+			if err := net.Check(eng.checkOptions()); err != nil {
 				t.Fatalf("invariants violated: %v", err)
 			}
 			sig := aig.RandomSignature(net, rand.New(rand.NewSource(1)), 16)

@@ -67,6 +67,14 @@ type namedEngine struct {
 	run  engineFn
 }
 
+// checkOptions holds the engine's result to strash uniqueness unless it
+// may leave two ANDs on one fanin pair: dacpara and iccad18 do not merge
+// the fanouts a replacement makes equal (EXPERIMENTS.md E18); dac22 and
+// tcad23 do.
+func (e namedEngine) checkOptions() aig.CheckOptions {
+	return aig.CheckOptions{AllowDuplicates: e.name == "dacpara" || e.name == "lockpar"}
+}
+
 var engines = []namedEngine{
 	{"dacpara", run(rewrite.EngineDACPara)},
 	{"lockpar", run(rewrite.EngineLockPar)},
@@ -96,7 +104,7 @@ func TestParallelEnginesPreserveFunction(t *testing.T) {
 				before := aig.RandomSignature(a, rand.New(rand.NewSource(7)), 4)
 				initial := a.NumAnds()
 				res := must(t)(eng.run(a, l, rewrite.Config{Workers: 8}))
-				if err := a.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+				if err := a.Check(eng.checkOptions()); err != nil {
 					t.Fatalf("seed %d: invariants: %v", seed, err)
 				}
 				after := aig.RandomSignature(a, rand.New(rand.NewSource(7)), 4)

@@ -8,6 +8,7 @@ import (
 
 	"dacpara/internal/aig"
 	"dacpara/internal/cut"
+	"dacpara/internal/engine"
 )
 
 // TestConstantConeCollapses: a cone computing a constant must yield a
@@ -33,7 +34,7 @@ func TestConstantConeCollapses(t *testing.T) {
 		t.Fatalf("candidate %+v, want const false", cand)
 	}
 	gain, st := ev.Execute(cm, &cand, nil)
-	if st != StatusCommitted {
+	if st != engine.StatusCommitted {
 		t.Fatalf("status %v", st)
 	}
 	if gain <= 0 {
@@ -64,7 +65,7 @@ func TestWireConeCollapses(t *testing.T) {
 	if !cand.Ok() || cand.Kind != CandWire {
 		t.Fatalf("candidate %+v, want wire", cand)
 	}
-	if _, st := ev.Execute(cm, &cand, nil); st != StatusCommitted {
+	if _, st := ev.Execute(cm, &cand, nil); st != engine.StatusCommitted {
 		t.Fatalf("status %v", st)
 	}
 	if a.PO(0) != x {
@@ -96,7 +97,7 @@ func TestGainIsExactForCommits(t *testing.T) {
 			}
 			before := a.NumAnds()
 			gain, st := ev.Execute(cm, &cand, nil)
-			if st != StatusCommitted {
+			if st != engine.StatusCommitted {
 				continue
 			}
 			realized := before - a.NumAnds()
@@ -242,13 +243,13 @@ func TestTrustStoredGainCommitsNegative(t *testing.T) {
 	}
 	gain, st := ev.Execute(cm, &cand, nil)
 	switch st {
-	case StatusCommitted:
+	case engine.StatusCommitted:
 		if gain > 0 {
 			t.Log("largest structure still gained; acceptable")
 		}
-	case StatusNoGain:
+	case engine.StatusNoGain:
 		t.Fatal("TrustStoredGain must not report no-gain")
-	case StatusStale, StatusHazard:
+	case engine.StatusStale:
 		// The chosen structure may map onto the existing nodes (rejected
 		// as identity); acceptable.
 	}

@@ -113,9 +113,9 @@ func (p *fusedPass) Commit(worker int, id int32, _ *Candidate, lock engine.Locke
 	_, st := ev.Execute(p.cm, &cand, lock)
 	if sh != nil {
 		sh.ReplaceNs += time.Since(t1).Nanoseconds()
-		if st == StatusConflict {
+		if st == engine.StatusConflict {
 			sh.WastedEvals++
 		}
 	}
-	return st.verdict()
+	return st
 }

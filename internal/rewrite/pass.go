@@ -85,5 +85,5 @@ func (p *Pass) Commit(worker int, id int32, cand *Candidate, lock engine.Locker)
 		return engine.StatusStale
 	}
 	_, st := p.evs[worker].Execute(p.cm, cand, lock)
-	return st.verdict()
+	return st
 }

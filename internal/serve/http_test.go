@@ -19,7 +19,10 @@ import (
 
 func startDaemon(t *testing.T, opts Options) (*Service, *httptest.Server) {
 	t.Helper()
-	s := New(opts)
+	s, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		srv.Close()

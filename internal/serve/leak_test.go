@@ -31,7 +31,10 @@ func TestNoGoroutineLeakAfterCancelCycles(t *testing.T) {
 	const cycles = 20
 	baseline := stableGoroutines()
 
-	s := New(Options{MaxConcurrent: 2, QueueLimit: 8, WorkersPerJob: 2})
+	s, _, err := Open(Options{MaxConcurrent: 2, QueueLimit: 8, WorkersPerJob: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < cycles; i++ {
 		j, err := s.Submit(slowRequest(t, 500))
 		if err != nil {

@@ -144,8 +144,9 @@ func (s *Service) persistTerminal(job *Job, state State, errMsg string) {
 
 // checkpointFn returns the flow step-boundary hook for a job: snapshot
 // the working network (binary AIGER + structural digest + cursor) into
-// the store, then journal the cursor advance. nil on an in-memory
-// service. Checkpoint trouble degrades durability (the job would merely
+// the store, then journal the cursor advance. The digest is the blob's
+// as recovery parses it back, which merges ANDs a step left on one
+// fanin pair. nil on an in-memory service. Checkpoint trouble degrades durability (the job would merely
 // resume from an earlier point after a crash), so errors are counted
 // and swallowed rather than failing a healthy job.
 func (s *Service) checkpointFn(job *Job) dacpara.FlowCheckpoint {
@@ -156,12 +157,12 @@ func (s *Service) checkpointFn(job *Job) dacpara.FlowCheckpoint {
 		if s.dur.crashed.Load() {
 			return nil
 		}
-		blob, _, err := dacpara.Encode(net, false)
+		blob, digest, err := dacpara.Encode(net, true)
 		if err != nil {
 			s.dur.checkpointErrors.Add(1)
 			return nil
 		}
-		s.persistCheckpoint(job.ID, completed, StructuralDigest(net), blob)
+		s.persistCheckpoint(job.ID, completed, digest, blob)
 		return nil
 	}
 }

@@ -121,6 +121,80 @@ func TestCrashRecoveryResumesFlow(t *testing.T) {
 	}
 }
 
+// TestRecoveryResumesCheckpointWithDuplicatePair: a flow step may leave
+// two ANDs on one fanin pair, and parsing the checkpoint merges them.
+// The journaled digest must be the one the blob parses back to, or
+// recovery distrusts a sound checkpoint and restarts the job from its
+// input.
+func TestRecoveryResumesCheckpointWithDuplicatePair(t *testing.T) {
+	// Outputs n&z and m&z over n = x&y and m = x&n, which equals n.
+	build := func() (a *aig.AIG, n, m aig.Lit) {
+		a = aig.New()
+		x, y, z := a.AddPI(), a.AddPI(), a.AddPI()
+		n = a.And(x, y)
+		m = a.And(x, n)
+		a.AddPO(a.And(n, z))
+		a.AddPO(a.And(m, z))
+		return a, n, m
+	}
+	in, _, _ := build()
+	// The checkpoint replaces m by n without merging the cascade, so the
+	// second output's gate repeats the first's fanin pair.
+	ck, n, m := build()
+	ck.Replace(m.Node(), n, aig.ReplaceOptions{})
+	if ck.Check(aig.CheckOptions{}) == nil {
+		t.Fatal("the checkpoint holds no duplicate fanin pair")
+	}
+
+	dir := t.TempDir()
+	s, _, err := Open(durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The blocker holds the one scheduler slot, so the flow job stays
+	// queued and the only checkpoint it has is the one written here.
+	blocker, err := s.Submit(slowRequest(t, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, blocker, StateRunning, 30*time.Second)
+	flow, err := s.Submit(JobRequest{Job: dacpara.Job{Flow: "b; b", Workers: 1}, Network: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.checkpointFn(flow)(1, ck); err != nil {
+		t.Fatal(err)
+	}
+	s.crashForTest()
+
+	s2, rec, err := Open(durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Drain(time.Second)
+	if _, err := s2.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Distrusted) != 0 || len(rec.Resumed) != 1 || rec.Resumed[0] != flow.ID {
+		t.Fatalf("recovery resumed %v and distrusted %v, want [%s] resumed", rec.Resumed, rec.Distrusted, flow.ID)
+	}
+	flow2, err := s2.Job(flow.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, flow2, 60*time.Second)
+	if st := flow2.Status(); st.State != StateDone || st.ResumeStep != 1 {
+		t.Fatalf("resumed job: %+v", st)
+	}
+	out, err := aig.Read(bytes.NewReader(flow2.Result().AIGER))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dacpara.Verify(in, out, 0); err != nil {
+		t.Fatalf("resumed flow result is not equivalent to the input: %v", err)
+	}
+}
+
 // TestRecoveryRestoresTerminalRecords checks that finished jobs survive
 // a restart as queryable records, that their cached result bytes do
 // not (ErrResultLost semantics), and that new submissions never reuse a
@@ -183,7 +257,10 @@ func TestJournalRejectsForeignDataDir(t *testing.T) {
 }
 
 func TestDeadlineExceeded(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 2, WorkersPerJob: 2})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 2, WorkersPerJob: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 	req := slowRequest(t, 5000)
 	req.DeadlineNs = int64(100 * time.Millisecond)
@@ -209,7 +286,10 @@ func TestDeadlineExceeded(t *testing.T) {
 }
 
 func TestDefaultDeadlineApplied(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 2, WorkersPerJob: 2, DefaultDeadline: 50 * time.Millisecond})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 2, WorkersPerJob: 2, DefaultDeadline: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 	j, err := s.Submit(slowRequest(t, 5000))
 	if err != nil {
@@ -225,7 +305,10 @@ func TestDefaultDeadlineApplied(t *testing.T) {
 }
 
 func TestNegativeDeadlineRejected(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 2})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 	req := fastRequest(t, "voter")
 	req.DeadlineNs = -int64(time.Second)
@@ -239,12 +322,15 @@ func TestNegativeDeadlineRejected(t *testing.T) {
 // crossings toggle shedding with episode/recovery counters, and
 // submissions during a shed get the typed overload rejection.
 func TestMemorySheddingStateMachine(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 2, MemSoftLimit: 1000, WatchdogInterval: time.Hour})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 2, MemSoftLimit: 1000, WatchdogInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 
 	s.observeMemory(1500)
 	var overloaded *OverloadedError
-	_, err := s.Submit(fastRequest(t, "voter"))
+	_, err = s.Submit(fastRequest(t, "voter"))
 	if !errors.As(err, &overloaded) {
 		t.Fatalf("submission during shed: %v, want *OverloadedError", err)
 	}
@@ -275,8 +361,11 @@ func TestMemorySheddingStateMachine(t *testing.T) {
 // cancels the largest running job with a *ResourceLimitError cause and
 // the job terminates failed, not cancelled.
 func TestMemoryHardLimitKillsLargestJob(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 2, WorkersPerJob: 2,
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 2, WorkersPerJob: 2,
 		MemSoftLimit: 1 << 40, MemHardLimit: 1 << 40, WatchdogInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 	j, err := s.Submit(slowRequest(t, 5000))
 	if err != nil {

@@ -52,7 +52,10 @@ func waitDone(t *testing.T, j *Job, timeout time.Duration) {
 }
 
 func TestSubmitRunsToCompletion(t *testing.T) {
-	s := New(Options{MaxConcurrent: 2, QueueLimit: 4})
+	s, _, err := Open(Options{MaxConcurrent: 2, QueueLimit: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(time.Second)
 	j, err := s.Submit(fastRequest(t, "voter"))
 	if err != nil {
@@ -75,7 +78,10 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 }
 
 func TestQueueFullTypedRejection(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 2, WorkersPerJob: 2})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 2, WorkersPerJob: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 	// One slow job occupies the single slot; two more fill the queue.
 	running, err := s.Submit(slowRequest(t, 40))
@@ -102,7 +108,10 @@ func TestQueueFullTypedRejection(t *testing.T) {
 }
 
 func TestResultCacheHit(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 8})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(time.Second)
 	first, err := s.Submit(JobRequest{Job: dacpara.Job{Workers: 1}, Network: mustGenerate(t, "mult")})
 	if err != nil {
@@ -148,7 +157,10 @@ func TestResultCacheHit(t *testing.T) {
 // round, a verified entry serves an unverifying job without a verdict it
 // never asked for.
 func TestCacheHitKeepsVerify(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 8})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(time.Second)
 	run := func(passes int, verify bool) JobStatus {
 		t.Helper()
@@ -188,7 +200,10 @@ func TestCacheHitKeepsVerify(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 4})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 	blocker, err := s.Submit(slowRequest(t, 40))
 	if err != nil {
@@ -214,7 +229,10 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 func TestCancelRunningJobPromptly(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 4, WorkersPerJob: 2})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 4, WorkersPerJob: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 	j, err := s.Submit(slowRequest(t, 200))
 	if err != nil {
@@ -259,7 +277,10 @@ func TestConcurrentJobs(t *testing.T) {
 	if n < 2 {
 		n = 2
 	}
-	s := New(Options{MaxConcurrent: n, QueueLimit: n, WorkersPerJob: 1})
+	s, _, err := Open(Options{MaxConcurrent: n, QueueLimit: n, WorkersPerJob: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 	jobs := make([]*Job, n)
 	for i := range jobs {
@@ -300,7 +321,10 @@ func TestConcurrentJobs(t *testing.T) {
 }
 
 func TestWorkerBudgetCapsRequests(t *testing.T) {
-	s := New(Options{MaxConcurrent: 2, QueueLimit: 2, WorkersPerJob: 3})
+	s, _, err := Open(Options{MaxConcurrent: 2, QueueLimit: 2, WorkersPerJob: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(time.Second)
 	req := fastRequest(t, "voter")
 	req.Workers = 64
@@ -315,7 +339,10 @@ func TestWorkerBudgetCapsRequests(t *testing.T) {
 }
 
 func TestVerifySubmission(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 2})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(time.Second)
 	req := fastRequest(t, "sqrt")
 	req.Verify = true
@@ -335,7 +362,10 @@ func TestVerifySubmission(t *testing.T) {
 }
 
 func TestDrainRejectsAndFinishes(t *testing.T) {
-	s := New(Options{MaxConcurrent: 2, QueueLimit: 4})
+	s, _, err := Open(Options{MaxConcurrent: 2, QueueLimit: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	j, err := s.Submit(slowRequest(t, 10))
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +396,10 @@ func TestDrainRejectsAndFinishes(t *testing.T) {
 }
 
 func TestDrainCancelsAfterGrace(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 4, WorkersPerJob: 2})
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 4, WorkersPerJob: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	j, err := s.Submit(slowRequest(t, 2000))
 	if err != nil {
 		t.Fatal(err)
@@ -386,8 +419,11 @@ func TestDrainCancelsAfterGrace(t *testing.T) {
 // for the life of the process, the graph it ran on does not — whichever
 // way the job ended — and neither its status nor its result needs it.
 func TestTerminalJobReleasesItsNetwork(t *testing.T) {
-	s := New(Options{MaxConcurrent: 1, QueueLimit: 4, WorkersPerJob: 2,
+	s, _, err := Open(Options{MaxConcurrent: 1, QueueLimit: 4, WorkersPerJob: 2,
 		MemSoftLimit: 1 << 40, MemHardLimit: 1 << 40, WatchdogInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Drain(0)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

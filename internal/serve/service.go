@@ -37,8 +37,7 @@ type Options struct {
 	// flow job checkpoints its working network at step boundaries, so a
 	// service restarted on the same DataDir — even after kill -9 —
 	// replays the journal, re-enqueues interrupted jobs and resumes
-	// flows from their last trusted checkpoint. Use Open, not New, to
-	// construct a durable service.
+	// flows from their last trusted checkpoint.
 	DataDir string
 	// DefaultDeadline bounds the running time of jobs that do not set
 	// their own DeadlineNs; 0 leaves such jobs unbounded.
@@ -188,22 +187,6 @@ type Service struct {
 	stopOnce       sync.Once
 
 	wg sync.WaitGroup
-}
-
-// New starts an in-memory service: MaxConcurrent scheduler workers
-// begin pulling from the queue immediately. Stop it with Drain. A
-// durable service (Options.DataDir set) must be built with Open, which
-// can fail and reports what it recovered; New panics on a DataDir to
-// keep the two constructors from silently diverging.
-func New(opts Options) *Service {
-	if opts.DataDir != "" {
-		panic("serve: New cannot open a durable service; use Open for Options.DataDir")
-	}
-	s, _, err := Open(opts)
-	if err != nil {
-		panic(err) // unreachable: only the durability layer can fail
-	}
-	return s
 }
 
 // Open starts a service, replaying the journal in Options.DataDir (if

@@ -131,9 +131,6 @@ func (f Func64) Support() uint {
 	return s
 }
 
-// SupportSize returns the number of variables f depends on.
-func (f Func64) SupportSize() int { return bits.OnesCount(f.Support()) }
-
 // FlipVar returns f with variable v complemented.
 func (f Func64) FlipVar(v int) Func64 {
 	low := f &^ Vars64[v]

@@ -117,15 +117,12 @@ func TestSupport(t *testing.T) {
 	if Var64(0).Support() != 1 || Var64(3).Support() != 8 || Var64(5).Support() != 32 {
 		t.Fatalf("variable supports wrong: %b %b %b", Var64(0).Support(), Var64(3).Support(), Var64(5).Support())
 	}
-	if False64.Support() != 0 || True64.SupportSize() != 0 {
+	if False64.Support() != 0 || True64.Support() != 0 {
 		t.Fatal("constants must have empty support")
 	}
 	f := Var64(0).Xor(Var64(2))
 	if f.Support() != 0b0101 {
 		t.Fatalf("x0^x2 support = %b", f.Support())
-	}
-	if f.SupportSize() != 2 {
-		t.Fatalf("x0^x2 support size = %d", f.SupportSize())
 	}
 }
 
@@ -272,7 +269,7 @@ func TestCofactorFlip64AgainstFunc16(t *testing.T) {
 				t.Fatalf("xor-decomposition(%d) mismatch for %v", v, f16)
 			}
 		}
-		if f.Support() != sup || f.SupportSize() != bits.OnesCount(sup) {
+		if f.Support() != sup {
 			t.Fatalf("support mismatch for %v", f16)
 		}
 	}

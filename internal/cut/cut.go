@@ -191,9 +191,10 @@ const busy = ^uint64(0)
 
 type cutPage [cutPageSize]entry
 
-// Manager stores the cut sets of every node (the paper's "Cut Manager").
-// Entries live in an append-only paged store, so the table can grow while
-// other goroutines hold entry pointers.
+// Manager stores the cut sets of every node (the paper's "Cut Manager")
+// until the node dies: the commit that deletes a node gives its set back
+// (Release). Entries live in an append-only paged store, so the table can
+// grow while other goroutines hold entry pointers.
 //
 // Who may touch an entry is decided by the entry itself, not by a lock
 // (the publish rule): a set published for the node's current incarnation
@@ -233,9 +234,23 @@ func NewManager(a *aig.AIG, params Params) *Manager {
 func (m *Manager) K() int { return m.params.k() }
 
 // NextEpoch forgets every stored set: the next Ensure of each node
-// recomputes it into the storage it already holds. It must never race
-// with enumeration.
+// recomputes it into the storage it already holds. A rewriting run calls
+// it before each pass after the first, so one manager and its storage
+// serve every pass. It must never race with enumeration.
 func (m *Manager) NextEpoch() { m.epoch++ }
+
+// Release forgets node id's cut set and gives its storage to pool. A
+// commit calls it for every node it deleted, once the replacement is
+// done: no live node's set enumerates through a dead one, and candidates
+// hold their cuts by value, so the set has no reader left. The caller
+// must be the entry's only user — a serial commit, which never overlaps a
+// sweep, or an activity holding the node's lock.
+func (m *Manager) Release(id int32, pool *Pool) {
+	e := m.entry(id)
+	poolPut(pool, e.cuts)
+	e.cuts = nil
+	e.state.Store(0)
+}
 
 func (m *Manager) grow(n int32) {
 	for {
@@ -276,6 +291,10 @@ func (m *Manager) Cuts(id int32) ([]Cut, bool) {
 	}
 	return e.cuts, true
 }
+
+// Holds reports whether node id's entry holds cut storage, published or
+// not: what Release would give back.
+func (m *Manager) Holds(id int32) bool { return cap(m.entry(id).cuts) > 0 }
 
 // published is the state word of node id's entry once its set is
 // computed for the node's current incarnation in this epoch.

@@ -76,8 +76,10 @@ const (
 // attempt counter (a pass that does not implement Evaluator counts its
 // own attempts; otherwise the framework counts the candidates the sweep
 // stored), and the per-worker-slot cut-storage pools. Pools are created
-// once per engine run and survive the pass loop, so later passes
-// enumerate into already-warm free lists.
+// once per engine run and survive the pass loop. Storage a commit gives
+// back — the sets of the nodes it deleted — goes to the committing slot's
+// pool; before each sweep Run moves what slot 0's serial commits gave
+// back to the sweep's workers, so later worklists enumerate into it.
 type Env struct {
 	Shards   []metrics.Shard
 	Attempts *atomic.Int64
@@ -246,6 +248,9 @@ func Run[C any](ctx context.Context, a *aig.AIG, pass Pass[C], plan Plan, e Exec
 	sweep := func(wl []int32) error {
 		t0 := time.Now()
 		n, cur := team.Split(len(wl))
+		// The storage slot 0's commits gave back goes to the workers
+		// that will enumerate into it.
+		cut.Share(env.CutPools[0], env.CutPools[1:n+1])
 		perr := team.Do(n, func(worker int) {
 			tl := &tallies[worker]
 			for {

@@ -126,7 +126,7 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 	// locking every node it would touch, so the commit below mutates only
 	// locked nodes and the gain is exact on the latest graph. The overlay
 	// starts from the references the new gates will add to existing nodes.
-	sim := newReplaceSim(a, lock, &s.ov)
+	sim := newReplaceSim(a, lock, s)
 	if str != nil {
 		for k, g := range str.Nodes {
 			if s.vals[gateBase+k] != litNew {
@@ -172,6 +172,13 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 		return 0, engine.StatusStale
 	}
 	a.Replace(root, out, aig.ReplaceOptions{CascadeMerge: e.CascadeMerge})
+	// 6. Give back the cut sets of the nodes the replacement deleted. A
+	// cascade merge may delete more, which keep their storage.
+	for _, id := range s.dead {
+		if a.N(id).IsDead() {
+			cm.Release(id, e.CutPool)
+		}
+	}
 	return gain, engine.StatusCommitted
 }
 

@@ -79,6 +79,9 @@ type Scratch struct {
 
 	conflict bool // plan gave up because a lock was refused
 	coneLeft int  // nodes coneTT may still enter
+
+	// dead lists the nodes the last replacement rehearsal deleted.
+	dead []int32
 }
 
 const (

@@ -41,7 +41,7 @@ type fusedPass struct {
 var _ engine.Pass[Candidate] = (*fusedPass)(nil)
 
 func (p *fusedPass) Begin(slots int, env engine.Env) {
-	p.cm = cut.NewManager(p.a, cut.Params{K: p.cfg.K, MaxCuts: p.cfg.MaxCuts})
+	p.cm = runManager(p.cm, p.a, p.cfg)
 	p.evs = make([]*Evaluator, slots)
 	for w := range p.evs {
 		p.evs[w] = NewEvaluator(p.a, p.lib, p.cfg)

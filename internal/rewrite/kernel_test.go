@@ -141,6 +141,33 @@ func TestDACParaPassAllocs(t *testing.T) {
 	}
 }
 
+// TestDACParaPassBytes holds the same cold pass to 450 bytes of heap
+// allocated per AND of its input. Commits give the cut sets of the nodes
+// they delete back and the next sweep enumerates into them, which keeps
+// the pass near 390 B/AND. Without the release it allocates about 625,
+// and with the release but without the sharing about 790: the sweep's
+// workers then never see what the serial commit gave back. The
+// bench-smoke CI job runs this test as an allocation gate.
+func TestDACParaPassBytes(t *testing.T) {
+	lib := testLib(t)
+	src := bench.MtM("mtm32k", 32000, 1)
+	cfg := P2()
+	cfg.Workers = 1
+	a := src.Clone()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if _, err := Run(context.Background(), EngineDACPara, a, lib, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	perAnd := float64(ms.TotalAlloc-before) / float64(src.NumAnds())
+	t.Logf("%d bytes, %.1f per AND", ms.TotalAlloc-before, perAnd)
+	if perAnd > 450 {
+		t.Fatalf("a cold dacpara pass allocates %.1f bytes per AND, want at most 450", perAnd)
+	}
+}
+
 // BenchmarkDACParaPass is one dacpara P2 pass over a 32 k-AND MtM circuit
 // on one worker. B/AND is the heap the pass allocates per AND of its
 // input: what a candidate store sized by the graph would show first.

@@ -42,7 +42,7 @@ var (
 )
 
 func (p *Pass) Begin(slots int, env engine.Env) {
-	p.cm = cut.NewManager(p.A, cut.Params{K: p.Cfg.K, MaxCuts: p.Cfg.MaxCuts})
+	p.cm = runManager(p.cm, p.A, p.Cfg)
 	p.env = env
 	p.evs = make([]*Evaluator, slots)
 	for w := range p.evs {
@@ -57,6 +57,17 @@ func (p *Pass) Begin(slots int, env engine.Env) {
 	for _, pi := range p.A.PIs() {
 		p.cm.Ensure(pi, nil)
 	}
+}
+
+// runManager returns the run's cut manager: a new one for its first
+// pass, cm with every set forgotten for each later one, so that every
+// pass recomputes its sets into the storage the last one left.
+func runManager(cm *cut.Manager, a *aig.AIG, cfg Config) *cut.Manager {
+	if cm == nil {
+		return cut.NewManager(a, cut.Params{K: cfg.K, MaxCuts: cfg.MaxCuts})
+	}
+	cm.NextEpoch()
+	return cm
 }
 
 func (p *Pass) Enumerate(worker int, id int32) {

@@ -10,20 +10,23 @@ import (
 // replacement will touch: the fanouts of the replaced node and their
 // other fanins, the cascade of fanouts that simplify away, and the cone
 // that dies when its references reach zero. Afterwards the commit can run
-// without any possibility of a mid-mutation conflict, and the returned
-// deletion count makes the gain exact.
+// without any possibility of a mid-mutation conflict, the returned
+// deletion count makes the gain exact, and the scratch's dead list names
+// the nodes whose cut sets the commit gives back.
 type replaceSim struct {
-	a       *aig.AIG
-	lock    engine.Locker
-	ov      *overlay // reference-count changes; fanouts redirected; nodes deleted
-	deleted int
-	visits  int
+	a      *aig.AIG
+	lock   engine.Locker
+	ov     *overlay // reference-count changes; fanouts redirected; nodes deleted
+	dead   *[]int32 // the nodes deleted, in the order the rehearsal deletes them
+	visits int
 }
 
-// newReplaceSim opens a rehearsal on a blank overlay.
-func newReplaceSim(a *aig.AIG, lock engine.Locker, ov *overlay) replaceSim {
-	ov.begin()
-	return replaceSim{a: a, lock: lock, ov: ov}
+// newReplaceSim opens a rehearsal on the scratch's overlay and dead list,
+// both emptied.
+func newReplaceSim(a *aig.AIG, lock engine.Locker, s *Scratch) replaceSim {
+	s.ov.begin()
+	s.dead = s.dead[:0]
+	return replaceSim{a: a, lock: lock, ov: &s.ov, dead: &s.dead}
 }
 
 func (s *replaceSim) lk(id int32) bool { return s.lock == nil || s.lock(id) }
@@ -39,7 +42,7 @@ func (s *replaceSim) run(root int32, out aig.Lit, outNew bool) (deleted int, ok,
 	if ok, conflict = s.simReplace(root, out, outNew); !ok {
 		return 0, ok, conflict
 	}
-	return s.deleted, true, false
+	return len(*s.dead), true, false
 }
 
 // simReplace models redirecting every reference of v to repl.
@@ -132,7 +135,7 @@ func (s *replaceSim) simDelete(v int32) (ok, conflict bool) {
 		return false, false
 	}
 	s.ov.at(v).dead = true
-	s.deleted++
+	*s.dead = append(*s.dead, v)
 	for _, fl := range [2]aig.Lit{vn.Fanin0(), vn.Fanin1()} {
 		fid := fl.Node()
 		if !s.lk(fid) {

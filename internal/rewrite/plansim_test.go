@@ -20,7 +20,7 @@ func TestReplaceSimMatchesReplace(t *testing.T) {
 		return a, inner.Node(), xy
 	}
 	a, victim, repl := build()
-	sim := newReplaceSim(a, nil, new(overlay))
+	sim := newReplaceSim(a, nil, NewScratch())
 	deleted, ok, conflict := sim.run(victim, repl, false)
 	if !ok || conflict {
 		t.Fatalf("sim failed: ok=%v conflict=%v", ok, conflict)
@@ -43,7 +43,7 @@ func TestReplaceSimPOOnly(t *testing.T) {
 	v := a.And(x, y)
 	a.AddPO(v)
 	a.AddPO(v.Not())
-	sim := newReplaceSim(a, nil, new(overlay))
+	sim := newReplaceSim(a, nil, NewScratch())
 	deleted, ok, conflict := sim.run(v.Node(), x, false)
 	if !ok || conflict {
 		t.Fatal("sim failed")
@@ -63,7 +63,7 @@ func TestReplaceSimTrivialCascade(t *testing.T) {
 	f := a.And(v, x) // will become AND(!x, x) = const0
 	top := a.And(f, y)
 	a.AddPO(top)
-	sim := newReplaceSim(a, nil, new(overlay))
+	sim := newReplaceSim(a, nil, NewScratch())
 	deleted, ok, conflict := sim.run(v.Node(), x.Not(), false)
 	if !ok || conflict {
 		t.Fatal("sim failed")
@@ -89,7 +89,7 @@ func TestReplaceSimBudget(t *testing.T) {
 		pi := a.AddPI()
 		a.AddPO(a.And(v, pi))
 	}
-	sim := newReplaceSim(a, nil, new(overlay))
+	sim := newReplaceSim(a, nil, NewScratch())
 	_, ok, conflict := sim.run(v.Node(), x, false)
 	if conflict {
 		t.Fatal("unexpected conflict")
@@ -108,7 +108,7 @@ func TestReplaceSimConflictPropagates(t *testing.T) {
 	top := a.And(v, z)
 	a.AddPO(top)
 	denied := top.Node()
-	sim := newReplaceSim(a, func(id int32) bool { return id != denied }, new(overlay))
+	sim := newReplaceSim(a, func(id int32) bool { return id != denied }, NewScratch())
 	_, ok, conflict := sim.run(v.Node(), x, false)
 	if ok || !conflict {
 		t.Fatalf("expected conflict, got ok=%v conflict=%v", ok, conflict)

@@ -42,6 +42,7 @@ var reachAllowed = map[string]string{
 	"dacpara/internal/rewlib.Library.NPN":           "inspection: the library content pins read it",
 	"dacpara/internal/rewlib.Library.MaxStructures": "inspection: the library tests read it",
 	"dacpara/internal/rewlib.SLit.IsInput":          "inspection: the structure tests read it",
+	"dacpara/internal/cut.Manager.Holds":            "inspection: the release tests read which entries hold storage",
 	"dacpara/internal/bench.Adder":                  "test corpus: the smallest arithmetic circuit",
 	"dacpara/internal/bench.KernelSet":              "test corpus: the kernel gates' circuits",
 	"dacpara/internal/bench.FlowVerified":           "test corpus: the flow_verified circuits",

@@ -18,7 +18,9 @@ func TestMidMoveLeafReadsStale(t *testing.T) {
 	g := a.And(x, y)
 	r := a.And(g, z)
 	a.AddPO(r)
-	cuts, _ := cut.NewManager(a, cut.Params{}).Ensure(r.Node(), nil)
+	m := cut.NewManager(a, cut.Params{})
+	m.Ensure(r.Node(), nil)
+	cuts, _ := m.Cuts(r.Node())
 
 	a.HoldMoving(g.Node())
 	over := 0

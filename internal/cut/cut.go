@@ -10,10 +10,12 @@
 //
 // The cut width k is a runtime parameter (Params.K). Classic rewriting
 // uses k=4; large-cut rewriting raises it to 5 or 6, trading enumeration
-// cost for reach. Functions are always stored as 6-variable tables
+// cost for reach. A working Cut always carries a 6-variable table
 // (tt.Func64): a cut of Size s never depends on variables >= s, so a
 // narrow cut's table is exactly the widened form of its 4-variable table
-// and every k=4 comparison is preserved bit for bit.
+// and every k=4 comparison is preserved bit for bit. The manager stores
+// sets in a packed form sized by the width (stored.go), whose tables are
+// narrowed to k variables.
 package cut
 
 import (
@@ -145,14 +147,13 @@ func DefaultCutLimit(k int) int {
 	}
 }
 
+// k resolves the width: 0 or less is the classic K, and the rest clamps
+// to K..MaxK, the widths a stored cut has a stride for.
 func (p Params) k() int {
 	if p.K <= 0 {
 		return K
 	}
-	if p.K > MaxK {
-		return MaxK
-	}
-	return p.K
+	return min(max(p.K, K), MaxK)
 }
 
 // maxCuts resolves the cut limit: the configured value when set,
@@ -178,10 +179,10 @@ const (
 // computed for that incarnation in that epoch, and busy while one
 // worker — the one whose compare-and-swap put busy there — is computing
 // it. The set belongs to that worker until it stores the word that
-// publishes it.
+// publishes it. The set is in the stored form, stride(k) words a cut.
 type entry struct {
 	state atomic.Uint64
-	cuts  []Cut
+	cuts  []uint32
 }
 
 // busy is the state of an entry one worker is computing. No published
@@ -247,7 +248,7 @@ func (m *Manager) NextEpoch() { m.epoch++ }
 // sweep, or an activity holding the node's lock.
 func (m *Manager) Release(id int32, pool *Pool) {
 	e := m.entry(id)
-	poolPut(pool, e.cuts)
+	poolPut(pool, e.cuts, stride(m.K()))
 	e.cuts = nil
 	e.state.Store(0)
 }
@@ -280,16 +281,23 @@ func (m *Manager) entry(id int32) *entry {
 	return &pages[id>>cutPageBits][id&cutPageMask]
 }
 
-// Cuts returns node id's stored cut set and whether a set computed for
-// the node's current incarnation in this epoch exists. The first cut,
-// when present, is the trivial cut. Individual cuts may still be stale
-// (Cut.Fresh).
-func (m *Manager) Cuts(id int32) ([]Cut, bool) {
+// Cuts returns node id's stored cut set, unpacked into a new slice, and
+// whether a set computed for the node's current incarnation in this epoch
+// exists. The first cut, when present, is the trivial cut. Individual
+// cuts may still be stale (Cut.Fresh).
+func (m *Manager) Cuts(id int32) ([]Cut, bool) { return m.CutsP(id, nil) }
+
+// CutsP is Cuts unpacking into a buffer of the per-worker pool instead,
+// with no allocation once the buffer has grown: the set stays there until
+// the pool's next CutsP, which is all an evaluator needs. Enumeration
+// through the pool leaves it alone. A nil pool allocates, as Cuts does.
+func (m *Manager) CutsP(id int32, pool *Pool) ([]Cut, bool) {
 	e := m.entry(id)
 	if e.state.Load() != m.published(id) {
 		return nil, false
 	}
-	return e.cuts, true
+	k := m.K()
+	return unpackSet(pool.buf(bufRead, len(e.cuts)/stride(k)), e.cuts, k, nil), true
 }
 
 // Holds reports whether node id's entry holds cut storage, published or
@@ -325,21 +333,28 @@ type Visitor func(id int32) bool
 
 // Ensure computes and stores the cut set of id unless one is published
 // for the node's incarnation in this epoch, recursively ensuring fanin
-// cut sets first. With a nil visitor it is safe to call from any number
-// of goroutines while the graph does not change (see Manager). visit,
-// when non-nil, is invoked for every node touched — the paper's Section
-// 4.2, enumeration "recursively acquires exclusive locks for the current
-// node and all its relevant nodes"; a false return aborts with ok=false,
-// every claim the call held given back.
-func (m *Manager) Ensure(id int32, visit Visitor) ([]Cut, bool) {
+// cut sets first; Cuts reads the set. With a nil visitor it is safe to
+// call from any number of goroutines while the graph does not change (see
+// Manager). visit, when non-nil, is invoked for every node touched — the
+// paper's Section 4.2, enumeration "recursively acquires exclusive locks
+// for the current node and all its relevant nodes"; a false return aborts
+// with false, every claim the call held given back.
+func (m *Manager) Ensure(id int32, visit Visitor) bool {
 	return m.EnsureP(id, visit, nil)
 }
 
-// EnsureP is Ensure with a per-worker storage pool: merge scratch and
-// entry storage come from (and return to) the pool, so steady-state
-// enumeration with a warm pool performs no heap allocation. A nil pool
-// falls back to plain allocation.
-func (m *Manager) EnsureP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
+// EnsureP is Ensure with a per-worker storage pool: merge scratch,
+// unpacked fanin sets and entry storage come from (and return to) the
+// pool, so steady-state enumeration with a warm pool performs no heap
+// allocation. A nil pool falls back to plain allocation. CutsP reads the
+// set through the same pool.
+func (m *Manager) EnsureP(id int32, visit Visitor, pool *Pool) bool {
+	_, ok := m.ensure(id, visit, pool)
+	return ok
+}
+
+// ensure is EnsureP returning the published set in its stored form.
+func (m *Manager) ensure(id int32, visit Visitor, pool *Pool) ([]uint32, bool) {
 	if visit != nil && !visit(id) {
 		return nil, false
 	}
@@ -366,13 +381,13 @@ func (m *Manager) EnsureP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
 		} else {
 			one[0] = m.trivial(id)
 		}
-		commit(e, one[:], pool)
+		m.commit(e, one[:], pool)
 	case aig.KindAnd:
 		f0, f1 := n.Fanin0(), n.Fanin1()
-		s0, ok := m.EnsureP(f0.Node(), visit, pool)
-		var s1 []Cut
+		w0, ok := m.ensure(f0.Node(), visit, pool)
+		var w1 []uint32
 		if ok {
-			s1, ok = m.EnsureP(f1.Node(), visit, pool)
+			w1, ok = m.ensure(f1.Node(), visit, pool)
 		}
 		if !ok {
 			// The activity aborts: give the claim back, or the entry would
@@ -380,104 +395,82 @@ func (m *Manager) EnsureP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
 			e.state.Store(old)
 			return nil, false
 		}
-		mm0, mok0 := freshMask(m.a, s0)
-		mm1, mok1 := freshMask(m.a, s1)
-		commit(e, m.mergeInto(scratchFor(pool, m.params.maxCuts()+2), id, f0, f1, s0, s1, mm0, mok0, mm1, mok1), pool)
+		// Each fanin set is unpacked once, for all of its pairs, and
+		// without the cuts a rewrite has made stale since they were
+		// enumerated: those whose leaves were deleted or reused.
+		k := m.K()
+		s := stride(k)
+		dst, b0, b1 := pool.mergeBuffers(m.params.maxCuts()+2, len(w0)/s, len(w1)/s)
+		s0 := unpackSet(b0, w0, k, m.a)
+		s1 := unpackSet(b1, w1, k, m.a)
+		m.commit(e, m.mergeInto(dst, id, f0, f1, s0, s1), pool)
 		if pool != nil {
 			pool.merges++
 		}
 	default:
 		// A dead node has no cuts; store an empty set for its current
 		// incarnation so callers see "enumerated, nothing usable".
-		commit(e, nil, pool)
+		m.commit(e, nil, pool)
 	}
 	cuts := e.cuts
 	e.state.Store(valid)
 	return cuts, true
 }
 
-// commit stores res as the claimed entry's cut set, recycling storage
-// through the pool: the resident slice is reused in place whenever it is
-// large enough, so a recompute that reproduces the previous set's size
+// commit packs res into the claimed entry, recycling storage through the
+// pool: the resident slice is reused in place whenever it is large
+// enough, so a recompute that reproduces the previous set's size
 // allocates nothing.
-func commit(e *entry, res []Cut, pool *Pool) {
-	if cap(e.cuts) >= len(res) {
-		if len(res) == 0 && cap(e.cuts) > 0 {
+func (m *Manager) commit(e *entry, res []Cut, pool *Pool) {
+	k := m.K()
+	s := stride(k)
+	if n := len(res) * s; cap(e.cuts) >= n {
+		if n == 0 && cap(e.cuts) > 0 {
 			// A dying entry donates its storage instead of pinning it.
-			poolPut(pool, e.cuts)
+			poolPut(pool, e.cuts, s)
 			e.cuts = nil
 		} else {
-			e.cuts = e.cuts[:len(res)]
+			e.cuts = e.cuts[:n]
 		}
 	} else {
-		poolPut(pool, e.cuts)
-		e.cuts = poolGet(pool, len(res))
+		poolPut(pool, e.cuts, s)
+		e.cuts = poolGet(pool, len(res), s)
 	}
-	copy(e.cuts, res)
-}
-
-// freshMask computes the bitmask of fresh cuts in a set. ok is false when
-// the set is too long for a 64-bit mask; the merge then falls back to
-// per-cut Fresh checks.
-func freshMask(a *aig.AIG, s []Cut) (uint64, bool) {
-	if len(s) > 64 {
-		return 0, false
+	for i := range res {
+		pack(e.cuts[i*s:], &res[i], k)
 	}
-	var msk uint64
-	for i := range s {
-		if s[i].Fresh(a) {
-			msk |= 1 << uint(i)
-		}
-	}
-	return msk, true
 }
 
 // RefreshP recomputes id's cut set on the latest graph even if a set for
 // the current incarnation exists — the paper's re-enumeration step when a
 // stored result is found outdated at replacement time. Fanin sets are
-// reused (Ensure semantics) with their stale cuts filtered out. pool is
-// a per-worker storage pool, or nil (see EnsureP).
-func (m *Manager) RefreshP(id int32, visit Visitor, pool *Pool) ([]Cut, bool) {
+// reused (Ensure semantics) with their stale cuts filtered out; CutsP
+// reads the new set. pool is a per-worker storage pool, or nil (see
+// EnsureP).
+func (m *Manager) RefreshP(id int32, visit Visitor, pool *Pool) bool {
 	if visit != nil && !visit(id) {
-		return nil, false
+		return false
 	}
 	m.entry(id).state.Store(0)
 	return m.EnsureP(id, visit, pool)
 }
 
-// mergeInto computes the cut set of an AND node from its fanins' sets
-// into the caller-provided scratch, skipping stale fanin cuts (whose
-// leaves were deleted or reused by rewriting since they were enumerated).
-// Freshness comes from the precomputed masks when they cover the sets
-// (mok*).
+// mergeInto computes the cut set of an AND node from the fresh cuts of
+// its fanins' sets into the caller-provided scratch.
 //
 // Each pair is merged leaves first; most unions are then dropped by the
 // dominance test, and only a cut that is kept has its function computed.
 // The stamp is the parents': their freshness was established against
 // those very values, so a leaf that moves afterwards leaves a cut Fresh
 // rejects, never a new stamp on the old incarnation's function.
-func (m *Manager) mergeInto(dst []Cut, id int32, f0, f1 aig.Lit, s0, s1 []Cut, m0 uint64, mok0 bool, m1 uint64, mok1 bool) []Cut {
+func (m *Manager) mergeInto(dst []Cut, id int32, f0, f1 aig.Lit, s0, s1 []Cut) []Cut {
 	k := m.params.k()
 	maxCuts := m.params.maxCuts()
 	dst = append(dst, m.trivial(id))
 	var c Cut
 	var p0, p1 [MaxK]uint8
 	for i := range s0 {
-		if mok0 {
-			if m0&(1<<uint(i)) == 0 {
-				continue
-			}
-		} else if !s0[i].Fresh(m.a) {
-			continue
-		}
 		for j := range s1 {
-			if mok1 {
-				if m1&(1<<uint(j)) == 0 {
-					continue
-				}
-			} else if !s1[j].Fresh(m.a) {
-				continue
-			}
 			if !mergeLeaves(&c, &s0[i], &s1[j], k, &p0, &p1) || dominated(dst, &c) {
 				continue
 			}

@@ -9,15 +9,24 @@ import (
 	"dacpara/internal/tt"
 )
 
+// ensured enumerates node id with no visitor and returns its set.
+func ensured(m *Manager, id int32) []Cut {
+	m.Ensure(id, nil)
+	cuts, _ := m.Cuts(id)
+	return cuts
+}
+
 func TestTrivialCutsOfSources(t *testing.T) {
 	a := aig.New()
 	x := a.AddPI()
 	m := NewManager(a, Params{})
-	cuts, ok := m.Ensure(0, nil)
+	ok := m.Ensure(0, nil)
+	cuts, _ := m.Cuts(0)
 	if !ok || len(cuts) != 1 || cuts[0].Size != 0 || cuts[0].TT != tt.False64 {
 		t.Fatalf("constant cut set wrong: %+v", cuts)
 	}
-	cuts, ok = m.Ensure(x.Node(), nil)
+	ok = m.Ensure(x.Node(), nil)
+	cuts, _ = m.Cuts(x.Node())
 	if !ok || len(cuts) != 1 || cuts[0].Size != 1 || cuts[0].TT != tt.Var64(0) {
 		t.Fatalf("PI cut set wrong: %+v", cuts)
 	}
@@ -33,7 +42,7 @@ func TestCutEnumerationKnownTree(t *testing.T) {
 	f := a.And(ab, cd)
 	a.AddPO(f)
 	m := NewManager(a, Params{})
-	cuts, _ := m.Ensure(f.Node(), nil)
+	cuts := ensured(m, f.Node())
 	if cuts[0].Size != 1 || cuts[0].Leaves[0] != f.Node() {
 		t.Fatal("first cut must be trivial")
 	}
@@ -103,7 +112,7 @@ func TestCutFunctionsMatchSimulation(t *testing.T) {
 		}
 		m := NewManager(a, Params{})
 		a.ForEachAnd(func(id int32) {
-			cuts, _ := m.Ensure(id, nil)
+			cuts := ensured(m, id)
 			for ci := range cuts {
 				c := &cuts[ci]
 				// Evaluate the cut function bit-parallel over the leaves.
@@ -148,7 +157,7 @@ func TestCutWidthBound(t *testing.T) {
 	a := randomAIG(rng, 10, 400)
 	m := NewManager(a, Params{})
 	a.ForEachAnd(func(id int32) {
-		cuts, _ := m.Ensure(id, nil)
+		cuts := ensured(m, id)
 		for i := range cuts {
 			if cuts[i].Size > K {
 				t.Fatalf("cut wider than %d", K)
@@ -162,7 +171,7 @@ func TestMaxCutsBudget(t *testing.T) {
 	a := randomAIG(rng, 10, 400)
 	m := NewManager(a, Params{MaxCuts: 8})
 	a.ForEachAnd(func(id int32) {
-		cuts, _ := m.Ensure(id, nil)
+		cuts := ensured(m, id)
 		// Budget excludes the trivial cut.
 		if len(cuts) > 9 {
 			t.Fatalf("node %d stores %d cuts, budget 8", id, len(cuts)-1)
@@ -175,7 +184,7 @@ func TestDominatedCutsFiltered(t *testing.T) {
 	a := randomAIG(rng, 8, 200)
 	m := NewManager(a, Params{})
 	a.ForEachAnd(func(id int32) {
-		cuts, _ := m.Ensure(id, nil)
+		cuts := ensured(m, id)
 		for i := 1; i < len(cuts); i++ {
 			for j := 1; j < len(cuts); j++ {
 				if i != j && cuts[i].dominates(&cuts[j]) {
@@ -195,7 +204,7 @@ func TestFreshnessTracksVersions(t *testing.T) {
 	f := a.And(xy, z)
 	a.AddPO(f)
 	m := NewManager(a, Params{})
-	cuts, _ := m.Ensure(f.Node(), nil)
+	cuts := ensured(m, f.Node())
 	// Find the cut using xy as a leaf.
 	var withXY *Cut
 	for i := range cuts {
@@ -233,7 +242,7 @@ func TestEnsureRecomputesForNewIncarnation(t *testing.T) {
 	l := a.And(x, y)
 	a.AddPO(l)
 	m := NewManager(a, Params{})
-	first, _ := m.Ensure(l.Node(), nil)
+	first := ensured(m, l.Node())
 	if len(first) == 0 {
 		t.Fatal("no cuts")
 	}
@@ -247,7 +256,7 @@ func TestEnsureRecomputesForNewIncarnation(t *testing.T) {
 	if _, ok := m.Cuts(id); ok {
 		t.Fatal("stale entry served for a new incarnation")
 	}
-	second, _ := m.Ensure(id, nil)
+	second := ensured(m, id)
 	if len(second) < 2 {
 		t.Fatalf("re-enumeration failed: %+v", second)
 	}
@@ -272,10 +281,10 @@ func TestRefreshForcesRecomputation(t *testing.T) {
 	// no structure), leaving f's stored cuts partially stale.
 	repl := a.Or(x, y)
 	a.Replace(xy.Node(), repl, aig.ReplaceOptions{CascadeMerge: true})
-	fresh, ok := m.RefreshP(f.Node(), nil, nil)
-	if !ok {
+	if !m.RefreshP(f.Node(), nil, nil) {
 		t.Fatal("refresh failed")
 	}
+	fresh, _ := m.Cuts(f.Node())
 	for i := range fresh {
 		if !fresh[i].Fresh(a) {
 			t.Fatalf("refreshed set contains stale cut %v", fresh[i].LeafSlice())
@@ -291,7 +300,7 @@ func TestVisitorAbortsEnumeration(t *testing.T) {
 	a.AddPO(l)
 	m := NewManager(a, Params{})
 	calls := 0
-	_, ok := m.Ensure(l.Node(), func(id int32) bool {
+	ok := m.Ensure(l.Node(), func(id int32) bool {
 		calls++
 		return calls < 2 // fail on the second visited node
 	})

@@ -223,7 +223,7 @@ func TestMergeIntoMatchesReference(t *testing.T) {
 		for _, a := range nets {
 			m := NewManager(a, p)
 			a.ForEachAnd(func(id int32) {
-				got, _ := m.Ensure(id, nil)
+				got := ensured(m, id)
 				n := a.N(id)
 				s0, _ := m.Cuts(n.Fanin0().Node())
 				s1, _ := m.Cuts(n.Fanin1().Node())
@@ -235,8 +235,8 @@ func TestMergeIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMergeKeepsParentVersions hands mergeInto fanin sets and freshness
-// masks recorded before a leaf was rewritten away — the window the fused
+// TestMergeKeepsParentVersions hands mergeInto fanin sets whose freshness
+// was checked before a leaf was rewritten away — the window the fused
 // engine leaves open, since leaves of fanin cuts are not under the
 // activity's locks. The merged cuts over that leaf carry the old
 // incarnation's function, so they must carry the parents' stamp too and
@@ -252,10 +252,8 @@ func TestMergeKeepsParentVersions(t *testing.T) {
 	a.AddPO(root)
 	a.AddPO(xy) // keeps the rest alive when xy goes
 	m := NewManager(a, Params{})
-	s0, _ := m.Ensure(g0.Node(), nil)
-	s1, _ := m.Ensure(g1.Node(), nil)
-	m0, ok0 := freshMask(a, s0)
-	m1, ok1 := freshMask(a, s1)
+	s0 := ensured(m, g0.Node())
+	s1 := ensured(m, g1.Node())
 	oldVer := a.N(xy.Node()).Version()
 	var parents uint32
 	for _, c := range append(slices.Clone(s0), s1...) {
@@ -268,7 +266,7 @@ func TestMergeKeepsParentVersions(t *testing.T) {
 	}
 
 	n := a.N(root.Node())
-	merged := m.mergeInto(nil, root.Node(), n.Fanin0(), n.Fanin1(), s0, s1, m0, ok0, m1, ok1)
+	merged := m.mergeInto(nil, root.Node(), n.Fanin0(), n.Fanin1(), s0, s1)
 	over := 0
 	for i := range merged {
 		c := &merged[i]

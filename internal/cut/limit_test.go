@@ -4,32 +4,39 @@ import (
 	"math/rand"
 	"testing"
 
+	"dacpara/internal/aig"
 	"dacpara/internal/tt"
 )
 
-// TestParamsMaxCutsResolution pins the cut-limit resolution order: an
-// explicit MaxCuts from the configuration always wins; otherwise the
-// limit is the width-derived default, with K clamped to the supported
-// range.
+// TestParamsMaxCutsResolution pins the width and cut-limit resolution: K
+// clamps to the supported range 4..MaxK, the widths a stored cut has a
+// stride for, and is the manager's K; an explicit MaxCuts from the
+// configuration always wins; otherwise the limit is the width-derived
+// default.
 func TestParamsMaxCutsResolution(t *testing.T) {
 	cases := []struct {
-		p    Params
-		want int
+		p       Params
+		k, want int
 	}{
-		{Params{}, 54},                    // zero value: classic width, ABC budget
-		{Params{K: 4}, 54},                // explicit classic width
-		{Params{K: 5}, 24},                // width 5 default
-		{Params{K: 6}, 12},                // width 6 default
-		{Params{K: 99}, 12},               // K clamps to MaxK before the lookup
-		{Params{K: -1}, 54},               // negative K falls back to classic
-		{Params{MaxCuts: 8}, 8},           // config overrides the default...
-		{Params{K: 6, MaxCuts: 8}, 8},     // ...at every width
-		{Params{K: 5, MaxCuts: 200}, 200}, // even above the default
-		{Params{K: 5, MaxCuts: -3}, 24},   // non-positive config means default
+		{Params{}, 4, 54},                    // zero value: classic width, ABC budget
+		{Params{K: 4}, 4, 54},                // explicit classic width
+		{Params{K: 5}, 5, 24},                // width 5 default
+		{Params{K: 6}, 6, 12},                // width 6 default
+		{Params{K: 99}, 6, 12},               // K clamps to MaxK before the lookup
+		{Params{K: 1}, 4, 54},                // ...and K below 4 up to the classic width,
+		{Params{K: 3}, 4, 54},                // which has a stride
+		{Params{K: -1}, 4, 54},               // negative K falls back to classic
+		{Params{MaxCuts: 8}, 4, 8},           // config overrides the default...
+		{Params{K: 6, MaxCuts: 8}, 6, 8},     // ...at every width
+		{Params{K: 5, MaxCuts: 200}, 5, 200}, // even above the default
+		{Params{K: 5, MaxCuts: -3}, 5, 24},   // non-positive config means default
 	}
 	for _, c := range cases {
 		if got := c.p.maxCuts(); got != c.want {
 			t.Errorf("Params%+v.maxCuts() = %d, want %d", c.p, got, c.want)
+		}
+		if got := NewManager(aig.New(), c.p).K(); got != c.k {
+			t.Errorf("NewManager(Params%+v).K() = %d, want %d", c.p, got, c.k)
 		}
 	}
 	for k := 1; k <= 4; k++ {
@@ -151,7 +158,7 @@ func TestManagerHonoursBudgetAndWidthWide(t *testing.T) {
 			t.Fatalf("Manager.K() = %d, want %d", m.K(), k)
 		}
 		a.ForEachAnd(func(id int32) {
-			cuts, _ := m.Ensure(id, nil)
+			cuts := ensured(m, id)
 			if len(cuts)-1 > maxCuts {
 				t.Fatalf("k=%d node %d: %d cuts stored, budget %d", k, id, len(cuts)-1, maxCuts)
 			}

@@ -96,7 +96,7 @@ func TestPublishSharedFaninOnce(t *testing.T) {
 			m := NewManager(a, Params{})
 			pools := together(workers, func(w int, pool *Pool) {
 				for _, id := range parents[w*parentsPerWorker : (w+1)*parentsPerWorker] {
-					if _, ok := m.EnsureP(id, nil, pool); !ok {
+					if !m.EnsureP(id, nil, pool) {
 						t.Errorf("worker %d: Ensure(%d) without a visitor failed", w, id)
 					}
 				}
@@ -132,48 +132,55 @@ func sweep(m *Manager, ids []int32, workers int) []*Pool {
 // TestWholeGraphSweepMatchesSerial: a whole-graph sweep in level order
 // gives the cut sets of a serial pass, bit for bit — on a cold manager,
 // and on the same manager after NextEpoch once the graph changed
-// underneath it.
+// underneath it — at every width, so every stride of stored cut goes
+// through the publish protocol.
 func TestWholeGraphSweepMatchesSerial(t *testing.T) {
 	for _, workers := range publishWorkers {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(31))
-			a := randomAIG(rng, 16, 3000)
-			serialSweep := func() *Manager {
-				m := NewManager(a, Params{})
-				for _, id := range levelOrder(a) {
-					m.Ensure(id, nil)
-				}
-				return m
+			for _, k := range ks {
+				t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) { wholeGraphSweep(t, Params{K: k}, workers) })
 			}
-
-			ids := levelOrder(a)
-			m := NewManager(a, Params{})
-			pools := sweep(m, ids, workers)
-			if got := merges(pools); got != len(ids) {
-				t.Fatalf("cold: %d merges for %d nodes", got, len(ids))
-			}
-			sameSets(t, "cold", m, serialSweep(), ids)
-
-			// Rewrite a few dozen nodes into new logic over their fanins,
-			// as a pass would: some stored sets lose cuts, some nodes are
-			// new, and NextEpoch has every set recomputed.
-			for i := 0; i < 40; i++ {
-				id := ids[rng.Intn(len(ids))]
-				if n := a.N(id); n.IsAnd() {
-					if repl := a.Or(n.Fanin0(), n.Fanin1().Not()); repl.Node() != id {
-						a.Replace(id, repl, aig.ReplaceOptions{CascadeMerge: true})
-					}
-				}
-			}
-			ids = levelOrder(a)
-			m.NextEpoch()
-			pools = sweep(m, ids, workers)
-			if got := merges(pools); got != len(ids) {
-				t.Fatalf("warm: %d merges for %d nodes", got, len(ids))
-			}
-			sameSets(t, "warm", m, serialSweep(), ids)
 		})
 	}
+}
+
+func wholeGraphSweep(t *testing.T, p Params, workers int) {
+	rng := rand.New(rand.NewSource(31))
+	a := randomAIG(rng, 16, 3000)
+	serialSweep := func() *Manager {
+		m := NewManager(a, p)
+		for _, id := range levelOrder(a) {
+			m.Ensure(id, nil)
+		}
+		return m
+	}
+
+	ids := levelOrder(a)
+	m := NewManager(a, p)
+	pools := sweep(m, ids, workers)
+	if got := merges(pools); got != len(ids) {
+		t.Fatalf("cold: %d merges for %d nodes", got, len(ids))
+	}
+	sameSets(t, "cold", m, serialSweep(), ids)
+
+	// Rewrite a few dozen nodes into new logic over their fanins,
+	// as a pass would: some stored sets lose cuts, some nodes are
+	// new, and NextEpoch has every set recomputed.
+	for i := 0; i < 40; i++ {
+		id := ids[rng.Intn(len(ids))]
+		if n := a.N(id); n.IsAnd() {
+			if repl := a.Or(n.Fanin0(), n.Fanin1().Not()); repl.Node() != id {
+				a.Replace(id, repl, aig.ReplaceOptions{CascadeMerge: true})
+			}
+		}
+	}
+	ids = levelOrder(a)
+	m.NextEpoch()
+	pools = sweep(m, ids, workers)
+	if got := merges(pools); got != len(ids) {
+		t.Fatalf("warm: %d merges for %d nodes", got, len(ids))
+	}
+	sameSets(t, "warm", m, serialSweep(), ids)
 }
 
 // TestAbortGivesTheClaimBack: an enumeration that a visitor aborts —
@@ -184,12 +191,12 @@ func TestAbortGivesTheClaimBack(t *testing.T) {
 	a := randomAIG(rand.New(rand.NewSource(5)), 8, 200)
 	root := a.PO(0).Node()
 	cold := NewManager(a, Params{})
-	want, _ := cold.Ensure(root, nil)
+	want := ensured(cold, root)
 	ensure := func(m *Manager) []Cut {
 		t.Helper()
 		done := make(chan []Cut, 1)
 		go func() {
-			set, _ := m.Ensure(root, nil)
+			set := ensured(m, root)
 			done <- set
 		}()
 		select {
@@ -205,7 +212,7 @@ func TestAbortGivesTheClaimBack(t *testing.T) {
 	// path down to it are all held at that point.
 	m := NewManager(a, Params{})
 	visits := 0
-	if _, ok := m.Ensure(root, func(int32) bool { visits++; return visits < 20 }); ok {
+	if m.Ensure(root, func(int32) bool { visits++; return visits < 20 }) {
 		t.Fatal("the visitor refused a node and Ensure went through")
 	}
 	if _, ok := m.Cuts(root); ok {
@@ -217,7 +224,7 @@ func TestAbortGivesTheClaimBack(t *testing.T) {
 
 	// Refresh under a lock that loses the root's first fanin.
 	f0 := a.N(root).Fanin0().Node()
-	if _, ok := m.RefreshP(root, func(id int32) bool { return id != f0 }, NewPool()); ok {
+	if m.RefreshP(root, func(id int32) bool { return id != f0 }, NewPool()) {
 		t.Fatal("the visitor refused a fanin and Refresh went through")
 	}
 	if _, ok := m.Cuts(root); ok {

@@ -33,6 +33,7 @@ func TestReleaseGivesStorageBack(t *testing.T) {
 	}
 
 	rel := NewPool()
+	st := stride(m.K())
 	for i, id := range dead {
 		storage := m.entry(id).cuts
 		if cap(storage) == 0 {
@@ -47,12 +48,12 @@ func TestReleaseGivesStorageBack(t *testing.T) {
 		}
 		// The first release is the pool's only free storage: every request
 		// up to its capacity gets it back, and no chunk is carved.
-		for n := 1; n <= cap(storage); n++ {
-			s := poolGet(rel, n)
-			if len(s) != n || &s[0] != &storage[:1][0] || len(rel.chunk) != 0 {
-				t.Fatalf("poolGet(%d) after releasing %d cuts: not the released storage", n, cap(storage))
+		for n := 1; n <= cap(storage)/st; n++ {
+			s := poolGet(rel, n, st)
+			if len(s) != n*st || &s[0] != &storage[:1][0] || len(rel.chunk) != 0 {
+				t.Fatalf("poolGet(%d) after releasing %d cuts: not the released storage", n, cap(storage)/st)
 			}
-			poolPut(rel, s)
+			poolPut(rel, s, st)
 		}
 	}
 
@@ -84,13 +85,14 @@ func TestReleaseGivesStorageBack(t *testing.T) {
 // each exactly once and onto the list of its capacity, evenly over the
 // destinations, and leaves the source with no free storage.
 func TestShareMovesFreeStorage(t *testing.T) {
+	st := stride(K)
 	from := NewPool()
-	var given []*Cut
+	var given []*uint32
 	for c := 1; c <= freeLists+8; c++ {
 		for range c%3 + 1 {
-			s := make([]Cut, c)
+			s := make([]uint32, c*st)
 			given = append(given, &s[0])
-			poolPut(from, s)
+			poolPut(from, s, st)
 		}
 	}
 	to := NewPools(3)
@@ -104,7 +106,7 @@ func TestShareMovesFreeStorage(t *testing.T) {
 			t.Fatalf("source list %d keeps %d slices", b, len(l))
 		}
 	}
-	seen := map[*Cut]int{}
+	seen := map[*uint32]int{}
 	for k, p := range to {
 		n := 0
 		for b, l := range p.free {
@@ -112,8 +114,8 @@ func TestShareMovesFreeStorage(t *testing.T) {
 				t.Fatalf("pool %d: mask bit %d disagrees with its list's %d slices", k, b, len(l))
 			}
 			for _, s := range l {
-				if list(cap(s)) != b {
-					t.Fatalf("pool %d: a slice of capacity %d on list %d", k, cap(s), b)
+				if list(cap(s)/st) != b {
+					t.Fatalf("pool %d: a slice of %d cuts on list %d", k, cap(s)/st, b)
 				}
 				seen[&s[:1][0]]++
 			}

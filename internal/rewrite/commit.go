@@ -48,10 +48,10 @@ func (e *Evaluator) Execute(cm *cut.Manager, cand *Candidate, lock engine.Locker
 		// Some leaf was deleted (and its ID possibly reused): re-enumerate
 		// on the current graph and match the stored leaf set against the
 		// fresh cut set, as the paper prescribes for the Fig. 3 hazard.
-		set, ok := cm.RefreshP(root, lock, e.CutPool)
-		if !ok {
+		if !cm.RefreshP(root, lock, e.CutPool) {
 			return 0, engine.StatusConflict
 		}
+		set, _ := cm.CutsP(root, e.CutPool)
 		matched := false
 		for i := range set {
 			if set[i].SameLeaves(&cand.Cut) {

@@ -24,7 +24,7 @@ func buildWithCandidate(t *testing.T, lib *rewlibLibrary, seed int64) (*aig.AIG,
 		if !a.N(id).IsAnd() {
 			continue
 		}
-		cuts, _ := cm.Ensure(id, nil)
+		cuts := ensured(cm, id)
 		c := ev.Evaluate(id, cuts)
 		if c.Ok() {
 			return a, cm, ev, c

@@ -39,12 +39,14 @@ func TestFig3CutStalenessDetection(t *testing.T) {
 	ev := rewrite.NewEvaluator(a, l, rewrite.Config{})
 
 	// Evaluate n11 first and hold its candidate (the prepInfo snapshot).
-	cuts, _ := cm.Ensure(n11.Node(), nil)
+	cm.Ensure(n11.Node(), nil)
+	cuts, _ := cm.Cuts(n11.Node())
 	cand := ev.Evaluate(n11.Node(), cuts)
 
 	// Now rewrite n10 (the transitive fanin): its redundant cone
 	// collapses to n7, deleting nodes and freeing their IDs.
-	cutsN10, _ := cm.Ensure(n10.Node(), nil)
+	cm.Ensure(n10.Node(), nil)
+	cutsN10, _ := cm.Cuts(n10.Node())
 	candN10 := ev.Evaluate(n10.Node(), cutsN10)
 	if !candN10.Ok() {
 		t.Fatal("the redundant cone must yield a candidate")
@@ -89,7 +91,8 @@ func TestStaleRootSkipped(t *testing.T) {
 
 	cm := cut.NewManager(a, cut.Params{})
 	ev := rewrite.NewEvaluator(a, l, rewrite.Config{})
-	cuts, _ := cm.Ensure(root.Node(), nil)
+	cm.Ensure(root.Node(), nil)
+	cuts, _ := cm.Cuts(root.Node())
 	cand := ev.Evaluate(root.Node(), cuts)
 	if !cand.Ok() {
 		t.Fatal("no candidate for the redundant root")

@@ -11,6 +11,13 @@ import (
 	"dacpara/internal/engine"
 )
 
+// ensured enumerates node id with no visitor and returns its set.
+func ensured(cm *cut.Manager, id int32) []cut.Cut {
+	cm.Ensure(id, nil)
+	cuts, _ := cm.Cuts(id)
+	return cuts
+}
+
 // TestConstantConeCollapses: a cone computing a constant must yield a
 // CandConst candidate and commit to the constant literal.
 func TestConstantConeCollapses(t *testing.T) {
@@ -25,7 +32,7 @@ func TestConstantConeCollapses(t *testing.T) {
 	a.AddPO(alsoNot)
 	cm := cut.NewManager(a, cut.Params{})
 	ev := NewEvaluator(a, lib, Config{})
-	cuts, _ := cm.Ensure(alsoNot.Node(), nil)
+	cuts := ensured(cm, alsoNot.Node())
 	cand := ev.Evaluate(alsoNot.Node(), cuts)
 	if !cand.Ok() {
 		t.Fatal("no candidate for a constant cone")
@@ -60,7 +67,7 @@ func TestWireConeCollapses(t *testing.T) {
 	a.AddPO(root)
 	cm := cut.NewManager(a, cut.Params{})
 	ev := NewEvaluator(a, lib, Config{})
-	cuts, _ := cm.Ensure(root.Node(), nil)
+	cuts := ensured(cm, root.Node())
 	cand := ev.Evaluate(root.Node(), cuts)
 	if !cand.Ok() || cand.Kind != CandWire {
 		t.Fatalf("candidate %+v, want wire", cand)
@@ -90,7 +97,7 @@ func TestGainIsExactForCommits(t *testing.T) {
 			if !a.N(id).IsAnd() {
 				continue
 			}
-			cuts, _ := cm.Ensure(id, nil)
+			cuts := ensured(cm, id)
 			cand := ev.Evaluate(id, cuts)
 			if !cand.Ok() {
 				continue
@@ -152,7 +159,7 @@ func TestConfigBudgets(t *testing.T) {
 	a := randomAIG(t, rng, 8, 300, 6)
 	cm := cut.NewManager(a, cut.Params{MaxCuts: 8})
 	a.ForEachAnd(func(id int32) {
-		cuts, _ := cm.Ensure(id, nil)
+		cuts := ensured(cm, id)
 		if len(cuts) > 9 { // 8 + trivial
 			t.Fatalf("node %d has %d cuts under the P1 budget", id, len(cuts))
 		}
@@ -182,7 +189,7 @@ func TestEvaluateRespectsClassMask(t *testing.T) {
 	a.AddPO(root)
 	cm := cut.NewManager(a, cut.Params{})
 	ev := NewEvaluator(a, lib, Config{NumClasses: 1})
-	cuts, _ := cm.Ensure(root.Node(), nil)
+	cuts := ensured(cm, root.Node())
 	cand := ev.Evaluate(root.Node(), cuts)
 	if cand.Kind == CandStruct {
 		t.Fatalf("masked class produced a structural candidate: %+v", cand)
@@ -220,7 +227,7 @@ func TestTrustStoredGainCommitsNegative(t *testing.T) {
 	ev := NewEvaluator(a, lib, Config{})
 	ev.TrustStoredGain = true
 	cm := cut.NewManager(a, cut.Params{})
-	cuts, _ := cm.Ensure(n2.Node(), nil)
+	cuts := ensured(cm, n2.Node())
 	// Build a fake stored candidate for a cut whose replacement has no
 	// gain: AND3 is already minimal, so force a structural candidate.
 	var c *cut.Cut

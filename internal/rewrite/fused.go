@@ -70,10 +70,11 @@ func (p *fusedPass) Commit(worker int, id int32, _ *Candidate, lock engine.Locke
 	ev := p.evs[worker]
 	// Enumeration: lock the recursive region whose cut sets the
 	// operator reads or writes.
-	cuts, ok := p.cm.EnsureP(id, lock, p.env.CutPool(worker))
-	if !ok {
+	pool := p.env.CutPool(worker)
+	if !p.cm.EnsureP(id, lock, pool) {
 		return engine.StatusConflict
 	}
+	cuts, _ := p.cm.CutsP(id, pool)
 	// The fused operator holds the locks of all cut leaves for its
 	// whole lifetime: evaluation scans their fanout lists for shared
 	// logic, and replacement mutates them.

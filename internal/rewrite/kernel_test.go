@@ -46,7 +46,7 @@ func TestEvaluateMatchesReference(t *testing.T) {
 				ev := NewEvaluator(a, lib, tc.cfg)
 				ref := &refScratch{delta: map[int32]int32{}}
 				a.ForEachAnd(func(id int32) {
-					cuts, _ := cm.Ensure(id, nil)
+					cuts := ensured(cm, id)
 					got, want := ev.Evaluate(id, cuts), refEvaluate(ev, ref, id, cuts)
 					if got != want {
 						t.Fatalf("%s node %d:\n got %+v\nwant %+v", a.Name, id, got, want)
@@ -59,16 +59,19 @@ func TestEvaluateMatchesReference(t *testing.T) {
 
 // TestEvaluateWarmZeroAlloc: once the scratch has met the largest cone and
 // structure of a graph, evaluating its nodes again — those that yield a
-// candidate and those that do not — allocates nothing.
+// candidate and those that do not — allocates nothing, and neither does
+// reading their sets through a pool, as the pass does.
 func TestEvaluateWarmZeroAlloc(t *testing.T) {
 	lib := testLib(t)
 	for _, a := range bench.KernelSet() {
 		cm := cut.NewManager(a, cut.Params{})
+		a.ForEachAnd(func(id int32) { cm.Ensure(id, nil) })
+		pool := cut.NewPool()
 		ev := NewEvaluator(a, lib, P2())
 		found, none := 0, 0
 		sweep := func() {
 			a.ForEachAnd(func(id int32) {
-				cuts, _ := cm.Ensure(id, nil)
+				cuts, _ := cm.CutsP(id, pool)
 				if cand := ev.Evaluate(id, cuts); cand.Ok() {
 					found++
 				} else {
@@ -99,12 +102,13 @@ func BenchmarkEvaluateSet(b *testing.B) {
 		a.ForEachAnd(func(id int32) { cms[k].Ensure(id, nil) })
 	}
 	found := 0
+	pool := cut.NewPool()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k, a := range set {
 			a.ForEachAnd(func(id int32) {
-				cuts, _ := cms[k].Cuts(id)
+				cuts, _ := cms[k].CutsP(id, pool)
 				if cand := evs[k].Evaluate(id, cuts); cand.Ok() {
 					found++
 				}
@@ -141,13 +145,13 @@ func TestDACParaPassAllocs(t *testing.T) {
 	}
 }
 
-// TestDACParaPassBytes holds the same cold pass to 450 bytes of heap
-// allocated per AND of its input. Commits give the cut sets of the nodes
-// they delete back and the next sweep enumerates into them, which keeps
-// the pass near 390 B/AND. Without the release it allocates about 625,
-// and with the release but without the sharing about 790: the sweep's
-// workers then never see what the serial commit gave back. The
-// bench-smoke CI job runs this test as an allocation gate.
+// TestDACParaPassBytes holds the same cold pass to 260 bytes of heap
+// allocated per AND of its input. Stored cuts are packed (24 bytes at
+// k = 4, against 48 for the working Cut), and commits give the cut sets
+// of the nodes they delete back and the next sweep enumerates into them,
+// which keeps the pass near 245 B/AND. Unpacked storage reads about 393,
+// and without the release about 625. The bench-smoke CI job runs this
+// test as an allocation gate.
 func TestDACParaPassBytes(t *testing.T) {
 	lib := testLib(t)
 	src := bench.MtM("mtm32k", 32000, 1)
@@ -163,8 +167,8 @@ func TestDACParaPassBytes(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	perAnd := float64(ms.TotalAlloc-before) / float64(src.NumAnds())
 	t.Logf("%d bytes, %.1f per AND", ms.TotalAlloc-before, perAnd)
-	if perAnd > 450 {
-		t.Fatalf("a cold dacpara pass allocates %.1f bytes per AND, want at most 450", perAnd)
+	if perAnd > 260 {
+		t.Fatalf("a cold dacpara pass allocates %.1f bytes per AND, want at most 260", perAnd)
 	}
 }
 

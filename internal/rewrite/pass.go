@@ -83,7 +83,7 @@ func (p *Pass) Evaluate(worker int, id int32, cand *Candidate) (stored, counted 
 	if !p.A.N(id).IsAnd() {
 		return false, false
 	}
-	cuts, ok := p.cm.Cuts(id)
+	cuts, ok := p.cm.CutsP(id, p.env.CutPool(worker))
 	if !ok {
 		return false, false
 	}

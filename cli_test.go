@@ -1,6 +1,9 @@
 package dacpara
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -39,20 +42,50 @@ func TestCLIEndToEnd(t *testing.T) {
 		return string(out)
 	}
 
-	// benchgen writes an AIGER file and prints the detail table.
-	out := run(benchgenBin, "-name", "voter", "-scale", "tiny", "-out", work)
-	if !strings.Contains(out, "voter") {
-		t.Fatalf("benchgen output:\n%s", out)
+	// exitCode runs a command that must fail and returns its exit code.
+	exitCode := func(name string, args ...string) int {
+		out, err := exec.Command(name, args...).CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) {
+			t.Fatalf("%s %v: want a failing exit, got %v\n%s", name, args, err, out)
+		}
+		return ee.ExitCode()
 	}
+
+	// benchgen writes the generated circuit as binary AIGER, and needs
+	// -out to know where.
+	run(benchgenBin, "-name", "voter", "-scale", "tiny", "-out", work)
 	voter := filepath.Join(work, "voter.aig")
-	if _, err := os.Stat(voter); err != nil {
+	written, err := os.ReadFile(voter)
+	if err != nil {
 		t.Fatal(err)
+	}
+	want, err := Generate("voter", ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBytes bytes.Buffer
+	if err := want.WriteBinary(&wantBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, wantBytes.Bytes()) {
+		t.Fatalf("benchgen wrote %d bytes that are not the generated voter's binary AIGER", len(written))
+	}
+	if code := exitCode(benchgenBin, "-name", "voter", "-scale", "tiny"); code != 2 {
+		t.Fatalf("benchgen without -out: exit %d, want 2", code)
 	}
 
 	// aigstat reads it back.
-	out = run(aigstatBin, "-levels", voter)
+	out := run(aigstatBin, "-levels", voter)
 	if !strings.Contains(out, "pi=63") {
 		t.Fatalf("aigstat output:\n%s", out)
+	}
+
+	// aigstat -json prints the job status's field names.
+	st := want.Stats()
+	wantJSON := fmt.Sprintf(`{"file":%q,"pi":%d,"po":%d,"and":%d,"delay":%d}`+"\n", voter, st.PIs, st.POs, st.Ands, st.Delay)
+	if out := run(aigstatBin, "-json", voter); out != wantJSON {
+		t.Fatalf("aigstat -json printed %s, want %s", out, wantJSON)
 	}
 
 	// dacpara rewrites the file and verifies.
@@ -60,6 +93,15 @@ func TestCLIEndToEnd(t *testing.T) {
 	out = run(dacparaBin, "-in", voter, "-out", opt, "-engine", "dacpara", "-verify")
 	if !strings.Contains(out, "equivalence check passed") {
 		t.Fatalf("dacpara output:\n%s", out)
+	}
+
+	// An output name that is not AIGER's is refused before the run.
+	bad := filepath.Join(work, "voter_opt.v")
+	if code := exitCode(dacparaBin, "-in", voter, "-out", bad); code != 2 {
+		t.Fatalf("dacpara -out %s: exit %d, want 2", bad, code)
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Fatalf("dacpara -out %s left a file behind (%v)", bad, err)
 	}
 
 	// cec agrees that input and output are equivalent.

@@ -4,7 +4,7 @@
 //
 // With -json it emits one JSON object per file using the same field
 // names as the dacparad job-status payload (pi, po, and, delay — see
-// internal/serve.NetStats), so scripts and the daemon share one schema.
+// aig.Stats), so scripts and the daemon share one schema.
 package main
 
 import (
@@ -15,15 +15,14 @@ import (
 
 	"dacpara/internal/aig"
 	"dacpara/internal/engine"
-	"dacpara/internal/serve"
 )
 
-// fileStat is the -json record: the service's NetStats schema plus the
+// fileStat is the -json record: the job status's aig.Stats schema plus the
 // file name, the structural digest (the service's cache-key input half),
 // and optionally the level histogram.
 type fileStat struct {
 	File string `json:"file"`
-	serve.NetStats
+	aig.Stats
 	Digest string `json:"digest,omitempty"`
 	Levels []int  `json:"levels,omitempty"`
 }
@@ -45,9 +44,9 @@ func main() {
 			os.Exit(1)
 		}
 		if *asJSON {
-			st := fileStat{File: path, NetStats: serve.NetStatsOf(a)}
+			st := fileStat{File: path, Stats: a.Stats()}
 			if *digest {
-				st.Digest = serve.StructuralDigest(a)
+				st.Digest = aig.StructuralDigest(a)
 			}
 			if *hist {
 				for _, wl := range engine.ByLevel(a) {

@@ -1,9 +1,8 @@
-// Command benchgen generates the benchmark suite of the paper's Table 1
-// as AIGER files, or prints the Table-1-style detail table.
+// Command benchgen writes the benchmark suite of the paper's Table 1 as
+// AIGER files (cmd/exptables -table 1 prints the table itself).
 //
 // Usage:
 //
-//	benchgen -table -scale small          # print Table 1 for the scale
 //	benchgen -out bench/ -scale small     # write AIGER files
 //	benchgen -name mult -double 3 -out .  # one circuit, doubled 3 times
 package main
@@ -14,20 +13,21 @@ import (
 	"os"
 	"path/filepath"
 
-	"dacpara/internal/aig"
 	"dacpara/internal/bench"
-	"dacpara/internal/report"
 )
 
 func main() {
 	var (
-		table  = flag.Bool("table", false, "print the benchmark detail table (paper Table 1)")
-		outDir = flag.String("out", "", "directory to write AIGER files into")
+		outDir = flag.String("out", "", "directory to write AIGER files into (required)")
 		scale  = flag.String("scale", "small", "tiny, small, full")
 		name   = flag.String("name", "", "generate only the named benchmark")
 		double = flag.Int("double", -1, "override the number of doublings")
 	)
 	flag.Parse()
+	if *outDir == "" {
+		fmt.Fprintln(os.Stderr, "usage: benchgen -out dir [-scale tiny|small|full] [-name circuit] [-double n]")
+		os.Exit(2)
+	}
 	sc := parseScale(*scale)
 
 	circuits := bench.Suite(sc)
@@ -45,29 +45,19 @@ func main() {
 		circuits = filtered
 	}
 
-	tbl := report.New(fmt.Sprintf("Benchmark Detail (scale=%s; cf. paper Table 1)", sc),
-		"Benchmark", "PIs", "POs", "Area", "Delay", "Sources")
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		fatal(err)
+	}
 	for _, c := range circuits {
 		if *double >= 0 {
 			c.Doublings = *double
 		}
 		a := c.Instantiate(sc)
-		st := a.Stats()
-		tbl.Row(c.Name, st.PIs, st.POs, st.Ands, st.Delay, c.Source)
-		if *outDir != "" {
-			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fatal(err)
-			}
-			path := filepath.Join(*outDir, c.Name+".aig")
-			if err := a.WriteFile(path); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d ands)\n", path, st.Ands)
+		path := filepath.Join(*outDir, c.Name+".aig")
+		if err := a.WriteFile(path); err != nil {
+			fatal(err)
 		}
-		_ = aig.Stats{}
-	}
-	if *table || *outDir == "" {
-		tbl.Render(os.Stdout)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d ands)\n", path, a.NumAnds())
 	}
 }
 

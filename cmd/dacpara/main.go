@@ -18,6 +18,7 @@ import (
 	"runtime/pprof"
 
 	"dacpara"
+	"dacpara/internal/aig"
 	"dacpara/internal/cec"
 	"dacpara/internal/lutmap"
 )
@@ -37,7 +38,7 @@ func newCLI(fs *flag.FlagSet) *cli {
 		in:        fs.String("in", "", "input AIGER file (ASCII or binary)"),
 		gen:       fs.String("gen", "", "generate a named benchmark instead of reading a file (see -list)"),
 		scale:     fs.String("scale", "small", "generated benchmark scale: tiny, small, full"),
-		outPath:   fs.String("out", "", "output AIGER file (optional)"),
+		outPath:   fs.String("out", "", "output AIGER file, binary for .aig, ASCII for .aag (optional)"),
 		engine:    fs.String("engine", "dacpara", "engine: abc, iccad18, dacpara, dac22, tcad23"),
 		threads:   fs.Int("threads", 0, "worker threads (0 = GOMAXPROCS)"),
 		passes:    fs.Int("passes", 0, "rewriting passes (0 = one, or the preset's)"),
@@ -73,6 +74,8 @@ func (c *cli) job() (dacpara.Job, error) {
 		return dacpara.Job{}, errors.New("dacpara: -sim-only needs -verify")
 	case *c.lut != 0 && (*c.lut < 2 || *c.lut > lutmap.MaxK):
 		return dacpara.Job{}, fmt.Errorf("dacpara: -lut %d out of range 2..%d", *c.lut, lutmap.MaxK)
+	case *c.outPath != "" && aig.CheckOutputName(*c.outPath) != nil:
+		return dacpara.Job{}, fmt.Errorf("dacpara: -out %w", aig.CheckOutputName(*c.outPath))
 	case *c.p1:
 		cfg = dacpara.P1()
 	case *c.p2:

@@ -34,6 +34,8 @@ func TestJobFromFlags(t *testing.T) {
 		{"-script resyn2 -z", dacpara.Job{Flow: dacpara.Resyn2, ZeroGain: true}},
 		{"-lut 2", dacpara.Job{Engine: dacpara.EngineDACPara}},
 		{"-lut 16", dacpara.Job{Engine: dacpara.EngineDACPara}},
+		{"-out x.aig", dacpara.Job{Engine: dacpara.EngineDACPara}},
+		{"-out x.aag", dacpara.Job{Engine: dacpara.EngineDACPara}},
 	} {
 		fs := flag.NewFlagSet("dacpara", flag.ContinueOnError)
 		cl := newCLI(fs)
@@ -50,7 +52,7 @@ func TestJobFromFlags(t *testing.T) {
 		}
 	}
 	for _, args := range []string{"-p1 -p2", "-k 3", "-engine frobnicate", "-script b;frobnicate", "-threads -1",
-		"-sim-only", "-lut 1", "-lut 17", "-lut -1"} {
+		"-sim-only", "-lut 1", "-lut 17", "-lut -1", "-out x.v", "-out x.bench", "-out x"} {
 		fs := flag.NewFlagSet("dacpara", flag.ContinueOnError)
 		cl := newCLI(fs)
 		if err := fs.Parse(strings.Fields(args)); err != nil {

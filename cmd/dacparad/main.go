@@ -1,5 +1,5 @@
 // Command dacparad is the DACPara optimization daemon: a long-running
-// HTTP service that accepts AIGER/BENCH circuit uploads, schedules
+// HTTP service that accepts AIGER circuit uploads, schedules
 // rewriting jobs over a bounded queue with admission control, serves
 // repeated submissions from a structural-hash-keyed result cache, and
 // drains gracefully on SIGTERM. With -data-dir it is crash-safe: every

@@ -483,10 +483,13 @@ func (a *AIG) ForEachAnd(fn func(id int32)) {
 	}
 }
 
-// Stats summarizes a network.
+// Stats summarizes a network. The JSON names are the schema of the
+// dacparad job status and of `aigstat -json`.
 type Stats struct {
-	PIs, POs, Ands int
-	Delay          int32
+	PIs   int   `json:"pi"`
+	POs   int   `json:"po"`
+	Ands  int   `json:"and"`
+	Delay int32 `json:"delay"`
 }
 
 // Stats returns the network statistics reported in the paper's tables:

@@ -2,7 +2,6 @@ package aig_test
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"dacpara/internal/aig"
@@ -60,35 +59,6 @@ func FuzzReadAIGER(f *testing.F) {
 		if again.NumPIs() != net.NumPIs() || again.NumPOs() != net.NumPOs() {
 			t.Fatalf("round trip changed interface: %d/%d PIs, %d/%d POs",
 				net.NumPIs(), again.NumPIs(), net.NumPOs(), again.NumPOs())
-		}
-	})
-}
-
-// FuzzParseBench does the same for the BENCH netlist reader.
-func FuzzParseBench(f *testing.F) {
-	f.Add("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n")
-	f.Add("# comment\nINPUT(a)\nOUTPUT(y)\nt = NOT(a)\ny = BUFF(t)\n")
-	// Reverse topological order (legal in BENCH).
-	f.Add("INPUT(a)\nOUTPUT(y)\ny = NOT(t)\nt = AND(a, a)\n")
-	f.Add("INPUT(a)\nOUTPUT(y)\ny = XOR(a, a, a)\n")
-	// Malformed seeds: cycles, redefinitions, unknown gates, bad arity,
-	// undefined signals, empty names.
-	f.Add("INPUT(a)\nOUTPUT(y)\ny = NOT(y)\n")
-	f.Add("x = AND(y)\ny = AND(x)\n")
-	f.Add("INPUT(a)\na = NOT(a)\n")
-	f.Add("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n")
-	f.Add("INPUT(a)\nOUTPUT(y)\ny = NOT(a, a)\n")
-	f.Add("OUTPUT(y)\n")
-	f.Add("INPUT(a)\n = AND(a)\n")
-	f.Add("y AND(a)\n")
-
-	f.Fuzz(func(t *testing.T, data string) {
-		net, err := aig.ReadBench(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
-			t.Fatalf("parsed network violates invariants: %v", err)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -389,20 +390,15 @@ func readLEB(br *bufio.Reader) (uint, error) {
 	}
 }
 
-// ReadFile reads a circuit file from disk: AIGER (".aig"/".aag") or
-// BENCH (".bench") by extension, AIGER otherwise.
+// ReadFile reads an AIGER file from disk, ASCII or binary whatever its
+// name (Read tells them apart by the header).
 func ReadFile(path string) (*AIG, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var a *AIG
-	if strings.HasSuffix(path, ".bench") {
-		a, err = ReadBench(f)
-	} else {
-		a, err = Read(f)
-	}
+	a, err := Read(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -412,21 +408,33 @@ func ReadFile(path string) (*AIG, error) {
 	return a, nil
 }
 
-// WriteFile writes a circuit file: binary AIGER for ".aig", BENCH for
-// ".bench", structural Verilog for ".v", ASCII AIGER otherwise.
+// CheckOutputName reports whether WriteFile can write path: binary
+// AIGER for ".aig", ASCII AIGER for ".aag", and nothing else.
+func CheckOutputName(path string) error {
+	switch filepath.Ext(path) {
+	case ".aig", ".aag":
+		return nil
+	}
+	return fmt.Errorf("%s: unsupported extension %q (want .aig or .aag)", path, filepath.Ext(path))
+}
+
+// WriteFile writes a circuit file: binary AIGER for ".aig", ASCII AIGER
+// for ".aag". Any other name is an error, before the file is created.
 func (a *AIG) WriteFile(path string) error {
+	if err := CheckOutputName(path); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".aig"):
-		return a.WriteBinary(f)
-	case strings.HasSuffix(path, ".bench"):
-		return a.WriteBench(f)
-	case strings.HasSuffix(path, ".v"):
-		return a.WriteVerilog(f, "")
+	if filepath.Ext(path) == ".aig" {
+		err = a.WriteBinary(f)
+	} else {
+		err = a.WriteASCII(f)
 	}
-	return a.WriteASCII(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -3,8 +3,10 @@ package aig
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -74,6 +76,42 @@ func TestAIGERFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkSameFunction(t, a, b)
+	}
+}
+
+// TestWriteFileExtensions: the name picks binary or ASCII AIGER, and any
+// other name is refused before a file exists, never written as AIGER.
+func TestWriteFileExtensions(t *testing.T) {
+	a := randomNetwork(t, rand.New(rand.NewSource(29)), 3, 20, 2)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name, header string // header "": refused
+	}{
+		{"x.aig", "aig "},
+		{"x.aag", "aag "},
+		{"x.v", ""},
+		{"x.bench", ""},
+		{"x", ""},
+	} {
+		path := filepath.Join(dir, c.name)
+		err := a.WriteFile(path)
+		if c.header == "" {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(filepath.Ext(c.name))) {
+				t.Errorf("%s: error %v does not name the extension", c.name, err)
+			}
+			if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+				t.Errorf("%s: refused, yet the file exists (%v)", c.name, serr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil || !bytes.HasPrefix(data, []byte(c.header)) {
+			t.Errorf("%s: starts %.8q (%v), want %q", c.name, data, err, c.header)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ import (
 type Locker = cut.Visitor
 
 // Policy partitions a network into ordered worklists — the paper's
-// nodeDividing step. See ByLevel, LevelOrder, Flat and Topo.
+// nodeDividing step. See ByLevel, LevelOrder and Flat.
 type Policy func(a *aig.AIG) [][]int32
 
 // Status is the verdict of one commit invocation.

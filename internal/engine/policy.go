@@ -37,7 +37,8 @@ func LevelOrder(a *aig.AIG) [][]int32 {
 // races far ahead of replacement validity — stored results go stale much
 // more often — which is exactly what nodeDividing prevents. It is also
 // the natural policy for a commit-only pass, which has no phase barriers
-// to exploit levels.
+// to exploit levels (abc's serial sweep: a node that dies before its
+// turn is skipped at visit time).
 func Flat(a *aig.AIG) [][]int32 {
 	var all []int32
 	for _, id := range a.TopoOrder(nil) {
@@ -46,11 +47,4 @@ func Flat(a *aig.AIG) [][]int32 {
 		}
 	}
 	return [][]int32{all}
-}
-
-// Topo is the full topological visit order including non-AND nodes, as
-// one worklist — the classical serial sweep (ABC's rewrite visits the
-// whole order and skips non-ANDs at visit time).
-func Topo(a *aig.AIG) [][]int32 {
-	return [][]int32{a.TopoOrder(nil)}
 }

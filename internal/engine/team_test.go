@@ -140,7 +140,7 @@ func TestTeamLifetime(t *testing.T) {
 		{kinds[1].pass, Plan{Name: "rf -p", Partition: ByLevel}},
 		{kinds[2].pass, Plan{Name: "dac22", Partition: LevelOrder}},
 		{kinds[0].pass, Plan{Name: "iccad18", Partition: Flat}},
-		{kinds[0].pass, Plan{Name: "abc", Partition: Topo, SerialCommit: true}},
+		{kinds[0].pass, Plan{Name: "abc", Partition: Flat, SerialCommit: true}},
 	}
 	type ending struct {
 		name  string

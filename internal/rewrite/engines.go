@@ -78,7 +78,7 @@ type spec struct {
 // dacpara and its ablation do not cascade, as when they committed under
 // locks (EXPERIMENTS.md E18).
 var table = map[Engine]spec{
-	EngineSerial:  {plan: engine.Plan{Name: "abc-rewrite", Partition: engine.Topo, SerialCommit: true}, fused: true, cascade: true},
+	EngineSerial:  {plan: engine.Plan{Name: "abc-rewrite", Partition: engine.Flat, SerialCommit: true}, fused: true, cascade: true},
 	EngineLockPar: {plan: engine.Plan{Name: "iccad18-lockpar", Partition: engine.Flat}, fused: true},
 	EngineDACPara: {plan: engine.Plan{Name: "dacpara", Partition: engine.ByLevel}},
 	EngineFlat:    {plan: engine.Plan{Name: "dacpara-flat", Partition: engine.Flat}},

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dacpara"
+	"dacpara/internal/aig"
 )
 
 // CachedResult is one completed engine run held by the result cache:
@@ -15,7 +16,7 @@ type CachedResult struct {
 	// AIGER is the optimized network, binary AIGER encoded.
 	AIGER []byte
 	// Output is the optimized network's statistics.
-	Output NetStats
+	Output aig.Stats
 	// Result is the engine run record.
 	Result dacpara.Result
 	// Metrics is the run's dacpara-metrics/v1 snapshot.

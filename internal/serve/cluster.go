@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"dacpara"
+	"dacpara/internal/aig"
 	"dacpara/internal/cluster"
 	"dacpara/internal/journal"
 )
@@ -62,7 +63,7 @@ func (s *Service) runRemote(rctx context.Context, job *Job, key string) bool {
 		// — job.req.Network, which for a recovery-resumed job is the
 		// restored checkpoint, not the original submission InputDigest
 		// names.
-		BlobDigest: StructuralDigest(job.req.Network),
+		BlobDigest: aig.StructuralDigest(job.req.Network),
 	}
 	res, err := s.coord.Dispatch(rctx, t, blob)
 	if err == nil {

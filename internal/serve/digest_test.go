@@ -19,13 +19,13 @@ func mustGenerate(t *testing.T, name string) *dacpara.Network {
 
 func TestStructuralDigest(t *testing.T) {
 	voter := mustGenerate(t, "voter")
-	d1 := StructuralDigest(voter)
+	d1 := aig.StructuralDigest(voter)
 	if len(d1) != 64 {
 		t.Fatalf("digest %q is not hex sha256", d1)
 	}
 
 	// The same circuit generated again digests identically.
-	if d2 := StructuralDigest(mustGenerate(t, "voter")); d2 != d1 {
+	if d2 := aig.StructuralDigest(mustGenerate(t, "voter")); d2 != d1 {
 		t.Fatalf("same circuit, different digests: %s vs %s", d1, d2)
 	}
 
@@ -43,20 +43,20 @@ func TestStructuralDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := StructuralDigest(back); d != d1 {
+		if d := aig.StructuralDigest(back); d != d1 {
 			t.Fatalf("AIGER round trip changed the digest: %s vs %s", d, d1)
 		}
 	}
 
 	// A different circuit digests differently.
-	if d := StructuralDigest(mustGenerate(t, "mult")); d == d1 {
+	if d := aig.StructuralDigest(mustGenerate(t, "mult")); d == d1 {
 		t.Fatal("distinct circuits share a digest")
 	}
 
 	// A one-inverter change digests differently.
 	tweaked := voter.Clone()
 	tweaked.ReplacePO(0, tweaked.PO(0).Not())
-	if d := StructuralDigest(tweaked); d == d1 {
+	if d := aig.StructuralDigest(tweaked); d == d1 {
 		t.Fatal("PO inversion did not change the digest")
 	}
 }

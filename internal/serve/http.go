@@ -23,11 +23,11 @@ const DefaultMaxUploadBytes = 256 << 20
 
 // Handler returns the service's HTTP API:
 //
-//	POST   /jobs             submit a circuit (body: AIGER or BENCH; see query params)
+//	POST   /jobs             submit a circuit (body: AIGER, ASCII or binary; see query params)
 //	GET    /jobs             list job statuses
 //	GET    /jobs/{id}        one job's status
 //	POST   /jobs/{id}/cancel cancel (also DELETE /jobs/{id})
-//	GET    /jobs/{id}/result download the optimized circuit (AIGER binary, ?format=bench for BENCH)
+//	GET    /jobs/{id}/result download the optimized circuit (binary AIGER; takes no query)
 //	GET    /jobs/{id}/metrics the run's dacpara-metrics/v1 snapshot
 //	GET    /healthz          liveness (200 while the process is up, even when not admitting work)
 //	GET    /readyz           readiness (503 while draining; see Ready)
@@ -42,9 +42,9 @@ const DefaultMaxUploadBytes = 256 << 20
 // Submission query parameters: engine (abc|iccad18|dacpara|dac22|tcad23)
 // or flow (a whole synthesis script, e.g. "b; rw; rf; rs; b" —
 // mutually exclusive with engine), workers, k, passes, zero_gain,
-// preserve_delay, max_cuts, max_structs, classes, preset (p1|p2), format
-// (aiger|bench), verify, verify_budget, deadline (a Go duration such as
-// 30s or 2m bounding the job's running time). Each maps onto
+// preserve_delay, max_cuts, max_structs, classes, preset (p1|p2),
+// verify, verify_budget, deadline (a Go duration such as 30s or 2m
+// bounding the job's running time). Each maps onto
 // one field of the job spec; see JobRequest and dacpara.Job. Any other
 // parameter is a 400 (see submitParams).
 func (s *Service) Handler() http.Handler {
@@ -104,6 +104,13 @@ func (s *Service) handler(maxUpload int64) http.Handler {
 	mux.HandleFunc("POST /jobs/{id}/cancel", cancel)
 	mux.HandleFunc("DELETE /jobs/{id}", cancel)
 	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+		// The result is binary AIGER and nothing else: a query (a
+		// format=bench of older daemons) is refused, not ignored.
+		if r.URL.RawQuery != "" {
+			writeError(w, http.StatusBadRequest, "bad_request",
+				fmt.Sprintf("the result endpoint takes no query parameters, got %q", r.URL.RawQuery))
+			return
+		}
 		j, err := s.Job(r.PathValue("id"))
 		if err != nil {
 			writeError(w, http.StatusNotFound, "unknown_job", err.Error())
@@ -124,16 +131,6 @@ func (s *Service) handler(maxUpload int64) http.Handler {
 			}
 			writeError(w, http.StatusConflict, "not_done",
 				fmt.Sprintf("job %s is %s; the result exists only in state %s", j.ID, j.State(), StateDone))
-			return
-		}
-		if r.URL.Query().Get("format") == "bench" {
-			net, derr := decodeAIGER(res.AIGER)
-			if derr != nil {
-				writeError(w, http.StatusInternalServerError, "encode", derr.Error())
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain")
-			net.WriteBench(w)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -247,8 +244,8 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, maxUpload
 // the one the client asked for.
 var submitParams = []string{
 	"engine", "flow", "preset", "workers", "k", "passes", "max_cuts",
-	"max_structs", "classes", "zero_gain", "preserve_delay", "format",
-	"verify", "verify_budget", "deadline",
+	"max_structs", "classes", "zero_gain", "preserve_delay", "verify",
+	"verify_budget", "deadline",
 }
 
 // parseSubmission validates the query parameters and streams the body
@@ -339,15 +336,7 @@ func parseSubmission(r *http.Request, maxUpload int64) (JobRequest, error) {
 
 	body := http.MaxBytesReader(nil, r.Body, maxUpload)
 	defer body.Close()
-	var net *dacpara.Network
-	switch q.Get("format") {
-	case "", "aiger": // aig.Read sniffs ASCII vs binary itself
-		net, err = aig.Read(body)
-	case "bench":
-		net, err = aig.ReadBench(body)
-	default:
-		return req, fmt.Errorf("unknown format %q (want aiger or bench)", q.Get("format"))
-	}
+	net, err := aig.Read(body) // sniffs ASCII vs binary itself
 	if err != nil {
 		return req, fmt.Errorf("parsing circuit: %w", err)
 	}

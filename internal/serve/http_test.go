@@ -110,6 +110,25 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("no optimization: %+v -> %+v", final.Input, final.Output)
 	}
 
+	// The status payload's circuit statistics keep their field names.
+	resp, err = http.Get(base + "/jobs/" + st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, stats := range map[string]*aig.Stats{"input": &final.Input, "output": final.Output} {
+		want := fmt.Sprintf(`{"pi":%d,"po":%d,"and":%d,"delay":%d}`, stats.PIs, stats.POs, stats.Ands, stats.Delay)
+		var got bytes.Buffer
+		if err := json.Compact(&got, raw[key]); err != nil || got.String() != want {
+			t.Fatalf("status %q is %s, want %s", key, raw[key], want)
+		}
+	}
+
 	// Download the result and check it is a valid, equivalent AIG.
 	resp, err = http.Get(base + "/jobs/" + st.ID + "/result")
 	if err != nil {
@@ -147,15 +166,15 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("snapshot inconsistent with status: %+v vs %+v", snap.QoR, final.Output)
 	}
 
-	// BENCH download format.
+	// The result is AIGER only: a query on it (format=bench from older
+	// daemons) is a 400, never AIGER bytes under another name.
 	resp, err = http.Get(base + "/jobs/" + st.ID + "/result?format=bench")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bench, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(bench), "AND(") {
-		t.Fatalf("bench download:\n%.200s", bench)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("result?format=bench: status %d, want 400", resp.StatusCode)
 	}
 
 	// Process metrics.
@@ -269,7 +288,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"engine=frobnicate", "aag 0 0 0 0 0\n"},
 		{"workers=minusone", "aag 0 0 0 0 0\n"},
 		{"preset=p9", "aag 0 0 0 0 0\n"},
-		{"format=vhdl", "aag 0 0 0 0 0\n"},
+		{"format=bench", "aag 0 0 0 0 0\n"},
 		{"", "this is not an AIGER file"},
 	} {
 		_, resp := submit(t, srv.URL, tc.query, []byte(tc.body))
@@ -302,7 +321,7 @@ func TestQueryToJob(t *testing.T) {
 	for query, want := range map[string]dacpara.Job{
 		"": {},
 		"engine=abc&workers=3&k=5&passes=2&max_cuts=8&max_structs=5&classes=222&zero_gain=1&preserve_delay=true" +
-			"&verify=1&verify_budget=1000&deadline=30s&format=aiger": {
+			"&verify=1&verify_budget=1000&deadline=30s": {
 			Engine: dacpara.EngineSerial, Workers: 3, K: 5, Passes: 2, MaxCuts: 8, MaxStructs: 5, Classes: 222,
 			ZeroGain: true, PreserveDelay: true, Verify: true, VerifyBudget: 1000,
 			DeadlineNs: int64(30 * time.Second),
@@ -321,7 +340,7 @@ func TestQueryToJob(t *testing.T) {
 		}
 	}
 
-	for _, key := range []string{"pases", "partition", "seed"} {
+	for _, key := range []string{"pases", "partition", "seed", "format"} {
 		_, err := parse("engine=abc&" + key + "=2")
 		if err == nil || !strings.Contains(err.Error(), strconv.Quote(key)) ||
 			!strings.Contains(err.Error(), strings.Join(submitParams, ", ")) {
@@ -334,7 +353,7 @@ func TestQueryToJob(t *testing.T) {
 		"engine=frobnicate", "engine=dacpara-flat", "engine=abc&flow=b", "flow=b%3B+frobnicate", "flow=b;rw",
 		"workers=minusone", "workers=-1", "k=3", "k=9", "passes=x", "max_cuts=x", "max_structs=x", "classes=x",
 		"pases=2", "partition=2", "engine=abc&Workers=2", "zero_gain=maybe", "preserve_delay=maybe", "verify=maybe",
-		"seed=x", "verify_budget=-1", "deadline=soon", "deadline=-5s", "preset=p9", "format=vhdl",
+		"seed=x", "verify_budget=-1", "deadline=soon", "deadline=-5s", "preset=p9", "format=aiger",
 	} {
 		if _, resp := submit(t, srv.URL, query, []byte("aag 0 0 0 0 0\n")); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %q: status %d, want 400", query, resp.StatusCode)

@@ -37,22 +37,6 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// NetStats is the network-statistics payload shared between the job
-// status JSON and `aigstat -json`: one schema for scripts and the
-// daemon.
-type NetStats struct {
-	PIs   int   `json:"pi"`
-	POs   int   `json:"po"`
-	Ands  int   `json:"and"`
-	Delay int32 `json:"delay"`
-}
-
-// NetStatsOf converts aig-level statistics into the shared payload.
-func NetStatsOf(a *aig.AIG) NetStats {
-	st := a.Stats()
-	return NetStats{PIs: st.PIs, POs: st.POs, Ands: st.Ands, Delay: st.Delay}
-}
-
 // JobRequest is a submission: the job spec plus its input circuit.
 // Workers is a request, capped by the service's per-job worker budget;
 // a zero VerifyBudget or DeadlineNs takes the service default. The
@@ -74,7 +58,7 @@ type Job struct {
 	ID string
 
 	req   JobRequest // req.InputDigest keys the cache and the status digest
-	input NetStats
+	input aig.Stats
 
 	// resumeStep and resumed are set on jobs rebuilt by crash recovery:
 	// a flow job restored from a step checkpoint re-runs only the steps
@@ -106,7 +90,7 @@ func newJob(req JobRequest) *Job {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	return &Job{
 		req:       req,
-		input:     NetStatsOf(req.Network),
+		input:     req.Network.Stats(),
 		ctx:       ctx,
 		cancel:    cancel,
 		done:      make(chan struct{}),
@@ -311,8 +295,8 @@ type JobStatus struct {
 	// half).
 	Digest string `json:"digest"`
 
-	Input  NetStats  `json:"input"`
-	Output *NetStats `json:"output,omitempty"`
+	Input  aig.Stats  `json:"input"`
+	Output *aig.Stats `json:"output,omitempty"`
 
 	// CacheHit reports that the result was served from the result cache
 	// without running the engine.

@@ -369,7 +369,7 @@ func (s *Service) rebuildLive(rp *replayState) (job *Job, resumed bool, err erro
 	if err != nil {
 		return nil, false, fmt.Errorf("input blob: %w", err)
 	}
-	if got := StructuralDigest(input); got != rp.req.InputDigest {
+	if got := aig.StructuralDigest(input); got != rp.req.InputDigest {
 		return nil, false, fmt.Errorf("input blob digest %.12s.. does not match journal %.12s..", got, rp.req.InputDigest)
 	}
 
@@ -388,7 +388,7 @@ func (s *Service) rebuildLive(rp *replayState) (job *Job, resumed bool, err erro
 	// The journaled InputDigest — cache key and status digest — and the
 	// input stats describe the original submission, not the checkpoint
 	// state the job happens to resume from.
-	job.input = NetStatsOf(input)
+	job.input = input.Stats()
 	job.submitted = time.Unix(0, rp.submittedNs)
 	job.resumeStep = resumeStep
 	job.resumed = true
@@ -412,7 +412,7 @@ func (s *Service) loadTrustedCheckpoint(rp *replayState) (*dacpara.Network, bool
 	if err != nil {
 		return nil, false
 	}
-	if StructuralDigest(net) != ck.Digest {
+	if aig.StructuralDigest(net) != ck.Digest {
 		return nil, false
 	}
 	return net, true

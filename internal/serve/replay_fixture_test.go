@@ -144,7 +144,7 @@ func TestReplayShardRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitted := []byte(`{"op":"submitted","job":"` + id + `","t":1,"req":{"engine":"dacpara","workers":2,"seed":7,` +
-		`"verify":true,"guard":true,"guard_deadline_ns":5000000000,"partition":2,"input_digest":"` + StructuralDigest(net) + `"}}`)
+		`"verify":true,"guard":true,"guard_deadline_ns":5000000000,"partition":2,"input_digest":"` + aig.StructuralDigest(net) + `"}}`)
 	wal := []byte("DACJNL1\n")
 	wal = binary.LittleEndian.AppendUint32(wal, uint32(len(submitted)))
 	wal = binary.LittleEndian.AppendUint32(wal, crc32.Checksum(submitted, crc32.MakeTable(crc32.Castagnoli)))
@@ -189,7 +189,7 @@ func TestReplayShardRecords(t *testing.T) {
 	if st := job.Status(); st.State != StateDone || st.Verify == nil || !st.Verify.Equivalent {
 		t.Fatalf("formerly partitioned job: %+v", st)
 	}
-	if want := (dacpara.Job{Engine: dacpara.EngineDACPara, Workers: 2, Verify: true, InputDigest: StructuralDigest(net)}); job.req.Job != want {
+	if want := (dacpara.Job{Engine: dacpara.EngineDACPara, Workers: 2, Verify: true, InputDigest: aig.StructuralDigest(net)}); job.req.Job != want {
 		t.Fatalf("old spec decoded as %+v, want %+v", job.req.Job, want)
 	}
 }
@@ -208,7 +208,7 @@ func TestReplayRetiredParallelFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitted := []byte(`{"op":"submitted","job":"` + id + `","t":1,"req":{"flow":"b; rf -p; rs -p -w=2; b","workers":2,` +
-		`"verify":true,"verify_budget":50000,"input_digest":"` + StructuralDigest(net) + `"}}`)
+		`"verify":true,"verify_budget":50000,"input_digest":"` + aig.StructuralDigest(net) + `"}}`)
 	wal := []byte("DACJNL1\n")
 	wal = binary.LittleEndian.AppendUint32(wal, uint32(len(submitted)))
 	wal = binary.LittleEndian.AppendUint32(wal, crc32.Checksum(submitted, crc32.MakeTable(crc32.Castagnoli)))
@@ -254,7 +254,7 @@ func TestReplayRetiredParallelFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := run.Net
-	if g, w := StructuralDigest(got), StructuralDigest(want); g != w {
+	if g, w := aig.StructuralDigest(got), aig.StructuralDigest(want); g != w {
 		t.Fatalf("replayed job's output %s (%d ANDs), the flow without -p %s (%d ANDs)", g, got.NumAnds(), w, want.NumAnds())
 	}
 }

@@ -1,3 +1,11 @@
+// Package serve hosts a long-running logic-optimization service on top
+// of the dacpara facade: a bounded job queue with admission control, a
+// scheduler that bounds concurrent engine runs and per-job worker
+// budgets, job lifecycle tracking with cooperative cancellation, a
+// structural-hash-keyed LRU result cache, graceful drain and — when a
+// cluster.Config is attached — the coordinator role of a fault-tolerant
+// worker fleet. The HTTP surface (cmd/dacparad) is a thin layer over
+// this package.
 package serve
 
 import (
@@ -10,6 +18,7 @@ import (
 	"time"
 
 	"dacpara"
+	"dacpara/internal/aig"
 	"dacpara/internal/cluster"
 )
 
@@ -274,7 +283,7 @@ func (s *Service) Submit(req JobRequest) (*Job, error) {
 	if req.DeadlineNs == 0 {
 		req.DeadlineNs = int64(s.opts.DefaultDeadline)
 	}
-	req.InputDigest = StructuralDigest(req.Network)
+	req.InputDigest = aig.StructuralDigest(req.Network)
 
 	job := newJob(req)
 
@@ -512,7 +521,7 @@ func (s *Service) runLocal(rctx context.Context, job *Job, key string, net *dacp
 func (s *Service) complete(job *Job, key string, blob []byte, net *dacpara.Network, result dacpara.Result, verify *dacpara.Verdict) {
 	res := &CachedResult{
 		AIGER:   blob,
-		Output:  NetStatsOf(net),
+		Output:  net.Stats(),
 		Result:  result,
 		Metrics: result.Metrics,
 		Verify:  verify,

@@ -50,6 +50,7 @@ var reachAllowed = map[string]string{
 	"dacpara/internal/bigtt.TT.Eval":                "oracle: one row of a truth table",
 	"dacpara/internal/lutmap.Evaluate":              "oracle: a mapping evaluated LUT by LUT",
 	"dacpara/internal/journal.Encode":               "test corpus: framed records for the replay and fuzz tests",
+	"dacpara/internal/sat.Solver.Solve":             "oracle: the unbudgeted search the solver tests call",
 
 	// Seams the tests drive a service through.
 	"dacpara/internal/serve.Service.crashForTest": "seam: recovery tests stop a service as a crash would",

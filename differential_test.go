@@ -24,13 +24,25 @@ func checkOptions(eng Engine) aig.CheckOptions {
 	return aig.CheckOptions{AllowDuplicates: eng == EngineDACPara || eng == EngineLockPar}
 }
 
+// checkLive fails the test when net holds an AND nothing references: the
+// top of a cone no output reaches, which no engine may leave behind.
+func checkLive(t *testing.T, what string, net *Network) {
+	t.Helper()
+	for id := range net.Capacity() {
+		if n := net.N(id); n.IsAnd() && n.Ref() == 0 {
+			t.Fatalf("%s: AND %d is not reachable from any output", what, id)
+		}
+	}
+}
+
 // TestDifferentialEngines is the differential-testing pass of the
 // suite: every generated tiny-scale circuit goes through all five
 // engines at two worker counts, and each result must match the golden
 // input functionally. Because every engine is checked against the same
 // golden signature (same seed, same PI ordering), agreement with the
-// golden implies pairwise agreement across engines. Small circuits
-// additionally get a SAT-backed combinational equivalence proof.
+// golden implies pairwise agreement across engines. No result may hold
+// an AND no output reaches. Small circuits additionally get a SAT-backed
+// combinational equivalence proof.
 func TestDifferentialEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -58,6 +70,7 @@ func TestDifferentialEngines(t *testing.T) {
 						if err := net.Check(checkOptions(eng)); err != nil {
 							t.Fatalf("structural check: %v", err)
 						}
+						checkLive(t, string(eng), net)
 						sig := aig.RandomSignature(net, rand.New(rand.NewSource(seed)), rounds)
 						if !slices.Equal(goldenSig, sig) {
 							t.Fatalf("%s result differs from input under simulation", eng)
@@ -136,6 +149,7 @@ func TestDifferentialCrossPassFlow(t *testing.T) {
 					if err := out.Net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
 						t.Fatalf("structural check: %v", err)
 					}
+					checkLive(t, script, out.Net)
 					sig := aig.RandomSignature(out.Net, rand.New(rand.NewSource(seed)), rounds)
 					if !slices.Equal(goldenSig, sig) {
 						t.Fatalf("flow result differs from input under simulation")

@@ -144,6 +144,14 @@ func runFlow(ctx context.Context, out *Outcome, steps []FlowStep, cfg Config, h 
 	if h.ResumeStep < 0 || h.ResumeStep > len(steps) {
 		return fmt.Errorf("dacpara: flow: resume step %d out of range [0, %d]", h.ResumeStep, len(steps))
 	}
+	// Every step's area, the rebuilding ones' too, counts live logic
+	// only: balance and fraig would otherwise book the dead logic they
+	// drop as optimization. No step leaves dead logic behind, so one
+	// sweep before the first covers them all. A flow cancelled before it
+	// starts leaves the network as it is.
+	if ctx.Err() == nil {
+		out.Net.Sweep()
+	}
 	for i := h.ResumeStep; i < len(steps); i++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dacpara: flow: %w", err)

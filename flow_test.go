@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dacpara/internal/aig"
+	"dacpara/internal/bench"
 	"dacpara/internal/lutmap"
 )
 
@@ -49,6 +50,30 @@ func TestFlowIsItsStepsInSequence(t *testing.T) {
 	if dw, ds := aig.StructuralDigest(whole), aig.StructuralDigest(stepwise); dw != ds {
 		t.Fatalf("the flow differs from its steps run one at a time: %s vs %s (%d vs %d ANDs)",
 			dw, ds, whole.NumAnds(), stepwise.NumAnds())
+	}
+}
+
+// TestFlowAreaIsLive: every step's area counts live logic only, the
+// graph rebuilds' too. On mem_ctrl1500, a third of whose ANDs no output
+// reaches, balance and fraig report the live count as their InitialAnds,
+// and so does the flow's summary; a later step starts where the one
+// before it ended, so the one sweep before the flow covers it.
+func TestFlowAreaIsLive(t *testing.T) {
+	golden := bench.FlowVerified()[4] // MemCtrl(1500, …)
+	live := golden.Clone()
+	if live.Sweep() == 0 {
+		t.Fatal("mem_ctrl1500 holds no dead logic")
+	}
+	for _, script := range []string{"b", "fraig", "rw; b; fraig"} {
+		out := runJob(t, golden.Clone(), Job{Flow: script})
+		if got, sum := out.Steps[0].InitialAnds, out.Result.InitialAnds; got != live.NumAnds() || sum != live.NumAnds() {
+			t.Errorf("%s: step reports %d initial ANDs, the flow %d; %d are live", script, got, sum, live.NumAnds())
+		}
+		for i := 1; i < len(out.Steps); i++ {
+			if got, want := out.Steps[i].InitialAnds, out.Steps[i-1].FinalAnds; got != want {
+				t.Errorf("%s: step %d starts at %d ANDs, step %d ended at %d", script, i, got, i-1, want)
+			}
+		}
 	}
 }
 

@@ -362,32 +362,73 @@ func max32(a, b int32) int32 {
 	return b
 }
 
-// deleteNodeCone marks node id dead and recursively deletes fanin cones
-// whose reference count drops to zero. The caller must ensure ref(id)==0.
-// Returns the number of AND nodes deleted.
+// deleteNodeCone marks node id dead and deletes the fanin cones whose
+// reference count drops to zero. The caller must ensure ref(id)==0.
+// Returns the number of AND nodes deleted. The walk is depth first on an
+// explicit stack, so a dead chain of any length costs no call depth: each
+// node is marked when reached, its fanin0 cone goes before its fanin1
+// cone, and its ID is released after both.
 func (a *AIG) deleteNodeCone(id int32) int {
-	n := a.node(id)
-	if n.Kind() != KindAnd {
+	if a.node(id).Kind() != KindAnd {
 		return 0
 	}
+	// next is the fanin of id the walk visits next; at 2 both are done.
+	type frame struct{ id, next int32 }
+	var buf [32]frame
+	stack := append(buf[:0], frame{id: id})
+	a.killAnd(id)
+	deleted := 1
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next == 2 {
+			a.release(top.id)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		f := a.node(top.id).Fanin0()
+		if top.next == 1 {
+			f = a.node(top.id).Fanin1()
+		}
+		top.next++
+		fn := a.NodeOf(f)
+		fn.removeFanout(top.id)
+		if fn.refAdd(-1) == 0 && fn.Kind() == KindAnd {
+			a.killAnd(f.Node())
+			stack = append(stack, frame{id: f.Node()})
+			deleted++
+		}
+	}
+	a.levelsDirty.Store(true)
+	return deleted
+}
+
+// killAnd marks the unreferenced AND id dead; its fanins stay readable
+// until deleteNodeCone has walked them.
+func (a *AIG) killAnd(id int32) {
+	n := a.node(id)
 	if n.Ref() != 0 {
 		panic(fmt.Sprintf("aig: deleting node %d with ref %d", id, n.Ref()))
 	}
-	deleted := 1
-	f0, f1 := n.Fanin0(), n.Fanin1()
 	n.setKind(KindFree)
 	a.restamp(n)
 	n.resetFanouts()
 	a.numAnds.Add(-1)
-	for _, f := range [2]Lit{f0, f1} {
-		fn := a.NodeOf(f)
-		fn.removeFanout(id)
-		if fn.refAdd(-1) == 0 && fn.Kind() == KindAnd {
-			deleted += a.deleteNodeCone(f.Node())
+}
+
+// Sweep deletes in place every AND node no primary output reaches: each
+// AND nothing references, with the cone below it that nothing else
+// keeps. Freed IDs go to the free list, and live nodes keep their IDs,
+// versions and levels. It returns the number of ANDs deleted.
+func (a *AIG) Sweep() int {
+	// No live node loses a fanin, so no level moves.
+	dirty := a.levelsDirty.Load()
+	deleted := 0
+	for id := range a.Capacity() {
+		if n := a.node(id); n.IsAnd() && n.Ref() == 0 {
+			deleted += a.deleteNodeCone(id)
 		}
 	}
-	a.release(id)
-	a.levelsDirty.Store(true)
+	a.levelsDirty.Store(dirty)
 	return deleted
 }
 

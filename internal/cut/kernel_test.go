@@ -1,6 +1,7 @@
 package cut
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -213,7 +214,11 @@ func FuzzExpand(f *testing.F) {
 // TestMergeIntoMatchesReference enumerates whole graphs at every width
 // and two budgets and holds every merged set to the old kernel's: same
 // cuts in the same order with the same tables, signatures and versions.
+// The stale case merges fanin sets that hold stale cuts.
 func TestMergeIntoMatchesReference(t *testing.T) {
+	for _, p := range []Params{{}, {MaxCuts: 8}, {K: 5}, {K: 6}} {
+		t.Run(fmt.Sprintf("stale/k%d/max%d", p.k(), p.maxCuts()), func(t *testing.T) { staleMergesMatchReference(t, p) })
+	}
 	nets := append(bench.KernelSet(), randomAIG(rand.New(rand.NewSource(5)), 12, 3000))
 	params := []Params{{}, {MaxCuts: 8}, {K: 5}, {K: 6}, {K: 6, MaxCuts: 60}}
 	if testing.Short() {
@@ -232,6 +237,61 @@ func TestMergeIntoMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// staleMergesMatchReference enumerates a graph, rewrites some nodes away
+// with Replace and re-merges the nodes two levels above them, fanouts of
+// fanouts first: their fanin sets still hold the cuts over the deleted
+// nodes, which the merge has to leave out as the reference does.
+func staleMergesMatchReference(t *testing.T, p Params) {
+	a := randomAIG(rand.New(rand.NewSource(9)), 12, 3000)
+	m := NewManager(a, p)
+	pool := NewPool()
+	a.ForEachAnd(func(id int32) { m.EnsureP(id, nil, pool) })
+
+	var victims, above []int32
+	a.ForEachAnd(func(id int32) {
+		if id%40 == 0 && a.N(id).FanoutCount() > 0 {
+			victims = append(victims, id)
+		}
+	})
+	for _, v := range victims {
+		for _, f := range a.N(v).Fanouts() {
+			if f >= 0 {
+				above = append(append(above, f), a.N(f).Fanouts()...)
+			}
+		}
+	}
+	for _, v := range victims {
+		if n := a.N(v); n.IsAnd() {
+			a.Replace(v, n.Fanin0(), aig.ReplaceOptions{})
+		}
+	}
+	slices.Sort(above)
+	above = slices.Compact(above)
+	stale := 0
+	for x := len(above) - 1; x >= 0; x-- {
+		id := above[x]
+		if id < 0 || !a.N(id).IsAnd() {
+			continue // an output, or deleted by a Replace
+		}
+		n := a.N(id)
+		m.RefreshP(id, nil, pool)
+		got, _ := m.Cuts(id)
+		s0, _ := m.Cuts(n.Fanin0().Node())
+		s1, _ := m.Cuts(n.Fanin1().Node())
+		for _, c := range append(slices.Clone(s0), s1...) {
+			if !c.Fresh(a) {
+				stale++
+			}
+		}
+		if want := refMergeInto(m, id, n.Fanin0(), n.Fanin1(), s0, s1); !slices.Equal(got, want) {
+			t.Fatalf("node %d:\n got %+v\nwant %+v", id, got, want)
+		}
+	}
+	if stale == 0 {
+		t.Fatalf("%d re-merges over %d rewritten nodes met no stale fanin cut", len(above), len(victims))
 	}
 }
 

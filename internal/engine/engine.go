@@ -181,7 +181,8 @@ const SerialCancelStride = 256
 // retry-budget exhaustion, fault injection, a panicking hook as
 // *galois.PanicError) leaves the network structurally consistent but only
 // partially optimized; the Result covers the work done and is marked
-// Incomplete.
+// Incomplete. Unless ctx is already done, Run first deletes every AND no
+// output reaches (aig.Sweep).
 func Run[C any](ctx context.Context, a *aig.AIG, pass Pass[C], plan Plan, e Exec) (Result, error) {
 	start := time.Now()
 	enum, _ := pass.(Enumerator)
@@ -202,6 +203,13 @@ func Run[C any](ctx context.Context, a *aig.AIG, pass Pass[C], plan Plan, e Exec
 		workers = runtime.GOMAXPROCS(0)
 	}
 	passes := max(e.Passes, 1)
+	// Logic no output reaches is deleted before anything reads the graph:
+	// every pass starts on live logic, and since no pass leaves dead logic
+	// behind, it ends there too, so both area counts are live. A run
+	// cancelled before it starts leaves the graph as it is.
+	if ctx.Err() == nil {
+		a.Sweep()
+	}
 	res := Result{
 		Engine:       plan.Name,
 		Threads:      workers,

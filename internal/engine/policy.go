@@ -7,7 +7,7 @@ import "dacpara/internal/aig"
 // Worklists[i] holds the nodes of level i+1 (level 0 is the PIs, which
 // need no optimization).
 func ByLevel(a *aig.AIG) [][]int32 {
-	a.Levelize()
+	a.Delay() // levelizes only when a mutation left the levels stale
 	var lists [][]int32
 	a.ForEachAnd(func(id int32) {
 		lv := int(a.N(id).Level()) - 1

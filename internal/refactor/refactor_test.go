@@ -143,8 +143,13 @@ func evalPlan(p plan, nvars int) bigtt.TT {
 }
 
 // serialReduction is what the serial refactoring pass, deleted since,
-// saved on Sin(12): 5548 -> 5097 ANDs.
-const serialReduction = 451
+// saved on Sin(12) with its dead logic swept first, as every pass
+// starts: 5314 -> 4921 ANDs. (On the unswept input it went 5548 -> 5097,
+// and 204 of those were dead ANDs it had left in place.) To re-derive
+// it, check out d0e1116, the last commit with the serial pass, add
+// (*aig.AIG).Sweep as it stands in aig.go, and run refactor.Run(a,
+// Config{}) on a swept bench.Sin(12); EXPERIMENTS.md E28 has the probe.
+const serialReduction = 393
 
 // TestRunKeepsSerialQuality: the level pass trades a few stale plans for
 // parallelism; its area reduction must stay within 10% of the serial

@@ -14,7 +14,8 @@ import (
 // two choices — engine or flow, verified or not — at one worker, where
 // every engine is byte-deterministic. Each output must be aig.Check-clean
 // and digest-equal to what the kept wrappers Rewrite and
-// FlowResumeContext produce on the circuit.
+// FlowResumeContext produce on the circuit, and its result must span the
+// input's live ANDs to the output's.
 func TestRunMatrix(t *testing.T) {
 	golden, err := Generate("voter", ScaleTiny)
 	if err != nil {
@@ -32,6 +33,10 @@ func TestRunMatrix(t *testing.T) {
 		_, out, err := FlowResumeContext(context.Background(), net, script, cfg, 0, nil)
 		return out, err
 	}
+	// The result's area is live-in to live-out.
+	live := golden.Clone()
+	live.Sweep()
+	liveAnds := live.NumAnds()
 	want := map[bool]string{}
 	for _, flow := range []bool{false, true} {
 		whole, err := viaWrapper(golden.Clone(), flow)
@@ -58,9 +63,9 @@ func TestRunMatrix(t *testing.T) {
 				if got, ref := aig.StructuralDigest(out.Net), want[flow]; got != ref {
 					t.Fatalf("digest %s, the wrappers give %s", got, ref)
 				}
-				if out.Result.FinalAnds != out.Net.NumAnds() || out.Result.InitialAnds != golden.NumAnds() {
-					t.Fatalf("result spans %d -> %d ANDs, run went %d -> %d",
-						out.Result.InitialAnds, out.Result.FinalAnds, golden.NumAnds(), out.Net.NumAnds())
+				if out.Result.FinalAnds != out.Net.NumAnds() || out.Result.InitialAnds != liveAnds {
+					t.Fatalf("result spans %d -> %d ANDs, run went from %d live ANDs to %d",
+						out.Result.InitialAnds, out.Result.FinalAnds, liveAnds, out.Net.NumAnds())
 				}
 				if verify != (out.Verify != nil) || (verify && !out.Verify.Equivalent) {
 					t.Fatalf("verify=%t gave verdict %+v", verify, out.Verify)

@@ -1,6 +1,8 @@
 package dacpara
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -16,33 +18,76 @@ import (
 // rewriting engine has no realistic chance of surviving.
 const cecBudgetAnds = 1500
 
-// checkOptions holds eng's result to strash uniqueness unless it may
-// leave two ANDs on one fanin pair: dacpara and iccad18 do not merge the
-// fanouts a replacement makes equal (EXPERIMENTS.md E18); abc, dac22 and
-// tcad23 do.
-func checkOptions(eng Engine) aig.CheckOptions {
-	return aig.CheckOptions{AllowDuplicates: eng == EngineDACPara || eng == EngineLockPar}
-}
-
-// checkLive fails the test when net holds an AND nothing references: the
-// top of a cone no output reaches, which no engine may leave behind.
-func checkLive(t *testing.T, what string, net *Network) {
+// checkCanonical fails the test unless net is what every run must end
+// on: aig.Check-clean, one AND per fanin pair included, with every AND
+// reachable from an output, and digesting as the bytes it encodes to
+// parse back.
+func checkCanonical(t *testing.T, what string, net *Network) {
 	t.Helper()
+	if err := net.Check(aig.CheckOptions{}); err != nil {
+		t.Fatalf("%s: structural check: %v", what, err)
+	}
 	for id := range net.Capacity() {
 		if n := net.N(id); n.IsAnd() && n.Ref() == 0 {
 			t.Fatalf("%s: AND %d is not reachable from any output", what, id)
 		}
 	}
+	blob, err := Encode(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := aig.Read(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := aig.StructuralDigest(parsed), aig.StructuralDigest(net); got != want {
+		t.Fatalf("%s: the encoded network parses back to digest %s, not %s", what, got, want)
+	}
+}
+
+// TestRunsEndCanonical holds what the other differential tests cannot
+// reach to the canonical form: every engine under P1, whose second pass
+// starts where the first pass's fold left the graph, at one and two
+// workers on tiny sin (whose dacpara and iccad18 commits leave duplicate
+// pairs), and every step of the benchmark's flow_verified script on its
+// circuits.
+func TestRunsEndCanonical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	sin, err := Generate("sin", ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range Engines() {
+		for _, workers := range []int{1, 2} {
+			what := fmt.Sprintf("%s P1 w%d", eng, workers)
+			job := Job{Engine: eng}.WithKnobs(P1())
+			job.Workers = workers
+			checkCanonical(t, what, runJob(t, sin.Clone(), job).Net)
+		}
+	}
+	for _, c := range largeConeCircuits() {
+		step := func(i int, net *Network) error {
+			checkCanonical(t, fmt.Sprintf("%s after flow step %d", c.Name, i), net)
+			return nil
+		}
+		out, err := Run(context.Background(), c.Clone(), Job{Flow: largeConeFlow, Workers: 1}, Hooks{Checkpoint: step})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCanonical(t, c.Name+" flow", out.Net)
+	}
 }
 
 // TestDifferentialEngines is the differential-testing pass of the
 // suite: every generated tiny-scale circuit goes through all five
-// engines at two worker counts, and each result must match the golden
-// input functionally. Because every engine is checked against the same
-// golden signature (same seed, same PI ordering), agreement with the
-// golden implies pairwise agreement across engines. No result may hold
-// an AND no output reaches. Small circuits additionally get a SAT-backed
-// combinational equivalence proof.
+// engines at one, two and four workers, and each result must match the
+// golden input functionally. Because every engine is checked against the
+// same golden signature (same seed, same PI ordering), agreement with the
+// golden implies pairwise agreement across engines. Every result must be
+// canonical (checkCanonical). Small circuits additionally get a
+// SAT-backed combinational equivalence proof.
 func TestDifferentialEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -59,7 +104,7 @@ func TestDifferentialEngines(t *testing.T) {
 			goldenSig := aig.RandomSignature(golden, rand.New(rand.NewSource(seed)), rounds)
 			small := golden.Stats().Ands <= cecBudgetAnds
 			for _, eng := range Engines() {
-				for _, workers := range []int{1, 4} {
+				for _, workers := range []int{1, 2, 4} {
 					t.Run(fmt.Sprintf("%s-w%d", eng, workers), func(t *testing.T) {
 						net := golden.Clone()
 						m := NewMetrics()
@@ -67,10 +112,7 @@ func TestDifferentialEngines(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if err := net.Check(checkOptions(eng)); err != nil {
-							t.Fatalf("structural check: %v", err)
-						}
-						checkLive(t, string(eng), net)
+						checkCanonical(t, string(eng), net)
 						sig := aig.RandomSignature(net, rand.New(rand.NewSource(seed)), rounds)
 						if !slices.Equal(goldenSig, sig) {
 							t.Fatalf("%s result differs from input under simulation", eng)
@@ -146,10 +188,7 @@ func TestDifferentialCrossPassFlow(t *testing.T) {
 							t.Fatalf("step %s incomplete without error", res.Engine)
 						}
 					}
-					if err := out.Net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
-						t.Fatalf("structural check: %v", err)
-					}
-					checkLive(t, script, out.Net)
+					checkCanonical(t, script, out.Net)
 					sig := aig.RandomSignature(out.Net, rand.New(rand.NewSource(seed)), rounds)
 					if !slices.Equal(goldenSig, sig) {
 						t.Fatalf("flow result differs from input under simulation")

@@ -72,8 +72,9 @@ func truthTables(net *Network) []uint64 {
 
 // FuzzEngines is the metamorphic engine test: every engine at cut widths
 // 4 and 5 must turn the seed's random circuit, dead logic and all, into
-// an aig.Check-clean network with every AND reachable from an output and
-// the same function on every input assignment.
+// a canonical network (checkCanonical: Check-clean, every AND reachable
+// from an output, the digest its encoded bytes parse back to) with the
+// same function on every input assignment.
 func FuzzEngines(f *testing.F) {
 	for _, seed := range []int64{1, 2801, 2901, -7} {
 		f.Add(seed)
@@ -88,10 +89,7 @@ func FuzzEngines(f *testing.F) {
 				if _, err := Rewrite(net, eng, Config{K: k, Workers: 2}); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				if err := net.Check(checkOptions(eng)); err != nil {
-					t.Fatalf("%s: structural check: %v", what, err)
-				}
-				checkLive(t, what, net)
+				checkCanonical(t, what, net)
 				if !slices.Equal(truthTables(net), want) {
 					t.Fatalf("%s: the result is not equivalent to the input", what)
 				}

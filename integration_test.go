@@ -29,7 +29,7 @@ func TestFullPipelineOverSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+			if err := net.Check(aig.CheckOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			if res.AreaReduction() < 0 {

@@ -278,7 +278,12 @@ func SimplifyAnd(f0, f1 Lit) (Lit, bool) {
 // Lookup searches for an existing AND node with the given fanins, without
 // creating one. It returns the node's literal if found. In parallel
 // contexts the caller must hold the locks of both fanin nodes.
-func (a *AIG) Lookup(f0, f1 Lit) (Lit, bool) {
+func (a *AIG) Lookup(f0, f1 Lit) (Lit, bool) { return a.lookupOther(f0, f1, -1) }
+
+// lookupOther is Lookup that never returns node skip, Sweep's twin
+// finder: folds reorder fanout lists, so a plain Lookup could answer
+// each twin of a pair with itself and leave the pair unfolded.
+func (a *AIG) lookupOther(f0, f1 Lit, skip int32) (Lit, bool) {
 	if l, ok := SimplifyAnd(f0, f1); ok {
 		return l, true
 	}
@@ -299,7 +304,7 @@ func (a *AIG) Lookup(f0, f1 Lit) (Lit, bool) {
 			continue
 		}
 		g := Node{p: pages[e>>pageBits], i: e & pageMask}
-		if g.p.fanins[g.i].Load() == pair && g.Kind() == KindAnd {
+		if g.p.fanins[g.i].Load() == pair && e != skip && g.Kind() == KindAnd {
 			return MakeLit(e, false), true
 		}
 	}
@@ -333,7 +338,7 @@ func (a *AIG) newAnd(f0, f1 Lit, tryLock func(int32) bool) Lit {
 	n.resetFanouts()
 	n.refStore(0)
 	n0, n1 := a.NodeOf(f0), a.NodeOf(f1)
-	n.setLevel(1 + max32(n0.Level(), n1.Level()))
+	n.setLevel(1 + max(n0.Level(), n1.Level()))
 	n0.refAdd(1)
 	n0.addFanout(id)
 	n1.refAdd(1)
@@ -355,19 +360,12 @@ func (a *AIG) Mux(sel, t, e Lit) Lit {
 	return a.And(a.And(sel, t).Not(), a.And(sel.Not(), e).Not()).Not()
 }
 
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // deleteNodeCone marks node id dead and deletes the fanin cones whose
 // reference count drops to zero. The caller must ensure ref(id)==0.
-// Returns the number of AND nodes deleted. The walk is depth first on an
-// explicit stack, so a dead chain of any length costs no call depth: each
-// node is marked when reached, its fanin0 cone goes before its fanin1
-// cone, and its ID is released after both.
+// Returns the number of AND nodes deleted; no live level moves. The walk
+// is depth first on an explicit stack, so a dead chain of any length
+// costs no call depth: each node is marked when reached, its fanin0 cone
+// goes before its fanin1 cone, and its ID is released after both.
 func (a *AIG) deleteNodeCone(id int32) int {
 	if a.node(id).Kind() != KindAnd {
 		return 0
@@ -398,7 +396,6 @@ func (a *AIG) deleteNodeCone(id int32) int {
 			deleted++
 		}
 	}
-	a.levelsDirty.Store(true)
 	return deleted
 }
 
@@ -415,20 +412,26 @@ func (a *AIG) killAnd(id int32) {
 	a.numAnds.Add(-1)
 }
 
-// Sweep deletes in place every AND node no primary output reaches: each
-// AND nothing references, with the cone below it that nothing else
-// keeps. Freed IDs go to the free list, and live nodes keep their IDs,
-// versions and levels. It returns the number of ANDs deleted.
+// Sweep makes the graph canonical in place and returns the number of
+// ANDs it deleted. In one ID scan it deletes each AND nothing references,
+// with the cone only it keeps, and replaces each AND whose fanin pair
+// another node has (so one not in its fanout cone) by that node, with
+// CascadeMerge: of two twins, the one scanned first goes. Freed IDs go
+// to the free list; survivors keep their IDs, versions and, unless a
+// fold re-points a fanout, levels.
 func (a *AIG) Sweep() int {
-	// No live node loses a fanin, so no level moves.
-	dirty := a.levelsDirty.Load()
 	deleted := 0
 	for id := range a.Capacity() {
-		if n := a.node(id); n.IsAnd() && n.Ref() == 0 {
+		n := a.node(id)
+		if !n.IsAnd() {
+			continue
+		}
+		if n.Ref() == 0 {
 			deleted += a.deleteNodeCone(id)
+		} else if g, ok := a.lookupOther(n.Fanin0(), n.Fanin1(), id); ok {
+			deleted += a.Replace(id, g, ReplaceOptions{CascadeMerge: true})
 		}
 	}
-	a.levelsDirty.Store(dirty)
 	return deleted
 }
 
@@ -440,7 +443,7 @@ func (a *AIG) Levelize() int32 {
 	for _, id := range order {
 		n := a.node(id)
 		if n.Kind() == KindAnd {
-			n.setLevel(1 + max32(a.NodeOf(n.Fanin0()).Level(), a.NodeOf(n.Fanin1()).Level()))
+			n.setLevel(1 + max(a.NodeOf(n.Fanin0()).Level(), a.NodeOf(n.Fanin1()).Level()))
 		} else {
 			n.setLevel(0)
 		}
@@ -448,7 +451,7 @@ func (a *AIG) Levelize() int32 {
 	a.levelsDirty.Store(false)
 	var d int32
 	for _, po := range a.pos {
-		d = max32(d, a.NodeOf(po).Level())
+		d = max(d, a.NodeOf(po).Level())
 	}
 	return d
 }
@@ -460,7 +463,7 @@ func (a *AIG) Delay() int32 {
 	}
 	var d int32
 	for _, po := range a.pos {
-		d = max32(d, a.NodeOf(po).Level())
+		d = max(d, a.NodeOf(po).Level())
 	}
 	return d
 }

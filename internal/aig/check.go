@@ -2,10 +2,10 @@ package aig
 
 import "fmt"
 
-// CheckOptions control which invariants Check verifies.
+// CheckOptions is Check's argument; no field changes what it verifies.
 type CheckOptions struct {
-	// AllowDuplicates skips the strash-uniqueness check: parallel engines
-	// that disable cascade merging can leave duplicate fanin pairs.
+	// AllowDuplicates is ignored: every engine run ends with no duplicate
+	// fanin pair. It stays while the benchmark harness still sets it.
 	AllowDuplicates bool
 }
 
@@ -20,9 +20,9 @@ type CheckOptions struct {
 //   - fanout lists contain no dangling entries and match ref counts
 //   - PO literals point at live nodes and are mirrored in fanout lists
 //   - the graph is acyclic
-//   - at most one live AND per fanin pair (unless AllowDuplicates)
+//   - at most one live AND per fanin pair (Sweep restores it)
 //   - NumAnds matches the live AND population
-func (a *AIG) Check(opts CheckOptions) error {
+func (a *AIG) Check(CheckOptions) error {
 	cap := a.Capacity()
 	if cap == 0 || a.node(0).Kind() != KindConst {
 		return fmt.Errorf("aig: node 0 is not the constant node")
@@ -70,7 +70,7 @@ func (a *AIG) Check(opts CheckOptions) error {
 				}
 			}
 			key := uint64(f0)<<32 | uint64(f1)
-			if prev, dup := pairs[key]; dup && !opts.AllowDuplicates {
+			if prev, dup := pairs[key]; dup {
 				return fmt.Errorf("aig: nodes %d and %d share fanin pair (%v, %v)", prev, id, f0, f1)
 			}
 			pairs[key] = id

@@ -44,7 +44,7 @@ func FuzzReadAIGER(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+		if err := net.Check(aig.CheckOptions{}); err != nil {
 			t.Fatalf("parsed network violates invariants: %v", err)
 		}
 		// Round trip: what we accept we must be able to write and re-read.

@@ -137,14 +137,14 @@ func (n Node) addFanout(e int32) { n.p.fanouts[n.i] = append(n.p.fanouts[n.i], e
 // resetFanouts empties the fanout list, keeping its backing storage.
 func (n Node) resetFanouts() { n.p.fanouts[n.i] = n.p.fanouts[n.i][:0] }
 
-// removeFanout deletes one occurrence of e from the fanout list.
+// removeFanout deletes one occurrence of e from the fanout list, found
+// from the back: a cone is deleted newest node first (TestSweepSharedFanin).
 func (n Node) removeFanout(e int32) bool {
 	s := n.p.fanouts[n.i]
-	for i, x := range s {
-		if x == e {
-			last := len(s) - 1
-			s[i] = s[last]
-			n.p.fanouts[n.i] = s[:last]
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == e {
+			s[i] = s[len(s)-1]
+			n.p.fanouts[n.i] = s[:len(s)-1]
 			return true
 		}
 	}

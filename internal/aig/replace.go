@@ -7,8 +7,8 @@ type ReplaceOptions struct {
 	// CascadeMerge re-hashes fanouts whose fanin pair, after patching,
 	// duplicates an existing node, merging the two (ABC's behaviour).
 	// A commit under locks disables it so that the set of mutated nodes
-	// is known — and lockable — before any mutation happens; the
-	// duplicate pairs left behind are functionally harmless and rare.
+	// is known — and lockable — before any mutation happens; Sweep
+	// folds the duplicate pairs left behind (engine.Run, at pass end).
 	CascadeMerge bool
 }
 
@@ -132,7 +132,7 @@ func (a *AIG) rehash(f int32, f0, f1 Lit) int {
 		n.addFanout(f)
 	}
 	fn.setFanins(f0, f1)
-	fn.setLevel(1 + max32(a.NodeOf(f0).Level(), a.NodeOf(f1).Level()))
+	fn.setLevel(1 + max(a.NodeOf(f0).Level(), a.NodeOf(f1).Level()))
 	deleted := 0
 	for _, of := range [2]Lit{old0, old1} {
 		n := a.NodeOf(of)

@@ -3,6 +3,7 @@ package aig
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -107,13 +108,15 @@ func TestReplaceWithoutCascadeLeavesDuplicates(t *testing.T) {
 	a.AddPO(top1)
 	a.AddPO(top2)
 	a.Replace(d.Node(), xy, ReplaceOptions{CascadeMerge: false})
-	// Duplicates allowed: strash uniqueness is waived, everything else
-	// must hold.
-	if err := a.Check(CheckOptions{AllowDuplicates: true}); err != nil {
-		t.Fatal(err)
+	if err := a.Check(CheckOptions{}); err == nil || !strings.Contains(err.Error(), "share fanin pair") {
+		t.Fatalf("Check reported %v, want the duplicate pair left without cascade merging", err)
 	}
-	if err := a.Check(CheckOptions{}); err == nil {
-		t.Fatal("expected duplicate pair without cascade merging")
+	// Everything else holds: a sweep folds the pair and leaves a clean graph.
+	if got := a.Sweep(); got != 1 {
+		t.Fatalf("Sweep deleted %d ANDs, want the duplicate's 1", got)
+	}
+	if err := a.Check(CheckOptions{}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -393,14 +393,12 @@ func (w *Worker) execute(ctx context.Context, hdr *pollHeader, input []byte) {
 		}
 		return
 	}
-	// The digest declared for the upload is that of the shipped bytes,
-	// which is what the coordinator re-parses and checks.
-	blob, digest, err := dacpara.Encode(out.Net, true)
+	blob, err := dacpara.Encode(out.Net)
 	if err != nil {
 		w.uploadFail(ctx, task.Job, lease, "encoding result: "+err.Error())
 		return
 	}
-	if err := w.uploadResult(ctx, task.Job, lease, resultHeader{Result: out.Result, Verify: out.Verify}, blob, digest); err == nil {
+	if err := w.uploadResult(ctx, task.Job, lease, resultHeader{Result: out.Result, Verify: out.Verify}, blob, aig.StructuralDigest(out.Net)); err == nil {
 		w.executed.Add(1)
 	}
 	// An upload that never got through is deliberate silence: the lease
@@ -439,10 +437,11 @@ func (w *Worker) sendHeartbeat(ctx context.Context, job, lease string) string {
 // swallowed after the retry budget — losing a checkpoint degrades
 // failover granularity, it must not fail a healthy job.
 func (w *Worker) uploadCheckpoint(ctx context.Context, job, lease string, step int, n *dacpara.Network) error {
-	blob, digest, err := dacpara.Encode(n, true)
+	blob, err := dacpara.Encode(n)
 	if err != nil {
 		return nil // un-serializable state: skip the checkpoint, keep the job
 	}
+	digest := aig.StructuralDigest(n)
 	err = w.opts.Retry.Do(ctx, func(ctx context.Context) error {
 		resp, err := w.do(ctx, "/cluster/checkpoint", url.Values{
 			"job": {job}, "lease": {lease},

@@ -32,6 +32,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -181,8 +182,9 @@ const SerialCancelStride = 256
 // retry-budget exhaustion, fault injection, a panicking hook as
 // *galois.PanicError) leaves the network structurally consistent but only
 // partially optimized; the Result covers the work done and is marked
-// Incomplete. Unless ctx is already done, Run first deletes every AND no
-// output reaches (aig.Sweep).
+// Incomplete. Unless ctx is done on entry, Run first deletes every AND no
+// output reaches, and every pass a panic did not stop ends canonical
+// (aig.Sweep: no dead AND, one AND per fanin pair).
 func Run[C any](ctx context.Context, a *aig.AIG, pass Pass[C], plan Plan, e Exec) (Result, error) {
 	start := time.Now()
 	enum, _ := pass.(Enumerator)
@@ -203,11 +205,10 @@ func Run[C any](ctx context.Context, a *aig.AIG, pass Pass[C], plan Plan, e Exec
 		workers = runtime.GOMAXPROCS(0)
 	}
 	passes := max(e.Passes, 1)
-	// Logic no output reaches is deleted before anything reads the graph:
-	// every pass starts on live logic, and since no pass leaves dead logic
-	// behind, it ends there too, so both area counts are live. A run
-	// cancelled before it starts leaves the graph as it is.
-	if ctx.Err() == nil {
+	// Dead logic goes before anything reads the graph, so both area counts
+	// are live; a run cancelled before it starts leaves the graph as it is.
+	started := ctx.Err() == nil
+	if started {
 		a.Sweep()
 	}
 	res := Result{
@@ -439,6 +440,13 @@ func Run[C any](ctx context.Context, a *aig.AIG, pass Pass[C], plan Plan, e Exec
 				runErr = fmt.Errorf("%s: %w", plan.Name, err)
 				break
 			}
+		}
+		// Commits that do not cascade (dacpara, iccad18) leave duplicate
+		// pairs; the fold runs with every worker idle, so it takes no
+		// lock. A panic may have stopped a commit halfway: no fold then.
+		var pe *galois.PanicError
+		if started && !errors.As(runErr, &pe) {
+			a.Sweep()
 		}
 	}
 	if ex != nil {

@@ -31,7 +31,7 @@ func TestPassesConverge(t *testing.T) {
 	if !fixpoint {
 		t.Log("no fixpoint within 6 passes (acceptable for large nets, unusual here)")
 	}
-	if err := a.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+	if err := a.Check(aig.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -101,7 +101,7 @@ func TestWorkerSweep(t *testing.T) {
 		if res.Threads != th {
 			t.Fatalf("threads recorded %d, want %d", res.Threads, th)
 		}
-		if err := a.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+		if err := a.Check(aig.CheckOptions{}); err != nil {
 			t.Fatalf("workers=%d: %v", th, err)
 		}
 		if !slices.Equal(ref, aig.RandomSignature(a, rand.New(rand.NewSource(8)), 4)) {

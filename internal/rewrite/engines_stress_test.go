@@ -1,6 +1,8 @@
 package rewrite_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"dacpara/internal/aig"
+	"dacpara/internal/bench"
 	"dacpara/internal/galois"
 	"dacpara/internal/rewrite"
 )
@@ -65,7 +68,7 @@ func TestStressFaultInjectionAcrossWorkerCounts(t *testing.T) {
 					} else if workers > 1 && res.InjectedAborts == 0 {
 						t.Errorf("no injected aborts at rate 0.25")
 					}
-					if err := net.Check(eng.checkOptions()); err != nil {
+					if err := net.Check(aig.CheckOptions{}); err != nil {
 						t.Fatalf("invariants violated: %v", err)
 					}
 					sig := aig.RandomSignature(net, rand.New(rand.NewSource(1)), 16)
@@ -99,12 +102,48 @@ func TestStressBudgetErrorLeavesConsistentGraph(t *testing.T) {
 	if !res.Incomplete {
 		t.Fatal("partial run not marked Incomplete")
 	}
-	if cerr := net.Check(aig.CheckOptions{AllowDuplicates: true}); cerr != nil {
+	if cerr := net.Check(aig.CheckOptions{}); cerr != nil {
 		t.Fatalf("partial run left invalid graph: %v", cerr)
 	}
 	sig := aig.RandomSignature(net, rand.New(rand.NewSource(2)), 16)
 	if !slices.Equal(refSig, sig) {
 		t.Fatal("partial run broke equivalence")
+	}
+}
+
+// TestStressPartialRunIsCanonical stops iccad18 on its retry budget after
+// it has committed a thousand times: a pass stopped by an error ends with
+// the fold too, so the partial result holds none of the duplicate pairs
+// its commits left (without the fold it holds some), and it parses back
+// from its bytes to the same digest.
+func TestStressPartialRunIsCanonical(t *testing.T) {
+	l := lib(t)
+	net := bench.Sin(8)
+	cfg := rewrite.Config{
+		Workers: 1,
+		Fault:   &galois.FaultPlan{Seed: 1, AbortRate: 0.5, RetryBudget: 2},
+	}
+	res, err := run(rewrite.EngineLockPar)(net, l, cfg)
+	var budget *galois.RetryBudgetError
+	if !errors.As(err, &budget) || !res.Incomplete {
+		t.Fatalf("err = %v, incomplete = %v: want a retry-budget error", err, res.Incomplete)
+	}
+	if res.Commits == 0 {
+		t.Fatal("the run stopped before its first commit")
+	}
+	if err := net.Check(aig.CheckOptions{}); err != nil {
+		t.Fatalf("partial run is not canonical: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := net.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := aig.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := aig.StructuralDigest(parsed), aig.StructuralDigest(net); got != want {
+		t.Fatalf("the partial result parses back to digest %s, not %s", got, want)
 	}
 }
 
@@ -138,7 +177,7 @@ func TestStressOversubscribed(t *testing.T) {
 			if res.Threads != 8 {
 				t.Fatalf("ran on %d workers", res.Threads)
 			}
-			if err := net.Check(eng.checkOptions()); err != nil {
+			if err := net.Check(aig.CheckOptions{}); err != nil {
 				t.Fatalf("invariants violated: %v", err)
 			}
 			sig := aig.RandomSignature(net, rand.New(rand.NewSource(1)), 16)

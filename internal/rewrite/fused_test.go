@@ -38,7 +38,7 @@ func TestParallelConflictsHappenAndResolve(t *testing.T) {
 	if res.Commits < int64(res.Replacements) {
 		t.Fatalf("commits %d < replacements %d", res.Commits, res.Replacements)
 	}
-	if err := a.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+	if err := a.Check(aig.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	sa := aig.RandomSignature(golden, rand.New(rand.NewSource(1)), 4)
@@ -59,7 +59,7 @@ func TestMultiPass(t *testing.T) {
 	if res.FinalAnds >= res.InitialAnds {
 		t.Fatalf("no improvement: %d -> %d", res.InitialAnds, res.FinalAnds)
 	}
-	if err := a.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+	if err := a.Check(aig.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	sa := aig.RandomSignature(golden, rand.New(rand.NewSource(1)), 4)

@@ -31,7 +31,7 @@ func TestReplaceSimMatchesReplace(t *testing.T) {
 	if deleted != actual {
 		t.Fatalf("sim predicted %d deletions, actual %d", deleted, actual)
 	}
-	if err := a.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+	if err := a.Check(aig.CheckOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -31,7 +31,7 @@ func TestDACParaTakesNoLock(t *testing.T) {
 			if res.Replacements == 0 {
 				t.Fatal("nothing was replaced: the run says nothing about the replace phase")
 			}
-			if err := a.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+			if err := a.Check(aig.CheckOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(before, aig.RandomSignature(a, rand.New(rand.NewSource(7)), 4)) {

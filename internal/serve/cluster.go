@@ -47,7 +47,7 @@ func (s *Service) clusterHooks() cluster.Hooks {
 // finishes locally itself from the last uploaded checkpoint — is
 // handled and returns true.
 func (s *Service) runRemote(rctx context.Context, job *Job, key string) bool {
-	blob, _, err := dacpara.Encode(job.req.Network, false)
+	blob, err := dacpara.Encode(job.req.Network)
 	if err != nil {
 		return false
 	}

@@ -96,7 +96,7 @@ func stateForOp(op journal.Op) State {
 // under the service mutex before the job is acknowledged, so a
 // submission the caller saw accepted is on disk.
 func (d *durability) persistSubmit(job *Job) error {
-	blob, _, err := dacpara.Encode(job.req.Network, false)
+	blob, err := dacpara.Encode(job.req.Network)
 	if err != nil {
 		return err
 	}
@@ -157,12 +157,12 @@ func (s *Service) checkpointFn(job *Job) dacpara.FlowCheckpoint {
 		if s.dur.crashed.Load() {
 			return nil
 		}
-		blob, digest, err := dacpara.Encode(net, true)
+		blob, err := dacpara.Encode(net)
 		if err != nil {
 			s.dur.checkpointErrors.Add(1)
 			return nil
 		}
-		s.persistCheckpoint(job.ID, completed, digest, blob)
+		s.persistCheckpoint(job.ID, completed, aig.StructuralDigest(net), blob)
 		return nil
 	}
 }

@@ -139,7 +139,7 @@ func TestReplayParentJournal(t *testing.T) {
 func TestReplayShardRecords(t *testing.T) {
 	const id = "j00000001"
 	net := mustGenerate(t, "voter")
-	input, _, err := dacpara.Encode(net, false)
+	input, err := dacpara.Encode(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestReplayShardRecords(t *testing.T) {
 func TestReplayRetiredParallelFlag(t *testing.T) {
 	const id = "j00000001"
 	net := mustGenerate(t, "sin")
-	input, _, err := dacpara.Encode(net, false)
+	input, err := dacpara.Encode(net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -508,7 +508,7 @@ func (s *Service) runLocal(rctx context.Context, job *Job, key string, net *dacp
 		s.finishError(job, out.Verify, err)
 		return
 	}
-	blob, _, err := dacpara.Encode(out.Net, false)
+	blob, err := dacpara.Encode(out.Net)
 	if err != nil {
 		s.terminate(job, StateFailed, nil, out.Verify, false, "encoding result: "+err.Error())
 		return

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 
-	"dacpara/internal/aig"
 	"dacpara/internal/rewrite"
 )
 
@@ -220,22 +219,13 @@ func rewriteStep(ctx context.Context, net *Network, eng Engine, cfg Config) (Res
 }
 
 // Encode renders a network as binary AIGER, the form every result and
-// checkpoint blob takes. With shipped set it also returns the
-// structural digest of the bytes as their receiver will parse them:
-// parsing merges ANDs an engine left with equal fanin pairs, so the
-// in-memory graph can digest differently from the blob it encodes to. A
-// caller that only stores the blob skips that parse.
-func Encode(net *Network, shipped bool) (blob []byte, digest string, err error) {
+// checkpoint blob takes. Every run ends canonical (bar one a panic
+// stopped, whose network is suspect anyway), so the blob parses back to
+// a graph with the network's aig.StructuralDigest.
+func Encode(net *Network) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := net.WriteBinary(&buf); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	if shipped {
-		parsed, err := aig.Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return nil, "", err
-		}
-		digest = aig.StructuralDigest(parsed)
-	}
-	return buf.Bytes(), digest, nil
+	return buf.Bytes(), nil
 }

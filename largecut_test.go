@@ -106,7 +106,7 @@ func TestGoldenK4ByteIdentity(t *testing.T) {
 // small circuits, simulation-screened beyond cecBudgetAnds).
 func checkCleanAndEquivalent(t *testing.T, golden, net *Network) {
 	t.Helper()
-	if err := net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+	if err := net.Check(aig.CheckOptions{}); err != nil {
 		t.Fatalf("structural check: %v", err)
 	}
 	opts := cec.Options{SimOnly: true, SimRounds: 64}

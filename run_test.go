@@ -57,7 +57,7 @@ func TestRunMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := out.Net.Check(aig.CheckOptions{AllowDuplicates: true}); err != nil {
+				if err := out.Net.Check(aig.CheckOptions{}); err != nil {
 					t.Fatalf("structural check: %v", err)
 				}
 				if got, ref := aig.StructuralDigest(out.Net), want[flow]; got != ref {
